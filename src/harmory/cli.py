@@ -40,10 +40,7 @@ from harmory.segmentation import (
     KernelTooLargeError,
     SegmentationParams,
     boundaries_to_csv,
-    build_ssm,
-    novelty,
     novelty_to_csv,
-    pick_boundaries,
     segment_timeline,
     ssm_to_pgm,
 )
@@ -76,13 +73,21 @@ def write_atomic(path: Path, data: str | bytes) -> None:
         raise
 
 
-def load_piece(path: Path) -> Timeline:
-    name = path.name
+def _read_piece(path: Path, name: str) -> Timeline | None:
+    """Load a piece whose id is ``name`` without its extension; None when
+    ``name`` has neither piece extension."""
     if name.endswith(".jams.json"):
         return load_jams(path.read_text(), fallback_id=name[:-len(".jams.json")])
     if name.endswith(".chart"):
         return load_chart(path.read_text(), piece_id=name[:-len(".chart")])
-    raise SchemaError(f"{path}: expected a .jams.json or .chart file")
+    return None
+
+
+def load_piece(path: Path) -> Timeline:
+    piece = _read_piece(path, path.name)
+    if piece is None:
+        raise SchemaError(f"{path}: expected a .jams.json or .chart file")
+    return piece
 
 
 def discover_corpus(root: Path) -> list[Timeline]:
@@ -90,16 +95,9 @@ def discover_corpus(root: Path) -> list[Timeline]:
     by path; piece ids are the extension-free relative paths."""
     if not root.is_dir():
         raise NotADirectoryError(f"not a corpus directory: {root}")
-    corpus = []
-    paths = sorted(p for p in root.rglob("*")
-                   if p.name.endswith(".jams.json") or p.name.endswith(".chart"))
-    for path in paths:
-        relative = path.relative_to(root).as_posix()
-        stem = relative[:-len(".jams.json")] if relative.endswith(".jams.json") \
-            else relative[:-len(".chart")]
-        text = path.read_text()
-        corpus.append(load_jams(text, fallback_id=stem) if path.name.endswith(".jams.json")
-                      else load_chart(text, piece_id=stem))
+    pieces = (_read_piece(path, path.relative_to(root).as_posix())
+              for path in sorted(root.rglob("*")))
+    corpus = [piece for piece in pieces if piece is not None]
     if not corpus:
         raise EmptyCorpusError(f"no .jams.json or .chart files under {root}")
     return corpus
@@ -190,31 +188,23 @@ def cmd_encode(args) -> int:
 def cmd_segment(args) -> int:
     timeline = load_piece(Path(args.piece))
     params = _seg_params(args)
-    ssm = build_ssm(timeline)
-    kernel_size = min(params.kernel_size, 2 * ssm.size)
-    if ssm.size == 1:
-        boundaries = []
-        curve = None
-    else:
-        curve = novelty(ssm, kernel_size, params.taper)
-        boundaries = pick_boundaries(curve, params.peak_lambda, params.min_gap)
-    segments = segment_timeline(timeline, params)
+    result = segment_timeline(timeline, params)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = timeline.id.replace("/", "_")
-    write_atomic(out_dir / f"{stem}.ssm.pgm", ssm_to_pgm(ssm))
-    if curve is not None:
-        write_atomic(out_dir / f"{stem}.novelty.csv", novelty_to_csv(curve))
-    write_atomic(out_dir / f"{stem}.boundaries.csv", boundaries_to_csv(boundaries))
+    write_atomic(out_dir / f"{stem}.ssm.pgm", ssm_to_pgm(result.ssm))
+    if result.curve is not None:
+        write_atomic(out_dir / f"{stem}.novelty.csv", novelty_to_csv(result.curve))
+    write_atomic(out_dir / f"{stem}.boundaries.csv", boundaries_to_csv(result.boundaries))
     payload = {
         "piece": timeline.id,
-        "params": {"kernel_size": kernel_size, "taper": params.taper,
+        "params": {"kernel_size": result.kernel_size, "taper": params.taper,
                    "peak_lambda": params.peak_lambda, "min_gap": params.min_gap,
                    "min_len": params.min_len},
-        "boundaries": boundaries,
+        "boundaries": result.boundaries,
         "segments": [{"id": s.id, "start_event": s.start_event, "end_event": s.end_event,
                       "chords": " ".join(render_chord(c) for c in s.chords)}
-                     for s in segments],
+                     for s in result.segments],
     }
     text = json.dumps(payload, indent=2) + "\n"
     write_atomic(out_dir / f"{stem}.segments.json", text)

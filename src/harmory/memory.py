@@ -18,7 +18,7 @@ from urllib.parse import quote
 
 from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
-from harmory.similarity import _dtw, key_relative_events
+from harmory.similarity import Event, _dtw, key_relative
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, estimate_key
 from harmory.tps import Key
 
@@ -106,7 +106,7 @@ class UnionFind:
 
 
 def segment_to_timeline(segment: Segment) -> Timeline:
-    """View a segment as a one-beat-per-event timeline for alignment."""
+    """View a segment as a one-beat-per-event timeline."""
     events = [ChordEvent(Fraction(i), Fraction(1), chord)
               for i, chord in enumerate(segment.chords)]
     spans = [KeySpan(Fraction(i), Fraction(1), key)
@@ -114,10 +114,9 @@ def segment_to_timeline(segment: Segment) -> Timeline:
     return build_timeline(segment.id, events, spans)
 
 
-def _segment_score(a: Segment, b: Segment, scale: float) -> float:
-    alignment = _dtw(key_relative_events(segment_to_timeline(a)),
-                     key_relative_events(segment_to_timeline(b)))
-    return exp(-alignment.normalized_cost / scale)
+def _segment_score(a: tuple[Event, ...], b: tuple[Event, ...], scale: float) -> float:
+    """Warping similarity of two segments' key-relative events."""
+    return exp(-_dtw(a, b).normalized_cost / scale)
 
 
 def build_memory(corpus: list[Timeline],
@@ -141,16 +140,17 @@ def build_memory(corpus: list[Timeline],
     pieces: dict[str, PieceInfo] = {}
     segments: dict[str, Segment] = {}
     for tl in sorted(corpus, key=lambda t: t.id):
-        piece_segments = segment_timeline(tl, seg_params)
+        piece_segments = segment_timeline(tl, seg_params).segments
         pieces[tl.id] = PieceInfo(tl.id, tl.title, tl.artist,
                                   tuple(s.id for s in piece_segments))
         for segment in piece_segments:
             segments[segment.id] = segment
     ordered = sorted(segments)
     pairs = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
+    events = {seg_id: key_relative(segment.events()) for seg_id, segment in segments.items()}
 
     def score(pair):
-        return _segment_score(segments[pair[0]], segments[pair[1]], scale)
+        return _segment_score(events[pair[0]], events[pair[1]], scale)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -220,6 +220,8 @@ def export_ntriples(graph: MemoryGraph) -> bytes:
     for segment in graph.segments.values():
         lines.append(f"{_uri(segment.id)} <{BASE}chordSequence> "
                      f"{_literal(chord_sequence(segment))} .")
+        lines.append(f"{_uri(segment.id)} <{BASE}keySequence> "
+                     f"{_literal(' '.join(map(str, segment.keys)))} .")
     for a, b, weight in graph.similar:
         lines.append(f"{_uri(a)} <{BASE}similarTo> {_uri(b)} .")
         lines.append(f"<{BASE}sim/{quote(a, safe='/_.-')}/{quote(b, safe='/_.-')}> "
@@ -229,6 +231,7 @@ def export_ntriples(graph: MemoryGraph) -> bytes:
 
 _TRIPLE = re.compile(
     r'^<([^>]*)> <([^>]*)> (?:<([^>]*)>|"((?:[^"\\]|\\.)*)") \.$')
+_SEGMENT_ID = re.compile(r"(.*)/seg/(0|[1-9][0-9]*)")
 
 
 def _unquote_literal(text: str) -> str:
@@ -239,15 +242,16 @@ def _unquote_literal(text: str) -> str:
 def import_ntriples(data: bytes) -> MemoryGraph:
     """Rebuild a memory graph from export_ntriples output.
 
-    Segment keys are re-estimated from the chord sequences; the graph
-    structure (nodes, edges, weights, chord content) round-trips.
+    Structure, weights, chords and keys round-trip, so queries rank as
+    on the exported graph; titles, artists and params are not exported.
     """
     from urllib.parse import unquote
 
-    has_segment: dict[str, list[str]] = {}
+    has_segment: dict[str, list[tuple[int, str]]] = {}
     next_segment: dict[str, str] = {}
-    instance_of: dict[str, str] = {}
+    instance_of: dict[str, tuple[str, int]] = {}
     sequences: dict[str, str] = {}
+    key_sequences: dict[str, str] = {}
     similar_pairs: list[tuple[str, str]] = []
     weights: dict[str, float] = {}
     for lineno, raw in enumerate(data.decode("utf-8").splitlines(), 1):
@@ -262,38 +266,57 @@ def import_ntriples(data: bytes) -> MemoryGraph:
         obj_uri = match.group(3)
         obj = unquote(obj_uri[len(BASE):]) if obj_uri else _unquote_literal(match.group(4))
         if predicate == "hasSegment":
-            has_segment.setdefault(subject, []).append(obj)
+            seg_match = _SEGMENT_ID.fullmatch(obj)
+            if not seg_match or seg_match.group(1) != subject:
+                raise GraphFormatError(
+                    f"line {lineno}: segment {obj!r} is not named {subject}/seg/<index>")
+            has_segment.setdefault(subject, []).append((int(seg_match.group(2)), obj))
         elif predicate == "nextSegment":
             next_segment[subject] = obj
         elif predicate == "instanceOf":
-            instance_of[subject] = obj
+            instance_of[subject] = (obj, lineno)
         elif predicate == "chordSequence":
             sequences[subject] = obj
+        elif predicate == "keySequence":
+            key_sequences[subject] = obj
         elif predicate == "similarTo":
             similar_pairs.append((subject, obj))
         elif predicate == "weight":
-            weights[subject] = float(obj)
+            try:
+                weights[subject] = float(obj)
+            except ValueError as err:
+                raise GraphFormatError(f"line {lineno}: {err}") from err
         else:
             raise GraphFormatError(f"line {lineno}: unknown predicate {predicate!r}")
     pieces: dict[str, PieceInfo] = {}
     segments: dict[str, Segment] = {}
     for piece_id in sorted(has_segment):
-        ordered = sorted(has_segment[piece_id],
-                         key=lambda seg_id: int(seg_id.rsplit("/", 1)[1]))
-        pieces[piece_id] = PieceInfo(piece_id, None, None, tuple(ordered))
+        ordered = sorted(has_segment[piece_id])
+        pieces[piece_id] = PieceInfo(piece_id, None, None,
+                                     tuple(seg_id for _, seg_id in ordered))
         cursor = 0
-        for index, seg_id in enumerate(ordered):
-            if seg_id not in sequences:
-                raise GraphFormatError(f"segment {seg_id}: missing chordSequence")
-            chords = tuple(parse_chord(token) for token in sequences[seg_id].split())
-            key = estimate_key(chords)
+        for index, seg_id in ordered:
+            for name, table in (("chordSequence", sequences), ("keySequence", key_sequences)):
+                if seg_id not in table:
+                    raise GraphFormatError(f"segment {seg_id}: missing {name}")
+            try:
+                chords = tuple(parse_chord(token) for token in sequences[seg_id].split())
+                keys = tuple(Key.from_string(token) for token in key_sequences[seg_id].split())
+            except ValueError as err:
+                raise GraphFormatError(f"segment {seg_id}: {err}") from err
+            if not chords or len(keys) != len(chords) \
+                    or any(chord.is_nochord for chord in chords):
+                raise GraphFormatError(f"segment {seg_id}: needs one key per sounded chord, "
+                                       f"got {len(chords)} chords and {len(keys)} keys")
             segments[seg_id] = Segment(
                 piece_id=piece_id, index=index, start_event=cursor,
-                end_event=cursor + len(chords), chords=chords,
-                keys=tuple(key for _ in chords))
+                end_event=cursor + len(chords), chords=chords, keys=keys)
             cursor += len(chords)
     member_lists: dict[str, list[str]] = {}
-    for member, pattern_id in instance_of.items():
+    for member, (pattern_id, lineno) in instance_of.items():
+        if member not in segments or pattern_id not in segments:
+            raise GraphFormatError(f"line {lineno}: instanceOf {member} {pattern_id}: "
+                                   "both must be segments of a piece (hasSegment)")
         member_lists.setdefault(pattern_id, []).append(member)
     patterns = {pattern_id: Pattern(medoid=pattern_id, members=tuple(sorted(members)))
                 for pattern_id, members in member_lists.items()}
@@ -348,14 +371,11 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     if not chords or query.k < 1:
         raise EmptyQueryError("need at least one sounded chord and k >= 1")
     key = query.key or estimate_key(chords)
-    events = [ChordEvent(Fraction(i), Fraction(1), chord)
-              for i, chord in enumerate(chords)]
-    spans = [KeySpan(Fraction(0), Fraction(len(chords)), key)]
-    probe = key_relative_events(build_timeline("query", events, spans))
+    probe = key_relative((chord, key) for chord in chords)
     ranked = []
     for pattern_id in sorted(graph.patterns):
         medoid = graph.segments[graph.patterns[pattern_id].medoid]
-        alignment = _dtw(probe, key_relative_events(segment_to_timeline(medoid)))
+        alignment = _dtw(probe, key_relative(medoid.events()))
         ranked.append((pattern_id, exp(-alignment.normalized_cost / scale),
                        chord_sequence(medoid)))
     ranked.sort(key=lambda row: (-row[1], row[0]))

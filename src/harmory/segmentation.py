@@ -142,9 +142,25 @@ def pick_boundaries(curve: NoveltyCurve, peak_lambda: float = 0.5,
     return sorted(kept)
 
 
+@dataclass(frozen=True)
+class Segmentation:
+    """Everything one segmentation pass computed.
+
+    ``kernel_size`` is the clamped kernel; ``curve`` is None for a
+    single-event piece, which has no boundary positions.
+    """
+
+    ssm: SSM
+    kernel_size: int
+    curve: NoveltyCurve | None
+    boundaries: list[int]
+    segments: list[Segment]
+
+
 def segment_timeline(timeline: Timeline,
-                     params: SegmentationParams = SegmentationParams()) -> list[Segment]:
-    """Split a piece into segments of sounded events.
+                     params: SegmentationParams = SegmentationParams()) -> Segmentation:
+    """Split a piece into segments of sounded events: SSM, novelty
+    curve, boundaries, then segments, each computed once.
 
     The kernel is clamped to twice the number of sounded events so short
     pieces stay segmentable.  Segments shorter than ``min_len`` merge into
@@ -153,10 +169,11 @@ def segment_timeline(timeline: Timeline,
     """
     ssm = build_ssm(timeline)
     n = ssm.size
+    kernel_size = min(params.kernel_size, 2 * n)
     if n == 1:
+        curve = None
         boundaries: list[int] = []
     else:
-        kernel_size = min(params.kernel_size, 2 * n)
         curve = novelty(ssm, kernel_size, params.taper)
         boundaries = pick_boundaries(curve, params.peak_lambda, params.min_gap)
     cuts = [0, *boundaries, n]
@@ -177,9 +194,10 @@ def segment_timeline(timeline: Timeline,
     sounded = timeline.sounded()
     chords = [e.chord for _, e in sounded]
     keys = [timeline.key_at(e.start) for _, e in sounded]
-    return [Segment(piece_id=timeline.id, index=k, start_event=a, end_event=b,
-                    chords=tuple(chords[a:b]), keys=tuple(keys[a:b]))
-            for k, (a, b) in enumerate(spans)]
+    segments = [Segment(piece_id=timeline.id, index=k, start_event=a, end_event=b,
+                        chords=tuple(chords[a:b]), keys=tuple(keys[a:b]))
+                for k, (a, b) in enumerate(spans)]
+    return Segmentation(ssm, kernel_size, curve, boundaries, segments)
 
 
 def ssm_to_pgm(ssm: SSM) -> str:

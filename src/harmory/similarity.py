@@ -80,13 +80,15 @@ class PatternOccurrence:
     length: int
 
 
+def key_relative(events) -> tuple[Event, ...]:
+    """(chord, key) pairs transposed so each key tonic is C."""
+    return tuple((transpose_chord(chord, -key.tonic), Key(0, key.mode))
+                 for chord, key in events)
+
+
 def key_relative_events(timeline: Timeline) -> tuple[Event, ...]:
-    """Sounded events transposed so each governing key tonic is C."""
-    out = []
-    for _, e in timeline.sounded():
-        key = timeline.key_at(e.start)
-        out.append((transpose_chord(e.chord, -key.tonic), Key(0, key.mode)))
-    return tuple(out)
+    """Sounded events under their governing keys, made key-relative."""
+    return key_relative((e.chord, timeline.key_at(e.start)) for _, e in timeline.sounded())
 
 
 def _cell(a: Event, b: Event) -> float:

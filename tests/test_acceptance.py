@@ -214,7 +214,7 @@ def test_criterion_7_memory_determinism():
     assert {p: sorted(graph.patterns[p].members) for p in graph.patterns} \
         == {p: sorted(imported.patterns[p].members) for p in imported.patterns}
 
-    segments = [seg for tl in corpus for seg in segment_timeline(tl, params)]
+    segments = [seg for tl in corpus for seg in segment_timeline(tl, params).segments]
     assert len(segments) <= 20
     ids = sorted(segment.id for segment in segments)
     by_id = {segment.id: segment for segment in segments}

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import harmory.cli as cli
+import harmory.segmentation as segmentation
 from harmory.cli import main
 
 GOLDEN_GRAPH = Path(__file__).parent / "data" / "memory_golden.nt"
@@ -104,6 +106,23 @@ def test_segment_writes_artifacts(capsys, tmp_path):
     assert (out_dir / "blocky.ssm.pgm").read_text().startswith("P2\n8 8\n255\n")
 
 
+def test_segment_builds_one_ssm(capsys, tmp_path, monkeypatch):
+    piece = tmp_path / "blocky.chart"
+    piece.write_text(chart(["C:maj"] * 4 + ["G:maj"] * 4))
+    calls = []
+    build_ssm = segmentation.build_ssm
+
+    def counting(timeline):
+        calls.append(timeline.id)
+        return build_ssm(timeline)
+
+    for module in (cli, segmentation):
+        monkeypatch.setattr(module, "build_ssm", counting, raising=False)
+    code, _, _ = run(capsys, ["--out-dir", str(tmp_path / "seg"), "segment", str(piece)])
+    assert code == 0
+    assert calls == ["blocky"]
+
+
 def test_sim_scores_transposed_cover_as_identical(capsys, tmp_path):
     a = tmp_path / "a.chart"
     b = tmp_path / "b.chart"
@@ -171,6 +190,23 @@ def test_build_matches_golden_graph_and_query_finds_medoid(capsys, tmp_path):
     assert results[0]["score"] == 1.0
     assert results[0]["pattern"] == "alpha/seg/0"
     assert results[0]["chords"] == "C:maj C:maj C:maj C:maj"
+
+
+def test_malformed_graphs_are_usage_errors_with_a_position(capsys, tmp_path):
+    graph = tmp_path / "memory.nt"
+    graph.write_text('<urn:harmory:p> <urn:harmory:hasSegment> <urn:harmory:p/intro> .\n'
+                     '<urn:harmory:p/intro> <urn:harmory:chordSequence> "C:maj" .\n')
+    code, _, err = run(capsys, ["query", str(graph), "C:maj"])
+    assert code == 2
+    assert err.startswith("error: line 1:")
+    graph.write_text('<urn:harmory:p> <urn:harmory:hasSegment> <urn:harmory:p/seg/0> .\n'
+                     '<urn:harmory:p/seg/0> <urn:harmory:chordSequence> "C:maj" .\n'
+                     '<urn:harmory:p/seg/0> <urn:harmory:keySequence> "C:maj" .\n'
+                     '<urn:harmory:p/seg/0> <urn:harmory:instanceOf> <urn:harmory:q/seg/0> .\n')
+    code, _, err = run(capsys, ["query", str(graph), "C:maj"])
+    assert code == 2
+    assert err.startswith("error: line 4:")
+    assert "q/seg/0" in err
 
 
 def test_eval_covers_json_and_table(capsys, tmp_path):

@@ -8,11 +8,15 @@ similarTo weight = exp(-7/4/5) = 0.704688).
 
 from __future__ import annotations
 
+import json
 import random
+from functools import lru_cache
 from math import exp
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmory.harte import parse_chord
 from harmory.memory import (
@@ -32,7 +36,9 @@ from harmory.memory import (
 )
 from harmory.segmentation import SegmentationParams, segment_timeline
 from harmory.similarity import dtw_similarity
-from tests.conftest import make_timeline
+from harmory.timeline import load_jams
+from harmory.tps import Key
+from tests.conftest import chords, make_timeline
 
 DATA = Path(__file__).parent / "data"
 PARAMS = SegmentationParams(kernel_size=4)
@@ -44,6 +50,27 @@ def fixture_corpus():
         make_timeline(["G:maj"] * 4 + ["D:maj"] * 4, key="G:maj", piece_id="beta"),
         make_timeline(["C:maj", "C:maj", "C:maj", "A:min"], piece_id="gamma"),
     ]
+
+
+def modulating_piece():
+    """A JAMS piece that moves from C:maj to G:maj in the middle of its
+    second segment, so one key per segment cannot describe it."""
+    symbols = ["C:maj"] * 4 + ["D:7", "G:maj", "D:7", "G:maj"]
+    doc = {"file_metadata": {"identifiers": {"id": "modulating"}},
+           "annotations": [
+               {"namespace": "chord_harte",
+                "data": [{"time": i, "duration": 1, "value": c}
+                         for i, c in enumerate(symbols)]},
+               {"namespace": "key_mode",
+                "data": [{"time": 0, "duration": 6, "value": "C:maj"},
+                         {"time": 6, "duration": 2, "value": "G:maj"}]}]}
+    return load_jams(json.dumps(doc))
+
+
+@lru_cache(maxsize=None)
+def graph_and_round_trip():
+    graph = build_memory(fixture_corpus() + [modulating_piece()], PARAMS)
+    return graph, import_ntriples(export_ntriples(graph))
 
 
 def closure_groups(nodes, edges):
@@ -104,7 +131,7 @@ def test_merging_matches_brute_force_closure():
     ]
     theta_merge = 0.9
     graph = build_memory(corpus, PARAMS, theta_merge=theta_merge)
-    segments = [seg for tl in corpus for seg in segment_timeline(tl, PARAMS)]
+    segments = [seg for tl in corpus for seg in segment_timeline(tl, PARAMS).segments]
     assert len(segments) <= 20
     ids = sorted(s.id for s in segments)
     by_id = {s.id: s for s in segments}
@@ -160,6 +187,33 @@ def test_import_golden_file():
     (a, b, weight), = graph.similar
     assert (a, b) == ("alpha/seg/0", "gamma/seg/0")
     assert weight == pytest.approx(0.704688, abs=5e-7)
+
+
+def test_import_keeps_keys_that_change_inside_a_segment():
+    graph, back = graph_and_round_trip()
+    assert [str(k) for k in graph.segments["modulating/seg/1"].keys] \
+        == ["C:maj", "C:maj", "G:maj", "G:maj"]
+    assert back.segments == graph.segments
+
+
+@given(progression=st.lists(chords(), min_size=1, max_size=6),
+       key=st.none() | st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"])))
+@settings(max_examples=60, deadline=None)
+def test_query_ranks_the_same_after_the_round_trip(progression, key):
+    graph, back = graph_and_round_trip()
+    query = PatternQuery(chords=tuple(progression), key=key, k=len(graph.patterns))
+    expected = [(i, round(s, 6)) for i, s, _ in query_similar(graph, query)]
+    assert [(i, round(s, 6)) for i, s, _ in query_similar(back, query)] == expected
+
+
+def test_import_rejects_key_sequences_that_do_not_fit():
+    good = (DATA / "memory_golden.nt").read_bytes()
+    line = b'<urn:harmory:gamma/seg/0> <urn:harmory:keySequence> "C:maj C:maj C:maj C:maj" .\n'
+    assert line in good
+    for bad in (b"", line.replace(b"C:maj C:maj C:maj C:maj", b"C:maj C:maj C:maj"),
+                line.replace(b"C:maj C:maj C:maj C:maj", b"C:maj C:maj C:maj H:maj")):
+        with pytest.raises(GraphFormatError, match="gamma/seg/0"):
+            import_ntriples(good.replace(line, bad))
 
 
 def test_import_rejects_garbage():
@@ -247,7 +301,7 @@ def test_export_json_shape():
 
 
 def test_segment_to_timeline():
-    segments = segment_timeline(fixture_corpus()[0], PARAMS)
+    segments = segment_timeline(fixture_corpus()[0], PARAMS).segments
     tl = segment_to_timeline(segments[0])
     assert tl.id == "alpha/seg/0"
     assert len(tl.events) == 4

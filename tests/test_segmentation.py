@@ -209,23 +209,23 @@ def test_lambda_monotonicity():
 
 
 def test_segment_block_piece():
-    segments = segment_timeline(AABB, SegmentationParams(kernel_size=4))
+    segments = segment_timeline(AABB, SegmentationParams(kernel_size=4)).segments
     assert [(s.start_event, s.end_event) for s in segments] == [(0, 4), (4, 8)]
     assert segments[0].id == "piece/seg/0"
     assert [str(c.root) for c in segments[1].chords] == ["G"] * 4
-    segments = segment_timeline(AABB)  # default kernel 8
+    segments = segment_timeline(AABB).segments  # default kernel 8
     assert [(s.start_event, s.end_event) for s in segments] == [(0, 4), (4, 8)]
 
 
 def test_segment_no_peaks_single_segment():
     tl = make_timeline(["C:maj", "G:maj", "A:min", "F:maj"])
-    segments = segment_timeline(tl)
+    segments = segment_timeline(tl).segments
     assert len(segments) == 1
     assert (segments[0].start_event, segments[0].end_event) == (0, 4)
 
 
 def test_segment_single_event_piece():
-    segments = segment_timeline(make_timeline(["C:maj"]))
+    segments = segment_timeline(make_timeline(["C:maj"])).segments
     assert [(s.start_event, s.end_event) for s in segments] == [(0, 1)]
 
 
@@ -234,7 +234,7 @@ def test_segment_partition_and_min_len():
 
     params = SegmentationParams()
     for tl in synthetic_corpus(6, 64):
-        segments = segment_timeline(tl, params)
+        segments = segment_timeline(tl, params).segments
         n = len(tl.sounded())
         assert segments[0].start_event == 0
         assert segments[-1].end_event == n
@@ -248,16 +248,16 @@ def test_segment_partition_and_min_len():
 def test_segment_boundaries_transposition_invariant():
     tl = make_timeline(["C:maj", "C:maj", "F:maj", "G:7", "A:min", "A:min",
                         "D:min", "G:7", "C:maj", "C:maj"])
-    base = [(s.start_event, s.end_event) for s in segment_timeline(tl)]
+    base = [(s.start_event, s.end_event) for s in segment_timeline(tl).segments]
     for n in range(1, 12):
         moved = [(s.start_event, s.end_event)
-                 for s in segment_timeline(transpose(tl, n))]
+                 for s in segment_timeline(transpose(tl, n)).segments]
         assert moved == base
 
 
 def test_segment_kernel_clamped_for_short_pieces():
     tl = make_timeline(["C:maj", "G:maj", "C:maj"])
-    segments = segment_timeline(tl, SegmentationParams(kernel_size=64))
+    segments = segment_timeline(tl, SegmentationParams(kernel_size=64)).segments
     assert segments[-1].end_event == 3
 
 
