@@ -4,38 +4,3 @@ Chord symbols are parsed from Harte notation, embedded in Tonal Pitch
 Space, segmented into structural patterns, compared with alignment-based
 similarity measures, and stored in a queryable knowledge graph.
 """
-
-from harmory.harte import (
-    Chord,
-    ChordSemanticError,
-    ChordSyntaxError,
-    Degree,
-    HarteError,
-    Natural,
-    NO_CHORD,
-    NoChordError,
-    parse_chord,
-    pitch_class_set,
-    render_chord,
-)
-from harmory.tps import BasicSpace, Key, basic_space, chord_distance, fifths_distance, key_relative_value
-
-__all__ = [
-    "BasicSpace",
-    "Chord",
-    "ChordSemanticError",
-    "ChordSyntaxError",
-    "Degree",
-    "HarteError",
-    "Key",
-    "NO_CHORD",
-    "Natural",
-    "NoChordError",
-    "basic_space",
-    "chord_distance",
-    "fifths_distance",
-    "key_relative_value",
-    "parse_chord",
-    "pitch_class_set",
-    "render_chord",
-]

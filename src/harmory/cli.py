@@ -58,7 +58,7 @@ from harmory.tps import Key, chord_distance
 
 USAGE_ERRORS = (HarteError, SchemaError, EmptyTimelineError, KernelTooLargeError,
                 CliqueError, EmptyCorpusError, EmptyQueryError, GraphFormatError,
-                FileNotFoundError, NotADirectoryError, ValueError)
+                OSError, ValueError)
 
 
 def write_atomic(path: Path, data: str | bytes) -> None:
@@ -92,11 +92,12 @@ def load_piece(path: Path) -> Timeline:
 
 def discover_corpus(root: Path) -> list[Timeline]:
     """Load all *.jams.json and *.chart files under a directory, sorted
-    by path; piece ids are the extension-free relative paths."""
+    by path; piece ids are the extension-free relative paths.  A
+    directory named like a piece is not one."""
     if not root.is_dir():
         raise NotADirectoryError(f"not a corpus directory: {root}")
     pieces = (_read_piece(path, path.relative_to(root).as_posix())
-              for path in sorted(root.rglob("*")))
+              for path in sorted(root.rglob("*")) if path.is_file())
     corpus = [piece for piece in pieces if piece is not None]
     if not corpus:
         raise EmptyCorpusError(f"no .jams.json or .chart files under {root}")

@@ -18,9 +18,9 @@ from urllib.parse import quote
 
 from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
-from harmory.similarity import Event, _dtw, key_relative
+from harmory.similarity import _dtw, key_relative, map_pairs
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, estimate_key
-from harmory.tps import Key
+from harmory.tps import Key, distance_table, intern
 
 from math import exp
 
@@ -114,9 +114,10 @@ def segment_to_timeline(segment: Segment) -> Timeline:
     return build_timeline(segment.id, events, spans)
 
 
-def _segment_score(a: tuple[Event, ...], b: tuple[Event, ...], scale: float) -> float:
-    """Warping similarity of two segments' key-relative events."""
-    return exp(-_dtw(a, b).normalized_cost / scale)
+def _segment_score(a: list[int], b: list[int], table: list[list[float]],
+                   scale: float) -> float:
+    """Warping similarity of two segments' key-relative event codes."""
+    return exp(-_dtw(a, b, table=table).normalized_cost / scale)
 
 
 def build_memory(corpus: list[Timeline],
@@ -126,7 +127,7 @@ def build_memory(corpus: list[Timeline],
     """Segment a corpus and fold similar segments into patterns.
 
     Requires ``0 < theta_sim <= 1`` and ``theta_merge >= theta_sim``.
-    Thread-parallel pair scoring gives identical results to sequential.
+    Every number of workers gives the same graph.
     """
     if not corpus:
         raise EmptyCorpusError("corpus is empty")
@@ -147,17 +148,15 @@ def build_memory(corpus: list[Timeline],
             segments[segment.id] = segment
     ordered = sorted(segments)
     pairs = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
-    events = {seg_id: key_relative(segment.events()) for seg_id, segment in segments.items()}
+    vocab: dict = {}
+    codes = {seg_id: intern(key_relative(segment.events()), vocab)
+             for seg_id, segment in segments.items()}
+    table = distance_table(vocab, vocab)
 
     def score(pair):
-        return _segment_score(events[pair[0]], events[pair[1]], scale)
+        return _segment_score(codes[pair[0]], codes[pair[1]], table, scale)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = dict(zip(pairs, pool.map(score, pairs)))
-    else:
-        scores = {pair: score(pair) for pair in pairs}
+    scores = dict(zip(pairs, map_pairs(score, pairs, workers)))
     merged = UnionFind(ordered)
     for (a, b), value in scores.items():
         if value >= theta_merge:
@@ -371,11 +370,16 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     if not chords or query.k < 1:
         raise EmptyQueryError("need at least one sounded chord and k >= 1")
     key = query.key or estimate_key(chords)
-    probe = key_relative((chord, key) for chord in chords)
+    probe_vocab, medoid_vocab = {}, {}
+    probe = intern(key_relative((chord, key) for chord in chords), probe_vocab)
+    medoids = {pattern_id: graph.segments[graph.patterns[pattern_id].medoid]
+               for pattern_id in sorted(graph.patterns)}
+    codes = {pattern_id: intern(key_relative(medoid.events()), medoid_vocab)
+             for pattern_id, medoid in medoids.items()}
+    table = distance_table(probe_vocab, medoid_vocab)
     ranked = []
-    for pattern_id in sorted(graph.patterns):
-        medoid = graph.segments[graph.patterns[pattern_id].medoid]
-        alignment = _dtw(probe, key_relative(medoid.events()))
+    for pattern_id, medoid in medoids.items():
+        alignment = _dtw(probe, codes[pattern_id], table=table)
         ranked.append((pattern_id, exp(-alignment.normalized_cost / scale),
                        chord_sequence(medoid)))
     ranked.sort(key=lambda row: (-row[1], row[0]))

@@ -13,7 +13,7 @@ import numpy as np
 
 from harmory.harte import Chord
 from harmory.timeline import EmptyTimelineError, Timeline
-from harmory.tps import Key, chord_distance
+from harmory.tps import Key, distance_table, intern
 
 
 class KernelTooLargeError(ValueError):
@@ -80,13 +80,9 @@ def build_ssm(timeline: Timeline) -> SSM:
     sounded = timeline.sounded()
     if not sounded:
         raise EmptyTimelineError(f"{timeline.id}: no sounded events")
-    pairs = [(e.chord, timeline.key_at(e.start)) for _, e in sounded]
-    n = len(pairs)
-    distances = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            distances[i, j] = distances[j, i] = chord_distance(
-                pairs[i][0], pairs[i][1], pairs[j][0], pairs[j][1])
+    vocab: dict = {}
+    codes = intern(((e.chord, timeline.key_at(e.start)) for _, e in sounded), vocab)
+    distances = np.array(distance_table(vocab, vocab))[np.ix_(codes, codes)]
     largest = distances.max()
     if largest == 0:
         largest = 1.0

@@ -23,7 +23,7 @@ from math import exp, inf
 
 from harmory.harte import Chord, transpose_chord
 from harmory.timeline import EmptyTimelineError, Timeline, encode_tps
-from harmory.tps import Key, chord_distance, fifths_distance, key_relative_value
+from harmory.tps import Key, distance_table, fifths_distance, intern, key_relative_value
 
 DEFAULT_SCALE = 5.0
 
@@ -91,34 +91,21 @@ def key_relative_events(timeline: Timeline) -> tuple[Event, ...]:
     return key_relative((e.chord, timeline.key_at(e.start)) for _, e in timeline.sounded())
 
 
-def _cell(a: Event, b: Event) -> float:
-    return chord_distance(a[0], a[1], b[0], b[1])
-
-
-def _codes(events: tuple[Event, ...]) -> tuple[list[int], list[Event]]:
-    vocab: dict[Event, int] = {}
-    codes = [vocab.setdefault(event, len(vocab)) for event in events]
-    return codes, list(vocab)
-
-
-def _dtw(ea: tuple[Event, ...], eb: tuple[Event, ...],
-         band: int | None = None) -> Alignment:
-    n, m = len(ea), len(eb)
+def _dtw(ca: list[int], cb: list[int], band: int | None = None, *,
+         table: list[list[float]]) -> Alignment:
+    """Warp two event code sequences; cell (i, j) costs
+    ``table[ca[i]][cb[j]]``."""
+    n, m = len(ca), len(cb)
     width = None if band is None else max(band, abs(n - m))
-    # Chord vocabularies are small, so cost distinct event pairs once and
-    # fill the n*m grid by table lookup.
-    codes_a, vocab_a = _codes(ea)
-    codes_b, vocab_b = _codes(eb)
-    table = [[_cell(x, y) for y in vocab_b] for x in vocab_a]
     acc = [[inf] * m for _ in range(n)]
     for i in range(n):
         row = acc[i]
         above = acc[i - 1] if i else None
-        costs = table[codes_a[i]]
+        costs = table[ca[i]]
         for j in range(m):
             if width is not None and abs(i - j) > width:
                 continue
-            c = costs[codes_b[j]]
+            c = costs[cb[j]]
             if i == 0 and j == 0:
                 row[j] = c
                 continue
@@ -146,11 +133,20 @@ def _dtw(ea: tuple[Event, ...], eb: tuple[Event, ...],
     return Alignment(path=tuple(path), cost=total, normalized_cost=total / len(path))
 
 
-def dtw_align(a: Timeline, b: Timeline, band: int | None = None) -> Alignment:
+def _interned_pair(a: Timeline, b: Timeline):
+    """Both pieces' key-relative events as codes, with the table from
+    the events of ``a`` to those of ``b``."""
     ea, eb = key_relative_events(a), key_relative_events(b)
     if not ea or not eb:
         raise EmptyTimelineError("both timelines need sounded events")
-    return _dtw(ea, eb, band)
+    vocab_a, vocab_b = {}, {}
+    ca, cb = intern(ea, vocab_a), intern(eb, vocab_b)
+    return ca, cb, distance_table(vocab_a, vocab_b)
+
+
+def dtw_align(a: Timeline, b: Timeline, band: int | None = None) -> Alignment:
+    ca, cb, table = _interned_pair(a, b)
+    return _dtw(ca, cb, band, table=table)
 
 
 def dtw_similarity(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE,
@@ -244,24 +240,22 @@ def lharp(a: Timeline, b: Timeline, tau: float = 1.0, n_min: int = 2,
     harmonic mean of the fractions of each piece covered by agreeing
     patterns, computed exactly.
     """
-    ea, eb = key_relative_events(a), key_relative_events(b)
-    if not ea or not eb:
-        raise EmptyTimelineError("both timelines need sounded events")
+    ca, cb, table = _interned_pair(a, b)
     patterns_a = extract_recurrent_patterns(a, n_min, n_max)
     patterns_b = extract_recurrent_patterns(b, n_min, n_max)
     agree_a, agree_b = set(), set()
     pair_alignments = {}
     for p in patterns_a:
-        slice_a = ea[p.positions[0]:p.positions[0] + p.length]
+        slice_a = ca[p.positions[0]:p.positions[0] + p.length]
         for q in patterns_b:
-            slice_b = eb[q.positions[0]:q.positions[0] + q.length]
-            alignment = _dtw(slice_a, slice_b)
+            slice_b = cb[q.positions[0]:q.positions[0] + q.length]
+            alignment = _dtw(slice_a, slice_b, table=table)
             if alignment.normalized_cost <= tau:
                 agree_a.add(p)
                 agree_b.add(q)
                 pair_alignments[(p, q)] = alignment
-    coverage_a, covered_a = _coverage(patterns_a, agree_a, len(ea))
-    coverage_b, covered_b = _coverage(patterns_b, agree_b, len(eb))
+    coverage_a, covered_a = _coverage(patterns_a, agree_a, len(ca))
+    coverage_b, covered_b = _coverage(patterns_b, agree_b, len(cb))
     if coverage_a == coverage_b:
         raw = coverage_a
     elif coverage_a == 0 or coverage_b == 0:
@@ -275,9 +269,9 @@ def lharp(a: Timeline, b: Timeline, tau: float = 1.0, n_min: int = 2,
             if any(run_a[0] <= p.positions[0] and p.positions[0] + p.length <= run_a[1]
                    and run_b[0] <= q.positions[0] and q.positions[0] + q.length <= run_b[1]
                    for (p, q) in pair_alignments):
-                alignment = _dtw(ea[run_a[0]:run_a[1]], eb[run_b[0]:run_b[1]])
-                steps = tuple(_cell(ea[run_a[0] + i], eb[run_b[0] + j])
-                              for i, j in alignment.path)
+                region_a, region_b = ca[run_a[0]:run_a[1]], cb[run_b[0]:run_b[1]]
+                alignment = _dtw(region_a, region_b, table=table)
+                steps = tuple(table[region_a[i]][region_b[j]] for i, j in alignment.path)
                 regions.append(LocalRegion(run_a, run_b, steps))
     return SimilarityReport(
         measure="lharp",
@@ -295,11 +289,20 @@ MEASURES = {
 }
 
 
+def map_pairs(fn, pairs: list, workers: int) -> list:
+    """``[fn(pair) for pair in pairs]``, on ``workers`` threads when
+    more than one; results keep the order of ``pairs`` either way."""
+    if workers <= 1:
+        return [fn(pair) for pair in pairs]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, pairs))
+
+
 def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
                              params: dict | None = None, workers: int = 1):
     """Score every unordered pair; returns (ids, matrix) with unit
-    diagonal.  Pair evaluation may run on threads; results are placed by
-    index so the matrix is identical to the sequential one."""
+    diagonal, identical for every number of workers."""
     import numpy as np
 
     if measure not in MEASURES:
@@ -320,13 +323,7 @@ def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
         except Exception as err:
             raise RuntimeError(f"{ids[i]} vs {ids[j]}: {err}") from err
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(score, pairs))
-    else:
-        results = [score(pair) for pair in pairs]
-    for (i, j), value in zip(pairs, results):
+    for (i, j), value in zip(pairs, map_pairs(score, pairs, workers)):
         matrix[i, j] = matrix[j, i] = value
     return ids, matrix
 

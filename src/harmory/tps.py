@@ -6,6 +6,9 @@ chord/key pairs is the circle-of-fifths distance between the key tonics,
 plus the circle-of-fifths distance between the chord roots, plus the
 number of level entries of the destination space missing from the source
 space, averaged over both directions.
+
+Every comparison of event sequences interns its events to small integer
+codes and indexes one table holding the distance of each distinct pair.
 """
 
 from __future__ import annotations
@@ -106,7 +109,9 @@ def _missing_level_entries(src: BasicSpace, dst: BasicSpace) -> int:
     return sum(len(dst.levels[i] - src.levels[i]) for i in range(4))
 
 
-@lru_cache(maxsize=None)
+# Bounded, because Natural accepts any number of accidentals, so the
+# (chord, key, chord, key) space has no bound of its own.
+@lru_cache(maxsize=2**16)
 def _directed(x: Chord, kx: Key, y: Chord, ky: Key) -> int:
     i = fifths_distance(kx.tonic, ky.tonic)
     j = fifths_distance(x.root.pitch_class, y.root.pitch_class)
@@ -119,6 +124,18 @@ def chord_distance(x: Chord, kx: Key, y: Chord, ky: Key) -> float:
     if x.is_nochord or y.is_nochord:
         raise NoChordError("chord distance is undefined for no-chords")
     return (_directed(x, kx, y, ky) + _directed(y, ky, x, kx)) / 2
+
+
+def intern(events, vocab: dict) -> list[int]:
+    """Code each (chord, key) event by its position in ``vocab``, adding
+    events not seen before, so that equal events share one code."""
+    return [vocab.setdefault(event, len(vocab)) for event in events]
+
+
+def distance_table(vocab_a: dict, vocab_b: dict) -> list[list[float]]:
+    """``chord_distance`` from each event of one vocabulary (row, by
+    code) to each event of the other (column, by code)."""
+    return [[chord_distance(x, kx, y, ky) for y, ky in vocab_b] for x, kx in vocab_a]
 
 
 def key_relative_value(chord: Chord, key: Key) -> float:

@@ -278,6 +278,18 @@ def test_corpus_must_be_a_directory_with_pieces(capsys, tmp_path):
     assert run(capsys, ["matrix", str(stray)])[0] == 2
 
 
+def test_directory_named_like_a_piece_is_not_a_piece(capsys, tmp_path):
+    corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj"], "b": ["G:maj"]})
+    (corpus / "odd.chart").mkdir()
+    write_corpus(corpus / "odd.chart", {"x": ["F:maj"]})
+    code, out, _ = run(capsys, ["matrix", str(corpus)])
+    assert code == 0
+    assert out.splitlines()[0] == "id,a,b,odd.chart/x"
+    code, _, err = run(capsys, ["encode", str(corpus / "odd.chart")])
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_argparse_errors_become_exit_2(capsys):
     assert run(capsys, [])[0] == 2
     assert run(capsys, ["frobnicate"])[0] == 2

@@ -9,10 +9,16 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import harmory.segmentation as segmentation
+import harmory.tps as tps
+from harmory.harte import parse_chord
 from harmory.segmentation import (
     SSM,
     KernelTooLargeError,
@@ -27,8 +33,9 @@ from harmory.segmentation import (
     segment_timeline,
     ssm_to_pgm,
 )
-from harmory.timeline import transpose
-from tests.conftest import make_timeline
+from harmory.timeline import ChordEvent, KeySpan, build_timeline, transpose
+from harmory.tps import Key, chord_distance
+from tests.conftest import chords, make_timeline
 
 AABB = make_timeline(["C:maj"] * 4 + ["G:maj"] * 4)
 
@@ -110,6 +117,59 @@ def test_ssm_symmetric_unit_diagonal_in_range():
     assert np.allclose(ssm.matrix, ssm.matrix.T, atol=1e-12)
     assert np.allclose(np.diag(ssm.matrix), 1.0)
     assert ssm.matrix.min() >= 0.0 and ssm.matrix.max() <= 1.0
+
+
+def test_ssm_costs_each_distinct_event_pair_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return chord_distance(*args)
+
+    for module in (tps, segmentation):
+        monkeypatch.setattr(module, "chord_distance", counting, raising=False)
+    symbols = ["C:maj", "G:7", "A:min", "F:maj"]
+    ssm = build_ssm(make_timeline([symbols[i % 4] for i in range(48)]))
+    assert ssm.size == 48
+    assert 0 < len(calls) <= 4 * 4
+
+
+SYMBOLS = ["C:maj", "G:7", "A:min", "F:maj7", "D:min/b3", "E:7", "Bb:maj", "N"]
+KEYS = [Key.from_string(k) for k in ("C:maj", "G:maj", "A:min", "Eb:maj", "F#:min")]
+
+
+@st.composite
+def modulating_timelines(draw):
+    """Runs of one-beat events, each run under its own key, next keys
+    distinct; returns the timeline and each sounded event's key."""
+    keys = draw(st.lists(st.sampled_from(KEYS), min_size=2, max_size=4)
+                .filter(lambda ks: all(x != y for x, y in zip(ks, ks[1:]))))
+    events, spans, sounded_keys = [], [], []
+    for key in keys:
+        run = draw(st.lists(st.one_of(st.sampled_from(SYMBOLS).map(parse_chord), chords()),
+                            min_size=1, max_size=8))
+        spans.append(KeySpan(Fraction(len(events)), Fraction(len(run)), key))
+        for chord in run:
+            events.append(ChordEvent(Fraction(len(events)), Fraction(1), chord))
+            if not chord.is_nochord:
+                sounded_keys.append(key)
+    # A last sounded chord, so that every piece has one.
+    last = draw(st.sampled_from(SYMBOLS[:-1]).map(parse_chord))
+    events.append(ChordEvent(Fraction(len(events)), Fraction(1), last))
+    sounded_keys.append(keys[-1])
+    return build_timeline("mod", events, spans), sounded_keys
+
+
+@given(modulating_timelines())
+@settings(max_examples=60, deadline=None)
+def test_ssm_matches_pairwise_oracle_under_each_events_own_key(drawn):
+    timeline, keys = drawn
+    chords_ = [e.chord for e in timeline.events if not e.chord.is_nochord]
+    n = len(chords_)
+    distances = np.array([[chord_distance(chords_[i], keys[i], chords_[j], keys[j])
+                           for j in range(n)] for i in range(n)])
+    largest = distances.max() or 1.0
+    assert np.array_equal(build_ssm(timeline).matrix, 1.0 - distances / largest)
 
 
 def test_checkerboard_kernel_hand_values():

@@ -27,7 +27,8 @@ from harmory.similarity import (
     matrix_to_csv,
     tpsd,
 )
-from harmory.timeline import EmptyTimelineError, Timeline, encode_tps, transpose
+from harmory.timeline import (ChordEvent, EmptyTimelineError, KeySpan, Timeline,
+                              build_timeline, encode_tps, transpose)
 from harmory.tps import chord_distance, fifths_distance, key_relative_value
 from tests.conftest import make_timeline
 
@@ -277,6 +278,35 @@ def test_lharp_no_patterns_is_zero():
     report = lharp(a, b)
     assert report.score == 0.0
     assert report.local_regions == ()
+
+
+def events_timeline(events):
+    """One beat per (chord, key) event, each under its own key."""
+    return build_timeline("events",
+                          [ChordEvent(Fraction(i), Fraction(1), c) for i, (c, _) in enumerate(events)],
+                          [KeySpan(Fraction(i), Fraction(1), k) for i, (_, k) in enumerate(events)])
+
+
+def test_lharp_step_costs_are_key_relative_distances_along_each_path():
+    pairs = [
+        (make_timeline(["C:maj", "G:maj", "C:maj", "G:maj", "A:min", "F:maj"], piece_id="a"),
+         make_timeline(["D:maj", "A:7", "D:maj", "A:7", "E:min", "F#:min"], key="D:maj",
+                       piece_id="b")),
+        (make_timeline(["C:maj", "G:maj", "G:maj", "C:maj", "G:maj", "G:maj", "F:maj"],
+                       piece_id="a"),
+         make_timeline(["C:maj7", "G:7", "C:maj7", "G:7", "C:maj7"], piece_id="b")),
+    ]
+    for a, b in pairs:
+        regions = lharp(a, b).local_regions
+        assert regions and all(any(r.step_costs) for r in regions)
+        ea, eb = key_relative_events(a), key_relative_events(b)
+        for region in regions:
+            sub_a = ea[slice(*region.interval_a)]
+            sub_b = eb[slice(*region.interval_b)]
+            cells = [[chord_distance(x[0], x[1], y[0], y[1]) for y in sub_b] for x in sub_a]
+            path = dtw_align(events_timeline(sub_a), events_timeline(sub_b)).path
+            assert region.step_costs == tuple(cells[i][j] for i, j in path)
+            assert sum(region.step_costs) == oracle_enumerate(cells)
 
 
 def test_measure_symmetry():

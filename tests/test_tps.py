@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmory.harte import NO_CHORD, NoChordError, parse_chord, pitch_class_set, transpose_chord
+import harmory.tps as tps
 from harmory.tps import (
     Key,
     basic_space,
@@ -192,3 +193,23 @@ def test_weight_nesting():
     assert space.weight(2) == 2
     assert space.weight(1) == 1
     assert all(space.weight(pc) in range(6) for pc in range(12))
+
+
+def test_directed_cache_is_bounded():
+    # Natural accepts any number of accidentals, so only a fixed bound
+    # keeps the cache of a long-running process finite.
+    assert tps._directed.cache_parameters()["maxsize"] is not None
+
+
+def test_distance_table_indexes_interned_events():
+    events = [(parse_chord(s), Key.from_string(k)) for s, k in
+              [("C:maj", "C:maj"), ("G:7", "C:maj"), ("C:maj", "C:maj"), ("C:maj", "A:min")]]
+    vocab_a, vocab_b = {}, {}
+    codes_a = tps.intern(events, vocab_a)
+    codes_b = tps.intern(events[::-1], vocab_b)
+    assert codes_a == [0, 1, 0, 2]
+    assert codes_b == [0, 1, 2, 1]
+    table = tps.distance_table(vocab_a, vocab_b)
+    for (x, kx), i in zip(events, codes_a):
+        for (y, ky), j in zip(events[::-1], codes_b):
+            assert table[i][j] == chord_distance(x, kx, y, ky)
