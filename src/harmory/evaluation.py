@@ -155,10 +155,16 @@ def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, measure: str = "
     )
 
 
-def comparison_counts(a: Timeline, b: Timeline, measure: str) -> int:
-    """Exact number of elementary comparisons a measure performs."""
+def comparison_counts(a: Timeline, b: Timeline, measure: str,
+                      band: int | None = None) -> int:
+    """Exact number of elementary comparisons a measure performs: for
+    dtw, the cells its kernel fills, |i - j| <= max(band, |n - m|)."""
     if measure == "dtw":
-        return len(a.sounded()) * len(b.sounded())
+        n, m = len(a.sounded()), len(b.sounded())
+        if band is None:
+            return n * m
+        width = max(band, abs(n - m))
+        return sum(min(m, i + width + 1) - max(0, i - width) for i in range(n))
     if measure == "tpsd":
         la = len(encode_tps(a, "beat").values)
         lb = len(encode_tps(b, "beat").values)
@@ -188,7 +194,8 @@ def benchmark_measures(corpus: list[Timeline], measures=("dtw", "tpsd"),
             for i, j in pairs:
                 func(corpus[i], corpus[j], **kwargs)
             timings.append(time.perf_counter() - begin)
-        counts = [[corpus[i].id, corpus[j].id, comparison_counts(corpus[i], corpus[j], measure)]
+        counts = [[corpus[i].id, corpus[j].id,
+                   comparison_counts(corpus[i], corpus[j], measure, kwargs.get("band"))]
                   for i, j in pairs]
         report["measures"][measure] = {
             "median_seconds_per_pair": statistics.median(timings) / len(pairs),

@@ -17,9 +17,10 @@ invariant under transposition of either piece.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp, inf
+from operator import sub
 
 from harmory.harte import Chord, transpose_chord
 from harmory.timeline import EmptyTimelineError, Timeline, encode_tps
@@ -133,91 +134,55 @@ def _dtw(ca: list[int], cb: list[int], band: int | None = None, *,
     return Alignment(path=tuple(path), cost=total, normalized_cost=total / len(path))
 
 
-def _interned_pair(a: Timeline, b: Timeline):
-    """Both pieces' key-relative events as codes, with the table from
-    the events of ``a`` to those of ``b``."""
-    ea, eb = key_relative_events(a), key_relative_events(b)
-    if not ea or not eb:
-        raise EmptyTimelineError("both timelines need sounded events")
-    vocab_a, vocab_b = {}, {}
-    ca, cb = intern(ea, vocab_a), intern(eb, vocab_b)
-    return ca, cb, distance_table(vocab_a, vocab_b)
+def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
+                  n_min: int = 2, n_max: int = 4) -> None:
+    """The one range check of the measures' parameters."""
+    if not scale > 0:
+        raise ValueError(f"--scale must be > 0, got {scale}")
+    if band is not None and band < 0:
+        raise ValueError(f"--band must be >= 0, got {band}")
+    if n_min < 2 or n_max < n_min:
+        raise ValueError(f"--n-min/--n-max need 2 <= n_min <= n_max, got {n_min}..{n_max}")
 
 
-def dtw_align(a: Timeline, b: Timeline, band: int | None = None) -> Alignment:
-    ca, cb, table = _interned_pair(a, b)
-    return _dtw(ca, cb, band, table=table)
+def _sounded(timeline: Timeline) -> tuple[Event, ...]:
+    events = key_relative_events(timeline)
+    if not events:
+        raise EmptyTimelineError(f"{timeline.id}: no sounded events")
+    return events
 
 
-def dtw_similarity(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE,
-                   band: int | None = None) -> SimilarityReport:
-    alignment = dtw_align(a, b, band)
-    return SimilarityReport(
-        measure="dtw",
-        score=exp(-alignment.normalized_cost / scale),
-        raw=alignment.normalized_cost,
-        params={"scale": scale, "band": band},
-    )
+def extract_recurrent_patterns(piece: Timeline | tuple[Event, ...], n_min: int = 2,
+                               n_max: int = 4) -> list[PatternOccurrence]:
+    """Hash every n-gram window, n_min <= n <= n_max, of a piece's
+    key-relative events (a timeline's, or the events themselves) and keep
+    encodings occurring at two or more (possibly overlapping) positions.
 
-
-def tpsd(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE) -> SimilarityReport:
-    """Beat-grid profile distance, minimized over cyclic shifts of the
-    shorter series (which is repeated to the longer length)."""
-    va = [v for v, _ in encode_tps(a, "beat").values]
-    vb = [v for v, _ in encode_tps(b, "beat").values]
-    short, long_ = (va, vb) if len(va) <= len(vb) else (vb, va)
-    length_short, length_long = len(short), len(long_)
-    best = inf
-    for shift in range(length_short):
-        total = 0.0
-        for t in range(length_long):
-            total += abs(long_[t] - short[(t + shift) % length_short])
-        if total < best:
-            best = total
-    raw = best / length_long
-    return SimilarityReport(measure="tpsd", score=exp(-raw / scale), raw=raw,
-                            params={"scale": scale})
-
-
-def _pattern_windows(events: tuple[Event, ...], n: int):
-    """Yield (position, encoding) for every length-n window.
-
-    The encoding pairs each event's key-relative value with the
+    A window's encoding pairs each event's key-relative value with the
     circle-of-fifths step to the next event inside the window; the last
     step is 0.  It is invariant under transposition of the piece.
     """
-    values = [key_relative_value(chord, key) for chord, key in events]
+    _check_params(n_min=n_min, n_max=n_max)
+    events = key_relative_events(piece) if isinstance(piece, Timeline) else piece
+    value = {event: key_relative_value(*event) for event in dict.fromkeys(events)}
+    values = [value[event] for event in events]
     roots = [chord.root.pitch_class for chord, _ in events]
-    for start in range(len(events) - n + 1):
-        encoded = tuple(
-            (values[start + k],
-             fifths_distance(roots[start + k], roots[start + k + 1]) if k < n - 1 else 0)
-            for k in range(n))
-        yield start, encoded
-
-
-def extract_recurrent_patterns(timeline: Timeline, n_min: int = 2,
-                               n_max: int = 4) -> list[PatternOccurrence]:
-    """Hash every n-gram window, n_min <= n <= n_max, and keep encodings
-    occurring at two or more (possibly overlapping) positions."""
-    if n_min < 2 or n_max < n_min:
-        raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-    events = key_relative_events(timeline)
+    steps = [fifths_distance(x, y) for x, y in zip(roots, roots[1:])]
     found: dict[tuple, list[int]] = {}
     for n in range(n_min, min(n_max, len(events)) + 1):
-        for start, encoded in _pattern_windows(events, n):
+        for start in range(len(events) - n + 1):
+            encoded = tuple(zip(values[start:start + n], steps[start:start + n - 1] + [0]))
             found.setdefault((n, encoded), []).append(start)
     return [PatternOccurrence(key=encoded, positions=tuple(positions), length=n)
             for (n, encoded), positions in sorted(found.items())
             if len(positions) >= 2]
 
 
-def _coverage(patterns, agreeing, total: int) -> tuple[Fraction, set[int]]:
+def _coverage(patterns, total: int) -> tuple[Fraction, set[int]]:
     covered: set[int] = set()
     for pattern in patterns:
-        if pattern in agreeing:
-            for position in pattern.positions:
-                covered.update(range(position, position + pattern.length))
+        for position in pattern.positions:
+            covered.update(range(position, position + pattern.length))
     return Fraction(len(covered), total), covered
 
 
@@ -231,6 +196,136 @@ def _intervals(indices: set[int]) -> list[tuple[int, int]]:
     return [tuple(run) for run in runs]
 
 
+# Each measure runs in two steps.  ``prepare`` does the per-piece work
+# once, interning the piece's key-relative events into a vocabulary that
+# every piece it will meet shares; ``compare`` scores two prepared pieces
+# against that vocabulary's distance table.
+
+
+@dataclass(frozen=True)
+class _Dtw:
+    scale: float = DEFAULT_SCALE
+    band: int | None = None
+
+    def __post_init__(self):
+        _check_params(self.scale, self.band)
+
+    def prepare(self, timeline: Timeline, vocab: dict) -> list[int]:
+        return intern(_sounded(timeline), vocab)
+
+    def compare(self, ca: list[int], cb: list[int], table) -> SimilarityReport:
+        cost = _dtw(ca, cb, self.band, table=table).normalized_cost
+        return SimilarityReport(measure="dtw", score=exp(-cost / self.scale), raw=cost,
+                                params={"scale": self.scale, "band": self.band})
+
+
+@dataclass(frozen=True)
+class _Tpsd:
+    scale: float = DEFAULT_SCALE
+
+    def __post_init__(self):
+        _check_params(self.scale)
+
+    def prepare(self, timeline: Timeline, vocab: dict) -> list[float]:
+        return [v for v, _ in encode_tps(timeline, "beat").values]
+
+    def compare(self, va: list[float], vb: list[float], table) -> SimilarityReport:
+        short, long_ = (va, vb) if len(va) <= len(vb) else (vb, va)
+        length = len(long_)
+        # Shift s pairs long_[t] with short[(t + s) % len(short)].
+        tiled = short * (length // len(short) + 2)
+        best = min(sum(map(abs, map(sub, long_, tiled[shift:shift + length])))
+                   for shift in range(len(short)))
+        raw = best / length
+        return SimilarityReport(measure="tpsd", score=exp(-raw / self.scale), raw=raw,
+                                params={"scale": self.scale})
+
+
+@dataclass(frozen=True)
+class _Lharp:
+    tau: float = 1.0
+    n_min: int = 2
+    n_max: int = 4
+    # Whether two patterns' code slices agree, filled as pairs are
+    # compared.  Codes mean the same only within one vocabulary, so an
+    # instance serves one vocabulary, and lives as long as it does.
+    agrees: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        _check_params(n_min=self.n_min, n_max=self.n_max)
+
+    def prepare(self, timeline: Timeline, vocab: dict):
+        events = _sounded(timeline)
+        codes = intern(events, vocab)
+        patterns = extract_recurrent_patterns(events, self.n_min, self.n_max)
+        return codes, [(p, tuple(codes[p.positions[0]:p.positions[0] + p.length]))
+                       for p in patterns]
+
+    def compare(self, a, b, table) -> SimilarityReport:
+        (ca, patterns_a), (cb, patterns_b) = a, b
+        agree_a, agree_b, agreeing = set(), set(), []
+        for p, slice_a in patterns_a:
+            for q, slice_b in patterns_b:
+                key = (slice_a, slice_b)
+                if key not in self.agrees:
+                    self.agrees[key] = _dtw(*key, table=table).normalized_cost <= self.tau
+                if self.agrees[key]:
+                    agree_a.add(p)
+                    agree_b.add(q)
+                    agreeing.append((p, q))
+        coverage_a, covered_a = _coverage(agree_a, len(ca))
+        coverage_b, covered_b = _coverage(agree_b, len(cb))
+        if coverage_a == coverage_b:
+            raw = coverage_a
+        elif coverage_a == 0 or coverage_b == 0:
+            raw = Fraction(0)
+        else:
+            raw = 2 * coverage_a * coverage_b / (coverage_a + coverage_b)
+        regions = []
+        runs_a, runs_b = _intervals(covered_a), _intervals(covered_b)
+        for run_a in runs_a:
+            for run_b in runs_b:
+                if any(run_a[0] <= p.positions[0] and p.positions[0] + p.length <= run_a[1]
+                       and run_b[0] <= q.positions[0] and q.positions[0] + q.length <= run_b[1]
+                       for (p, q) in agreeing):
+                    region_a, region_b = ca[run_a[0]:run_a[1]], cb[run_b[0]:run_b[1]]
+                    alignment = _dtw(region_a, region_b, table=table)
+                    steps = tuple(table[region_a[i]][region_b[j]] for i, j in alignment.path)
+                    regions.append(LocalRegion(run_a, run_b, steps))
+        return SimilarityReport(
+            measure="lharp",
+            score=float(raw),
+            raw=float(raw),
+            params={"tau": self.tau, "n_min": self.n_min, "n_max": self.n_max},
+            local_regions=tuple(regions),
+        )
+
+
+def _prepared(steps, a: Timeline, b: Timeline):
+    """Both pieces prepared over one vocabulary, and its table."""
+    vocab: dict = {}
+    pa, pb = steps.prepare(a, vocab), steps.prepare(b, vocab)
+    return pa, pb, distance_table(vocab, vocab)
+
+
+def dtw_align(a: Timeline, b: Timeline, band: int | None = None) -> Alignment:
+    ca, cb, table = _prepared(_Dtw(band=band), a, b)
+    return _dtw(ca, cb, band, table=table)
+
+
+def dtw_similarity(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE,
+                   band: int | None = None) -> SimilarityReport:
+    steps = _Dtw(scale, band)
+    return steps.compare(*_prepared(steps, a, b))
+
+
+def tpsd(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE) -> SimilarityReport:
+    """Beat-grid profile distance, minimized over cyclic shifts of the
+    shorter series (which is repeated to the longer length)."""
+    steps = _Tpsd(scale)
+    return steps.compare(*_prepared(steps, a, b))
+
+
 def lharp(a: Timeline, b: Timeline, tau: float = 1.0, n_min: int = 2,
           n_max: int = 4) -> SimilarityReport:
     """Pattern-coverage similarity.
@@ -240,46 +335,8 @@ def lharp(a: Timeline, b: Timeline, tau: float = 1.0, n_min: int = 2,
     harmonic mean of the fractions of each piece covered by agreeing
     patterns, computed exactly.
     """
-    ca, cb, table = _interned_pair(a, b)
-    patterns_a = extract_recurrent_patterns(a, n_min, n_max)
-    patterns_b = extract_recurrent_patterns(b, n_min, n_max)
-    agree_a, agree_b = set(), set()
-    pair_alignments = {}
-    for p in patterns_a:
-        slice_a = ca[p.positions[0]:p.positions[0] + p.length]
-        for q in patterns_b:
-            slice_b = cb[q.positions[0]:q.positions[0] + q.length]
-            alignment = _dtw(slice_a, slice_b, table=table)
-            if alignment.normalized_cost <= tau:
-                agree_a.add(p)
-                agree_b.add(q)
-                pair_alignments[(p, q)] = alignment
-    coverage_a, covered_a = _coverage(patterns_a, agree_a, len(ca))
-    coverage_b, covered_b = _coverage(patterns_b, agree_b, len(cb))
-    if coverage_a == coverage_b:
-        raw = coverage_a
-    elif coverage_a == 0 or coverage_b == 0:
-        raw = Fraction(0)
-    else:
-        raw = 2 * coverage_a * coverage_b / (coverage_a + coverage_b)
-    regions = []
-    runs_a, runs_b = _intervals(covered_a), _intervals(covered_b)
-    for run_a in runs_a:
-        for run_b in runs_b:
-            if any(run_a[0] <= p.positions[0] and p.positions[0] + p.length <= run_a[1]
-                   and run_b[0] <= q.positions[0] and q.positions[0] + q.length <= run_b[1]
-                   for (p, q) in pair_alignments):
-                region_a, region_b = ca[run_a[0]:run_a[1]], cb[run_b[0]:run_b[1]]
-                alignment = _dtw(region_a, region_b, table=table)
-                steps = tuple(table[region_a[i]][region_b[j]] for i, j in alignment.path)
-                regions.append(LocalRegion(run_a, run_b, steps))
-    return SimilarityReport(
-        measure="lharp",
-        score=float(raw),
-        raw=float(raw),
-        params={"tau": tau, "n_min": n_min, "n_max": n_max},
-        local_regions=tuple(regions),
-    )
+    steps = _Lharp(tau, n_min, n_max)
+    return steps.compare(*_prepared(steps, a, b))
 
 
 MEASURES = {
@@ -287,6 +344,7 @@ MEASURES = {
     "tpsd": tpsd,
     "lharp": lharp,
 }
+_STEPS = {"dtw": _Dtw, "tpsd": _Tpsd, "lharp": _Lharp}
 
 
 def map_pairs(fn, pairs: list, workers: int) -> list:
@@ -302,7 +360,8 @@ def map_pairs(fn, pairs: list, workers: int) -> list:
 def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
                              params: dict | None = None, workers: int = 1):
     """Score every unordered pair; returns (ids, matrix) with unit
-    diagonal, identical for every number of workers."""
+    diagonal, identical for every number of workers.  Each piece is
+    prepared once, over one vocabulary and table for the corpus."""
     import numpy as np
 
     if measure not in MEASURES:
@@ -310,8 +369,15 @@ def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
     ids = [tl.id for tl in corpus]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate piece ids in corpus")
-    func = MEASURES[measure]
-    kwargs = params or {}
+    steps = _STEPS[measure](**(params or {}))
+    vocab: dict = {}
+    prepared = []
+    for timeline in corpus:
+        try:
+            prepared.append(steps.prepare(timeline, vocab))
+        except Exception as err:  # reported with the first pair holding the piece
+            prepared.append(err)
+    table = distance_table(vocab, vocab)
     n = len(corpus)
     matrix = np.eye(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -319,7 +385,10 @@ def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
     def score(pair):
         i, j = pair
         try:
-            return func(corpus[i], corpus[j], **kwargs).score
+            for k in pair:
+                if isinstance(prepared[k], Exception):
+                    raise prepared[k]
+            return steps.compare(prepared[i], prepared[j], table).score
         except Exception as err:
             raise RuntimeError(f"{ids[i]} vs {ids[j]}: {err}") from err
 

@@ -80,6 +80,8 @@ class BasicSpace:
         return sum(1 for level in self.levels if pc % 12 in level)
 
 
+# Bounded like ``_directed`` below: each distinct event's space is built once.
+@lru_cache(maxsize=2**12)
 def basic_space(chord: Chord, key: Key) -> BasicSpace:
     if chord.is_nochord:
         raise NoChordError("no-chord has no basic space")
@@ -134,8 +136,18 @@ def intern(events, vocab: dict) -> list[int]:
 
 def distance_table(vocab_a: dict, vocab_b: dict) -> list[list[float]]:
     """``chord_distance`` from each event of one vocabulary (row, by
-    code) to each event of the other (column, by code)."""
-    return [[chord_distance(x, kx, y, ky) for y, ky in vocab_b] for x, kx in vocab_a]
+    code) to each event of the other (column, by code).  A vocabulary
+    against itself costs each unordered pair once: the distance is
+    symmetric, so one triangle is computed and mirrored."""
+    if vocab_a is not vocab_b:
+        return [[chord_distance(x, kx, y, ky) for y, ky in vocab_b] for x, kx in vocab_a]
+    events = list(vocab_a)
+    table = [[0.0] * len(events) for _ in events]
+    for i, (x, kx) in enumerate(events):
+        for j in range(i, len(events)):
+            y, ky = events[j]
+            table[i][j] = table[j][i] = chord_distance(x, kx, y, ky)
+    return table
 
 
 def key_relative_value(chord: Chord, key: Key) -> float:

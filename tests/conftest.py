@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -58,3 +59,55 @@ def chord_symbols(draw):
 @pytest.fixture
 def simple_timeline():
     return make_timeline(["C:maj", "G:maj", "A:min", "F:maj"])
+
+
+# A small cover corpus: three cliques whose covers are transposed,
+# re-timed, substituted or modulating, and one piece without covers.
+# Rows are (piece id, clique, beats per chord, sections), each section a
+# key and the chord symbols played under it.
+_VERSE = ["C:maj", "A:min", "F:maj", "G:7"]
+_CHORUS = ["F:maj", "G:maj", "C:maj", "C:maj"]
+_MINOR = ["A:min", "D:min", "E:7", "A:min", "F:maj", "D:min", "E:7", "A:min"]
+COVER_CORPUS = (
+    ("c0-orig", "c0", 1, [("C:maj", _VERSE * 2 + _CHORUS + _VERSE)]),
+    ("c0-trans", "c0", 2, [("Eb:maj", ["Eb:maj", "C:min", "Ab:maj", "Bb:7"] * 2
+                            + ["Ab:maj", "Bb:maj", "Eb:maj", "Eb:maj"]
+                            + ["Eb:maj", "C:min", "Ab:maj", "Bb:7"])]),
+    ("c0-sub", "c0", 1, [("A:maj", ["A:maj", "F#:min7", "D:maj", "E:7"] * 2
+                          + ["B:min7", "E:maj", "A:maj", "A:maj"]
+                          + ["A:maj", "C#:min", "D:maj", "E:7"])]),
+    ("c1-orig", "c1", 1, [("A:min", _MINOR * 2)]),
+    ("c1-trans", "c1", 2, [("F#:min", ["F#:min", "B:min", "C#:7", "F#:min",
+                                       "D:maj", "B:min", "C#:7", "F#:min"] * 2)]),
+    ("c1-mod", "c1", 1, [("A:min", _MINOR),
+                         ("C:min", ["C:min", "F:min", "G:7", "C:min",
+                                    "Ab:maj", "F:min", "G:7", "C:min"])]),
+    ("c2-orig", "c2", 1, [("C:maj", ["C:maj", "G:maj", "A:min", "F:maj"] * 2),
+                          ("G:maj", ["G:maj", "E:min", "A:7", "D:maj"] * 2)]),
+    ("c2-trans", "c2", 2, [("D:maj", ["D:maj", "A:maj", "B:min", "G:maj"] * 2),
+                           ("A:maj", ["A:maj", "F#:min", "B:7", "E:maj"] * 2)]),
+    ("solo", "c3", 1, [("F:maj", ["F:7", "Bb:7", "F:7", "F:7", "Bb:7", "Bb:7",
+                                  "F:7", "F:7", "C:7", "Bb:7", "F:7", "C:7"])]),
+)
+
+
+def cover_jams(piece_id, beat, sections) -> str:
+    """JAMS text of a cover-corpus row: one chord every `beat` beats and
+    one key annotation per section."""
+    chords, keys, time = [], [], 0
+    for key, symbols in sections:
+        keys.append({"time": time, "duration": beat * len(symbols), "value": key})
+        for symbol in symbols:
+            chords.append({"time": time, "duration": beat, "value": symbol})
+            time += beat
+    doc = {"file_metadata": {"identifiers": {"id": piece_id}},
+           "annotations": [{"namespace": "chord_harte", "data": chords},
+                           {"namespace": "key_mode", "data": keys}]}
+    return json.dumps(doc, indent=1)
+
+
+def cover_corpus() -> list[Timeline]:
+    from harmory.timeline import load_jams
+
+    return [load_jams(cover_jams(piece_id, beat, sections))
+            for piece_id, _, beat, sections in COVER_CORPUS]

@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 import harmory.cli as cli
 import harmory.segmentation as segmentation
 from harmory.cli import main
+from tests.conftest import COVER_CORPUS, cover_jams
 
-GOLDEN_GRAPH = Path(__file__).parent / "data" / "memory_golden.nt"
+DATA = Path(__file__).parent / "data"
+GOLDEN_GRAPH = DATA / "memory_golden.nt"
 
 
 def chart(chords, key="C:maj", beat=1):
@@ -294,3 +298,45 @@ def test_argparse_errors_become_exit_2(capsys):
     assert run(capsys, [])[0] == 2
     assert run(capsys, ["frobnicate"])[0] == 2
     assert run(capsys, ["sim", "a", "b", "--measure", "nope"])[0] == 2
+
+
+def write_cover_corpus(root):
+    """The shared cover corpus as JAMS files, and its clique CSV beside it."""
+    root.mkdir(parents=True)
+    rows = ["piece_id,clique_id"]
+    for piece_id, clique, beat, sections in COVER_CORPUS:
+        (root / f"{piece_id}.jams.json").write_text(cover_jams(piece_id, beat, sections))
+        rows.append(f"{piece_id},{clique}")
+    cliques = root.parent / "cliques.csv"
+    cliques.write_text("\n".join(rows) + "\n")
+    return root, cliques
+
+
+def test_matrix_and_eval_covers_match_golden_outputs(capsys, tmp_path):
+    corpus, cliques = write_cover_corpus(tmp_path / "covers")
+    for measure in ("dtw", "tpsd", "lharp"):
+        out = tmp_path / f"{measure}.csv"
+        code, _, _ = run(capsys, ["matrix", str(corpus), "--measure", measure,
+                                  "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (DATA / f"matrix_golden_{measure}.csv").read_bytes()
+    code, out, _ = run(capsys, ["eval-covers", str(corpus), str(cliques)])
+    assert code == 0
+    assert out.encode() == (DATA / "eval_covers_golden.json").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scale", "0"],
+    ["--scale", "-1"],
+    ["--band", "-3"],
+    ["--measure", "tpsd", "--scale", "0"],
+    ["--measure", "lharp", "--n-min", "1"],
+])
+def test_bad_measure_parameters_are_usage_errors_naming_the_flag(capsys, tmp_path, flags):
+    corpus, cliques = write_cover_corpus(tmp_path / "covers")
+    a, b = (str(corpus / f"{name}.jams.json") for name in ("c0-orig", "c1-orig"))
+    for command in (["sim", a, b], ["matrix", str(corpus)],
+                    ["eval-covers", str(corpus), str(cliques)]):
+        code, out, err = run(capsys, command + flags)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and flags[-2] in err

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+from math import inf
 
 import pytest
 
@@ -255,3 +256,36 @@ def test_synthetic_corpus_shape():
         diatonic = set(key.diatonic())
         for event in tl.events:
             assert set(pitch_class_set(event.chord)) <= diatonic
+
+
+def filled_cells(n, m, band):
+    """Finite cells of a banded DTW accumulator, by running it."""
+    width = max(band, abs(n - m))
+    acc = [[inf] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            if abs(i - j) > width:
+                continue
+            steps = [acc[i - 1][j - 1] if i and j else inf, acc[i - 1][j] if i else inf,
+                     acc[i][j - 1] if j else inf]
+            acc[i][j] = 0.0 if i == j == 0 else 1.0 + min(steps)
+    return sum(value < inf for row in acc for value in row)
+
+
+def test_comparison_counts_dtw_respects_the_band():
+    for n in range(1, 8):
+        for m in range(1, 8):
+            a = make_timeline(["C:maj"] * n, piece_id="a")
+            b = make_timeline(["G:maj"] * m, piece_id="b")
+            assert comparison_counts(a, b, "dtw") == n * m
+            for band in range(0, 9):
+                assert comparison_counts(a, b, "dtw", band) == filled_cells(n, m, band)
+
+
+def test_benchmark_counts_cells_within_its_band():
+    corpus = synthetic_corpus(3, 32)
+    report = benchmark_measures(corpus, measures=("dtw",), repetitions=3,
+                                params={"band": 1})
+    for ida, idb, count in report["measures"]["dtw"]["comparisons_per_pair"]:
+        a, b = (next(t for t in corpus if t.id == i) for i in (ida, idb))
+        assert count == comparison_counts(a, b, "dtw", 1) < len(a.sounded()) * len(b.sounded())

@@ -30,7 +30,7 @@ from harmory.similarity import (
 from harmory.timeline import (ChordEvent, EmptyTimelineError, KeySpan, Timeline,
                               build_timeline, encode_tps, transpose)
 from harmory.tps import chord_distance, fifths_distance, key_relative_value
-from tests.conftest import make_timeline
+from tests.conftest import cover_corpus, make_timeline
 
 POOL = ["C:maj", "G:maj", "A:min", "F:maj", "D:min7", "E:7", "Bb:maj7", "C:7"]
 KEYS = ["C:maj", "G:maj", "A:min", "Eb:maj"]
@@ -413,3 +413,60 @@ def test_matrix_csv_golden():
     ids = ["x", "y"]
     matrix = np.array([[1.0, 0.5], [0.5, 1.0]])
     assert matrix_to_csv(ids, matrix) == "id,x,y\nx,1.0,0.5\ny,0.5,1.0\n"
+
+
+def matrix_corpus():
+    """Transposed, re-timed and modulating covers, plus random pieces
+    whose keys and chords give each a vocabulary of its own."""
+    rng = random.Random(7)
+    return cover_corpus() + [
+        make_timeline([rng.choice(POOL) for _ in range(rng.randint(3, 10))],
+                      key=rng.choice(KEYS), piece_id=f"random{i}")
+        for i in range(4)]
+
+
+@pytest.mark.parametrize("measure, params", [
+    ("dtw", {}),
+    ("dtw", {"band": 1}),
+    ("dtw", {"scale": 2.5, "band": 0}),
+    ("tpsd", {}),
+    ("tpsd", {"scale": 0.5}),
+    ("lharp", {}),
+    ("lharp", {"tau": 2.0, "n_min": 3, "n_max": 5}),
+    ("lharp", {"tau": 0.0, "n_min": 2, "n_max": 2}),
+])
+def test_matrix_equals_pairwise_measures(measure, params):
+    corpus = matrix_corpus()
+    expected = np.eye(len(corpus))
+    for i, a in enumerate(corpus):
+        for j in range(i + 1, len(corpus)):
+            expected[i, j] = expected[j, i] = MEASURES[measure](a, corpus[j], **params).score
+    for workers in (1, 2):
+        ids, matrix = corpus_similarity_matrix(corpus, measure, params, workers)
+        assert ids == [tl.id for tl in corpus]
+        assert np.array_equal(matrix, expected)
+
+
+@pytest.mark.parametrize("measure, per_piece", [
+    ("dtw", ["key_relative_events"]),
+    ("tpsd", ["encode_tps"]),
+    ("lharp", ["key_relative_events", "extract_recurrent_patterns"]),
+])
+def test_matrix_prepares_each_piece_once(monkeypatch, measure, per_piece):
+    import harmory.similarity as similarity
+
+    calls = {}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("key_relative_events", "encode_tps", "extract_recurrent_patterns",
+                 "distance_table"):
+        monkeypatch.setattr(similarity, name, counting(name, getattr(similarity, name)))
+    corpus = matrix_corpus()
+    corpus_similarity_matrix(corpus, measure)
+    # Each piece is prepared once, and one table serves the whole corpus.
+    assert calls == {**{name: len(corpus) for name in per_piece}, "distance_table": 1}

@@ -213,3 +213,26 @@ def test_distance_table_indexes_interned_events():
     for (x, kx), i in zip(events, codes_a):
         for (y, ky), j in zip(events[::-1], codes_b):
             assert table[i][j] == chord_distance(x, kx, y, ky)
+
+
+def test_basic_space_cache_is_bounded():
+    assert tps.basic_space.cache_parameters()["maxsize"] is not None
+
+
+def test_square_distance_table_costs_each_unordered_pair_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return chord_distance(*args)
+
+    events = [(parse_chord(s), Key.from_string(k)) for s, k in
+              [("C:maj", "C:maj"), ("G:7", "C:maj"), ("A:min", "A:min"), ("F:maj", "C:maj")]]
+    vocab = {}
+    tps.intern(events, vocab)
+    monkeypatch.setattr(tps, "chord_distance", counting)
+    table = tps.distance_table(vocab, vocab)
+    assert len(calls) == 4 * 5 // 2
+    for (x, kx), i in vocab.items():
+        for (y, ky), j in vocab.items():
+            assert table[i][j] == chord_distance(x, kx, y, ky)
