@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from urllib.parse import quote
 
 from harmory.harte import parse_chord, render_chord
@@ -289,6 +290,7 @@ def import_ntriples(data: bytes) -> MemoryGraph:
             raise GraphFormatError(f"line {lineno}: unknown predicate {predicate!r}")
     pieces: dict[str, PieceInfo] = {}
     segments: dict[str, Segment] = {}
+    parse = cache(parse_chord)  # each distinct chord token once, for this import only
     for piece_id in sorted(has_segment):
         ordered = sorted(has_segment[piece_id])
         pieces[piece_id] = PieceInfo(piece_id, None, None,
@@ -299,7 +301,7 @@ def import_ntriples(data: bytes) -> MemoryGraph:
                 if seg_id not in table:
                     raise GraphFormatError(f"segment {seg_id}: missing {name}")
             try:
-                chords = tuple(parse_chord(token) for token in sequences[seg_id].split())
+                chords = tuple(map(parse, sequences[seg_id].split()))
                 keys = tuple(Key.from_string(token) for token in key_sequences[seg_id].split())
             except ValueError as err:
                 raise GraphFormatError(f"segment {seg_id}: {err}") from err

@@ -199,9 +199,12 @@ def segment_timeline(timeline: Timeline,
 def ssm_to_pgm(ssm: SSM) -> str:
     """ASCII PGM (P2), maxval 255, cell value rounded half-up."""
     n = ssm.size
-    rows = np.floor(255.0 * ssm.matrix + 0.5).astype(int)
+    words = tuple(map(str, range(256)))  # the grey levels as text, each formatted once
+    rows = np.floor(255.0 * ssm.matrix + 0.5)
+    if not ((rows >= 0) & (rows <= 255)).all():
+        raise ValueError("SSM cells must lie in [0, 1] to be written as PGM")
     lines = ["P2", f"{n} {n}", "255"]
-    lines += [" ".join(str(x) for x in row) for row in rows]
+    lines += [" ".join(map(words.__getitem__, row)) for row in rows.astype(int).tolist()]
     return "\n".join(lines) + "\n"
 
 

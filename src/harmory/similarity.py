@@ -389,6 +389,8 @@ def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
                 if isinstance(prepared[k], Exception):
                     raise prepared[k]
             return steps.compare(prepared[i], prepared[j], table).score
+        except EmptyTimelineError as err:  # a usage error: the command exits 2
+            raise EmptyTimelineError(f"{ids[i]} vs {ids[j]}: {err}") from err
         except Exception as err:
             raise RuntimeError(f"{ids[i]} vs {ids[j]}: {err}") from err
 

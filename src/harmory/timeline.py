@@ -279,16 +279,13 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     sounded = timeline.sounded()
     if not sounded:
         raise EmptyTimelineError(f"{timeline.id}: no sounded events")
-    if grid == "event":
-        values = tuple(
-            (key_relative_value(e.chord, timeline.key_at(e.start)), e.duration)
-            for _, e in sounded)
-        return TpsSeries(values, "event")
-    start = timeline.events[0].start
-    beats = int(timeline.end - start)  # floor of the total span
     event_values: list[float | None] = [None] * len(timeline.events)
     for i, e in sounded:
         event_values[i] = key_relative_value(e.chord, timeline.key_at(e.start))
+    if grid == "event":
+        return TpsSeries(tuple((event_values[i], e.duration) for i, e in sounded), "event")
+    start = timeline.events[0].start
+    beats = int(timeline.end - start)  # floor of the total span
     first_value = next(v for v in event_values if v is not None)
     starts = [e.start for e in timeline.events]
     values = []

@@ -7,14 +7,17 @@ plus the circle-of-fifths distance between the chord roots, plus the
 number of level entries of the destination space missing from the source
 space, averaged over both directions.
 
-Every comparison of event sequences interns its events to small integer
-codes and indexes one table holding the distance of each distinct pair.
+Each (chord, key) event is a ``Profile`` of 12-bit level masks.  Every
+comparison of event sequences interns its events to small integer codes
+and indexes one table of the distance of each distinct pair, which numpy
+fills from the profiles in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from harmory.harte import (
     Chord,
@@ -69,34 +72,32 @@ class Key:
         return f"{FLAT_NAMES[self.tonic]}:{_MODE_LABELS[self.mode]}"
 
 
-@dataclass(frozen=True)
-class BasicSpace:
-    """The five nested levels (root, fifth, chord, diatonic, chromatic)."""
+class Profile(NamedTuple):
+    """A chord in a key: key tonic, chord root, and the root, fifth, chord and
+    diatonic levels as 12-bit pitch-class masks (the chromatic level never differs)."""
 
-    levels: tuple[frozenset[int], ...]
+    tonic: int
+    root: int
+    root_level: int
+    fifth_level: int
+    chord_level: int
+    diatonic_level: int
 
-    def weight(self, pc: int) -> int:
-        """Number of levels containing the pitch class (0..5)."""
-        return sum(1 for level in self.levels if pc % 12 in level)
 
-
-# Bounded like ``_directed`` below: each distinct event's space is built once.
+# Bounded, because Natural accepts any number of accidentals, so the
+# (chord, key) space has no bound of its own.
 @lru_cache(maxsize=2**12)
-def basic_space(chord: Chord, key: Key) -> BasicSpace:
+def profile(chord: Chord, key: Key) -> Profile:
     if chord.is_nochord:
         raise NoChordError("no-chord has no basic space")
     root = chord.root.pitch_class
-    fifth_degree = next((d for d in chord.degrees if d.interval == 5), None)
-    if fifth_degree is not None and fifth_degree.alteration != 0:
-        fifth = (root + fifth_degree.semitones) % 12
-    else:
-        fifth = (root + 7) % 12
-    level_a = frozenset([root])
-    level_b = level_a | {fifth}
-    level_c = level_b | pitch_class_set(chord)
-    level_d = level_c | key.diatonic()
-    level_e = frozenset(range(12))
-    return BasicSpace((level_a, level_b, level_c, level_d, level_e))
+    # The chord's own fifth degree; a chord without one still gets the perfect fifth.
+    fifth = next((d.semitones for d in chord.degrees if d.interval == 5), 7)
+    root_level = 1 << root
+    fifth_level = root_level | 1 << (root + fifth) % 12
+    chord_level = fifth_level | sum(1 << pc for pc in pitch_class_set(chord))
+    diatonic_level = chord_level | sum(1 << pc for pc in key.diatonic())
+    return Profile(key.tonic, root, root_level, fifth_level, chord_level, diatonic_level)
 
 
 def fifths_distance(x: int, y: int) -> int:
@@ -105,27 +106,18 @@ def fifths_distance(x: int, y: int) -> int:
     return min(up, 12 - up) if up else 0
 
 
-def _missing_level_entries(src: BasicSpace, dst: BasicSpace) -> int:
-    # Count (pitch class, level) pairs of dst absent from src; the shared
-    # chromatic level never contributes.
-    return sum(len(dst.levels[i] - src.levels[i]) for i in range(4))
-
-
-# Bounded, because Natural accepts any number of accidentals, so the
-# (chord, key, chord, key) space has no bound of its own.
-@lru_cache(maxsize=2**16)
-def _directed(x: Chord, kx: Key, y: Chord, ky: Key) -> int:
-    i = fifths_distance(kx.tonic, ky.tonic)
-    j = fifths_distance(x.root.pitch_class, y.root.pitch_class)
-    k = _missing_level_entries(basic_space(x, kx), basic_space(y, ky))
-    return i + j + k
+# _FIFTHS[12 * x + y] is fifths_distance(x, y); _POPCOUNT[mask] counts a mask's bits.
+_FIFTHS = bytes(fifths_distance(x, y) for x in range(12) for y in range(12))
+_POPCOUNT = bytes(mask.bit_count() for mask in range(1 << 12))
 
 
 def chord_distance(x: Chord, kx: Key, y: Chord, ky: Key) -> float:
-    """Symmetrized Tonal Pitch Space distance between chord/key pairs."""
-    if x.is_nochord or y.is_nochord:
-        raise NoChordError("chord distance is undefined for no-chords")
-    return (_directed(x, kx, y, ky) + _directed(y, ky, x, kx)) / 2
+    """Symmetrized Tonal Pitch Space distance between chord/key pairs: the
+    two fifths distances plus the mean of popcount(q_level & ~p_level) over
+    both directions, which is popcount(p_level ^ q_level) / 2."""
+    p, q = profile(x, kx), profile(y, ky)
+    missing = sum((a ^ b).bit_count() for a, b in zip(p[2:], q[2:]))
+    return _FIFTHS[12 * p.tonic + q.tonic] + _FIFTHS[12 * p.root + q.root] + missing / 2
 
 
 def intern(events, vocab: dict) -> list[int]:
@@ -136,18 +128,22 @@ def intern(events, vocab: dict) -> list[int]:
 
 def distance_table(vocab_a: dict, vocab_b: dict) -> list[list[float]]:
     """``chord_distance`` from each event of one vocabulary (row, by
-    code) to each event of the other (column, by code).  A vocabulary
-    against itself costs each unordered pair once: the distance is
-    symmetric, so one triangle is computed and mirrored."""
-    if vocab_a is not vocab_b:
-        return [[chord_distance(x, kx, y, ky) for y, ky in vocab_b] for x, kx in vocab_a]
-    events = list(vocab_a)
-    table = [[0.0] * len(events) for _ in events]
-    for i, (x, kx) in enumerate(events):
-        for j in range(i, len(events)):
-            y, ky = events[j]
-            table[i][j] = table[j][i] = chord_distance(x, kx, y, ky)
-    return table
+    code) to each event of the other (column, by code), as Python floats,
+    filled by numpy from one profile per event.  Every value is a
+    half-integer, so the floats equal ``chord_distance``'s exactly."""
+    import numpy as np  # here, as in similarity: imported with tps it cost every process 1.3 MB
+
+    def profiles(vocab):
+        return np.array([profile(*event) for event in vocab], dtype=np.intp).reshape(-1, 6)
+
+    fifths = np.frombuffer(_FIFTHS, dtype=np.uint8).reshape(12, 12)
+    popcount = np.frombuffer(_POPCOUNT, dtype=np.uint8)
+    a = profiles(vocab_a)
+    b = a if vocab_b is vocab_a else profiles(vocab_b)
+    twice = 2 * (fifths[a[:, 0]][:, b[:, 0]] + fifths[a[:, 1]][:, b[:, 1]])
+    for level in range(2, 6):
+        twice += popcount[a[:, level, None] ^ b[:, level]]
+    return (twice / 2).tolist()
 
 
 def key_relative_value(chord: Chord, key: Key) -> float:

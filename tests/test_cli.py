@@ -340,3 +340,15 @@ def test_bad_measure_parameters_are_usage_errors_naming_the_flag(capsys, tmp_pat
         code, out, err = run(capsys, command + flags)
         assert (code, out) == (2, ""), command
         assert err.startswith("error: ") and flags[-2] in err
+
+
+@pytest.mark.parametrize("measure", ["dtw", "tpsd", "lharp"])
+def test_piece_without_a_sounded_chord_is_a_usage_error_naming_the_pair(capsys, tmp_path,
+                                                                       measure):
+    corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj", "G:maj"], "b": ["N", "N"]})
+    cliques = tmp_path / "cliques.csv"
+    cliques.write_text("piece_id,clique_id\na,x\nb,x\n")
+    for command in (["matrix", str(corpus)], ["eval-covers", str(corpus), str(cliques)]):
+        code, out, err = run(capsys, command + ["--measure", measure])
+        assert (code, out) == (2, ""), command
+        assert err == "error: a vs b: b: no sounded events\n", command

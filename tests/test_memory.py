@@ -189,6 +189,29 @@ def test_import_golden_file():
     assert weight == pytest.approx(0.704688, abs=5e-7)
 
 
+def test_import_parses_each_distinct_chord_token_once(monkeypatch):
+    import harmory.memory as memory
+
+    data = (DATA / "memory_golden.nt").read_bytes()
+    tokens = [token for line in data.decode().splitlines() if "chordSequence" in line
+              for token in line.split('"')[1].split()]
+    parsed = []
+
+    def counting(token):
+        parsed.append(token)
+        return parse_chord(token)
+
+    monkeypatch.setattr(memory, "parse_chord", counting)
+    graph = import_ntriples(data)
+    assert len(tokens) > len(set(tokens))
+    assert sorted(parsed) == sorted(set(tokens))
+    with_bad_token = data.replace(b'"C:maj C:maj C:maj A:min"', b'"C:maj C:maj H:maj A:min"')
+    with pytest.raises(GraphFormatError, match="gamma/seg/0"):
+        import_ntriples(with_bad_token)
+    monkeypatch.undo()
+    assert graph.segments == import_ntriples(data).segments
+
+
 def test_import_keeps_keys_that_change_inside_a_segment():
     graph, back = graph_and_round_trip()
     assert [str(k) for k in graph.segments["modulating/seg/1"].keys] \

@@ -120,18 +120,27 @@ def test_ssm_symmetric_unit_diagonal_in_range():
 
 
 def test_ssm_costs_each_distinct_event_pair_once(monkeypatch):
-    calls = []
+    # One profile per distinct event, one table over them, and no scalar
+    # chord_distance call: the 48 x 48 matrix is gathered from a 4 x 4 table.
+    profiled, scalar = [], []
+    profile = tps.profile
 
-    def counting(*args):
-        calls.append(args)
+    def counting_profile(*args):
+        profiled.append(args)
+        return profile(*args)
+
+    def counting_distance(*args):
+        scalar.append(args)
         return chord_distance(*args)
 
     for module in (tps, segmentation):
-        monkeypatch.setattr(module, "chord_distance", counting, raising=False)
+        monkeypatch.setattr(module, "chord_distance", counting_distance, raising=False)
+    monkeypatch.setattr(tps, "profile", counting_profile)
     symbols = ["C:maj", "G:7", "A:min", "F:maj"]
     ssm = build_ssm(make_timeline([symbols[i % 4] for i in range(48)]))
     assert ssm.size == 48
-    assert 0 < len(calls) <= 4 * 4
+    assert [chord for chord, _ in profiled] == [parse_chord(s) for s in symbols]
+    assert scalar == []
 
 
 SYMBOLS = ["C:maj", "G:7", "A:min", "F:maj7", "D:min/b3", "E:7", "Bb:maj", "N"]
@@ -331,6 +340,13 @@ def test_ssm_pgm_rounding():
     ssm = SSM(matrix=m, event_indices=(0, 1))
     # 255 * 0.5019 = 127.9845 -> 128
     assert "255 128" in ssm_to_pgm(ssm)
+
+
+def test_ssm_pgm_rejects_cells_outside_the_unit_range():
+    for cell in (-0.01, 1.01, np.nan):
+        ssm = SSM(matrix=np.array([[1.0, cell], [cell, 1.0]]), event_indices=(0, 1))
+        with pytest.raises(ValueError):
+            ssm_to_pgm(ssm)
 
 
 def test_novelty_csv_golden():

@@ -391,9 +391,9 @@ def test_matrix_error_names_pair():
     bad = Timeline(id="bad",
                    events=(ChordEvent(Fraction(0), Fraction(1), parse_chord("N")),),
                    keys=good.keys)
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(EmptyTimelineError) as info:
         corpus_similarity_matrix([good, bad], "dtw")
-    assert "good vs bad" in str(info.value)
+    assert str(info.value) == "good vs bad: bad: no sounded events"
 
 
 def test_matrix_rejects_duplicate_ids():

@@ -18,14 +18,27 @@ from harmory.harte import NO_CHORD, NoChordError, parse_chord, pitch_class_set, 
 import harmory.tps as tps
 from harmory.tps import (
     Key,
-    basic_space,
     chord_distance,
     fifths_distance,
     key_relative_value,
+    profile,
 )
 from tests.conftest import chords
 
 MAJOR = Key.from_string("C:maj")
+LEVELS = ("root_level", "fifth_level", "chord_level", "diatonic_level")
+sounded_events = st.tuples(chords().filter(lambda chord: not chord.is_nochord),
+                           st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"])))
+
+
+def pitch_classes(mask: int) -> frozenset[int]:
+    return frozenset(pc for pc in range(12) if mask >> pc & 1)
+
+
+def levels(chord, key) -> list[frozenset[int]]:
+    """The profile's four level masks as pitch-class sets."""
+    space = profile(chord, key)
+    return [pitch_classes(getattr(space, name)) for name in LEVELS]
 
 
 def oracle_fifths(x: int, y: int) -> int:
@@ -85,32 +98,29 @@ def test_key_from_string():
 
 
 def test_basic_space_tonic():
-    space = basic_space(parse_chord("C:maj"), MAJOR)
-    assert space.levels[0] == frozenset({0})
-    assert space.levels[1] == frozenset({0, 7})
-    assert space.levels[2] == frozenset({0, 4, 7})
-    assert space.levels[3] == frozenset({0, 2, 4, 5, 7, 9, 11})
-    assert space.levels[4] == frozenset(range(12))
+    space = profile(parse_chord("C:maj"), MAJOR)
+    assert (space.tonic, space.root) == (0, 0)
+    assert levels(parse_chord("C:maj"), MAJOR) == [
+        frozenset({0}), frozenset({0, 7}), frozenset({0, 4, 7}),
+        frozenset({0, 2, 4, 5, 7, 9, 11})]
 
 
 def test_basic_space_dominant():
-    space = basic_space(parse_chord("G:maj"), MAJOR)
-    assert space.levels[0] == frozenset({7})
-    assert space.levels[1] == frozenset({7, 2})
-    assert space.levels[2] == frozenset({7, 11, 2})
-    assert space.levels[3] == frozenset({0, 2, 4, 5, 7, 9, 11})
+    space = profile(parse_chord("G:maj"), MAJOR)
+    assert (space.tonic, space.root) == (0, 7)
+    assert levels(parse_chord("G:maj"), MAJOR) == [
+        frozenset({7}), frozenset({7, 2}), frozenset({7, 11, 2}),
+        frozenset({0, 2, 4, 5, 7, 9, 11})]
 
 
 def test_basic_space_altered_fifth():
-    space = basic_space(parse_chord("C:aug"), MAJOR)
-    assert space.levels[1] == frozenset({0, 8})
-    space = basic_space(parse_chord("C:dim"), MAJOR)
-    assert space.levels[1] == frozenset({0, 6})
+    assert levels(parse_chord("C:aug"), MAJOR)[1] == frozenset({0, 8})
+    assert levels(parse_chord("C:dim"), MAJOR)[1] == frozenset({0, 6})
 
 
 def test_basic_space_rejects_nochord():
     with pytest.raises(NoChordError):
-        basic_space(NO_CHORD, MAJOR)
+        profile(NO_CHORD, MAJOR)
     with pytest.raises(NoChordError):
         chord_distance(NO_CHORD, MAJOR, parse_chord("C:maj"), MAJOR)
 
@@ -184,21 +194,35 @@ def test_zero_iff_identical_space():
 
 
 def test_weight_nesting():
-    space = basic_space(parse_chord("C:maj"), MAJOR)
-    for small, big in zip(space.levels, space.levels[1:]):
+    space = levels(parse_chord("C:maj"), MAJOR)
+    for small, big in zip(space, space[1:]):
         assert small <= big
-    assert space.weight(0) == 5
-    assert space.weight(7) == 4
-    assert space.weight(4) == 3
-    assert space.weight(2) == 2
-    assert space.weight(1) == 1
-    assert all(space.weight(pc) in range(6) for pc in range(12))
+
+    def weight(pc):  # levels holding the pitch class, the chromatic one included
+        return 1 + sum(pc in level for level in space)
+
+    assert weight(0) == 5
+    assert weight(7) == 4
+    assert weight(4) == 3
+    assert weight(2) == 2
+    assert weight(1) == 1
 
 
-def test_directed_cache_is_bounded():
+@given(sounded_events)
+@settings(max_examples=200)
+def test_profile_levels_match_oracle_levels(event):
+    chord, key = event
+    assert levels(chord, key) == oracle_levels(chord, key)
+    assert profile(chord, key)[:2] == (key.tonic, chord.root.pitch_class)
+
+
+def test_every_tps_cache_is_bounded():
     # Natural accepts any number of accidentals, so only a fixed bound
-    # keeps the cache of a long-running process finite.
-    assert tps._directed.cache_parameters()["maxsize"] is not None
+    # keeps a cache of a long-running process finite.
+    caches = [value for value in vars(tps).values() if hasattr(value, "cache_parameters")]
+    assert caches
+    for cache in caches:
+        assert cache.cache_parameters()["maxsize"] is not None
 
 
 def test_distance_table_indexes_interned_events():
@@ -215,24 +239,62 @@ def test_distance_table_indexes_interned_events():
             assert table[i][j] == chord_distance(x, kx, y, ky)
 
 
-def test_basic_space_cache_is_bounded():
-    assert tps.basic_space.cache_parameters()["maxsize"] is not None
+@given(st.lists(sounded_events, min_size=1, max_size=12),
+       st.lists(sounded_events, min_size=1, max_size=12))
+@settings(max_examples=200)
+def test_distance_table_equals_scalar_and_oracle_distances(events_a, events_b):
+    vocab_a, vocab_b = {}, {}
+    tps.intern(events_a, vocab_a)
+    tps.intern(events_b, vocab_b)
+    for rows, cols in ((vocab_a, vocab_a), (vocab_a, vocab_b), (vocab_b, vocab_a)):
+        table = tps.distance_table(rows, cols)
+        assert len(table) == len(rows)
+        for (x, kx), i in rows.items():
+            assert len(table[i]) == len(cols)
+            for (y, ky), j in cols.items():
+                assert type(table[i][j]) is float
+                assert table[i][j] == chord_distance(x, kx, y, ky) == oracle_distance(x, kx, y, ky)
 
 
-def test_square_distance_table_costs_each_unordered_pair_once(monkeypatch):
-    calls = []
+def test_distance_table_profiles_each_event_once_and_makes_no_scalar_calls(monkeypatch):
+    profiled, scalar = [], []
 
-    def counting(*args):
-        calls.append(args)
+    def counting_profile(*args):
+        profiled.append(args)
+        return profile(*args)
+
+    def counting_distance(*args):
+        scalar.append(args)
         return chord_distance(*args)
 
     events = [(parse_chord(s), Key.from_string(k)) for s, k in
-              [("C:maj", "C:maj"), ("G:7", "C:maj"), ("A:min", "A:min"), ("F:maj", "C:maj")]]
-    vocab = {}
+              [("C:maj", "C:maj"), ("G:7", "C:maj"), ("A:min", "A:min"), ("F:maj", "C:maj"),
+               ("C:maj", "C:maj"), ("G:7", "C:maj")]]
+    vocab, other = {}, {}
     tps.intern(events, vocab)
-    monkeypatch.setattr(tps, "chord_distance", counting)
-    table = tps.distance_table(vocab, vocab)
-    assert len(calls) == 4 * 5 // 2
+    tps.intern([(parse_chord("Db:min"), Key.from_string("E:maj"))] + events[:2], other)
+    monkeypatch.setattr(tps, "profile", counting_profile)
+    monkeypatch.setattr(tps, "chord_distance", counting_distance)
+    square = tps.distance_table(vocab, vocab)
+    assert profiled == list(vocab) and len(profiled) == 4
+    profiled.clear()
+    rectangle = tps.distance_table(vocab, other)
+    assert profiled == [*vocab, *other] and len(profiled) == 4 + 3
+    assert scalar == []
     for (x, kx), i in vocab.items():
         for (y, ky), j in vocab.items():
-            assert table[i][j] == chord_distance(x, kx, y, ky)
+            assert square[i][j] == chord_distance(x, kx, y, ky)
+        for (y, ky), j in other.items():
+            assert rectangle[i][j] == chord_distance(x, kx, y, ky)
+
+
+@pytest.mark.parametrize("side", ["rows", "columns"])
+def test_distance_table_rejects_nochord_in_either_vocabulary(side):
+    vocab, with_nochord = {}, {}
+    tps.intern([(parse_chord("C:maj"), MAJOR)], vocab)
+    tps.intern([(parse_chord("G:7"), MAJOR), (NO_CHORD, MAJOR)], with_nochord)
+    pair = (with_nochord, vocab) if side == "rows" else (vocab, with_nochord)
+    with pytest.raises(NoChordError):
+        tps.distance_table(*pair)
+    with pytest.raises(NoChordError):
+        tps.distance_table(with_nochord, with_nochord)
