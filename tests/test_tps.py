@@ -225,6 +225,24 @@ def test_every_tps_cache_is_bounded():
         assert cache.cache_parameters()["maxsize"] is not None
 
 
+def test_basic_space_cache_is_bounded():
+    # Each event's basic space is kept as its Profile of level masks.
+    assert tps.profile.cache_parameters()["maxsize"] is not None
+
+
+def test_directed_cache_is_bounded():
+    # Both directions of a distance are costed from the cached profiles,
+    # so costing more distinct events than the bound keeps it.
+    maxsize = tps.profile.cache_parameters()["maxsize"]
+    keys = [Key(tonic, mode) for tonic in range(12) for mode in ("major", "minor")]
+    spelled = [parse_chord("C" + "#" * n + ":maj") for n in range(maxsize // len(keys) + 2)]
+    for chord in spelled:
+        for key in keys:
+            assert chord_distance(chord, key, chord, MAJOR) >= 0
+    assert len(spelled) * len(keys) > maxsize
+    assert tps.profile.cache_info().currsize <= maxsize
+
+
 def test_distance_table_indexes_interned_events():
     events = [(parse_chord(s), Key.from_string(k)) for s, k in
               [("C:maj", "C:maj"), ("G:7", "C:maj"), ("C:maj", "C:maj"), ("C:maj", "A:min")]]
