@@ -138,6 +138,12 @@ def _add_measure_arguments(parser) -> None:
     parser.add_argument("--n-max", type=int, default=4)
 
 
+def _add_workers_argument(parser) -> None:
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; pairs are scored in one "
+                             "thread and the output is the same for every value")
+
+
 def cmd_parse(args) -> int:
     chord = parse_chord(args.chord)
     if chord.is_nochord:
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="pairwise similarity matrix CSV for a corpus")
     p.add_argument("corpus")
     _add_measure_arguments(p)
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers_argument(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_matrix)
 
@@ -329,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seg_arguments(p)
     p.add_argument("--theta-sim", type=float, default=0.6)
     p.add_argument("--theta-merge", type=float, default=0.9)
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers_argument(p)
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("query", help="query a memory graph with a chord progression")
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("cliques", help="CSV with header piece_id,clique_id")
     _add_measure_arguments(p)
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers_argument(p)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_eval_covers)
 

@@ -19,7 +19,7 @@ from urllib.parse import quote
 
 from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
-from harmory.similarity import _dtw, key_relative, map_pairs
+from harmory.similarity import _dtw, dtw_lower_bounds, key_relative
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, estimate_key
 from harmory.tps import Key, distance_table, intern
 
@@ -128,7 +128,12 @@ def build_memory(corpus: list[Timeline],
     """Segment a corpus and fold similar segments into patterns.
 
     Requires ``0 < theta_sim <= 1`` and ``theta_merge >= theta_sim``.
-    Every number of workers gives the same graph.
+    Only pairs whose exact score can change the graph are warped: each
+    ordered pair of distinct key-relative code sequences once, and only
+    when ``dtw_lower_bounds`` leaves the score able to reach the merge
+    (or, for two medoids, the link) threshold.  Every pair inside a merged
+    pattern is scored exactly, for the medoid.  The graph is the one that
+    scoring every pair gives.  ``workers`` is accepted and changes nothing.
     """
     if not corpus:
         raise EmptyCorpusError("corpus is empty")
@@ -148,38 +153,48 @@ def build_memory(corpus: list[Timeline],
         for segment in piece_segments:
             segments[segment.id] = segment
     ordered = sorted(segments)
-    pairs = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
     vocab: dict = {}
-    codes = {seg_id: intern(key_relative(segment.events()), vocab)
-             for seg_id, segment in segments.items()}
+    sequences: dict[tuple[int, ...], int] = {}  # distinct code sequence -> its index
+    sequence_of = {seg_id: sequences.setdefault(
+        tuple(intern(key_relative(segments[seg_id].events()), vocab)), len(sequences))
+        for seg_id in ordered}
+    distinct = list(sequences)
     table = distance_table(vocab, vocab)
+    bounds = dtw_lower_bounds(distinct, table).tolist()
+    warped: dict[tuple[int, int], float] = {}
 
-    def score(pair):
-        return _segment_score(codes[pair[0]], codes[pair[1]], table, scale)
+    def score(a: str, b: str) -> float:
+        """The exact score of two segments, warped in id order."""
+        key = (sequence_of[min(a, b)], sequence_of[max(a, b)])
+        if key not in warped:
+            warped[key] = _segment_score(distinct[key[0]], distinct[key[1]], table, scale)
+        return warped[key]
 
-    scores = dict(zip(pairs, map_pairs(score, pairs, workers)))
+    # A pair is warped only when its bound leaves it able to reach the threshold.
+    may_merge = [[exp(-lb / scale) >= theta_merge for lb in row] for row in bounds]
     merged = UnionFind(ordered)
-    for (a, b), value in scores.items():
-        if value >= theta_merge:
-            merged.union(a, b)
+    for i, a in enumerate(ordered):
+        row = may_merge[sequence_of[a]]
+        for b in ordered[i + 1:]:
+            if row[sequence_of[b]] and score(a, b) >= theta_merge:
+                merged.union(a, b)
     patterns: dict[str, Pattern] = {}
     for group in merged.groups():
         if len(group) == 1:
             medoid = group[0]
         else:
-            totals = {seg_id: sum(scores[tuple(sorted((seg_id, other)))]
-                                  for other in group if other != seg_id)
+            totals = {seg_id: sum(score(seg_id, other) for other in group if other != seg_id)
                       for seg_id in group}
             best = max(totals.values())
             medoid = min(seg_id for seg_id, value in totals.items() if value == best)
         patterns[medoid] = Pattern(medoid=medoid, members=tuple(group))
     similar = []
-    pattern_ids = sorted(patterns)
-    for i, pa in enumerate(pattern_ids):
-        for pb in pattern_ids[i + 1:]:
-            value = scores[tuple(sorted((patterns[pa].medoid, patterns[pb].medoid)))]
-            if value >= theta_sim:
-                similar.append((pa, pb, value))
+    medoids = sorted(patterns)
+    for i, a in enumerate(medoids):
+        for b in medoids[i + 1:]:
+            lb = bounds[sequence_of[a]][sequence_of[b]]
+            if exp(-lb / scale) >= theta_sim and (value := score(a, b)) >= theta_sim:
+                similar.append((a, b, value))
     return MemoryGraph(
         pieces=pieces,
         segments=segments,
@@ -254,7 +269,12 @@ def import_ntriples(data: bytes) -> MemoryGraph:
     key_sequences: dict[str, str] = {}
     similar_pairs: list[tuple[str, str]] = []
     weights: dict[str, float] = {}
-    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), 1):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = len((data[:err.start] + b".").decode("utf-8").splitlines())
+        raise GraphFormatError(f"line {line}: not UTF-8 at byte {err.start}") from err
+    for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
         match = _TRIPLE.match(raw)

@@ -134,6 +134,34 @@ def _dtw(ca: list[int], cb: list[int], band: int | None = None, *,
     return Alignment(path=tuple(path), cost=total, normalized_cost=total / len(path))
 
 
+def dtw_lower_bounds(sequences: list, table: list[list[float]]):
+    """``lb[x, y] <= _dtw(sequences[x], sequences[y], table=table).normalized_cost``
+    for every pair, as a numpy matrix, for a symmetric table such as
+    ``distance_table(vocab, vocab)``.
+
+    A warping path visits every row and every column and both corner
+    cells (one cell when both sequences have one code), and it has at most
+    n + m - 1 steps.  So ``lb`` is the largest of the summed row minima,
+    the summed column minima (the row sums' transpose, since the table is
+    symmetric) and the corner costs, over n + m - 1.  This is the
+    cascading LB_Kim / LB_Keogh idea of Rakthanmanon et al. (KDD 2012).
+    Table entries are half-integers, so every sum is exact in float64.
+    """
+    import numpy as np
+
+    grid = np.array(table)
+    lengths = np.array([len(seq) for seq in sequences])
+    # nearest[y, c]: the cheapest cell from code c to a code of sequence y;
+    # rows[x, y]: the summed row minima, each code of x at its nearest in y.
+    nearest = np.array([grid[:, list(seq)].min(axis=1) for seq in sequences])
+    rows = np.array([nearest[:, list(seq)].sum(axis=1) for seq in sequences])
+    first = np.array([seq[0] for seq in sequences])
+    last = np.array([seq[-1] for seq in sequences])
+    one_cell = np.outer(lengths == 1, lengths == 1)
+    corners = grid[first[:, None], first] + np.where(one_cell, 0.0, grid[last[:, None], last])
+    return np.maximum(np.maximum(rows, rows.T), corners) / (lengths[:, None] + lengths - 1)
+
+
 def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
                   n_min: int = 2, n_max: int = 4) -> None:
     """The one range check of the measures' parameters."""
@@ -347,21 +375,12 @@ MEASURES = {
 _STEPS = {"dtw": _Dtw, "tpsd": _Tpsd, "lharp": _Lharp}
 
 
-def map_pairs(fn, pairs: list, workers: int) -> list:
-    """``[fn(pair) for pair in pairs]``, on ``workers`` threads when
-    more than one; results keep the order of ``pairs`` either way."""
-    if workers <= 1:
-        return [fn(pair) for pair in pairs]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, pairs))
-
-
 def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
                              params: dict | None = None, workers: int = 1):
     """Score every unordered pair; returns (ids, matrix) with unit
-    diagonal, identical for every number of workers.  Each piece is
-    prepared once, over one vocabulary and table for the corpus."""
+    diagonal.  Each piece is prepared once, over one vocabulary and table
+    for the corpus.  Pairs are scored in one thread; ``workers`` is
+    accepted and changes nothing."""
     import numpy as np
 
     if measure not in MEASURES:
@@ -380,22 +399,17 @@ def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
     table = distance_table(vocab, vocab)
     n = len(corpus)
     matrix = np.eye(n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def score(pair):
-        i, j = pair
-        try:
-            for k in pair:
-                if isinstance(prepared[k], Exception):
-                    raise prepared[k]
-            return steps.compare(prepared[i], prepared[j], table).score
-        except EmptyTimelineError as err:  # a usage error: the command exits 2
-            raise EmptyTimelineError(f"{ids[i]} vs {ids[j]}: {err}") from err
-        except Exception as err:
-            raise RuntimeError(f"{ids[i]} vs {ids[j]}: {err}") from err
-
-    for (i, j), value in zip(pairs, map_pairs(score, pairs, workers)):
-        matrix[i, j] = matrix[j, i] = value
+    for i in range(n):
+        for j in range(i + 1, n):
+            try:
+                for k in (i, j):
+                    if isinstance(prepared[k], Exception):
+                        raise prepared[k]
+                matrix[i, j] = matrix[j, i] = steps.compare(prepared[i], prepared[j], table).score
+            except EmptyTimelineError as err:  # a usage error: the command exits 2
+                raise EmptyTimelineError(f"{ids[i]} vs {ids[j]}: {err}") from err
+            except Exception as err:
+                raise RuntimeError(f"{ids[i]} vs {ids[j]}: {err}") from err
     return ids, matrix
 
 

@@ -25,6 +25,7 @@ import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from harmory.harte import Chord, HarteError, parse_chord, pitch_class_set, render_chord, transpose_chord
 from harmory.tps import Key, key_relative_value
@@ -144,6 +145,14 @@ def _to_fraction(value, context: str) -> Fraction:
         raise SchemaError(f"{context}: bad time value {value!r}") from err
 
 
+def _expect(value, kind: type, what: str):
+    """``value`` when it is a ``kind``; a SchemaError naming ``what`` otherwise."""
+    if not isinstance(value, kind):
+        noun = {dict: "object", list: "array", str: "string"}[kind]
+        raise SchemaError(f"{what}: expected a JSON {noun}, got {value!r:.40}")
+    return value
+
+
 def load_jams(data: str | bytes, fallback_id: str | None = None) -> Timeline:
     """Load the JSON annotation subset documented in the module docstring.
 
@@ -151,33 +160,37 @@ def load_jams(data: str | bytes, fallback_id: str | None = None) -> Timeline:
     """
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad JSON, bad UTF-8, or nested too deep
         raise SchemaError(f"not valid JSON: {err}") from err
     if not isinstance(obj, dict) or "annotations" not in obj:
         raise SchemaError("missing 'annotations'")
-    meta = obj.get("file_metadata") or {}
-    piece_id = (meta.get("identifiers") or {}).get("id") or fallback_id
+    meta = _expect(obj.get("file_metadata") or {}, dict, "file_metadata")
+    identifiers = _expect(meta.get("identifiers") or {}, dict, "file_metadata.identifiers")
+    piece_id = identifiers.get("id") or fallback_id
     if not piece_id:
         raise SchemaError("missing piece id (file_metadata.identifiers.id)")
+    _expect(piece_id, str, "piece id (file_metadata.identifiers.id)")
     events: list[ChordEvent] = []
     keys: list[KeySpan] = []
-    for annotation in obj["annotations"]:
-        namespace = annotation.get("namespace")
+    parse = cache(parse_chord)  # each distinct chord token once, for this file only
+    for number, annotation in enumerate(_expect(obj["annotations"], list, "annotations")):
+        namespace = _expect(annotation, dict, f"{piece_id}: annotation {number}").get("namespace")
         if namespace is None:
             raise SchemaError(f"{piece_id}: annotation without namespace")
         if namespace not in ("chord_harte", "key_mode"):
             log.warning("%s: skipping unknown namespace %r", piece_id, namespace)
             continue
-        for index, obs in enumerate(annotation.get("data", [])):
+        observations = _expect(annotation.get("data", []), list, f"{piece_id}: {namespace} data")
+        for index, obs in enumerate(observations):
             if not isinstance(obs, dict) or "time" not in obs or "duration" not in obs \
-                    or "value" not in obs:
+                    or not isinstance(obs.get("value"), str):
                 raise SchemaError(f"{piece_id}: {namespace} observation {index} "
-                                  "lacks time/duration/value")
+                                  "lacks time/duration/value (a string)")
             start = _to_fraction(obs["time"], f"{piece_id}: observation {index}")
             duration = _to_fraction(obs["duration"], f"{piece_id}: observation {index}")
             if namespace == "chord_harte":
                 try:
-                    chord = parse_chord(obs["value"])
+                    chord = parse(obs["value"])
                 except HarteError as err:
                     raise SchemaError(
                         f"{piece_id}: chord observation at event index {index}: {err}"
@@ -202,6 +215,7 @@ def load_chart(text: str, piece_id: str | None = None) -> Timeline:
     title = artist = None
     key: Key | None = None
     events: list[ChordEvent] = []
+    parse = cache(parse_chord)  # each distinct chord token once, for this chart only
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -231,7 +245,7 @@ def load_chart(text: str, piece_id: str | None = None) -> Timeline:
         start = _to_fraction(fields[0], f"line {lineno}")
         duration = _to_fraction(fields[1], f"line {lineno}")
         try:
-            chord = parse_chord(fields[2])
+            chord = parse(fields[2])
         except HarteError as err:
             raise SchemaError(f"line {lineno}: {err}") from err
         events.append(ChordEvent(start, duration, chord))

@@ -14,17 +14,21 @@ from functools import lru_cache
 from math import exp
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harmory.memory as memory
 from harmory.harte import parse_chord
 from harmory.memory import (
     EmptyCorpusError,
     EmptyQueryError,
     GraphFormatError,
     MemoryGraph,
+    Pattern,
     PatternQuery,
+    PieceInfo,
     UnionFind,
     build_memory,
     export_json,
@@ -35,9 +39,9 @@ from harmory.memory import (
     segment_to_timeline,
 )
 from harmory.segmentation import SegmentationParams, segment_timeline
-from harmory.similarity import dtw_similarity
-from harmory.timeline import load_jams
-from harmory.tps import Key
+from harmory.similarity import dtw_lower_bounds, dtw_similarity, key_relative
+from harmory.timeline import load_jams, transpose
+from harmory.tps import Key, distance_table, intern
 from tests.conftest import chords, make_timeline
 
 DATA = Path(__file__).parent / "data"
@@ -329,3 +333,128 @@ def test_segment_to_timeline():
     assert tl.id == "alpha/seg/0"
     assert len(tl.events) == 4
     assert dtw_similarity(tl, tl).score == 1.0
+
+
+def exhaustive_memory(corpus, seg_params, theta_sim, theta_merge, scale):
+    """The memory graph by scoring every pair of segments, each through
+    ``dtw_similarity`` of the segments' own timelines: the oracle for
+    ``build_memory``'s pruning."""
+    pieces, segments = {}, {}
+    for tl in sorted(corpus, key=lambda t: t.id):
+        piece_segments = segment_timeline(tl, seg_params).segments
+        pieces[tl.id] = PieceInfo(tl.id, tl.title, tl.artist, tuple(s.id for s in piece_segments))
+        segments.update((s.id, s) for s in piece_segments)
+    ordered = sorted(segments)
+    scores = {(a, b): dtw_similarity(segment_to_timeline(segments[a]),
+                                     segment_to_timeline(segments[b]), scale).score
+              for i, a in enumerate(ordered) for b in ordered[i + 1:]}
+    merged = UnionFind(ordered)
+    for (a, b), value in scores.items():
+        if value >= theta_merge:
+            merged.union(a, b)
+    patterns = {}
+    for group in merged.groups():
+        totals = {s: sum(scores[tuple(sorted((s, o)))] for o in group if o != s) for s in group}
+        best = max(totals.values())
+        medoid = min(s for s, value in totals.items() if value == best)
+        patterns[medoid] = Pattern(medoid=medoid, members=tuple(group))
+    medoids = sorted(patterns)
+    similar = tuple((a, b, scores[a, b]) for i, a in enumerate(medoids) for b in medoids[i + 1:]
+                    if scores[a, b] >= theta_sim)
+    return MemoryGraph(pieces=pieces, segments=segments, patterns=patterns,
+                       similar=similar, params={})
+
+
+def assert_same_exports(graph, expected):
+    assert export_ntriples(graph) == export_ntriples(expected)
+    assert export_json(graph) == export_json(expected)
+
+
+# Four-chord sections shared between pieces, so that segments repeat,
+# merge and link; pieces are transposed, which key-relative codes undo.
+SECTIONS = (["C:maj", "A:min", "F:maj", "G:7"], ["F:maj", "G:maj", "C:maj", "C:maj"],
+            ["A:min", "E:7", "A:min", "E:7"], ["D:min", "G:7", "C:maj", "A:min"],
+            ["C:maj", "C:maj", "G:maj", "G:maj"])
+
+
+@st.composite
+def section_corpora(draw):
+    corpus = []
+    for p in range(draw(st.integers(1, 4))):
+        chords = [chord for s in draw(st.lists(st.sampled_from(SECTIONS), min_size=1,
+                                               max_size=4)) for chord in s]
+        if draw(st.booleans()):
+            chords[draw(st.integers(0, len(chords) - 1))] = draw(
+                st.sampled_from(["D:7", "Bb:maj", "E:min", "F#:dim"]))
+        piece = make_timeline(chords, key=draw(st.sampled_from(["C:maj", "A:min"])),
+                              piece_id=f"p{p}")
+        corpus.append(transpose(piece, draw(st.integers(0, 11))))
+    return corpus
+
+
+@given(corpus=section_corpora(),
+       theta_sim=st.sampled_from([0.3, 0.6, 0.75, 0.9, 1.0]) | st.floats(0.01, 1.0),
+       merge_step=st.sampled_from([0.0, 0.0, 0.1, 0.3, 1.0]),
+       scale=st.sampled_from([1.0, 2.0, 5.0]))
+@settings(max_examples=60, deadline=None)
+def test_pruned_build_exports_what_scoring_every_pair_exports(corpus, theta_sim,
+                                                              merge_step, scale):
+    theta_merge = theta_sim + merge_step
+    assert_same_exports(build_memory(corpus, PARAMS, theta_sim, theta_merge, scale),
+                        exhaustive_memory(corpus, PARAMS, theta_sim, theta_merge, scale))
+
+
+@pytest.mark.parametrize("theta_sim,theta_merge", [(0.6, 0.9), (0.6, 0.6), (1.0, 1.0),
+                                                   (0.05, 0.05), (0.5, 1.5)])
+def test_pruned_build_matches_the_oracle_at_edge_thresholds(theta_sim, theta_merge):
+    corpus = fixture_corpus() + [modulating_piece()]
+    assert_same_exports(build_memory(corpus, PARAMS, theta_sim, theta_merge),
+                        exhaustive_memory(corpus, PARAMS, theta_sim, theta_merge, 5.0))
+
+
+def test_medoid_counts_the_pairs_the_bound_prunes_inside_a_pattern():
+    """Five pieces chain into one pattern, though the bound prunes pairs
+    inside it.  Counted as absent, those pairs would make p1 the medoid."""
+    symbol = {"X": "C:maj", "Y": "A:min"}
+    corpus = [make_timeline([symbol[c] for c in word], piece_id=f"p{i}")
+              for i, word in enumerate(["XXYXYY", "XYXXXY", "XYYXXY", "YYXXXX", "YYYYXY"])]
+    params = SegmentationParams(kernel_size=4, min_len=4)
+    graph = build_memory(corpus, params, theta_sim=0.6, theta_merge=0.6, scale=2.0)
+    assert list(graph.patterns) == ["p2/seg/0"]
+    assert len(graph.patterns["p2/seg/0"].members) == 5
+    vocab = {}
+    codes = [intern(key_relative(segment.events()), vocab) for segment in graph.segments.values()]
+    bounds = dtw_lower_bounds(codes, distance_table(vocab, vocab))
+    assert (np.exp(-bounds / 2.0) < 0.6).any()
+    assert_same_exports(graph, exhaustive_memory(corpus, params, 0.6, 0.6, 2.0))
+
+
+def test_each_ordered_sequence_pair_is_warped_at_most_once(monkeypatch):
+    warped = []
+    score = memory._segment_score
+
+    def counting(a, b, table, scale):
+        warped.append((tuple(a), tuple(b)))
+        return score(a, b, table, scale)
+
+    monkeypatch.setattr(memory, "_segment_score", counting)
+    graph = build_memory(fixture_corpus(), PARAMS)
+    n = len(graph.segments)
+    assert 0 < len(warped) < n * (n - 1) // 2
+    assert len(warped) == len(set(warped))
+    assert export_ntriples(graph) == (DATA / "memory_golden.nt").read_bytes()
+
+
+def test_warps_keep_the_id_order_of_each_pair():
+    """Warping x against y and y against x can break ties apart, so their
+    normalized costs differ here (4.4 against 11/3).  p1 meets the sequence
+    of p0 and p2 once from each side, and only the costs of those two
+    orientations make p2 the medoid."""
+    shared = ["E:min", "E:min", "C:maj", "A:min", "C:maj"]
+    corpus = [make_timeline(shared, piece_id="p0"),
+              make_timeline(["A:min", "A:min", "G:maj", "C:maj"], piece_id="p1"),
+              make_timeline(shared, piece_id="p2")]
+    params = SegmentationParams(kernel_size=4, min_len=4)
+    graph = build_memory(corpus, params, theta_sim=0.4, theta_merge=0.4)
+    assert list(graph.patterns) == ["p2/seg/0"]
+    assert_same_exports(graph, exhaustive_memory(corpus, params, 0.4, 0.4, 5.0))

@@ -14,12 +14,16 @@ from math import exp, inf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmory.harte import parse_chord
 from harmory.similarity import (
     MEASURES,
+    _dtw,
     corpus_similarity_matrix,
     dtw_align,
+    dtw_lower_bounds,
     dtw_similarity,
     extract_recurrent_patterns,
     key_relative_events,
@@ -29,8 +33,11 @@ from harmory.similarity import (
 )
 from harmory.timeline import (ChordEvent, EmptyTimelineError, KeySpan, Timeline,
                               build_timeline, encode_tps, transpose)
-from harmory.tps import chord_distance, fifths_distance, key_relative_value
-from tests.conftest import cover_corpus, make_timeline
+from harmory.tps import Key, chord_distance, distance_table, fifths_distance, intern, \
+    key_relative_value
+from tests.conftest import chords, cover_corpus, make_timeline
+
+tps_keys = st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"]))
 
 POOL = ["C:maj", "G:maj", "A:min", "F:maj", "D:min7", "E:7", "Bb:maj7", "C:7"]
 KEYS = ["C:maj", "G:maj", "A:min", "Eb:maj"]
@@ -136,6 +143,23 @@ def test_dtw_path_is_valid_and_cost_consistent():
             sum(cells[i][j] for i, j in path), abs=1e-9)
         assert alignment.normalized_cost == pytest.approx(
             alignment.cost / len(path), abs=1e-12)
+
+
+@given(events=st.lists(st.tuples(chords(), tps_keys), min_size=1, max_size=6), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data):
+    vocab = {}
+    intern(events, vocab)
+    table = distance_table(vocab, vocab)
+    codes = st.lists(st.integers(0, len(vocab) - 1), min_size=1, max_size=7)
+    sequences = data.draw(st.lists(codes, min_size=1, max_size=4))
+    bounds = dtw_lower_bounds(sequences, table)
+    for x, a in enumerate(sequences):
+        for y, b in enumerate(sequences):
+            cost = _dtw(a, b, table=table).normalized_cost
+            assert bounds[x, y] <= cost
+            if len(a) == len(b) == 1:  # one cell: the bound is the cost
+                assert bounds[x, y] == cost
 
 
 def test_dtw_band_equals_unbanded_when_wide():

@@ -157,6 +157,64 @@ def test_load_chart_wrong_field_count():
         load_chart("0 C:maj")
 
 
+def test_loaders_parse_each_distinct_chord_token_once(monkeypatch):
+    import harmory.timeline as timeline
+
+    symbols = ["C:maj", "G:7", "C:maj", "A:min", "G:7", "C:maj"]
+    chart = "".join(f"{i} 1 {symbol}\n" for i, symbol in enumerate(symbols))
+    jams = json.dumps({"annotations": [{"namespace": "chord_harte", "data": [
+        {"time": i, "duration": 1, "value": symbol} for i, symbol in enumerate(symbols)]}]})
+    parsed = []
+
+    def counting(token):
+        parsed.append(token)
+        return parse_chord(token)
+
+    monkeypatch.setattr(timeline, "parse_chord", counting)
+    for load, text in ((load_chart, chart), (load_jams, jams)):
+        parsed.clear()
+        piece = load(text, "piece")
+        assert sorted(parsed) == sorted(set(symbols))
+        assert [e.chord for e in piece.events] == [parse_chord(s) for s in symbols]
+    with pytest.raises(SchemaError, match="line 4"):
+        load_chart(chart.replace("A:min", "H:min"))
+    doc = json.loads(jams)
+    doc["annotations"][0]["data"][4]["value"] = "H:maj"
+    with pytest.raises(SchemaError, match="event index 4"):
+        load_jams(json.dumps(doc), fallback_id="piece")
+
+
+def test_load_jams_rejects_json_of_the_wrong_shape():
+    good = json.loads(JAMS_FIXTURE)
+    for path, value, message in [
+            ((), [1], "missing 'annotations'"),
+            (("annotations",), 5, "annotations: expected a JSON array"),
+            (("annotations", 0), "x", "annotation 0: expected a JSON object"),
+            (("annotations", 0, "data"), {}, "chord_harte data: expected a JSON array"),
+            (("annotations", 0, "data", 1, "value"), 5, "observation 1 lacks"),
+            (("annotations", 1, "data", 0, "value"), ["C:maj"], "observation 0 lacks"),
+            (("file_metadata",), 5, "file_metadata: expected a JSON object"),
+            (("file_metadata", "identifiers"), [1], "identifiers: expected a JSON object"),
+            (("file_metadata", "identifiers", "id"), 7, "piece id"),
+    ]:
+        doc = json.loads(JAMS_FIXTURE)
+        if path:
+            *parents, last = path
+            target = doc
+            for step in parents:
+                target = target[step]
+            target[last] = value
+        else:
+            doc = value
+        with pytest.raises(SchemaError, match=message):
+            load_jams(json.dumps(doc))
+    assert load_jams(json.dumps(good)).id == "fixture-01"
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        load_jams(b"\xff" + JAMS_FIXTURE.encode())
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        load_jams("[" * 100_000)
+
+
 def test_build_timeline_rejects_overlap():
     events = (ChordEvent(Fraction(0), Fraction(2), parse_chord("C:maj")),
               ChordEvent(Fraction(1), Fraction(2), parse_chord("G:maj")))
