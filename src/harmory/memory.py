@@ -263,7 +263,6 @@ def import_ntriples(data: bytes) -> MemoryGraph:
     from urllib.parse import unquote
 
     has_segment: dict[str, list[tuple[int, str]]] = {}
-    next_segment: dict[str, str] = {}
     instance_of: dict[str, tuple[str, int]] = {}
     sequences: dict[str, str] = {}
     key_sequences: dict[str, str] = {}
@@ -291,8 +290,6 @@ def import_ntriples(data: bytes) -> MemoryGraph:
                 raise GraphFormatError(
                     f"line {lineno}: segment {obj!r} is not named {subject}/seg/<index>")
             has_segment.setdefault(subject, []).append((int(seg_match.group(2)), obj))
-        elif predicate == "nextSegment":
-            next_segment[subject] = obj
         elif predicate == "instanceOf":
             instance_of[subject] = (obj, lineno)
         elif predicate == "chordSequence":
@@ -306,7 +303,7 @@ def import_ntriples(data: bytes) -> MemoryGraph:
                 weights[subject] = float(obj)
             except ValueError as err:
                 raise GraphFormatError(f"line {lineno}: {err}") from err
-        else:
+        elif predicate != "nextSegment":  # segment order comes from the hasSegment indices
             raise GraphFormatError(f"line {lineno}: unknown predicate {predicate!r}")
     pieces: dict[str, PieceInfo] = {}
     segments: dict[str, Segment] = {}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from harmory.harte import Chord
-from harmory.timeline import EmptyTimelineError, Timeline
+from harmory.timeline import Timeline
 from harmory.tps import Key, distance_table, intern
 
 
@@ -78,16 +78,14 @@ class Segment:
 def build_ssm(timeline: Timeline) -> SSM:
     """Pairwise chord similarity under each event's governing key."""
     sounded = timeline.sounded()
-    if not sounded:
-        raise EmptyTimelineError(f"{timeline.id}: no sounded events")
     vocab: dict = {}
-    codes = intern(((e.chord, timeline.key_at(e.start)) for _, e in sounded), vocab)
+    codes = intern([(chord, key) for _, chord, key in sounded], vocab)
     distances = np.array(distance_table(vocab, vocab))[np.ix_(codes, codes)]
     largest = distances.max()
     if largest == 0:
         largest = 1.0
     return SSM(matrix=1.0 - distances / largest,
-               event_indices=tuple(i for i, _ in sounded))
+               event_indices=tuple(i for i, _, _ in sounded))
 
 
 def checkerboard_kernel(kernel_size: int, taper: float) -> np.ndarray:
@@ -187,11 +185,9 @@ def segment_timeline(timeline: Timeline,
                     del spans[i]
                 changed = True
                 break
-    sounded = timeline.sounded()
-    chords = [e.chord for _, e in sounded]
-    keys = [timeline.key_at(e.start) for _, e in sounded]
+    _, chords, keys = zip(*timeline.sounded())
     segments = [Segment(piece_id=timeline.id, index=k, start_event=a, end_event=b,
-                        chords=tuple(chords[a:b]), keys=tuple(keys[a:b]))
+                        chords=chords[a:b], keys=keys[a:b])
                 for k, (a, b) in enumerate(spans)]
     return Segmentation(ssm, kernel_size, curve, boundaries, segments)
 

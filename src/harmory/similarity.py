@@ -24,7 +24,7 @@ from operator import sub
 
 from harmory.harte import Chord, transpose_chord
 from harmory.timeline import EmptyTimelineError, Timeline, encode_tps
-from harmory.tps import Key, distance_table, fifths_distance, intern, key_relative_value
+from harmory.tps import Key, distance_table, fifths_distance, intern, key_relative_values
 
 DEFAULT_SCALE = 5.0
 
@@ -89,7 +89,7 @@ def key_relative(events) -> tuple[Event, ...]:
 
 def key_relative_events(timeline: Timeline) -> tuple[Event, ...]:
     """Sounded events under their governing keys, made key-relative."""
-    return key_relative((e.chord, timeline.key_at(e.start)) for _, e in timeline.sounded())
+    return key_relative((chord, key) for _, chord, key in timeline.sounded())
 
 
 def _dtw(ca: list[int], cb: list[int], band: int | None = None, *,
@@ -173,13 +173,6 @@ def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
         raise ValueError(f"--n-min/--n-max need 2 <= n_min <= n_max, got {n_min}..{n_max}")
 
 
-def _sounded(timeline: Timeline) -> tuple[Event, ...]:
-    events = key_relative_events(timeline)
-    if not events:
-        raise EmptyTimelineError(f"{timeline.id}: no sounded events")
-    return events
-
-
 def extract_recurrent_patterns(piece: Timeline | tuple[Event, ...], n_min: int = 2,
                                n_max: int = 4) -> list[PatternOccurrence]:
     """Hash every n-gram window, n_min <= n <= n_max, of a piece's
@@ -192,8 +185,7 @@ def extract_recurrent_patterns(piece: Timeline | tuple[Event, ...], n_min: int =
     """
     _check_params(n_min=n_min, n_max=n_max)
     events = key_relative_events(piece) if isinstance(piece, Timeline) else piece
-    value = {event: key_relative_value(*event) for event in dict.fromkeys(events)}
-    values = [value[event] for event in events]
+    values = key_relative_values(events)
     roots = [chord.root.pitch_class for chord, _ in events]
     steps = [fifths_distance(x, y) for x, y in zip(roots, roots[1:])]
     found: dict[tuple, list[int]] = {}
@@ -239,7 +231,7 @@ class _Dtw:
         _check_params(self.scale, self.band)
 
     def prepare(self, timeline: Timeline, vocab: dict) -> list[int]:
-        return intern(_sounded(timeline), vocab)
+        return intern(key_relative_events(timeline), vocab)
 
     def compare(self, ca: list[int], cb: list[int], table) -> SimilarityReport:
         cost = _dtw(ca, cb, self.band, table=table).normalized_cost
@@ -283,7 +275,7 @@ class _Lharp:
         _check_params(n_min=self.n_min, n_max=self.n_max)
 
     def prepare(self, timeline: Timeline, vocab: dict):
-        events = _sounded(timeline)
+        events = key_relative_events(timeline)
         codes = intern(events, vocab)
         patterns = extract_recurrent_patterns(events, self.n_min, self.n_max)
         return codes, [(p, tuple(codes[p.positions[0]:p.positions[0] + p.length]))

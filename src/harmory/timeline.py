@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import json
 import logging
-from bisect import bisect_right
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import ceil
 
 from harmory.harte import Chord, HarteError, parse_chord, pitch_class_set, render_chord, transpose_chord
-from harmory.tps import Key, key_relative_value
+from harmory.tps import Key, key_relative_values
 
 log = logging.getLogger(__name__)
 
@@ -70,13 +71,18 @@ class Timeline:
         last = self.events[-1]
         return last.start + last.duration
 
-    def key_at(self, position: Fraction) -> Key:
-        starts = [span.start for span in self.keys]
-        idx = max(bisect_right(starts, position) - 1, 0)
-        return self.keys[idx].key
-
-    def sounded(self) -> list[tuple[int, ChordEvent]]:
-        return [(i, e) for i, e in enumerate(self.events) if not e.chord.is_nochord]
+    def sounded(self) -> list[tuple[int, Chord, Key]]:
+        """(index, chord, key) of each sounded event, in order; its key is the
+        last span's starting at or before it, else the first span's."""
+        keyed, span = [], 0
+        for index, event in enumerate(self.events):
+            while span + 1 < len(self.keys) and self.keys[span + 1].start <= event.start:
+                span += 1
+            if not event.chord.is_nochord:
+                keyed.append((index, event.chord, self.keys[span].key))
+        if not keyed:
+            raise EmptyTimelineError(f"{self.id}: no sounded events")
+        return keyed
 
 
 @dataclass(frozen=True)
@@ -136,11 +142,17 @@ def estimate_key(chords) -> Key:
                key=lambda k: (len(pcs & k.diatonic()), -k.tonic, k.mode == "major"))
 
 
+# Fraction builds 10**exponent in full; a JSON number's exponent is at most 308.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def _to_fraction(value, context: str) -> Fraction:
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > 3 or int(digits or 0) > 308:
+        raise SchemaError(f"{context}: time exponent beyond ±308 in {value!r:.40}")
     try:
-        if isinstance(value, float):
-            return Fraction(str(value))
-        return Fraction(value)
+        return Fraction(str(value) if isinstance(value, float) else value)
     except (ValueError, TypeError, ZeroDivisionError) as err:
         raise SchemaError(f"{context}: bad time value {value!r}") from err
 
@@ -284,35 +296,31 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     """Encode a timeline as key-relative Tonal Pitch Space values.
 
     Event grid: one (value, duration) entry per sounded event; no-chords
-    are dropped.  Beat grid: one entry of weight 1 per whole beat; during
-    no-chords the previous value holds, and beats before the first sounded
-    event hold the first sounded value.
+    are dropped.  Beat grid: one entry of weight 1 per whole beat, the value
+    of the last event starting at or before the beat; during no-chords the
+    previous beat's value holds, and beats before the first sounded event
+    hold the first sounded value.
     """
     if grid not in ("event", "beat"):
         raise ValueError(f"grid must be 'event' or 'beat': {grid!r}")
     sounded = timeline.sounded()
-    if not sounded:
-        raise EmptyTimelineError(f"{timeline.id}: no sounded events")
-    event_values: list[float | None] = [None] * len(timeline.events)
-    for i, e in sounded:
-        event_values[i] = key_relative_value(e.chord, timeline.key_at(e.start))
+    value_at = dict(zip([i for i, _, _ in sounded],
+                        key_relative_values([(chord, key) for _, chord, key in sounded])))
     if grid == "event":
-        return TpsSeries(tuple((event_values[i], e.duration) for i, e in sounded), "event")
+        return TpsSeries(tuple((v, timeline.events[i].duration) for i, v in value_at.items()),
+                         "event")
     start = timeline.events[0].start
-    beats = int(timeline.end - start)  # floor of the total span
-    first_value = next(v for v in event_values if v is not None)
-    starts = [e.start for e in timeline.events]
-    values = []
-    held = first_value
-    for j in range(beats):
-        position = start + j
-        idx = bisect_right(starts, position) - 1
-        if idx >= 0 and event_values[idx] is not None:
-            held = event_values[idx]
-        values.append((held, Fraction(1)))
-    if not values:
+    # An event starts at or before beat b exactly when ceil(its offset) <= b.
+    first_beats = [ceil(e.start - start) for e in timeline.events]
+    held, i, grid_values = value_at[sounded[0][0]], 0, []
+    for beat in range(int(timeline.end - start)):  # floor of the total span
+        while i + 1 < len(first_beats) and first_beats[i + 1] <= beat:
+            i += 1
+        held = value_at.get(i, held)
+        grid_values.append((held, Fraction(1)))
+    if not grid_values:
         raise EmptyTimelineError(f"{timeline.id}: shorter than one beat")
-    return TpsSeries(tuple(values), "beat")
+    return TpsSeries(tuple(grid_values), "beat")
 
 
 def transpose(timeline: Timeline, semitones: int) -> Timeline:

@@ -149,3 +149,9 @@ def distance_table(vocab_a: dict, vocab_b: dict) -> list[list[float]]:
 def key_relative_value(chord: Chord, key: Key) -> float:
     """Distance of a chord from its key's tonic triad."""
     return chord_distance(key.tonic_triad(), key, chord, key)
+
+
+def key_relative_values(events) -> list[float]:
+    """``key_relative_value`` of each (chord, key) event, costing each distinct one once."""
+    value = {event: key_relative_value(*event) for event in dict.fromkeys(events)}
+    return [value[event] for event in events]

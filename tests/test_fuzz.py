@@ -24,9 +24,10 @@ from tests.conftest import chord_symbols
 DATA = Path(__file__).parent / "data"
 GOLDEN_LINES = (DATA / "memory_golden.nt").read_text().splitlines()
 
-# Fields that are right, nearly right, or arbitrary; numbers stay small,
-# because a time like "1e999999999" is a valid Fraction too large to build.
-times = st.sampled_from(["0", "1", "7/2", "0.5", "-1", "1/0", "x", "", "nan", "1e3"]) \
+# Fields that are right, nearly right, or arbitrary.  Times that load stay
+# at or below 1e3 beats, because the beat grid has one row per beat.
+times = st.sampled_from(["0", "1", "7/2", "0.5", "-1", "1/0", "x", "", "nan", "1e3",
+                         "1e999999999"]) \
     | st.integers(-3, 40).map(str)
 tokens = chord_symbols() | st.sampled_from(["H:maj", "C:", "C:maj/9", "(1)", ":", "N"]) \
     | st.text(max_size=6)
@@ -143,7 +144,8 @@ def test_commands_exit_0_or_2_on_malformed_files(chart, jams, graph):
         (corpus / "piece.chart").write_text(chart, "utf-8", "surrogatepass")
         (root / "piece.jams.json").write_text(jams, "utf-8", "surrogatepass")
         (root / "memory.nt").write_bytes(graph)
-        assert run(["encode", str(corpus / "piece.chart")]) in (0, 2)
-        assert run(["encode", str(root / "piece.jams.json")]) in (0, 2)
+        for piece in (corpus / "piece.chart", root / "piece.jams.json"):
+            assert run(["encode", str(piece)]) in (0, 2)
+            assert run(["encode", "--grid", "beat", str(piece)]) in (0, 2)
         assert run(["--out-dir", str(root / "out"), "build", str(corpus)]) in (0, 2)
         assert run(["query", str(root / "memory.nt"), "C:maj G:7"]) in (0, 2)

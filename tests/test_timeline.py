@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from harmory.timeline import (
     transpose,
     write_chart,
 )
-from harmory.tps import Key
+from harmory.tps import Key, key_relative_value
 from tests.conftest import make_timeline
 
 JAMS_FIXTURE = json.dumps({
@@ -157,6 +158,25 @@ def test_load_chart_wrong_field_count():
         load_chart("0 C:maj")
 
 
+@pytest.mark.parametrize("line", ["0 1e309 C:maj", "1e-400 4 C:maj", "0 1E+0_400 C:maj"])
+def test_load_chart_rejects_time_exponents_beyond_a_json_number(line):
+    with pytest.raises(SchemaError, match="^line 2: time exponent beyond ±308"):
+        load_chart(f"# key: C:maj\n{line}")
+
+
+def test_time_exponents_within_a_json_number_are_accepted():
+    tl = load_chart("1e-308 1E+0_2 C:maj\n")
+    assert tl.events[0].start == Fraction(1, 10**308)
+    assert tl.events[0].duration == 100
+
+
+def test_load_jams_rejects_string_time_exponent_beyond_a_json_number():
+    doc = json.loads(JAMS_FIXTURE)
+    doc["annotations"][0]["data"][1]["time"] = "1e309"
+    with pytest.raises(SchemaError, match="observation 1: time exponent beyond ±308"):
+        load_jams(json.dumps(doc))
+
+
 def test_loaders_parse_each_distinct_chord_token_once(monkeypatch):
     import harmory.timeline as timeline
 
@@ -246,9 +266,99 @@ def test_key_spans_tile_timeline():
     assert tl.keys[0].start == Fraction(0)
     assert tl.keys[0].start + tl.keys[0].duration == tl.keys[1].start
     assert tl.keys[-1].start + tl.keys[-1].duration == tl.end
-    assert tl.key_at(Fraction(0)) == Key(0, "major")
-    assert tl.key_at(Fraction(9)) == Key(2, "major")
-    assert tl.key_at(Fraction(15)) == Key(2, "major")
+    c, d = Key(0, "major"), Key(2, "major")
+    assert [key for _, _, key in tl.sounded()] == [c, c, d, d]
+
+
+def bisect_key_at(timeline, position):
+    """The bisect lookup that ``sounded()``'s walk replaced: the key of the
+    last span starting at or before ``position``, else of the first span."""
+    starts = [span.start for span in timeline.keys]
+    return timeline.keys[max(bisect_right(starts, position) - 1, 0)].key
+
+
+def bisect_encode(timeline, grid):
+    """The per-event, per-beat bisect loop that ``encode_tps`` replaced."""
+    sounded = [(i, e) for i, e in enumerate(timeline.events) if not e.chord.is_nochord]
+    event_values = [None] * len(timeline.events)
+    for i, e in sounded:
+        event_values[i] = key_relative_value(e.chord, bisect_key_at(timeline, e.start))
+    if grid == "event":
+        return tuple((event_values[i], e.duration) for i, e in sounded)
+    start = timeline.events[0].start
+    starts = [e.start for e in timeline.events]
+    held = next(v for v in event_values if v is not None)
+    values = []
+    for j in range(int(timeline.end - start)):
+        idx = bisect_right(starts, start + j) - 1
+        if idx >= 0 and event_values[idx] is not None:
+            held = event_values[idx]
+        values.append((held, Fraction(1)))
+    return tuple(values)
+
+
+offsets = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))
+lengths = st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 2, 3, 4]))
+tps_keys = st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"]))
+
+
+@st.composite
+def keyed_timelines(draw):
+    """``build_timeline`` outputs with fractional starts and gaps, leading
+    and inner no-chords, and key spans starting before the first event,
+    between events, exactly on an event start, or on one beat together."""
+    position = draw(offsets)
+    events = []
+    for _ in range(draw(st.integers(1, 10))):
+        position += draw(st.sampled_from([0, 0, Fraction(1, 2)]) | lengths)
+        duration = draw(lengths)
+        symbol = draw(st.sampled_from(["N", "C:maj", "G:7", "A:min", "F#:dim", "Eb:maj7/3"]))
+        events.append(ChordEvent(position, duration, parse_chord(symbol)))
+        position += duration
+    starts = st.sampled_from([e.start for e in events]) \
+        | st.builds(Fraction.__add__, st.just(events[0].start), offsets)
+    spans = [KeySpan(start, draw(lengths), draw(tps_keys))
+             for start in draw(st.lists(starts, min_size=1, max_size=5))]
+    return build_timeline("p", events, spans)
+
+
+@given(keyed_timelines())
+@settings(max_examples=400, deadline=None)
+def test_sounded_keys_and_encodings_equal_the_bisect_lookup(timeline):
+    expected = [(i, e.chord, bisect_key_at(timeline, e.start))
+                for i, e in enumerate(timeline.events) if not e.chord.is_nochord]
+    if not expected:
+        for call in (timeline.sounded, lambda: encode_tps(timeline, "beat")):
+            with pytest.raises(EmptyTimelineError, match="^p: no sounded events$"):
+                call()
+        return
+    assert timeline.sounded() == expected
+    for grid in ("event", "beat"):
+        values = bisect_encode(timeline, grid)
+        if not values:
+            with pytest.raises(EmptyTimelineError, match="^p: shorter than one beat$"):
+                encode_tps(timeline, grid)
+            continue
+        series = encode_tps(timeline, grid)
+        assert series.values == values
+        assert all(type(v) is float and type(w) is Fraction for v, w in series.values)
+
+
+def test_encode_costs_each_distinct_event_once(monkeypatch):
+    import harmory.tps as tps
+
+    costed = []
+
+    def counting(chord, key):
+        costed.append((chord, key))
+        return key_relative_value(chord, key)
+
+    monkeypatch.setattr(tps, "key_relative_value", counting)
+    tl = make_timeline(["C:maj", "G:maj", "C:maj", "N", "G:maj", "A:min"])
+    for grid in ("event", "beat"):
+        costed.clear()
+        encode_tps(tl, grid)
+        assert costed == [(parse_chord(s), Key(0)) for s in ("C:maj", "G:maj", "A:min")]
 
 
 def test_estimate_key_prefers_best_coverage():
