@@ -9,6 +9,7 @@ reports excepted).  Output formats are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -17,17 +18,14 @@ import tempfile
 from pathlib import Path
 
 from harmory.evaluation import (
-    CliqueError,
     CliqueSet,
     benchmark_measures,
     evaluate_covers,
     synthetic_corpus,
 )
-from harmory.harte import HarteError, parse_chord, render_chord, bass_pitch_class, pitch_class_set
+from harmory.harte import parse_chord, render_chord, bass_pitch_class, pitch_class_set
 from harmory.memory import (
     EmptyCorpusError,
-    EmptyQueryError,
-    GraphFormatError,
     PatternQuery,
     build_memory,
     export_json,
@@ -37,16 +35,14 @@ from harmory.memory import (
     query_similar,
 )
 from harmory.segmentation import (
-    KernelTooLargeError,
     SegmentationParams,
     boundaries_to_csv,
     novelty_to_csv,
     segment_timeline,
     ssm_to_pgm,
 )
-from harmory.similarity import MEASURES, corpus_similarity_matrix, matrix_to_csv
+from harmory.similarity import DEFAULT_SCALE, MEASURES, corpus_similarity_matrix, matrix_to_csv
 from harmory.timeline import (
-    EmptyTimelineError,
     SchemaError,
     Timeline,
     encode_tps,
@@ -56,9 +52,8 @@ from harmory.timeline import (
 )
 from harmory.tps import Key, chord_distance
 
-USAGE_ERRORS = (HarteError, SchemaError, EmptyTimelineError, KernelTooLargeError,
-                CliqueError, EmptyCorpusError, EmptyQueryError, GraphFormatError,
-                OSError, ValueError)
+# Every harmory error subclasses ValueError.
+USAGE_ERRORS = (OSError, ValueError)
 
 
 def write_atomic(path: Path, data: str | bytes) -> None:
@@ -105,18 +100,14 @@ def discover_corpus(root: Path) -> list[Timeline]:
 
 
 def _seg_params(args) -> SegmentationParams:
-    return SegmentationParams(kernel_size=args.kernel_size, taper=args.taper,
-                              peak_lambda=args.peak_lambda, min_gap=args.min_gap,
-                              min_len=args.min_len)
+    return SegmentationParams(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(SegmentationParams)})
 
 
 def _add_seg_arguments(parser) -> None:
-    defaults = SegmentationParams()
-    parser.add_argument("--kernel-size", type=int, default=defaults.kernel_size)
-    parser.add_argument("--taper", type=float, default=defaults.taper)
-    parser.add_argument("--peak-lambda", type=float, default=defaults.peak_lambda)
-    parser.add_argument("--min-gap", type=int, default=defaults.min_gap)
-    parser.add_argument("--min-len", type=int, default=defaults.min_len)
+    for f in dataclasses.fields(SegmentationParams):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=f.default)
 
 
 def _measure_params(args) -> dict:
@@ -129,7 +120,7 @@ def _measure_params(args) -> dict:
 
 def _add_measure_arguments(parser) -> None:
     parser.add_argument("--measure", choices=sorted(MEASURES), default="dtw")
-    parser.add_argument("--scale", type=float, default=5.0)
+    parser.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     parser.add_argument("--band", type=int, default=None,
                         help="Sakoe-Chiba band width for dtw")
     parser.add_argument("--tau", type=float, default=1.0,
@@ -205,9 +196,7 @@ def cmd_segment(args) -> int:
     write_atomic(out_dir / f"{stem}.boundaries.csv", boundaries_to_csv(result.boundaries))
     payload = {
         "piece": timeline.id,
-        "params": {"kernel_size": result.kernel_size, "taper": params.taper,
-                   "peak_lambda": params.peak_lambda, "min_gap": params.min_gap,
-                   "min_len": params.min_len},
+        "params": dataclasses.asdict(params) | {"kernel_size": result.kernel_size},
         "boundaries": result.boundaries,
         "segments": [{"id": s.id, "start_event": s.start_event, "end_event": s.end_event,
                       "chords": " ".join(render_chord(c) for c in s.chords)}
@@ -231,7 +220,7 @@ def cmd_sim(args) -> int:
 def cmd_build_graph(args) -> int:
     corpus = discover_corpus(Path(args.corpus))
     graph = build_memory(corpus, _seg_params(args), theta_sim=args.theta_sim,
-                         theta_merge=args.theta_merge, workers=args.workers)
+                         theta_merge=args.theta_merge)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "memory.nt", export_ntriples(graph))
@@ -258,7 +247,7 @@ def cmd_eval_covers(args) -> int:
     corpus = discover_corpus(Path(args.corpus))
     cliques = CliqueSet.from_csv(Path(args.cliques).read_text())
     metrics = evaluate_covers(corpus, cliques, measure=args.measure,
-                              params=_measure_params(args), workers=args.workers)
+                              params=_measure_params(args))
     print(metrics.to_table() if args.format == "table" else metrics.to_json(), end="")
     return 0
 
@@ -278,8 +267,7 @@ def cmd_bench(args) -> int:
 
 def cmd_matrix(args) -> int:
     corpus = discover_corpus(Path(args.corpus))
-    ids, matrix = corpus_similarity_matrix(corpus, args.measure,
-                                           _measure_params(args), workers=args.workers)
+    ids, matrix = corpus_similarity_matrix(corpus, args.measure, _measure_params(args))
     text = matrix_to_csv(ids, matrix)
     if args.out:
         write_atomic(Path(args.out), text)

@@ -15,6 +15,7 @@ import json
 import random
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,10 +57,7 @@ class CliqueSet:
         return self.mapping[piece_id]
 
     def sizes(self) -> dict[str, int]:
-        sizes: dict[str, int] = {}
-        for clique in self.mapping.values():
-            sizes[clique] = sizes.get(clique, 0) + 1
-        return sizes
+        return dict(Counter(self.mapping.values()))
 
 
 @dataclass(frozen=True)
@@ -109,19 +107,14 @@ class RankingMetrics:
 
 
 def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, measure: str = "dtw",
-                    params: dict | None = None, workers: int = 1) -> RankingMetrics:
+                    params: dict | None = None) -> RankingMetrics:
     """Rank every clique member's covers among all other pieces."""
     ids = [tl.id for tl in corpus]
-    for piece_id in ids:
-        cliques.clique_of(piece_id)
-    sizes: dict[str, int] = {}
-    for piece_id in ids:
-        clique = cliques.clique_of(piece_id)
-        sizes[clique] = sizes.get(clique, 0) + 1
+    sizes = Counter(map(cliques.clique_of, ids))
     queries = [piece_id for piece_id in ids if sizes[cliques.clique_of(piece_id)] >= 2]
     if not queries:
         raise CliqueError("no clique of size >= 2 in the corpus")
-    matrix_ids, matrix = corpus_similarity_matrix(corpus, measure, params, workers)
+    matrix_ids, matrix = corpus_similarity_matrix(corpus, measure, params)
     index = {piece_id: i for i, piece_id in enumerate(matrix_ids)}
     results = []
     for query_id in sorted(queries):

@@ -141,23 +141,6 @@ class Degree:
         return ("*" if self.omit else "") + accidental + str(self.interval)
 
 
-def _degree_from_text(text: str) -> Degree:
-    body = text.lstrip("*")
-    accidentals = body.rstrip("0123456789")
-    flats = accidentals.count("b")
-    return Degree(
-        interval=int(body[len(accidentals):]),
-        alteration=-flats if flats else len(accidentals),
-        omit=text.startswith("*"),
-    )
-
-
-SHORTHAND_DEGREES: dict[str, frozenset[Degree]] = {
-    name: frozenset(_degree_from_text(part) for part in expansion.split(","))
-    for name, expansion in SHORTHANDS.items()
-}
-
-
 @dataclass(frozen=True)
 class Chord:
     """A parsed chord.  ``root is None`` encodes the no-chord symbol.
@@ -301,6 +284,12 @@ class _Parser:
             )
         except ChordSemanticError as err:
             raise ChordSemanticError(str(err), start) from None
+
+
+SHORTHAND_DEGREES: dict[str, frozenset[Degree]] = {
+    name: frozenset(_Parser(f"({expansion})").parse_degree_list())
+    for name, expansion in SHORTHANDS.items()
+}
 
 
 def _assemble(root: Natural, shorthand: str | None, entries: list[Degree],

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from urllib.parse import quote
 
 from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
-from harmory.similarity import _dtw, dtw_lower_bounds, key_relative
+from harmory.similarity import DEFAULT_SCALE, _dtw, dtw_lower_bounds, key_relative
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, estimate_key
 from harmory.tps import Key, distance_table, intern
 
@@ -46,10 +46,6 @@ class Pattern:
 
     medoid: str
     members: tuple[str, ...]
-
-    @property
-    def id(self) -> str:
-        return self.medoid
 
 
 @dataclass(frozen=True)
@@ -124,16 +120,16 @@ def _segment_score(a: list[int], b: list[int], table: list[list[float]],
 def build_memory(corpus: list[Timeline],
                  seg_params: SegmentationParams = SegmentationParams(),
                  theta_sim: float = 0.6, theta_merge: float = 0.9,
-                 scale: float = 5.0, workers: int = 1) -> MemoryGraph:
+                 scale: float = DEFAULT_SCALE) -> MemoryGraph:
     """Segment a corpus and fold similar segments into patterns.
 
     Requires ``0 < theta_sim <= 1`` and ``theta_merge >= theta_sim``.
     Only pairs whose exact score can change the graph are warped: each
-    ordered pair of distinct key-relative code sequences once, and only
-    when ``dtw_lower_bounds`` leaves the score able to reach the merge
-    (or, for two medoids, the link) threshold.  Every pair inside a merged
-    pattern is scored exactly, for the medoid.  The graph is the one that
-    scoring every pair gives.  ``workers`` is accepted and changes nothing.
+    pair of distinct key-relative code sequences once, and only when
+    ``dtw_lower_bounds`` leaves the score able to reach the merge (or, for
+    two medoids, the link) threshold.  Every pair inside a merged pattern
+    is scored exactly, for the medoid.  The graph is the one that scoring
+    every pair gives.
     """
     if not corpus:
         raise EmptyCorpusError("corpus is empty")
@@ -164,8 +160,9 @@ def build_memory(corpus: list[Timeline],
     warped: dict[tuple[int, int], float] = {}
 
     def score(a: str, b: str) -> float:
-        """The exact score of two segments, warped in id order."""
-        key = (sequence_of[min(a, b)], sequence_of[max(a, b)])
+        """The exact score of two segments; dtw is symmetric, so one warp
+        serves both orders."""
+        key = tuple(sorted((sequence_of[a], sequence_of[b])))
         if key not in warped:
             warped[key] = _segment_score(distinct[key[0]], distinct[key[1]], table, scale)
         return warped[key]
@@ -201,9 +198,7 @@ def build_memory(corpus: list[Timeline],
         patterns=patterns,
         similar=tuple(similar),
         params={"theta_sim": theta_sim, "theta_merge": theta_merge, "scale": scale,
-                "kernel_size": seg_params.kernel_size, "taper": seg_params.taper,
-                "peak_lambda": seg_params.peak_lambda, "min_gap": seg_params.min_gap,
-                "min_len": seg_params.min_len},
+                **asdict(seg_params)},
     )
 
 
@@ -231,7 +226,7 @@ def export_ntriples(graph: MemoryGraph) -> bytes:
             lines.append(f"{_uri(a)} <{BASE}nextSegment> {_uri(b)} .")
     for pattern in graph.patterns.values():
         for member in pattern.members:
-            lines.append(f"{_uri(member)} <{BASE}instanceOf> {_uri(pattern.id)} .")
+            lines.append(f"{_uri(member)} <{BASE}instanceOf> {_uri(pattern.medoid)} .")
     for segment in graph.segments.values():
         lines.append(f"{_uri(segment.id)} <{BASE}chordSequence> "
                      f"{_literal(chord_sequence(segment))} .")
@@ -379,7 +374,7 @@ def export_json(graph: MemoryGraph) -> str:
 
 
 def query_similar(graph: MemoryGraph, query: PatternQuery,
-                  scale: float = 5.0) -> list[tuple[str, float, str]]:
+                  scale: float = DEFAULT_SCALE) -> list[tuple[str, float, str]]:
     """Rank pattern medoids by warping similarity to a chord progression.
 
     Returns up to k (pattern id, score, chord sequence) rows; ties are
@@ -396,13 +391,11 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     codes = {pattern_id: intern(key_relative(medoid.events()), medoid_vocab)
              for pattern_id, medoid in medoids.items()}
     table = distance_table(probe_vocab, medoid_vocab)
-    ranked = []
-    for pattern_id, medoid in medoids.items():
-        alignment = _dtw(probe, codes[pattern_id], table=table)
-        ranked.append((pattern_id, exp(-alignment.normalized_cost / scale),
-                       chord_sequence(medoid)))
-    ranked.sort(key=lambda row: (-row[1], row[0]))
-    return ranked[:query.k]
+    scores = {pattern_id: exp(-_dtw(probe, codes[pattern_id], table=table).normalized_cost
+                              / scale) for pattern_id in medoids}
+    top = sorted(scores, key=lambda pattern_id: (-scores[pattern_id], pattern_id))[:query.k]
+    return [(pattern_id, scores[pattern_id], chord_sequence(medoids[pattern_id]))
+            for pattern_id in top]
 
 
 def graph_stats(graph: MemoryGraph) -> dict:

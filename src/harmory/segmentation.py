@@ -171,20 +171,14 @@ def segment_timeline(timeline: Timeline,
         curve = novelty(ssm, kernel_size, params.taper)
         boundaries = pick_boundaries(curve, params.peak_lambda, params.min_gap)
     cuts = [0, *boundaries, n]
-    spans = [(a, b) for a, b in zip(cuts, cuts[1:])]
-    changed = True
-    while changed and len(spans) > 1:
-        changed = False
-        for i, (a, b) in enumerate(spans):
-            if b - a < params.min_len:
-                if i == 0:
-                    spans[0] = (a, spans[1][1])
-                    del spans[1]
-                else:
-                    spans[i - 1] = (spans[i - 1][0], b)
-                    del spans[i]
-                changed = True
-                break
+    # A short span joins the one before it; a short first span absorbs the
+    # spans after it, so only a lone span can stay short.
+    spans: list[tuple[int, int]] = []
+    for a, b in zip(cuts, cuts[1:]):
+        if spans and min(b - a, spans[-1][1] - spans[-1][0]) < params.min_len:
+            spans[-1] = (spans[-1][0], b)
+        else:
+            spans.append((a, b))
     _, chords, keys = zip(*timeline.sounded())
     segments = [Segment(piece_id=timeline.id, index=k, start_event=a, end_event=b,
                         chords=chords[a:b], keys=keys[a:b])

@@ -118,20 +118,35 @@ def _dtw(ca: list[int], cb: list[int], band: int | None = None, *,
             if j and row[j - 1] < best:
                 best = row[j - 1]
             row[j] = c + best
-    # Backtrack, preferring the diagonal step, then advancing i.
-    path = [(n - 1, m - 1)]
+    # Where up and left tie, trace back both ways and keep the shorter path:
+    # the two tie rules mirror each other, so its length does not depend on
+    # the argument order.
+    path, tied = _backtrack(acc, n, m, up_first=True)
+    if tied:
+        path = min(path, _backtrack(acc, n, m, up_first=False)[0], key=len)
+    total = acc[n - 1][m - 1]
+    return Alignment(path=tuple(path), cost=total, normalized_cost=total / len(path))
+
+
+def _backtrack(acc, n: int, m: int, up_first: bool) -> tuple[list[tuple[int, int]], bool]:
+    """The warping path to (n - 1, m - 1), traced back diagonally when that
+    is cheapest or tied, else to the cheaper of up and left, or on their
+    tie up when ``up_first`` and left otherwise; and whether they tied."""
+    path, tied = [(n - 1, m - 1)], False
     i, j = n - 1, m - 1
     while (i, j) != (0, 0):
         if i and j and acc[i - 1][j - 1] <= min(acc[i - 1][j], acc[i][j - 1]):
             i, j = i - 1, j - 1
-        elif i and (not j or acc[i - 1][j] <= acc[i][j - 1]):
+        elif i and j and acc[i - 1][j] == acc[i][j - 1]:
+            tied = True
+            i, j = (i - 1, j) if up_first else (i, j - 1)
+        elif i and (not j or acc[i - 1][j] < acc[i][j - 1]):
             i = i - 1
         else:
             j = j - 1
         path.append((i, j))
     path.reverse()
-    total = acc[n - 1][m - 1]
-    return Alignment(path=tuple(path), cost=total, normalized_cost=total / len(path))
+    return path, tied
 
 
 def dtw_lower_bounds(sequences: list, table: list[list[float]]):
@@ -368,11 +383,10 @@ _STEPS = {"dtw": _Dtw, "tpsd": _Tpsd, "lharp": _Lharp}
 
 
 def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
-                             params: dict | None = None, workers: int = 1):
+                             params: dict | None = None):
     """Score every unordered pair; returns (ids, matrix) with unit
     diagonal.  Each piece is prepared once, over one vocabulary and table
-    for the corpus.  Pairs are scored in one thread; ``workers`` is
-    accepted and changes nothing."""
+    for the corpus."""
     import numpy as np
 
     if measure not in MEASURES:

@@ -33,6 +33,10 @@ from harmory.tps import Key, key_relative_values
 
 log = logging.getLogger(__name__)
 
+# The longest piece, from its first event's start to its last event's end.
+# The beat grid holds one value per beat of it.
+MAX_SPAN_BEATS = 2**20
+
 
 class SchemaError(ValueError):
     """Structurally invalid timeline input."""
@@ -96,7 +100,8 @@ class TpsSeries:
 def build_timeline(piece_id: str, events, keys=(), title=None, artist=None) -> Timeline:
     """Validate and normalize raw events/keys into a Timeline.
 
-    Events are sorted; overlaps and non-positive durations are rejected.
+    Events are sorted; overlaps, non-positive durations and a span beyond
+    ``MAX_SPAN_BEATS`` are rejected.
     Key spans are normalized to tile the whole piece; when none are given
     a single span with the estimated key is used.
     """
@@ -110,6 +115,8 @@ def build_timeline(piece_id: str, events, keys=(), title=None, artist=None) -> T
         if prev.start + prev.duration > cur.start:
             raise SchemaError(f"{piece_id}: overlapping events at beat {cur.start}")
     end = events[-1].start + events[-1].duration
+    if end - events[0].start > MAX_SPAN_BEATS:
+        raise SchemaError(f"{piece_id}: spans more than {MAX_SPAN_BEATS} beats")
     spans = sorted(keys, key=lambda s: s.start)
     if not spans:
         sounding = [e.chord for e in events if not e.chord.is_nochord]

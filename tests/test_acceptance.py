@@ -204,8 +204,6 @@ def test_criterion_7_memory_determinism():
     graph = build_memory(corpus, params, theta_merge=theta_merge)
     data = export_ntriples(graph)
     assert export_ntriples(build_memory(corpus, params, theta_merge=theta_merge)) == data
-    assert export_ntriples(build_memory(corpus, params, theta_merge=theta_merge,
-                                        workers=4)) == data
 
     imported = import_ntriples(data)
     assert export_ntriples(imported) == data

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import harmory
 import harmory.cli as cli
 import harmory.segmentation as segmentation
 from harmory.cli import main
@@ -292,6 +295,18 @@ def test_directory_named_like_a_piece_is_not_a_piece(capsys, tmp_path):
     code, _, err = run(capsys, ["encode", str(corpus / "odd.chart")])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_every_harmory_error_subclasses_value_error():
+    """``cli.USAGE_ERRORS`` lists ValueError for all of them."""
+    modules = [importlib.import_module(f"harmory.{info.name}")
+               for info in pkgutil.iter_modules(harmory.__path__) if info.name != "__main__"]
+    errors = {value for module in modules for value in vars(module).values()
+              if isinstance(value, type) and issubclass(value, Exception)
+              and value.__module__.startswith("harmory.")}
+    assert len(errors) >= 8
+    assert all(issubclass(error, ValueError) for error in errors), errors
+    assert cli.USAGE_ERRORS == (OSError, ValueError)
 
 
 def test_argparse_errors_become_exit_2(capsys):

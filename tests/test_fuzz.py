@@ -25,9 +25,10 @@ DATA = Path(__file__).parent / "data"
 GOLDEN_LINES = (DATA / "memory_golden.nt").read_text().splitlines()
 
 # Fields that are right, nearly right, or arbitrary.  Times that load stay
-# at or below 1e3 beats, because the beat grid has one row per beat.
+# at or below 1e3 beats, because the beat grid has one row per beat; 1e300
+# is in the range of a JSON number but past the longest piece.
 times = st.sampled_from(["0", "1", "7/2", "0.5", "-1", "1/0", "x", "", "nan", "1e3",
-                         "1e999999999"]) \
+                         "1e300", "1e999999999"]) \
     | st.integers(-3, 40).map(str)
 tokens = chord_symbols() | st.sampled_from(["H:maj", "C:", "C:maj/9", "(1)", ":", "N"]) \
     | st.text(max_size=6)
@@ -144,8 +145,12 @@ def test_commands_exit_0_or_2_on_malformed_files(chart, jams, graph):
         (corpus / "piece.chart").write_text(chart, "utf-8", "surrogatepass")
         (root / "piece.jams.json").write_text(jams, "utf-8", "surrogatepass")
         (root / "memory.nt").write_bytes(graph)
-        for piece in (corpus / "piece.chart", root / "piece.jams.json"):
-            assert run(["encode", str(piece)]) in (0, 2)
-            assert run(["encode", "--grid", "beat", str(piece)]) in (0, 2)
+        pieces = [str(corpus / "piece.chart"), str(root / "piece.jams.json")]
+        for piece in pieces:
+            assert run(["encode", piece]) in (0, 2)
+            assert run(["encode", "--grid", "beat", piece]) in (0, 2)
+            assert run(["--out-dir", str(root / "out"), "segment", piece]) in (0, 2)
+        assert run(["sim", "--measure", "tpsd", *pieces]) in (0, 2)
+        assert run(["matrix", "--measure", "tpsd", str(root)]) in (0, 2)
         assert run(["--out-dir", str(root / "out"), "build", str(corpus)]) in (0, 2)
         assert run(["query", str(root / "memory.nt"), "C:maj G:7"]) in (0, 2)

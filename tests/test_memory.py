@@ -39,7 +39,7 @@ from harmory.memory import (
     segment_to_timeline,
 )
 from harmory.segmentation import SegmentationParams, segment_timeline
-from harmory.similarity import dtw_lower_bounds, dtw_similarity, key_relative
+from harmory.similarity import dtw_align, dtw_lower_bounds, dtw_similarity, key_relative
 from harmory.timeline import load_jams, transpose
 from harmory.tps import Key, distance_table, intern
 from tests.conftest import chords, make_timeline
@@ -162,11 +162,10 @@ def test_export_matches_golden_bytes():
     assert export_ntriples(graph) == (DATA / "memory_golden.nt").read_bytes()
 
 
-def test_export_deterministic_across_runs_and_workers():
-    first = export_ntriples(build_memory(fixture_corpus(), PARAMS, workers=1))
-    second = export_ntriples(build_memory(fixture_corpus(), PARAMS, workers=1))
-    threaded = export_ntriples(build_memory(fixture_corpus(), PARAMS, workers=4))
-    assert first == second == threaded
+def test_export_deterministic_across_runs():
+    first = export_ntriples(build_memory(fixture_corpus(), PARAMS))
+    second = export_ntriples(build_memory(fixture_corpus(), PARAMS))
+    assert first == second
 
 
 def test_import_round_trip():
@@ -441,20 +440,23 @@ def test_each_ordered_sequence_pair_is_warped_at_most_once(monkeypatch):
     graph = build_memory(fixture_corpus(), PARAMS)
     n = len(graph.segments)
     assert 0 < len(warped) < n * (n - 1) // 2
-    assert len(warped) == len(set(warped))
+    assert len(warped) == len({tuple(sorted(pair)) for pair in warped})
     assert export_ntriples(graph) == (DATA / "memory_golden.nt").read_bytes()
 
 
-def test_warps_keep_the_id_order_of_each_pair():
-    """Warping x against y and y against x can break ties apart, so their
-    normalized costs differ here (4.4 against 11/3).  p1 meets the sequence
-    of p0 and p2 once from each side, and only the costs of those two
-    orientations make p2 the medoid."""
+def test_one_warp_serves_both_orders_of_a_pair():
+    """p1 meets the sequence that p0 and p2 share once from each side.  The
+    backtrack meets an up/left tie there and keeps the shorter of its two
+    traces, so both orders cost 22 over 5 cells, p0 and p2 tie as medoids,
+    and the lower id wins."""
     shared = ["E:min", "E:min", "C:maj", "A:min", "C:maj"]
     corpus = [make_timeline(shared, piece_id="p0"),
               make_timeline(["A:min", "A:min", "G:maj", "C:maj"], piece_id="p1"),
               make_timeline(shared, piece_id="p2")]
+    for a, b in ((corpus[0], corpus[1]), (corpus[1], corpus[0])):
+        alignment = dtw_align(a, b)
+        assert (alignment.cost, len(alignment.path)) == (22.0, 5)
     params = SegmentationParams(kernel_size=4, min_len=4)
     graph = build_memory(corpus, params, theta_sim=0.4, theta_merge=0.4)
-    assert list(graph.patterns) == ["p2/seg/0"]
+    assert list(graph.patterns) == ["p0/seg/0"]
     assert_same_exports(graph, exhaustive_memory(corpus, params, 0.4, 0.4, 5.0))

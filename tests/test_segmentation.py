@@ -314,6 +314,40 @@ def test_segment_partition_and_min_len():
         assert [s.index for s in segments] == list(range(len(segments)))
 
 
+def restart_merge(cuts, min_len):
+    """Merge spans by restarting after each merge: the first span shorter
+    than min_len joins the span before it, or the one after it when it is
+    the first span."""
+    spans = list(zip(cuts, cuts[1:]))
+    changed = True
+    while changed and len(spans) > 1:
+        changed = False
+        for i, (a, b) in enumerate(spans):
+            if b - a < min_len:
+                if i == 0:
+                    spans[0] = (a, spans[1][1])
+                    del spans[1]
+                else:
+                    spans[i - 1] = (spans[i - 1][0], b)
+                    del spans[i]
+                changed = True
+                break
+    return spans
+
+
+@given(symbols=st.lists(st.sampled_from(SYMBOLS[:-1]), min_size=1, max_size=40),
+       kernel_size=st.sampled_from([2, 4, 8]), peak_lambda=st.sampled_from([-2.0, 0.0, 0.5]),
+       min_gap=st.integers(1, 3), min_len=st.integers(0, 9))
+@settings(max_examples=200, deadline=None)
+def test_one_pass_merge_equals_the_restart_loop(symbols, kernel_size, peak_lambda,
+                                                min_gap, min_len):
+    params = SegmentationParams(kernel_size, 1.0, peak_lambda, min_gap, min_len)
+    result = segment_timeline(make_timeline(symbols), params)
+    cuts = [0, *result.boundaries, len(symbols)]
+    assert [(s.start_event, s.end_event) for s in result.segments] \
+        == restart_merge(cuts, min_len)
+
+
 def test_segment_boundaries_transposition_invariant():
     tl = make_timeline(["C:maj", "C:maj", "F:maj", "G:7", "A:min", "A:min",
                         "D:min", "G:7", "C:maj", "C:maj"])
