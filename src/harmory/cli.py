@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -99,6 +100,14 @@ def discover_corpus(root: Path) -> list[Timeline]:
     return corpus
 
 
+def finite_float(text: str) -> float:
+    """The argparse type of every float flag: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _seg_params(args) -> SegmentationParams:
     return SegmentationParams(**{f.name: getattr(args, f.name)
                                  for f in dataclasses.fields(SegmentationParams)})
@@ -106,8 +115,8 @@ def _seg_params(args) -> SegmentationParams:
 
 def _add_seg_arguments(parser) -> None:
     for f in dataclasses.fields(SegmentationParams):
-        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                            default=f.default)
+        kind = finite_float if isinstance(f.default, float) else type(f.default)
+        parser.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
 
 
 def _measure_params(args) -> dict:
@@ -120,10 +129,10 @@ def _measure_params(args) -> dict:
 
 def _add_measure_arguments(parser) -> None:
     parser.add_argument("--measure", choices=sorted(MEASURES), default="dtw")
-    parser.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    parser.add_argument("--scale", type=finite_float, default=DEFAULT_SCALE)
     parser.add_argument("--band", type=int, default=None,
                         help="Sakoe-Chiba band width for dtw")
-    parser.add_argument("--tau", type=float, default=1.0,
+    parser.add_argument("--tau", type=finite_float, default=1.0,
                         help="lharp pattern agreement threshold")
     parser.add_argument("--n-min", type=int, default=2)
     parser.add_argument("--n-max", type=int, default=4)
@@ -314,15 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="pairwise similarity matrix CSV for a corpus")
     p.add_argument("corpus")
     _add_measure_arguments(p)
-    _add_workers_argument(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("build", help="build the harmonic memory graph from a corpus")
     p.add_argument("corpus")
     _add_seg_arguments(p)
-    p.add_argument("--theta-sim", type=float, default=0.6)
-    p.add_argument("--theta-merge", type=float, default=0.9)
+    p.add_argument("--theta-sim", type=finite_float, default=0.6)
+    p.add_argument("--theta-merge", type=finite_float, default=0.9)
     _add_workers_argument(p)
     p.set_defaults(func=cmd_build_graph)
 

@@ -56,9 +56,6 @@ class CliqueSet:
             raise CliqueError(f"piece without clique: {piece_id}")
         return self.mapping[piece_id]
 
-    def sizes(self) -> dict[str, int]:
-        return dict(Counter(self.mapping.values()))
-
 
 @dataclass(frozen=True)
 class QueryResult:

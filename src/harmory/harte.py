@@ -346,13 +346,12 @@ def render_chord(chord: Chord) -> str:
     return text
 
 
-def pitch_class_set(chord: Chord, root: int | None = None) -> frozenset[int]:
+def pitch_class_set(chord: Chord) -> frozenset[int]:
     """Sounding pitch classes of a chord; the bass is reported separately
-    by :func:`bass_pitch_class`.  ``root`` overrides the root pitch class."""
+    by :func:`bass_pitch_class`."""
     if chord.is_nochord:
         raise NoChordError("no-chord has no pitch classes")
-    base = chord.root.pitch_class if root is None else root % 12
-    return frozenset((base + d.semitones) % 12 for d in chord.degrees)
+    return frozenset((chord.root.pitch_class + d.semitones) % 12 for d in chord.degrees)
 
 
 def bass_pitch_class(chord: Chord) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from urllib.parse import quote
@@ -69,37 +69,20 @@ class MemoryGraph:
     segments: dict[str, Segment]
     patterns: dict[str, Pattern]
     similar: tuple[tuple[str, str, float], ...]
-    params: dict
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {item: item for item in items}
-        self.rank = {item: 0 for item in items}
-
-    def find(self, item):
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-
-    def groups(self) -> list[list]:
-        out: dict = {}
-        for item in self.parent:
-            out.setdefault(self.find(item), []).append(item)
-        return [sorted(group) for group in out.values()]
+def components(items, pairs) -> list[list]:
+    """The groups of ``items`` that ``pairs`` connect, each sorted, in
+    order of their first item."""
+    group_of = {item: [item] for item in items}
+    for a, b in pairs:
+        small, large = sorted((group_of[a], group_of[b]), key=len)
+        if small is not large:
+            large += small
+            for item in small:
+                group_of[item] = large
+    unique = {id(group): group for group in group_of.values()}
+    return sorted(sorted(group) for group in unique.values())
 
 
 def segment_to_timeline(segment: Segment) -> Timeline:
@@ -135,7 +118,7 @@ def build_memory(corpus: list[Timeline],
         raise EmptyCorpusError("corpus is empty")
     if not 0 < theta_sim <= 1:
         raise ValueError(f"theta_sim must be in (0, 1]: {theta_sim}")
-    if theta_merge < theta_sim:
+    if not theta_merge >= theta_sim:
         raise ValueError(f"theta_merge {theta_merge} below theta_sim {theta_sim}")
     ids = [tl.id for tl in corpus]
     if len(set(ids)) != len(ids):
@@ -169,14 +152,10 @@ def build_memory(corpus: list[Timeline],
 
     # A pair is warped only when its bound leaves it able to reach the threshold.
     may_merge = [[exp(-lb / scale) >= theta_merge for lb in row] for row in bounds]
-    merged = UnionFind(ordered)
-    for i, a in enumerate(ordered):
-        row = may_merge[sequence_of[a]]
-        for b in ordered[i + 1:]:
-            if row[sequence_of[b]] and score(a, b) >= theta_merge:
-                merged.union(a, b)
+    merges = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]
+              if may_merge[sequence_of[a]][sequence_of[b]] and score(a, b) >= theta_merge]
     patterns: dict[str, Pattern] = {}
-    for group in merged.groups():
+    for group in components(ordered, merges):
         if len(group) == 1:
             medoid = group[0]
         else:
@@ -197,8 +176,6 @@ def build_memory(corpus: list[Timeline],
         segments=segments,
         patterns=patterns,
         similar=tuple(similar),
-        params={"theta_sim": theta_sim, "theta_merge": theta_merge, "scale": scale,
-                **asdict(seg_params)},
     )
 
 
@@ -253,7 +230,7 @@ def import_ntriples(data: bytes) -> MemoryGraph:
     """Rebuild a memory graph from export_ntriples output.
 
     Structure, weights, chords and keys round-trip, so queries rank as
-    on the exported graph; titles, artists and params are not exported.
+    on the exported graph; titles and artists are not exported.
     """
     from urllib.parse import unquote
 
@@ -340,7 +317,7 @@ def import_ntriples(data: bytes) -> MemoryGraph:
             raise GraphFormatError(f"similarTo {a} {b}: missing weight")
         similar.append((a, b, weights[sim_node]))
     return MemoryGraph(pieces=pieces, segments=segments, patterns=patterns,
-                       similar=tuple(similar), params={})
+                       similar=tuple(similar))
 
 
 def export_json(graph: MemoryGraph) -> str:
@@ -401,13 +378,12 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
 def graph_stats(graph: MemoryGraph) -> dict:
     """Node/edge counts, similarTo component sizes, degree histogram."""
     next_edges = sum(max(len(p.segment_ids) - 1, 0) for p in graph.pieces.values())
-    components = UnionFind(sorted(graph.patterns))
     degrees = {pattern_id: 0 for pattern_id in graph.patterns}
     for a, b, _ in graph.similar:
-        components.union(a, b)
         degrees[a] += 1
         degrees[b] += 1
-    sizes = sorted((len(g) for g in components.groups()), reverse=True)
+    groups = components(graph.patterns, ((a, b) for a, b, _ in graph.similar))
+    sizes = sorted(map(len, groups), reverse=True)
     histogram: dict[int, int] = {}
     for degree in degrees.values():
         histogram[degree] = histogram.get(degree, 0) + 1

@@ -47,13 +47,6 @@ class SSM:
 
 
 @dataclass(frozen=True)
-class NoveltyCurve:
-    values: np.ndarray
-    kernel_size: int
-    taper: float
-
-
-@dataclass(frozen=True)
 class Segment:
     """A contiguous run of sounded events, half-open over sounded indices."""
 
@@ -67,9 +60,6 @@ class Segment:
     @property
     def id(self) -> str:
         return f"{self.piece_id}/seg/{self.index}"
-
-    def __len__(self) -> int:
-        return self.end_event - self.start_event
 
     def events(self) -> tuple[tuple[Chord, Key], ...]:
         return tuple(zip(self.chords, self.keys))
@@ -96,14 +86,14 @@ def checkerboard_kernel(kernel_size: int, taper: float) -> np.ndarray:
     return np.sign(u) * np.sign(v) * np.exp(-taper * (u**2 + v**2) / half**2)
 
 
-def novelty(ssm: SSM, kernel_size: int = 8, taper: float = 1.0) -> NoveltyCurve:
+def novelty(ssm: SSM, kernel_size: int = 8, taper: float = 1.0) -> np.ndarray:
     """Checkerboard novelty along the diagonal, one value per boundary
     position i (the gap before event i); edges are zero-padded and
     negative responses are clamped to zero."""
     n = ssm.size
     if kernel_size < 2 or kernel_size % 2:
         raise ValueError(f"kernel_size must be even and >= 2: {kernel_size}")
-    if taper <= 0:
+    if not taper > 0:
         raise ValueError(f"taper must be positive: {taper}")
     if kernel_size > 2 * n:
         raise KernelTooLargeError(f"kernel {kernel_size} exceeds 2n = {2 * n}")
@@ -116,21 +106,20 @@ def novelty(ssm: SSM, kernel_size: int = 8, taper: float = 1.0) -> NoveltyCurve:
         window = padded[i:i + kernel_size, i:i + kernel_size]
         values[i] = np.sum(kernel * window)
     np.clip(values, 0.0, None, out=values)
-    return NoveltyCurve(values=values, kernel_size=kernel_size, taper=taper)
+    return values
 
 
-def pick_boundaries(curve: NoveltyCurve, peak_lambda: float = 0.5,
+def pick_boundaries(curve: np.ndarray, peak_lambda: float = 0.5,
                     min_gap: int = 2) -> list[int]:
-    """Strict local maxima at least ``mean + peak_lambda * std`` high,
-    greedily thinned to ``min_gap``; ties keep the lower index.  The
-    trivial boundaries 0 and n are never returned."""
-    v = curve.values
-    n = len(v)
-    threshold = v.mean() + peak_lambda * v.std()
+    """Strict local maxima of a novelty curve at least ``mean + peak_lambda
+    * std`` high, greedily thinned to ``min_gap``; ties keep the lower
+    index.  The trivial boundaries 0 and n are never returned."""
+    n = len(curve)
+    threshold = curve.mean() + peak_lambda * curve.std()
     candidates = [i for i in range(1, n - 1)
-                  if v[i - 1] < v[i] > v[i + 1] and v[i] >= threshold]
+                  if curve[i - 1] < curve[i] > curve[i + 1] and curve[i] >= threshold]
     kept: list[int] = []
-    for i in sorted(candidates, key=lambda i: (-v[i], i)):
+    for i in sorted(candidates, key=lambda i: (-curve[i], i)):
         if all(abs(i - j) >= min_gap for j in kept):
             kept.append(i)
     return sorted(kept)
@@ -140,13 +129,13 @@ def pick_boundaries(curve: NoveltyCurve, peak_lambda: float = 0.5,
 class Segmentation:
     """Everything one segmentation pass computed.
 
-    ``kernel_size`` is the clamped kernel; ``curve`` is None for a
-    single-event piece, which has no boundary positions.
+    ``kernel_size`` is the clamped kernel; ``curve``, the novelty values,
+    is None for a single-event piece, which has no boundary positions.
     """
 
     ssm: SSM
     kernel_size: int
-    curve: NoveltyCurve | None
+    curve: np.ndarray | None
     boundaries: list[int]
     segments: list[Segment]
 
@@ -198,9 +187,9 @@ def ssm_to_pgm(ssm: SSM) -> str:
     return "\n".join(lines) + "\n"
 
 
-def novelty_to_csv(curve: NoveltyCurve) -> str:
+def novelty_to_csv(curve: np.ndarray) -> str:
     lines = ["index,value"]
-    lines += [f"{i},{float(x)!r}" for i, x in enumerate(curve.values)]
+    lines += [f"{i},{float(x)!r}" for i, x in enumerate(curve)]
     return "\n".join(lines) + "\n"
 
 

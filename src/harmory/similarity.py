@@ -188,18 +188,17 @@ def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
         raise ValueError(f"--n-min/--n-max need 2 <= n_min <= n_max, got {n_min}..{n_max}")
 
 
-def extract_recurrent_patterns(piece: Timeline | tuple[Event, ...], n_min: int = 2,
+def extract_recurrent_patterns(events: tuple[Event, ...], n_min: int = 2,
                                n_max: int = 4) -> list[PatternOccurrence]:
     """Hash every n-gram window, n_min <= n <= n_max, of a piece's
-    key-relative events (a timeline's, or the events themselves) and keep
-    encodings occurring at two or more (possibly overlapping) positions.
+    key-relative events and keep encodings occurring at two or more
+    (possibly overlapping) positions.
 
     A window's encoding pairs each event's key-relative value with the
     circle-of-fifths step to the next event inside the window; the last
     step is 0.  It is invariant under transposition of the piece.
     """
     _check_params(n_min=n_min, n_max=n_max)
-    events = key_relative_events(piece) if isinstance(piece, Timeline) else piece
     values = key_relative_values(events)
     roots = [chord.root.pitch_class for chord, _ in events]
     steps = [fifths_distance(x, y) for x, y in zip(roots, roots[1:])]
@@ -213,22 +212,17 @@ def extract_recurrent_patterns(piece: Timeline | tuple[Event, ...], n_min: int =
             if len(positions) >= 2]
 
 
-def _coverage(patterns, total: int) -> tuple[Fraction, set[int]]:
-    covered: set[int] = set()
-    for pattern in patterns:
-        for position in pattern.positions:
-            covered.update(range(position, position + pattern.length))
-    return Fraction(len(covered), total), covered
-
-
-def _intervals(indices: set[int]) -> list[tuple[int, int]]:
-    runs = []
-    for i in sorted(indices):
+def _covered_runs(patterns) -> dict[int, tuple[int, int]]:
+    """Each position the patterns' occurrences cover, mapped to the
+    maximal run (a half-open range) of covered positions holding it."""
+    runs: list[list[int]] = []
+    for i in sorted({i for pattern in patterns for position in pattern.positions
+                     for i in range(position, position + pattern.length)}):
         if runs and runs[-1][1] == i:
             runs[-1][1] = i + 1
         else:
             runs.append([i, i + 1])
-    return [tuple(run) for run in runs]
+    return {i: (start, stop) for start, stop in runs for i in range(start, stop)}
 
 
 # Each measure runs in two steps.  ``prepare`` does the per-piece work
@@ -298,35 +292,27 @@ class _Lharp:
 
     def compare(self, a, b, table) -> SimilarityReport:
         (ca, patterns_a), (cb, patterns_b) = a, b
-        agree_a, agree_b, agreeing = set(), set(), []
+        agreeing = []
         for p, slice_a in patterns_a:
             for q, slice_b in patterns_b:
                 key = (slice_a, slice_b)
                 if key not in self.agrees:
                     self.agrees[key] = _dtw(*key, table=table).normalized_cost <= self.tau
                 if self.agrees[key]:
-                    agree_a.add(p)
-                    agree_b.add(q)
                     agreeing.append((p, q))
-        coverage_a, covered_a = _coverage(agree_a, len(ca))
-        coverage_b, covered_b = _coverage(agree_b, len(cb))
-        if coverage_a == coverage_b:
-            raw = coverage_a
-        elif coverage_a == 0 or coverage_b == 0:
-            raw = Fraction(0)
-        else:
-            raw = 2 * coverage_a * coverage_b / (coverage_a + coverage_b)
+        runs_a = _covered_runs({p for p, _ in agreeing})
+        runs_b = _covered_runs({q for _, q in agreeing})
+        coverage_a, coverage_b = Fraction(len(runs_a), len(ca)), Fraction(len(runs_b), len(cb))
+        raw = (2 * coverage_a * coverage_b / (coverage_a + coverage_b)
+               if coverage_a and coverage_b else Fraction(0))
+        # A region pairs the runs holding the first occurrences of two agreeing patterns.
         regions = []
-        runs_a, runs_b = _intervals(covered_a), _intervals(covered_b)
-        for run_a in runs_a:
-            for run_b in runs_b:
-                if any(run_a[0] <= p.positions[0] and p.positions[0] + p.length <= run_a[1]
-                       and run_b[0] <= q.positions[0] and q.positions[0] + q.length <= run_b[1]
-                       for (p, q) in agreeing):
-                    region_a, region_b = ca[run_a[0]:run_a[1]], cb[run_b[0]:run_b[1]]
-                    alignment = _dtw(region_a, region_b, table=table)
-                    steps = tuple(table[region_a[i]][region_b[j]] for i, j in alignment.path)
-                    regions.append(LocalRegion(run_a, run_b, steps))
+        for run_a, run_b in sorted({(runs_a[p.positions[0]], runs_b[q.positions[0]])
+                                    for p, q in agreeing}):
+            region_a, region_b = ca[run_a[0]:run_a[1]], cb[run_b[0]:run_b[1]]
+            alignment = _dtw(region_a, region_b, table=table)
+            steps = tuple(table[region_a[i]][region_b[j]] for i, j in alignment.path)
+            regions.append(LocalRegion(run_a, run_b, steps))
         return SimilarityReport(
             measure="lharp",
             score=float(raw),

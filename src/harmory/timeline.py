@@ -94,7 +94,6 @@ class TpsSeries:
     """Tonal Pitch Space values with weights, per event or per beat."""
 
     values: tuple[tuple[float, Fraction], ...]
-    grid: str
 
 
 def build_timeline(piece_id: str, events, keys=(), title=None, artist=None) -> Timeline:
@@ -314,8 +313,7 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     value_at = dict(zip([i for i, _, _ in sounded],
                         key_relative_values([(chord, key) for _, chord, key in sounded])))
     if grid == "event":
-        return TpsSeries(tuple((v, timeline.events[i].duration) for i, v in value_at.items()),
-                         "event")
+        return TpsSeries(tuple((v, timeline.events[i].duration) for i, v in value_at.items()))
     start = timeline.events[0].start
     # An event starts at or before beat b exactly when ceil(its offset) <= b.
     first_beats = [ceil(e.start - start) for e in timeline.events]
@@ -327,7 +325,7 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
         grid_values.append((held, Fraction(1)))
     if not grid_values:
         raise EmptyTimelineError(f"{timeline.id}: shorter than one beat")
-    return TpsSeries(tuple(grid_values), "beat")
+    return TpsSeries(tuple(grid_values))
 
 
 def transpose(timeline: Timeline, semitones: int) -> Timeline:

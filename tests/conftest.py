@@ -13,6 +13,14 @@ from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline
 from harmory.tps import Key
 
 
+def strict_json(text):
+    """Parse a JSON output of harmory, failing on the ``NaN`` and
+    ``Infinity`` tokens that Python writes but JSON does not allow."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def make_timeline(chords, key="C:maj", piece_id="piece", beat=1):
     """Timeline from chord symbols, one event per `beat` beats."""
     events = tuple(ChordEvent(Fraction(i * beat), Fraction(beat), parse_chord(c))

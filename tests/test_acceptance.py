@@ -8,7 +8,6 @@ re-raises on failure so nothing is hidden from pytest.
 from __future__ import annotations
 
 import functools
-import json
 import random
 import time
 from fractions import Fraction
@@ -24,7 +23,7 @@ from harmory.segmentation import SegmentationParams, build_ssm, novelty, \
 from harmory.similarity import dtw_align, dtw_similarity, lharp
 from harmory.timeline import ChordEvent, Timeline, transpose
 from harmory.tps import Key, chord_distance
-from tests.conftest import make_timeline
+from tests.conftest import make_timeline, strict_json
 from tests.test_harte import GOLDEN, MALFORMED
 from tests.test_memory import closure_groups, fixture_corpus
 from tests.test_similarity import POOL, cell_matrix, oracle_enumerate, \
@@ -134,7 +133,7 @@ def test_criterion_4_segmentation():
 def test_criterion_5_efficiency(capsys):
     assert main(["bench", "--synthetic", "--synthetic-pieces", "16",
                  "--synthetic-beats", "256"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     assert report["pieces"] == 16
     assert report["pairs"] == 120
     dtw_stats = report["measures"]["dtw"]

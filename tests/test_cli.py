@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib
-import json
 import pkgutil
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import harmory
 import harmory.cli as cli
 import harmory.segmentation as segmentation
 from harmory.cli import main
-from tests.conftest import COVER_CORPUS, cover_jams
+from tests.conftest import COVER_CORPUS, cover_jams, strict_json
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_GRAPH = DATA / "memory_golden.nt"
@@ -42,7 +41,7 @@ def run(capsys, argv):
 def test_parse_reports_chord_anatomy(capsys):
     code, out, _ = run(capsys, ["parse", "G:7/3"])
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["kind"] == "sounded"
     assert payload["root"] == "G"
     assert payload["shorthand"] == "7"
@@ -55,7 +54,7 @@ def test_parse_reports_chord_anatomy(capsys):
 def test_parse_nochord(capsys):
     code, out, _ = run(capsys, ["parse", "N"])
     assert code == 0
-    assert json.loads(out) == {"kind": "nochord"}
+    assert strict_json(out) == {"kind": "nochord"}
 
 
 def test_parse_malformed_is_a_usage_error(capsys):
@@ -104,12 +103,12 @@ def test_segment_writes_artifacts(capsys, tmp_path):
     assert code == 0
     for suffix in (".ssm.pgm", ".novelty.csv", ".boundaries.csv", ".segments.json"):
         assert (out_dir / f"blocky{suffix}").exists()
-    payload = json.loads((out_dir / "blocky.segments.json").read_text())
+    payload = strict_json((out_dir / "blocky.segments.json").read_text())
     assert payload["piece"] == "blocky"
     assert payload["boundaries"] == [4]
     assert [s["id"] for s in payload["segments"]] == ["blocky/seg/0", "blocky/seg/1"]
     assert payload["segments"][0]["chords"] == "C:maj C:maj C:maj C:maj"
-    assert json.loads(out) == payload
+    assert strict_json(out) == payload
     assert (out_dir / "blocky.ssm.pgm").read_text().startswith("P2\n8 8\n255\n")
 
 
@@ -138,7 +137,7 @@ def test_sim_scores_transposed_cover_as_identical(capsys, tmp_path):
     for measure in ("dtw", "tpsd", "lharp"):
         code, out, _ = run(capsys, ["sim", str(a), str(b), "--measure", measure])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["measure"] == measure
         assert payload["score"] == 1.0
 
@@ -179,8 +178,8 @@ def test_build_matches_golden_graph_and_query_finds_medoid(capsys, tmp_path):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert (out_dir / "memory.nt").read_bytes() == GOLDEN_GRAPH.read_bytes()
-    stats = json.loads((out_dir / "stats.json").read_text())
-    assert stats == json.loads(out)
+    stats = strict_json((out_dir / "stats.json").read_text())
+    assert stats == strict_json(out)
     assert stats["nodes"]["pieces"] == 3
     first = (out_dir / "memory.nt").read_bytes()
     json_first = (out_dir / "memory.json").read_bytes()
@@ -193,7 +192,7 @@ def test_build_matches_golden_graph_and_query_finds_medoid(capsys, tmp_path):
         "query", str(out_dir / "memory.nt"), "C:maj C:maj C:maj C:maj",
         "--key", "C:maj"])
     assert code == 0
-    results = json.loads(out)
+    results = strict_json(out)
     assert results[0]["score"] == 1.0
     assert results[0]["pattern"] == "alpha/seg/0"
     assert results[0]["chords"] == "C:maj C:maj C:maj C:maj"
@@ -229,7 +228,7 @@ def test_eval_covers_json_and_table(capsys, tmp_path):
                        "song1,c1\nsong1-cover,c1\n")
     code, out, _ = run(capsys, ["eval-covers", str(corpus), str(cliques)])
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["mean_average_precision"] == 1.0
     code, out, _ = run(capsys, ["eval-covers", str(corpus), str(cliques),
                                 "--format", "table"])
@@ -251,7 +250,7 @@ def test_bench_synthetic_report(capsys):
         "bench", "--synthetic", "--synthetic-pieces", "3",
         "--synthetic-beats", "16", "--repetitions", "3"])
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["pieces"] == 3
     assert report["pairs"] == 3
     assert set(report["measures"]) == {"dtw", "tpsd"}
@@ -346,6 +345,10 @@ def test_matrix_and_eval_covers_match_golden_outputs(capsys, tmp_path):
     ["--band", "-3"],
     ["--measure", "tpsd", "--scale", "0"],
     ["--measure", "lharp", "--n-min", "1"],
+    ["--scale", "inf"],
+    ["--measure", "tpsd", "--scale", "inf"],
+    ["--measure", "lharp", "--tau", "nan"],
+    ["--measure", "lharp", "--tau", "inf"],
 ])
 def test_bad_measure_parameters_are_usage_errors_naming_the_flag(capsys, tmp_path, flags):
     corpus, cliques = write_cover_corpus(tmp_path / "covers")
@@ -354,7 +357,35 @@ def test_bad_measure_parameters_are_usage_errors_naming_the_flag(capsys, tmp_pat
                     ["eval-covers", str(corpus), str(cliques)]):
         code, out, err = run(capsys, command + flags)
         assert (code, out) == (2, ""), command
-        assert err.startswith("error: ") and flags[-2] in err
+        assert_usage_error_naming(err, command[0], flags[-2])
+
+
+def assert_usage_error_naming(err, command, flag):
+    """A bad value is rejected by the library (``error: ...``) or, when it
+    is not a finite number, by argparse (usage, then an error naming the
+    argument)."""
+    *_, last = err.splitlines()
+    assert last.startswith(("error: ", f"harmory {command}: error: argument {flag}:")), err
+    assert flag in last, err
+
+
+@pytest.mark.parametrize("command, flags", [
+    *((command, flags) for command in ("segment", "build")
+      for flags in (["--taper", "nan"], ["--taper", "inf"],
+                    ["--peak-lambda", "nan"], ["--peak-lambda", "inf"])),
+    ("build", ["--theta-merge", "nan"]),
+    ("build", ["--theta-merge", "inf"]),
+    ("build", ["--theta-sim", "nan"]),
+])
+def test_non_finite_segment_and_build_parameters_are_usage_errors_naming_the_flag(
+        capsys, tmp_path, command, flags):
+    corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj"] * 4 + ["G:maj"] * 4})
+    target = corpus / "a.chart" if command == "segment" else corpus
+    code, out, err = run(capsys, ["--out-dir", str(tmp_path / "out"), command, str(target),
+                                  *flags])
+    assert (code, out) == (2, "")
+    assert_usage_error_naming(err, command, flags[-2])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("measure", ["dtw", "tpsd", "lharp"])

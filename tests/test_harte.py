@@ -215,12 +215,6 @@ def test_bass_degree_not_duplicated_when_present():
     assert chord.degrees == parse_chord("C:maj").degrees
 
 
-def test_pitch_class_set_with_explicit_root():
-    chord = parse_chord("C:maj")
-    assert pitch_class_set(chord, root=2) == frozenset({2, 6, 9})
-    assert pitch_class_set(chord, root=14) == frozenset({2, 6, 9})
-
-
 def test_chord_validation_rejects_duplicate_intervals():
     with pytest.raises(ChordSemanticError):
         Chord(root=Natural("C"),

@@ -29,8 +29,8 @@ from harmory.memory import (
     Pattern,
     PatternQuery,
     PieceInfo,
-    UnionFind,
     build_memory,
+    components,
     export_json,
     export_ntriples,
     graph_stats,
@@ -42,7 +42,7 @@ from harmory.segmentation import SegmentationParams, segment_timeline
 from harmory.similarity import dtw_align, dtw_lower_bounds, dtw_similarity, key_relative
 from harmory.timeline import load_jams, transpose
 from harmory.tps import Key, distance_table, intern
-from tests.conftest import chords, make_timeline
+from tests.conftest import chords, make_timeline, strict_json
 
 DATA = Path(__file__).parent / "data"
 PARAMS = SegmentationParams(kernel_size=4)
@@ -78,8 +78,8 @@ def graph_and_round_trip():
 
 
 def closure_groups(nodes, edges):
-    """Connected components by breadth-first search (reference for the
-    union-find)."""
+    """Connected components by breadth-first search (reference for
+    ``components``)."""
     neighbours = {n: set() for n in nodes}
     for a, b in edges:
         neighbours[a].add(b)
@@ -100,17 +100,15 @@ def closure_groups(nodes, edges):
     return sorted(groups)
 
 
-def test_union_find_matches_bfs_closure():
+def test_components_match_bfs_closure():
     rng = random.Random(17)
     for trial in range(30):
         n = rng.randint(1, 20)
         nodes = [f"s{i:02d}" for i in range(n)]
+        rng.shuffle(nodes)
         edges = [(rng.choice(nodes), rng.choice(nodes))
                  for _ in range(rng.randint(0, 2 * n))]
-        uf = UnionFind(nodes)
-        for a, b in edges:
-            uf.union(a, b)
-        assert sorted(uf.groups()) == closure_groups(nodes, edges)
+        assert components(nodes, edges) == closure_groups(sorted(nodes), edges)
 
 
 def test_build_fixture_structure():
@@ -258,8 +256,9 @@ def test_build_validations():
         build_memory(corpus, PARAMS, theta_sim=0.0)
     with pytest.raises(ValueError):
         build_memory(corpus, PARAMS, theta_sim=1.5)
-    with pytest.raises(ValueError):
-        build_memory(corpus, PARAMS, theta_sim=0.8, theta_merge=0.5)
+    for theta_sim, theta_merge in ((0.8, 0.5), (0.6, float("nan")), (float("nan"), 0.9)):
+        with pytest.raises(ValueError):
+            build_memory(corpus, PARAMS, theta_sim=theta_sim, theta_merge=theta_merge)
     duplicate = [corpus[0], corpus[0]]
     with pytest.raises(ValueError):
         build_memory(duplicate, PARAMS)
@@ -313,10 +312,8 @@ def test_graph_stats_golden():
 
 
 def test_export_json_shape():
-    import json
-
     graph = build_memory(fixture_corpus(), PARAMS)
-    payload = json.loads(export_json(graph))
+    payload = strict_json(export_json(graph))
     assert set(payload) == {"nodes", "edges"}
     node_ids = [n["id"] for n in payload["nodes"]]
     assert "alpha" in node_ids and "alpha/seg/0" in node_ids
@@ -347,12 +344,9 @@ def exhaustive_memory(corpus, seg_params, theta_sim, theta_merge, scale):
     scores = {(a, b): dtw_similarity(segment_to_timeline(segments[a]),
                                      segment_to_timeline(segments[b]), scale).score
               for i, a in enumerate(ordered) for b in ordered[i + 1:]}
-    merged = UnionFind(ordered)
-    for (a, b), value in scores.items():
-        if value >= theta_merge:
-            merged.union(a, b)
     patterns = {}
-    for group in merged.groups():
+    for group in closure_groups(ordered, [pair for pair, value in scores.items()
+                                          if value >= theta_merge]):
         totals = {s: sum(scores[tuple(sorted((s, o)))] for o in group if o != s) for s in group}
         best = max(totals.values())
         medoid = min(s for s, value in totals.items() if value == best)
@@ -360,8 +354,7 @@ def exhaustive_memory(corpus, seg_params, theta_sim, theta_merge, scale):
     medoids = sorted(patterns)
     similar = tuple((a, b, scores[a, b]) for i, a in enumerate(medoids) for b in medoids[i + 1:]
                     if scores[a, b] >= theta_sim)
-    return MemoryGraph(pieces=pieces, segments=segments, patterns=patterns,
-                       similar=similar, params={})
+    return MemoryGraph(pieces=pieces, segments=segments, patterns=patterns, similar=similar)
 
 
 def assert_same_exports(graph, expected):

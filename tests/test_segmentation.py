@@ -22,7 +22,6 @@ from harmory.harte import parse_chord
 from harmory.segmentation import (
     SSM,
     KernelTooLargeError,
-    NoveltyCurve,
     SegmentationParams,
     boundaries_to_csv,
     build_ssm,
@@ -199,15 +198,15 @@ def test_novelty_matches_oracle_on_random_matrices():
         n = 5 + seed
         ssm = random_ssm(n, seed)
         for size in (2, 4, 6):
-            ours = novelty(ssm, size, 1.0).values
+            ours = novelty(ssm, size, 1.0)
             ref = oracle_novelty(ssm.matrix.tolist(), size, 1.0)
             assert np.allclose(ours, ref, atol=1e-12)
 
 
 def test_novelty_frozen_block_curves():
     ssm = build_ssm(AABB)
-    assert np.allclose(novelty(ssm, 4, 1.0).values, KERNEL4_CURVE, atol=1e-9)
-    assert np.allclose(novelty(ssm, 8, 1.0).values, KERNEL8_CURVE, atol=1e-9)
+    assert np.allclose(novelty(ssm, 4, 1.0), KERNEL4_CURVE, atol=1e-9)
+    assert np.allclose(novelty(ssm, 8, 1.0), KERNEL8_CURVE, atol=1e-9)
 
 
 def test_novelty_constant_ssm_zero_interior():
@@ -215,14 +214,14 @@ def test_novelty_constant_ssm_zero_interior():
     ssm = SSM(matrix=np.ones((n, n)), event_indices=tuple(range(n)))
     curve = novelty(ssm, 8, 1.0)
     # full windows cancel exactly; truncated edge windows do not
-    assert np.allclose(curve.values[4:n - 3], 0.0, atol=1e-9)
-    assert (curve.values >= 0).all()
+    assert np.allclose(curve[4:n - 3], 0.0, atol=1e-9)
+    assert (curve >= 0).all()
     assert pick_boundaries(curve) == []
 
 
 def test_novelty_length_equals_ssm_size():
     ssm = random_ssm(9, 1)
-    assert len(novelty(ssm, 4, 1.0).values) == 9
+    assert len(novelty(ssm, 4, 1.0)) == 9
 
 
 def test_novelty_validation():
@@ -231,8 +230,9 @@ def test_novelty_validation():
         novelty(ssm, 3, 1.0)
     with pytest.raises(ValueError):
         novelty(ssm, 0, 1.0)
-    with pytest.raises(ValueError):
-        novelty(ssm, 4, 0.0)
+    for taper in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            novelty(ssm, 4, taper)
     with pytest.raises(KernelTooLargeError):
         novelty(ssm, 10, 1.0)
 
@@ -244,34 +244,30 @@ def test_pick_boundaries_block_piece():
 
 
 def test_pick_boundaries_all_zero():
-    curve = NoveltyCurve(values=np.zeros(10), kernel_size=4, taper=1.0)
+    curve = np.zeros(10)
     assert pick_boundaries(curve) == []
 
 
 def test_pick_boundaries_equal_peaks_within_gap_keep_lower_index():
-    curve = NoveltyCurve(values=np.array([0.0, 1.0, 0.5, 1.0, 0.0]),
-                         kernel_size=2, taper=1.0)
+    curve = np.array([0.0, 1.0, 0.5, 1.0, 0.0])
     assert pick_boundaries(curve, 0.5, min_gap=3) == [1]
     assert pick_boundaries(curve, 0.5, min_gap=2) == [1, 3]
 
 
 def test_pick_boundaries_never_returns_ends():
-    curve = NoveltyCurve(values=np.array([9.0, 0.0, 0.0, 0.0, 9.0]),
-                         kernel_size=2, taper=1.0)
+    curve = np.array([9.0, 0.0, 0.0, 0.0, 9.0])
     assert pick_boundaries(curve, 0.0, 1) == []
 
 
 def test_pick_boundaries_threshold():
-    values = np.array([0.0, 0.2, 0.0, 5.0, 0.0, 0.2, 0.0])
-    curve = NoveltyCurve(values=values, kernel_size=2, taper=1.0)
+    curve = np.array([0.0, 0.2, 0.0, 5.0, 0.0, 0.2, 0.0])
     assert pick_boundaries(curve, 1.0, 1) == [3]
 
 
 def test_lambda_monotonicity():
     rng = random.Random(3)
     for trial in range(20):
-        values = np.array([rng.random() for _ in range(30)])
-        curve = NoveltyCurve(values=values, kernel_size=4, taper=1.0)
+        curve = np.array([rng.random() for _ in range(30)])
         lambdas = [0.0, 0.25, 0.5, 1.0, 2.0]
         counts = [len(pick_boundaries(curve, lam, 2)) for lam in lambdas]
         assert counts == sorted(counts, reverse=True)
@@ -310,7 +306,7 @@ def test_segment_partition_and_min_len():
         for a, b in zip(segments, segments[1:]):
             assert a.end_event == b.start_event
         if len(segments) > 1:
-            assert all(len(s) >= params.min_len for s in segments)
+            assert all(s.end_event - s.start_event >= params.min_len for s in segments)
         assert [s.index for s in segments] == list(range(len(segments)))
 
 
@@ -384,7 +380,7 @@ def test_ssm_pgm_rejects_cells_outside_the_unit_range():
 
 
 def test_novelty_csv_golden():
-    curve = NoveltyCurve(values=np.array([0.0, 1.5]), kernel_size=2, taper=1.0)
+    curve = np.array([0.0, 1.5])
     assert novelty_to_csv(curve) == "index,value\n0,0.0\n1,1.5\n"
 
 

@@ -224,7 +224,7 @@ def test_tpsd_unequal_lengths_use_longer_denominator():
 
 def test_patterns_worked_example():
     tl = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj"])
-    patterns = extract_recurrent_patterns(tl, 2, 2)
+    patterns = extract_recurrent_patterns(key_relative_events(tl), 2, 2)
     assert len(patterns) == 1
     assert patterns[0].positions == (0, 2)
     assert patterns[0].length == 2
@@ -232,14 +232,14 @@ def test_patterns_worked_example():
 
 def test_patterns_uniform_sequence():
     tl = make_timeline(["C:maj"] * 4)
-    patterns = extract_recurrent_patterns(tl, 2, 2)
+    patterns = extract_recurrent_patterns(key_relative_events(tl), 2, 2)
     assert len(patterns) == 1
     assert patterns[0].positions == (0, 1, 2)
 
 
 def test_patterns_no_repeats():
     tl = make_timeline(["C:maj", "G:maj", "A:min", "F:maj"])
-    assert extract_recurrent_patterns(tl, 2, 4) == []
+    assert extract_recurrent_patterns(key_relative_events(tl), 2, 4) == []
 
 
 def test_patterns_match_window_oracle():
@@ -250,15 +250,15 @@ def test_patterns_match_window_oracle():
         for n in (2, 3):
             expected = oracle_windows(tl, n)
             got = {p.key: p.positions
-                   for p in extract_recurrent_patterns(tl, n, n)}
+                   for p in extract_recurrent_patterns(key_relative_events(tl), n, n)}
             assert got == expected
 
 
 def test_patterns_transposition_invariant_keys():
     tl = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj"])
     for n in range(12):
-        moved = extract_recurrent_patterns(transpose(tl, n), 2, 2)
-        base = extract_recurrent_patterns(tl, 2, 2)
+        moved = extract_recurrent_patterns(key_relative_events(transpose(tl, n)), 2, 2)
+        base = extract_recurrent_patterns(key_relative_events(tl), 2, 2)
         assert [(p.key, p.positions) for p in moved] \
             == [(p.key, p.positions) for p in base]
 
@@ -266,9 +266,9 @@ def test_patterns_transposition_invariant_keys():
 def test_patterns_validation():
     tl = make_timeline(["C:maj", "G:maj"])
     with pytest.raises(ValueError):
-        extract_recurrent_patterns(tl, 1, 4)
+        extract_recurrent_patterns(key_relative_events(tl), 1, 4)
     with pytest.raises(ValueError):
-        extract_recurrent_patterns(tl, 3, 2)
+        extract_recurrent_patterns(key_relative_events(tl), 3, 2)
 
 
 def test_lharp_worked_example():
@@ -430,7 +430,7 @@ def test_every_analysis_of_a_piece_without_a_sounded_chord_raises_one_error():
     tl = Timeline(id="nc", events=(ChordEvent(Fraction(0), Fraction(1), parse_chord("N")),),
                   keys=make_timeline(["C:maj"]).keys)
     for call in (tl.sounded, lambda: key_relative_events(tl), lambda: encode_tps(tl),
-                 lambda: extract_recurrent_patterns(tl), lambda: comparison_counts(tl, tl, "dtw"),
+                 lambda: comparison_counts(tl, tl, "dtw"),
                  lambda: build_ssm(tl), lambda: segment_timeline(tl)):
         with pytest.raises(EmptyTimelineError, match="^nc: no sounded events$"):
             call()

@@ -375,7 +375,6 @@ def test_estimate_key_tie_breaks_lowest_tonic_then_major():
 def test_encode_event_grid():
     tl = make_timeline(["C:maj", "G:maj"], beat=4)
     series = encode_tps(tl, "event")
-    assert series.grid == "event"
     assert series.values == ((0.0, Fraction(4)), (5.0, Fraction(4)))
 
 
