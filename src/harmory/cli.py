@@ -108,6 +108,22 @@ def finite_float(text: str) -> float:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """The argparse type of ``--min-gap`` and ``--min-len``."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def kernel_size(text: str) -> int:
+    """The argparse type of ``--kernel-size``."""
+    value = int(text)
+    if value < 2 or value % 2:
+        raise argparse.ArgumentTypeError(f"expected an even integer >= 2, got {text!r}")
+    return value
+
+
 def _seg_params(args) -> SegmentationParams:
     return SegmentationParams(**{f.name: getattr(args, f.name)
                                  for f in dataclasses.fields(SegmentationParams)})
@@ -115,7 +131,8 @@ def _seg_params(args) -> SegmentationParams:
 
 def _add_seg_arguments(parser) -> None:
     for f in dataclasses.fields(SegmentationParams):
-        kind = finite_float if isinstance(f.default, float) else type(f.default)
+        kind = (finite_float if isinstance(f.default, float)
+                else kernel_size if f.name == "kernel_size" else non_negative_int)
         parser.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
 
 
@@ -153,7 +170,7 @@ def cmd_parse(args) -> int:
             "kind": "sounded",
             "root": str(chord.root),
             "shorthand": chord.shorthand,
-            "degrees": sorted(str(d) for d in sorted(chord.degrees, key=lambda d: d.sort_key())),
+            "degrees": sorted(map(str, chord.degrees)),
             "bass": str(chord.bass) if chord.bass else None,
             "pitch_classes": sorted(pitch_class_set(chord)),
             "bass_pitch_class": bass_pitch_class(chord),

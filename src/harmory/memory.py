@@ -19,9 +19,9 @@ from urllib.parse import quote
 
 from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
-from harmory.similarity import DEFAULT_SCALE, _dtw, dtw_lower_bounds, key_relative
+from harmory.similarity import DEFAULT_SCALE, _dtw, dtw_lower_bounds
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, estimate_key
-from harmory.tps import Key, distance_table, intern
+from harmory.tps import Key, distance_table, intern, key_relative_profiles
 
 from math import exp
 
@@ -135,7 +135,7 @@ def build_memory(corpus: list[Timeline],
     vocab: dict = {}
     sequences: dict[tuple[int, ...], int] = {}  # distinct code sequence -> its index
     sequence_of = {seg_id: sequences.setdefault(
-        tuple(intern(key_relative(segments[seg_id].events()), vocab)), len(sequences))
+        tuple(intern(key_relative_profiles(segments[seg_id].events()), vocab)), len(sequences))
         for seg_id in ordered}
     distinct = list(sequences)
     table = distance_table(vocab, vocab)
@@ -362,10 +362,10 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
         raise EmptyQueryError("need at least one sounded chord and k >= 1")
     key = query.key or estimate_key(chords)
     probe_vocab, medoid_vocab = {}, {}
-    probe = intern(key_relative((chord, key) for chord in chords), probe_vocab)
+    probe = intern(key_relative_profiles((chord, key) for chord in chords), probe_vocab)
     medoids = {pattern_id: graph.segments[graph.patterns[pattern_id].medoid]
                for pattern_id in sorted(graph.patterns)}
-    codes = {pattern_id: intern(key_relative(medoid.events()), medoid_vocab)
+    codes = {pattern_id: intern(key_relative_profiles(medoid.events()), medoid_vocab)
              for pattern_id, medoid in medoids.items()}
     table = distance_table(probe_vocab, medoid_vocab)
     scores = {pattern_id: exp(-_dtw(probe, codes[pattern_id], table=table).normalized_cost

@@ -13,7 +13,7 @@ import numpy as np
 
 from harmory.harte import Chord
 from harmory.timeline import Timeline
-from harmory.tps import Key, distance_table, intern
+from harmory.tps import Key, distance_table, intern, profile
 
 
 class KernelTooLargeError(ValueError):
@@ -69,7 +69,7 @@ def build_ssm(timeline: Timeline) -> SSM:
     """Pairwise chord similarity under each event's governing key."""
     sounded = timeline.sounded()
     vocab: dict = {}
-    codes = intern([(chord, key) for _, chord, key in sounded], vocab)
+    codes = intern([profile(chord, key) for _, chord, key in sounded], vocab)
     distances = np.array(distance_table(vocab, vocab))[np.ix_(codes, codes)]
     largest = distances.max()
     if largest == 0:

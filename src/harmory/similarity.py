@@ -9,8 +9,8 @@ Three measures share the [0, 1] score convention (1 means identical):
 * ``lharp`` shared recurrent-pattern coverage, scored by the harmonic
   mean of the two pieces' covered fractions.
 
-Events are compared key-relatively: each chord is transposed so that its
-governing key tonic is C before costing, which makes every measure
+Events are compared key-relatively: each event's profile is moved so that
+its governing key tonic is C before costing, which makes every measure
 invariant under transposition of either piece.
 """
 
@@ -22,13 +22,11 @@ from fractions import Fraction
 from math import exp, inf
 from operator import sub
 
-from harmory.harte import Chord, transpose_chord
 from harmory.timeline import EmptyTimelineError, Timeline, encode_tps
-from harmory.tps import Key, distance_table, fifths_distance, intern, key_relative_values
+from harmory.tps import (Profile, distance_table, fifths_distance, intern,
+                         key_relative_profiles, key_relative_values)
 
 DEFAULT_SCALE = 5.0
-
-Event = tuple[Chord, Key]
 
 
 @dataclass(frozen=True)
@@ -81,15 +79,9 @@ class PatternOccurrence:
     length: int
 
 
-def key_relative(events) -> tuple[Event, ...]:
-    """(chord, key) pairs transposed so each key tonic is C."""
-    return tuple((transpose_chord(chord, -key.tonic), Key(0, key.mode))
-                 for chord, key in events)
-
-
-def key_relative_events(timeline: Timeline) -> tuple[Event, ...]:
-    """Sounded events under their governing keys, made key-relative."""
-    return key_relative((chord, key) for _, chord, key in timeline.sounded())
+def key_relative_events(timeline: Timeline) -> list[Profile]:
+    """The key-relative profiles of the sounded events under their governing keys."""
+    return key_relative_profiles((chord, key) for _, chord, key in timeline.sounded())
 
 
 def _dtw(ca: list[int], cb: list[int], band: int | None = None, *,
@@ -188,19 +180,20 @@ def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
         raise ValueError(f"--n-min/--n-max need 2 <= n_min <= n_max, got {n_min}..{n_max}")
 
 
-def extract_recurrent_patterns(events: tuple[Event, ...], n_min: int = 2,
+def extract_recurrent_patterns(events, n_min: int = 2,
                                n_max: int = 4) -> list[PatternOccurrence]:
-    """Hash every n-gram window, n_min <= n <= n_max, of a piece's
-    key-relative events and keep encodings occurring at two or more
+    """Hash every n-gram window, n_min <= n <= n_max, of a piece's sounded
+    (chord, key) events and keep encodings occurring at two or more
     (possibly overlapping) positions.
 
     A window's encoding pairs each event's key-relative value with the
-    circle-of-fifths step to the next event inside the window; the last
-    step is 0.  It is invariant under transposition of the piece.
+    circle-of-fifths step from its root to the next event's inside the
+    window, each root taken relative to its key's tonic; the last step is
+    0.  It is invariant under transposition of the piece.
     """
     _check_params(n_min=n_min, n_max=n_max)
     values = key_relative_values(events)
-    roots = [chord.root.pitch_class for chord, _ in events]
+    roots = [chord.root.pitch_class - key.tonic for chord, key in events]
     steps = [fifths_distance(x, y) for x, y in zip(roots, roots[1:])]
     found: dict[tuple, list[int]] = {}
     for n in range(n_min, min(n_max, len(events)) + 1):
@@ -226,7 +219,7 @@ def _covered_runs(patterns) -> dict[int, tuple[int, int]]:
 
 
 # Each measure runs in two steps.  ``prepare`` does the per-piece work
-# once, interning the piece's key-relative events into a vocabulary that
+# once, interning the piece's key-relative profiles into a vocabulary that
 # every piece it will meet shares; ``compare`` scores two prepared pieces
 # against that vocabulary's distance table.
 
@@ -284,8 +277,8 @@ class _Lharp:
         _check_params(n_min=self.n_min, n_max=self.n_max)
 
     def prepare(self, timeline: Timeline, vocab: dict):
-        events = key_relative_events(timeline)
-        codes = intern(events, vocab)
+        codes = intern(key_relative_events(timeline), vocab)
+        events = [(chord, key) for _, chord, key in timeline.sounded()]
         patterns = extract_recurrent_patterns(events, self.n_min, self.n_max)
         return codes, [(p, tuple(codes[p.positions[0]:p.positions[0] + p.length]))
                        for p in patterns]

@@ -7,10 +7,10 @@ plus the circle-of-fifths distance between the chord roots, plus the
 number of level entries of the destination space missing from the source
 space, averaged over both directions.
 
-Each (chord, key) event is a ``Profile`` of 12-bit level masks.  Every
-comparison of event sequences interns its events to small integer codes
-and indexes one table of the distance of each distinct pair, which numpy
-fills from the profiles in one pass.
+Each (chord, key) event is a ``Profile`` of 12-bit level masks, which is
+all a distance reads.  Every comparison of event sequences interns the
+profiles to small integer codes and indexes one table of the distance of
+each distinct pair, which numpy fills from the profiles in one pass.
 """
 
 from __future__ import annotations
@@ -120,26 +120,32 @@ def chord_distance(x: Chord, kx: Key, y: Chord, ky: Key) -> float:
     return _FIFTHS[12 * p.tonic + q.tonic] + _FIFTHS[12 * p.root + q.root] + missing / 2
 
 
-def intern(events, vocab: dict) -> list[int]:
-    """Code each (chord, key) event by its position in ``vocab``, adding
-    events not seen before, so that equal events share one code."""
-    return [vocab.setdefault(event, len(vocab)) for event in events]
+def key_relative_profiles(events) -> list[Profile]:
+    """The profile of each (chord, key) event with the key's tonic moved to
+    C, the root and every level mask rotated down by the tonic: that of the
+    chord transposed down by the tonic, in C of the key's mode."""
+    profiles = [profile(chord, key) for chord, key in events]
+    moved = {p: Profile(0, (p.root - t) % 12, *((m >> t | m << 12 - t) & 0xFFF for m in p[2:]))
+             for p in set(profiles) for t in [p.tonic]}  # each distinct profile once
+    return [moved[p] for p in profiles]
+
+
+def intern(profiles, vocab: dict) -> list[int]:
+    """Code each profile by its position in ``vocab``, adding profiles not
+    seen before, so that equal profiles share one code."""
+    return [vocab.setdefault(p, len(vocab)) for p in profiles]
 
 
 def distance_table(vocab_a: dict, vocab_b: dict) -> list[list[float]]:
-    """``chord_distance`` from each event of one vocabulary (row, by
-    code) to each event of the other (column, by code), as Python floats,
-    filled by numpy from one profile per event.  Every value is a
+    """``chord_distance`` from each profile of one vocabulary (row, by
+    code) to each of the other (column, by code), as Python floats, filled
+    by numpy from the profiles that key them.  Every value is a
     half-integer, so the floats equal ``chord_distance``'s exactly."""
     import numpy as np  # here, as in similarity: imported with tps it cost every process 1.3 MB
 
-    def profiles(vocab):
-        return np.array([profile(*event) for event in vocab], dtype=np.intp).reshape(-1, 6)
-
     fifths = np.frombuffer(_FIFTHS, dtype=np.uint8).reshape(12, 12)
     popcount = np.frombuffer(_POPCOUNT, dtype=np.uint8)
-    a = profiles(vocab_a)
-    b = a if vocab_b is vocab_a else profiles(vocab_b)
+    a, b = (np.array(list(vocab), dtype=np.intp).reshape(-1, 6) for vocab in (vocab_a, vocab_b))
     twice = 2 * (fifths[a[:, 0]][:, b[:, 0]] + fifths[a[:, 1]][:, b[:, 1]])
     for level in range(2, 6):
         twice += popcount[a[:, level, None] ^ b[:, level]]

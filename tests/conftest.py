@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from harmory.harte import Chord, Degree, NO_CHORD, Natural, parse_chord
+from harmory.harte import Chord, Degree, NO_CHORD, Natural, parse_chord, transpose_chord
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline
 from harmory.tps import Key
 
@@ -27,6 +27,18 @@ def make_timeline(chords, key="C:maj", piece_id="piece", beat=1):
                    for i, c in enumerate(chords))
     span = KeySpan(Fraction(0), Fraction(len(chords) * beat), Key.from_string(key))
     return build_timeline(piece_id, events, (span,))
+
+
+def sounded_pairs(timeline):
+    """The (chord, key) pair of each sounded event of a timeline."""
+    return [(chord, key) for _, chord, key in timeline.sounded()]
+
+
+def transposed_to_c(events):
+    """(chord, key) events with each chord transposed down by its key's
+    tonic into the key of C of the same mode: the oracle of
+    ``tps.key_relative_profiles``, which builds no chord or key."""
+    return [(transpose_chord(chord, -key.tonic), Key(0, key.mode)) for chord, key in events]
 
 
 naturals = st.builds(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -49,6 +50,12 @@ def test_parse_reports_chord_anatomy(capsys):
     assert payload["pitch_classes"] == [2, 5, 7, 11]
     assert payload["bass_pitch_class"] == 11
     assert payload["canonical"] == "G:7/3"
+
+
+def test_parse_lists_degrees_as_sorted_strings(capsys):
+    code, out, _ = run(capsys, ["parse", "C:maj7(9,11)"])
+    assert code == 0
+    assert strict_json(out)["degrees"] == ["1", "11", "3", "5", "7", "9"]
 
 
 def test_parse_nochord(capsys):
@@ -386,6 +393,48 @@ def test_non_finite_segment_and_build_parameters_are_usage_errors_naming_the_fla
     assert (code, out) == (2, "")
     assert_usage_error_naming(err, command, flags[-2])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command in ("segment", "build")
+    for flag, value in (("--min-gap", "-5"), ("--min-len", "-3"), ("--min-len", "x"),
+                        ("--kernel-size", "3"), ("--kernel-size", "0"),
+                        ("--kernel-size", "-2"), ("--kernel-size", "2.0"))])
+def test_out_of_range_integer_segment_parameters_are_usage_errors_naming_the_flag(
+        capsys, tmp_path, command, flag, value):
+    corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj"] * 4 + ["G:maj"] * 4})
+    target = corpus / "a.chart" if command == "segment" else corpus
+    code, out, err = run(capsys, ["--out-dir", str(tmp_path / "out"), command, str(target),
+                                  f"{flag}={value}"])
+    assert (code, out) == (2, "")
+    *_, last = err.splitlines()
+    assert last.startswith(f"harmory {command}: error: argument {flag}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_smallest_integer_segment_parameters_are_accepted(capsys, tmp_path):
+    piece = write_corpus(tmp_path / "corpus", {"a": ["C:maj"] * 4 + ["G:maj"] * 4}) / "a.chart"
+    code, out, _ = run(capsys, ["--out-dir", str(tmp_path / "out"), "segment", str(piece),
+                                "--min-gap", "0", "--min-len", "0", "--kernel-size", "2"])
+    assert code == 0
+    params = strict_json(out)["params"]
+    assert (params["min_gap"], params["min_len"], params["kernel_size"]) == (0, 0, 2)
+
+
+def test_every_name_perfbench_wraps_resolves_in_harmory():
+    """perfbench/spans.py wraps harmory functions named by (module,
+    attribute), and perfbench/run.py replaces ``cli.build_memory``.  The
+    tables are read from the source, not imported, so nothing under
+    perfbench/ is written."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "spans.py").read_text())
+    tables = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("LAYERS", "PROBES")}
+    assert set(tables) == {"LAYERS", "PROBES"}
+    for name, (module, attrs) in [*tables["LAYERS"].items(), *tables["PROBES"].items()]:
+        for attr in (attrs,) if isinstance(attrs, str) else attrs:
+            assert callable(getattr(importlib.import_module(module), attr, None)), name
+    assert callable(cli.build_memory)
 
 
 @pytest.mark.parametrize("measure", ["dtw", "tpsd", "lharp"])

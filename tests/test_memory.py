@@ -39,9 +39,9 @@ from harmory.memory import (
     segment_to_timeline,
 )
 from harmory.segmentation import SegmentationParams, segment_timeline
-from harmory.similarity import dtw_align, dtw_lower_bounds, dtw_similarity, key_relative
+from harmory.similarity import dtw_align, dtw_lower_bounds, dtw_similarity
 from harmory.timeline import load_jams, transpose
-from harmory.tps import Key, distance_table, intern
+from harmory.tps import Key, distance_table, intern, key_relative_profiles
 from tests.conftest import chords, make_timeline, strict_json
 
 DATA = Path(__file__).parent / "data"
@@ -415,7 +415,8 @@ def test_medoid_counts_the_pairs_the_bound_prunes_inside_a_pattern():
     assert list(graph.patterns) == ["p2/seg/0"]
     assert len(graph.patterns["p2/seg/0"].members) == 5
     vocab = {}
-    codes = [intern(key_relative(segment.events()), vocab) for segment in graph.segments.values()]
+    codes = [intern(key_relative_profiles(segment.events()), vocab)
+             for segment in graph.segments.values()]
     bounds = dtw_lower_bounds(codes, distance_table(vocab, vocab))
     assert (np.exp(-bounds / 2.0) < 0.6).any()
     assert_same_exports(graph, exhaustive_memory(corpus, params, 0.6, 0.6, 2.0))

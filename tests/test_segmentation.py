@@ -119,14 +119,15 @@ def test_ssm_symmetric_unit_diagonal_in_range():
 
 
 def test_ssm_costs_each_distinct_event_pair_once(monkeypatch):
-    # One profile per distinct event, one table over them, and no scalar
-    # chord_distance call: the 48 x 48 matrix is gathered from a 4 x 4 table.
-    profiled, scalar = [], []
-    profile = tps.profile
+    # One profile computed per distinct event, one table over those four
+    # profiles, and no scalar chord_distance call: the 48 x 48 matrix is
+    # gathered from a 4 x 4 table.
+    tables, scalar = [], []
+    distance_table = segmentation.distance_table
 
-    def counting_profile(*args):
-        profiled.append(args)
-        return profile(*args)
+    def counting_table(rows, cols):
+        tables.append((list(rows), list(cols)))
+        return distance_table(rows, cols)
 
     def counting_distance(*args):
         scalar.append(args)
@@ -134,11 +135,14 @@ def test_ssm_costs_each_distinct_event_pair_once(monkeypatch):
 
     for module in (tps, segmentation):
         monkeypatch.setattr(module, "chord_distance", counting_distance, raising=False)
-    monkeypatch.setattr(tps, "profile", counting_profile)
+    monkeypatch.setattr(segmentation, "distance_table", counting_table)
     symbols = ["C:maj", "G:7", "A:min", "F:maj"]
+    tps.profile.cache_clear()
     ssm = build_ssm(make_timeline([symbols[i % 4] for i in range(48)]))
     assert ssm.size == 48
-    assert [chord for chord, _ in profiled] == [parse_chord(s) for s in symbols]
+    assert tps.profile.cache_info().misses == 4
+    profiles = [tps.profile(parse_chord(s), Key.from_string("C:maj")) for s in symbols]
+    assert tables == [(profiles, profiles)]
     assert scalar == []
 
 

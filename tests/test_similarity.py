@@ -34,8 +34,8 @@ from harmory.similarity import (
 from harmory.timeline import (ChordEvent, EmptyTimelineError, KeySpan, Timeline,
                               build_timeline, encode_tps, transpose)
 from harmory.tps import Key, chord_distance, distance_table, fifths_distance, intern, \
-    key_relative_value
-from tests.conftest import chords, cover_corpus, make_timeline
+    key_relative_value, profile
+from tests.conftest import chords, cover_corpus, make_timeline, sounded_pairs, transposed_to_c
 
 tps_keys = st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"]))
 
@@ -52,7 +52,7 @@ def random_pair(rng):
 
 
 def cell_matrix(a, b):
-    ea, eb = key_relative_events(a), key_relative_events(b)
+    ea, eb = transposed_to_c(sounded_pairs(a)), transposed_to_c(sounded_pairs(b))
     return [[chord_distance(x[0], x[1], y[0], y[1]) for y in eb] for x in ea]
 
 
@@ -87,7 +87,7 @@ def oracle_tpsd_raw(a, b):
 
 
 def oracle_windows(timeline, n):
-    events = key_relative_events(timeline)
+    events = transposed_to_c(sounded_pairs(timeline))
     values = [key_relative_value(c, k) for c, k in events]
     roots = [c.root.pitch_class for c, _ in events]
     windows: dict[tuple, list[int]] = {}
@@ -149,7 +149,7 @@ def test_dtw_path_is_valid_and_cost_consistent():
 @settings(max_examples=150, deadline=None)
 def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data):
     vocab = {}
-    intern(events, vocab)
+    intern([profile(*event) for event in events], vocab)
     table = distance_table(vocab, vocab)
     codes = st.lists(st.integers(0, len(vocab) - 1), min_size=1, max_size=7)
     sequences = data.draw(st.lists(codes, min_size=1, max_size=4))
@@ -224,7 +224,7 @@ def test_tpsd_unequal_lengths_use_longer_denominator():
 
 def test_patterns_worked_example():
     tl = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj"])
-    patterns = extract_recurrent_patterns(key_relative_events(tl), 2, 2)
+    patterns = extract_recurrent_patterns(sounded_pairs(tl), 2, 2)
     assert len(patterns) == 1
     assert patterns[0].positions == (0, 2)
     assert patterns[0].length == 2
@@ -232,14 +232,14 @@ def test_patterns_worked_example():
 
 def test_patterns_uniform_sequence():
     tl = make_timeline(["C:maj"] * 4)
-    patterns = extract_recurrent_patterns(key_relative_events(tl), 2, 2)
+    patterns = extract_recurrent_patterns(sounded_pairs(tl), 2, 2)
     assert len(patterns) == 1
     assert patterns[0].positions == (0, 1, 2)
 
 
 def test_patterns_no_repeats():
     tl = make_timeline(["C:maj", "G:maj", "A:min", "F:maj"])
-    assert extract_recurrent_patterns(key_relative_events(tl), 2, 4) == []
+    assert extract_recurrent_patterns(sounded_pairs(tl), 2, 4) == []
 
 
 def test_patterns_match_window_oracle():
@@ -250,15 +250,28 @@ def test_patterns_match_window_oracle():
         for n in (2, 3):
             expected = oracle_windows(tl, n)
             got = {p.key: p.positions
-                   for p in extract_recurrent_patterns(key_relative_events(tl), n, n)}
+                   for p in extract_recurrent_patterns(sounded_pairs(tl), n, n)}
             assert got == expected
+
+
+@given(st.lists(st.tuples(st.sampled_from(POOL[:3]), st.sampled_from(KEYS[:3])),
+                min_size=2, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_patterns_of_modulating_pieces_match_window_oracle(pairs):
+    # Each event under its own key: a step between roots under different
+    # keys is taken between the roots relative to their tonics.
+    tl = events_timeline([(parse_chord(c), Key.from_string(k)) for c, k in pairs])
+    for n in (2, 3):
+        got = {p.key: p.positions
+               for p in extract_recurrent_patterns(sounded_pairs(tl), n, n)}
+        assert got == oracle_windows(tl, n)
 
 
 def test_patterns_transposition_invariant_keys():
     tl = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj"])
     for n in range(12):
-        moved = extract_recurrent_patterns(key_relative_events(transpose(tl, n)), 2, 2)
-        base = extract_recurrent_patterns(key_relative_events(tl), 2, 2)
+        moved = extract_recurrent_patterns(sounded_pairs(transpose(tl, n)), 2, 2)
+        base = extract_recurrent_patterns(sounded_pairs(tl), 2, 2)
         assert [(p.key, p.positions) for p in moved] \
             == [(p.key, p.positions) for p in base]
 
@@ -266,9 +279,9 @@ def test_patterns_transposition_invariant_keys():
 def test_patterns_validation():
     tl = make_timeline(["C:maj", "G:maj"])
     with pytest.raises(ValueError):
-        extract_recurrent_patterns(key_relative_events(tl), 1, 4)
+        extract_recurrent_patterns(sounded_pairs(tl), 1, 4)
     with pytest.raises(ValueError):
-        extract_recurrent_patterns(key_relative_events(tl), 3, 2)
+        extract_recurrent_patterns(sounded_pairs(tl), 3, 2)
 
 
 def test_lharp_worked_example():
@@ -323,7 +336,7 @@ def test_lharp_step_costs_are_key_relative_distances_along_each_path():
     for a, b in pairs:
         regions = lharp(a, b).local_regions
         assert regions and all(any(r.step_costs) for r in regions)
-        ea, eb = key_relative_events(a), key_relative_events(b)
+        ea, eb = transposed_to_c(sounded_pairs(a)), transposed_to_c(sounded_pairs(b))
         for region in regions:
             sub_a = ea[slice(*region.interval_a)]
             sub_b = eb[slice(*region.interval_b)]

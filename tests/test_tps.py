@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmory.harte import NO_CHORD, NoChordError, parse_chord, pitch_class_set, transpose_chord
@@ -23,7 +23,7 @@ from harmory.tps import (
     key_relative_value,
     profile,
 )
-from tests.conftest import chords
+from tests.conftest import chords, transposed_to_c
 
 MAJOR = Key.from_string("C:maj")
 LEVELS = ("root_level", "fifth_level", "chord_level", "diatonic_level")
@@ -243,12 +243,12 @@ def test_directed_cache_is_bounded():
     assert tps.profile.cache_info().currsize <= maxsize
 
 
-def test_distance_table_indexes_interned_events():
+def test_distance_table_indexes_interned_profiles():
     events = [(parse_chord(s), Key.from_string(k)) for s, k in
               [("C:maj", "C:maj"), ("G:7", "C:maj"), ("C:maj", "C:maj"), ("C:maj", "A:min")]]
     vocab_a, vocab_b = {}, {}
-    codes_a = tps.intern(events, vocab_a)
-    codes_b = tps.intern(events[::-1], vocab_b)
+    codes_a = tps.intern([profile(*event) for event in events], vocab_a)
+    codes_b = tps.intern([profile(*event) for event in events[::-1]], vocab_b)
     assert codes_a == [0, 1, 0, 2]
     assert codes_b == [0, 1, 2, 1]
     table = tps.distance_table(vocab_a, vocab_b)
@@ -261,20 +261,22 @@ def test_distance_table_indexes_interned_events():
        st.lists(sounded_events, min_size=1, max_size=12))
 @settings(max_examples=200)
 def test_distance_table_equals_scalar_and_oracle_distances(events_a, events_b):
-    vocab_a, vocab_b = {}, {}
-    tps.intern(events_a, vocab_a)
-    tps.intern(events_b, vocab_b)
-    for rows, cols in ((vocab_a, vocab_a), (vocab_a, vocab_b), (vocab_b, vocab_a)):
-        table = tps.distance_table(rows, cols)
-        assert len(table) == len(rows)
-        for (x, kx), i in rows.items():
-            assert len(table[i]) == len(cols)
-            for (y, ky), j in cols.items():
+    sides = []
+    for events in (events_a, events_b):
+        vocab = {}
+        sides.append((events, tps.intern([profile(*event) for event in events], vocab), vocab))
+    a, b = sides
+    for (rows, row_codes, row_vocab), (cols, col_codes, col_vocab) in ((a, a), (a, b), (b, a)):
+        table = tps.distance_table(row_vocab, col_vocab)
+        assert len(table) == len(row_vocab)
+        assert all(len(row) == len(col_vocab) for row in table)
+        for (x, kx), i in zip(rows, row_codes):
+            for (y, ky), j in zip(cols, col_codes):
                 assert type(table[i][j]) is float
                 assert table[i][j] == chord_distance(x, kx, y, ky) == oracle_distance(x, kx, y, ky)
 
 
-def test_distance_table_profiles_each_event_once_and_makes_no_scalar_calls(monkeypatch):
+def test_distance_table_calls_neither_profile_nor_chord_distance(monkeypatch):
     profiled, scalar = [], []
 
     def counting_profile(*args):
@@ -288,31 +290,38 @@ def test_distance_table_profiles_each_event_once_and_makes_no_scalar_calls(monke
     events = [(parse_chord(s), Key.from_string(k)) for s, k in
               [("C:maj", "C:maj"), ("G:7", "C:maj"), ("A:min", "A:min"), ("F:maj", "C:maj"),
                ("C:maj", "C:maj"), ("G:7", "C:maj")]]
+    others = [(parse_chord("Db:min"), Key.from_string("E:maj"))] + events[:2]
     vocab, other = {}, {}
-    tps.intern(events, vocab)
-    tps.intern([(parse_chord("Db:min"), Key.from_string("E:maj"))] + events[:2], other)
+    codes = tps.intern([profile(*event) for event in events], vocab)
+    other_codes = tps.intern([profile(*event) for event in others], other)
+    assert (len(vocab), len(other)) == (4, 3)
     monkeypatch.setattr(tps, "profile", counting_profile)
     monkeypatch.setattr(tps, "chord_distance", counting_distance)
     square = tps.distance_table(vocab, vocab)
-    assert profiled == list(vocab) and len(profiled) == 4
-    profiled.clear()
     rectangle = tps.distance_table(vocab, other)
-    assert profiled == [*vocab, *other] and len(profiled) == 4 + 3
-    assert scalar == []
-    for (x, kx), i in vocab.items():
-        for (y, ky), j in vocab.items():
+    assert profiled == [] and scalar == []
+    for (x, kx), i in zip(events, codes):
+        for (y, ky), j in zip(events, codes):
             assert square[i][j] == chord_distance(x, kx, y, ky)
-        for (y, ky), j in other.items():
+        for (y, ky), j in zip(others, other_codes):
             assert rectangle[i][j] == chord_distance(x, kx, y, ky)
 
 
-@pytest.mark.parametrize("side", ["rows", "columns"])
-def test_distance_table_rejects_nochord_in_either_vocabulary(side):
-    vocab, with_nochord = {}, {}
-    tps.intern([(parse_chord("C:maj"), MAJOR)], vocab)
-    tps.intern([(parse_chord("G:7"), MAJOR), (NO_CHORD, MAJOR)], with_nochord)
-    pair = (with_nochord, vocab) if side == "rows" else (vocab, with_nochord)
+def test_key_relative_profiles_reject_nochord():
+    # A no-chord has no profile, so no vocabulary can hold one.
     with pytest.raises(NoChordError):
-        tps.distance_table(*pair)
-    with pytest.raises(NoChordError):
-        tps.distance_table(with_nochord, with_nochord)
+        tps.key_relative_profiles([(parse_chord("G:7"), MAJOR), (NO_CHORD, MAJOR)])
+
+
+@given(st.lists(chords(), min_size=1, max_size=4))
+@example([parse_chord(s) for s in ("Cbb:min7/b3", "B##:maj/5", "F#:(3,b7)", "Ebb:sus4(b7)/4",
+                                   "Db:dim7/bb7", "E:min(*5)")])
+@settings(max_examples=100)
+def test_key_relative_profiles_equal_the_profiles_of_the_chords_moved_to_c(chord_list):
+    # Every tonic and both modes, for chords with multi-accidental roots,
+    # inversions and altered or missing fifths.
+    events = [(chord, Key(tonic, mode)) for chord in chord_list
+              for tonic in range(12) for mode in ("major", "minor")]
+    expected = [profile(chord, key) for chord, key in transposed_to_c(events)]
+    assert tps.key_relative_profiles(events) == expected
+    assert tps.key_relative_profiles(iter(events)) == expected
