@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from harmory.harte import Chord, Degree, natural_for_pitch_class
-from harmory.similarity import MEASURES, corpus_similarity_matrix
+from harmory.similarity import (MEASURES, corpus_similarity_matrix,
+                                extract_recurrent_patterns)
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, encode_tps
 from harmory.tps import Key
 
@@ -145,10 +146,12 @@ def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, measure: str = "
     )
 
 
-def comparison_counts(a: Timeline, b: Timeline, measure: str,
-                      band: int | None = None) -> int:
+def comparison_counts(a: Timeline, b: Timeline, measure: str, band: int | None = None,
+                      n_min: int = 2, n_max: int = 4) -> int:
     """Exact number of elementary comparisons a measure performs: for
-    dtw, the cells its kernel fills, |i - j| <= max(band, |n - m|)."""
+    dtw, the cells its kernel fills, |i - j| <= max(band, |n - m|); for
+    tpsd, the beat-grid lengths multiplied; for lharp, the pattern pairs
+    it bounds, the recurrent patterns of a times those of b."""
     if measure == "dtw":
         n, m = len(a.sounded()), len(b.sounded())
         if band is None:
@@ -159,41 +162,48 @@ def comparison_counts(a: Timeline, b: Timeline, measure: str,
         la = len(encode_tps(a, "beat").values)
         lb = len(encode_tps(b, "beat").values)
         return la * lb
+    if measure == "lharp":
+        pa, pb = (extract_recurrent_patterns([(chord, key) for _, chord, key in tl.sounded()],
+                                             n_min, n_max) for tl in (a, b))
+        return len(pa) * len(pb)
     raise ValueError(f"no comparison count model for measure {measure!r}")
 
 
 def benchmark_measures(corpus: list[Timeline], measures=("dtw", "tpsd"),
                        repetitions: int = 5, params: dict | None = None) -> dict:
     """Median wall-clock per pair over >= 3 repetitions of the full
-    pairwise matrix, plus exact per-pair comparison counts."""
+    pairwise matrix, plus exact per-pair comparison counts.  Every
+    measure is checked, and its pairs counted, before the first timing."""
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions: {repetitions}")
     if len(corpus) < 2:
         raise ValueError("benchmark needs at least two pieces")
-    pairs = [(i, j) for i in range(len(corpus)) for j in range(i + 1, len(corpus))]
-    report: dict = {"pieces": len(corpus), "pairs": len(pairs),
-                    "repetitions": repetitions, "measures": {}}
     for measure in measures:
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
+    kwargs = params or {}
+    counted = {name: kwargs[name] for name in ("band", "n_min", "n_max") if name in kwargs}
+    pairs = [(a, b) for i, a in enumerate(corpus) for b in corpus[i + 1:]]
+    counts = {measure: [[a.id, b.id, comparison_counts(a, b, measure, **counted)]
+                        for a, b in pairs]
+              for measure in measures}
+    report: dict = {"pieces": len(corpus), "pairs": len(pairs),
+                    "repetitions": repetitions, "measures": {}}
+    for measure in measures:
         func = MEASURES[measure]
-        kwargs = params or {}
         timings = []
         for _ in range(repetitions):
             begin = time.perf_counter()
-            for i, j in pairs:
-                func(corpus[i], corpus[j], **kwargs)
+            for a, b in pairs:
+                func(a, b, **kwargs)
             timings.append(time.perf_counter() - begin)
-        counts = [[corpus[i].id, corpus[j].id,
-                   comparison_counts(corpus[i], corpus[j], measure, kwargs.get("band"))]
-                  for i, j in pairs]
         report["measures"][measure] = {
             "median_seconds_per_pair": statistics.median(timings) / len(pairs),
             "seconds_total_min": min(timings),
             "seconds_total_median": statistics.median(timings),
             "seconds_total_max": max(timings),
-            "comparisons_total": sum(row[2] for row in counts),
-            "comparisons_per_pair": counts,
+            "comparisons_total": sum(row[2] for row in counts[measure]),
+            "comparisons_per_pair": counts[measure],
         }
     return report
 

@@ -139,7 +139,7 @@ def build_memory(corpus: list[Timeline],
         for seg_id in ordered}
     distinct = list(sequences)
     table = distance_table(vocab, vocab)
-    bounds = dtw_lower_bounds(distinct, table).tolist()
+    bounds = dtw_lower_bounds(distinct, distinct, table).tolist()
     warped: dict[tuple[int, int], float] = {}
 
     def score(a: str, b: str) -> float:

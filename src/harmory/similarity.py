@@ -17,7 +17,7 @@ invariant under transposition of either piece.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, inf
 from operator import sub
@@ -141,32 +141,53 @@ def _backtrack(acc, n: int, m: int, up_first: bool) -> tuple[list[tuple[int, int
     return path, tied
 
 
-def dtw_lower_bounds(sequences: list, table: list[list[float]]):
-    """``lb[x, y] <= _dtw(sequences[x], sequences[y], table=table).normalized_cost``
-    for every pair, as a numpy matrix, for a symmetric table such as
-    ``distance_table(vocab, vocab)``.
+def dtw_lower_bounds(rows: list, columns: list, table: list[list[float]]):
+    """``lb[x, y] <= _dtw(rows[x], columns[y], table=table).normalized_cost``
+    for every pair, as a numpy matrix (empty when either side is).
 
     A warping path visits every row and every column and both corner
     cells (one cell when both sequences have one code), and it has at most
-    n + m - 1 steps.  So ``lb`` is the largest of the summed row minima,
-    the summed column minima (the row sums' transpose, since the table is
-    symmetric) and the corner costs, over n + m - 1.  This is the
-    cascading LB_Kim / LB_Keogh idea of Rakthanmanon et al. (KDD 2012).
-    Table entries are half-integers, so every sum is exact in float64.
+    n + m - 1 steps.  So ``lb`` is the largest of the summed row minima
+    (each code of ``rows[x]`` at its cheapest cell to ``columns[y]``), the
+    summed column minima and the corner costs, over n + m - 1.  This is
+    the cascading LB_Kim / LB_Keogh idea of Rakthanmanon et al. (KDD 2012).
+    Table entries are half-integers, so every sum is exact in float64, and
+    ``lb > t`` proves ``normalized_cost > t``.
     """
     import numpy as np
 
-    grid = np.array(table)
-    lengths = np.array([len(seq) for seq in sequences])
-    # nearest[y, c]: the cheapest cell from code c to a code of sequence y;
-    # rows[x, y]: the summed row minima, each code of x at its nearest in y.
-    nearest = np.array([grid[:, list(seq)].min(axis=1) for seq in sequences])
-    rows = np.array([nearest[:, list(seq)].sum(axis=1) for seq in sequences])
-    first = np.array([seq[0] for seq in sequences])
-    last = np.array([seq[-1] for seq in sequences])
-    one_cell = np.outer(lengths == 1, lengths == 1)
-    corners = grid[first[:, None], first] + np.where(one_cell, 0.0, grid[last[:, None], last])
-    return np.maximum(np.maximum(rows, rows.T), corners) / (lengths[:, None] + lengths - 1)
+    if not rows or not columns:
+        return np.zeros((len(rows), len(columns)))
+    size = len(table)
+    # Code ``size`` pads the sequences to one width: every cell to it costs
+    # inf, so it is never the cheapest, and its summed minimum is 0.
+    grid = np.full((size + 1, size + 1), inf)
+    grid[:size, :size] = table
+
+    def padded(sequences):
+        """The codes, a padded sequence a row, and the sequences' lengths."""
+        width = max(map(len, sequences))
+        return (np.array([[*seq, *[size] * (width - len(seq))] for seq in sequences]),
+                np.array([len(seq) for seq in sequences]))
+
+    def summed_minima(codes, others, cells):
+        """``out[x, y]``: the sum over the codes of ``codes[x]`` of the
+        cheapest ``cells`` entry to a code of ``others[y]``."""
+        nearest = cells[:, others[:, 0]]
+        for k in range(1, others.shape[1]):
+            np.minimum(nearest, cells[:, others[:, k]], out=nearest)
+        nearest[size] = 0.0
+        total = nearest[codes[:, 0]]
+        for k in range(1, codes.shape[1]):
+            total += nearest[codes[:, k]]
+        return total
+
+    (rc, n), (cc, m) = padded(rows), padded(columns)
+    first = grid[rc[:, :1], cc[:, 0]]
+    last = grid[rc[np.arange(len(rc)), n - 1][:, None], cc[np.arange(len(cc)), m - 1]]
+    corners = first + np.where((n == 1)[:, None] & (m == 1), 0.0, last)
+    summed = np.maximum(summed_minima(rc, cc, grid), summed_minima(cc, rc, grid.T).T)
+    return np.maximum(summed, corners) / (n[:, None] + m - 1)
 
 
 def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
@@ -268,10 +289,6 @@ class _Lharp:
     tau: float = 1.0
     n_min: int = 2
     n_max: int = 4
-    # Whether two patterns' code slices agree, filled as pairs are
-    # compared.  Codes mean the same only within one vocabulary, so an
-    # instance serves one vocabulary, and lives as long as it does.
-    agrees: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         _check_params(n_min=self.n_min, n_max=self.n_max)
@@ -285,14 +302,13 @@ class _Lharp:
 
     def compare(self, a, b, table) -> SimilarityReport:
         (ca, patterns_a), (cb, patterns_b) = a, b
+        # Only a pattern pair whose bound is within tau can agree.
+        bounds = dtw_lower_bounds([s for _, s in patterns_a], [s for _, s in patterns_b], table)
         agreeing = []
-        for p, slice_a in patterns_a:
-            for q, slice_b in patterns_b:
-                key = (slice_a, slice_b)
-                if key not in self.agrees:
-                    self.agrees[key] = _dtw(*key, table=table).normalized_cost <= self.tau
-                if self.agrees[key]:
-                    agreeing.append((p, q))
+        for x, y in zip(*(bounds <= self.tau).nonzero()):
+            (p, slice_a), (q, slice_b) = patterns_a[x], patterns_b[y]
+            if _dtw(slice_a, slice_b, table=table).normalized_cost <= self.tau:
+                agreeing.append((p, q))
         runs_a = _covered_runs({p for p, _ in agreeing})
         runs_b = _covered_runs({q for _, q in agreeing})
         coverage_a, coverage_b = Fraction(len(runs_a), len(ca)), Fraction(len(runs_b), len(cb))
@@ -381,6 +397,8 @@ def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
             prepared.append(steps.prepare(timeline, vocab))
         except Exception as err:  # reported with the first pair holding the piece
             prepared.append(err)
+    if len(prepared) == 1 and isinstance(prepared[0], Exception):
+        raise prepared[0]  # no pair holds the piece
     table = distance_table(vocab, vocab)
     n = len(corpus)
     matrix = np.eye(n)

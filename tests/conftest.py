@@ -131,3 +131,32 @@ def cover_corpus() -> list[Timeline]:
 
     return [load_jams(cover_jams(piece_id, beat, sections))
             for piece_id, _, beat, sections in COVER_CORPUS]
+
+
+def exhaustive_lharp(a, b, tau=1.0, n_min=2, n_max=4):
+    """``similarity.lharp`` with every pattern pair warped and no bound
+    consulted: the reference the bounded skip must reproduce exactly."""
+    from harmory.similarity import (LocalRegion, SimilarityReport, _covered_runs, _dtw,
+                                    _Lharp)
+    from harmory.tps import distance_table
+
+    steps, vocab = _Lharp(tau, n_min, n_max), {}
+    (ca, patterns_a), (cb, patterns_b) = steps.prepare(a, vocab), steps.prepare(b, vocab)
+    table = distance_table(vocab, vocab)
+    agreeing = [(p, q) for p, slice_a in patterns_a for q, slice_b in patterns_b
+                if _dtw(slice_a, slice_b, table=table).normalized_cost <= tau]
+    runs_a = _covered_runs({p for p, _ in agreeing})
+    runs_b = _covered_runs({q for _, q in agreeing})
+    coverage_a, coverage_b = Fraction(len(runs_a), len(ca)), Fraction(len(runs_b), len(cb))
+    raw = (2 * coverage_a * coverage_b / (coverage_a + coverage_b)
+           if coverage_a and coverage_b else Fraction(0))
+    regions = []
+    for run_a, run_b in sorted({(runs_a[p.positions[0]], runs_b[q.positions[0]])
+                                for p, q in agreeing}):
+        region_a, region_b = ca[run_a[0]:run_a[1]], cb[run_b[0]:run_b[1]]
+        path = _dtw(region_a, region_b, table=table).path
+        regions.append(LocalRegion(run_a, run_b,
+                                   tuple(table[region_a[i]][region_b[j]] for i, j in path)))
+    return SimilarityReport(measure="lharp", score=float(raw), raw=float(raw),
+                            params={"tau": tau, "n_min": n_min, "n_max": n_max},
+                            local_regions=tuple(regions))

@@ -1,0 +1,89 @@
+"""The committed BENCH_<n>.json records and the script that writes them.
+
+Only the schema is checked: keys, units, numeric types, the numbering
+and each ratio's consistency with the file before.  No timing is.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import re
+from numbers import Real
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+RECORDS = sorted(((int(m.group(1)), path) for path in ROOT.glob("BENCH_*.json")
+                  if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))))
+RUN_KEYS = {"seed", "trace", "correct", "attempted", "failed", "problems", "detail", "metrics"}
+
+
+def number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def test_bench_files_are_numbered_from_one_without_gaps():
+    assert RECORDS, "no BENCH_*.json committed"
+    assert [n for n, _ in RECORDS] == list(range(1, len(RECORDS) + 1))
+
+
+@pytest.mark.parametrize("n, path", RECORDS, ids=[path.name for _, path in RECORDS])
+def test_bench_file_schema(n, path):
+    record = json.loads(path.read_text())
+    previous = json.loads(RECORDS[n - 2][1].read_text())["workloads"] if n > 1 else None
+    assert set(record) == {"n", "commit", "nproc", "python", "numpy", "src_lines", "seeds",
+                           "trace_seed", "run_seconds", "workloads"}
+    assert record["n"] == n
+    assert re.fullmatch(r"[0-9a-f]{40}", record["commit"])
+    assert isinstance(record["nproc"], int) and record["nproc"] >= 1
+    for name in ("python", "numpy"):
+        assert re.fullmatch(r"\d+\.\d+\.\d+\S*", record[name])
+    assert isinstance(record["src_lines"], int) and record["src_lines"] > 0
+    seeds = record["seeds"]
+    assert len(seeds) >= 3 and all(isinstance(seed, int) for seed in seeds)
+    assert record["trace_seed"] in seeds
+    assert record["run_seconds"] == SPEC["run_seconds"]
+    assert set(record["workloads"]) == {w["name"] for w in SPEC["workloads"]}
+    for workload, entry in record["workloads"].items():
+        assert set(entry) == {"metrics", "per_layer", "runs", "traced_run"}
+        for kind, field, names in (("metrics", "median", SPEC["end_to_end"]),
+                                   ("per_layer", "value", SPEC["per_layer"])):
+            assert set(entry[kind]) == {metric["name"] for metric in names}
+            for metric in names:
+                got = entry[kind][metric["name"]]
+                assert (got["unit"], got["better"]) == (metric["unit"], metric["better"])
+                assert number(got[field])
+                base = previous[workload][kind][metric["name"]][field] if previous else 0
+                if base:
+                    assert got["ratio"] == pytest.approx(got[field] / base)
+                else:
+                    assert got["ratio"] is None
+                if kind == "metrics":
+                    assert set(got) == {"unit", "better", "median", "iqr", "values", "ratio"}
+                    assert number(got["iqr"]) and got["iqr"] >= 0
+                    assert len(got["values"]) == len(seeds)
+                    assert all(map(number, got["values"]))
+                else:
+                    assert set(got) == {"unit", "better", "value", "ratio"}
+        runs = entry["runs"]
+        assert [run["seed"] for run in runs] == seeds
+        for run in [*runs, entry["traced_run"]]:
+            assert set(run) == RUN_KEYS
+            assert isinstance(run["correct"], bool)
+            assert all(isinstance(run[name], int) for name in ("attempted", "failed"))
+            assert all(map(number, run["metrics"].values()))
+        assert [run["trace"] for run in runs] == [0] * len(seeds)
+        traced = entry["traced_run"]
+        assert (traced["seed"], traced["trace"]) == (record["trace_seed"], 1)
+
+
+def test_record_script_imports_nothing_from_harmory():
+    tree = ast.parse((ROOT / "scripts" / "record_bench.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m.split(".")[0] == "harmory"]

@@ -263,6 +263,15 @@ def test_bench_synthetic_report(capsys):
     assert set(report["measures"]) == {"dtw", "tpsd"}
 
 
+def test_bench_counts_lharp_pattern_pairs(capsys):
+    code, out, _ = run(capsys, [
+        "bench", "--synthetic", "--synthetic-pieces", "3", "--synthetic-beats", "32",
+        "--measures", "lharp", "--repetitions", "3"])
+    assert code == 0
+    stats = strict_json(out)["measures"]["lharp"]
+    assert stats["comparisons_total"] == sum(row[2] for row in stats["comparisons_per_pair"])
+
+
 def test_bench_without_corpus_is_a_usage_error(capsys):
     code, _, err = run(capsys, ["bench"])
     assert code == 2
@@ -447,3 +456,11 @@ def test_piece_without_a_sounded_chord_is_a_usage_error_naming_the_pair(capsys, 
         code, out, err = run(capsys, command + ["--measure", measure])
         assert (code, out) == (2, ""), command
         assert err == "error: a vs b: b: no sounded events\n", command
+
+
+@pytest.mark.parametrize("measure", ["dtw", "tpsd", "lharp"])
+def test_matrix_of_one_piece_without_a_sounded_chord_is_a_usage_error(capsys, tmp_path,
+                                                                      measure):
+    corpus = write_corpus(tmp_path / "corpus", {"b": ["N", "N"]})
+    code, out, err = run(capsys, ["matrix", str(corpus), "--measure", measure])
+    assert (code, out, err) == (2, "", "error: b: no sounded events\n")

@@ -25,10 +25,10 @@ from harmory.evaluation import (
     synthetic_corpus,
 )
 from harmory.harte import parse_chord, pitch_class_set, render_chord
-from harmory.similarity import corpus_similarity_matrix
+from harmory.similarity import MEASURES, corpus_similarity_matrix, extract_recurrent_patterns
 from harmory.timeline import Timeline, encode_tps, transpose
 from harmory.tps import Key
-from tests.conftest import make_timeline, strict_json
+from tests.conftest import make_timeline, sounded_pairs, strict_json
 
 
 def cliques_csv(rows):
@@ -182,10 +182,21 @@ def test_comparison_counts_tpsd():
     assert comparison_counts(a, b, "tpsd") == la * lb == 4 * 9
 
 
+def test_comparison_counts_lharp_are_the_pattern_pairs_it_bounds():
+    a = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj", "A:min"], piece_id="a")
+    b = make_timeline(["F:maj", "C:maj", "F:maj", "C:maj", "F:maj", "C:maj"], piece_id="b")
+    for n_min, n_max in [(2, 2), (2, 4), (3, 5)]:
+        la, lb = (len(extract_recurrent_patterns(sounded_pairs(tl), n_min, n_max))
+                  for tl in (a, b))
+        assert comparison_counts(a, b, "lharp", n_min=n_min, n_max=n_max) == la * lb
+    # a repeats C-G; b repeats F-C, C-F, F-C-F, C-F-C and F-C-F-C.
+    assert comparison_counts(a, b, "lharp") == 1 * 5
+
+
 def test_comparison_counts_unknown_measure():
     a = make_timeline(["C:maj"])
     with pytest.raises(ValueError):
-        comparison_counts(a, a, "lharp")
+        comparison_counts(a, a, "nope")
 
 
 def test_benchmark_report_shape():
@@ -206,6 +217,27 @@ def test_benchmark_report_shape():
             assert count == comparison_counts(
                 next(t for t in corpus if t.id == ida),
                 next(t for t in corpus if t.id == idb), measure)
+
+
+def test_benchmark_counts_lharp_pattern_pairs_with_its_params():
+    corpus = synthetic_corpus(3, 32)
+    report = benchmark_measures(corpus, measures=("lharp",), repetitions=3,
+                                params={"n_min": 2, "n_max": 3})
+    stats = report["measures"]["lharp"]
+    assert stats["comparisons_total"] > 0
+    for ida, idb, count in stats["comparisons_per_pair"]:
+        a, b = (next(t for t in corpus if t.id == i) for i in (ida, idb))
+        assert count == comparison_counts(a, b, "lharp", n_min=2, n_max=3)
+
+
+def test_benchmark_checks_every_count_model_before_the_first_timing(monkeypatch):
+    timed = []
+    monkeypatch.setitem(MEASURES, "dtw", lambda a, b: timed.append("dtw"))
+    monkeypatch.setitem(MEASURES, "uncounted", lambda a, b: timed.append("uncounted"))
+    with pytest.raises(ValueError, match="no comparison count model for measure 'uncounted'"):
+        benchmark_measures(synthetic_corpus(2, 16), measures=("dtw", "uncounted"),
+                           repetitions=3)
+    assert timed == []
 
 
 def test_benchmark_validations():

@@ -417,7 +417,7 @@ def test_medoid_counts_the_pairs_the_bound_prunes_inside_a_pattern():
     vocab = {}
     codes = [intern(key_relative_profiles(segment.events()), vocab)
              for segment in graph.segments.values()]
-    bounds = dtw_lower_bounds(codes, distance_table(vocab, vocab))
+    bounds = dtw_lower_bounds(codes, codes, distance_table(vocab, vocab))
     assert (np.exp(-bounds / 2.0) < 0.6).any()
     assert_same_exports(graph, exhaustive_memory(corpus, params, 0.6, 0.6, 2.0))
 

@@ -35,7 +35,8 @@ from harmory.timeline import (ChordEvent, EmptyTimelineError, KeySpan, Timeline,
                               build_timeline, encode_tps, transpose)
 from harmory.tps import Key, chord_distance, distance_table, fifths_distance, intern, \
     key_relative_value, profile
-from tests.conftest import chords, cover_corpus, make_timeline, sounded_pairs, transposed_to_c
+from tests.conftest import (chords, cover_corpus, exhaustive_lharp, make_timeline, sounded_pairs,
+                            transposed_to_c)
 
 tps_keys = st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"]))
 
@@ -152,10 +153,12 @@ def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data):
     intern([profile(*event) for event in events], vocab)
     table = distance_table(vocab, vocab)
     codes = st.lists(st.integers(0, len(vocab) - 1), min_size=1, max_size=7)
-    sequences = data.draw(st.lists(codes, min_size=1, max_size=4))
-    bounds = dtw_lower_bounds(sequences, table)
-    for x, a in enumerate(sequences):
-        for y, b in enumerate(sequences):
+    rows = data.draw(st.lists(codes, min_size=0, max_size=4))
+    columns = data.draw(st.lists(codes, min_size=0, max_size=5))
+    bounds = dtw_lower_bounds(rows, columns, table)
+    assert bounds.shape == (len(rows), len(columns))
+    for x, a in enumerate(rows):
+        for y, b in enumerate(columns):
             cost = _dtw(a, b, table=table).normalized_cost
             assert bounds[x, y] <= cost
             if len(a) == len(b) == 1:  # one cell: the bound is the cost
@@ -344,6 +347,58 @@ def test_lharp_step_costs_are_key_relative_distances_along_each_path():
             path = dtw_align(events_timeline(sub_a), events_timeline(sub_b)).path
             assert region.step_costs == tuple(cells[i][j] for i, j in path)
             assert sum(region.step_costs) == oracle_enumerate(cells)
+
+
+modulating_events = st.lists(st.tuples(st.sampled_from(POOL[:4]), st.sampled_from(KEYS[:3])),
+                             min_size=0, max_size=6)
+
+
+@given(motif=modulating_events.filter(lambda events: len(events) >= 2),
+       a=st.tuples(modulating_events, st.integers(1, 3), modulating_events),
+       b=st.tuples(modulating_events, st.integers(1, 3), modulating_events),
+       tau=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5, 100.0]),
+       n_min=st.integers(2, 3), extra=st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_bounded_lharp_equals_warping_every_pattern_pair(motif, a, b, tau, n_min, extra):
+    """Skipping the pattern pairs whose lower bound exceeds tau changes
+    nothing: score, raw and every local region match the reference.
+    Each piece repeats one shared motif between its own events, so that
+    patterns recur within and agree across the two."""
+    ta, tb = (events_timeline([(parse_chord(c), Key.from_string(k))
+                               for c, k in before + motif * repeats + after])
+              for before, repeats, after in (a, b))
+    assert lharp(ta, tb, tau, n_min, n_min + extra) \
+        == exhaustive_lharp(ta, tb, tau, n_min, n_min + extra)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 2.5])
+def test_lharp_matrix_warps_only_the_pattern_pairs_its_bound_admits(monkeypatch, tau):
+    import harmory.similarity as similarity
+    from harmory.evaluation import comparison_counts
+
+    bounded, warped = {}, []
+
+    def recording_bounds(rows, columns, table):
+        bounds = dtw_lower_bounds(rows, columns, table)
+        bounded.update(((r, c), bounds[x, y]) for x, r in enumerate(rows)
+                       for y, c in enumerate(columns))
+        return bounds
+
+    def counting_dtw(ca, cb, band=None, *, table):
+        # Pattern slices are tuples; the regions warped after them are lists.
+        if isinstance(ca, tuple):
+            warped.append((ca, cb))
+        return _dtw(ca, cb, band, table=table)
+
+    monkeypatch.setattr(similarity, "dtw_lower_bounds", recording_bounds)
+    monkeypatch.setattr(similarity, "_dtw", counting_dtw)
+    corpus = matrix_corpus()
+    _, matrix = corpus_similarity_matrix(corpus, "lharp", {"tau": tau})
+    pattern_pairs = sum(comparison_counts(a, b, "lharp")
+                        for i, a in enumerate(corpus) for b in corpus[i + 1:])
+    assert matrix.sum() > len(corpus)  # some patterns agree
+    assert 0 < len(warped) < pattern_pairs
+    assert all(bounded[pair] <= tau for pair in warped)
 
 
 def test_measure_symmetry():
