@@ -9,7 +9,9 @@ reports excepted).  Output formats are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -302,7 +304,14 @@ def cmd_matrix(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("parse", "dist", "encode", "segment", "sim", "matrix", "build", "query",
+            "eval-covers", "bench")
+
+
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The parser with the subcommands named in ``commands``, added in the
+    order of ``COMMANDS``; each subcommand's arguments, help and usage are
+    the same whichever others are added."""
     parser = argparse.ArgumentParser(
         prog="harmory",
         description="Symbolic harmonic similarity and the harmonic memory graph.")
@@ -310,79 +319,106 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default=".", help="directory for file outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse a chord symbol to JSON")
-    p.add_argument("chord")
-    p.set_defaults(func=cmd_parse)
+    def command(name, func, help_text):
+        """The subparser of ``name``; None when it is not in ``commands``."""
+        if name not in commands:
+            return None
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("dist", help="Tonal Pitch Space distance between two chords")
-    p.add_argument("chord_a")
-    p.add_argument("chord_b")
-    p.add_argument("--key", help="governing key, e.g. C:maj (estimated when omitted)")
-    p.set_defaults(func=cmd_dist)
+    if p := command("parse", cmd_parse, "parse a chord symbol to JSON"):
+        p.add_argument("chord")
 
-    p = sub.add_parser("encode", help="encode a piece as a TPS series CSV")
-    p.add_argument("piece")
-    p.add_argument("--grid", choices=("event", "beat"), default="event")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_encode)
+    if p := command("dist", cmd_dist, "Tonal Pitch Space distance between two chords"):
+        p.add_argument("chord_a")
+        p.add_argument("chord_b")
+        p.add_argument("--key", help="governing key, e.g. C:maj (estimated when omitted)")
 
-    p = sub.add_parser("segment", help="segment a piece; writes SSM/novelty/boundaries")
-    p.add_argument("piece")
-    _add_seg_arguments(p)
-    p.set_defaults(func=cmd_segment)
+    if p := command("encode", cmd_encode, "encode a piece as a TPS series CSV"):
+        p.add_argument("piece")
+        p.add_argument("--grid", choices=("event", "beat"), default="event")
+        p.add_argument("--out")
 
-    p = sub.add_parser("sim", help="similarity report for two pieces")
-    p.add_argument("piece_a")
-    p.add_argument("piece_b")
-    _add_measure_arguments(p)
-    p.set_defaults(func=cmd_sim)
+    if p := command("segment", cmd_segment, "segment a piece; writes SSM/novelty/boundaries"):
+        p.add_argument("piece")
+        _add_seg_arguments(p)
 
-    p = sub.add_parser("matrix", help="pairwise similarity matrix CSV for a corpus")
-    p.add_argument("corpus")
-    _add_measure_arguments(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_matrix)
+    if p := command("sim", cmd_sim, "similarity report for two pieces"):
+        p.add_argument("piece_a")
+        p.add_argument("piece_b")
+        _add_measure_arguments(p)
 
-    p = sub.add_parser("build", help="build the harmonic memory graph from a corpus")
-    p.add_argument("corpus")
-    _add_seg_arguments(p)
-    p.add_argument("--theta-sim", type=finite_float, default=0.6)
-    p.add_argument("--theta-merge", type=finite_float, default=0.9)
-    _add_workers_argument(p)
-    p.set_defaults(func=cmd_build_graph)
+    if p := command("matrix", cmd_matrix, "pairwise similarity matrix CSV for a corpus"):
+        p.add_argument("corpus")
+        _add_measure_arguments(p)
+        p.add_argument("--out")
 
-    p = sub.add_parser("query", help="query a memory graph with a chord progression")
-    p.add_argument("graph", help="path to an exported .nt graph")
-    p.add_argument("progression", help="space-separated chord symbols")
-    p.add_argument("--key", help="query key, e.g. C:maj (estimated when omitted)")
-    p.add_argument("-k", type=int, default=5)
-    p.set_defaults(func=cmd_query)
+    if p := command("build", cmd_build_graph, "build the harmonic memory graph from a corpus"):
+        p.add_argument("corpus")
+        _add_seg_arguments(p)
+        p.add_argument("--theta-sim", type=finite_float, default=0.6)
+        p.add_argument("--theta-merge", type=finite_float, default=0.9)
+        _add_workers_argument(p)
 
-    p = sub.add_parser("eval-covers", help="cover-identification metrics for a corpus")
-    p.add_argument("corpus")
-    p.add_argument("cliques", help="CSV with header piece_id,clique_id")
-    _add_measure_arguments(p)
-    _add_workers_argument(p)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_eval_covers)
+    if p := command("query", cmd_query, "query a memory graph with a chord progression"):
+        p.add_argument("graph", help="path to an exported .nt graph")
+        p.add_argument("progression", help="space-separated chord symbols")
+        p.add_argument("--key", help="query key, e.g. C:maj (estimated when omitted)")
+        p.add_argument("-k", type=int, default=5)
 
-    p = sub.add_parser("bench", help="wall-clock and comparison-count benchmark")
-    p.add_argument("corpus", nargs="?")
-    p.add_argument("--measures", default="dtw,tpsd")
-    p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--synthetic", action="store_true",
-                   help="benchmark the built-in synthetic corpus")
-    p.add_argument("--synthetic-pieces", type=int, default=16)
-    p.add_argument("--synthetic-beats", type=int, default=256)
-    p.set_defaults(func=cmd_bench)
+    if p := command("eval-covers", cmd_eval_covers, "cover-identification metrics for a corpus"):
+        p.add_argument("corpus")
+        p.add_argument("cliques", help="CSV with header piece_id,clique_id")
+        _add_measure_arguments(p)
+        _add_workers_argument(p)
+        p.add_argument("--format", choices=("json", "table"), default="json")
+
+    if p := command("bench", cmd_bench, "wall-clock and comparison-count benchmark"):
+        p.add_argument("corpus", nargs="?")
+        p.add_argument("--measures", default="dtw,tpsd")
+        p.add_argument("--repetitions", type=int, default=5)
+        p.add_argument("--synthetic", action="store_true",
+                       help="benchmark the built-in synthetic corpus")
+        p.add_argument("--synthetic-pieces", type=int, default=16)
+        p.add_argument("--synthetic-beats", type=int, default=256)
 
     return parser
 
 
+def _named_command(argv: list[str]) -> str | None:
+    """The command of ``argv`` when only ``--quiet`` and ``--out-dir``,
+    spelled out in full, come before it; None otherwise."""
+    i = 0
+    while i < len(argv) and (argv[i] in ("--quiet", "--out-dir")
+                             or argv[i].startswith("--out-dir=")):
+        i += 2 if argv[i] == "--out-dir" else 1
+    return argv[i] if i < len(argv) and argv[i] in COMMANDS else None
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv`` as a parser with every subcommand does, printing the
+    same help and errors and raising the same ``SystemExit``.
+
+    When ``argv`` names its command after only the global options, a parser
+    with just that subcommand is built.  Its errors are discarded and the
+    full parser reports them, because a top-level usage message lists every
+    command."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = _named_command(argv)
+    if command is not None:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                return build_parser((command,)).parse_args(argv)
+        except SystemExit as exit_:
+            if not exit_.code:  # help was printed
+                raise
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exit_:
         return int(exit_.code or 0)
     logging.basicConfig(format="%(message)s",

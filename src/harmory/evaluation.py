@@ -10,6 +10,7 @@ the first relevant candidate.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import random
@@ -173,15 +174,20 @@ def benchmark_measures(corpus: list[Timeline], measures=("dtw", "tpsd"),
                        repetitions: int = 5, params: dict | None = None) -> dict:
     """Median wall-clock per pair over >= 3 repetitions of the full
     pairwise matrix, plus exact per-pair comparison counts.  Every
-    measure is checked, and its pairs counted, before the first timing."""
+    measure is checked, against every key of ``params`` too, and its
+    pairs counted, before the first timing."""
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions: {repetitions}")
     if len(corpus) < 2:
         raise ValueError("benchmark needs at least two pieces")
+    kwargs = params or {}
     for measure in measures:
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
-    kwargs = params or {}
+        accepted = list(inspect.signature(MEASURES[measure]).parameters)[2:]  # after a, b
+        for name in kwargs:
+            if name not in accepted:
+                raise ValueError(f"measure {measure!r} takes no parameter {name!r}")
     counted = {name: kwargs[name] for name in ("band", "n_min", "n_max") if name in kwargs}
     pairs = [(a, b) for i, a in enumerate(corpus) for b in corpus[i + 1:]]
     counts = {measure: [[a.id, b.id, comparison_counts(a, b, measure, **counted)]

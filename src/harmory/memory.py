@@ -189,13 +189,16 @@ def _literal(text: str) -> str:
     return f'"{escaped}"'
 
 
-def chord_sequence(segment: Segment) -> str:
-    return " ".join(render_chord(chord) for chord in segment.chords)
+def chord_sequence(segment: Segment, render) -> str:
+    """The segment's chords, each written by ``render``: the caller's
+    ``cache(render_chord)``, so that each distinct chord is rendered once."""
+    return " ".join(map(render, segment.chords))
 
 
 def export_ntriples(graph: MemoryGraph) -> bytes:
     """Serialize to sorted N-Triples; byte-identical across runs."""
     lines = []
+    render = cache(render_chord)  # each distinct chord once, for this export only
     for piece in graph.pieces.values():
         for seg_id in piece.segment_ids:
             lines.append(f"{_uri(piece.id)} <{BASE}hasSegment> {_uri(seg_id)} .")
@@ -206,7 +209,7 @@ def export_ntriples(graph: MemoryGraph) -> bytes:
             lines.append(f"{_uri(member)} <{BASE}instanceOf> {_uri(pattern.medoid)} .")
     for segment in graph.segments.values():
         lines.append(f"{_uri(segment.id)} <{BASE}chordSequence> "
-                     f"{_literal(chord_sequence(segment))} .")
+                     f"{_literal(chord_sequence(segment, render))} .")
         lines.append(f"{_uri(segment.id)} <{BASE}keySequence> "
                      f"{_literal(' '.join(map(str, segment.keys)))} .")
     for a, b, weight in graph.similar:
@@ -279,7 +282,8 @@ def import_ntriples(data: bytes) -> MemoryGraph:
             raise GraphFormatError(f"line {lineno}: unknown predicate {predicate!r}")
     pieces: dict[str, PieceInfo] = {}
     segments: dict[str, Segment] = {}
-    parse = cache(parse_chord)  # each distinct chord token once, for this import only
+    # Each distinct chord and key token is parsed once, for this import only.
+    parse, parse_key = cache(parse_chord), cache(Key.from_string)
     for piece_id in sorted(has_segment):
         ordered = sorted(has_segment[piece_id])
         pieces[piece_id] = PieceInfo(piece_id, None, None,
@@ -291,7 +295,7 @@ def import_ntriples(data: bytes) -> MemoryGraph:
                     raise GraphFormatError(f"segment {seg_id}: missing {name}")
             try:
                 chords = tuple(map(parse, sequences[seg_id].split()))
-                keys = tuple(Key.from_string(token) for token in key_sequences[seg_id].split())
+                keys = tuple(map(parse_key, key_sequences[seg_id].split()))
             except ValueError as err:
                 raise GraphFormatError(f"segment {seg_id}: {err}") from err
             if not chords or len(keys) != len(chords) \
@@ -323,13 +327,14 @@ def import_ntriples(data: bytes) -> MemoryGraph:
 def export_json(graph: MemoryGraph) -> str:
     """JSON dump with nodes and edges arrays in stable order."""
     nodes = []
+    render = cache(render_chord)  # each distinct chord once, for this export only
     for piece_id in sorted(graph.pieces):
         piece = graph.pieces[piece_id]
         nodes.append({"id": piece_id, "type": "piece",
                       "title": piece.title, "artist": piece.artist})
     for seg_id in sorted(graph.segments):
         nodes.append({"id": seg_id, "type": "segment",
-                      "chords": chord_sequence(graph.segments[seg_id])})
+                      "chords": chord_sequence(graph.segments[seg_id], render)})
     for pattern_id in sorted(graph.patterns):
         nodes.append({"id": pattern_id, "type": "pattern",
                       "members": list(graph.patterns[pattern_id].members)})
@@ -371,7 +376,8 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     scores = {pattern_id: exp(-_dtw(probe, codes[pattern_id], table=table).normalized_cost
                               / scale) for pattern_id in medoids}
     top = sorted(scores, key=lambda pattern_id: (-scores[pattern_id], pattern_id))[:query.k]
-    return [(pattern_id, scores[pattern_id], chord_sequence(medoids[pattern_id]))
+    render = cache(render_chord)  # each distinct chord once, for this query only
+    return [(pattern_id, scores[pattern_id], chord_sequence(medoids[pattern_id], render))
             for pattern_id in top]
 
 

@@ -153,12 +153,15 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _to_fraction(value, context: str) -> Fraction:
-    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    # JSON integers and ASCII-decimal tokens skip Fraction's string parser;
+    # int() stays inside the try, as it rejects tokens of over 4,300 digits.
+    whole = type(value) is int or isinstance(value, str) and value.isascii() and value.isdigit()
+    exponent = _EXPONENT.search(value) if isinstance(value, str) and not whole else None
     digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
     if len(digits) > 3 or int(digits or 0) > 308:
         raise SchemaError(f"{context}: time exponent beyond ±308 in {value!r:.40}")
     try:
-        return Fraction(str(value) if isinstance(value, float) else value)
+        return Fraction(int(value) if whole else str(value) if isinstance(value, float) else value)
     except (ValueError, TypeError, ZeroDivisionError) as err:
         raise SchemaError(f"{context}: bad time value {value!r}") from err
 
@@ -317,12 +320,12 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     start = timeline.events[0].start
     # An event starts at or before beat b exactly when ceil(its offset) <= b.
     first_beats = [ceil(e.start - start) for e in timeline.events]
-    held, i, grid_values = value_at[sounded[0][0]], 0, []
+    held, i, grid_values, one = value_at[sounded[0][0]], 0, [], Fraction(1)
     for beat in range(int(timeline.end - start)):  # floor of the total span
         while i + 1 < len(first_beats) and first_beats[i + 1] <= beat:
             i += 1
         held = value_at.get(i, held)
-        grid_values.append((held, Fraction(1)))
+        grid_values.append((held, one))
     if not grid_values:
         raise EmptyTimelineError(f"{timeline.id}: shorter than one beat")
     return TpsSeries(tuple(grid_values))

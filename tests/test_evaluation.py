@@ -9,6 +9,7 @@ rank 2.
 
 from __future__ import annotations
 
+import functools
 import random
 from math import inf
 
@@ -238,6 +239,24 @@ def test_benchmark_checks_every_count_model_before_the_first_timing(monkeypatch)
         benchmark_measures(synthetic_corpus(2, 16), measures=("dtw", "uncounted"),
                            repetitions=3)
     assert timed == []
+
+
+def test_benchmark_rejects_a_parameter_a_measure_does_not_take_before_any_call(monkeypatch):
+    import harmory.evaluation as evaluation
+
+    called = []
+    for name, measure in list(MEASURES.items()):
+        monkeypatch.setitem(MEASURES, name, functools.wraps(measure)(
+            lambda *args, _name=name, **kwargs: called.append(_name)))
+    monkeypatch.setattr(evaluation, "comparison_counts",
+                        lambda *args, **kwargs: called.append("count") or 0)
+    with pytest.raises(ValueError, match="^measure 'lharp' takes no parameter 'band'$"):
+        benchmark_measures(synthetic_corpus(4, 64), ("dtw", "lharp"), 3, {"band": 1})
+    with pytest.raises(ValueError, match="^measure 'tpsd' takes no parameter 'tau'$"):
+        benchmark_measures(synthetic_corpus(2, 16), ("tpsd",), 3, {"scale": 2.0, "tau": 1.0})
+    assert called == []
+    benchmark_measures(synthetic_corpus(2, 16), ("dtw", "tpsd"), 3, {"scale": 2.0})
+    assert called.count("dtw") == called.count("tpsd") == 3
 
 
 def test_benchmark_validations():

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmory.memory as memory
-from harmory.harte import parse_chord
+from harmory.harte import parse_chord, render_chord
 from harmory.memory import (
     EmptyCorpusError,
     EmptyQueryError,
@@ -211,6 +211,51 @@ def test_import_parses_each_distinct_chord_token_once(monkeypatch):
         import_ntriples(with_bad_token)
     monkeypatch.undo()
     assert graph.segments == import_ntriples(data).segments
+
+
+def test_import_parses_each_distinct_key_token_once(monkeypatch):
+    data = (DATA / "memory_golden.nt").read_bytes()
+    tokens = [token for line in data.decode().splitlines() if "keySequence" in line
+              for token in line.split('"')[1].split()]
+    parsed = []
+    from_string = Key.from_string
+
+    def counting(cls, token):
+        parsed.append(token)
+        return from_string(token)
+
+    monkeypatch.setattr(Key, "from_string", classmethod(counting))
+    graph = import_ntriples(data)
+    assert len(tokens) > len(set(tokens))
+    assert sorted(parsed) == sorted(set(tokens))
+    with_bad_token = data.replace(b'"C:maj C:maj C:maj C:maj"', b'"C:maj C:maj H:maj C:maj"', 1)
+    with pytest.raises(GraphFormatError, match="^segment alpha/seg/0: position 0: expected note letter"):
+        import_ntriples(with_bad_token)
+    monkeypatch.undo()
+    assert graph.segments == import_ntriples(data).segments
+
+
+def test_exports_and_queries_render_each_distinct_chord_once(monkeypatch):
+    graph = build_memory(fixture_corpus() + [modulating_piece()], PARAMS)
+    distinct = {chord for segment in graph.segments.values() for chord in segment.chords}
+    expected = (export_ntriples(graph), export_json(graph),
+                query_similar(graph, PatternQuery(chords=(parse_chord("C:maj"),), k=9)))
+    rendered = []
+
+    def counting(chord):
+        rendered.append(chord)
+        return render_chord(chord)
+
+    monkeypatch.setattr(memory, "render_chord", counting)
+    for call in (lambda: export_ntriples(graph), lambda: export_json(graph)):
+        rendered.clear()
+        call()
+        assert sorted(map(render_chord, rendered)) == sorted(map(render_chord, distinct))
+    rendered.clear()
+    results = query_similar(graph, PatternQuery(chords=(parse_chord("C:maj"),), k=9))
+    assert len(rendered) == len(set(rendered)) < sum(
+        len(graph.segments[pattern_id].chords) for pattern_id, _, _ in results)
+    assert (export_ntriples(graph), export_json(graph), results) == expected
 
 
 def test_import_keeps_keys_that_change_inside_a_segment():

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmory.harte import ChordSyntaxError, parse_chord
+from harmory.cli import main
 from harmory.timeline import (
+    MAX_SPAN_BEATS,
     ChordEvent,
     EmptyTimelineError,
     KeySpan,
@@ -25,6 +27,7 @@ from harmory.timeline import (
     load_jams,
     transpose,
     write_chart,
+    _to_fraction,
 )
 from harmory.tps import Key, key_relative_value
 from tests.conftest import make_timeline
@@ -175,6 +178,59 @@ def test_load_jams_rejects_string_time_exponent_beyond_a_json_number():
     doc["annotations"][0]["data"][1]["time"] = "1e309"
     with pytest.raises(SchemaError, match="observation 1: time exponent beyond ±308"):
         load_jams(json.dumps(doc))
+
+
+# Decimal digits of ASCII, Arabic-Indic and Devanagari: Fraction reads all of them.
+DIGITS = "0123456789" + "\u0660\u0663\u0669" + "\u0966\u0969"
+
+
+@given(st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+", "-"]),
+              st.text(DIGITS, min_size=1, max_size=24),
+              st.sampled_from(["", " ", "\n"])).map("".join),
+    st.integers(-10**30, 10**30),
+    st.booleans()))
+def test_whole_times_read_as_fraction_reads_them(token):
+    """ASCII-decimal tokens and JSON integers take a fast path; leading
+    zeros, signs, spaces, other decimal digits and bool take the string
+    path.  Both give ``Fraction(token)``."""
+    assert _to_fraction(token, "ctx") == Fraction(token)
+
+
+@pytest.mark.parametrize("token", ["\u00b2", "3\u00b2", "9" * 5000])
+def test_digits_that_int_cannot_read_are_bad_time_values(token):
+    """'²'.isdigit() is true but no decimal digit; int() also refuses a
+    token of more than 4,300 digits."""
+    with pytest.raises(SchemaError, match=r"^ctx: bad time value "):
+        _to_fraction(token, "ctx")
+
+
+def test_a_superscript_time_exits_2(capsys, tmp_path):
+    piece = tmp_path / "p.chart"
+    piece.write_text("0 1 C:maj\n\u00b2 1 G:maj\n", encoding="utf-8")
+    assert main(["encode", str(piece)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: line 2: bad time value '\u00b2'\n")
+
+
+def test_time_bound_messages_are_unchanged():
+    with pytest.raises(SchemaError) as info:
+        load_chart("0 1e309 C:maj\n")
+    assert str(info.value) == "line 1: time exponent beyond \u00b1308 in '1e309'"
+    doc = json.loads(JAMS_FIXTURE)
+    doc["annotations"][0]["data"][1]["duration"] = "4E+0_400"
+    with pytest.raises(SchemaError) as info:
+        load_jams(json.dumps(doc))
+    assert str(info.value) == "fixture-01: observation 1: time exponent beyond \u00b1308 in '4E+0_400'"
+    for whole in (MAX_SPAN_BEATS + 1, 10**400):
+        with pytest.raises(SchemaError) as info:
+            load_chart(f"0 {whole} C:maj\n", "p")
+        assert str(info.value) == "p: spans more than 1048576 beats"
+        doc["annotations"][0]["data"][1]["duration"] = whole
+        with pytest.raises(SchemaError) as info:
+            load_jams(json.dumps(doc))
+        assert str(info.value) == "fixture-01: spans more than 1048576 beats"
+    assert load_chart(f"0 {MAX_SPAN_BEATS} C:maj\n").end == MAX_SPAN_BEATS
 
 
 def test_loaders_parse_each_distinct_chord_token_once(monkeypatch):
