@@ -28,11 +28,16 @@ def eighty_columns(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
 
 
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's subparser in the parser with every subcommand."""
+    action, = (action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return action.choices
+
+
 def test_a_golden_help_text_for_each_command():
     assert sorted(path.stem for path in HELP.iterdir()) == sorted(["harmory", *cli.COMMANDS])
-    subparsers, = (action for action in cli.build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction))
-    assert tuple(subparsers.choices) == cli.COMMANDS
+    assert tuple(subparsers()) == cli.COMMANDS
 
 
 @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
@@ -51,9 +56,7 @@ BAD_VALUES = {cli.finite_float: "nan", cli.non_negative_int: "-1", cli.kernel_si
 def bad_value_argvs():
     """For each command, its positionals and one typed or choice flag with a
     bad value, once as two tokens and once as ``--flag=value``."""
-    subparsers, = (action for action in cli.build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction))
-    for name, parser in subparsers.choices.items():
+    for name, parser in subparsers().items():
         positionals = [action.dest for action in parser._actions
                        if not action.option_strings and action.nargs is None]
         for action in parser._actions:
