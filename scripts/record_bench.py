@@ -13,6 +13,11 @@ per-layer value carries its ratio to the same entry of BENCH_<n-1>.json
 in the output directory (null when there is none).  `n` is one more
 than the largest recorded so far.
 
+It also runs `harmory bench --synthetic` three times from the checkout
+and keeps, under `pairwise`, each run's median seconds per pair of dtw
+and of tpsd and their ratio.  Acceptance criterion 5 needs dtw's pair to
+be the faster, so every ratio above 1 is the margin it holds by.
+
 This script imports nothing from harmory: it measures the checkout only
 through the benchmark's own command line.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -47,6 +53,25 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
             "attempted": result["attempted"], "failed": result["failed"],
             "problems": meta["problems"], "detail": described["detail"],
             "metrics": {name: entry["value"] for name, entry in result["metrics"].items()}}, meta
+
+
+def pairwise(checkout: Path, runs: int = 3) -> dict:
+    """Each `harmory bench --synthetic` run's median seconds per pair of
+    dtw and of tpsd, and tpsd's over dtw's."""
+    command = [sys.executable, "-m", "harmory", "bench", "--synthetic"]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    record: dict[str, list[float]] = {"dtw": [], "tpsd": [], "tpsd_over_dtw": []}
+    for _ in range(runs):
+        done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
+        if done.returncode:
+            raise SystemExit(f"error: {' '.join(command)} exited {done.returncode}:\n"
+                             f"{done.stderr}")
+        measures = json.loads(done.stdout)["measures"]
+        dtw, tpsd = (measures[name]["median_seconds_per_pair"] for name in ("dtw", "tpsd"))
+        record["dtw"].append(dtw)
+        record["tpsd"].append(tpsd)
+        record["tpsd_over_dtw"].append(tpsd / dtw)
+    return record
 
 
 def iqr(values: list[float]) -> float:
@@ -121,7 +146,7 @@ def main(argv=None) -> int:
     record = {"n": n, "commit": commit, "nproc": meta["nproc"], "python": meta["python"],
               "numpy": version("numpy"), "src_lines": meta["src_lines"],
               "seeds": list(SEEDS), "trace_seed": SEEDS[0], "run_seconds": seconds,
-              "workloads": workloads}
+              "workloads": workloads, "pairwise": pairwise(checkout)}
     path = args.out / f"BENCH_{n}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(path)

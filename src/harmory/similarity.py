@@ -5,7 +5,8 @@ Three measures share the [0, 1] score convention (1 means identical):
 * ``dtw``   dynamic time warping over the event grid, cell cost = Tonal
   Pitch Space distance, score = exp(-normalized_cost / scale);
 * ``tpsd``  the classic beat-grid profile distance: minimum over cyclic
-  shifts of the mean absolute difference of key-relative values;
+  shifts of the mean absolute difference of key-relative values, in
+  exact numpy over blocks of shifts;
 * ``lharp`` shared recurrent-pattern coverage, scored by the harmonic
   mean of the two pieces' covered fractions.
 
@@ -20,13 +21,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, inf
-from operator import sub
 
 from harmory.timeline import EmptyTimelineError, Timeline, encode_tps
 from harmory.tps import (Profile, distance_table, fifths_distance, intern,
                          key_relative_profiles, key_relative_values)
 
 DEFAULT_SCALE = 5.0
+# tpsd scores its shifts in blocks of at most this many float64 cells
+# (128 KB): larger temporaries ran several times slower per cell.
+_TPSD_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -89,27 +92,24 @@ def _dtw(ca: list[int], cb: list[int], band: int | None = None, *,
     """Warp two event code sequences; cell (i, j) costs
     ``table[ca[i]][cb[j]]``."""
     n, m = len(ca), len(cb)
-    width = None if band is None else max(band, abs(n - m))
+    width = max(n, m) if band is None else max(band, abs(n - m))
     acc = [[inf] * m for _ in range(n)]
-    for i in range(n):
-        row = acc[i]
-        above = acc[i - 1] if i else None
-        costs = table[ca[i]]
-        for j in range(m):
-            if width is not None and abs(i - j) > width:
-                continue
-            c = costs[cb[j]]
-            if i == 0 and j == 0:
-                row[j] = c
-                continue
-            best = inf
-            if i and j and above[j - 1] < best:
-                best = above[j - 1]
-            if i and above[j] < best:
-                best = above[j]
-            if j and row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = c + best
+    # Row i fills only the band's cells lo <= j < hi; the rest stay inf.
+    row, total, costs = acc[0], 0.0, table[ca[0]]
+    for j in range(min(m, width + 1)):
+        total += costs[cb[j]]
+        row[j] = total
+    for i in range(1, n):
+        above, row, costs = acc[i - 1], acc[i], table[ca[i]]
+        lo, hi = max(0, i - width), min(m, i + width + 1)
+        left, diag = inf, above[lo - 1] if lo else inf
+        for j in range(lo, hi):
+            up = above[j]
+            best = diag if diag < up else up
+            if left < best:
+                best = left
+            left = row[j] = costs[cb[j]] + best
+            diag = up
     # Where up and left tie, trace back both ways and keep the shorter path:
     # the two tie rules mirror each other, so its length does not depend on
     # the argument order.
@@ -269,17 +269,24 @@ class _Tpsd:
     def __post_init__(self):
         _check_params(self.scale)
 
-    def prepare(self, timeline: Timeline, vocab: dict) -> list[float]:
-        return [v for v, _ in encode_tps(timeline, "beat").values]
+    def prepare(self, timeline: Timeline, vocab: dict):
+        import numpy as np
 
-    def compare(self, va: list[float], vb: list[float], table) -> SimilarityReport:
+        return np.array([v for v, _ in encode_tps(timeline, "beat").values])
+
+    def compare(self, va, vb, table) -> SimilarityReport:
+        import numpy as np
+
         short, long_ = (va, vb) if len(va) <= len(vb) else (vb, va)
-        length = len(long_)
-        # Shift s pairs long_[t] with short[(t + s) % len(short)].
-        tiled = short * (length // len(short) + 2)
-        best = min(sum(map(abs, map(sub, long_, tiled[shift:shift + length])))
-                   for shift in range(len(short)))
-        raw = best / length
+        n, length = len(short), len(long_)
+        # Row s of the windows pairs long_[t] with short[(t + s) % n].  The
+        # values are half-integers, so every sum is exact in any order.
+        tiled = np.tile(short, length // n + 2)
+        shifts = np.lib.stride_tricks.sliding_window_view(tiled, length)[:n]
+        rows = max(1, _TPSD_BLOCK_CELLS // length)
+        best = min(np.abs(shifts[s:s + rows] - long_).sum(axis=1).min()
+                   for s in range(0, n, rows))
+        raw = float(best) / length
         return SimilarityReport(measure="tpsd", score=exp(-raw / self.scale), raw=raw,
                                 params={"scale": self.scale})
 
@@ -351,7 +358,8 @@ def dtw_similarity(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE,
 
 def tpsd(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE) -> SimilarityReport:
     """Beat-grid profile distance, minimized over cyclic shifts of the
-    shorter series (which is repeated to the longer length)."""
+    shorter series (which is repeated to the longer length), in exact
+    numpy over blocks of shifts, since the values are half-integers."""
     steps = _Tpsd(scale)
     return steps.compare(*_prepared(steps, a, b))
 

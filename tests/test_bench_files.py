@@ -34,8 +34,10 @@ def test_bench_files_are_numbered_from_one_without_gaps():
 def test_bench_file_schema(n, path):
     record = json.loads(path.read_text())
     previous = json.loads(RECORDS[n - 2][1].read_text())["workloads"] if n > 1 else None
+    # From BENCH_4 on, a record also holds the pairwise timings of criterion 5.
     assert set(record) == {"n", "commit", "nproc", "python", "numpy", "src_lines", "seeds",
-                           "trace_seed", "run_seconds", "workloads"}
+                           "trace_seed", "run_seconds", "workloads",
+                           *(["pairwise"] if n >= 4 else [])}
     assert record["n"] == n
     assert re.fullmatch(r"[0-9a-f]{40}", record["commit"])
     assert isinstance(record["nproc"], int) and record["nproc"] >= 1
@@ -78,6 +80,15 @@ def test_bench_file_schema(n, path):
         assert [run["trace"] for run in runs] == [0] * len(seeds)
         traced = entry["traced_run"]
         assert (traced["seed"], traced["trace"]) == (record["trace_seed"], 1)
+    if n >= 4:
+        timed = record["pairwise"]
+        assert set(timed) == {"dtw", "tpsd", "tpsd_over_dtw"}
+        assert len(timed["dtw"]) >= 3
+        for name in ("dtw", "tpsd"):
+            assert len(timed[name]) == len(timed["dtw"])
+            assert all(number(value) and value > 0 for value in timed[name])
+        assert timed["tpsd_over_dtw"] == pytest.approx(
+            [tpsd / dtw for dtw, tpsd in zip(timed["dtw"], timed["tpsd"])])
 
 
 def test_record_script_imports_nothing_from_harmory():

@@ -1,8 +1,10 @@
 """Similarity measures: warping, profile distance, pattern coverage.
 
 Oracles: oracle_enumerate walks every monotone warping path (no dynamic
-programming, no pruning); oracle_tpsd_raw recomputes the cyclic-shift
-minimum with numpy; oracle_windows re-derives pattern n-grams with a
+programming, no pruning); oracle_dtw fills the warping recurrence cell by
+cell, testing every neighbour of every cell; oracle_tpsd_raw recomputes
+the cyclic-shift minimum with numpy and oracle_tpsd_shifts with a Python
+loop over the shifts; oracle_windows re-derives pattern n-grams with a
 plain dictionary.
 """
 
@@ -11,15 +13,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import exp, inf
+from operator import sub
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import harmory.similarity as similarity
 from harmory.harte import parse_chord
 from harmory.similarity import (
     MEASURES,
+    Alignment,
+    _Tpsd,
+    _backtrack,
     _dtw,
     corpus_similarity_matrix,
     dtw_align,
@@ -85,6 +92,49 @@ def oracle_tpsd_raw(a, b):
     return min(
         float(np.abs(long_ - np.resize(np.roll(short, -s), len(long_))).mean())
         for s in range(len(short)))
+
+
+def oracle_tpsd_shifts(va, vb):
+    """The least summed absolute difference over the cyclic shifts of the
+    shorter series, one shift at a time in Python."""
+    short, long_ = (va, vb) if len(va) <= len(vb) else (vb, va)
+    length = len(long_)
+    # Shift s pairs long_[t] with short[(t + s) % len(short)].
+    tiled = short * (length // len(short) + 2)
+    return min(sum(map(abs, map(sub, long_, tiled[shift:shift + length])))
+               for shift in range(len(short)))
+
+
+def oracle_dtw(ca, cb, band=None, *, table):
+    """The warping recurrence cell by cell: every cell of the band takes
+    its cost plus the cheapest of its diagonal, upper and left neighbours."""
+    n, m = len(ca), len(cb)
+    width = None if band is None else max(band, abs(n - m))
+    acc = [[inf] * m for _ in range(n)]
+    for i in range(n):
+        row = acc[i]
+        above = acc[i - 1] if i else None
+        costs = table[ca[i]]
+        for j in range(m):
+            if width is not None and abs(i - j) > width:
+                continue
+            c = costs[cb[j]]
+            if i == 0 and j == 0:
+                row[j] = c
+                continue
+            best = inf
+            if i and j and above[j - 1] < best:
+                best = above[j - 1]
+            if i and above[j] < best:
+                best = above[j]
+            if j and row[j - 1] < best:
+                best = row[j - 1]
+            row[j] = c + best
+    path, tied = _backtrack(acc, n, m, up_first=True)
+    if tied:
+        path = min(path, _backtrack(acc, n, m, up_first=False)[0], key=len)
+    total = acc[n - 1][m - 1]
+    return Alignment(path=tuple(path), cost=total, normalized_cost=total / len(path))
 
 
 def oracle_windows(timeline, n):
@@ -165,6 +215,21 @@ def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data):
                 assert bounds[x, y] == cost
 
 
+def test_dtw_equals_the_cell_by_cell_recurrence():
+    """Paths, costs and normalized costs are bit-identical for every band,
+    also where the band is narrower than the length difference.  The
+    table's few distinct costs make many ties for the traceback."""
+    rng = random.Random(17)
+    table = [[rng.randint(0, 4) / 2 for _ in range(6)] for _ in range(6)]
+    lengths = [(1, 1), (1, 40), (40, 1), (40, 40), (2, 9), (9, 2)]
+    lengths += [(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(150)]
+    for n, m in lengths:
+        ca = [rng.randrange(6) for _ in range(n)]
+        cb = [rng.randrange(6) for _ in range(m)]
+        for band in (None, 0, 1, 2, 3):
+            assert _dtw(ca, cb, band, table=table) == oracle_dtw(ca, cb, band, table=table)
+
+
 def test_dtw_band_equals_unbanded_when_wide():
     rng = random.Random(13)
     for _ in range(20):
@@ -214,7 +279,40 @@ def test_tpsd_matches_numpy_oracle():
     rng = random.Random(21)
     for _ in range(40):
         a, b = random_pair(rng)
-        assert tpsd(a, b).raw == pytest.approx(oracle_tpsd_raw(a, b), abs=1e-12)
+        assert tpsd(a, b).raw == oracle_tpsd_raw(a, b)
+
+
+half_integers = st.lists(st.integers(0, 26).map(lambda k: k / 2), min_size=1, max_size=60)
+
+
+@given(va=half_integers, vb=half_integers, cells=st.sampled_from([1, 7, 64, 1 << 14]))
+@example(va=[2.5], vb=[0.0, 3.5, 7.0], cells=1 << 14)  # n = 1
+@example(va=[1.0, 2.5, 4.0], vb=[4.0, 1.0, 2.5], cells=1 << 14)  # n = L
+@example(va=[1.0, 6.5], vb=[6.5, 1.0, 6.5, 1.0, 0.0, 1.0], cells=1 << 14)  # L % n == 0
+@example(va=[1.0, 6.5, 3.0], vb=[6.5, 1.0, 6.5, 1.0, 0.0], cells=1 << 14)  # L % n != 0
+@example(va=[4.5] * 5, vb=[4.5] * 7, cells=1 << 14)  # constant
+@settings(max_examples=300, deadline=None)
+def test_tpsd_kernel_equals_the_shift_loop(va, vb, cells):
+    """Over half-integer series the kernel's minimum is the shift loop's
+    exactly, in either argument order and for any block size."""
+    expected = oracle_tpsd_shifts(va, vb) / max(len(va), len(vb))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "_TPSD_BLOCK_CELLS", cells)
+        for x, y in ((va, vb), (vb, va)):
+            raw = _Tpsd().compare(np.array(x), np.array(y), None).raw
+            assert type(raw) is float and raw == expected
+
+
+@pytest.mark.parametrize("n, length", [(300, 400), (3, 20_000)])
+def test_tpsd_kernel_equals_the_shift_loop_over_several_blocks(n, length):
+    """Pairs whose shifts fill more than one block of the default size,
+    the second with fewer cells to a block than one shift holds."""
+    assert n * length > similarity._TPSD_BLOCK_CELLS
+    rng = random.Random(n)
+    va = [rng.randint(0, 26) / 2 for _ in range(n)]
+    vb = [rng.randint(0, 26) / 2 for _ in range(length)]
+    raw = _Tpsd().compare(np.array(va), np.array(vb), None).raw
+    assert raw == oracle_tpsd_shifts(va, vb) / length
 
 
 def test_tpsd_unequal_lengths_use_longer_denominator():
