@@ -55,13 +55,13 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
             "metrics": {name: entry["value"] for name, entry in result["metrics"].items()}}, meta
 
 
-def pairwise(checkout: Path, runs: int = 3) -> dict:
-    """Each `harmory bench --synthetic` run's median seconds per pair of
-    dtw and of tpsd, and tpsd's over dtw's."""
+def pairwise(checkout: Path) -> dict:
+    """Each of three `harmory bench --synthetic` runs' median seconds per
+    pair of dtw and of tpsd, and tpsd's over dtw's."""
     command = [sys.executable, "-m", "harmory", "bench", "--synthetic"]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     record: dict[str, list[float]] = {"dtw": [], "tpsd": [], "tpsd_over_dtw": []}
-    for _ in range(runs):
+    for _ in range(3):
         done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
         if done.returncode:
             raise SystemExit(f"error: {' '.join(command)} exited {done.returncode}:\n"
