@@ -195,17 +195,14 @@ def benchmark_measures(corpus: list[Timeline], measures=("dtw", "tpsd"),
               for measure in measures}
     report: dict = {"pieces": len(corpus), "pairs": len(pairs),
                     "repetitions": repetitions, "measures": {}}
-    # The measures take turns within each repetition, so that a slow or
-    # fast spell of the machine falls on all of them alike.
-    timed: dict[str, list[float]] = {measure: [] for measure in measures}
-    for _ in range(repetitions):
-        for measure, timings in timed.items():
-            func = MEASURES[measure]
+    for measure in measures:
+        func = MEASURES[measure]
+        timings = []
+        for _ in range(repetitions):
             begin = time.perf_counter()
             for a, b in pairs:
                 func(a, b, **kwargs)
             timings.append(time.perf_counter() - begin)
-    for measure, timings in timed.items():
         report["measures"][measure] = {
             "median_seconds_per_pair": statistics.median(timings) / len(pairs),
             "seconds_total_min": min(timings),

@@ -27,8 +27,9 @@ from harmory.tps import (Profile, distance_table, fifths_distance, intern,
                          key_relative_profiles, key_relative_values)
 
 DEFAULT_SCALE = 5.0
-# tpsd scores its shifts in blocks of at most this many float64 cells
-# (128 KB): larger temporaries ran several times slower per cell.
+# tpsd scores its shifts in blocks of max(1, _TPSD_BLOCK_CELLS // L)
+# shifts of L cells each: 128 KB of float64 unless one shift is longer.
+# Larger temporaries ran several times slower per cell.
 _TPSD_BLOCK_CELLS = 1 << 14
 
 
