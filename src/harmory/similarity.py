@@ -97,12 +97,14 @@ def _dtw(ca: list[int], cb: list[int], band: int | None = None, *,
     acc = [[inf] * m for _ in range(n)]
     # Row i fills only the band's cells lo <= j < hi; the rest stay inf.
     row, total, costs = acc[0], 0.0, table[ca[0]]
-    for j in range(min(m, width + 1)):
+    for j in range(width + 1 if width < m else m):
         total += costs[cb[j]]
         row[j] = total
     for i in range(1, n):
         above, row, costs = acc[i - 1], acc[i], table[ca[i]]
-        lo, hi = max(0, i - width), min(m, i + width + 1)
+        # Conditionals, not max and min: short warps pay per row.
+        lo = i - width if i > width else 0
+        hi = i + width + 1 if i + width < m else m
         left, diag = inf, above[lo - 1] if lo else inf
         for j in range(lo, hi):
             up = above[j]
