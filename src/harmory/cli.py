@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
 
 from harmory.evaluation import (
@@ -222,12 +223,13 @@ def cmd_segment(args) -> int:
     if result.curve is not None:
         write_atomic(out_dir / f"{stem}.novelty.csv", novelty_to_csv(result.curve))
     write_atomic(out_dir / f"{stem}.boundaries.csv", boundaries_to_csv(result.boundaries))
+    render = cache(render_chord)  # each distinct chord once, for this call only
     payload = {
         "piece": timeline.id,
         "params": dataclasses.asdict(params) | {"kernel_size": result.kernel_size},
         "boundaries": result.boundaries,
         "segments": [{"id": s.id, "start_event": s.start_event, "end_event": s.end_event,
-                      "chords": " ".join(render_chord(c) for c in s.chords)}
+                      "chords": " ".join(map(render, s.chords))}
                      for s in result.segments],
     }
     text = json.dumps(payload, indent=2) + "\n"

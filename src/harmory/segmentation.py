@@ -16,6 +16,16 @@ from harmory.timeline import Timeline
 from harmory.tps import Key, distance_table, intern, profile
 
 
+# novelty sums its diagonal windows in blocks of max(1, _NOVELTY_BLOCK_CELLS
+# // kernel_size**2) windows: 128 KB of float64 unless one window is larger.
+_NOVELTY_BLOCK_CELLS = 1 << 14
+
+# Grey level v as the text "<v> " zero-padded to four bytes, read as one
+# little-endian word; ssm_to_pgm gathers these and drops the zero bytes.
+_PGM_WORDS = np.array([int.from_bytes(f"{v} ".encode().ljust(4, b"\0"), "little")
+                       for v in range(256)], dtype="<u4")
+
+
 class KernelTooLargeError(ValueError):
     """Kernel size exceeds twice the matrix dimension."""
 
@@ -101,10 +111,19 @@ def novelty(ssm: SSM, kernel_size: int = 8, taper: float = 1.0) -> np.ndarray:
     kernel = checkerboard_kernel(kernel_size, taper)
     padded = np.zeros((n + 2 * half, n + 2 * half))
     padded[half:half + n, half:half + n] = ssm.matrix
+    # windows[i] is the k-by-k window on the diagonal at boundary i.  Each
+    # row sums its k*k contiguous products in one reduction, as np.sum of
+    # one window does, so every value is bit-identical to a per-window sum.
+    rows_stride, cols_stride = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (n, kernel_size, kernel_size),
+        (rows_stride + cols_stride, rows_stride, cols_stride), writeable=False)
+    cells = kernel_size * kernel_size
+    block = max(1, _NOVELTY_BLOCK_CELLS // cells)
     values = np.empty(n)
-    for i in range(n):
-        window = padded[i:i + kernel_size, i:i + kernel_size]
-        values[i] = np.sum(kernel * window)
+    for i in range(0, n, block):
+        stop = min(i + block, n)
+        (windows[i:stop] * kernel).reshape(stop - i, cells).sum(axis=1, out=values[i:stop])
     np.clip(values, 0.0, None, out=values)
     return values
 
@@ -178,13 +197,16 @@ def segment_timeline(timeline: Timeline,
 def ssm_to_pgm(ssm: SSM) -> str:
     """ASCII PGM (P2), maxval 255, cell value rounded half-up."""
     n = ssm.size
-    words = tuple(map(str, range(256)))  # the grey levels as text, each formatted once
-    rows = np.floor(255.0 * ssm.matrix + 0.5)
-    if not ((rows >= 0) & (rows <= 255)).all():
+    levels = 255.0 * ssm.matrix
+    levels += 0.5
+    np.floor(levels, out=levels)
+    if not ((levels >= 0) & (levels <= 255)).all():
         raise ValueError("SSM cells must lie in [0, 1] to be written as PGM")
-    lines = ["P2", f"{n} {n}", "255"]
-    lines += [" ".join(map(words.__getitem__, row)) for row in rows.astype(int).tolist()]
-    return "\n".join(lines) + "\n"
+    # C order, whatever the matrix's, so each row's words are its 4n bytes.
+    text = _PGM_WORDS[levels.astype(np.uint8, order="C")].view(np.uint8)
+    ends = text[:, -4:]  # each row's last word, whose separator ends the line
+    ends[ends == ord(" ")] = ord("\n")
+    return f"P2\n{n} {n}\n255\n" + text[text != 0].tobytes().decode("ascii")
 
 
 def novelty_to_csv(curve: np.ndarray) -> str:

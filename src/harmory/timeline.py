@@ -15,7 +15,9 @@ Two input formats are supported.  The JSON annotation format::
 and the plain chart format: ``#`` comment lines, of which ``# title:``,
 ``# artist:`` and ``# key: <Natural>:<maj|min>`` are recognized headers,
 followed by one ``<start> <duration> <chord>`` event per line.  Times are
-beats, written as decimals or rationals like ``7/2``.
+beats, written as decimals or rationals like ``7/2``.  A whole time loads
+as an ``int`` and any other as a ``Fraction``; Python compares and adds
+the two exactly.
 """
 
 from __future__ import annotations
@@ -48,15 +50,15 @@ class EmptyTimelineError(ValueError):
 
 @dataclass(frozen=True)
 class ChordEvent:
-    start: Fraction
-    duration: Fraction
+    start: int | Fraction
+    duration: int | Fraction
     chord: Chord
 
 
 @dataclass(frozen=True)
 class KeySpan:
-    start: Fraction
-    duration: Fraction
+    start: int | Fraction
+    duration: int | Fraction
     key: Key
 
 
@@ -71,7 +73,7 @@ class Timeline:
     artist: str | None = None
 
     @property
-    def end(self) -> Fraction:
+    def end(self) -> int | Fraction:
         last = self.events[-1]
         return last.start + last.duration
 
@@ -152,7 +154,8 @@ def estimate_key(chords) -> Key:
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
-def _to_fraction(value, context: str) -> Fraction:
+def _to_fraction(value, context: str) -> int | Fraction:
+    """A time in beats: an ``int`` when it is whole, else a ``Fraction``."""
     # JSON integers and ASCII-decimal tokens skip Fraction's string parser;
     # int() stays inside the try, as it rejects tokens of over 4,300 digits.
     whole = type(value) is int or isinstance(value, str) and value.isascii() and value.isdigit()
@@ -161,9 +164,12 @@ def _to_fraction(value, context: str) -> Fraction:
     if len(digits) > 3 or int(digits or 0) > 308:
         raise SchemaError(f"{context}: time exponent beyond ±308 in {value!r:.40}")
     try:
-        return Fraction(int(value) if whole else str(value) if isinstance(value, float) else value)
+        if whole:
+            return int(value)
+        time = Fraction(str(value) if isinstance(value, float) else value)
     except (ValueError, TypeError, ZeroDivisionError) as err:
         raise SchemaError(f"{context}: bad time value {value!r}") from err
+    return time.numerator if time.denominator == 1 else time
 
 
 def _expect(value, kind: type, what: str):
@@ -281,10 +287,6 @@ def load_chart(text: str, piece_id: str | None = None) -> Timeline:
     return build_timeline(piece_id, events, spans, title=title, artist=artist)
 
 
-def _format_beats(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 def write_chart(timeline: Timeline) -> str:
     """Inverse of :func:`load_chart` for single-key timelines."""
     if len(timeline.keys) != 1:
@@ -296,8 +298,7 @@ def write_chart(timeline: Timeline) -> str:
         lines.append(f"# artist: {timeline.artist}")
     lines.append(f"# key: {timeline.keys[0].key}")
     for event in timeline.events:
-        lines.append(f"{_format_beats(event.start)} {_format_beats(event.duration)} "
-                     f"{render_chord(event.chord)}")
+        lines.append(f"{event.start} {event.duration} {render_chord(event.chord)}")
     return "\n".join(lines) + "\n"
 
 
@@ -316,7 +317,8 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     value_at = dict(zip([i for i, _, _ in sounded],
                         key_relative_values([(chord, key) for _, chord, key in sounded])))
     if grid == "event":
-        return TpsSeries(tuple((v, timeline.events[i].duration) for i, v in value_at.items()))
+        return TpsSeries(tuple((v, Fraction(timeline.events[i].duration))
+                               for i, v in value_at.items()))
     start = timeline.events[0].start
     # An event starts at or before beat b exactly when ceil(its offset) <= b.
     first_beats = [ceil(e.start - start) for e in timeline.events]

@@ -2,7 +2,10 @@
 
 oracle_novelty below recomputes the checkerboard correlation with
 literal nested loops and explicit bounds checks; the frozen curve values
-for the AAAABBBB piece were produced by that oracle.
+for the AAAABBBB piece were produced by that oracle.  Two exact oracles
+keep the earlier writers: oracle_novelty_windows sums each diagonal
+window with its own np.sum, and oracle_pgm joins each row of Python
+ints; novelty and ssm_to_pgm must equal them exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import harmory.segmentation as segmentation
@@ -75,6 +78,40 @@ def oracle_novelty(matrix, size, taper):
                     acc += kernel[r][c] * matrix[i][j]
         values.append(max(acc, 0.0))
     return values
+
+
+def oracle_novelty_windows(matrix, kernel_size, taper):
+    """Novelty as one np.sum over each zero-padded diagonal window."""
+    n = len(matrix)
+    half = kernel_size // 2
+    kernel = checkerboard_kernel(kernel_size, taper)
+    padded = np.zeros((n + 2 * half, n + 2 * half))
+    padded[half:half + n, half:half + n] = matrix
+    values = np.empty(n)
+    for i in range(n):
+        window = padded[i:i + kernel_size, i:i + kernel_size]
+        values[i] = np.sum(kernel * window)
+    np.clip(values, 0.0, None, out=values)
+    return values
+
+
+def oracle_pgm(matrix):
+    """The PGM text with each row's cells rounded to Python ints and joined."""
+    n = len(matrix)
+    rows = np.floor(255.0 * matrix + 0.5)
+    lines = ["P2", f"{n} {n}", "255"]
+    lines += [" ".join(map(str, row)) for row in rows.astype(int).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+# Cells anywhere in [0, 1], and cells exactly halfway between two grey levels.
+unit_cells = st.floats(0.0, 1.0) | st.integers(0, 254).map(lambda k: (k + 0.5) / 255)
+
+
+@st.composite
+def unit_matrices(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    return np.array(draw(st.lists(unit_cells, min_size=n * n, max_size=n * n))).reshape(n, n)
 
 
 def random_ssm(n, seed):
@@ -205,6 +242,32 @@ def test_novelty_matches_oracle_on_random_matrices():
             ours = novelty(ssm, size, 1.0)
             ref = oracle_novelty(ssm.matrix.tolist(), size, 1.0)
             assert np.allclose(ours, ref, atol=1e-12)
+
+
+@given(matrix=unit_matrices(), taper=st.sampled_from([1.0, 0.3, 2.5]),
+       block=st.sampled_from([1, 7, 64, 1 << 14]))
+@example(matrix=np.array([[0.5 / 255]]), taper=1.0, block=1 << 14)  # n = 1
+@example(matrix=np.array([[1.0, 127.5 / 255], [254.5 / 255, 1.0]]), taper=1.0,
+         block=1 << 14)  # n = 2
+@settings(max_examples=200, deadline=None)
+def test_novelty_equals_the_per_window_loop(matrix, taper, block):
+    """Bit for bit, for every even kernel size up to 2n and any block size."""
+    ssm = SSM(matrix=matrix, event_indices=tuple(range(len(matrix))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(segmentation, "_NOVELTY_BLOCK_CELLS", block)
+        for kernel_size in range(2, 2 * ssm.size + 1, 2):
+            assert np.array_equal(novelty(ssm, kernel_size, taper),
+                                  oracle_novelty_windows(matrix, kernel_size, taper))
+
+
+@pytest.mark.parametrize("n, kernel_size", [(70, 130), (70, 140), (300, 8), (300, 16)])
+def test_novelty_equals_the_per_window_loop_over_several_blocks(n, kernel_size):
+    """Curves that fill more than one block of the default size, the first
+    two with windows larger than a block."""
+    assert n * kernel_size**2 > segmentation._NOVELTY_BLOCK_CELLS
+    ssm = random_ssm(n, kernel_size)
+    assert np.array_equal(novelty(ssm, kernel_size, 1.0),
+                          oracle_novelty_windows(ssm.matrix, kernel_size, 1.0))
 
 
 def test_novelty_frozen_block_curves():
@@ -381,6 +444,22 @@ def test_ssm_pgm_rejects_cells_outside_the_unit_range():
         ssm = SSM(matrix=np.array([[1.0, cell], [cell, 1.0]]), event_indices=(0, 1))
         with pytest.raises(ValueError):
             ssm_to_pgm(ssm)
+
+
+@given(matrix=unit_matrices(max_n=20))
+@example(matrix=np.array([[0.5 / 255]]))  # n = 1
+@example(matrix=np.array([[1.0, 9.5 / 255], [99.5 / 255, 0.0]]))  # n = 2
+@settings(max_examples=200, deadline=None)
+def test_ssm_pgm_equals_the_per_row_join(matrix):
+    ssm = SSM(matrix=matrix, event_indices=tuple(range(len(matrix))))
+    assert ssm_to_pgm(ssm) == oracle_pgm(matrix)
+
+
+def test_ssm_pgm_equals_the_per_row_join_on_every_grey_level():
+    levels = np.arange(256 * 256).reshape(256, 256) % 256
+    for matrix in (levels / 255, (levels.T + 0.5) / 256, np.ones((1, 1))):  # C and F order
+        ssm = SSM(matrix=matrix, event_indices=tuple(range(len(matrix))))
+        assert ssm_to_pgm(ssm) == oracle_pgm(matrix)
 
 
 def test_novelty_csv_golden():

@@ -205,6 +205,47 @@ def test_digits_that_int_cannot_read_are_bad_time_values(token):
         _to_fraction(token, "ctx")
 
 
+@pytest.mark.parametrize("token", ["4", 4, 4.0, "4.0", "8/2"])
+def test_whole_times_load_as_ints(token):
+    time = _to_fraction(token, "ctx")
+    assert type(time) is int and time == 4
+    doc = json.loads(JAMS_FIXTURE)
+    doc["annotations"][0]["data"][1]["time"] = token
+    chart = load_chart(f"0 {token} C:maj\n")
+    for loaded in (load_jams(json.dumps(doc)).events[1].start, chart.events[0].duration):
+        assert type(loaded) is int and loaded == 4
+
+
+@pytest.mark.parametrize("token", ["7/2", "3.5", 3.5])
+def test_other_times_load_as_fractions(token):
+    time = _to_fraction(token, "ctx")
+    assert type(time) is Fraction and time == Fraction(7, 2)
+
+
+@pytest.mark.parametrize("start, beat", [("3", "3"), ("3.0", "3"), ("6/2", "3"),
+                                         ("7/2", "7/2"), ("3.5", "7/2")])
+def test_beat_messages_print_loaded_times_as_fractions_did(start, beat):
+    with pytest.raises(SchemaError, match=f"^chart: overlapping events at beat {beat}$"):
+        load_chart(f"0 4 C:maj\n{start} 1 G:maj\n")
+    with pytest.raises(SchemaError, match=f"^chart: non-positive duration at beat {beat}$"):
+        load_chart(f"{start} 0 C:maj\n")
+
+
+def test_write_chart_round_trips_int_and_fraction_times():
+    text = "# key: C:maj\n0 7/2 C:maj\n7/2 1/2 G:maj\n4 4 N\n8 8 F:maj\n"
+    tl = load_chart(text, piece_id="p")
+    assert [type(e.start) for e in tl.events] == [int, Fraction, int, int]
+    assert write_chart(tl) == text
+    assert load_chart(write_chart(tl), piece_id="p") == tl
+
+
+def test_encode_weights_stay_fractions_on_whole_times():
+    tl = load_chart("0 4 C:maj\n4 3 G:maj\n7 1/2 N\n", piece_id="p")
+    assert encode_tps(tl, "event").values == ((0.0, Fraction(4)), (5.0, Fraction(3)))
+    for grid in ("event", "beat"):
+        assert all(type(w) is Fraction for _, w in encode_tps(tl, grid).values)
+
+
 def test_a_superscript_time_exits_2(capsys, tmp_path):
     piece = tmp_path / "p.chart"
     piece.write_text("0 1 C:maj\n\u00b2 1 G:maj\n", encoding="utf-8")
