@@ -109,8 +109,8 @@ unit_cells = st.floats(0.0, 1.0) | st.integers(0, 254).map(lambda k: (k + 0.5) /
 
 
 @st.composite
-def unit_matrices(draw, max_n=12):
-    n = draw(st.integers(1, max_n))
+def unit_matrices(draw):
+    n = draw(st.integers(1, 12))
     return np.array(draw(st.lists(unit_cells, min_size=n * n, max_size=n * n))).reshape(n, n)
 
 
@@ -446,7 +446,7 @@ def test_ssm_pgm_rejects_cells_outside_the_unit_range():
             ssm_to_pgm(ssm)
 
 
-@given(matrix=unit_matrices(max_n=20))
+@given(matrix=unit_matrices())
 @example(matrix=np.array([[0.5 / 255]]))  # n = 1
 @example(matrix=np.array([[1.0, 9.5 / 255], [99.5 / 255, 0.0]]))  # n = 2
 @settings(max_examples=200, deadline=None)
