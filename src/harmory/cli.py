@@ -4,14 +4,17 @@ Exit codes: 0 on success, 2 on usage or input errors, 1 on unexpected
 internal errors.  All file outputs are written atomically and are
 byte-identical for identical inputs and flags (timings in ``bench``
 reports excepted).  Output formats are documented in docs/formats.md.
+
+Every flag is declared once, in ``build_parser``.  A well-formed command
+line is parsed from those declarations without building an argparse
+parser; any other, help and usage errors included, goes to the argparse
+parser with every subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import io
 import json
 import logging
 import math
@@ -310,11 +313,13 @@ COMMANDS = ("parse", "dist", "encode", "segment", "sim", "matrix", "build", "que
             "eval-covers", "bench")
 
 
-def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+def build_parser(commands=COMMANDS, parser_class=argparse.ArgumentParser):
     """The parser with the subcommands named in ``commands``, added in the
     order of ``COMMANDS``; each subcommand's arguments, help and usage are
-    the same whichever others are added."""
-    parser = argparse.ArgumentParser(
+    the same whichever others are added.  ``parse_args`` passes
+    ``_Declared`` as ``parser_class`` to read the declarations without
+    building an argparse parser."""
+    parser = parser_class(
         prog="harmory",
         description="Symbolic harmonic similarity and the harmonic memory graph.")
     parser.add_argument("--quiet", action="store_true", help="suppress notes and warnings")
@@ -388,34 +393,132 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     return parser
 
 
-def _named_command(argv: list[str]) -> str | None:
-    """The command of ``argv`` when only ``--quiet`` and ``--out-dir``,
-    spelled out in full, come before it; None otherwise."""
-    i = 0
-    while i < len(argv) and (argv[i] in ("--quiet", "--out-dir")
-                             or argv[i].startswith("--out-dir=")):
-        i += 2 if argv[i] == "--out-dir" else 1
-    return argv[i] if i < len(argv) and argv[i] in COMMANDS else None
+class _Declared:
+    """What ``build_parser`` declares for one parser, recorded in place of
+    an ``argparse.ArgumentParser``: each flag's dest, type and choices,
+    each positional's, each dest's default, and each subcommand's own
+    ``_Declared``.  It is its own subparsers action."""
+
+    def __init__(self, **_):
+        self.flags = {}        # option string -> (dest, type, choices); type None: store_true
+        self.positionals = []  # (dest, type, choices, required)
+        self.defaults = {}     # dest -> default
+        self.commands = {}     # name -> _Declared
+        self.command_dest = None
+
+    def add_argument(self, *names, action=None, type=None, choices=None, default=None,
+                     nargs=None, help=None):
+        if action not in (None, "store_true") or nargs not in (None, "?"):
+            raise TypeError(f"{names}: only plain, store_true and nargs='?' arguments "
+                            "can be recorded")
+        if not names[0].startswith("-"):
+            dest = names[0]
+            self.positionals.append((dest, type or str, choices, nargs is None))
+        else:
+            # argparse's dest: the first long option, else the first option
+            long = next((name for name in names if name.startswith("--")), names[0])
+            dest = long.lstrip("-").replace("-", "_")
+            if action == "store_true":
+                default, type = default or False, None
+            else:
+                type = type or str
+            self.flags.update(dict.fromkeys(names, (dest, type, choices)))
+        self.defaults[dest] = default
+
+    def add_subparsers(self, dest, required):
+        self.command_dest = dest
+        self.defaults[dest] = None
+        return self
+
+    def add_parser(self, name, **_):
+        self.commands[name] = _Declared()
+        return self.commands[name]
+
+    def set_defaults(self, **defaults):
+        self.defaults.update(defaults)
+
+
+class _Declined(ValueError):
+    """An argv that only argparse parses as it should; it never leaves
+    ``_parse_well_formed``."""
+
+
+def _converted(text: str, kind, choices):
+    """``text`` through an argument's type and choices, as argparse converts it."""
+    try:
+        value = kind(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        raise _Declined from None
+    if choices is not None and value not in choices:
+        raise _Declined
+    return value
+
+
+def _positional_tokens(declared: _Declared, tokens, values: dict):
+    """Each token of the iterator ``tokens`` that is not a flag, storing
+    the value of each flag of ``declared`` met before it in ``values``.
+    Declines every flag that is not spelled out in full, and every value
+    that is missing or starts with ``-``."""
+    for token in tokens:
+        if not token.startswith("-"):
+            yield token
+            continue
+        flag, equals, text = token.partition("=")
+        if flag not in declared.flags:
+            raise _Declined
+        dest, kind, choices = declared.flags[flag]
+        if kind is None:  # store_true
+            if equals:
+                raise _Declined
+            values[dest] = True
+            continue
+        if not equals:
+            text = next(tokens, "-")
+        if text.startswith("-"):
+            raise _Declined
+        values[dest] = _converted(text, kind, choices)
+
+
+def _parse_well_formed(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that ``build_parser().parse_args(argv)`` returns, read
+    from the declarations of the global options and of the commands named
+    in ``argv`` (usually one), without building an argparse parser.  None
+    for an argv that needs argparse: a token that starts with ``-`` and is
+    not a declared flag spelled out in full (``-h``, ``--help``, ``--``
+    and ``-k5`` among them), a missing value or one that starts with
+    ``-``, a bad value, or the wrong number of positionals.
+
+    The global options come before the command, the command's after it,
+    mixed with its positionals; the last of a repeated flag wins."""
+    top = build_parser(set(argv), _Declared)
+    values = dict(top.defaults)
+    tokens = iter(argv)
+    try:
+        command = next(_positional_tokens(top, tokens, values), None)
+        declared = top.commands.get(command)
+        if declared is None:
+            return None
+        values[top.command_dest] = command
+        values.update(declared.defaults)
+        given = list(_positional_tokens(declared, tokens, values))
+        required = sum(required for *_, required in declared.positionals)
+        if not required <= len(given) <= len(declared.positionals):
+            return None
+        for (dest, kind, choices, _), text in zip(declared.positionals, given):
+            values[dest] = _converted(text, kind, choices)
+    except _Declined:
+        return None
+    return argparse.Namespace(**values)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse ``argv`` as a parser with every subcommand does, printing the
-    same help and errors and raising the same ``SystemExit``.
-
-    When ``argv`` names its command after only the global options, a parser
-    with just that subcommand is built.  Its errors are discarded and the
-    full parser reports them, because a top-level usage message lists every
-    command."""
+    """Parse ``argv`` as ``build_parser().parse_args`` does, printing the
+    same help and errors and raising the same ``SystemExit``.  A
+    well-formed argv is read from the declarations alone; the parser with
+    every subcommand parses the rest, since a top-level usage message
+    lists every command."""
     argv = sys.argv[1:] if argv is None else argv
-    command = _named_command(argv)
-    if command is not None:
-        try:
-            with contextlib.redirect_stderr(io.StringIO()):
-                return build_parser((command,)).parse_args(argv)
-        except SystemExit as exit_:
-            if not exit_.code:  # help was printed
-                raise
-    return build_parser().parse_args(argv)
+    return _parse_well_formed(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -241,7 +241,7 @@ def import_ntriples(data: bytes) -> MemoryGraph:
     instance_of: dict[str, tuple[str, int]] = {}
     sequences: dict[str, str] = {}
     key_sequences: dict[str, str] = {}
-    similar_pairs: list[tuple[str, str]] = []
+    similar_pairs: list[tuple[str, str, int]] = []
     weights: dict[str, float] = {}
     try:
         text = data.decode("utf-8")
@@ -272,7 +272,7 @@ def import_ntriples(data: bytes) -> MemoryGraph:
         elif predicate == "keySequence":
             key_sequences[subject] = obj
         elif predicate == "similarTo":
-            similar_pairs.append((subject, obj))
+            similar_pairs.append((subject, obj, lineno))
         elif predicate == "weight":
             try:
                 weights[subject] = float(obj)
@@ -315,7 +315,10 @@ def import_ntriples(data: bytes) -> MemoryGraph:
     patterns = {pattern_id: Pattern(medoid=pattern_id, members=tuple(sorted(members)))
                 for pattern_id, members in member_lists.items()}
     similar = []
-    for a, b in sorted(similar_pairs):
+    for a, b, lineno in sorted(similar_pairs):
+        if a not in patterns or b not in patterns:
+            raise GraphFormatError(f"line {lineno}: similarTo {a} {b}: "
+                                   "both must be patterns (the object of an instanceOf)")
         sim_node = f"sim/{a}/{b}"
         if sim_node not in weights:
             raise GraphFormatError(f"similarTo {a} {b}: missing weight")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from harmory.harte import (
@@ -145,7 +146,8 @@ def distance_table(vocab_a: dict, vocab_b: dict) -> list[list[float]]:
 
     fifths = np.frombuffer(_FIFTHS, dtype=np.uint8).reshape(12, 12)
     popcount = np.frombuffer(_POPCOUNT, dtype=np.uint8)
-    a, b = (np.array(list(vocab), dtype=np.intp).reshape(-1, 6) for vocab in (vocab_a, vocab_b))
+    a, b = (np.fromiter(chain.from_iterable(vocab), np.intp, 6 * len(vocab)).reshape(-1, 6)
+            for vocab in (vocab_a, vocab_b))
     twice = 2 * (fifths[a[:, 0]][:, b[:, 0]] + fifths[a[:, 1]][:, b[:, 1]])
     for level in range(2, 6):
         twice += popcount[a[:, level, None] ^ b[:, level]]

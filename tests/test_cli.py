@@ -13,6 +13,7 @@ import harmory
 import harmory.cli as cli
 import harmory.segmentation as segmentation
 from harmory.cli import main
+from harmory.memory import GraphFormatError, import_ntriples
 from tests.conftest import COVER_CORPUS, cover_jams, strict_json
 
 DATA = Path(__file__).parent / "data"
@@ -220,6 +221,21 @@ def test_malformed_graphs_are_usage_errors_with_a_position(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: line 4:")
     assert "q/seg/0" in err
+
+
+def test_a_similar_to_edge_between_non_patterns_is_a_usage_error(capsys, tmp_path):
+    """Without gamma/seg/0's own instanceOf line, the similarTo edge on
+    line 5 names a segment that is no pattern."""
+    line = b"<urn:harmory:gamma/seg/0> <urn:harmory:instanceOf> <urn:harmory:gamma/seg/0> .\n"
+    assert line in GOLDEN_GRAPH.read_bytes()
+    graph = tmp_path / "memory.nt"
+    graph.write_bytes(GOLDEN_GRAPH.read_bytes().replace(line, b""))
+    message = ("line 5: similarTo alpha/seg/0 gamma/seg/0: "
+               "both must be patterns (the object of an instanceOf)")
+    with pytest.raises(GraphFormatError) as raised:
+        import_ntriples(graph.read_bytes())
+    assert str(raised.value) == message
+    assert run(capsys, ["query", str(graph), "C:maj"]) == (2, "", f"error: {message}\n")
 
 
 def test_eval_covers_json_and_table(capsys, tmp_path):

@@ -1,11 +1,11 @@
-"""The parser that ``cli.main`` builds for a call, against the parser with
-every subcommand.
+"""How ``cli.main`` parses a call, against the parser with every subcommand.
 
-A call that names its command after only the global options gets a parser
-with just that subcommand.  Its help texts, usage errors, exit codes and
-parsed namespaces must be those of the full parser.  The golden help texts
-under ``tests/data/help/`` were written by the full parser at 80 columns
-on Python 3.11, before the one-subcommand parser existed.
+A well-formed argv is read from ``build_parser``'s declarations without an
+argparse parser; every other argv goes to the parser with every
+subcommand.  Help texts, usage errors, exit codes and parsed namespaces
+must be those of the full parser.  The golden help texts under
+``tests/data/help/`` were written by the full parser at 80 columns on
+Python 3.11, before any other way of parsing existed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import contextlib
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import harmory.cli as cli
 from harmory.cli import main
@@ -96,6 +98,26 @@ ARGVS = [
     ["encode", "p.chart", "--grid=beat"],
     ["bench", "--synthetic"],
     ["eval-covers", "c", "k.csv", "--format", "table", "--workers", "2"],
+    ["sim", "--measure", "tpsd", "a", "--band", "3", "b"],
+    ["query", "--key", "C:min", "-k", "3", "g.nt", "C:maj"],
+    ["bench", "--synthetic", "c"],
+    ["bench", "c", "d"],
+    ["query", "g.nt", "C:maj", "-k", "3", "-k=4", "--key", "D:maj", "--key=E:min"],
+    ["--out-dir", "a", "--quiet", "--out-dir=b", "segment", "p", "--min-len=2", "--min-len", "3"],
+    ["--out-dir=", "segment", "p"],
+    ["--quiet=", "segment", "p"],
+    ["segment", "p", "--kernel-size=8"],
+    ["query", "g.nt", "C:maj", "-k5"],
+    ["query", "g.nt", "C:maj", "-k=5"],
+    ["query", "g.nt", "-1"],
+    ["sim", "a", "b", "--band=-1"],
+    ["sim", "a", "b", "--band", "-1"],
+    ["bench", "--measures=--"],
+    ["bench", "--synthetic=1"],
+    ["query", "g", "p", "--key", "--"],
+    ["query", "g", "p", "--key=--help"],
+    ["encode", "p", "--out-dir", "x"],
+    ["--out-dir", "query", "query", "g.nt", "C:maj"],
     *bad_value_argvs(),
 ]
 
@@ -117,26 +139,132 @@ def test_parse_args_matches_the_full_parser(capsys, argv):
         assert (main(argv), *capsys.readouterr()) == expected
 
 
-@pytest.mark.parametrize("argv, built", [
-    (["query", "g.nt", "C:maj"], [("query",)]),
-    (["--quiet", "--out-dir", "o", "sim", "a", "b"], [("sim",)]),
-    (["--out-dir=o", "encode", "p"], [("encode",)]),
-    (["query", "-h"], [("query",)]),
-    (["query", "g.nt", "C:maj", "--bogus"], [("query",), cli.COMMANDS]),
-    (["--q", "sim", "a", "b"], [cli.COMMANDS]),
-    (["-h"], [cli.COMMANDS]),
-    ([], [cli.COMMANDS]),
-    (["frobnicate"], [cli.COMMANDS]),
+@pytest.mark.parametrize("argv, command", [
+    (["query", "g.nt", "C:maj"], "query"),
+    (["--quiet", "--out-dir", "o", "sim", "a", "b"], "sim"),
+    (["--out-dir=o", "encode", "p"], "encode"),
+    (["query", "-h"], None),
+    (["query", "g.nt", "C:maj", "--bogus"], None),
+    (["--q", "sim", "a", "b"], None),
+    (["-h"], None),
+    ([], None),
+    (["frobnicate"], None),
 ])
-def test_a_call_builds_only_the_parser_of_its_command(monkeypatch, capsys, argv, built):
-    calls = []
+def test_only_help_and_usage_errors_build_an_argparse_parser(monkeypatch, capsys, argv,
+                                                              command):
+    """A well-formed call records the declarations of its own command alone
+    and builds no argparse parser; help and errors build the full one, once."""
+    built = []
     build = cli.build_parser
 
-    def recording(commands=cli.COMMANDS):
-        calls.append(tuple(commands))
-        return build(commands)
+    def recording(commands=cli.COMMANDS, parser_class=argparse.ArgumentParser):
+        built.append((parser_class, build(commands, parser_class)))
+        return built[-1][1]
 
     monkeypatch.setattr(cli, "build_parser", recording)
     with contextlib.suppress(SystemExit):
         cli.parse_args(argv)
-    assert calls == built
+    full = [parser for kind, parser in built if kind is argparse.ArgumentParser]
+    if command is None:
+        assert len(full) == 1
+        action, = (action for action in full[0]._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert tuple(action.choices) == cli.COMMANDS
+    else:
+        assert full == []
+        assert [(kind, list(parser.commands)) for kind, parser in built] == [
+            (cli._Declared, [command])]
+
+
+# The argv shapes that perfbench/run.py issues, one per command and measure.
+PERFBENCH_ARGVS = [
+    ["--quiet", "--out-dir", "w/build0-0", "build", "w/pop0", "--workers", "2",
+     "--min-len", "4", "--min-gap", "4"],
+    ["query", "w/build0-0/memory.nt", "C:maj G:maj A:min F:maj"],
+    ["query", "w/build0-0/memory.nt", "Bb:min Eb:7 Ab:maj", "--key", "Bb:min"],
+    *(["eval-covers", f"w/{measure}0", f"w/{measure}0/cliques.csv", "--measure", measure,
+       "--workers", "1"] for measure in ("dtw", "tpsd", "lharp")),
+    *(["sim", "w/all/p1.chart", "w/transposed/p2.chart", "--measure", measure]
+      for measure in ("dtw", "tpsd", "lharp")),
+    ["--quiet", "--out-dir", "w/seg0", "segment", "w/long/m0.jams.json"],
+    ["encode", "w/long/m0.jams.json", "--grid", "beat"],
+]
+
+
+@pytest.mark.parametrize("argv", PERFBENCH_ARGVS, ids=" ".join)
+def test_the_fast_path_parses_each_benchmarked_call(argv):
+    fast = cli._parse_well_formed(argv)
+    assert fast is not None
+    assert vars(fast) == vars(cli.build_parser().parse_args(argv))
+
+
+# Values for any flag, about half of them good for every typed flag, and
+# bad ones: out of range, not numbers, starting with "-", and empty.
+VALUES = st.sampled_from(["4", "4", "2", "8", "C:maj", "4", "2", "8",
+                          "0.5", "-1", "3", "nan", "x", "", "-", "--", "-h"])
+POSITIONALS = st.sampled_from(["a", "g.nt", "C:maj G:maj", "query", "", "a", "-1", "-"])
+# A junk token in about one argv of four.
+JUNK = st.sampled_from([[]] * 39 + [[token] for token in [
+    "-h", "--help", "--", "-k5", "-k=5", "--bogus", "--ke", "--qu", "--quiet=1",
+    "--measures=--", "--out", "--out-dir=", "frobnicate"]])
+
+
+def flags(parser: argparse.ArgumentParser, max_size: int):
+    """Up to ``max_size`` declared flags of ``parser``, each with a drawn
+    value, as one or two tokens each."""
+    actions = [action for action in parser._actions
+               if action.option_strings and action.dest != "help"]
+    if not actions:
+        return st.just([])
+
+    @st.composite
+    def flag(draw):
+        action = draw(st.sampled_from(actions))
+        name = draw(st.sampled_from(action.option_strings))
+        if action.nargs == 0:
+            return [name]
+        value = draw(st.sampled_from(sorted(action.choices)) | VALUES
+                     if action.choices else VALUES)
+        return draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+
+    return st.lists(flag(), max_size=max_size)
+
+
+@st.composite
+def argvs(draw):
+    """Global flags, a command, and that command's flags mixed with about
+    the right number of positionals, each part sometimes junk."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+    parser = subparsers()[command]
+    positionals = [action for action in parser._actions if not action.option_strings]
+    global_part = draw(flags(cli.build_parser(), 3))
+    parts = draw(flags(parser, 4))
+    n = len(positionals)
+    count = draw(st.sampled_from([n, n, n, max(0, n - 1), n + 1]))
+    parts += [[draw(POSITIONALS)] for _ in range(count)]
+    parts += [draw(JUNK)]
+    argv = [token for part in global_part for token in part] + [command]
+    return argv + [token for part in draw(st.permutations(parts)) for token in part]
+
+
+@given(argvs())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_fast_path_declines_or_parses_as_argparse(argv):
+    fast = cli._parse_well_formed(argv)
+    if fast is not None:
+        try:
+            expected = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv}, which the fast path parsed")
+        assert vars(fast) == vars(expected)
+
+
+@pytest.mark.parametrize("names", [("-x",), ("--long-name",), ("-x", "--long-name"),
+                                   ("--long-name", "-x"), ("-x", "-y", "--z-z", "--w")])
+def test_a_recorded_flag_has_the_dest_that_argparse_gives_it(names):
+    declared = cli._Declared()
+    declared.add_argument(*names, type=int)
+    dest = argparse.ArgumentParser().add_argument(*names, type=int).dest
+    assert {value[0] for value in declared.flags.values()} == {dest}
+    assert list(declared.flags) == list(names)
