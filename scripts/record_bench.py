@@ -18,6 +18,11 @@ and keeps, under `pairwise`, each run's median seconds per pair of dtw
 and of tpsd and their ratio.  Acceptance criterion 5 needs dtw's pair to
 be the faster, so every ratio above 1 is the margin it holds by.
 
+It records `sys.flags.dont_write_bytecode` of the interpreter that runs
+it, which its runs share when the flag comes from PYTHONDONTWRITEBYTECODE.
+While it is set no `.pyc` is written, so `setup_s` includes compiling
+`src/harmory` from source.
+
 This script imports nothing from harmory: it measures the checkout only
 through the benchmark's own command line.
 """
@@ -145,6 +150,7 @@ def main(argv=None) -> int:
                                "runs": plain, "traced_run": traced}
     record = {"n": n, "commit": commit, "nproc": meta["nproc"], "python": meta["python"],
               "numpy": version("numpy"), "src_lines": meta["src_lines"],
+              "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
               "seeds": list(SEEDS), "trace_seed": SEEDS[0], "run_seconds": seconds,
               "workloads": workloads, "pairwise": pairwise(checkout)}
     path = args.out / f"BENCH_{n}.json"

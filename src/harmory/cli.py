@@ -75,13 +75,27 @@ def write_atomic(path: Path, data: str | bytes) -> None:
         raise
 
 
+def read_file(path) -> bytes:
+    """A whole input file, in one plain binary read."""
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def read_text(path) -> str:
+    """A whole input file as ``Path.read_text`` reads it under a UTF-8
+    locale: decoded as UTF-8, with the same error, and every CRLF or CR
+    turned into LF."""
+    text = read_file(path).decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def _read_piece(path: Path, name: str) -> Timeline | None:
     """Load a piece whose id is ``name`` without its extension; None when
     ``name`` has neither piece extension."""
     if name.endswith(".jams.json"):
-        return load_jams(path.read_text(), fallback_id=name[:-len(".jams.json")])
+        return load_jams(read_text(path), fallback_id=name[:-len(".jams.json")])
     if name.endswith(".chart"):
-        return load_chart(path.read_text(), piece_id=name[:-len(".chart")])
+        return load_chart(read_text(path), piece_id=name[:-len(".chart")])
     return None
 
 
@@ -266,7 +280,7 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_query(args) -> int:
-    graph = import_ntriples(Path(args.graph).read_bytes())
+    graph = import_ntriples(read_file(args.graph))
     chords = tuple(parse_chord(token) for token in args.progression.split())
     key = Key.from_string(args.key) if args.key else None
     results = query_similar(graph, PatternQuery(chords=chords, key=key, k=args.k))
@@ -278,7 +292,7 @@ def cmd_query(args) -> int:
 
 def cmd_eval_covers(args) -> int:
     corpus = discover_corpus(Path(args.corpus))
-    cliques = CliqueSet.from_csv(Path(args.cliques).read_text())
+    cliques = CliqueSet.from_csv(read_text(args.cliques))
     metrics = evaluate_covers(corpus, cliques, measure=args.measure,
                               params=_measure_params(args))
     print(metrics.to_table() if args.format == "table" else metrics.to_json(), end="")

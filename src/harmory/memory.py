@@ -15,7 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from urllib.parse import quote
+from itertools import chain
+from urllib.parse import quote, unquote
 
 from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
@@ -219,8 +220,11 @@ def export_ntriples(graph: MemoryGraph) -> bytes:
     return ("\n".join(sorted(lines)) + "\n").encode("utf-8")
 
 
-_TRIPLE = re.compile(
-    r'^<([^>]*)> <([^>]*)> (?:<([^>]*)>|"((?:[^"\\]|\\.)*)") \.$')
+# Every IRI, the object's too, must lie under BASE; each group holds the
+# part after it.  A literal is runs of plain characters between escapes,
+# matched a run at a time rather than a character at a time.
+_IRI = f"<{re.escape(BASE)}([^>]*)>"
+_TRIPLE = re.compile(rf'^{_IRI} {_IRI} (?:{_IRI}|"([^"\\]*(?:\\.[^"\\]*)*)") \.$')
 _SEGMENT_ID = re.compile(r"(.*)/seg/(0|[1-9][0-9]*)")
 
 
@@ -229,14 +233,32 @@ def _unquote_literal(text: str) -> str:
         .replace('\\"', '"').replace("\\\\", "\\")
 
 
+def _triples(text: str):
+    """(line number, subject, predicate, object) of each triple line, the
+    IRIs without BASE and percent-decoded, a literal unescaped; blank lines
+    are skipped and any other line is an error."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        match = _TRIPLE.match(raw)
+        if match is None:
+            if raw.strip():
+                raise GraphFormatError(f"line {lineno}: not a recognized triple")
+            continue
+        subject, predicate, obj, literal = match.groups()
+        if "%" in subject:
+            subject = unquote(subject)
+        if obj is None:
+            obj = _unquote_literal(literal) if "\\" in literal else literal
+        elif "%" in obj:
+            obj = unquote(obj)
+        yield lineno, subject, predicate, obj
+
+
 def import_ntriples(data: bytes) -> MemoryGraph:
     """Rebuild a memory graph from export_ntriples output.
 
     Structure, weights, chords and keys round-trip, so queries rank as
     on the exported graph; titles and artists are not exported.
     """
-    from urllib.parse import unquote
-
     has_segment: dict[str, list[tuple[int, str]]] = {}
     instance_of: dict[str, tuple[str, int]] = {}
     sequences: dict[str, str] = {}
@@ -248,17 +270,7 @@ def import_ntriples(data: bytes) -> MemoryGraph:
     except UnicodeDecodeError as err:
         line = len((data[:err.start] + b".").decode("utf-8").splitlines())
         raise GraphFormatError(f"line {line}: not UTF-8 at byte {err.start}") from err
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
-        match = _TRIPLE.match(raw)
-        if not match or not (match.group(1).startswith(BASE)
-                             and match.group(2).startswith(BASE)):
-            raise GraphFormatError(f"line {lineno}: not a recognized triple")
-        subject = unquote(match.group(1)[len(BASE):])
-        predicate = match.group(2)[len(BASE):]
-        obj_uri = match.group(3)
-        obj = unquote(obj_uri[len(BASE):]) if obj_uri else _unquote_literal(match.group(4))
+    for lineno, subject, predicate, obj in _triples(text):
         if predicate == "hasSegment":
             seg_match = _SEGMENT_ID.fullmatch(obj)
             if not seg_match or seg_match.group(1) != subject:
@@ -373,8 +385,14 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     probe = intern(key_relative_profiles((chord, key) for chord in chords), probe_vocab)
     medoids = {pattern_id: graph.segments[graph.patterns[pattern_id].medoid]
                for pattern_id in sorted(graph.patterns)}
-    codes = {pattern_id: intern(key_relative_profiles(medoid.events()), medoid_vocab)
-             for pattern_id, medoid in medoids.items()}
+    # One pass over the events of every medoid in turn, cut back into one
+    # code list per medoid: the codes of one interning call per medoid.
+    every = intern(key_relative_profiles(chain.from_iterable(
+        medoid.events() for medoid in medoids.values())), medoid_vocab)
+    codes, end = {}, 0
+    for pattern_id, medoid in medoids.items():
+        start, end = end, end + len(medoid.chords)
+        codes[pattern_id] = every[start:end]
     table = distance_table(probe_vocab, medoid_vocab)
     scores = {pattern_id: exp(-_dtw(probe, codes[pattern_id], table=table).normalized_cost
                               / scale) for pattern_id in medoids}

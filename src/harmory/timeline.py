@@ -134,6 +134,12 @@ def build_timeline(piece_id: str, events, keys=(), title=None, artist=None) -> T
                     title=title, artist=artist)
 
 
+# Each key with its diatonic set, in the order ties are broken in: the
+# lowest tonic first, and major before minor.
+_KEY_CANDIDATES = tuple((key, key.diatonic()) for key in (
+    Key(tonic, mode) for tonic in range(12) for mode in ("major", "minor")))
+
+
 def estimate_key(chords) -> Key:
     """Key whose diatonic set covers the most chord pitch classes.
 
@@ -145,9 +151,8 @@ def estimate_key(chords) -> Key:
             pcs |= pitch_class_set(chord)
     if not pcs:
         raise EmptyTimelineError("cannot estimate a key without sounded chords")
-    candidates = [Key(tonic, mode) for tonic in range(12) for mode in ("major", "minor")]
-    return max(candidates,
-               key=lambda k: (len(pcs & k.diatonic()), -k.tonic, k.mode == "major"))
+    # max keeps the first of equal coverings, the one the tie order prefers.
+    return max(_KEY_CANDIDATES, key=lambda candidate: len(pcs & candidate[1]))[0]
 
 
 # Fraction builds 10**exponent in full; a JSON number's exponent is at most 308.
@@ -156,6 +161,8 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 def _to_fraction(value, context: str) -> int | Fraction:
     """A time in beats: an ``int`` when it is whole, else a ``Fraction``."""
+    if isinstance(value, bool):  # JSON true and false, which Fraction reads as 1 and 0
+        raise SchemaError(f"{context}: bad time value {value!r}")
     # JSON integers and ASCII-decimal tokens skip Fraction's string parser;
     # int() stays inside the try, as it rejects tokens of over 4,300 digits.
     whole = type(value) is int or isinstance(value, str) and value.isascii() and value.isdigit()

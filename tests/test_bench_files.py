@@ -34,10 +34,14 @@ def test_bench_files_are_numbered_from_one_without_gaps():
 def test_bench_file_schema(n, path):
     record = json.loads(path.read_text())
     previous = json.loads(RECORDS[n - 2][1].read_text())["workloads"] if n > 1 else None
-    # From BENCH_4 on, a record also holds the pairwise timings of criterion 5.
+    # From BENCH_4 on, a record also holds the pairwise timings of criterion 5,
+    # and from BENCH_7 on whether the runs' interpreter wrote no bytecode.
     assert set(record) == {"n", "commit", "nproc", "python", "numpy", "src_lines", "seeds",
                            "trace_seed", "run_seconds", "workloads",
-                           *(["pairwise"] if n >= 4 else [])}
+                           *(["pairwise"] if n >= 4 else []),
+                           *(["dont_write_bytecode"] if n >= 7 else [])}
+    if n >= 7:
+        assert isinstance(record["dont_write_bytecode"], bool)
     assert record["n"] == n
     assert re.fullmatch(r"[0-9a-f]{40}", record["commit"])
     assert isinstance(record["nproc"], int) and record["nproc"] >= 1

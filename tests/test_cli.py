@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -221,6 +223,43 @@ def test_malformed_graphs_are_usage_errors_with_a_position(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: line 4:")
     assert "q/seg/0" in err
+
+
+@pytest.mark.parametrize("obj", ["<XXXXXXXXXXXXgamma/seg/0>", "<>"])
+def test_an_object_iri_outside_the_base_is_a_usage_error(capsys, tmp_path, obj):
+    """The object of an instanceOf line is not sliced past the base unread."""
+    line = b"<urn:harmory:gamma/seg/0> <urn:harmory:instanceOf> <urn:harmory:gamma/seg/0> ."
+    lines = GOLDEN_GRAPH.read_bytes().splitlines()
+    graph = tmp_path / "memory.nt"
+    graph.write_bytes(b"\n".join(lines).replace(line, line.replace(
+        b"<urn:harmory:gamma/seg/0> .", obj.encode() + b" .")) + b"\n")
+    number = lines.index(line) + 1
+    assert run(capsys, ["query", str(graph), "C:maj"]) \
+        == (2, "", f"error: line {number}: not a recognized triple\n")
+
+
+def test_a_boolean_time_is_a_usage_error(capsys, tmp_path):
+    piece = tmp_path / "p.jams.json"
+    piece.write_text(json.dumps({"annotations": [{"namespace": "chord_harte", "data": [
+        {"time": False, "duration": True, "value": "C:maj"}]}]}))
+    assert run(capsys, ["encode", str(piece)]) \
+        == (2, "", "error: p: observation 0: bad time value False\n")
+
+
+@pytest.mark.parametrize("data", [b'{"a": 1}', b"x\r\ny\rz\r\n\r", "\u00e9\u2028".encode(),
+                                  b"ok\xff", b"x" * 9000 + b"\xe2\x82"])
+def test_input_files_read_as_path_read_text_reads_them(tmp_path, data):
+    """Decoded as UTF-8 with universal newlines, or the same decode error."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    try:
+        expected = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        with pytest.raises(UnicodeDecodeError, match=f"^{re.escape(str(err))}$"):
+            cli.read_text(path)
+    else:
+        assert cli.read_text(path) == expected
+    assert cli.read_file(path) == data
 
 
 def test_a_similar_to_edge_between_non_patterns_is_a_usage_error(capsys, tmp_path):

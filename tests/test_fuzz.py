@@ -60,7 +60,8 @@ def maybe(strategy):
 
 
 observations = st.fixed_dictionaries(
-    {"time": maybe(st.integers(0, 16) | times), "duration": maybe(st.integers(0, 4) | times),
+    {"time": maybe(st.integers(0, 16) | times | st.booleans()),
+     "duration": maybe(st.integers(0, 4) | times | st.booleans()),
      "value": maybe(tokens | keys)})
 annotations = st.fixed_dictionaries(
     {"namespace": maybe(st.sampled_from(["chord_harte", "key_mode", "other"])),
@@ -79,8 +80,11 @@ predicates = st.sampled_from(["hasSegment", "nextSegment", "instanceOf", "chordS
     .map("<urn:harmory:{}>".format)
 literals = st.lists(tokens | keys, max_size=4).map(" ".join) \
     | st.sampled_from(["0.5", "nan", "1e400", "x", '\\"', "\\n"])
+# Object IRIs outside the base, of the base's length or empty.
+foreign_uris = st.sampled_from(["<>", "<XXXXXXXXXXXXa/seg/0>", "<http://example.org/a/seg/0>",
+                                "<urn:other:a>"])
 triples = st.builds("{} {} {} .".format, uris, predicates,
-                    uris | literals.map('"{}"'.format))
+                    uris | foreign_uris | literals.map('"{}"'.format))
 
 
 @st.composite

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from functools import lru_cache
 from math import exp
 from pathlib import Path
+from urllib.parse import unquote
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 import harmory.memory as memory
 from harmory.harte import parse_chord, render_chord
 from harmory.memory import (
+    BASE,
     EmptyCorpusError,
     EmptyQueryError,
     GraphFormatError,
@@ -39,8 +42,8 @@ from harmory.memory import (
     segment_to_timeline,
 )
 from harmory.segmentation import SegmentationParams, segment_timeline
-from harmory.similarity import dtw_align, dtw_lower_bounds, dtw_similarity
-from harmory.timeline import load_jams, transpose
+from harmory.similarity import DEFAULT_SCALE, _dtw, dtw_align, dtw_lower_bounds, dtw_similarity
+from harmory.timeline import estimate_key, load_jams, transpose
 from harmory.tps import Key, distance_table, intern, key_relative_profiles
 from tests.conftest import chords, make_timeline, strict_json
 
@@ -499,3 +502,123 @@ def test_one_warp_serves_both_orders_of_a_pair():
     graph = build_memory(corpus, params, theta_sim=0.4, theta_merge=0.4)
     assert list(graph.patterns) == ["p0/seg/0"]
     assert_same_exports(graph, exhaustive_memory(corpus, params, 0.4, 0.4, 5.0))
+
+
+# The import's line loop and the query's pricing as they were before each
+# did its work once: exact oracles of the ones in harmory.memory.
+ORACLE_TRIPLE = re.compile(r'^<([^>]*)> <([^>]*)> (?:<([^>]*)>|"((?:[^"\\]|\\.)*)") \.$')
+
+
+def oracle_triples(text):
+    """Each line matched a character of a literal at a time, its groups read
+    one by one and every IRI unquoted.  It checks the object's prefix only
+    for being non-empty, so it agrees with ``memory._triples`` on graphs
+    whose IRIs all lie under BASE."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
+            continue
+        match = ORACLE_TRIPLE.match(raw)
+        if not match or not (match.group(1).startswith(BASE)
+                             and match.group(2).startswith(BASE)):
+            raise GraphFormatError(f"line {lineno}: not a recognized triple")
+        subject = unquote(match.group(1)[len(BASE):])
+        predicate = match.group(2)[len(BASE):]
+        obj_uri = match.group(3)
+        obj = unquote(obj_uri[len(BASE):]) if obj_uri \
+            else memory._unquote_literal(match.group(4))
+        yield lineno, subject, predicate, obj
+
+
+def oracle_query_similar(graph, query, scale=DEFAULT_SCALE):
+    """Each medoid's events profiled and interned by a call of its own."""
+    chords = [c for c in query.chords if not c.is_nochord]
+    key = query.key or estimate_key(chords)
+    probe_vocab, medoid_vocab = {}, {}
+    probe = intern(key_relative_profiles((chord, key) for chord in chords), probe_vocab)
+    medoids = {pattern_id: graph.segments[graph.patterns[pattern_id].medoid]
+               for pattern_id in sorted(graph.patterns)}
+    codes = {pattern_id: intern(key_relative_profiles(medoid.events()), medoid_vocab)
+             for pattern_id, medoid in medoids.items()}
+    table = distance_table(probe_vocab, medoid_vocab)
+    scores = {pattern_id: exp(-_dtw(probe, codes[pattern_id], table=table).normalized_cost
+                              / scale) for pattern_id in medoids}
+    top = sorted(scores, key=lambda pattern_id: (-scores[pattern_id], pattern_id))[:query.k]
+    return [(pattern_id, scores[pattern_id],
+             " ".join(map(render_chord, medoids[pattern_id].chords))) for pattern_id in top]
+
+
+QUERIES = [PatternQuery(chords=tuple(map(parse_chord, progression.split())), key=key, k=k)
+           for progression, key, k in [("C:maj", None, 9), ("C:maj A:min F:maj G:7", None, 3),
+                                       ("G:7 C:maj", Key(7, "minor"), 2),
+                                       ("D:min N G:7 C:maj", Key(0), 50)]]
+
+
+def assert_import_and_queries_match_the_oracles(data: bytes) -> MemoryGraph:
+    """The oracle's triples, the graph they build and the oracle's rows."""
+    graph = import_ntriples(data)
+    assert list(memory._triples(data.decode())) == list(oracle_triples(data.decode()))
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(memory, "_triples", oracle_triples)
+        assert import_ntriples(data) == graph
+    for query in QUERIES:
+        assert query_similar(graph, query) == oracle_query_similar(graph, query)
+    return graph
+
+
+@given(corpus=section_corpora(), theta_sim=st.sampled_from([0.3, 0.6, 0.9]))
+@settings(max_examples=40, deadline=None)
+def test_import_and_query_match_the_oracles_on_built_graphs(corpus, theta_sim):
+    graph = build_memory(corpus, PARAMS, theta_sim, theta_sim)
+    assert_import_and_queries_match_the_oracles(export_ntriples(graph))
+
+
+def test_import_and_query_match_the_oracles_on_an_edited_golden_graph():
+    """CRLF endings, whitespace-only lines, needlessly percent-encoded ids
+    and literals whose spaces are escaped line breaks read as the golden
+    graph itself does."""
+    golden = (DATA / "memory_golden.nt").read_bytes()
+    lines = []
+    for line in golden.decode().splitlines():
+        iris, quote_, literal = line.removesuffix('" .').partition(' "')
+        iris = iris.replace("alpha/", "%61lpha/").replace("seg/0", "seg%2F0")
+        literal = literal.replace(" ", "\\n").replace("\\n", "\\r", 1)
+        lines += [f'{iris} "{literal}" .' if quote_ else iris, " \t "]
+    data = "\r\n".join(lines).encode()
+    assert b"%61lpha" in data and b"seg%2F0" in data and b"\\n" in data and b"\\r" in data
+    assert assert_import_and_queries_match_the_oracles(data) == import_ntriples(golden)
+
+
+# Lines near a triple: IRIs in and out of the base, fields with brackets,
+# quotes, escapes and percent signs, and right and wrong endings.
+FIELDS = st.text(alphabet='a/%4>\\" n', max_size=6)
+IRIS = st.builds("<{}{}>".format, st.sampled_from([BASE, "", BASE[:-2], "X" * len(BASE)]),
+                 FIELDS)
+LINES = st.builds("{} {} {}{}".format, IRIS, IRIS, IRIS | FIELDS.map('"{}"'.format),
+                  st.sampled_from([" .", ".", " . ", ""]))
+
+
+@given(LINES)
+@settings(max_examples=500, deadline=None)
+def test_triple_pattern_reads_lines_as_the_oracle_pattern_reads_them(line):
+    """Where the old pattern matched and every IRI lies under BASE, the new
+    one gives the same fields without BASE; elsewhere it does not match."""
+    old = ORACLE_TRIPLE.match(line)
+    new = memory._TRIPLE.match(line)
+    if old and all(iri is None or iri.startswith(BASE) for iri in old.groups()[:3]):
+        assert new.groups() == tuple(
+            group[len(BASE):] if group is not None and i < 3 else group
+            for i, group in enumerate(old.groups()))
+    else:
+        assert new is None
+
+
+@pytest.mark.parametrize("obj", ["<XXXXXXXXXXXXpop00/seg/0>", "<>", "<urn:harmory>",
+                                 "<http://example.org/pop00/seg/0>"])
+def test_import_rejects_object_iris_outside_the_base(obj):
+    golden = (DATA / "memory_golden.nt").read_bytes()
+    line = f"<urn:harmory:gamma/seg/0> <urn:harmory:instanceOf> {obj} ."
+    for at in (0, 7):
+        lines = golden.decode().splitlines()
+        lines.insert(at, line)
+        with pytest.raises(GraphFormatError, match=rf"^line {at + 1}: not a recognized triple$"):
+            import_ntriples("\n".join(lines).encode())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmory.harte import ChordSyntaxError, parse_chord
+from harmory.harte import FLAT_NAMES, ChordSyntaxError, parse_chord
 from harmory.cli import main
 from harmory.timeline import (
     MAX_SPAN_BEATS,
@@ -188,13 +188,21 @@ DIGITS = "0123456789" + "\u0660\u0663\u0669" + "\u0966\u0969"
     st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+", "-"]),
               st.text(DIGITS, min_size=1, max_size=24),
               st.sampled_from(["", " ", "\n"])).map("".join),
-    st.integers(-10**30, 10**30),
-    st.booleans()))
+    st.integers(-10**30, 10**30)))
 def test_whole_times_read_as_fraction_reads_them(token):
     """ASCII-decimal tokens and JSON integers take a fast path; leading
-    zeros, signs, spaces, other decimal digits and bool take the string
-    path.  Both give ``Fraction(token)``."""
+    zeros, signs, spaces and other decimal digits take the string path.
+    Both give ``Fraction(token)``."""
     assert _to_fraction(token, "ctx") == Fraction(token)
+
+
+@pytest.mark.parametrize("field, token", [("time", False), ("duration", True)])
+def test_json_booleans_are_bad_time_values(field, token):
+    """Fraction reads false and true as 0 and 1; a time is a number or a string."""
+    doc = json.loads(JAMS_FIXTURE)
+    doc["annotations"][0]["data"][1][field] = token
+    with pytest.raises(SchemaError, match=f"^fixture-01: observation 1: bad time value {token}$"):
+        load_jams(json.dumps(doc))
 
 
 @pytest.mark.parametrize("token", ["\u00b2", "3\u00b2", "9" * 5000])
@@ -467,6 +475,23 @@ def test_estimate_key_tie_breaks_lowest_tonic_then_major():
     # a single C:maj triad fits many keys; C major wins the tie
     assert estimate_key([parse_chord("C:maj")]) == Key(0, "major")
     assert estimate_key([parse_chord("D:maj")]) == Key(2, "major")
+
+
+def oracle_estimate_key(pcs: set[int]) -> Key:
+    """The 24 keys built and ranked on every call: the exact oracle of
+    ``estimate_key``'s candidates built once."""
+    candidates = [Key(tonic, mode) for tonic in range(12) for mode in ("major", "minor")]
+    return max(candidates,
+               key=lambda k: (len(pcs & k.diatonic()), -k.tonic, k.mode == "major"))
+
+
+def test_estimate_key_matches_the_candidate_loop_on_every_pitch_class_set():
+    lone = [parse_chord(f"{name}:maj(*3,*5)") for name in FLAT_NAMES]  # one pitch class each
+    with pytest.raises(EmptyTimelineError):
+        estimate_key([parse_chord("N")])
+    for mask in range(1, 1 << 12):
+        pcs = {pc for pc in range(12) if mask >> pc & 1}
+        assert estimate_key([lone[pc] for pc in pcs]) == oracle_estimate_key(pcs)
 
 
 def test_encode_event_grid():
