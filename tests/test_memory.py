@@ -511,9 +511,9 @@ ORACLE_TRIPLE = re.compile(r'^<([^>]*)> <([^>]*)> (?:<([^>]*)>|"((?:[^"\\]|\\.)*
 
 def oracle_triples(text):
     """Each line matched a character of a literal at a time, its groups read
-    one by one and every IRI unquoted.  It checks the object's prefix only
-    for being non-empty, so it agrees with ``memory._triples`` on graphs
-    whose IRIs all lie under BASE."""
+    one by one and every IRI unquoted.  It does not check the object's
+    prefix, so it agrees with ``memory._triples`` only on graphs whose IRIs
+    all lie under BASE."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
