@@ -48,7 +48,7 @@ from harmory.segmentation import (
     segment_timeline,
     ssm_to_pgm,
 )
-from harmory.similarity import DEFAULT_SCALE, MEASURES, corpus_similarity_matrix, matrix_to_csv
+from harmory.similarity import _STEPS, MEASURES, corpus_similarity_matrix, matrix_to_csv
 from harmory.timeline import (
     SchemaError,
     Timeline,
@@ -157,22 +157,16 @@ def _add_seg_arguments(parser) -> None:
 
 
 def _measure_params(args) -> dict:
-    if args.measure == "dtw":
-        return {"scale": args.scale, "band": args.band}
-    if args.measure == "tpsd":
-        return {"scale": args.scale}
-    return {"tau": args.tau, "n_min": args.n_min, "n_max": args.n_max}
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(_STEPS[args.measure])}
 
 
 def _add_measure_arguments(parser) -> None:
     parser.add_argument("--measure", choices=sorted(MEASURES), default="dtw")
-    parser.add_argument("--scale", type=finite_float, default=DEFAULT_SCALE)
-    parser.add_argument("--band", type=int, default=None,
-                        help="Sakoe-Chiba band width for dtw")
-    parser.add_argument("--tau", type=finite_float, default=1.0,
-                        help="lharp pattern agreement threshold")
-    parser.add_argument("--n-min", type=int, default=2)
-    parser.add_argument("--n-max", type=int, default=4)
+    declared = {f.name: f for steps in _STEPS.values() for f in dataclasses.fields(steps)}
+    for f in declared.values():
+        parser.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                            type=finite_float if isinstance(f.default, float) else int,
+                            help=f.metadata.get("help"))
 
 
 def _add_workers_argument(parser) -> None:

@@ -10,21 +10,19 @@ the first relevant candidate.
 from __future__ import annotations
 
 import csv
-import inspect
 import io
 import json
 import random
 import statistics
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from harmory.harte import Chord, Degree, natural_for_pitch_class
-from harmory.similarity import (MEASURES, corpus_similarity_matrix,
-                                extract_recurrent_patterns)
-from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, encode_tps
-from harmory.tps import Key
+from harmory.similarity import _STEPS, MEASURES, corpus_similarity_matrix
+from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline
+from harmory.tps import MAJOR_STEPS, MINOR_STEPS, Key
 
 
 class CliqueError(ValueError):
@@ -147,27 +145,19 @@ def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, measure: str = "
     )
 
 
-def comparison_counts(a: Timeline, b: Timeline, measure: str, band: int | None = None,
-                      n_min: int = 2, n_max: int = 4) -> int:
-    """Exact number of elementary comparisons a measure performs: for
-    dtw, the cells its kernel fills, |i - j| <= max(band, |n - m|); for
-    tpsd, the beat-grid lengths multiplied; for lharp, the pattern pairs
-    it bounds, the recurrent patterns of a times those of b."""
-    if measure == "dtw":
-        n, m = len(a.sounded()), len(b.sounded())
-        if band is None:
-            return n * m
-        width = max(band, abs(n - m))
-        return sum(min(m, i + width + 1) - max(0, i - width) for i in range(n))
-    if measure == "tpsd":
-        la = len(encode_tps(a, "beat").values)
-        lb = len(encode_tps(b, "beat").values)
-        return la * lb
-    if measure == "lharp":
-        pa, pb = (extract_recurrent_patterns([(chord, key) for _, chord, key in tl.sounded()],
-                                             n_min, n_max) for tl in (a, b))
-        return len(pa) * len(pb)
-    raise ValueError(f"no comparison count model for measure {measure!r}")
+def _counted(measure: str):
+    """The step class that declares ``measure``'s parameters and counts its comparisons."""
+    if measure not in _STEPS:
+        raise ValueError(f"no comparison count model for measure {measure!r}")
+    return _STEPS[measure]
+
+
+def comparison_counts(a: Timeline, b: Timeline, measure: str, **params) -> int:
+    """Exact number of elementary comparisons ``measure`` makes on the
+    pair, as its step class counts them on the two prepared pieces."""
+    steps = _counted(measure)(**params)
+    vocab: dict = {}
+    return steps.comparisons(steps.prepare(a, vocab), steps.prepare(b, vocab))
 
 
 def benchmark_measures(corpus: list[Timeline], measures=("dtw", "tpsd"),
@@ -184,13 +174,12 @@ def benchmark_measures(corpus: list[Timeline], measures=("dtw", "tpsd"),
     for measure in measures:
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
-        accepted = list(inspect.signature(MEASURES[measure]).parameters)[2:]  # after a, b
+        accepted = {f.name for f in fields(_counted(measure))}
         for name in kwargs:
             if name not in accepted:
                 raise ValueError(f"measure {measure!r} takes no parameter {name!r}")
-    counted = {name: kwargs[name] for name in ("band", "n_min", "n_max") if name in kwargs}
     pairs = [(a, b) for i, a in enumerate(corpus) for b in corpus[i + 1:]]
-    counts = {measure: [[a.id, b.id, comparison_counts(a, b, measure, **counted)]
+    counts = {measure: [[a.id, b.id, comparison_counts(a, b, measure, **kwargs)]
                         for a, b in pairs]
               for measure in measures}
     report: dict = {"pieces": len(corpus), "pairs": len(pairs),
@@ -223,8 +212,6 @@ _TRIAD_QUALITIES = {
 
 def diatonic_triad(key: Key, degree: int) -> Chord:
     """Triad on the given scale degree (0-based) of the key."""
-    from harmory.tps import MAJOR_STEPS, MINOR_STEPS
-
     steps = MAJOR_STEPS if key.mode == "major" else MINOR_STEPS
     root = (key.tonic + steps[degree % 7]) % 12
     quality = _TRIAD_QUALITIES[key.mode][degree % 7]

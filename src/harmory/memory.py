@@ -196,18 +196,23 @@ def chord_sequence(segment: Segment, render) -> str:
     return " ".join(map(render, segment.chords))
 
 
-def export_ntriples(graph: MemoryGraph) -> bytes:
-    """Serialize to sorted N-Triples; byte-identical across runs."""
-    lines = []
-    render = cache(render_chord)  # each distinct chord once, for this export only
+def _structure_edges(graph: MemoryGraph):
+    """(source, type, target) of each hasSegment, nextSegment and instanceOf edge."""
     for piece in graph.pieces.values():
         for seg_id in piece.segment_ids:
-            lines.append(f"{_uri(piece.id)} <{BASE}hasSegment> {_uri(seg_id)} .")
+            yield piece.id, "hasSegment", seg_id
         for a, b in zip(piece.segment_ids, piece.segment_ids[1:]):
-            lines.append(f"{_uri(a)} <{BASE}nextSegment> {_uri(b)} .")
+            yield a, "nextSegment", b
     for pattern in graph.patterns.values():
         for member in pattern.members:
-            lines.append(f"{_uri(member)} <{BASE}instanceOf> {_uri(pattern.medoid)} .")
+            yield member, "instanceOf", pattern.medoid
+
+
+def export_ntriples(graph: MemoryGraph) -> bytes:
+    """Serialize to sorted N-Triples; byte-identical across runs."""
+    lines = [f"{_uri(source)} <{BASE}{kind}> {_uri(target)} ."
+             for source, kind, target in _structure_edges(graph)]
+    render = cache(render_chord)  # each distinct chord once, for this export only
     for segment in graph.segments.values():
         lines.append(f"{_uri(segment.id)} <{BASE}chordSequence> "
                      f"{_literal(chord_sequence(segment, render))} .")
@@ -305,13 +310,13 @@ def import_ntriples(data: bytes) -> MemoryGraph:
             for name, table in (("chordSequence", sequences), ("keySequence", key_sequences)):
                 if seg_id not in table:
                     raise GraphFormatError(f"segment {seg_id}: missing {name}")
+            tokens = sequences[seg_id].split()
             try:
-                chords = tuple(map(parse, sequences[seg_id].split()))
+                chords = tuple(map(parse, tokens))
                 keys = tuple(map(parse_key, key_sequences[seg_id].split()))
             except ValueError as err:
                 raise GraphFormatError(f"segment {seg_id}: {err}") from err
-            if not chords or len(keys) != len(chords) \
-                    or any(chord.is_nochord for chord in chords):
+            if not chords or len(keys) != len(chords) or "N" in tokens:  # N: the no-chord
                 raise GraphFormatError(f"segment {seg_id}: needs one key per sounded chord, "
                                        f"got {len(chords)} chords and {len(keys)} keys")
             segments[seg_id] = Segment(
@@ -353,16 +358,8 @@ def export_json(graph: MemoryGraph) -> str:
     for pattern_id in sorted(graph.patterns):
         nodes.append({"id": pattern_id, "type": "pattern",
                       "members": list(graph.patterns[pattern_id].members)})
-    edges = []
-    for piece_id in sorted(graph.pieces):
-        piece = graph.pieces[piece_id]
-        for seg_id in piece.segment_ids:
-            edges.append({"source": piece_id, "type": "hasSegment", "target": seg_id})
-        for a, b in zip(piece.segment_ids, piece.segment_ids[1:]):
-            edges.append({"source": a, "type": "nextSegment", "target": b})
-    for pattern_id in sorted(graph.patterns):
-        for member in graph.patterns[pattern_id].members:
-            edges.append({"source": member, "type": "instanceOf", "target": pattern_id})
+    edges = [{"source": source, "type": kind, "target": target}
+             for source, kind, target in _structure_edges(graph)]
     for a, b, weight in graph.similar:
         edges.append({"source": a, "type": "similarTo", "target": b,
                       "weight": round(weight, 6)})

@@ -18,7 +18,7 @@ invariant under transposition of either piece.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp, inf
 
@@ -242,19 +242,25 @@ def _covered_runs(patterns) -> dict[int, tuple[int, int]]:
     return {i: (start, stop) for start, stop in runs for i in range(start, stop)}
 
 
-# Each measure runs in two steps.  ``prepare`` does the per-piece work
-# once, interning the piece's key-relative profiles into a vocabulary that
-# every piece it will meet shares; ``compare`` scores two prepared pieces
-# against that vocabulary's distance table.
+# Each measure is declared once, by its step class, whose fields are its
+# parameters.  ``prepare`` does a piece's own work once, over a vocabulary
+# shared with every piece it meets; ``compare`` scores two prepared pieces
+# against its distance table; ``comparisons`` counts what ``compare`` does.
 
 
 @dataclass(frozen=True)
 class _Dtw:
     scale: float = DEFAULT_SCALE
-    band: int | None = None
+    band: int | None = field(default=None, metadata={"help": "Sakoe-Chiba band width for dtw"})
 
     def __post_init__(self):
         _check_params(self.scale, self.band)
+
+    def comparisons(self, ca: list[int], cb: list[int]) -> int:
+        """The cells ``_dtw`` fills: |i - j| <= its band's width."""
+        n, m = len(ca), len(cb)
+        width = max(n, m) if self.band is None else max(self.band, abs(n - m))
+        return sum(min(m, i + width + 1) - max(0, i - width) for i in range(n))
 
     def prepare(self, timeline: Timeline, vocab: dict) -> list[int]:
         return intern(key_relative_events(timeline), vocab)
@@ -271,6 +277,9 @@ class _Tpsd:
 
     def __post_init__(self):
         _check_params(self.scale)
+
+    def comparisons(self, va, vb) -> int:
+        return len(va) * len(vb)
 
     def prepare(self, timeline: Timeline, vocab: dict):
         import numpy as np
@@ -296,12 +305,16 @@ class _Tpsd:
 
 @dataclass(frozen=True)
 class _Lharp:
-    tau: float = 1.0
+    tau: float = field(default=1.0, metadata={"help": "lharp pattern agreement threshold"})
     n_min: int = 2
     n_max: int = 4
 
     def __post_init__(self):
         _check_params(n_min=self.n_min, n_max=self.n_max)
+
+    def comparisons(self, a, b) -> int:
+        """The pattern pairs ``compare`` bounds."""
+        return len(a[1]) * len(b[1])
 
     def prepare(self, timeline: Timeline, vocab: dict):
         codes = intern(key_relative_events(timeline), vocab)

@@ -159,23 +159,24 @@ def estimate_key(chords) -> Key:
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
-def _to_fraction(value, context: str) -> int | Fraction:
-    """A time in beats: an ``int`` when it is whole, else a ``Fraction``."""
+def _to_fraction(value, context: str, *args) -> int | Fraction:
+    """A time in beats: an ``int`` when it is whole, else a ``Fraction``.
+    An error's message starts with ``context % args``, built only then."""
     if isinstance(value, bool):  # JSON true and false, which Fraction reads as 1 and 0
-        raise SchemaError(f"{context}: bad time value {value!r}")
+        raise SchemaError(f"{context % args}: bad time value {value!r}")
     # JSON integers and ASCII-decimal tokens skip Fraction's string parser;
     # int() stays inside the try, as it rejects tokens of over 4,300 digits.
     whole = type(value) is int or isinstance(value, str) and value.isascii() and value.isdigit()
     exponent = _EXPONENT.search(value) if isinstance(value, str) and not whole else None
     digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
     if len(digits) > 3 or int(digits or 0) > 308:
-        raise SchemaError(f"{context}: time exponent beyond ±308 in {value!r:.40}")
+        raise SchemaError(f"{context % args}: time exponent beyond ±308 in {value!r:.40}")
     try:
         if whole:
             return int(value)
         time = Fraction(str(value) if isinstance(value, float) else value)
     except (ValueError, TypeError, ZeroDivisionError) as err:
-        raise SchemaError(f"{context}: bad time value {value!r}") from err
+        raise SchemaError(f"{context % args}: bad time value {value!r}") from err
     return time.numerator if time.denominator == 1 else time
 
 
@@ -220,8 +221,8 @@ def load_jams(data: str | bytes, fallback_id: str | None = None) -> Timeline:
                     or not isinstance(obs.get("value"), str):
                 raise SchemaError(f"{piece_id}: {namespace} observation {index} "
                                   "lacks time/duration/value (a string)")
-            start = _to_fraction(obs["time"], f"{piece_id}: observation {index}")
-            duration = _to_fraction(obs["duration"], f"{piece_id}: observation {index}")
+            start = _to_fraction(obs["time"], "%s: observation %d", piece_id, index)
+            duration = _to_fraction(obs["duration"], "%s: observation %d", piece_id, index)
             if namespace == "chord_harte":
                 try:
                     chord = parse(obs["value"])
@@ -276,8 +277,8 @@ def load_chart(text: str, piece_id: str | None = None) -> Timeline:
         fields = line.split()
         if len(fields) != 3:
             raise SchemaError(f"line {lineno}: expected '<start> <duration> <chord>'")
-        start = _to_fraction(fields[0], f"line {lineno}")
-        duration = _to_fraction(fields[1], f"line {lineno}")
+        start = _to_fraction(fields[0], "line %d", lineno)
+        duration = _to_fraction(fields[1], "line %d", lineno)
         try:
             chord = parse(fields[2])
         except HarteError as err:

@@ -8,11 +8,13 @@ import json
 import pkgutil
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import harmory
 import harmory.cli as cli
+import harmory.evaluation as evaluation
 import harmory.segmentation as segmentation
 from harmory.cli import main
 from harmory.memory import GraphFormatError, import_ntriples
@@ -429,6 +431,45 @@ def test_bad_measure_parameters_are_usage_errors_naming_the_flag(capsys, tmp_pat
         code, out, err = run(capsys, command + flags)
         assert (code, out) == (2, ""), command
         assert_usage_error_naming(err, command[0], flags[-2])
+
+
+@pytest.mark.parametrize("measure", ["dtw", "tpsd", "lharp"])
+@pytest.mark.parametrize("flags", [[], ["--scale", "2.5", "--band", "3", "--tau", "0.5",
+                                        "--n-min", "3", "--n-max", "5"]])
+def test_each_measure_gets_exactly_its_step_class_fields(capsys, tmp_path, monkeypatch,
+                                                         measure, flags):
+    """sim, matrix and eval-covers pass a measure the fields of its step
+    class, in their declared order, each with its flag's value."""
+    import dataclasses
+
+    from harmory.similarity import _STEPS
+
+    given = {"scale": 2.5, "band": 3, "tau": 0.5, "n_min": 3, "n_max": 5}
+    expected = {f.name: given[f.name] if flags else f.default
+                for f in dataclasses.fields(_STEPS[measure])}
+    received = []
+
+    def sim(a, b, **params):
+        received.append(params)
+        return SimpleNamespace(to_json=str)
+
+    def matrix(corpus, measure, params):
+        received.append(params)
+        return [], []
+
+    def covers(corpus, cliques, measure, params):
+        received.append(params)
+        return evaluation.RankingMetrics(measure, 0.0, 0.0, 0.0, ())
+
+    monkeypatch.setitem(cli.MEASURES, measure, sim)
+    monkeypatch.setattr(cli, "corpus_similarity_matrix", matrix)
+    monkeypatch.setattr(cli, "evaluate_covers", covers)
+    corpus, cliques = write_cover_corpus(tmp_path / "covers")
+    a, b = (str(corpus / f"{name}.jams.json") for name in ("c0-orig", "c1-orig"))
+    for command in (["sim", a, b], ["matrix", str(corpus)],
+                    ["eval-covers", str(corpus), str(cliques)]):
+        assert run(capsys, command + ["--measure", measure] + flags)[0] == 0, command
+    assert [list(params.items()) for params in received] == [list(expected.items())] * 3
 
 
 def assert_usage_error_naming(err, command, flag):

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import functools
 import random
+from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmory.evaluation import (
     CliqueError,
@@ -27,7 +30,7 @@ from harmory.evaluation import (
 )
 from harmory.harte import parse_chord, pitch_class_set, render_chord
 from harmory.similarity import MEASURES, corpus_similarity_matrix, extract_recurrent_patterns
-from harmory.timeline import Timeline, encode_tps, transpose
+from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, encode_tps, transpose
 from harmory.tps import Key
 from tests.conftest import make_timeline, sounded_pairs, strict_json
 
@@ -194,6 +197,57 @@ def test_comparison_counts_lharp_are_the_pattern_pairs_it_bounds():
     assert comparison_counts(a, b, "lharp") == 1 * 5
 
 
+def oracle_comparison_counts(a, b, measure, band=None, n_min=2, n_max=4):
+    """The per-measure count model, each measure's parameters and defaults
+    restated: dtw's cells within its band, tpsd's beat-grid lengths
+    multiplied, lharp's recurrent patterns of a times those of b."""
+    if measure == "dtw":
+        n, m = len(a.sounded()), len(b.sounded())
+        if band is None:
+            return n * m
+        width = max(band, abs(n - m))
+        return sum(min(m, i + width + 1) - max(0, i - width) for i in range(n))
+    if measure == "tpsd":
+        return len(encode_tps(a, "beat").values) * len(encode_tps(b, "beat").values)
+    assert measure == "lharp"
+    pa, pb = (extract_recurrent_patterns(sounded_pairs(tl), n_min, n_max) for tl in (a, b))
+    return len(pa) * len(pb)
+
+
+@st.composite
+def counted_timelines(draw, piece_id):
+    """Pieces of 1 to 12 events, some of them no-chords or repeats, of 1
+    to 3 beats each, under one key or modulating half-way."""
+    symbols = draw(st.lists(st.sampled_from(["C:maj", "G:7", "A:min", "F:maj", "N"]),
+                            min_size=1, max_size=12).filter(lambda s: set(s) != {"N"}))
+    beat = draw(st.integers(1, 3))
+    events = [ChordEvent(Fraction(i * beat), Fraction(beat), parse_chord(symbol))
+              for i, symbol in enumerate(symbols)]
+    keys = [Key.from_string(k) for k in draw(st.lists(
+        st.sampled_from(["C:maj", "A:min", "Eb:maj"]), min_size=1,
+        max_size=2 if len(symbols) > 1 else 1))]
+    cut = len(symbols) // 2 * beat if len(keys) == 2 else len(symbols) * beat
+    spans = [KeySpan(Fraction(0), Fraction(cut), keys[0])]
+    if len(keys) == 2:
+        spans.append(KeySpan(Fraction(cut), Fraction(len(symbols) * beat - cut), keys[1]))
+    return build_timeline(piece_id, events, spans)
+
+
+@given(a=counted_timelines("a"), b=counted_timelines("b"), band=st.integers(0, 8),
+       n_min=st.integers(2, 4), extra=st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_comparison_counts_equal_the_per_measure_model(a, b, band, n_min, extra):
+    """The step classes count as the per-measure model did, with every
+    measure's defaults and with drawn bands and pattern lengths."""
+    for measure in ("dtw", "tpsd", "lharp"):
+        assert comparison_counts(a, b, measure) == oracle_comparison_counts(a, b, measure)
+    assert comparison_counts(a, b, "dtw", band=band) \
+        == oracle_comparison_counts(a, b, "dtw", band=band)
+    n_max = n_min + extra
+    assert comparison_counts(a, b, "lharp", n_min=n_min, n_max=n_max) \
+        == oracle_comparison_counts(a, b, "lharp", n_min=n_min, n_max=n_max)
+
+
 def test_comparison_counts_unknown_measure():
     a = make_timeline(["C:maj"])
     with pytest.raises(ValueError):
@@ -329,7 +383,7 @@ def test_comparison_counts_dtw_respects_the_band():
             b = make_timeline(["G:maj"] * m, piece_id="b")
             assert comparison_counts(a, b, "dtw") == n * m
             for band in range(0, 9):
-                assert comparison_counts(a, b, "dtw", band) == filled_cells(n, m, band)
+                assert comparison_counts(a, b, "dtw", band=band) == filled_cells(n, m, band)
 
 
 def test_benchmark_counts_cells_within_its_band():
@@ -338,4 +392,4 @@ def test_benchmark_counts_cells_within_its_band():
                                 params={"band": 1})
     for ida, idb, count in report["measures"]["dtw"]["comparisons_per_pair"]:
         a, b = (next(t for t in corpus if t.id == i) for i in (ida, idb))
-        assert count == comparison_counts(a, b, "dtw", 1) < len(a.sounded()) * len(b.sounded())
+        assert count == comparison_counts(a, b, "dtw", band=1) < len(a.sounded()) * len(b.sounded())
