@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from functools import cache
 from pathlib import Path
 
 from harmory.evaluation import (
@@ -35,6 +34,7 @@ from harmory.memory import (
     EmptyCorpusError,
     PatternQuery,
     build_memory,
+    chord_sequence,
     export_json,
     export_ntriples,
     graph_stats,
@@ -213,8 +213,7 @@ def cmd_encode(args) -> int:
     timeline = load_piece(Path(args.piece))
     series = encode_tps(timeline, args.grid)
     lines = ["value,weight"]
-    lines += [f"{float(v)!r},{w.numerator if w.denominator == 1 else w}"
-              for v, w in series.values]
+    lines += [f"{float(v)!r},{w}" for v, w in series.values]
     text = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(Path(args.out), text)
@@ -234,13 +233,12 @@ def cmd_segment(args) -> int:
     if result.curve is not None:
         write_atomic(out_dir / f"{stem}.novelty.csv", novelty_to_csv(result.curve))
     write_atomic(out_dir / f"{stem}.boundaries.csv", boundaries_to_csv(result.boundaries))
-    render = cache(render_chord)  # each distinct chord once, for this call only
     payload = {
         "piece": timeline.id,
         "params": dataclasses.asdict(params) | {"kernel_size": result.kernel_size},
         "boundaries": result.boundaries,
         "segments": [{"id": s.id, "start_event": s.start_event, "end_event": s.end_event,
-                      "chords": " ".join(map(render, s.chords))}
+                      "chords": chord_sequence(s)}
                      for s in result.segments],
     }
     text = json.dumps(payload, indent=2) + "\n"

@@ -16,7 +16,7 @@ import random
 import statistics
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from harmory.harte import Chord, Degree, natural_for_pitch_class
@@ -75,18 +75,7 @@ class RankingMetrics:
     queries: tuple[QueryResult, ...]
 
     def to_json(self) -> str:
-        payload = {
-            "measure": self.measure,
-            "mean_average_precision": self.mean_average_precision,
-            "precision_at_1": self.precision_at_1,
-            "mean_rank_first_relevant": self.mean_rank_first_relevant,
-            "queries": [
-                {"query_id": q.query_id, "average_precision": q.average_precision,
-                 "first_relevant_rank": q.first_relevant_rank, "top_hit": q.top_hit,
-                 "top_relevant": q.top_relevant}
-                for q in self.queries],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     def to_table(self) -> str:
         rows = [("query", "AP", "first-rank", "top hit")]

@@ -20,6 +20,7 @@ not already in the degree set is added to the sounding set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 NATURALS = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -316,11 +317,16 @@ def _assemble(root: Natural, shorthand: str | None, entries: list[Degree],
                  shorthand=shorthand)
 
 
+# Both converters cache, so a process parses and renders each distinct
+# token or chord once.  Bounded, because a note takes any number of
+# accidentals, so the tokens have no bound of their own.
+@lru_cache(maxsize=2**12)
 def parse_chord(text: str) -> Chord:
     """Parse a chord symbol, raising positioned errors on bad input."""
     return _Parser(text).parse()
 
 
+@lru_cache(maxsize=2**12)
 def render_chord(chord: Chord) -> str:
     """Render the canonical symbol: the largest fitting shorthand plus a
     sorted remainder list.  ``parse_chord(render_chord(c)) == c``."""

@@ -14,7 +14,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from urllib.parse import quote, unquote
 
@@ -190,10 +189,9 @@ def _literal(text: str) -> str:
     return f'"{escaped}"'
 
 
-def chord_sequence(segment: Segment, render) -> str:
-    """The segment's chords, each written by ``render``: the caller's
-    ``cache(render_chord)``, so that each distinct chord is rendered once."""
-    return " ".join(map(render, segment.chords))
+def chord_sequence(segment: Segment) -> str:
+    """The segment's chords as space-joined canonical symbols."""
+    return " ".join(map(render_chord, segment.chords))
 
 
 def _structure_edges(graph: MemoryGraph):
@@ -212,10 +210,9 @@ def export_ntriples(graph: MemoryGraph) -> bytes:
     """Serialize to sorted N-Triples; byte-identical across runs."""
     lines = [f"{_uri(source)} <{BASE}{kind}> {_uri(target)} ."
              for source, kind, target in _structure_edges(graph)]
-    render = cache(render_chord)  # each distinct chord once, for this export only
     for segment in graph.segments.values():
         lines.append(f"{_uri(segment.id)} <{BASE}chordSequence> "
-                     f"{_literal(chord_sequence(segment, render))} .")
+                     f"{_literal(chord_sequence(segment))} .")
         lines.append(f"{_uri(segment.id)} <{BASE}keySequence> "
                      f"{_literal(' '.join(map(str, segment.keys)))} .")
     for a, b, weight in graph.similar:
@@ -264,43 +261,45 @@ def import_ntriples(data: bytes) -> MemoryGraph:
     Structure, weights, chords and keys round-trip, so queries rank as
     on the exported graph; titles and artists are not exported.
     """
-    has_segment: dict[str, list[tuple[int, str]]] = {}
+    # A graph is a set of triples, so a repeated line is read once.  Each
+    # subject has one object of the predicates in ``single``, kept with
+    # the number of the first line that gives it.
+    has_segment: dict[str, set[tuple[int, str]]] = {}
+    similar_pairs: dict[tuple[str, str], int] = {}
     instance_of: dict[str, tuple[str, int]] = {}
-    sequences: dict[str, str] = {}
-    key_sequences: dict[str, str] = {}
-    similar_pairs: list[tuple[str, str, int]] = []
-    weights: dict[str, float] = {}
+    sequences: dict[str, tuple[str, int]] = {}
+    key_sequences: dict[str, tuple[str, int]] = {}
+    weights: dict[str, tuple[str, int]] = {}
+    single = {"instanceOf": instance_of, "chordSequence": sequences,
+              "keySequence": key_sequences, "weight": weights}
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = len((data[:err.start] + b".").decode("utf-8").splitlines())
         raise GraphFormatError(f"line {line}: not UTF-8 at byte {err.start}") from err
     for lineno, subject, predicate, obj in _triples(text):
-        if predicate == "hasSegment":
+        if predicate in single:
+            first, first_line = single[predicate].setdefault(subject, (obj, lineno))
+            if first != obj:
+                raise GraphFormatError(f"line {lineno}: a second {predicate} of {subject}, "
+                                       f"not the one of line {first_line}")
+            if predicate == "weight":
+                try:
+                    float(obj)
+                except ValueError as err:
+                    raise GraphFormatError(f"line {lineno}: {err}") from err
+        elif predicate == "hasSegment":
             seg_match = _SEGMENT_ID.fullmatch(obj)
             if not seg_match or seg_match.group(1) != subject:
                 raise GraphFormatError(
                     f"line {lineno}: segment {obj!r} is not named {subject}/seg/<index>")
-            has_segment.setdefault(subject, []).append((int(seg_match.group(2)), obj))
-        elif predicate == "instanceOf":
-            instance_of[subject] = (obj, lineno)
-        elif predicate == "chordSequence":
-            sequences[subject] = obj
-        elif predicate == "keySequence":
-            key_sequences[subject] = obj
+            has_segment.setdefault(subject, set()).add((int(seg_match.group(2)), obj))
         elif predicate == "similarTo":
-            similar_pairs.append((subject, obj, lineno))
-        elif predicate == "weight":
-            try:
-                weights[subject] = float(obj)
-            except ValueError as err:
-                raise GraphFormatError(f"line {lineno}: {err}") from err
+            similar_pairs.setdefault((subject, obj), lineno)
         elif predicate != "nextSegment":  # segment order comes from the hasSegment indices
             raise GraphFormatError(f"line {lineno}: unknown predicate {predicate!r}")
     pieces: dict[str, PieceInfo] = {}
     segments: dict[str, Segment] = {}
-    # Each distinct chord and key token is parsed once, for this import only.
-    parse, parse_key = cache(parse_chord), cache(Key.from_string)
     for piece_id in sorted(has_segment):
         ordered = sorted(has_segment[piece_id])
         pieces[piece_id] = PieceInfo(piece_id, None, None,
@@ -310,10 +309,10 @@ def import_ntriples(data: bytes) -> MemoryGraph:
             for name, table in (("chordSequence", sequences), ("keySequence", key_sequences)):
                 if seg_id not in table:
                     raise GraphFormatError(f"segment {seg_id}: missing {name}")
-            tokens = sequences[seg_id].split()
+            tokens = sequences[seg_id][0].split()
             try:
-                chords = tuple(map(parse, tokens))
-                keys = tuple(map(parse_key, key_sequences[seg_id].split()))
+                chords = tuple(map(parse_chord, tokens))
+                keys = tuple(map(Key.from_string, key_sequences[seg_id][0].split()))
             except ValueError as err:
                 raise GraphFormatError(f"segment {seg_id}: {err}") from err
             if not chords or len(keys) != len(chords) or "N" in tokens:  # N: the no-chord
@@ -332,14 +331,14 @@ def import_ntriples(data: bytes) -> MemoryGraph:
     patterns = {pattern_id: Pattern(medoid=pattern_id, members=tuple(sorted(members)))
                 for pattern_id, members in member_lists.items()}
     similar = []
-    for a, b, lineno in sorted(similar_pairs):
+    for (a, b), lineno in sorted(similar_pairs.items()):
         if a not in patterns or b not in patterns:
             raise GraphFormatError(f"line {lineno}: similarTo {a} {b}: "
                                    "both must be patterns (the object of an instanceOf)")
         sim_node = f"sim/{a}/{b}"
         if sim_node not in weights:
             raise GraphFormatError(f"similarTo {a} {b}: missing weight")
-        similar.append((a, b, weights[sim_node]))
+        similar.append((a, b, float(weights[sim_node][0])))
     return MemoryGraph(pieces=pieces, segments=segments, patterns=patterns,
                        similar=tuple(similar))
 
@@ -347,14 +346,13 @@ def import_ntriples(data: bytes) -> MemoryGraph:
 def export_json(graph: MemoryGraph) -> str:
     """JSON dump with nodes and edges arrays in stable order."""
     nodes = []
-    render = cache(render_chord)  # each distinct chord once, for this export only
     for piece_id in sorted(graph.pieces):
         piece = graph.pieces[piece_id]
         nodes.append({"id": piece_id, "type": "piece",
                       "title": piece.title, "artist": piece.artist})
     for seg_id in sorted(graph.segments):
         nodes.append({"id": seg_id, "type": "segment",
-                      "chords": chord_sequence(graph.segments[seg_id], render)})
+                      "chords": chord_sequence(graph.segments[seg_id])})
     for pattern_id in sorted(graph.patterns):
         nodes.append({"id": pattern_id, "type": "pattern",
                       "members": list(graph.patterns[pattern_id].members)})
@@ -394,8 +392,7 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     scores = {pattern_id: exp(-_dtw(probe, codes[pattern_id], table=table).normalized_cost
                               / scale) for pattern_id in medoids}
     top = sorted(scores, key=lambda pattern_id: (-scores[pattern_id], pattern_id))[:query.k]
-    render = cache(render_chord)  # each distinct chord once, for this query only
-    return [(pattern_id, scores[pattern_id], chord_sequence(medoids[pattern_id], render))
+    return [(pattern_id, scores[pattern_id], chord_sequence(medoids[pattern_id]))
             for pattern_id in top]
 
 

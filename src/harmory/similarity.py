@@ -18,7 +18,7 @@ invariant under transposition of either piece.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import exp, inf
 
@@ -61,17 +61,7 @@ class SimilarityReport:
     local_regions: tuple[LocalRegion, ...] = ()
 
     def to_json(self) -> str:
-        payload = {
-            "measure": self.measure,
-            "score": self.score,
-            "raw": self.raw,
-            "params": self.params,
-            "local_regions": [
-                {"interval_a": list(r.interval_a), "interval_b": list(r.interval_b),
-                 "step_costs": list(r.step_costs)}
-                for r in self.local_regions],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import logging
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import ceil
 
 from harmory.harte import Chord, HarteError, parse_chord, pitch_class_set, render_chord, transpose_chord
@@ -207,7 +206,6 @@ def load_jams(data: str | bytes, fallback_id: str | None = None) -> Timeline:
     _expect(piece_id, str, "piece id (file_metadata.identifiers.id)")
     events: list[ChordEvent] = []
     keys: list[KeySpan] = []
-    parse = cache(parse_chord)  # each distinct chord token once, for this file only
     for number, annotation in enumerate(_expect(obj["annotations"], list, "annotations")):
         namespace = _expect(annotation, dict, f"{piece_id}: annotation {number}").get("namespace")
         if namespace is None:
@@ -225,7 +223,7 @@ def load_jams(data: str | bytes, fallback_id: str | None = None) -> Timeline:
             duration = _to_fraction(obs["duration"], "%s: observation %d", piece_id, index)
             if namespace == "chord_harte":
                 try:
-                    chord = parse(obs["value"])
+                    chord = parse_chord(obs["value"])
                 except HarteError as err:
                     raise SchemaError(
                         f"{piece_id}: chord observation at event index {index}: {err}"
@@ -234,7 +232,7 @@ def load_jams(data: str | bytes, fallback_id: str | None = None) -> Timeline:
             else:
                 try:
                     key = Key.from_string(obs["value"])
-                except (ValueError, HarteError) as err:
+                except ValueError as err:
                     raise SchemaError(
                         f"{piece_id}: key observation at event index {index}: {err}"
                     ) from err
@@ -250,7 +248,6 @@ def load_chart(text: str, piece_id: str | None = None) -> Timeline:
     title = artist = None
     key: Key | None = None
     events: list[ChordEvent] = []
-    parse = cache(parse_chord)  # each distinct chord token once, for this chart only
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -270,7 +267,7 @@ def load_chart(text: str, piece_id: str | None = None) -> Timeline:
                             raise SchemaError(f"line {lineno}: duplicate key header")
                         try:
                             key = Key.from_string(value)
-                        except (ValueError, HarteError) as err:
+                        except ValueError as err:
                             raise SchemaError(f"line {lineno}: {err}") from err
                     break
             continue
@@ -280,7 +277,7 @@ def load_chart(text: str, piece_id: str | None = None) -> Timeline:
         start = _to_fraction(fields[0], "line %d", lineno)
         duration = _to_fraction(fields[1], "line %d", lineno)
         try:
-            chord = parse(fields[2])
+            chord = parse_chord(fields[2])
         except HarteError as err:
             raise SchemaError(f"line {lineno}: {err}") from err
         events.append(ChordEvent(start, duration, chord))

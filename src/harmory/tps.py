@@ -61,6 +61,7 @@ class Key:
         return Key((self.tonic + semitones) % 12, self.mode)
 
     @classmethod
+    @lru_cache(maxsize=2**12)  # bounded for the reason profile's cache is
     def from_string(cls, text: str) -> "Key":
         """Parse '<Natural>:<maj|min>', e.g. 'Eb:min'."""
         name, sep, mode = text.partition(":")

@@ -279,6 +279,21 @@ def test_a_similar_to_edge_between_non_patterns_is_a_usage_error(capsys, tmp_pat
     assert run(capsys, ["query", str(graph), "C:maj"]) == (2, "", f"error: {message}\n")
 
 
+def test_a_second_chord_sequence_of_a_segment_is_a_usage_error(capsys, tmp_path):
+    """A repeated line is one triple; a line that gives gamma/seg/0 a
+    second chordSequence is an error that names both lines."""
+    line = b'<urn:harmory:gamma/seg/0> <urn:harmory:chordSequence> "C:maj C:maj C:maj A:min" .\n'
+    golden = GOLDEN_GRAPH.read_bytes()
+    graph = tmp_path / "memory.nt"
+    graph.write_bytes(golden + line)
+    assert run(capsys, ["query", str(graph), "C:maj"])[0] == 0
+    graph.write_bytes(golden + line.replace(b"A:min", b"F:maj"))
+    first = golden.splitlines(keepends=True).index(line) + 1
+    assert run(capsys, ["query", str(graph), "C:maj"]) == (
+        2, "", f"error: line 25: a second chordSequence of gamma/seg/0, "
+               f"not the one of line {first}\n")
+
+
 def test_eval_covers_json_and_table(capsys, tmp_path):
     corpus = write_corpus(tmp_path / "corpus", {
         "song0": ["C:maj", "F:maj", "G:maj", "C:maj"],

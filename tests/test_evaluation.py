@@ -10,6 +10,7 @@ rank 2.
 from __future__ import annotations
 
 import functools
+import json
 import random
 from fractions import Fraction
 from math import inf
@@ -168,6 +169,33 @@ def test_metrics_serialization():
     table = metrics.to_table()
     assert "MAP: 1.0000" in table
     assert table.splitlines()[0].startswith("query")
+
+
+def oracle_metrics_json(metrics) -> str:
+    """``RankingMetrics.to_json`` as it built its payload by hand."""
+    payload = {
+        "measure": metrics.measure,
+        "mean_average_precision": metrics.mean_average_precision,
+        "precision_at_1": metrics.precision_at_1,
+        "mean_rank_first_relevant": metrics.mean_rank_first_relevant,
+        "queries": [
+            {"query_id": q.query_id, "average_precision": q.average_precision,
+             "first_relevant_rank": q.first_relevant_rank, "top_hit": q.top_hit,
+             "top_relevant": q.top_relevant}
+            for q in metrics.queries],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_metrics_json_equals_the_hand_built_payload(measure):
+    corpus, cliques = covers_corpus()
+    # A copy of song0 filed under another clique, so that some queries miss.
+    corpus.append(make_timeline(["C:maj", "F:maj", "G:maj", "C:maj"], piece_id="stray"))
+    cliques = CliqueSet({**cliques.mapping, "stray": "c1"})
+    metrics = evaluate_covers(corpus, cliques, measure)
+    assert metrics.mean_average_precision < 1.0
+    assert metrics.to_json() == oracle_metrics_json(metrics)
 
 
 def test_comparison_counts_dtw():

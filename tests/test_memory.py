@@ -193,71 +193,54 @@ def test_import_golden_file():
     assert weight == pytest.approx(0.704688, abs=5e-7)
 
 
-def test_import_parses_each_distinct_chord_token_once(monkeypatch):
-    import harmory.memory as memory
-
+def test_import_parses_each_distinct_chord_token_once():
     data = (DATA / "memory_golden.nt").read_bytes()
     tokens = [token for line in data.decode().splitlines() if "chordSequence" in line
               for token in line.split('"')[1].split()]
-    parsed = []
-
-    def counting(token):
-        parsed.append(token)
-        return parse_chord(token)
-
-    monkeypatch.setattr(memory, "parse_chord", counting)
+    parse_chord.cache_clear()
     graph = import_ntriples(data)
     assert len(tokens) > len(set(tokens))
-    assert sorted(parsed) == sorted(set(tokens))
+    assert parse_chord.cache_info().misses == len(set(tokens))
     with_bad_token = data.replace(b'"C:maj C:maj C:maj A:min"', b'"C:maj C:maj H:maj A:min"')
     with pytest.raises(GraphFormatError, match="gamma/seg/0"):
         import_ntriples(with_bad_token)
-    monkeypatch.undo()
     assert graph.segments == import_ntriples(data).segments
 
 
-def test_import_parses_each_distinct_key_token_once(monkeypatch):
+def test_import_parses_each_distinct_key_token_once():
     data = (DATA / "memory_golden.nt").read_bytes()
     tokens = [token for line in data.decode().splitlines() if "keySequence" in line
               for token in line.split('"')[1].split()]
-    parsed = []
-    from_string = Key.from_string
-
-    def counting(cls, token):
-        parsed.append(token)
-        return from_string(token)
-
-    monkeypatch.setattr(Key, "from_string", classmethod(counting))
+    Key.from_string.cache_clear()
     graph = import_ntriples(data)
     assert len(tokens) > len(set(tokens))
-    assert sorted(parsed) == sorted(set(tokens))
+    assert Key.from_string.cache_info().misses == len(set(tokens))
     with_bad_token = data.replace(b'"C:maj C:maj C:maj C:maj"', b'"C:maj C:maj H:maj C:maj"', 1)
     with pytest.raises(GraphFormatError, match="^segment alpha/seg/0: position 0: expected note letter"):
         import_ntriples(with_bad_token)
-    monkeypatch.undo()
     assert graph.segments == import_ntriples(data).segments
 
 
-def test_exports_and_queries_render_each_distinct_chord_once(monkeypatch):
+def test_exports_and_queries_render_each_distinct_chord_once():
     graph = build_memory(fixture_corpus() + [modulating_piece()], PARAMS)
     distinct = {chord for segment in graph.segments.values() for chord in segment.chords}
-    expected = (export_ntriples(graph), export_json(graph),
-                query_similar(graph, PatternQuery(chords=(parse_chord("C:maj"),), k=9)))
-    rendered = []
-
-    def counting(chord):
-        rendered.append(chord)
-        return render_chord(chord)
-
-    monkeypatch.setattr(memory, "render_chord", counting)
-    for call in (lambda: export_ntriples(graph), lambda: export_json(graph)):
-        rendered.clear()
-        call()
-        assert sorted(map(render_chord, rendered)) == sorted(map(render_chord, distinct))
-    rendered.clear()
-    results = query_similar(graph, PatternQuery(chords=(parse_chord("C:maj"),), k=9))
-    assert len(rendered) == len(set(rendered)) < sum(
-        len(graph.segments[pattern_id].chords) for pattern_id, _, _ in results)
+    query = PatternQuery(chords=(parse_chord("C:maj"),), k=9)
+    expected = (export_ntriples(graph), export_json(graph), query_similar(graph, query))
+    for export in (export_ntriples, export_json):
+        render_chord.cache_clear()
+        export(graph)
+        assert render_chord.cache_info().misses == len(distinct)
+    # The cache is the renderer's own: the JSON export after the
+    # N-Triples export renders no chord again.
+    render_chord.cache_clear()
+    export_ntriples(graph)
+    export_json(graph)
+    assert render_chord.cache_info().misses == len(distinct)
+    render_chord.cache_clear()
+    results = query_similar(graph, query)
+    shown = [graph.segments[pattern_id].chords for pattern_id, _, _ in results]
+    assert render_chord.cache_info().misses == len(set().union(*shown)) \
+        < sum(map(len, shown))
     assert (export_ntriples(graph), export_json(graph), results) == expected
 
 
@@ -622,3 +605,58 @@ def test_import_rejects_object_iris_outside_the_base(obj):
         lines.insert(at, line)
         with pytest.raises(GraphFormatError, match=rf"^line {at + 1}: not a recognized triple$"):
             import_ntriples("\n".join(lines).encode())
+
+
+GOLDEN_NT = (DATA / "memory_golden.nt").read_bytes()
+GOLDEN_NT_LINES = GOLDEN_NT.decode().splitlines()
+
+
+def test_a_repeated_triple_is_read_once():
+    """An N-Triples graph is a set: the golden with every line doubled, and
+    with one triple written again in another spelling, is the golden graph."""
+    doubled = "".join(f"{line}\n{line}\n" for line in GOLDEN_NT_LINES)
+    respelled = doubled + "<urn:harmory:%61lpha> <urn:harmory:hasSegment> " \
+                          "<urn:harmory:alpha%2Fseg/0> .\n"
+    golden = import_ntriples(GOLDEN_NT)
+    for data in (doubled, respelled):
+        graph = import_ntriples(data.encode())
+        assert graph == golden
+        assert export_ntriples(graph) == GOLDEN_NT
+
+
+@given(order=st.permutations(range(len(GOLDEN_NT_LINES))),
+       repeats=st.lists(st.tuples(st.integers(0, len(GOLDEN_NT_LINES) - 1),
+                                  st.integers(0, 2 * len(GOLDEN_NT_LINES))), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_any_order_and_repeats_of_the_golden_lines_re_export_to_the_golden(order, repeats):
+    lines = [GOLDEN_NT_LINES[i] for i in order]
+    for line, at in repeats:
+        lines.insert(at, GOLDEN_NT_LINES[line])
+    assert export_ntriples(import_ntriples("\n".join(lines).encode())) == GOLDEN_NT
+
+
+@pytest.mark.parametrize("line, second", [
+    ('<urn:harmory:alpha/seg/0> <urn:harmory:chordSequence> "C:maj C:maj C:maj C:maj" .',
+     '"C:maj C:maj C:maj G:maj"'),
+    ('<urn:harmory:alpha/seg/0> <urn:harmory:keySequence> "C:maj C:maj C:maj C:maj" .',
+     '"C:maj C:maj C:maj G:maj"'),
+    ("<urn:harmory:beta/seg/0> <urn:harmory:instanceOf> <urn:harmory:alpha/seg/0> .",
+     "<urn:harmory:beta/seg/0>"),
+    ('<urn:harmory:sim/alpha/seg/0/gamma/seg/0> <urn:harmory:weight> "0.704688" .',
+     '"0.7046880"'),
+], ids=["chordSequence", "keySequence", "instanceOf", "weight"])
+def test_a_second_object_of_a_single_valued_predicate_is_an_error(line, second):
+    """A subject has one chordSequence, keySequence, instanceOf and weight;
+    a second, different object names its own line and the first one's."""
+    subject, predicate, _ = line.split(" ", 2)
+    conflicting = f"{subject} {predicate} {second} ."
+    name, kind = subject[len("<urn:harmory:"):-1], predicate[len("<urn:harmory:"):-1]
+    first = GOLDEN_NT_LINES.index(line) + 1
+    for at, (later, earlier) in ((len(GOLDEN_NT_LINES), (len(GOLDEN_NT_LINES) + 1, first)),
+                                 (0, (first + 1, 1))):
+        lines = list(GOLDEN_NT_LINES)
+        lines.insert(at, conflicting)
+        with pytest.raises(GraphFormatError) as raised:
+            import_ntriples("\n".join(lines).encode())
+        assert str(raised.value) == \
+            f"line {later}: a second {kind} of {name}, not the one of line {earlier}"

@@ -10,6 +10,7 @@ plain dictionary.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import exp, inf
@@ -567,6 +568,33 @@ def test_report_json_stable():
         '  "local_regions": []\n'
         '}\n'
     )
+
+
+def oracle_report_json(report) -> str:
+    """``SimilarityReport.to_json`` as it built its payload by hand."""
+    payload = {
+        "measure": report.measure,
+        "score": report.score,
+        "raw": report.raw,
+        "params": report.params,
+        "local_regions": [
+            {"interval_a": list(r.interval_a), "interval_b": list(r.interval_b),
+             "step_costs": list(r.step_costs)}
+            for r in report.local_regions],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_report_json_equals_the_hand_built_payload():
+    a = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj", "A:min", "F:maj"], piece_id="a")
+    b = make_timeline(["D:maj", "A:7", "D:maj", "A:7", "E:min", "F#:min", "B:min"],
+                      key="D:maj", piece_id="b")
+    reports = [lharp(a, b), lharp(b, a, tau=0.5, n_min=2, n_max=3)]
+    assert all(report.local_regions for report in reports)
+    reports += [dtw_similarity(a, b, band=band) for band in (None, 0, 3)]
+    reports += [tpsd(a, b), lharp(a, make_timeline(["D:min", "E:7"]))]
+    for report in reports:
+        assert report.to_json() == oracle_report_json(report)
 
 
 def test_matrix_duplicated_piece():

@@ -282,25 +282,22 @@ def test_time_bound_messages_are_unchanged():
     assert load_chart(f"0 {MAX_SPAN_BEATS} C:maj\n").end == MAX_SPAN_BEATS
 
 
-def test_loaders_parse_each_distinct_chord_token_once(monkeypatch):
-    import harmory.timeline as timeline
-
+def test_loaders_parse_each_distinct_chord_token_once():
     symbols = ["C:maj", "G:7", "C:maj", "A:min", "G:7", "C:maj"]
     chart = "".join(f"{i} 1 {symbol}\n" for i, symbol in enumerate(symbols))
     jams = json.dumps({"annotations": [{"namespace": "chord_harte", "data": [
         {"time": i, "duration": 1, "value": symbol} for i, symbol in enumerate(symbols)]}]})
-    parsed = []
-
-    def counting(token):
-        parsed.append(token)
-        return parse_chord(token)
-
-    monkeypatch.setattr(timeline, "parse_chord", counting)
+    expected = [parse_chord(s) for s in symbols]
     for load, text in ((load_chart, chart), (load_jams, jams)):
-        parsed.clear()
-        piece = load(text, "piece")
-        assert sorted(parsed) == sorted(set(symbols))
-        assert [e.chord for e in piece.events] == [parse_chord(s) for s in symbols]
+        parse_chord.cache_clear()
+        assert [e.chord for e in load(text, "piece").events] == expected
+        assert parse_chord.cache_info().misses == len(set(symbols))
+    # The cache is the parser's own: a JAMS file after a chart with the
+    # same tokens parses none of them again.
+    parse_chord.cache_clear()
+    load_chart(chart, "piece")
+    load_jams(jams, "piece")
+    assert parse_chord.cache_info().misses == len(set(symbols))
     with pytest.raises(SchemaError, match="line 4"):
         load_chart(chart.replace("A:min", "H:min"))
     doc = json.loads(jams)

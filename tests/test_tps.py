@@ -8,7 +8,9 @@ the level tables.
 
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -223,6 +225,65 @@ def test_every_tps_cache_is_bounded():
     assert caches
     for cache in caches:
         assert cache.cache_parameters()["maxsize"] is not None
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Each ``functools.cache``, each ``cache`` name (an import, a
+    decorator or a per-call ``cache(...)`` wrapper), and each ``lru_cache``
+    not called with an integer ``maxsize`` built from literals alone."""
+    tree = ast.parse(source)
+    called = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+    def integer(node) -> bool:
+        if node is None or not all(isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp,
+                                                  ast.operator, ast.unaryop))
+                                   for n in ast.walk(node)):
+            return False
+        value = eval(compile(ast.Expression(node), "<maxsize>", "eval"), {"__builtins__": {}})
+        return type(value) is int
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"line {node.lineno}: imports cache"
+                      for alias in node.names if alias.name == "cache"]
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name == "cache":
+            found.append(f"line {node.lineno}: cache")
+        elif name == "lru_cache":
+            call = called.get(id(node))
+            maxsize = None if call is None else next(
+                (k.value for k in call.keywords if k.arg == "maxsize"),
+                call.args[0] if call.args else None)
+            if not integer(maxsize):
+                found.append(f"line {node.lineno}: lru_cache without an integer maxsize")
+    return found
+
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "harmory").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_cache_in_the_package_is_bounded(path):
+    # As above, for every module: a cache of a long-running process stays
+    # finite only under a fixed bound.
+    assert unbounded_caches(path.read_text()) == []
+
+
+def test_the_cache_check_finds_each_unbounded_form():
+    for source in ["import functools\nf = functools.cache(g)",
+                   "from functools import cache", "parse = cache(parse_chord)",
+                   "@cache\ndef f(): pass", "@lru_cache\ndef f(): pass",
+                   "@lru_cache()\ndef f(): pass", "@lru_cache(maxsize=None)\ndef f(): pass",
+                   "@lru_cache(None)\ndef f(): pass", "@functools.lru_cache(n)\ndef f(): pass",
+                   "@lru_cache(maxsize=2.0 ** 12)\ndef f(): pass"]:
+        assert unbounded_caches(source), source
+    for source in ["@lru_cache(maxsize=2**12)\ndef f(): pass",
+                   "@functools.lru_cache(128)\ndef f(): pass",
+                   "@lru_cache(maxsize=1 << 10, typed=True)\ndef f(): pass"]:
+        assert unbounded_caches(source) == [], source
+    assert len(SOURCES) > 5
 
 
 def test_basic_space_cache_is_bounded():
