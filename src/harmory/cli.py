@@ -196,16 +196,11 @@ def cmd_parse(args) -> int:
 
 def cmd_dist(args) -> int:
     a, b = parse_chord(args.chord_a), parse_chord(args.chord_b)
-    if args.key:
-        key = Key.from_string(args.key)
-        note = None
-    else:
-        key = estimate_key([a, b])
-        note = f"note: no --key given, estimated {key}"
+    key = Key.from_string(args.key) if args.key else estimate_key([a, b])
     value = chord_distance(a, key, b, key)
     print(int(value) if value == int(value) else value)
-    if note and not args.quiet:
-        print(note)
+    if not args.key and not args.quiet:
+        print(f"note: no --key given, estimated {key}")
     return 0
 
 

@@ -84,11 +84,9 @@ class RankingMetrics:
         widths = [max(len(r[i]) for r in rows) for i in range(4)]
         lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
                  for row in rows]
-        lines.append("")
-        lines.append(f"measure: {self.measure}")
-        lines.append(f"MAP: {self.mean_average_precision:.4f}  "
-                     f"P@1: {self.precision_at_1:.4f}  "
-                     f"mean first-relevant rank: {self.mean_rank_first_relevant:.4f}")
+        lines += ["", f"measure: {self.measure}",
+                  f"MAP: {self.mean_average_precision:.4f}  P@1: {self.precision_at_1:.4f}  "
+                  f"mean first-relevant rank: {self.mean_rank_first_relevant:.4f}"]
         return "\n".join(lines) + "\n"
 
 
@@ -107,24 +105,11 @@ def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, measure: str = "
         qi = index[query_id]
         candidates = sorted((c for c in ids if c != query_id),
                             key=lambda c: (-matrix[qi, index[c]], c))
-        relevant = {c for c in candidates
-                    if cliques.clique_of(c) == cliques.clique_of(query_id)}
-        hits = 0
-        precision_sum = 0.0
-        first_rank = 0
-        for rank, candidate in enumerate(candidates, 1):
-            if candidate in relevant:
-                hits += 1
-                precision_sum += hits / rank
-                if first_rank == 0:
-                    first_rank = rank
-        results.append(QueryResult(
-            query_id=query_id,
-            average_precision=precision_sum / len(relevant),
-            first_relevant_rank=first_rank,
-            top_hit=candidates[0],
-            top_relevant=candidates[0] in relevant,
-        ))
+        clique = cliques.clique_of(query_id)
+        ranks = [rank for rank, c in enumerate(candidates, 1) if cliques.clique_of(c) == clique]
+        precision_sum = sum(hits / rank for hits, rank in enumerate(ranks, 1))
+        results.append(QueryResult(query_id, precision_sum / len(ranks), ranks[0],
+                                   candidates[0], ranks[0] == 1))
     return RankingMetrics(
         measure=measure,
         mean_average_precision=sum(r.average_precision for r in results) / len(results),

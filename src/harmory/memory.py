@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -37,7 +38,15 @@ class EmptyQueryError(ValueError):
 
 
 class GraphFormatError(ValueError):
-    """Unparseable N-Triples graph data."""
+    """A memory graph that breaks an invariant, or N-Triples that do not
+    spell one.  An error about a (subject, predicate, object) triple, the
+    object None for a literal, names it and keeps it as ``triple``."""
+
+    def __init__(self, message: str, *triple):
+        if triple:  # "instanceOf m p: ...", or for a literal "weight of n: ..."
+            message = ("{1} {0} {2}: " if triple[2] else "{1} of {0}: ").format(*triple) + message
+        super().__init__(message)
+        self.triple = triple
 
 
 @dataclass(frozen=True)
@@ -65,10 +74,78 @@ class PatternQuery:
 
 @dataclass(frozen=True)
 class MemoryGraph:
+    """Pieces, their segments, the patterns these fall into and the
+    similarTo edges between patterns.  Built or imported, a graph holds
+    these, or a GraphFormatError names the first triple that breaks one:
+    - a piece ``p`` has segments ``p/seg/0`` to ``p/seg/n-1``, n >= 1, each in
+      ``segments`` with one key per chord; no other segment; no piece id is
+      a segment id;
+    - each segment is in one pattern, keyed by its medoid, one of its members;
+    - edges ``(a, b, w)`` are one per pair, in order, ``a < b`` patterns and
+      ``0 <= w <= 1``."""
+
     pieces: dict[str, PieceInfo]
     segments: dict[str, Segment]
     patterns: dict[str, Pattern]
     similar: tuple[tuple[str, str, float], ...]
+
+    def __post_init__(self):
+        segments, patterns, owned = self.segments, self.patterns, 0
+        if not self.pieces:
+            raise GraphFormatError("a memory graph needs a piece")
+        for piece_id, piece in self.pieces.items():
+            if piece_id in segments:
+                raise GraphFormatError(f"{piece_id} is also a piece",
+                                       segments[piece_id].piece_id, "hasSegment", piece_id)
+            if piece.id != piece_id or not piece.segment_ids:
+                raise GraphFormatError(f"piece {piece_id}: needs its own id and a segment")
+            for index, seg_id in enumerate(piece.segment_ids):
+                segment = segments.get(seg_id)
+                if segment is None or segment.index != index or segment.piece_id != piece_id \
+                        or seg_id != f"{piece_id}/seg/{index}":
+                    raise GraphFormatError(f"segment {index} of {piece_id} must be {piece_id}/seg/"
+                                           f"{index}", piece_id, "hasSegment", seg_id)
+                chords, keys = len(segment.chords), len(segment.keys)
+                if not chords or keys != chords:
+                    raise GraphFormatError(f"segment {seg_id}: needs one key per sounded chord, "
+                                           f"got {chords} chords and {keys} keys")
+            owned += len(piece.segment_ids)
+        if owned != len(segments):
+            listed = {seg_id for piece in self.pieces.values() for seg_id in piece.segment_ids}
+            raise GraphFormatError(f"segment {min(segments.keys() - listed)}: belongs to no piece")
+        pattern_of: dict[str, str] = {}
+        for medoid, pattern in patterns.items():
+            for member in pattern.members:
+                if member not in segments or medoid not in segments:
+                    raise GraphFormatError("both must be segments of a piece (hasSegment)",
+                                           member, "instanceOf", medoid)
+                if member in pattern_of:
+                    raise GraphFormatError(f"{member} is already a member of {pattern_of[member]}",
+                                           member, "instanceOf", medoid)
+                pattern_of[member] = medoid
+            if pattern.medoid != medoid or pattern_of.get(medoid) != medoid:
+                raise GraphFormatError(f"pattern {medoid} must be keyed by its medoid, one of "
+                                       "its members", next(iter(pattern.members), medoid),
+                                       "instanceOf", medoid)
+        previous = ("", "")
+        for a, b, weight in self.similar:
+            if a not in patterns or b not in patterns:
+                raise GraphFormatError("both must be patterns (the object of an instanceOf)",
+                                       a, "similarTo", b)
+            if not a < b or (a, b) <= previous:
+                raise GraphFormatError("one edge per pair, from the lower id, in pair order",
+                                       a, "similarTo", b)
+            if not 0 <= weight <= 1:
+                raise GraphFormatError(f"{weight} is not in [0, 1]",
+                                       weight_node(a, b), "weight", None)
+            previous = (a, b)
+        if len(pattern_of) != len(segments):
+            raise GraphFormatError(f"segment {min(segments.keys() - pattern_of.keys())}: a member "
+                                   "of no pattern (instanceOf)")
+
+
+# The node of the edge ``a similarTo b`` that carries its weight.
+weight_node = "sim/{}/{}".format
 
 
 def components(items, pairs) -> list[list]:
@@ -87,10 +164,8 @@ def components(items, pairs) -> list[list]:
 
 def segment_to_timeline(segment: Segment) -> Timeline:
     """View a segment as a one-beat-per-event timeline."""
-    events = [ChordEvent(Fraction(i), Fraction(1), chord)
-              for i, chord in enumerate(segment.chords)]
-    spans = [KeySpan(Fraction(i), Fraction(1), key)
-             for i, key in enumerate(segment.keys)]
+    events = [ChordEvent(Fraction(i), Fraction(1), c) for i, c in enumerate(segment.chords)]
+    spans = [KeySpan(Fraction(i), Fraction(1), k) for i, k in enumerate(segment.keys)]
     return build_timeline(segment.id, events, spans)
 
 
@@ -129,8 +204,7 @@ def build_memory(corpus: list[Timeline],
         piece_segments = segment_timeline(tl, seg_params).segments
         pieces[tl.id] = PieceInfo(tl.id, tl.title, tl.artist,
                                   tuple(s.id for s in piece_segments))
-        for segment in piece_segments:
-            segments[segment.id] = segment
+        segments.update((s.id, s) for s in piece_segments)
     ordered = sorted(segments)
     vocab: dict = {}
     sequences: dict[tuple[int, ...], int] = {}  # distinct code sequence -> its index
@@ -156,13 +230,10 @@ def build_memory(corpus: list[Timeline],
               if may_merge[sequence_of[a]][sequence_of[b]] and score(a, b) >= theta_merge]
     patterns: dict[str, Pattern] = {}
     for group in components(ordered, merges):
-        if len(group) == 1:
-            medoid = group[0]
-        else:
-            totals = {seg_id: sum(score(seg_id, other) for other in group if other != seg_id)
-                      for seg_id in group}
-            best = max(totals.values())
-            medoid = min(seg_id for seg_id, value in totals.items() if value == best)
+        totals = {seg_id: sum(score(seg_id, other) for other in group if other != seg_id)
+                  for seg_id in group}
+        best = max(totals.values())
+        medoid = min(seg_id for seg_id, value in totals.items() if value == best)
         patterns[medoid] = Pattern(medoid=medoid, members=tuple(group))
     similar = []
     medoids = sorted(patterns)
@@ -171,12 +242,8 @@ def build_memory(corpus: list[Timeline],
             lb = bounds[sequence_of[a]][sequence_of[b]]
             if exp(-lb / scale) >= theta_sim and (value := score(a, b)) >= theta_sim:
                 similar.append((a, b, value))
-    return MemoryGraph(
-        pieces=pieces,
-        segments=segments,
-        patterns=patterns,
-        similar=tuple(similar),
-    )
+    return MemoryGraph(pieces=pieces, segments=segments, patterns=patterns,
+                       similar=tuple(similar))
 
 
 def _uri(name: str) -> str:
@@ -217,8 +284,7 @@ def export_ntriples(graph: MemoryGraph) -> bytes:
                      f"{_literal(' '.join(map(str, segment.keys)))} .")
     for a, b, weight in graph.similar:
         lines.append(f"{_uri(a)} <{BASE}similarTo> {_uri(b)} .")
-        lines.append(f"<{BASE}sim/{quote(a, safe='/_.-')}/{quote(b, safe='/_.-')}> "
-                     f"<{BASE}weight> \"{weight:.6f}\" .")
+        lines.append(f"{_uri(weight_node(a, b))} <{BASE}weight> \"{weight:.6f}\" .")
     return ("\n".join(sorted(lines)) + "\n").encode("utf-8")
 
 
@@ -259,17 +325,18 @@ def import_ntriples(data: bytes) -> MemoryGraph:
     """Rebuild a memory graph from export_ntriples output.
 
     Structure, weights, chords and keys round-trip, so queries rank as
-    on the exported graph; titles and artists are not exported.
+    on the exported graph; titles and artists are not exported.  The
+    lines only spell the graph: ``MemoryGraph`` checks it, and every
+    triple read must be one the graph holds.  An error about a triple
+    that the text gives names its first line.
     """
     # A graph is a set of triples, so a repeated line is read once.  Each
     # subject has one object of the predicates in ``single``, kept with
-    # the number of the first line that gives it.
+    # the number of the first line that gives it; ``pairs`` keeps the
+    # similarTo and nextSegment pairs in the order of their first lines.
     has_segment: dict[str, set[tuple[int, str]]] = {}
-    similar_pairs: dict[tuple[str, str], int] = {}
-    instance_of: dict[str, tuple[str, int]] = {}
-    sequences: dict[str, tuple[str, int]] = {}
-    key_sequences: dict[str, tuple[str, int]] = {}
-    weights: dict[str, tuple[str, int]] = {}
+    pairs: dict[str, dict[tuple[str, str], None]] = {"similarTo": {}, "nextSegment": {}}
+    instance_of, sequences, key_sequences, weights = {}, {}, {}, {}  # subject -> (object, line)
     single = {"instanceOf": instance_of, "chordSequence": sequences,
               "keySequence": key_sequences, "weight": weights}
     try:
@@ -294,73 +361,82 @@ def import_ntriples(data: bytes) -> MemoryGraph:
                 raise GraphFormatError(
                     f"line {lineno}: segment {obj!r} is not named {subject}/seg/<index>")
             has_segment.setdefault(subject, set()).add((int(seg_match.group(2)), obj))
-        elif predicate == "similarTo":
-            similar_pairs.setdefault((subject, obj), lineno)
-        elif predicate != "nextSegment":  # segment order comes from the hasSegment indices
+        elif predicate in pairs:
+            pairs[predicate][subject, obj] = None
+        else:
             raise GraphFormatError(f"line {lineno}: unknown predicate {predicate!r}")
-    pieces: dict[str, PieceInfo] = {}
-    segments: dict[str, Segment] = {}
-    for piece_id in sorted(has_segment):
-        ordered = sorted(has_segment[piece_id])
-        pieces[piece_id] = PieceInfo(piece_id, None, None,
-                                     tuple(seg_id for _, seg_id in ordered))
-        cursor = 0
-        for index, seg_id in ordered:
-            for name, table in (("chordSequence", sequences), ("keySequence", key_sequences)):
-                if seg_id not in table:
-                    raise GraphFormatError(f"segment {seg_id}: missing {name}")
-            tokens = sequences[seg_id][0].split()
-            try:
-                chords = tuple(map(parse_chord, tokens))
-                keys = tuple(map(Key.from_string, key_sequences[seg_id][0].split()))
-            except ValueError as err:
-                raise GraphFormatError(f"segment {seg_id}: {err}") from err
-            if not chords or len(keys) != len(chords) or "N" in tokens:  # N: the no-chord
-                raise GraphFormatError(f"segment {seg_id}: needs one key per sounded chord, "
-                                       f"got {len(chords)} chords and {len(keys)} keys")
-            segments[seg_id] = Segment(
-                piece_id=piece_id, index=index, start_event=cursor,
-                end_event=cursor + len(chords), chords=chords, keys=keys)
-            cursor += len(chords)
-    member_lists: dict[str, list[str]] = {}
-    for member, (pattern_id, lineno) in instance_of.items():
-        if member not in segments or pattern_id not in segments:
-            raise GraphFormatError(f"line {lineno}: instanceOf {member} {pattern_id}: "
-                                   "both must be segments of a piece (hasSegment)")
-        member_lists.setdefault(pattern_id, []).append(member)
-    patterns = {pattern_id: Pattern(medoid=pattern_id, members=tuple(sorted(members)))
-                for pattern_id, members in member_lists.items()}
-    similar = []
-    for (a, b), lineno in sorted(similar_pairs.items()):
-        if a not in patterns or b not in patterns:
-            raise GraphFormatError(f"line {lineno}: similarTo {a} {b}: "
-                                   "both must be patterns (the object of an instanceOf)")
-        sim_node = f"sim/{a}/{b}"
-        if sim_node not in weights:
-            raise GraphFormatError(f"similarTo {a} {b}: missing weight")
-        similar.append((a, b, float(weights[sim_node][0])))
-    return MemoryGraph(pieces=pieces, segments=segments, patterns=patterns,
-                       similar=tuple(similar))
+    try:
+        pieces: dict[str, PieceInfo] = {}
+        segments: dict[str, Segment] = {}
+        for piece_id in sorted(has_segment):
+            ordered = sorted(has_segment[piece_id])
+            pieces[piece_id] = PieceInfo(piece_id, None, None, tuple(s for _, s in ordered))
+            cursor = 0
+            for index, seg_id in ordered:
+                for name, table in (("chordSequence", sequences), ("keySequence", key_sequences)):
+                    if seg_id not in table:
+                        raise GraphFormatError("missing", seg_id, name, None)
+                tokens = sequences[seg_id][0].split()
+                try:
+                    if "N" in tokens:
+                        raise ValueError("N, the no-chord, is not a sounded chord")
+                    chords = tuple(map(parse_chord, tokens))
+                    keys = tuple(map(Key.from_string, key_sequences[seg_id][0].split()))
+                except ValueError as err:
+                    raise GraphFormatError(f"segment {seg_id}: {err}") from err
+                segments[seg_id] = Segment(piece_id, index, cursor, cursor + len(chords),
+                                           chords, keys)
+                cursor += len(chords)
+        member_lists: dict[str, list[str]] = {}
+        for member, (pattern_id, _) in instance_of.items():
+            member_lists.setdefault(pattern_id, []).append(member)
+        patterns = {pattern_id: Pattern(medoid=pattern_id, members=tuple(sorted(members)))
+                    for pattern_id, members in member_lists.items()}
+        similar = []
+        for a, b in sorted(pairs["similarTo"]):
+            if (weight := weights.get(weight_node(a, b))) is None:
+                raise GraphFormatError("missing weight", a, "similarTo", b)
+            similar.append((a, b, float(weight[0])))
+        graph = MemoryGraph(pieces=pieces, segments=segments, patterns=patterns,
+                            similar=tuple(similar))
+        # Every triple read is one the graph holds.
+        following = {pair for piece in pieces.values()
+                     for pair in zip(piece.segment_ids, piece.segment_ids[1:])}
+        for a, b in pairs["nextSegment"]:
+            if (a, b) not in following:
+                raise GraphFormatError("not the order of the hasSegment indices",
+                                       a, "nextSegment", b)
+        if len(pairs["nextSegment"]) != len(following):
+            a, b = min(following - pairs["nextSegment"].keys())
+            raise GraphFormatError("missing", a, "nextSegment", b)
+        nodes = {weight_node(a, b) for a, b, _ in similar}
+        for name, table, held, what in (
+                ("chordSequence", sequences, segments, "a segment"),
+                ("keySequence", key_sequences, segments, "a segment"),
+                ("weight", weights, nodes, "the weight node of a similarTo edge")):
+            if len(table) != len(held):
+                subject = next(subject for subject in table if subject not in held)
+                raise GraphFormatError(f"not {what}", subject, name, None)
+    except GraphFormatError as err:
+        for lineno, subject, predicate, obj in _triples(text) if err.triple else ():
+            if (subject, predicate) == err.triple[:2] and err.triple[2] in (None, obj):
+                raise GraphFormatError(f"line {lineno}: {err}") from None
+        raise
+    return graph
 
 
 def export_json(graph: MemoryGraph) -> str:
     """JSON dump with nodes and edges arrays in stable order."""
-    nodes = []
-    for piece_id in sorted(graph.pieces):
-        piece = graph.pieces[piece_id]
-        nodes.append({"id": piece_id, "type": "piece",
-                      "title": piece.title, "artist": piece.artist})
-    for seg_id in sorted(graph.segments):
-        nodes.append({"id": seg_id, "type": "segment",
-                      "chords": chord_sequence(graph.segments[seg_id])})
-    for pattern_id in sorted(graph.patterns):
-        nodes.append({"id": pattern_id, "type": "pattern",
-                      "members": list(graph.patterns[pattern_id].members)})
+    nodes = [{"id": piece_id, "type": "piece", "title": piece.title, "artist": piece.artist}
+             for piece_id, piece in sorted(graph.pieces.items())]
+    nodes += [{"id": seg_id, "type": "segment", "chords": chord_sequence(segment)}
+              for seg_id, segment in sorted(graph.segments.items())]
+    nodes += [{"id": pattern_id, "type": "pattern", "members": list(pattern.members)}
+              for pattern_id, pattern in sorted(graph.patterns.items())]
     edges = [{"source": source, "type": kind, "target": target}
              for source, kind, target in _structure_edges(graph)]
-    for a, b, weight in graph.similar:
-        edges.append({"source": a, "type": "similarTo", "target": b,
-                      "weight": round(weight, 6)})
+    edges += [{"source": a, "type": "similarTo", "target": b, "weight": round(weight, 6)}
+              for a, b, weight in graph.similar]
     edges.sort(key=lambda e: (e["source"], e["type"], e["target"]))
     return json.dumps({"nodes": nodes, "edges": edges}, indent=2) + "\n"
 
@@ -378,8 +454,7 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     key = query.key or estimate_key(chords)
     probe_vocab, medoid_vocab = {}, {}
     probe = intern(key_relative_profiles((chord, key) for chord in chords), probe_vocab)
-    medoids = {pattern_id: graph.segments[graph.patterns[pattern_id].medoid]
-               for pattern_id in sorted(graph.patterns)}
+    medoids = {pattern_id: graph.segments[pattern_id] for pattern_id in sorted(graph.patterns)}
     # One pass over the events of every medoid in turn, cut back into one
     # code list per medoid: the codes of one interning call per medoid.
     every = intern(key_relative_profiles(chain.from_iterable(
@@ -398,21 +473,16 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
 
 def graph_stats(graph: MemoryGraph) -> dict:
     """Node/edge counts, similarTo component sizes, degree histogram."""
-    next_edges = sum(max(len(p.segment_ids) - 1, 0) for p in graph.pieces.values())
-    degrees = {pattern_id: 0 for pattern_id in graph.patterns}
-    for a, b, _ in graph.similar:
-        degrees[a] += 1
-        degrees[b] += 1
-    groups = components(graph.patterns, ((a, b) for a, b, _ in graph.similar))
-    sizes = sorted(map(len, groups), reverse=True)
-    histogram: dict[int, int] = {}
-    for degree in degrees.values():
-        histogram[degree] = histogram.get(degree, 0) + 1
+    pairs = [(a, b) for a, b, _ in graph.similar]
+    degrees = Counter(chain.from_iterable(pairs))
+    histogram = Counter(degrees[pattern_id] for pattern_id in graph.patterns)
+    sizes = sorted(map(len, components(graph.patterns, pairs)), reverse=True)
+    segments = len(graph.segments)
     return {
-        "nodes": {"pieces": len(graph.pieces), "segments": len(graph.segments),
+        "nodes": {"pieces": len(graph.pieces), "segments": segments,
                   "patterns": len(graph.patterns)},
-        "edges": {"hasSegment": len(graph.segments), "nextSegment": next_edges,
-                  "instanceOf": len(graph.segments), "similarTo": len(graph.similar)},
+        "edges": {"hasSegment": segments, "nextSegment": segments - len(graph.pieces),
+                  "instanceOf": segments, "similarTo": len(pairs)},
         "similar_components": {"count": len(sizes), "sizes": sizes},
         "degree_histogram": {str(k): histogram[k] for k in sorted(histogram)},
     }

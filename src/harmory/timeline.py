@@ -133,25 +133,26 @@ def build_timeline(piece_id: str, events, keys=(), title=None, artist=None) -> T
                     title=title, artist=artist)
 
 
-# Each key with its diatonic set, in the order ties are broken in: the
-# lowest tonic first, and major before minor.
+# Each key with its diatonic set, by tonic and major before minor.
 _KEY_CANDIDATES = tuple((key, key.diatonic()) for key in (
     Key(tonic, mode) for tonic in range(12) for mode in ("major", "minor")))
 
 
 def estimate_key(chords) -> Key:
-    """Key whose diatonic set covers the most chord pitch classes.
-
-    Ties prefer the lowest tonic pitch class, then major mode.
-    """
+    """Key whose diatonic set covers the most chord pitch classes.  Ties
+    prefer the tonic the fewest semitones above the first sounded chord's
+    root, then major, so that transposing the chords transposes the key."""
     pcs = set()
     for chord in chords:
         if not chord.is_nochord:
+            if not pcs:  # the first sounded chord: the index of its root's major key
+                start = 2 * chord.root.pitch_class
             pcs |= pitch_class_set(chord)
     if not pcs:
         raise EmptyTimelineError("cannot estimate a key without sounded chords")
-    # max keeps the first of equal coverings, the one the tie order prefers.
-    return max(_KEY_CANDIDATES, key=lambda candidate: len(pcs & candidate[1]))[0]
+    # max keeps the first of equal coverings, so the candidates run from that key up.
+    return max(_KEY_CANDIDATES[start:] + _KEY_CANDIDATES[:start],
+               key=lambda candidate: len(pcs & candidate[1]))[0]
 
 
 # Fraction builds 10**exponent in full; a JSON number's exponent is at most 308.

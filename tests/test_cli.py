@@ -279,6 +279,26 @@ def test_a_similar_to_edge_between_non_patterns_is_a_usage_error(capsys, tmp_pat
     assert run(capsys, ["query", str(graph), "C:maj"]) == (2, "", f"error: {message}\n")
 
 
+def test_build_of_a_piece_named_as_another_piece_s_segment_is_a_usage_error(capsys, tmp_path):
+    """Piece a/seg/0 would be a node that is also the first segment of a."""
+    corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj"] * 4})
+    write_corpus(corpus / "a" / "seg", {"0": ["G:maj"] * 4})
+    out_dir = tmp_path / "graph"
+    assert run(capsys, ["--out-dir", str(out_dir), "build", str(corpus)]) \
+        == (2, "", "error: hasSegment a a/seg/0: a/seg/0 is also a piece\n")
+    assert not out_dir.exists()
+
+
+def test_query_without_a_key_ranks_a_probe_as_its_transposition(capsys):
+    """C G C G and, 5 semitones up, F C F C both fit two major keys
+    equally; each is read in the key on its first root, so they rank
+    alike."""
+    rows = [run(capsys, ["query", str(GOLDEN_GRAPH), progression])
+            for progression in ("C:maj G:maj C:maj G:maj", "F:maj C:maj F:maj C:maj")]
+    assert rows[0] == rows[1]
+    assert rows[0][0] == 0
+
+
 def test_a_second_chord_sequence_of_a_segment_is_a_usage_error(capsys, tmp_path):
     """A repeated line is one triple; a line that gives gamma/seg/0 a
     second chordSequence is an error that names both lines."""

@@ -2,7 +2,9 @@
 
 ``load_chart`` and ``load_jams`` raise only ``SchemaError``, and
 ``import_ntriples`` only ``GraphFormatError``; the commands that read
-pieces or graphs exit 0 or 2 on such input, never 1.
+pieces or graphs exit 0 or 2 on such input, never 1.  An edit of the
+golden graph that the import accepts is a graph whose export is the
+edited set of lines.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmory.cli import main
-from harmory.memory import GraphFormatError, import_ntriples
+from harmory.memory import GraphFormatError, export_ntriples, import_ntriples
 from harmory.timeline import SchemaError, load_chart, load_jams
 from tests.conftest import chord_symbols
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_LINES = (DATA / "memory_golden.nt").read_text().splitlines()
+# The IRIs that stand as a subject or an object in the golden graph.
+GOLDEN_IRIS = sorted({iri for line in GOLDEN_LINES for iri in line.split(" ")[::2]
+                      if iri.startswith("<")})
 
 # Fields that are right, nearly right, or arbitrary.  Times that load stay
 # at or below 1e3 beats, because the beat grid has one row per beat; 1e300
@@ -103,6 +108,26 @@ def graph_bytes(draw):
     return "\n".join(lines).encode("utf-8", "surrogatepass") + draw(st.binary(max_size=2))
 
 
+@st.composite
+def golden_edits(draw):
+    """The golden graph's lines with some dropped or repeated, and some
+    added that copy a line with its subject or object IRI swapped for
+    another of the golden IRIs."""
+    lines = list(GOLDEN_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["drop", "repeat", "swap"]))
+        if edit == "drop" and lines:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        elif lines:
+            subject, predicate, obj = draw(st.sampled_from(lines))[:-2].split(" ", 2)
+            if edit == "swap":
+                iri = draw(st.sampled_from(GOLDEN_IRIS))
+                subject, obj = (subject, iri) if obj[0] == "<" and draw(st.booleans()) \
+                    else (iri, obj)
+            lines.insert(draw(st.integers(0, len(lines))), f"{subject} {predicate} {obj} .")
+    return lines
+
+
 def run(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(["--quiet", *argv])
@@ -137,6 +162,18 @@ def test_import_ntriples_raises_only_graph_format_errors(data):
         import_ntriples(data)
     except GraphFormatError:
         pass
+
+
+@given(golden_edits())
+@settings(max_examples=500, deadline=None)
+def test_an_edit_of_the_golden_graph_that_imports_re_exports_its_own_lines(lines):
+    """A graph is its set of triples: the import accepts an edit only when
+    the edited lines are exactly the triples of the graph it reads."""
+    try:
+        graph = import_ntriples("\n".join(lines).encode())
+    except GraphFormatError:
+        return
+    assert set(export_ntriples(graph).decode().splitlines()) == set(lines)
 
 
 @given(chart=chart_texts(), jams=jams_texts, graph=graph_bytes())

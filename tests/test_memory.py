@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from math import exp
 from pathlib import Path
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmory.memory as memory
+from harmory.cli import main
 from harmory.harte import parse_chord, render_chord
 from harmory.memory import (
     BASE,
@@ -660,3 +663,173 @@ def test_a_second_object_of_a_single_valued_predicate_is_an_error(line, second):
             import_ntriples("\n".join(lines).encode())
         assert str(raised.value) == \
             f"line {later}: a second {kind} of {name}, not the one of line {earlier}"
+
+
+def triple_line(subject, predicate, obj):
+    """A line of N-Triples under BASE; ``obj`` is a literal when quoted."""
+    obj = obj if obj.startswith('"') else f"<{BASE}{obj}>"
+    return f"<{BASE}{subject}> <{BASE}{predicate}> {obj} ."
+
+
+# Edits of the golden graph that spell graphs build_memory cannot write,
+# each with the error the import raises: (lines dropped, lines added at
+# the end, a text replacement, message).  The golden's line 25 is the
+# first added line.
+GOLDEN_DEFECTS = {
+    "segment-gap": ((), (), ("alpha/seg/1", "alpha/seg/2"),
+                    "line 10: hasSegment alpha alpha/seg/2: segment 1 of alpha must be "
+                    "alpha/seg/1"),
+    "segment-in-no-pattern": (
+        [triple_line("beta/seg/1", "instanceOf", "alpha/seg/1")], (), None,
+        "segment beta/seg/1: a member of no pattern (instanceOf)"),
+    "medoid-not-a-member": (
+        [triple_line("alpha/seg/0", "instanceOf", "alpha/seg/0")], (), None,
+        "line 11: instanceOf beta/seg/0 alpha/seg/0: pattern alpha/seg/0 must be keyed by "
+        "its medoid, one of its members"),
+    "reversed-edge": (
+        (), [triple_line("gamma/seg/0", "similarTo", "alpha/seg/0"),
+             triple_line("sim/gamma/seg/0/alpha/seg/0", "weight", '"0.500000"')], None,
+        "line 25: similarTo gamma/seg/0 alpha/seg/0: one edge per pair, from the lower id, "
+        "in pair order"),
+    "self-loop": (
+        (), [triple_line("alpha/seg/0", "similarTo", "alpha/seg/0"),
+             triple_line("sim/alpha/seg/0/alpha/seg/0", "weight", '"1.000000"')], None,
+        "line 25: similarTo alpha/seg/0 alpha/seg/0: one edge per pair, from the lower id, "
+        "in pair order"),
+    **{f"weight-{value}": ((), (), ('"0.704688"', f'"{value}"'),
+                           f"line 24: weight of sim/alpha/seg/0/gamma/seg/0: {value} is not "
+                           "in [0, 1]")
+       for value in ("7.5", "nan", "-inf", "-0.5")},
+    "next-segment-out-of-order": (
+        (), [triple_line("alpha/seg/1", "nextSegment", "alpha/seg/0")], None,
+        "line 25: nextSegment alpha/seg/1 alpha/seg/0: not the order of the hasSegment "
+        "indices"),
+    "next-segment-missing": (
+        [triple_line("beta/seg/0", "nextSegment", "beta/seg/1")], (), None,
+        "nextSegment beta/seg/0 beta/seg/1: missing"),
+    "chord-sequence-of-a-piece": (
+        (), [triple_line("alpha", "chordSequence", '"C:maj"')], None,
+        "line 25: chordSequence of alpha: not a segment"),
+    "key-sequence-of-a-pattern-node": (
+        (), [triple_line("sim/alpha/seg/0/gamma/seg/0", "keySequence", '"C:maj"')], None,
+        "line 25: keySequence of sim/alpha/seg/0/gamma/seg/0: not a segment"),
+    "weight-of-no-edge": (
+        (), [triple_line("sim/alpha/seg/0/beta/seg/0", "weight", '"0.500000"')], None,
+        "line 25: weight of sim/alpha/seg/0/beta/seg/0: not the weight node of a similarTo "
+        "edge"),
+    "piece-id-is-a-segment-id": (
+        (), [triple_line("alpha/seg/0", "hasSegment", "alpha/seg/0/seg/0"),
+             triple_line("alpha/seg/0/seg/0", "chordSequence", '"C:maj"'),
+             triple_line("alpha/seg/0/seg/0", "keySequence", '"C:maj"'),
+             triple_line("alpha/seg/0/seg/0", "instanceOf", "alpha/seg/0/seg/0")], None,
+        "line 9: hasSegment alpha alpha/seg/0: alpha/seg/0 is also a piece"),
+    "no-piece": (GOLDEN_NT_LINES, (), None, "a memory graph needs a piece"),
+}
+
+
+def golden_defect(name) -> bytes:
+    dropped, added, replaced, _ = GOLDEN_DEFECTS[name]
+    text = GOLDEN_NT.decode().replace(*replaced) if replaced else GOLDEN_NT.decode()
+    return "".join(f"{line}\n" for line in text.splitlines() if line not in dropped) \
+        .encode() + "".join(f"{line}\n" for line in added).encode()
+
+
+@pytest.mark.parametrize("name", GOLDEN_DEFECTS)
+def test_the_import_rejects_a_graph_that_build_cannot_write(name):
+    with pytest.raises(GraphFormatError) as raised:
+        import_ntriples(golden_defect(name))
+    assert str(raised.value) == GOLDEN_DEFECTS[name][3]
+
+
+@pytest.mark.parametrize("name", GOLDEN_DEFECTS)
+def test_query_on_a_graph_that_build_cannot_write_is_a_usage_error(name, tmp_path, capsys):
+    graph = tmp_path / "memory.nt"
+    graph.write_bytes(golden_defect(name))
+    assert main(["query", str(graph), "C:maj"]) == 2
+    assert capsys.readouterr() == ("", f"error: {GOLDEN_DEFECTS[name][3]}\n")
+
+
+def test_golden_defect_edits_leave_the_golden_lines_they_do_not_name():
+    assert golden_defect("reversed-edge").startswith(GOLDEN_NT)
+    assert len(golden_defect("segment-in-no-pattern").splitlines()) == len(GOLDEN_NT_LINES) - 1
+
+
+# Graphs that no N-Triples text spells, built from the golden one.
+GOLDEN_GRAPH = import_ntriples(GOLDEN_NT)
+_segments, _patterns = GOLDEN_GRAPH.segments, GOLDEN_GRAPH.patterns
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"segments": {**_segments, "delta/seg/0": replace(_segments["gamma/seg/0"],
+                                                       piece_id="delta")}},
+     "segment delta/seg/0: belongs to no piece"),
+    ({"pieces": {**GOLDEN_GRAPH.pieces, "delta": PieceInfo("delta", None, None, ())}},
+     "piece delta: needs its own id and a segment"),
+    ({"pieces": {**GOLDEN_GRAPH.pieces, "delta": GOLDEN_GRAPH.pieces["gamma"]}},
+     "piece delta: needs its own id and a segment"),
+    ({"segments": {**_segments, "alpha/seg/1": replace(_segments["alpha/seg/1"], index=0)}},
+     "hasSegment alpha alpha/seg/1: segment 1 of alpha must be alpha/seg/1"),
+    ({"segments": {**_segments, "gamma/seg/0": replace(
+        _segments["gamma/seg/0"], keys=_segments["gamma/seg/0"].keys[1:])}},
+     "segment gamma/seg/0: needs one key per sounded chord, got 4 chords and 3 keys"),
+    ({"patterns": {**_patterns, "gamma/seg/0": Pattern("gamma/seg/0",
+                                                       ("beta/seg/0", "gamma/seg/0"))}},
+     "instanceOf beta/seg/0 gamma/seg/0: beta/seg/0 is already a member of alpha/seg/0"),
+    ({"patterns": {**_patterns, "gamma/seg/0": Pattern("gamma/seg/0",
+                                                       ("gamma/seg/0", "gamma/seg/0"))}},
+     "instanceOf gamma/seg/0 gamma/seg/0: gamma/seg/0 is already a member of gamma/seg/0"),
+    ({"patterns": {**_patterns, "gamma/seg/0": Pattern("alpha/seg/0", ("gamma/seg/0",))}},
+     "instanceOf gamma/seg/0 gamma/seg/0: pattern gamma/seg/0 must be keyed by its medoid, "
+     "one of its members"),
+    ({"similar": GOLDEN_GRAPH.similar * 2},
+     "similarTo alpha/seg/0 gamma/seg/0: one edge per pair, from the lower id, in pair order"),
+    ({"similar": GOLDEN_GRAPH.similar + (("alpha/seg/0", "alpha/seg/1", 0.5),)},
+     "similarTo alpha/seg/0 alpha/seg/1: one edge per pair, from the lower id, in pair order"),
+], ids=["segment-of-no-piece", "piece-without-segments", "piece-under-another-id",
+        "segment-with-another-index", "a-key-short", "member-of-two-patterns",
+        "member-twice", "pattern-under-another-id", "edge-twice", "edges-out-of-order"])
+def test_a_memory_graph_checks_what_no_text_spells(fields, message):
+    with pytest.raises(GraphFormatError) as raised:
+        replace(GOLDEN_GRAPH, **fields)
+    assert str(raised.value) == message
+
+
+def test_build_rejects_a_piece_id_that_is_a_segment_id():
+    corpus = [make_timeline(["C:maj"] * 4, piece_id="a"),
+              make_timeline(["G:maj"] * 4, piece_id="a/seg/0")]
+    with pytest.raises(GraphFormatError, match="^hasSegment a a/seg/0: a/seg/0 is also a piece$"):
+        build_memory(corpus, PARAMS)
+
+
+def chord_corpora():
+    """Pieces of drawn chords under drawn keys, or of shared sections."""
+    pieces = st.lists(st.tuples(st.lists(chords(), min_size=1, max_size=10),
+                                st.sampled_from(["C:maj", "A:min", "Eb:maj", "F#:min"])),
+                      min_size=1, max_size=4)
+    return pieces.map(lambda drawn: [
+        make_timeline([render_chord(chord) for chord in piece], key=key, piece_id=f"p{i}")
+        for i, (piece, key) in enumerate(drawn)]) | section_corpora()
+
+
+def as_exported(graph: MemoryGraph) -> MemoryGraph:
+    """The graph without titles and artists, its weights to six places."""
+    return replace(graph, pieces={piece_id: replace(piece, title=None, artist=None)
+                                  for piece_id, piece in graph.pieces.items()},
+                   similar=tuple((a, b, float(f"{w:.6f}")) for a, b, w in graph.similar))
+
+
+@given(corpus=chord_corpora(), theta_sim=st.sampled_from([0.05, 0.3, 0.6, 0.9]),
+       merge_step=st.sampled_from([0.0, 0.1, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_a_built_graph_imports_as_itself_and_counts_its_lines(corpus, theta_sim, merge_step):
+    """The import of a built graph's export is that graph, as far as the
+    export writes it, and ``graph_stats`` counts the export's lines."""
+    graph = build_memory(corpus, PARAMS, theta_sim, theta_sim + merge_step)
+    data = export_ntriples(graph)
+    assert import_ntriples(data) == as_exported(graph)
+    predicates = Counter(line.split(b" ")[1][len(BASE) + 1:-1].decode()
+                         for line in data.splitlines())
+    assert graph_stats(graph)["edges"] == {
+        kind: predicates[kind] for kind in ("hasSegment", "nextSegment", "instanceOf",
+                                            "similarTo")}
+    assert predicates["weight"] == predicates["similarTo"]

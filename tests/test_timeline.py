@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmory.harte import FLAT_NAMES, ChordSyntaxError, parse_chord
+from harmory.harte import FLAT_NAMES, NO_CHORD, ChordSyntaxError, parse_chord, transpose_chord
 from harmory.cli import main
 from harmory.timeline import (
     MAX_SPAN_BEATS,
@@ -30,7 +30,7 @@ from harmory.timeline import (
     _to_fraction,
 )
 from harmory.tps import Key, key_relative_value
-from tests.conftest import make_timeline
+from tests.conftest import chords, make_timeline
 
 JAMS_FIXTURE = json.dumps({
     "file_metadata": {
@@ -468,27 +468,50 @@ def test_estimate_key_prefers_best_coverage():
     assert estimate_key(chords) == Key(0, "major")
 
 
-def test_estimate_key_tie_breaks_lowest_tonic_then_major():
-    # a single C:maj triad fits many keys; C major wins the tie
+def test_estimate_key_tie_breaks_nearest_tonic_above_the_first_root_then_major():
+    # a lone triad fits several keys; the key on its own root wins the tie
     assert estimate_key([parse_chord("C:maj")]) == Key(0, "major")
     assert estimate_key([parse_chord("D:maj")]) == Key(2, "major")
+    assert estimate_key([parse_chord("A:min")]) == Key(9, "minor")
+    # C and G both fit C major and G major: the first sounded root decides
+    c_g = [parse_chord(c) for c in ("N", "C:maj", "G:maj", "C:maj", "G:maj")]
+    assert estimate_key(c_g) == Key(0)
+    assert estimate_key(c_g[2:]) == Key(7)
+    assert estimate_key([transpose_chord(c, 5) for c in c_g]) == Key(5)
 
 
-def oracle_estimate_key(pcs: set[int]) -> Key:
-    """The 24 keys built and ranked on every call: the exact oracle of
-    ``estimate_key``'s candidates built once."""
-    candidates = [Key(tonic, mode) for tonic in range(12) for mode in ("major", "minor")]
-    return max(candidates,
-               key=lambda k: (len(pcs & k.diatonic()), -k.tonic, k.mode == "major"))
+# The 24 keys and their diatonic sets, for the oracle below.
+ORACLE_KEYS = [(Key(tonic, mode), Key(tonic, mode).diatonic())
+               for tonic in range(12) for mode in ("major", "minor")]
+
+
+def oracle_estimate_key(pcs: set[int], first_root: int) -> Key:
+    """Every key ranked by pitch classes covered, then by how few
+    semitones its tonic lies above the first root, then major first."""
+    return max(ORACLE_KEYS, key=lambda k: (len(pcs & k[1]), -((k[0].tonic - first_root) % 12),
+                                           k[0].mode == "major"))[0]
 
 
 def test_estimate_key_matches_the_candidate_loop_on_every_pitch_class_set():
+    """Every pitch-class set, played from each of its pitch classes."""
     lone = [parse_chord(f"{name}:maj(*3,*5)") for name in FLAT_NAMES]  # one pitch class each
     with pytest.raises(EmptyTimelineError):
         estimate_key([parse_chord("N")])
     for mask in range(1, 1 << 12):
-        pcs = {pc for pc in range(12) if mask >> pc & 1}
-        assert estimate_key([lone[pc] for pc in pcs]) == oracle_estimate_key(pcs)
+        pcs = [pc for pc in range(12) if mask >> pc & 1]
+        for i, first in enumerate(pcs):
+            played = [lone[pc] for pc in pcs[i:] + pcs[:i]]
+            assert estimate_key(played) == oracle_estimate_key(set(pcs), first)
+
+
+@given(st.lists(chords() | st.just(NO_CHORD), min_size=1, max_size=8)
+       .filter(lambda progression: any(not c.is_nochord for c in progression)))
+@settings(max_examples=200, deadline=None)
+def test_estimate_key_commutes_with_transposition(progression):
+    key = estimate_key(progression)
+    for shift in range(1, 12):
+        assert estimate_key([transpose_chord(c, shift) for c in progression]) \
+            == key.transpose(shift)
 
 
 def test_encode_event_grid():
