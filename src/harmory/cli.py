@@ -5,10 +5,11 @@ internal errors.  All file outputs are written atomically and are
 byte-identical for identical inputs and flags (timings in ``bench``
 reports excepted).  Output formats are documented in docs/formats.md.
 
-Every flag is declared once, in ``build_parser``.  A well-formed command
-line is parsed from those declarations without building an argparse
-parser; any other, help and usage errors included, goes to the argparse
-parser with every subcommand.
+Every argument is declared once, as data, in the table ``_DECLARATIONS``.
+A well-formed command line is parsed from that table without building an
+argparse parser; any other, help and usage errors included, goes to the
+argparse parser that ``build_parser`` builds from it with every
+subcommand.
 """
 
 from __future__ import annotations
@@ -149,30 +150,8 @@ def _seg_params(args) -> SegmentationParams:
                                  for f in dataclasses.fields(SegmentationParams)})
 
 
-def _add_seg_arguments(parser) -> None:
-    for f in dataclasses.fields(SegmentationParams):
-        kind = (finite_float if isinstance(f.default, float)
-                else kernel_size if f.name == "kernel_size" else non_negative_int)
-        parser.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
-
-
 def _measure_params(args) -> dict:
     return {f.name: getattr(args, f.name) for f in dataclasses.fields(_STEPS[args.measure])}
-
-
-def _add_measure_arguments(parser) -> None:
-    parser.add_argument("--measure", choices=sorted(MEASURES), default="dtw")
-    declared = {f.name: f for steps in _STEPS.values() for f in dataclasses.fields(steps)}
-    for f in declared.values():
-        parser.add_argument("--" + f.name.replace("_", "-"), default=f.default,
-                            type=finite_float if isinstance(f.default, float) else int,
-                            help=f.metadata.get("help"))
-
-
-def _add_workers_argument(parser) -> None:
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; pairs are scored in one "
-                             "thread and the output is the same for every value")
 
 
 def cmd_parse(args) -> int:
@@ -310,133 +289,102 @@ def cmd_matrix(args) -> int:
     return 0
 
 
-COMMANDS = ("parse", "dist", "encode", "segment", "sim", "matrix", "build", "query",
-            "eval-covers", "bench")
+def _field_flag(field, kind) -> tuple[str, dict]:
+    """The declaration of a parameter field's flag: its name with dashes."""
+    return "--" + field.name.replace("_", "-"), dict(
+        type=kind, default=field.default, help=field.metadata.get("help"))
 
 
-def build_parser(commands=COMMANDS, parser_class=argparse.ArgumentParser):
-    """The parser with the subcommands named in ``commands``, added in the
-    order of ``COMMANDS``; each subcommand's arguments, help and usage are
-    the same whichever others are added.  ``parse_args`` passes
-    ``_Declared`` as ``parser_class`` to read the declarations without
-    building an argparse parser."""
-    parser = parser_class(
-        prog="harmory",
-        description="Symbolic harmonic similarity and the harmonic memory graph.")
-    parser.add_argument("--quiet", action="store_true", help="suppress notes and warnings")
-    parser.add_argument("--out-dir", default=".", help="directory for file outputs")
+_SEG_FLAGS = tuple(_field_flag(f, finite_float if isinstance(f.default, float)
+                               else kernel_size if f.name == "kernel_size" else non_negative_int)
+                   for f in dataclasses.fields(SegmentationParams))
+_MEASURE_FLAGS = (("--measure", dict(choices=sorted(MEASURES), default="dtw")), *(
+    _field_flag(f, finite_float if isinstance(f.default, float) else int)
+    for f in {f.name: f for steps in _STEPS.values() for f in dataclasses.fields(steps)}.values()))
+_WORKERS_FLAG = ("--workers", dict(type=int, default=1, help=(
+    "accepted for compatibility; pairs are scored in one thread and the output is the "
+    "same for every value")))
+
+# Every argument, declared once: for the top-level parser (None) and each
+# command, its function, help text and (name, ``add_argument`` options)
+# pairs in ``--help`` order.  An argument has one name, so its dest is
+# that name without leading dashes and with ``-`` turned into ``_``.
+_DECLARATIONS = {
+    None: (None, "Symbolic harmonic similarity and the harmonic memory graph.", (
+        ("--quiet", dict(action="store_true", help="suppress notes and warnings")),
+        ("--out-dir", dict(default=".", help="directory for file outputs")))),
+    "parse": (cmd_parse, "parse a chord symbol to JSON", (("chord", {}),)),
+    "dist": (cmd_dist, "Tonal Pitch Space distance between two chords", (
+        ("chord_a", {}), ("chord_b", {}),
+        ("--key", dict(help="governing key, e.g. C:maj (estimated when omitted)")))),
+    "encode": (cmd_encode, "encode a piece as a TPS series CSV", (
+        ("piece", {}), ("--grid", dict(choices=("event", "beat"), default="event")),
+        ("--out", {}))),
+    "segment": (cmd_segment, "segment a piece; writes SSM/novelty/boundaries", (
+        ("piece", {}), *_SEG_FLAGS)),
+    "sim": (cmd_sim, "similarity report for two pieces", (
+        ("piece_a", {}), ("piece_b", {}), *_MEASURE_FLAGS)),
+    "matrix": (cmd_matrix, "pairwise similarity matrix CSV for a corpus", (
+        ("corpus", {}), *_MEASURE_FLAGS, ("--out", {}))),
+    "build": (cmd_build_graph, "build the harmonic memory graph from a corpus", (
+        ("corpus", {}), *_SEG_FLAGS,
+        ("--theta-sim", dict(type=finite_float, default=0.6)),
+        ("--theta-merge", dict(type=finite_float, default=0.9)), _WORKERS_FLAG)),
+    "query": (cmd_query, "query a memory graph with a chord progression", (
+        ("graph", dict(help="path to an exported .nt graph")),
+        ("progression", dict(help="space-separated chord symbols")),
+        ("--key", dict(help="query key, e.g. C:maj (estimated when omitted)")),
+        ("-k", dict(type=int, default=5)))),
+    "eval-covers": (cmd_eval_covers, "cover-identification metrics for a corpus", (
+        ("corpus", {}), ("cliques", dict(help="CSV with header piece_id,clique_id")),
+        *_MEASURE_FLAGS, _WORKERS_FLAG,
+        ("--format", dict(choices=("json", "table"), default="json")))),
+    "bench": (cmd_bench, "wall-clock and comparison-count benchmark", (
+        ("corpus", dict(nargs="?")), ("--measures", dict(default="dtw,tpsd")),
+        ("--repetitions", dict(type=int, default=5)),
+        ("--synthetic", dict(action="store_true",
+                             help="benchmark the built-in synthetic corpus")),
+        ("--synthetic-pieces", dict(type=int, default=16)),
+        ("--synthetic-beats", dict(type=int, default=256)))),
+}
+COMMANDS = tuple(name for name in _DECLARATIONS if name is not None)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``_DECLARATIONS`` with every subcommand, for
+    help and usage errors."""
+    _, description, arguments = _DECLARATIONS[None]
+    parser = argparse.ArgumentParser(prog="harmory", description=description)
+    for name, options in arguments:
+        parser.add_argument(name, **options)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help_text):
-        """The subparser of ``name``; None when it is not in ``commands``."""
-        if name not in commands:
-            return None
-        p = sub.add_parser(name, help=help_text)
+    for command in COMMANDS:
+        func, help_text, arguments = _DECLARATIONS[command]
+        p = sub.add_parser(command, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    if p := command("parse", cmd_parse, "parse a chord symbol to JSON"):
-        p.add_argument("chord")
-
-    if p := command("dist", cmd_dist, "Tonal Pitch Space distance between two chords"):
-        p.add_argument("chord_a")
-        p.add_argument("chord_b")
-        p.add_argument("--key", help="governing key, e.g. C:maj (estimated when omitted)")
-
-    if p := command("encode", cmd_encode, "encode a piece as a TPS series CSV"):
-        p.add_argument("piece")
-        p.add_argument("--grid", choices=("event", "beat"), default="event")
-        p.add_argument("--out")
-
-    if p := command("segment", cmd_segment, "segment a piece; writes SSM/novelty/boundaries"):
-        p.add_argument("piece")
-        _add_seg_arguments(p)
-
-    if p := command("sim", cmd_sim, "similarity report for two pieces"):
-        p.add_argument("piece_a")
-        p.add_argument("piece_b")
-        _add_measure_arguments(p)
-
-    if p := command("matrix", cmd_matrix, "pairwise similarity matrix CSV for a corpus"):
-        p.add_argument("corpus")
-        _add_measure_arguments(p)
-        p.add_argument("--out")
-
-    if p := command("build", cmd_build_graph, "build the harmonic memory graph from a corpus"):
-        p.add_argument("corpus")
-        _add_seg_arguments(p)
-        p.add_argument("--theta-sim", type=finite_float, default=0.6)
-        p.add_argument("--theta-merge", type=finite_float, default=0.9)
-        _add_workers_argument(p)
-
-    if p := command("query", cmd_query, "query a memory graph with a chord progression"):
-        p.add_argument("graph", help="path to an exported .nt graph")
-        p.add_argument("progression", help="space-separated chord symbols")
-        p.add_argument("--key", help="query key, e.g. C:maj (estimated when omitted)")
-        p.add_argument("-k", type=int, default=5)
-
-    if p := command("eval-covers", cmd_eval_covers, "cover-identification metrics for a corpus"):
-        p.add_argument("corpus")
-        p.add_argument("cliques", help="CSV with header piece_id,clique_id")
-        _add_measure_arguments(p)
-        _add_workers_argument(p)
-        p.add_argument("--format", choices=("json", "table"), default="json")
-
-    if p := command("bench", cmd_bench, "wall-clock and comparison-count benchmark"):
-        p.add_argument("corpus", nargs="?")
-        p.add_argument("--measures", default="dtw,tpsd")
-        p.add_argument("--repetitions", type=int, default=5)
-        p.add_argument("--synthetic", action="store_true",
-                       help="benchmark the built-in synthetic corpus")
-        p.add_argument("--synthetic-pieces", type=int, default=16)
-        p.add_argument("--synthetic-beats", type=int, default=256)
-
+        for name, options in arguments:
+            p.add_argument(name, **options)
     return parser
 
 
-class _Declared:
-    """What ``build_parser`` declares for one parser, recorded in place of
-    an ``argparse.ArgumentParser``: each flag's dest, type and choices,
-    each positional's, each dest's default, and each subcommand's own
-    ``_Declared``.  It is its own subparsers action."""
-
-    def __init__(self, **_):
-        self.flags = {}        # option string -> (dest, type, choices); type None: store_true
-        self.positionals = []  # (dest, type, choices, required)
-        self.defaults = {}     # dest -> default
-        self.commands = {}     # name -> _Declared
-        self.command_dest = None
-
-    def add_argument(self, *names, action=None, type=None, choices=None, default=None,
-                     nargs=None, help=None):
-        if action not in (None, "store_true") or nargs not in (None, "?"):
-            raise TypeError(f"{names}: only plain, store_true and nargs='?' arguments "
-                            "can be recorded")
-        if not names[0].startswith("-"):
-            dest = names[0]
-            self.positionals.append((dest, type or str, choices, nargs is None))
+def _declared(arguments):
+    """What argparse makes of one parser's ``arguments`` in
+    ``_DECLARATIONS``: each flag's (dest, type, choices) by its name, the
+    type None for ``store_true``; each positional's (dest, type, choices,
+    required), ``nargs="?"`` making it optional; and each dest's default."""
+    flags, positionals, defaults = {}, [], {}
+    for name, options in arguments:
+        kind, choices = options.get("type", str), options.get("choices")
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            if options.get("action") == "store_true":
+                kind = None
+            flags[name] = dest, kind, choices
         else:
-            # argparse's dest: the first long option, else the first option
-            long = next((name for name in names if name.startswith("--")), names[0])
-            dest = long.lstrip("-").replace("-", "_")
-            if action == "store_true":
-                default, type = default or False, None
-            else:
-                type = type or str
-            self.flags.update(dict.fromkeys(names, (dest, type, choices)))
-        self.defaults[dest] = default
-
-    def add_subparsers(self, dest, required):
-        self.command_dest = dest
-        self.defaults[dest] = None
-        return self
-
-    def add_parser(self, name, **_):
-        self.commands[name] = _Declared()
-        return self.commands[name]
-
-    def set_defaults(self, **defaults):
-        self.defaults.update(defaults)
+            dest = name
+            positionals.append((dest, kind, choices, "nargs" not in options))
+        defaults[dest] = options.get("default", False if kind is None else None)
+    return flags, positionals, defaults
 
 
 class _Declined(ValueError):
@@ -455,9 +403,9 @@ def _converted(text: str, kind, choices):
     return value
 
 
-def _positional_tokens(declared: _Declared, tokens, values: dict):
+def _positional_tokens(flags: dict, tokens, values: dict):
     """Each token of the iterator ``tokens`` that is not a flag, storing
-    the value of each flag of ``declared`` met before it in ``values``.
+    the value of each of ``flags`` met before it in ``values``.
     Declines every flag that is not spelled out in full, and every value
     that is missing or starts with ``-``."""
     for token in tokens:
@@ -465,9 +413,9 @@ def _positional_tokens(declared: _Declared, tokens, values: dict):
             yield token
             continue
         flag, equals, text = token.partition("=")
-        if flag not in declared.flags:
+        if flag not in flags:
             raise _Declined
-        dest, kind, choices = declared.flags[flag]
+        dest, kind, choices = flags[flag]
         if kind is None:  # store_true
             if equals:
                 raise _Declined
@@ -482,30 +430,29 @@ def _positional_tokens(declared: _Declared, tokens, values: dict):
 
 def _parse_well_formed(argv: list[str]) -> argparse.Namespace | None:
     """The namespace that ``build_parser().parse_args(argv)`` returns, read
-    from the declarations of the global options and of the commands named
-    in ``argv`` (usually one), without building an argparse parser.  None
-    for an argv that needs argparse: a token that starts with ``-`` and is
-    not a declared flag spelled out in full (``-h``, ``--help``, ``--``
-    and ``-k5`` among them), a missing value or one that starts with
-    ``-``, a bad value, or the wrong number of positionals.
+    from the declarations of the global options and of the command named
+    in ``argv``, without building an argparse parser.  None for an argv
+    that needs argparse: a token that starts with ``-`` and is not a
+    declared flag spelled out in full (``-h``, ``--help``, ``--`` and
+    ``-k5`` among them), a missing value or one that starts with ``-``, a
+    bad value, or the wrong number of positionals.
 
     The global options come before the command, the command's after it,
     mixed with its positionals; the last of a repeated flag wins."""
-    top = build_parser(set(argv), _Declared)
-    values = dict(top.defaults)
+    top_flags, _, values = _declared(_DECLARATIONS[None][2])
     tokens = iter(argv)
     try:
-        command = next(_positional_tokens(top, tokens, values), None)
-        declared = top.commands.get(command)
-        if declared is None:
+        command = next(_positional_tokens(top_flags, tokens, values), None)
+        if command not in COMMANDS:
             return None
-        values[top.command_dest] = command
-        values.update(declared.defaults)
-        given = list(_positional_tokens(declared, tokens, values))
-        required = sum(required for *_, required in declared.positionals)
-        if not required <= len(given) <= len(declared.positionals):
+        func, _, arguments = _DECLARATIONS[command]
+        flags, positionals, defaults = _declared(arguments)
+        values.update(defaults, command=command, func=func)
+        given = list(_positional_tokens(flags, tokens, values))
+        required = sum(required for *_, required in positionals)
+        if not required <= len(given) <= len(positionals):
             return None
-        for (dest, kind, choices, _), text in zip(declared.positionals, given):
+        for (dest, kind, choices, _), text in zip(positionals, given):
             values[dest] = _converted(text, kind, choices)
     except _Declined:
         return None

@@ -79,7 +79,7 @@ class MemoryGraph:
     these, or a GraphFormatError names the first triple that breaks one:
     - a piece ``p`` has segments ``p/seg/0`` to ``p/seg/n-1``, n >= 1, each in
       ``segments`` with one key per chord; no other segment; no piece id is
-      a segment id;
+      a segment id or contains ``/seg/``, so each weight node names one edge;
     - each segment is in one pattern, keyed by its medoid, one of its members;
     - edges ``(a, b, w)`` are one per pair, in order, ``a < b`` patterns and
       ``0 <= w <= 1``."""
@@ -99,6 +99,9 @@ class MemoryGraph:
                                        segments[piece_id].piece_id, "hasSegment", piece_id)
             if piece.id != piece_id or not piece.segment_ids:
                 raise GraphFormatError(f"piece {piece_id}: needs its own id and a segment")
+            if "/seg/" in piece_id:
+                raise GraphFormatError("a piece id must not contain /seg/", piece_id, "hasSegment",
+                                       piece.segment_ids[0])
             for index, seg_id in enumerate(piece.segment_ids):
                 segment = segments.get(seg_id)
                 if segment is None or segment.index != index or segment.piece_id != piece_id \
@@ -381,9 +384,12 @@ def import_ntriples(data: bytes) -> MemoryGraph:
                     if "N" in tokens:
                         raise ValueError("N, the no-chord, is not a sounded chord")
                     chords = tuple(map(parse_chord, tokens))
+                except ValueError as err:
+                    raise GraphFormatError(str(err), seg_id, "chordSequence", None) from err
+                try:
                     keys = tuple(map(Key.from_string, key_sequences[seg_id][0].split()))
                 except ValueError as err:
-                    raise GraphFormatError(f"segment {seg_id}: {err}") from err
+                    raise GraphFormatError(str(err), seg_id, "keySequence", None) from err
                 segments[seg_id] = Segment(piece_id, index, cursor, cursor + len(chords),
                                            chords, keys)
                 cursor += len(chords)

@@ -289,6 +289,16 @@ def test_build_of_a_piece_named_as_another_piece_s_segment_is_a_usage_error(caps
     assert not out_dir.exists()
 
 
+def test_build_of_a_piece_whose_id_contains_seg_is_a_usage_error(capsys, tmp_path):
+    """Piece p/seg/0/q would make weight node names ambiguous."""
+    corpus = write_corpus(tmp_path / "corpus", {"p": ["C:maj"] * 4})
+    write_corpus(corpus / "p" / "seg" / "0", {"q": ["G:maj"] * 4})
+    out_dir = tmp_path / "graph"
+    assert run(capsys, ["--out-dir", str(out_dir), "build", str(corpus)]) == (
+        2, "", "error: hasSegment p/seg/0/q p/seg/0/q/seg/0: a piece id must not contain /seg/\n")
+    assert not out_dir.exists()
+
+
 def test_query_without_a_key_ranks_a_probe_as_its_transposition(capsys):
     """C G C G and, 5 semitones up, F C F C both fit two major keys
     equally; each is read in the key on its first root, so they rank

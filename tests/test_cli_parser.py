@@ -1,11 +1,11 @@
 """How ``cli.main`` parses a call, against the parser with every subcommand.
 
-A well-formed argv is read from ``build_parser``'s declarations without an
-argparse parser; every other argv goes to the parser with every
-subcommand.  Help texts, usage errors, exit codes and parsed namespaces
-must be those of the full parser.  The golden help texts under
-``tests/data/help/`` were written by the full parser at 80 columns on
-Python 3.11, before any other way of parsing existed.
+A well-formed argv is read from ``cli._DECLARATIONS`` without an argparse
+parser; every other argv goes to the parser with every subcommand.  Help
+texts, usage errors, exit codes and parsed namespaces must be those of the
+full parser.  The golden help texts under ``tests/data/help/`` were
+written by the full parser at 80 columns on Python 3.11, before any other
+way of parsing existed.
 """
 
 from __future__ import annotations
@@ -152,28 +152,31 @@ def test_parse_args_matches_the_full_parser(capsys, argv):
 ])
 def test_only_help_and_usage_errors_build_an_argparse_parser(monkeypatch, capsys, argv,
                                                               command):
-    """A well-formed call records the declarations of its own command alone
-    and builds no argparse parser; help and errors build the full one, once."""
-    built = []
-    build = cli.build_parser
+    """A well-formed call constructs no argparse parser at all; help and
+    errors build the full one, once."""
+    built, constructed, parsed_args = [], [], None
+    build, init = cli.build_parser, argparse.ArgumentParser.__init__
 
-    def recording(commands=cli.COMMANDS, parser_class=argparse.ArgumentParser):
-        built.append((parser_class, build(commands, parser_class)))
-        return built[-1][1]
+    def recording_build():
+        built.append(build())
+        return built[-1]
 
-    monkeypatch.setattr(cli, "build_parser", recording)
+    def recording_init(self, *args, **kwargs):
+        constructed.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
     with contextlib.suppress(SystemExit):
-        cli.parse_args(argv)
-    full = [parser for kind, parser in built if kind is argparse.ArgumentParser]
+        parsed_args = cli.parse_args(argv)
     if command is None:
-        assert len(full) == 1
-        action, = (action for action in full[0]._actions
+        assert len(built) == 1
+        action, = (action for action in built[0]._actions
                    if isinstance(action, argparse._SubParsersAction))
         assert tuple(action.choices) == cli.COMMANDS
     else:
-        assert full == []
-        assert [(kind, list(parser.commands)) for kind, parser in built] == [
-            (cli._Declared, [command])]
+        assert (built, constructed) == ([], [])
+        assert parsed_args.command == command
 
 
 # The argv shapes that perfbench/run.py issues, one per command and measure.
@@ -260,11 +263,28 @@ def test_the_fast_path_declines_or_parses_as_argparse(argv):
         assert vars(fast) == vars(expected)
 
 
-@pytest.mark.parametrize("names", [("-x",), ("--long-name",), ("-x", "--long-name"),
-                                   ("--long-name", "-x"), ("-x", "-y", "--z-z", "--w")])
-def test_a_recorded_flag_has_the_dest_that_argparse_gives_it(names):
-    declared = cli._Declared()
-    declared.add_argument(*names, type=int)
-    dest = argparse.ArgumentParser().add_argument(*names, type=int).dest
-    assert {value[0] for value in declared.flags.values()} == {dest}
-    assert list(declared.flags) == list(names)
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_a_recorded_flag_has_the_dest_that_argparse_gives_it(command):
+    """Each declared argument, global or of a command, has one name and only
+    the options that the fast path reads; the fast path gives it the dest,
+    type, choices, default and requiredness of the action that argparse
+    builds from the same entry."""
+    _, _, arguments = cli._DECLARATIONS[command]
+    flags, positionals, defaults = cli._declared(arguments)
+    assert len(flags) + len(positionals) == len(defaults) == len(arguments)
+    recorded = iter(positionals)
+    parser = argparse.ArgumentParser()
+    for name, options in arguments:
+        assert options.keys() <= {"type", "choices", "default", "help", "action", "nargs"}
+        assert options.get("action") in (None, "store_true")
+        assert options.get("nargs") in (None, "?")
+        action = parser.add_argument(name, **options)
+        if action.option_strings:
+            assert action.option_strings == [name]
+            dest, kind, choices = flags[name]
+        else:
+            dest, kind, choices, required = next(recorded)
+            assert required == (action.nargs is None)
+        assert (dest, kind, choices, defaults[dest]) == (
+            action.dest, None if action.nargs == 0 else action.type or str, action.choices,
+            action.default)

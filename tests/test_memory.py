@@ -44,7 +44,7 @@ from harmory.memory import (
     query_similar,
     segment_to_timeline,
 )
-from harmory.segmentation import SegmentationParams, segment_timeline
+from harmory.segmentation import Segment, SegmentationParams, segment_timeline
 from harmory.similarity import DEFAULT_SCALE, _dtw, dtw_align, dtw_lower_bounds, dtw_similarity
 from harmory.timeline import estimate_key, load_jams, transpose
 from harmory.tps import Key, distance_table, intern, key_relative_profiles
@@ -219,7 +219,8 @@ def test_import_parses_each_distinct_key_token_once():
     assert len(tokens) > len(set(tokens))
     assert Key.from_string.cache_info().misses == len(set(tokens))
     with_bad_token = data.replace(b'"C:maj C:maj C:maj C:maj"', b'"C:maj C:maj H:maj C:maj"', 1)
-    with pytest.raises(GraphFormatError, match="^segment alpha/seg/0: position 0: expected note letter"):
+    with pytest.raises(GraphFormatError,
+                       match="^line 1: chordSequence of alpha/seg/0: position 0: expected note"):
         import_ntriples(with_bad_token)
     assert graph.segments == import_ntriples(data).segments
 
@@ -723,6 +724,22 @@ GOLDEN_DEFECTS = {
              triple_line("alpha/seg/0/seg/0", "keySequence", '"C:maj"'),
              triple_line("alpha/seg/0/seg/0", "instanceOf", "alpha/seg/0/seg/0")], None,
         "line 9: hasSegment alpha alpha/seg/0: alpha/seg/0 is also a piece"),
+    "piece-id-holds-seg": (
+        (), [triple_line("alpha/seg/0/q", "hasSegment", "alpha/seg/0/q/seg/0"),
+             triple_line("alpha/seg/0/q/seg/0", "chordSequence", '"C:maj"'),
+             triple_line("alpha/seg/0/q/seg/0", "keySequence", '"C:maj"'),
+             triple_line("alpha/seg/0/q/seg/0", "instanceOf", "alpha/seg/0/q/seg/0")], None,
+        "line 25: hasSegment alpha/seg/0/q alpha/seg/0/q/seg/0: a piece id must not contain "
+        "/seg/"),
+    "bad-chord-token": ((), (), ('"C:maj C:maj C:maj A:min"', '"H:maj C:maj C:maj A:min"'),
+                        "line 20: chordSequence of gamma/seg/0: position 0: expected note "
+                        "letter A..G"),
+    "no-chord-token": ((), (), ('"C:maj C:maj C:maj A:min"', '"C:maj N C:maj A:min"'),
+                       "line 20: chordSequence of gamma/seg/0: N, the no-chord, is not a "
+                       "sounded chord"),
+    "bad-key-token": ((), (), ('gamma/seg/0> <urn:harmory:keySequence> "C:maj C:maj C:maj C:maj"',
+                               'gamma/seg/0> <urn:harmory:keySequence> "C:maj C:maj H:maj C:maj"'),
+                      "line 22: keySequence of gamma/seg/0: not a note letter: 'H'"),
     "no-piece": (GOLDEN_NT_LINES, (), None, "a memory graph needs a piece"),
 }
 
@@ -792,6 +809,24 @@ def test_a_memory_graph_checks_what_no_text_spells(fields, message):
     with pytest.raises(GraphFormatError) as raised:
         replace(GOLDEN_GRAPH, **fields)
     assert str(raised.value) == message
+
+
+def test_a_piece_id_that_contains_seg_is_refused():
+    """Were it allowed, the edges p/seg/0 -> q/seg/0/r/seg/0 and
+    p/seg/0/q/seg/0 -> r/seg/0 would share one weight node."""
+    def segment(piece_id):
+        return Segment(piece_id, 0, 0, 1, (parse_chord("C:maj"),), (Key.from_string("C:maj"),))
+
+    ids = ["p", "p/seg/0/q", "q/seg/0/r", "r"]
+    similar = (("p/seg/0", "q/seg/0/r/seg/0", 0.5), ("p/seg/0/q/seg/0", "r/seg/0", 0.25))
+    assert memory.weight_node(*similar[0][:2]) == memory.weight_node(*similar[1][:2])
+    with pytest.raises(GraphFormatError) as raised:
+        MemoryGraph(pieces={i: PieceInfo(i, None, None, (f"{i}/seg/0",)) for i in ids},
+                    segments={f"{i}/seg/0": segment(i) for i in ids},
+                    patterns={f"{i}/seg/0": Pattern(f"{i}/seg/0", (f"{i}/seg/0",)) for i in ids},
+                    similar=similar)
+    assert str(raised.value) == \
+        "hasSegment p/seg/0/q p/seg/0/q/seg/0: a piece id must not contain /seg/"
 
 
 def test_build_rejects_a_piece_id_that_is_a_segment_id():
