@@ -324,6 +324,25 @@ def _triples(text: str):
         yield lineno, subject, predicate, obj
 
 
+def _sounded_chord(token: str):
+    if token == "N":
+        raise ValueError("N, the no-chord, is not a sounded chord")
+    return parse_chord(token)
+
+
+def _parse_tokens(parse, literals: dict, seg_id: str, predicate: str) -> tuple:
+    """Each token of a segment's sequence literal parsed; an error names
+    the token by its 1-based index and its text."""
+    tokens = literals[seg_id][0].split()
+    parsed: list = []
+    try:
+        parsed.extend(map(parse, tokens))  # keeps the tokens parsed before a failure
+    except ValueError as err:
+        raise GraphFormatError(f"token {len(parsed) + 1} {tokens[len(parsed)]!r}: {err}",
+                               seg_id, predicate, None) from err
+    return tuple(parsed)
+
+
 def import_ntriples(data: bytes) -> MemoryGraph:
     """Rebuild a memory graph from export_ntriples output.
 
@@ -379,17 +398,8 @@ def import_ntriples(data: bytes) -> MemoryGraph:
                 for name, table in (("chordSequence", sequences), ("keySequence", key_sequences)):
                     if seg_id not in table:
                         raise GraphFormatError("missing", seg_id, name, None)
-                tokens = sequences[seg_id][0].split()
-                try:
-                    if "N" in tokens:
-                        raise ValueError("N, the no-chord, is not a sounded chord")
-                    chords = tuple(map(parse_chord, tokens))
-                except ValueError as err:
-                    raise GraphFormatError(str(err), seg_id, "chordSequence", None) from err
-                try:
-                    keys = tuple(map(Key.from_string, key_sequences[seg_id][0].split()))
-                except ValueError as err:
-                    raise GraphFormatError(str(err), seg_id, "keySequence", None) from err
+                chords = _parse_tokens(_sounded_chord, sequences, seg_id, "chordSequence")
+                keys = _parse_tokens(Key.from_string, key_sequences, seg_id, "keySequence")
                 segments[seg_id] = Segment(piece_id, index, cursor, cursor + len(chords),
                                            chords, keys)
                 cursor += len(chords)

@@ -1,7 +1,9 @@
 """Harmonic structure segmentation via self-similarity and novelty.
 
 The self-similarity matrix holds ``1 - distance/max_distance`` over the
-sounded events of a piece.  A checkerboard kernel slid along the diagonal
+sounded events of a piece.  It is held as a table over the piece's
+distinct (chord, key) profiles plus one code per event, and no n-by-n
+array is ever built.  A checkerboard kernel slid along the diagonal
 yields a novelty curve whose peaks become segment boundaries.
 """
 
@@ -43,12 +45,16 @@ class SegmentationParams:
 
 @dataclass(frozen=True)
 class SSM:
-    """Self-similarity over sounded events, values in [0, 1].
+    """Self-similarity over sounded events, values in [0, 1], held as
+    table plus codes: ``table`` is the V-by-V similarity of the piece's V
+    distinct (chord, key) profiles and ``codes[i]`` is event i's profile,
+    so cell (i, j) is ``table[codes[i], codes[j]]``.
 
     ``event_indices[i]`` maps row i back to the original event position.
     """
 
-    matrix: np.ndarray
+    table: np.ndarray
+    codes: np.ndarray
     event_indices: tuple[int, ...]
 
     @property
@@ -76,15 +82,17 @@ class Segment:
 
 
 def build_ssm(timeline: Timeline) -> SSM:
-    """Pairwise chord similarity under each event's governing key."""
+    """Pairwise chord similarity under each event's governing key, as the
+    table over the piece's distinct profiles and each event's code.  Every
+    code occurs, so the table's largest distance is the piece's."""
     sounded = timeline.sounded()
     vocab: dict = {}
     codes = intern([profile(chord, key) for _, chord, key in sounded], vocab)
-    distances = np.array(distance_table(vocab, vocab))[np.ix_(codes, codes)]
+    distances = np.array(distance_table(vocab, vocab))
     largest = distances.max()
     if largest == 0:
         largest = 1.0
-    return SSM(matrix=1.0 - distances / largest,
+    return SSM(table=1.0 - distances / largest, codes=np.array(codes, dtype=np.intp),
                event_indices=tuple(i for i, _, _ in sounded))
 
 
@@ -92,14 +100,16 @@ def checkerboard_kernel(kernel_size: int, taper: float) -> np.ndarray:
     """Sign-checkered Gaussian kernel centered between two cells."""
     half = kernel_size // 2
     offsets = np.arange(-half, half) + 0.5
-    u, v = np.meshgrid(offsets, offsets, indexing="ij")
+    u, v = offsets[:, None], offsets
     return np.sign(u) * np.sign(v) * np.exp(-taper * (u**2 + v**2) / half**2)
 
 
 def novelty(ssm: SSM, kernel_size: int = 8, taper: float = 1.0) -> np.ndarray:
     """Checkerboard novelty along the diagonal, one value per boundary
     position i (the gap before event i); edges are zero-padded and
-    negative responses are clamped to zero."""
+    negative responses are clamped to zero.  Each window is gathered from
+    the SSM's table through the codes, padded with a sentinel code whose
+    row and column are zero."""
     n = ssm.size
     if kernel_size < 2 or kernel_size % 2:
         raise ValueError(f"kernel_size must be even and >= 2: {kernel_size}")
@@ -109,21 +119,26 @@ def novelty(ssm: SSM, kernel_size: int = 8, taper: float = 1.0) -> np.ndarray:
         raise KernelTooLargeError(f"kernel {kernel_size} exceeds 2n = {2 * n}")
     half = kernel_size // 2
     kernel = checkerboard_kernel(kernel_size, taper)
-    padded = np.zeros((n + 2 * half, n + 2 * half))
-    padded[half:half + n, half:half + n] = ssm.matrix
-    # windows[i] is the k-by-k window on the diagonal at boundary i.  Each
-    # row sums its k*k contiguous products in one reduction, as np.sum of
-    # one window does, so every value is bit-identical to a per-window sum.
-    rows_stride, cols_stride = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, (n, kernel_size, kernel_size),
-        (rows_stride + cols_stride, rows_stride, cols_stride), writeable=False)
+    sentinel = len(ssm.table)
+    table = np.zeros((sentinel + 1, sentinel + 1))
+    table[:sentinel, :sentinel] = ssm.table
+    codes = np.full(n + kernel_size, sentinel)
+    codes[half:half + n] = ssm.codes
+    # spans[i] holds the codes of the k events, padding included, that the
+    # diagonal window at boundary i covers, and rows[i] their offsets into
+    # the flat table.  Each gathered window's row sums its k*k contiguous
+    # products in one reduction, as np.sum of one window does, so every
+    # value is bit-identical to a per-window sum.
+    spans = codes[np.arange(n)[:, None] + np.arange(kernel_size)]
+    rows = spans * (sentinel + 1)
     cells = kernel_size * kernel_size
     block = max(1, _NOVELTY_BLOCK_CELLS // cells)
     values = np.empty(n)
     for i in range(0, n, block):
         stop = min(i + block, n)
-        (windows[i:stop] * kernel).reshape(stop - i, cells).sum(axis=1, out=values[i:stop])
+        windows = table.take(rows[i:stop, :, None] + spans[i:stop, None, :])
+        windows *= kernel
+        windows.reshape(stop - i, cells).sum(axis=1, out=values[i:stop])
     np.clip(values, 0.0, None, out=values)
     return values
 
@@ -194,19 +209,22 @@ def segment_timeline(timeline: Timeline,
     return Segmentation(ssm, kernel_size, curve, boundaries, segments)
 
 
-def ssm_to_pgm(ssm: SSM) -> str:
-    """ASCII PGM (P2), maxval 255, cell value rounded half-up."""
+def ssm_to_pgm(ssm: SSM) -> bytes:
+    """ASCII PGM (P2), maxval 255, cell value rounded half-up, as bytes.
+    The table is rounded and range-checked, each distinct row's text is
+    built once, and row i of the file is the text of row ``codes[i]``."""
     n = ssm.size
-    levels = 255.0 * ssm.matrix
+    levels = 255.0 * ssm.table
     levels += 0.5
     np.floor(levels, out=levels)
     if not ((levels >= 0) & (levels <= 255)).all():
         raise ValueError("SSM cells must lie in [0, 1] to be written as PGM")
-    # C order, whatever the matrix's, so each row's words are its 4n bytes.
-    text = _PGM_WORDS[levels.astype(np.uint8, order="C")].view(np.uint8)
+    # take allocates in C order, so each row's words are its 4n bytes.
+    text = _PGM_WORDS[levels.astype(np.uint8)].take(ssm.codes, axis=1).view(np.uint8)
     ends = text[:, -4:]  # each row's last word, whose separator ends the line
     ends[ends == ord(" ")] = ord("\n")
-    return f"P2\n{n} {n}\n255\n" + text[text != 0].tobytes().decode("ascii")
+    rows = [row[row != 0].tobytes() for row in text]
+    return b"".join([f"P2\n{n} {n}\n255\n".encode(), *(rows[c] for c in ssm.codes.tolist())])
 
 
 def novelty_to_csv(curve: np.ndarray) -> str:

@@ -124,6 +124,28 @@ def test_segment_writes_artifacts(capsys, tmp_path):
     assert (out_dir / "blocky.ssm.pgm").read_text().startswith("P2\n8 8\n255\n")
 
 
+SEGMENT_GOLDEN = DATA / "segment"
+
+
+@pytest.mark.parametrize("golden, flags", [
+    ("default", []),
+    ("k12-t0.5", ["--kernel-size", "12", "--taper", "0.5"]),
+])
+def test_segment_matches_golden_outputs(capsys, tmp_path, golden, flags):
+    """A 240-event piece over four keys, with no-chords, sevenths and
+    inversions.  The PGM does not depend on the kernel, so both runs
+    compare it with the default run's file."""
+    piece = SEGMENT_GOLDEN / "modulating.jams.json"
+    code, out, _ = run(capsys, ["--out-dir", str(tmp_path), "segment", str(piece), *flags])
+    assert code == 0
+    assert out.encode() == (SEGMENT_GOLDEN / golden / "stdout.json").read_bytes()
+    assert (tmp_path / "modulating.ssm.pgm").read_bytes() \
+        == (SEGMENT_GOLDEN / "default" / "modulating.ssm.pgm").read_bytes()
+    for suffix in (".novelty.csv", ".boundaries.csv", ".segments.json"):
+        assert (tmp_path / f"modulating{suffix}").read_bytes() \
+            == (SEGMENT_GOLDEN / golden / f"modulating{suffix}").read_bytes()
+
+
 def test_segment_builds_one_ssm(capsys, tmp_path, monkeypatch):
     piece = tmp_path / "blocky.chart"
     piece.write_text(chart(["C:maj"] * 4 + ["G:maj"] * 4))

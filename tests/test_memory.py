@@ -205,7 +205,8 @@ def test_import_parses_each_distinct_chord_token_once():
     assert len(tokens) > len(set(tokens))
     assert parse_chord.cache_info().misses == len(set(tokens))
     with_bad_token = data.replace(b'"C:maj C:maj C:maj A:min"', b'"C:maj C:maj H:maj A:min"')
-    with pytest.raises(GraphFormatError, match="gamma/seg/0"):
+    with pytest.raises(GraphFormatError, match="^line 20: chordSequence of gamma/seg/0: "
+                                               "token 3 'H:maj': position 0: expected note"):
         import_ntriples(with_bad_token)
     assert graph.segments == import_ntriples(data).segments
 
@@ -220,7 +221,8 @@ def test_import_parses_each_distinct_key_token_once():
     assert Key.from_string.cache_info().misses == len(set(tokens))
     with_bad_token = data.replace(b'"C:maj C:maj C:maj C:maj"', b'"C:maj C:maj H:maj C:maj"', 1)
     with pytest.raises(GraphFormatError,
-                       match="^line 1: chordSequence of alpha/seg/0: position 0: expected note"):
+                       match="^line 1: chordSequence of alpha/seg/0: token 3 'H:maj': "
+                             "position 0: expected note"):
         import_ntriples(with_bad_token)
     assert graph.segments == import_ntriples(data).segments
 
@@ -732,14 +734,15 @@ GOLDEN_DEFECTS = {
         "line 25: hasSegment alpha/seg/0/q alpha/seg/0/q/seg/0: a piece id must not contain "
         "/seg/"),
     "bad-chord-token": ((), (), ('"C:maj C:maj C:maj A:min"', '"H:maj C:maj C:maj A:min"'),
-                        "line 20: chordSequence of gamma/seg/0: position 0: expected note "
-                        "letter A..G"),
+                        "line 20: chordSequence of gamma/seg/0: token 1 'H:maj': position 0: "
+                        "expected note letter A..G"),
     "no-chord-token": ((), (), ('"C:maj C:maj C:maj A:min"', '"C:maj N C:maj A:min"'),
-                       "line 20: chordSequence of gamma/seg/0: N, the no-chord, is not a "
-                       "sounded chord"),
+                       "line 20: chordSequence of gamma/seg/0: token 2 'N': N, the no-chord, "
+                       "is not a sounded chord"),
     "bad-key-token": ((), (), ('gamma/seg/0> <urn:harmory:keySequence> "C:maj C:maj C:maj C:maj"',
                                'gamma/seg/0> <urn:harmory:keySequence> "C:maj C:maj H:maj C:maj"'),
-                      "line 22: keySequence of gamma/seg/0: not a note letter: 'H'"),
+                      "line 22: keySequence of gamma/seg/0: token 3 'H:maj': not a note "
+                      "letter: 'H'"),
     "no-piece": (GOLDEN_NT_LINES, (), None, "a memory graph needs a piece"),
 }
 

@@ -5,13 +5,16 @@ literal nested loops and explicit bounds checks; the frozen curve values
 for the AAAABBBB piece were produced by that oracle.  Two exact oracles
 keep the earlier writers: oracle_novelty_windows sums each diagonal
 window with its own np.sum, and oracle_pgm joins each row of Python
-ints; novelty and ssm_to_pgm must equal them exactly.
+ints; novelty and ssm_to_pgm must equal them exactly.  A dense matrix is
+the SSM's table with one code per event; ``dense`` gives any SSM's
+matrix, whose cell (i, j) is ``table[codes[i], codes[j]]``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -114,23 +117,33 @@ def unit_matrices(draw):
     return np.array(draw(st.lists(unit_cells, min_size=n * n, max_size=n * n))).reshape(n, n)
 
 
+def dense_ssm(matrix):
+    """The SSM whose table is ``matrix``, one code per event."""
+    return SSM(table=matrix, codes=np.arange(len(matrix)),
+               event_indices=tuple(range(len(matrix))))
+
+
+def dense(ssm):
+    return ssm.table[np.ix_(ssm.codes, ssm.codes)]
+
+
 def random_ssm(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.random((n, n))
     m = (m + m.T) / 2
     np.fill_diagonal(m, 1.0)
-    return SSM(matrix=m, event_indices=tuple(range(n)))
+    return dense_ssm(m)
 
 
 def test_ssm_identical_chords_all_ones():
     ssm = build_ssm(make_timeline(["C:maj"] * 5))
-    assert np.array_equal(ssm.matrix, np.ones((5, 5)))
+    assert np.array_equal(dense(ssm), np.ones((5, 5)))
 
 
 def test_ssm_two_distinct_chords():
-    ssm = build_ssm(make_timeline(["C:maj", "G:maj"]))
-    assert ssm.matrix[0, 0] == ssm.matrix[1, 1] == 1.0
-    assert ssm.matrix[0, 1] == ssm.matrix[1, 0] == 0.0
+    matrix = dense(build_ssm(make_timeline(["C:maj", "G:maj"])))
+    assert matrix[0, 0] == matrix[1, 1] == 1.0
+    assert matrix[0, 1] == matrix[1, 0] == 0.0
 
 
 def test_ssm_block_structure():
@@ -138,7 +151,7 @@ def test_ssm_block_structure():
     expect = np.zeros((8, 8))
     expect[:4, :4] = 1.0
     expect[4:, 4:] = 1.0
-    assert np.array_equal(ssm.matrix, expect)
+    assert np.array_equal(dense(ssm), expect)
 
 
 def test_ssm_excludes_nochords_with_index_map():
@@ -149,16 +162,16 @@ def test_ssm_excludes_nochords_with_index_map():
 
 def test_ssm_symmetric_unit_diagonal_in_range():
     tl = make_timeline(["C:maj", "G:7", "A:min", "F:maj7", "D:min", "E:7"])
-    ssm = build_ssm(tl)
-    assert np.allclose(ssm.matrix, ssm.matrix.T, atol=1e-12)
-    assert np.allclose(np.diag(ssm.matrix), 1.0)
-    assert ssm.matrix.min() >= 0.0 and ssm.matrix.max() <= 1.0
+    matrix = dense(build_ssm(tl))
+    assert np.allclose(matrix, matrix.T, atol=1e-12)
+    assert np.allclose(np.diag(matrix), 1.0)
+    assert matrix.min() >= 0.0 and matrix.max() <= 1.0
 
 
 def test_ssm_costs_each_distinct_event_pair_once(monkeypatch):
     # One profile computed per distinct event, one table over those four
     # profiles, and no scalar chord_distance call: the 48 x 48 matrix is
-    # gathered from a 4 x 4 table.
+    # held as a 4 x 4 table and 48 codes.
     tables, scalar = [], []
     distance_table = segmentation.distance_table
 
@@ -177,6 +190,8 @@ def test_ssm_costs_each_distinct_event_pair_once(monkeypatch):
     tps.profile.cache_clear()
     ssm = build_ssm(make_timeline([symbols[i % 4] for i in range(48)]))
     assert ssm.size == 48
+    assert ssm.table.shape == (4, 4)
+    assert ssm.codes.tolist() == [i % 4 for i in range(48)]
     assert tps.profile.cache_info().misses == 4
     profiles = [tps.profile(parse_chord(s), Key.from_string("C:maj")) for s in symbols]
     assert tables == [(profiles, profiles)]
@@ -218,7 +233,7 @@ def test_ssm_matches_pairwise_oracle_under_each_events_own_key(drawn):
     distances = np.array([[chord_distance(chords_[i], keys[i], chords_[j], keys[j])
                            for j in range(n)] for i in range(n)])
     largest = distances.max() or 1.0
-    assert np.array_equal(build_ssm(timeline).matrix, 1.0 - distances / largest)
+    assert np.array_equal(dense(build_ssm(timeline)), 1.0 - distances / largest)
 
 
 def test_checkerboard_kernel_hand_values():
@@ -240,7 +255,7 @@ def test_novelty_matches_oracle_on_random_matrices():
         ssm = random_ssm(n, seed)
         for size in (2, 4, 6):
             ours = novelty(ssm, size, 1.0)
-            ref = oracle_novelty(ssm.matrix.tolist(), size, 1.0)
+            ref = oracle_novelty(dense(ssm).tolist(), size, 1.0)
             assert np.allclose(ours, ref, atol=1e-12)
 
 
@@ -252,7 +267,7 @@ def test_novelty_matches_oracle_on_random_matrices():
 @settings(max_examples=200, deadline=None)
 def test_novelty_equals_the_per_window_loop(matrix, taper, block):
     """Bit for bit, for every even kernel size up to 2n and any block size."""
-    ssm = SSM(matrix=matrix, event_indices=tuple(range(len(matrix))))
+    ssm = dense_ssm(matrix)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(segmentation, "_NOVELTY_BLOCK_CELLS", block)
         for kernel_size in range(2, 2 * ssm.size + 1, 2):
@@ -267,7 +282,7 @@ def test_novelty_equals_the_per_window_loop_over_several_blocks(n, kernel_size):
     assert n * kernel_size**2 > segmentation._NOVELTY_BLOCK_CELLS
     ssm = random_ssm(n, kernel_size)
     assert np.array_equal(novelty(ssm, kernel_size, 1.0),
-                          oracle_novelty_windows(ssm.matrix, kernel_size, 1.0))
+                          oracle_novelty_windows(dense(ssm), kernel_size, 1.0))
 
 
 def test_novelty_frozen_block_curves():
@@ -278,7 +293,7 @@ def test_novelty_frozen_block_curves():
 
 def test_novelty_constant_ssm_zero_interior():
     n = 20
-    ssm = SSM(matrix=np.ones((n, n)), event_indices=tuple(range(n)))
+    ssm = dense_ssm(np.ones((n, n)))
     curve = novelty(ssm, 8, 1.0)
     # full windows cancel exactly; truncated edge windows do not
     assert np.allclose(curve[4:n - 3], 0.0, atol=1e-9)
@@ -429,19 +444,19 @@ def test_segment_kernel_clamped_for_short_pieces():
 
 def test_ssm_pgm_golden():
     ssm = build_ssm(make_timeline(["C:maj", "G:maj"]))
-    assert ssm_to_pgm(ssm) == "P2\n2 2\n255\n255 0\n0 255\n"
+    assert ssm_to_pgm(ssm) == b"P2\n2 2\n255\n255 0\n0 255\n"
 
 
 def test_ssm_pgm_rounding():
     m = np.array([[1.0, 0.5019], [0.5019, 1.0]])
-    ssm = SSM(matrix=m, event_indices=(0, 1))
+    ssm = dense_ssm(m)
     # 255 * 0.5019 = 127.9845 -> 128
-    assert "255 128" in ssm_to_pgm(ssm)
+    assert b"255 128" in ssm_to_pgm(ssm)
 
 
 def test_ssm_pgm_rejects_cells_outside_the_unit_range():
     for cell in (-0.01, 1.01, np.nan):
-        ssm = SSM(matrix=np.array([[1.0, cell], [cell, 1.0]]), event_indices=(0, 1))
+        ssm = dense_ssm(np.array([[1.0, cell], [cell, 1.0]]))
         with pytest.raises(ValueError):
             ssm_to_pgm(ssm)
 
@@ -451,15 +466,62 @@ def test_ssm_pgm_rejects_cells_outside_the_unit_range():
 @example(matrix=np.array([[1.0, 9.5 / 255], [99.5 / 255, 0.0]]))  # n = 2
 @settings(max_examples=200, deadline=None)
 def test_ssm_pgm_equals_the_per_row_join(matrix):
-    ssm = SSM(matrix=matrix, event_indices=tuple(range(len(matrix))))
-    assert ssm_to_pgm(ssm) == oracle_pgm(matrix)
+    assert ssm_to_pgm(dense_ssm(matrix)) == oracle_pgm(matrix).encode()
 
 
 def test_ssm_pgm_equals_the_per_row_join_on_every_grey_level():
     levels = np.arange(256 * 256).reshape(256, 256) % 256
     for matrix in (levels / 255, (levels.T + 0.5) / 256, np.ones((1, 1))):  # C and F order
-        ssm = SSM(matrix=matrix, event_indices=tuple(range(len(matrix))))
-        assert ssm_to_pgm(ssm) == oracle_pgm(matrix)
+        assert ssm_to_pgm(dense_ssm(matrix)) == oracle_pgm(matrix).encode()
+
+
+@st.composite
+def vocabulary_ssms(draw):
+    """SSMs with fewer codes than events, as build_ssm makes them."""
+    table = draw(unit_matrices())
+    codes = draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=30))
+    return SSM(table=table, codes=np.array(codes), event_indices=tuple(range(len(codes))))
+
+
+@given(ssm=vocabulary_ssms(), taper=st.sampled_from([1.0, 0.3]),
+       block=st.sampled_from([1, 7, 1 << 14]))
+@settings(max_examples=200, deadline=None)
+def test_table_and_codes_equal_their_dense_matrix(ssm, taper, block):
+    """novelty and ssm_to_pgm of table plus codes equal the oracles on
+    the dense matrix those codes gather, bit for bit."""
+    matrix = dense(ssm)
+    assert ssm_to_pgm(ssm) == oracle_pgm(matrix).encode()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(segmentation, "_NOVELTY_BLOCK_CELLS", block)
+        for kernel_size in range(2, 2 * ssm.size + 1, 2):
+            assert np.array_equal(novelty(ssm, kernel_size, taper),
+                                  oracle_novelty_windows(matrix, kernel_size, taper))
+
+
+def test_segmenting_a_long_piece_allocates_less_than_one_dense_matrix():
+    """2,000 sounded events over 16 distinct profiles: the traced peak of
+    segmentation plus the PGM stays below 8 n^2 bytes, one n-by-n float64
+    matrix."""
+    rng = random.Random(7)
+    symbols = [f"{root}:{quality}" for root in ("C", "D", "E", "F", "G", "A", "B", "Bb")
+               for quality in ("maj", "min")]
+    sections = [[rng.choice(symbols) for _ in range(rng.randint(2, 6))] for _ in range(5)]
+    chords_ = []
+    while len(chords_) < 2000:
+        chords_ += rng.choice(sections) * rng.randint(2, 6)
+    timeline = make_timeline(chords_[:2000])
+    n = len(timeline.sounded())
+    assert n == 2000
+    tracemalloc.start()
+    try:
+        result = segment_timeline(timeline)
+        pgm = ssm_to_pgm(result.ssm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+    assert len(result.ssm.table) <= 16
+    assert pgm.startswith(b"P2\n2000 2000\n255\n")
 
 
 def test_novelty_csv_golden():
