@@ -129,22 +129,6 @@ def finite_float(text: str) -> float:
     return value
 
 
-def non_negative_int(text: str) -> int:
-    """The argparse type of ``--min-gap`` and ``--min-len``."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
-
-
-def kernel_size(text: str) -> int:
-    """The argparse type of ``--kernel-size``."""
-    value = int(text)
-    if value < 2 or value % 2:
-        raise argparse.ArgumentTypeError(f"expected an even integer >= 2, got {text!r}")
-    return value
-
-
 def _seg_params(args) -> SegmentationParams:
     return SegmentationParams(**{f.name: getattr(args, f.name)
                                  for f in dataclasses.fields(SegmentationParams)})
@@ -197,8 +181,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    timeline = load_piece(Path(args.piece))
     params = _seg_params(args)
+    timeline = load_piece(Path(args.piece))
     result = segment_timeline(timeline, params)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,8 +215,9 @@ def cmd_sim(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
+    params = _seg_params(args)
     corpus = discover_corpus(Path(args.corpus))
-    graph = build_memory(corpus, _seg_params(args), theta_sim=args.theta_sim,
+    graph = build_memory(corpus, params, theta_sim=args.theta_sim,
                          theta_merge=args.theta_merge)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,18 +274,19 @@ def cmd_matrix(args) -> int:
     return 0
 
 
-def _field_flag(field, kind) -> tuple[str, dict]:
-    """The declaration of a parameter field's flag: its name with dashes."""
-    return "--" + field.name.replace("_", "-"), dict(
-        type=kind, default=field.default, help=field.metadata.get("help"))
+def _field_flags(*classes) -> tuple[tuple[str, dict], ...]:
+    """The flags of the parameter classes' fields, each name once: the
+    name with dashes, typed ``finite_float`` for a float default and
+    ``int`` otherwise.  Ranges are the classes' own checks."""
+    fields = {f.name: f for cls in classes for f in dataclasses.fields(cls)}
+    return tuple(("--" + name.replace("_", "-"), dict(
+        type=finite_float if isinstance(f.default, float) else int, default=f.default,
+        help=f.metadata.get("help"))) for name, f in fields.items())
 
 
-_SEG_FLAGS = tuple(_field_flag(f, finite_float if isinstance(f.default, float)
-                               else kernel_size if f.name == "kernel_size" else non_negative_int)
-                   for f in dataclasses.fields(SegmentationParams))
-_MEASURE_FLAGS = (("--measure", dict(choices=sorted(MEASURES), default="dtw")), *(
-    _field_flag(f, finite_float if isinstance(f.default, float) else int)
-    for f in {f.name: f for steps in _STEPS.values() for f in dataclasses.fields(steps)}.values()))
+_SEG_FLAGS = _field_flags(SegmentationParams)
+_MEASURE_FLAGS = (("--measure", dict(choices=sorted(MEASURES), default="dtw")),
+                  *_field_flags(*_STEPS.values()))
 _WORKERS_FLAG = ("--workers", dict(type=int, default=1, help=(
     "accepted for compatibility; pairs are scored in one thread and the output is the "
     "same for every value")))

@@ -139,7 +139,8 @@ def benchmark_measures(corpus: list[Timeline], measures=("dtw", "tpsd"),
     """Median wall-clock per pair over >= 3 repetitions of the full
     pairwise matrix, plus exact per-pair comparison counts.  Every
     measure is checked, against every key of ``params`` too, and its
-    pairs counted, before the first timing."""
+    pairs counted, before the first timing.  Each repetition times the
+    measures' passes in turn, reversed every other repetition."""
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions: {repetitions}")
     if len(corpus) < 2:
@@ -158,14 +159,15 @@ def benchmark_measures(corpus: list[Timeline], measures=("dtw", "tpsd"),
               for measure in measures}
     report: dict = {"pieces": len(corpus), "pairs": len(pairs),
                     "repetitions": repetitions, "measures": {}}
-    for measure in measures:
-        func = MEASURES[measure]
-        timings = []
-        for _ in range(repetitions):
+    times: dict = {measure: [] for measure in measures}
+    for repetition in range(repetitions):
+        for measure in measures[::-1] if repetition % 2 else measures:
+            func = MEASURES[measure]
             begin = time.perf_counter()
             for a, b in pairs:
                 func(a, b, **kwargs)
-            timings.append(time.perf_counter() - begin)
+            times[measure].append(time.perf_counter() - begin)
+    for measure, timings in times.items():
         report["measures"][measure] = {
             "median_seconds_per_pair": statistics.median(timings) / len(pairs),
             "seconds_total_min": min(timings),

@@ -34,13 +34,23 @@ class KernelTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class SegmentationParams:
-    """Tuning knobs; the defaults are sensible for event-level charts."""
+    """Tuning knobs; the defaults are sensible for event-level charts.
+    Constructing one is the one range check of these parameters."""
 
     kernel_size: int = 8
     taper: float = 1.0
     peak_lambda: float = 0.5
     min_gap: int = 2
     min_len: int = 2
+
+    def __post_init__(self):
+        if self.kernel_size < 2 or self.kernel_size % 2:
+            raise ValueError(f"--kernel-size must be an even integer >= 2, got {self.kernel_size}")
+        if not self.taper > 0:
+            raise ValueError(f"--taper must be > 0, got {self.taper}")
+        for flag, value in (("--min-gap", self.min_gap), ("--min-len", self.min_len)):
+            if value < 0:
+                raise ValueError(f"{flag} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +91,11 @@ class Segment:
         return tuple(zip(self.chords, self.keys))
 
 
-def build_ssm(timeline: Timeline) -> SSM:
-    """Pairwise chord similarity under each event's governing key, as the
-    table over the piece's distinct profiles and each event's code.  Every
-    code occurs, so the table's largest distance is the piece's."""
-    sounded = timeline.sounded()
+def build_ssm(sounded: list[tuple[int, Chord, Key]]) -> SSM:
+    """Pairwise chord similarity of a piece's ``Timeline.sounded()``
+    triples, each chord under its governing key, as the table over the
+    piece's distinct profiles and each event's code.  Every code occurs,
+    so the table's largest distance is the piece's."""
     vocab: dict = {}
     codes = intern([profile(chord, key) for _, chord, key in sounded], vocab)
     distances = np.array(distance_table(vocab, vocab))
@@ -109,12 +119,10 @@ def novelty(ssm: SSM, kernel_size: int = 8, taper: float = 1.0) -> np.ndarray:
     position i (the gap before event i); edges are zero-padded and
     negative responses are clamped to zero.  Each window is gathered from
     the SSM's table through the codes, padded with a sentinel code whose
-    row and column are zero."""
+    row and column are zero.  ``kernel_size`` and ``taper`` are checked
+    as ``SegmentationParams`` checks them."""
     n = ssm.size
-    if kernel_size < 2 or kernel_size % 2:
-        raise ValueError(f"kernel_size must be even and >= 2: {kernel_size}")
-    if not taper > 0:
-        raise ValueError(f"taper must be positive: {taper}")
+    SegmentationParams(kernel_size=kernel_size, taper=taper)
     if kernel_size > 2 * n:
         raise KernelTooLargeError(f"kernel {kernel_size} exceeds 2n = {2 * n}")
     half = kernel_size // 2
@@ -184,7 +192,8 @@ def segment_timeline(timeline: Timeline,
     the preceding segment (the first merges forward); a single-event piece
     is returned whole.
     """
-    ssm = build_ssm(timeline)
+    sounded = timeline.sounded()
+    ssm = build_ssm(sounded)
     n = ssm.size
     kernel_size = min(params.kernel_size, 2 * n)
     if n == 1:
@@ -202,7 +211,7 @@ def segment_timeline(timeline: Timeline,
             spans[-1] = (spans[-1][0], b)
         else:
             spans.append((a, b))
-    _, chords, keys = zip(*timeline.sounded())
+    _, chords, keys = zip(*sounded)
     segments = [Segment(piece_id=timeline.id, index=k, start_event=a, end_event=b,
                         chords=chords[a:b], keys=keys[a:b])
                 for k, (a, b) in enumerate(spans)]

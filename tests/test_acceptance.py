@@ -118,7 +118,7 @@ def test_criterion_4_segmentation():
     params = SegmentationParams()
 
     def boundaries(tl):
-        ssm = build_ssm(tl)
+        ssm = build_ssm(tl.sounded())
         curve = novelty(ssm, min(params.kernel_size, 2 * ssm.size), params.taper)
         return pick_boundaries(curve, params.peak_lambda, params.min_gap)
 

@@ -152,15 +152,15 @@ def test_segment_builds_one_ssm(capsys, tmp_path, monkeypatch):
     calls = []
     build_ssm = segmentation.build_ssm
 
-    def counting(timeline):
-        calls.append(timeline.id)
-        return build_ssm(timeline)
+    def counting(sounded):
+        calls.append(len(sounded))
+        return build_ssm(sounded)
 
     for module in (cli, segmentation):
         monkeypatch.setattr(module, "build_ssm", counting, raising=False)
     code, _, _ = run(capsys, ["--out-dir", str(tmp_path / "seg"), "segment", str(piece)])
     assert code == 0
-    assert calls == ["blocky"]
+    assert calls == [8]
 
 
 def test_sim_scores_transposed_cover_as_identical(capsys, tmp_path):
@@ -567,6 +567,11 @@ def test_non_finite_segment_and_build_parameters_are_usage_errors_naming_the_fla
     assert not (tmp_path / "out").exists()
 
 
+# The range of each segmentation flag, as SegmentationParams states it.
+SEGMENT_FLAG_RULES = {"--kernel-size": "an even integer >= 2", "--taper": "> 0",
+                      "--min-gap": ">= 0", "--min-len": ">= 0"}
+
+
 @pytest.mark.parametrize("command, flag, value", [
     (command, flag, value) for command in ("segment", "build")
     for flag, value in (("--min-gap", "-5"), ("--min-len", "-3"), ("--min-len", "x"),
@@ -574,13 +579,38 @@ def test_non_finite_segment_and_build_parameters_are_usage_errors_naming_the_fla
                         ("--kernel-size", "-2"), ("--kernel-size", "2.0"))])
 def test_out_of_range_integer_segment_parameters_are_usage_errors_naming_the_flag(
         capsys, tmp_path, command, flag, value):
+    """A value that is not an integer is argparse's usage error; an
+    integer out of range is ``SegmentationParams``' error, raised before
+    any input is read."""
     corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj"] * 4 + ["G:maj"] * 4})
     target = corpus / "a.chart" if command == "segment" else corpus
     code, out, err = run(capsys, ["--out-dir", str(tmp_path / "out"), command, str(target),
                                   f"{flag}={value}"])
     assert (code, out) == (2, "")
     *_, last = err.splitlines()
-    assert last.startswith(f"harmory {command}: error: argument {flag}: "), err
+    if value in ("x", "2.0"):
+        assert last == f"harmory {command}: error: argument {flag}: invalid int value: '{value}'"
+    else:
+        assert err == f"error: {flag} must be {SEGMENT_FLAG_RULES[flag]}, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("command", ["segment", "build"])
+@pytest.mark.parametrize("flag, value", [
+    ("--kernel-size", "3"), ("--kernel-size", "0"), ("--kernel-size", "-2"), ("--taper", "0"),
+    ("--taper", "-1"), ("--min-gap", "-1"), ("--min-len", "-1")])
+def test_out_of_range_segment_parameters_exit_2_whatever_the_piece_length(
+        capsys, tmp_path, n, command, flag, value):
+    """The library's check, not the piece, decides: a one-event piece,
+    which has no novelty curve, refuses the same values as a long one."""
+    corpus = write_corpus(tmp_path / "corpus", {"a": (["C:maj"] * 4 + ["G:maj"] * 4)[:n]})
+    target = corpus / "a.chart" if command == "segment" else corpus
+    code, out, err = run(capsys, ["--out-dir", str(tmp_path / "out"), command, str(target),
+                                  flag, value])
+    shown = float(value) if flag == "--taper" else int(value)
+    assert (code, out, err) == (2, "", f"error: {flag} must be {SEGMENT_FLAG_RULES[flag]}, "
+                                       f"got {shown}\n")
     assert not (tmp_path / "out").exists()
 
 

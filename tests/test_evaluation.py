@@ -341,6 +341,22 @@ def test_benchmark_rejects_a_parameter_a_measure_does_not_take_before_any_call(m
     assert called.count("dtw") == called.count("tpsd") == 3
 
 
+def test_benchmark_times_the_measures_in_turns_within_each_repetition(monkeypatch):
+    """A speed spell of the machine falls on every measure: each
+    repetition times dtw's and tpsd's whole pass, one after the other,
+    rather than all of dtw's repetitions before all of tpsd's."""
+    called = []
+    for name in ("dtw", "tpsd"):
+        monkeypatch.setitem(MEASURES, name, lambda a, b, _name=name: called.append(_name))
+    corpus = synthetic_corpus(3, 16)
+    benchmark_measures(corpus, ("dtw", "tpsd"), repetitions=3)
+    passes = [called[i:i + 3] for i in range(0, len(called), 3)]
+    assert len(passes) == 6 and all(len(set(run)) == 1 for run in passes)
+    for repetition in range(3):
+        turns = [run[0] for run in passes[2 * repetition:2 * repetition + 2]]
+        assert sorted(turns) == ["dtw", "tpsd"], passes
+
+
 def test_benchmark_validations():
     corpus = synthetic_corpus(2, 16)
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ matrix, whose cell (i, j) is ``table[codes[i], codes[j]]``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -136,18 +137,18 @@ def random_ssm(n, seed):
 
 
 def test_ssm_identical_chords_all_ones():
-    ssm = build_ssm(make_timeline(["C:maj"] * 5))
+    ssm = build_ssm(make_timeline(["C:maj"] * 5).sounded())
     assert np.array_equal(dense(ssm), np.ones((5, 5)))
 
 
 def test_ssm_two_distinct_chords():
-    matrix = dense(build_ssm(make_timeline(["C:maj", "G:maj"])))
+    matrix = dense(build_ssm(make_timeline(["C:maj", "G:maj"]).sounded()))
     assert matrix[0, 0] == matrix[1, 1] == 1.0
     assert matrix[0, 1] == matrix[1, 0] == 0.0
 
 
 def test_ssm_block_structure():
-    ssm = build_ssm(AABB)
+    ssm = build_ssm(AABB.sounded())
     expect = np.zeros((8, 8))
     expect[:4, :4] = 1.0
     expect[4:, 4:] = 1.0
@@ -155,14 +156,14 @@ def test_ssm_block_structure():
 
 
 def test_ssm_excludes_nochords_with_index_map():
-    ssm = build_ssm(make_timeline(["C:maj", "N", "G:maj"]))
+    ssm = build_ssm(make_timeline(["C:maj", "N", "G:maj"]).sounded())
     assert ssm.size == 2
     assert ssm.event_indices == (0, 2)
 
 
 def test_ssm_symmetric_unit_diagonal_in_range():
     tl = make_timeline(["C:maj", "G:7", "A:min", "F:maj7", "D:min", "E:7"])
-    matrix = dense(build_ssm(tl))
+    matrix = dense(build_ssm(tl.sounded()))
     assert np.allclose(matrix, matrix.T, atol=1e-12)
     assert np.allclose(np.diag(matrix), 1.0)
     assert matrix.min() >= 0.0 and matrix.max() <= 1.0
@@ -188,7 +189,7 @@ def test_ssm_costs_each_distinct_event_pair_once(monkeypatch):
     monkeypatch.setattr(segmentation, "distance_table", counting_table)
     symbols = ["C:maj", "G:7", "A:min", "F:maj"]
     tps.profile.cache_clear()
-    ssm = build_ssm(make_timeline([symbols[i % 4] for i in range(48)]))
+    ssm = build_ssm(make_timeline([symbols[i % 4] for i in range(48)]).sounded())
     assert ssm.size == 48
     assert ssm.table.shape == (4, 4)
     assert ssm.codes.tolist() == [i % 4 for i in range(48)]
@@ -233,7 +234,7 @@ def test_ssm_matches_pairwise_oracle_under_each_events_own_key(drawn):
     distances = np.array([[chord_distance(chords_[i], keys[i], chords_[j], keys[j])
                            for j in range(n)] for i in range(n)])
     largest = distances.max() or 1.0
-    assert np.array_equal(dense(build_ssm(timeline)), 1.0 - distances / largest)
+    assert np.array_equal(dense(build_ssm(timeline.sounded())), 1.0 - distances / largest)
 
 
 def test_checkerboard_kernel_hand_values():
@@ -286,7 +287,7 @@ def test_novelty_equals_the_per_window_loop_over_several_blocks(n, kernel_size):
 
 
 def test_novelty_frozen_block_curves():
-    ssm = build_ssm(AABB)
+    ssm = build_ssm(AABB.sounded())
     assert np.allclose(novelty(ssm, 4, 1.0), KERNEL4_CURVE, atol=1e-9)
     assert np.allclose(novelty(ssm, 8, 1.0), KERNEL8_CURVE, atol=1e-9)
 
@@ -308,19 +309,42 @@ def test_novelty_length_equals_ssm_size():
 
 def test_novelty_validation():
     ssm = random_ssm(4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^--kernel-size must be an even integer >= 2, got 3$"):
         novelty(ssm, 3, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^--kernel-size must be"):
         novelty(ssm, 0, 1.0)
     for taper in (0.0, float("nan")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^--taper must be > 0"):
             novelty(ssm, 4, taper)
     with pytest.raises(KernelTooLargeError):
         novelty(ssm, 10, 1.0)
 
 
+OUT_OF_RANGE_PARAMS = [("kernel_size", 3), ("kernel_size", 0), ("kernel_size", -2),
+                       ("taper", 0.0), ("taper", -1.0), ("taper", float("nan")),
+                       ("min_gap", -1), ("min_len", -1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("field, value", OUT_OF_RANGE_PARAMS)
+def test_out_of_range_params_are_refused_whatever_the_piece_length(n, field, value):
+    """SegmentationParams checks every range itself, so a bad value is
+    refused before the piece is read: the short-piece paths (no novelty
+    curve at n = 1, a clamped kernel at n = 2) let none through."""
+    from harmory.memory import build_memory
+
+    tl = make_timeline((["C:maj"] * 4 + ["G:maj"] * 4)[:n])
+    message = f"^--{field.replace('_', '-')} must be "
+    with pytest.raises(ValueError, match=message):
+        segment_timeline(tl, SegmentationParams(**{field: value}))
+    with pytest.raises(ValueError, match=message):
+        build_memory([tl], SegmentationParams(**{field: value}))
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(SegmentationParams(), **{field: value})
+
+
 def test_pick_boundaries_block_piece():
-    ssm = build_ssm(AABB)
+    ssm = build_ssm(AABB.sounded())
     assert pick_boundaries(novelty(ssm, 4, 1.0)) == [4]
     assert pick_boundaries(novelty(ssm, 8, 1.0)) == [4]
 
@@ -443,7 +467,7 @@ def test_segment_kernel_clamped_for_short_pieces():
 
 
 def test_ssm_pgm_golden():
-    ssm = build_ssm(make_timeline(["C:maj", "G:maj"]))
+    ssm = build_ssm(make_timeline(["C:maj", "G:maj"]).sounded())
     assert ssm_to_pgm(ssm) == b"P2\n2 2\n255\n255 0\n0 255\n"
 
 

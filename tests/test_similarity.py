@@ -619,13 +619,12 @@ def test_matrix_matches_individual_calls():
 
 def test_every_analysis_of_a_piece_without_a_sounded_chord_raises_one_error():
     from harmory.evaluation import comparison_counts
-    from harmory.segmentation import build_ssm, segment_timeline
+    from harmory.segmentation import segment_timeline
 
     tl = Timeline(id="nc", events=(ChordEvent(Fraction(0), Fraction(1), parse_chord("N")),),
                   keys=make_timeline(["C:maj"]).keys)
     for call in (tl.sounded, lambda: key_relative_events(tl), lambda: encode_tps(tl),
-                 lambda: comparison_counts(tl, tl, "dtw"),
-                 lambda: build_ssm(tl), lambda: segment_timeline(tl)):
+                 lambda: comparison_counts(tl, tl, "dtw"), lambda: segment_timeline(tl)):
         with pytest.raises(EmptyTimelineError, match="^nc: no sounded events$"):
             call()
 
