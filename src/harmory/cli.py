@@ -33,6 +33,7 @@ from harmory.evaluation import (
 from harmory.harte import parse_chord, render_chord, bass_pitch_class, pitch_class_set
 from harmory.memory import (
     EmptyCorpusError,
+    MemoryThresholds,
     PatternQuery,
     build_memory,
     chord_sequence,
@@ -49,7 +50,7 @@ from harmory.segmentation import (
     segment_timeline,
     ssm_to_pgm,
 )
-from harmory.similarity import _STEPS, MEASURES, corpus_similarity_matrix, matrix_to_csv
+from harmory.similarity import MEASURES, compare_pieces, corpus_similarity_matrix, matrix_to_csv
 from harmory.timeline import (
     SchemaError,
     Timeline,
@@ -62,6 +63,11 @@ from harmory.tps import Key, chord_distance
 
 # Every harmory error subclasses ValueError.
 USAGE_ERRORS = (OSError, ValueError)
+
+# The one handler of harmory's warnings; each ``main`` call sets its level
+# and points it at that call's ``sys.stderr``.
+_LOG_HANDLER = logging.StreamHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(message)s"))
 
 
 def write_atomic(path: Path, data: str | bytes) -> None:
@@ -129,13 +135,9 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _seg_params(args) -> SegmentationParams:
-    return SegmentationParams(**{f.name: getattr(args, f.name)
-                                 for f in dataclasses.fields(SegmentationParams)})
-
-
-def _measure_params(args) -> dict:
-    return {f.name: getattr(args, f.name) for f in dataclasses.fields(_STEPS[args.measure])}
+def _from_flags(cls, args):
+    """The parameter class ``cls`` built, and so checked, from its fields' flags."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def cmd_parse(args) -> int:
@@ -181,7 +183,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    params = _seg_params(args)
+    params = _from_flags(SegmentationParams, args)
     timeline = load_piece(Path(args.piece))
     result = segment_timeline(timeline, params)
     out_dir = Path(args.out_dir)
@@ -207,18 +209,19 @@ def cmd_segment(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    steps = _from_flags(MEASURES[args.measure], args)
     a = load_piece(Path(args.piece_a))
     b = load_piece(Path(args.piece_b))
-    report = MEASURES[args.measure](a, b, **_measure_params(args))
+    report = compare_pieces(steps, a, b)
     print(report.to_json(), end="")
     return 0
 
 
 def cmd_build_graph(args) -> int:
-    params = _seg_params(args)
+    params = _from_flags(SegmentationParams, args)
+    thresholds = _from_flags(MemoryThresholds, args)
     corpus = discover_corpus(Path(args.corpus))
-    graph = build_memory(corpus, params, theta_sim=args.theta_sim,
-                         theta_merge=args.theta_merge)
+    graph = build_memory(corpus, params, **dataclasses.asdict(thresholds))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "memory.nt", export_ntriples(graph))
@@ -231,10 +234,10 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_query(args) -> int:
-    graph = import_ntriples(read_file(args.graph))
     chords = tuple(parse_chord(token) for token in args.progression.split())
     key = Key.from_string(args.key) if args.key else None
-    results = query_similar(graph, PatternQuery(chords=chords, key=key, k=args.k))
+    query = PatternQuery(chords=chords, key=key, k=args.k)
+    results = query_similar(import_ntriples(read_file(args.graph)), query)
     payload = [{"pattern": pattern_id, "score": score, "chords": chords_text}
                for pattern_id, score, chords_text in results]
     print(json.dumps(payload, indent=2))
@@ -242,30 +245,35 @@ def cmd_query(args) -> int:
 
 
 def cmd_eval_covers(args) -> int:
+    steps = _from_flags(MEASURES[args.measure], args)
     corpus = discover_corpus(Path(args.corpus))
     cliques = CliqueSet.from_csv(read_text(args.cliques))
-    metrics = evaluate_covers(corpus, cliques, measure=args.measure,
-                              params=_measure_params(args))
+    metrics = evaluate_covers(corpus, cliques, steps)
     print(metrics.to_table() if args.format == "table" else metrics.to_json(), end="")
     return 0
 
 
 def cmd_bench(args) -> int:
+    measures = []
+    for name in args.measures.split(","):
+        if name not in MEASURES:
+            raise ValueError(f"unknown measure {name!r}")
+        measures.append(MEASURES[name]())
     if args.synthetic:
         corpus = synthetic_corpus(args.synthetic_pieces, args.synthetic_beats)
     else:
         if not args.corpus:
             raise ValueError("bench needs a corpus directory or --synthetic")
         corpus = discover_corpus(Path(args.corpus))
-    report = benchmark_measures(corpus, measures=tuple(args.measures.split(",")),
-                                repetitions=args.repetitions)
+    report = benchmark_measures(corpus, tuple(measures), args.repetitions)
     print(json.dumps(report, indent=2))
     return 0
 
 
 def cmd_matrix(args) -> int:
+    steps = _from_flags(MEASURES[args.measure], args)
     corpus = discover_corpus(Path(args.corpus))
-    ids, matrix = corpus_similarity_matrix(corpus, args.measure, _measure_params(args))
+    ids, matrix = corpus_similarity_matrix(corpus, steps)
     text = matrix_to_csv(ids, matrix)
     if args.out:
         write_atomic(Path(args.out), text)
@@ -286,7 +294,7 @@ def _field_flags(*classes) -> tuple[tuple[str, dict], ...]:
 
 _SEG_FLAGS = _field_flags(SegmentationParams)
 _MEASURE_FLAGS = (("--measure", dict(choices=sorted(MEASURES), default="dtw")),
-                  *_field_flags(*_STEPS.values()))
+                  *_field_flags(*MEASURES.values()))
 _WORKERS_FLAG = ("--workers", dict(type=int, default=1, help=(
     "accepted for compatibility; pairs are scored in one thread and the output is the "
     "same for every value")))
@@ -313,9 +321,7 @@ _DECLARATIONS = {
     "matrix": (cmd_matrix, "pairwise similarity matrix CSV for a corpus", (
         ("corpus", {}), *_MEASURE_FLAGS, ("--out", {}))),
     "build": (cmd_build_graph, "build the harmonic memory graph from a corpus", (
-        ("corpus", {}), *_SEG_FLAGS,
-        ("--theta-sim", dict(type=finite_float, default=0.6)),
-        ("--theta-merge", dict(type=finite_float, default=0.9)), _WORKERS_FLAG)),
+        ("corpus", {}), *_SEG_FLAGS, *_field_flags(MemoryThresholds), _WORKERS_FLAG)),
     "query": (cmd_query, "query a memory graph with a chord progression", (
         ("graph", dict(help="path to an exported .nt graph")),
         ("progression", dict(help="space-separated chord symbols")),
@@ -460,8 +466,9 @@ def main(argv=None) -> int:
         args = parse_args(argv)
     except SystemExit as exit_:
         return int(exit_.code or 0)
-    logging.basicConfig(format="%(message)s",
-                        level=logging.ERROR if args.quiet else logging.WARNING)
+    _LOG_HANDLER.setLevel(logging.ERROR if args.quiet else logging.WARNING)
+    _LOG_HANDLER.stream = sys.stderr
+    logging.getLogger("harmory").addHandler(_LOG_HANDLER)  # once: a handler is added once
     try:
         return args.func(args)
     except USAGE_ERRORS as err:

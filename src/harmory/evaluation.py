@@ -16,11 +16,11 @@ import random
 import statistics
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from harmory.harte import Chord, Degree, natural_for_pitch_class
-from harmory.similarity import _STEPS, MEASURES, corpus_similarity_matrix
+from harmory.similarity import _Dtw, _Tpsd, compare_pieces, corpus_similarity_matrix
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline
 from harmory.tps import MAJOR_STEPS, MINOR_STEPS, Key
 
@@ -90,15 +90,15 @@ class RankingMetrics:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, measure: str = "dtw",
-                    params: dict | None = None) -> RankingMetrics:
-    """Rank every clique member's covers among all other pieces."""
+def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, steps=_Dtw()) -> RankingMetrics:
+    """Rank every clique member's covers among all other pieces by the
+    measure whose step instance is ``steps``."""
     ids = [tl.id for tl in corpus]
     sizes = Counter(map(cliques.clique_of, ids))
     queries = [piece_id for piece_id in ids if sizes[cliques.clique_of(piece_id)] >= 2]
     if not queries:
         raise CliqueError("no clique of size >= 2 in the corpus")
-    matrix_ids, matrix = corpus_similarity_matrix(corpus, measure, params)
+    matrix_ids, matrix = corpus_similarity_matrix(corpus, steps)
     index = {piece_id: i for i, piece_id in enumerate(matrix_ids)}
     results = []
     for query_id in sorted(queries):
@@ -111,7 +111,7 @@ def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, measure: str = "
         results.append(QueryResult(query_id, precision_sum / len(ranks), ranks[0],
                                    candidates[0], ranks[0] == 1))
     return RankingMetrics(
-        measure=measure,
+        measure=steps.name,
         mean_average_precision=sum(r.average_precision for r in results) / len(results),
         precision_at_1=sum(r.top_relevant for r in results) / len(results),
         mean_rank_first_relevant=sum(r.first_relevant_rank for r in results) / len(results),
@@ -119,54 +119,35 @@ def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, measure: str = "
     )
 
 
-def _counted(measure: str):
-    """The step class that declares ``measure``'s parameters and counts its comparisons."""
-    if measure not in _STEPS:
-        raise ValueError(f"no comparison count model for measure {measure!r}")
-    return _STEPS[measure]
-
-
-def comparison_counts(a: Timeline, b: Timeline, measure: str, **params) -> int:
-    """Exact number of elementary comparisons ``measure`` makes on the
-    pair, as its step class counts them on the two prepared pieces."""
-    steps = _counted(measure)(**params)
+def comparison_counts(a: Timeline, b: Timeline, steps) -> int:
+    """The exact number of elementary comparisons ``steps`` makes on the pair."""
     vocab: dict = {}
     return steps.comparisons(steps.prepare(a, vocab), steps.prepare(b, vocab))
 
 
-def benchmark_measures(corpus: list[Timeline], measures=("dtw", "tpsd"),
-                       repetitions: int = 5, params: dict | None = None) -> dict:
+def benchmark_measures(corpus: list[Timeline], measures=(_Dtw(), _Tpsd()),
+                       repetitions: int = 5) -> dict:
     """Median wall-clock per pair over >= 3 repetitions of the full
-    pairwise matrix, plus exact per-pair comparison counts.  Every
-    measure is checked, against every key of ``params`` too, and its
-    pairs counted, before the first timing.  Each repetition times the
-    measures' passes in turn, reversed every other repetition."""
+    pairwise matrix, for each step instance of ``measures``, plus exact
+    per-pair comparison counts, all counted before the first timing.
+    Each repetition times the measures' passes in turn, reversed every
+    other repetition."""
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions: {repetitions}")
     if len(corpus) < 2:
         raise ValueError("benchmark needs at least two pieces")
-    kwargs = params or {}
-    for measure in measures:
-        if measure not in MEASURES:
-            raise ValueError(f"unknown measure {measure!r}")
-        accepted = {f.name for f in fields(_counted(measure))}
-        for name in kwargs:
-            if name not in accepted:
-                raise ValueError(f"measure {measure!r} takes no parameter {name!r}")
     pairs = [(a, b) for i, a in enumerate(corpus) for b in corpus[i + 1:]]
-    counts = {measure: [[a.id, b.id, comparison_counts(a, b, measure, **kwargs)]
-                        for a, b in pairs]
-              for measure in measures}
+    counts = {steps.name: [[a.id, b.id, comparison_counts(a, b, steps)] for a, b in pairs]
+              for steps in measures}
     report: dict = {"pieces": len(corpus), "pairs": len(pairs),
                     "repetitions": repetitions, "measures": {}}
-    times: dict = {measure: [] for measure in measures}
+    times: dict = {steps.name: [] for steps in measures}
     for repetition in range(repetitions):
-        for measure in measures[::-1] if repetition % 2 else measures:
-            func = MEASURES[measure]
+        for steps in measures[::-1] if repetition % 2 else measures:
             begin = time.perf_counter()
             for a, b in pairs:
-                func(a, b, **kwargs)
-            times[measure].append(time.perf_counter() - begin)
+                compare_pieces(steps, a, b)
+            times[steps.name].append(time.perf_counter() - begin)
     for measure, timings in times.items():
         report["measures"][measure] = {
             "median_seconds_per_pair": statistics.median(timings) / len(pairs),

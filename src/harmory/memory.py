@@ -67,9 +67,29 @@ class PieceInfo:
 
 @dataclass(frozen=True)
 class PatternQuery:
+    """A progression to rank pattern medoids by; constructing one checks it."""
+
     chords: tuple
     key: Key | None = None
     k: int = 5
+
+    def __post_init__(self):
+        if self.k < 1 or all(chord.is_nochord for chord in self.chords):
+            raise EmptyQueryError("need at least one sounded chord and k >= 1")
+
+
+@dataclass(frozen=True)
+class MemoryThresholds:
+    """``build_memory``'s thresholds; constructing one checks them."""
+
+    theta_sim: float = 0.6
+    theta_merge: float = 0.9
+
+    def __post_init__(self):
+        if not 0 < self.theta_sim <= 1:
+            raise ValueError(f"theta_sim must be in (0, 1]: {self.theta_sim}")
+        if not self.theta_merge >= self.theta_sim:
+            raise ValueError(f"theta_merge {self.theta_merge} below theta_sim {self.theta_sim}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +204,7 @@ def build_memory(corpus: list[Timeline],
                  scale: float = DEFAULT_SCALE) -> MemoryGraph:
     """Segment a corpus and fold similar segments into patterns.
 
-    Requires ``0 < theta_sim <= 1`` and ``theta_merge >= theta_sim``.
+    The thresholds are checked as ``MemoryThresholds`` checks them.
     Only pairs whose exact score can change the graph are warped: each
     pair of distinct key-relative code sequences once, and only when
     ``dtw_lower_bounds`` leaves the score able to reach the merge (or, for
@@ -194,10 +214,7 @@ def build_memory(corpus: list[Timeline],
     """
     if not corpus:
         raise EmptyCorpusError("corpus is empty")
-    if not 0 < theta_sim <= 1:
-        raise ValueError(f"theta_sim must be in (0, 1]: {theta_sim}")
-    if not theta_merge >= theta_sim:
-        raise ValueError(f"theta_merge {theta_merge} below theta_sim {theta_sim}")
+    MemoryThresholds(theta_sim, theta_merge)
     ids = [tl.id for tl in corpus]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate piece ids in corpus")
@@ -465,8 +482,6 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     broken by pattern id.
     """
     chords = [c for c in query.chords if not c.is_nochord]
-    if not chords or query.k < 1:
-        raise EmptyQueryError("need at least one sounded chord and k >= 1")
     key = query.key or estimate_key(chords)
     probe_vocab, medoid_vocab = {}, {}
     probe = intern(key_relative_profiles((chord, key) for chord in chords), probe_vocab)

@@ -48,6 +48,9 @@ class SegmentationParams:
             raise ValueError(f"--kernel-size must be an even integer >= 2, got {self.kernel_size}")
         if not self.taper > 0:
             raise ValueError(f"--taper must be > 0, got {self.taper}")
+        for flag, value in (("--taper", self.taper), ("--peak-lambda", self.peak_lambda)):
+            if not np.isfinite(value):
+                raise ValueError(f"{flag} must be a finite number, got {value}")
         for flag, value in (("--min-gap", self.min_gap), ("--min-len", self.min_len)):
             if value < 0:
                 raise ValueError(f"{flag} must be >= 0, got {value}")

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import exp, inf
+from math import exp, inf, isfinite
+from typing import ClassVar
 
 from harmory.timeline import EmptyTimelineError, Timeline, encode_tps
 from harmory.tps import (Profile, distance_table, fifths_distance, intern,
@@ -184,10 +185,15 @@ def dtw_lower_bounds(rows: list, columns: list, table: list[list[float]]):
 
 
 def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
-                  n_min: int = 2, n_max: int = 4) -> None:
+                  n_min: int = 2, n_max: int = 4, tau: float = 1.0) -> None:
     """The one range check of the measures' parameters."""
     if not scale > 0:
         raise ValueError(f"--scale must be > 0, got {scale}")
+    if not tau >= 0:
+        raise ValueError(f"--tau must be >= 0, got {tau}")
+    for flag, value in (("--scale", scale), ("--tau", tau)):
+        if not isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
     if band is not None and band < 0:
         raise ValueError(f"--band must be >= 0, got {band}")
     if n_min < 2 or n_max < n_min:
@@ -232,14 +238,16 @@ def _covered_runs(patterns) -> dict[int, tuple[int, int]]:
     return {i: (start, stop) for start, stop in runs for i in range(start, stop)}
 
 
-# Each measure is declared once, by its step class, whose fields are its
-# parameters.  ``prepare`` does a piece's own work once, over a vocabulary
-# shared with every piece it meets; ``compare`` scores two prepared pieces
-# against its distance table; ``comparisons`` counts what ``compare`` does.
+# Each measure is declared once, by its step class: ``name`` is the
+# measure's, and the fields are its parameters.  ``prepare`` does a
+# piece's own work once, over a vocabulary shared with every piece it
+# meets; ``compare`` scores two prepared pieces against its distance
+# table; ``comparisons`` counts what ``compare`` does.
 
 
 @dataclass(frozen=True)
 class _Dtw:
+    name: ClassVar[str] = "dtw"
     scale: float = DEFAULT_SCALE
     band: int | None = field(default=None, metadata={"help": "Sakoe-Chiba band width for dtw"})
 
@@ -257,12 +265,16 @@ class _Dtw:
 
     def compare(self, ca: list[int], cb: list[int], table) -> SimilarityReport:
         cost = _dtw(ca, cb, self.band, table=table).normalized_cost
-        return SimilarityReport(measure="dtw", score=exp(-cost / self.scale), raw=cost,
-                                params={"scale": self.scale, "band": self.band})
+        return SimilarityReport(self.name, exp(-cost / self.scale), cost, asdict(self))
 
 
 @dataclass(frozen=True)
 class _Tpsd:
+    """Beat-grid profile distance, minimized over cyclic shifts of the
+    shorter series (which is repeated to the longer length), in exact
+    numpy over blocks of shifts, since the values are half-integers."""
+
+    name: ClassVar[str] = "tpsd"
     scale: float = DEFAULT_SCALE
 
     def __post_init__(self):
@@ -289,18 +301,26 @@ class _Tpsd:
         best = min(np.abs(shifts[s:s + rows] - long_).sum(axis=1).min()
                    for s in range(0, n, rows))
         raw = float(best) / length
-        return SimilarityReport(measure="tpsd", score=exp(-raw / self.scale), raw=raw,
-                                params={"scale": self.scale})
+        return SimilarityReport(self.name, exp(-raw / self.scale), raw, asdict(self))
 
 
 @dataclass(frozen=True)
 class _Lharp:
+    """Pattern-coverage similarity.
+
+    Patterns of the two pieces agree when the warping cost between their
+    chord sequences stays within ``tau`` per step.  The score is the
+    harmonic mean of the fractions of each piece covered by agreeing
+    patterns, computed exactly.
+    """
+
+    name: ClassVar[str] = "lharp"
     tau: float = field(default=1.0, metadata={"help": "lharp pattern agreement threshold"})
     n_min: int = 2
     n_max: int = 4
 
     def __post_init__(self):
-        _check_params(n_min=self.n_min, n_max=self.n_max)
+        _check_params(n_min=self.n_min, n_max=self.n_max, tau=self.tau)
 
     def comparisons(self, a, b) -> int:
         """The pattern pairs ``compare`` bounds."""
@@ -335,13 +355,10 @@ class _Lharp:
             alignment = _dtw(region_a, region_b, table=table)
             steps = tuple(table[region_a[i]][region_b[j]] for i, j in alignment.path)
             regions.append(LocalRegion(run_a, run_b, steps))
-        return SimilarityReport(
-            measure="lharp",
-            score=float(raw),
-            raw=float(raw),
-            params={"tau": self.tau, "n_min": self.n_min, "n_max": self.n_max},
-            local_regions=tuple(regions),
-        )
+        return SimilarityReport(self.name, float(raw), float(raw), asdict(self), tuple(regions))
+
+
+MEASURES = {steps.name: steps for steps in (_Dtw, _Tpsd, _Lharp)}
 
 
 def _prepared(steps, a: Timeline, b: Timeline):
@@ -351,59 +368,34 @@ def _prepared(steps, a: Timeline, b: Timeline):
     return pa, pb, distance_table(vocab, vocab)
 
 
+def compare_pieces(steps, a: Timeline, b: Timeline) -> SimilarityReport:
+    """The report of the measure whose step instance is ``steps`` on one pair."""
+    return steps.compare(*_prepared(steps, a, b))
+
+
 def dtw_align(a: Timeline, b: Timeline, band: int | None = None) -> Alignment:
     ca, cb, table = _prepared(_Dtw(band=band), a, b)
     return _dtw(ca, cb, band, table=table)
 
 
-def dtw_similarity(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE,
-                   band: int | None = None) -> SimilarityReport:
-    steps = _Dtw(scale, band)
-    return steps.compare(*_prepared(steps, a, b))
-
-
 def tpsd(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE) -> SimilarityReport:
-    """Beat-grid profile distance, minimized over cyclic shifts of the
-    shorter series (which is repeated to the longer length), in exact
-    numpy over blocks of shifts, since the values are half-integers."""
-    steps = _Tpsd(scale)
-    return steps.compare(*_prepared(steps, a, b))
+    return compare_pieces(_Tpsd(scale), a, b)
 
 
 def lharp(a: Timeline, b: Timeline, tau: float = 1.0, n_min: int = 2,
           n_max: int = 4) -> SimilarityReport:
-    """Pattern-coverage similarity.
-
-    Patterns of the two pieces agree when the warping cost between their
-    chord sequences stays within ``tau`` per step.  The score is the
-    harmonic mean of the fractions of each piece covered by agreeing
-    patterns, computed exactly.
-    """
-    steps = _Lharp(tau, n_min, n_max)
-    return steps.compare(*_prepared(steps, a, b))
+    return compare_pieces(_Lharp(tau, n_min, n_max), a, b)
 
 
-MEASURES = {
-    "dtw": dtw_similarity,
-    "tpsd": tpsd,
-    "lharp": lharp,
-}
-_STEPS = {"dtw": _Dtw, "tpsd": _Tpsd, "lharp": _Lharp}
-
-
-def corpus_similarity_matrix(corpus: list[Timeline], measure: str = "dtw",
-                             params: dict | None = None):
-    """Score every unordered pair; returns (ids, matrix) with unit
-    diagonal.  Each piece is prepared once, over one vocabulary and table
-    for the corpus."""
+def corpus_similarity_matrix(corpus: list[Timeline], steps=_Dtw()):
+    """Score every unordered pair with the step instance ``steps``;
+    returns (ids, matrix) with unit diagonal.  Each piece is prepared
+    once, over one vocabulary and table for the corpus."""
     import numpy as np
 
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
     ids = [tl.id for tl in corpus]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate piece ids in corpus")
-    steps = _STEPS[measure](**(params or {}))
     vocab: dict = {}
     prepared = []
     for timeline in corpus:

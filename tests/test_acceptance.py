@@ -20,7 +20,7 @@ from harmory.memory import build_memory, export_ntriples, import_ntriples, \
     segment_to_timeline
 from harmory.segmentation import SegmentationParams, build_ssm, novelty, \
     pick_boundaries, segment_timeline
-from harmory.similarity import dtw_align, dtw_similarity, lharp
+from harmory.similarity import MEASURES, _Dtw, compare_pieces, dtw_align, lharp
 from harmory.timeline import ChordEvent, Timeline, transpose
 from harmory.tps import Key, chord_distance
 from tests.conftest import make_timeline, strict_json
@@ -187,10 +187,10 @@ def test_criterion_6_cover_detection():
     corpus, cliques = cover_corpus(perturb=False)
     assert len(corpus) == 12
     for measure in ("dtw", "tpsd"):
-        assert evaluate_covers(corpus, cliques, measure).mean_average_precision == 1.0
+        assert evaluate_covers(corpus, cliques, MEASURES[measure]()).mean_average_precision == 1.0
     perturbed, cliques = cover_corpus(perturb=True)
     for measure in ("dtw", "tpsd"):
-        metrics = evaluate_covers(perturbed, cliques, measure)
+        metrics = evaluate_covers(perturbed, cliques, MEASURES[measure]())
         assert metrics.mean_average_precision >= 0.9, measure
 
 
@@ -220,7 +220,7 @@ def test_criterion_7_memory_determinism():
     edges = []
     for i, sa in enumerate(ids):
         for sb in ids[i + 1:]:
-            score = dtw_similarity(segment_to_timeline(by_id[sa]),
+            score = compare_pieces(_Dtw(), segment_to_timeline(by_id[sa]),
                                    segment_to_timeline(by_id[sb])).score
             if score >= theta_merge:
                 edges.append((sa, sb))

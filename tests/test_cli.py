@@ -505,30 +505,28 @@ def test_bad_measure_parameters_are_usage_errors_naming_the_flag(capsys, tmp_pat
                                         "--n-min", "3", "--n-max", "5"]])
 def test_each_measure_gets_exactly_its_step_class_fields(capsys, tmp_path, monkeypatch,
                                                          measure, flags):
-    """sim, matrix and eval-covers pass a measure the fields of its step
-    class, in their declared order, each with its flag's value."""
+    """sim, matrix and eval-covers pass a measure's step instance, its
+    fields in their declared order, each with its flag's value."""
     import dataclasses
-
-    from harmory.similarity import _STEPS
 
     given = {"scale": 2.5, "band": 3, "tau": 0.5, "n_min": 3, "n_max": 5}
     expected = {f.name: given[f.name] if flags else f.default
-                for f in dataclasses.fields(_STEPS[measure])}
+                for f in dataclasses.fields(cli.MEASURES[measure])}
     received = []
 
-    def sim(a, b, **params):
-        received.append(params)
+    def sim(steps, a, b):
+        received.append(steps)
         return SimpleNamespace(to_json=str)
 
-    def matrix(corpus, measure, params):
-        received.append(params)
+    def matrix(corpus, steps):
+        received.append(steps)
         return [], []
 
-    def covers(corpus, cliques, measure, params):
-        received.append(params)
-        return evaluation.RankingMetrics(measure, 0.0, 0.0, 0.0, ())
+    def covers(corpus, cliques, steps):
+        received.append(steps)
+        return evaluation.RankingMetrics(steps.name, 0.0, 0.0, 0.0, ())
 
-    monkeypatch.setitem(cli.MEASURES, measure, sim)
+    monkeypatch.setattr(cli, "compare_pieces", sim)
     monkeypatch.setattr(cli, "corpus_similarity_matrix", matrix)
     monkeypatch.setattr(cli, "evaluate_covers", covers)
     corpus, cliques = write_cover_corpus(tmp_path / "covers")
@@ -536,7 +534,64 @@ def test_each_measure_gets_exactly_its_step_class_fields(capsys, tmp_path, monke
     for command in (["sim", a, b], ["matrix", str(corpus)],
                     ["eval-covers", str(corpus), str(cliques)]):
         assert run(capsys, command + ["--measure", measure] + flags)[0] == 0, command
-    assert [list(params.items()) for params in received] == [list(expected.items())] * 3
+    assert [type(steps) for steps in received] == [cli.MEASURES[measure]] * 3
+    assert [list(dataclasses.asdict(steps).items()) for steps in received] \
+        == [list(expected.items())] * 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sim", "{missing}.chart", "{missing}.chart", "--scale", "0"],
+     "--scale must be > 0, got 0.0"),
+    (["sim", "{missing}.chart", "{missing}.chart", "--measure", "lharp", "--tau", "-1"],
+     "--tau must be >= 0, got -1.0"),
+    (["matrix", "{missing}", "--scale", "0", "--out", "{tmp}/matrix.csv"],
+     "--scale must be > 0, got 0.0"),
+    (["eval-covers", "{missing}", "{missing}.csv", "--scale", "0"],
+     "--scale must be > 0, got 0.0"),
+    (["bench", "{missing}", "--measures", "dtw,nope"], "unknown measure 'nope'"),
+    (["build", "{missing}", "--theta-sim", "0"], "theta_sim must be in (0, 1]: 0.0"),
+    (["query", "{missing}.nt", "C:maj", "-k", "0"], "need at least one sounded chord and k >= 1"),
+], ids=["sim", "sim-tau", "matrix", "eval-covers", "bench", "build", "query"])
+def test_parameters_are_checked_before_any_input_is_read(capsys, tmp_path, argv, message):
+    """A bad parameter is reported as itself, not as the missing input
+    that a command would read first, and nothing is written."""
+    argv = [arg.format(missing=tmp_path / "missing", tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, ["--out-dir", str(tmp_path / "out"), *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_main_call_logs_at_its_own_level_to_its_own_stderr(tmp_path):
+    """``--quiet`` holds for the call that passes it, whichever calls came
+    before it in the process, and each call warns on the ``sys.stderr``
+    of that call."""
+    import os
+    import subprocess
+    import sys
+
+    piece = tmp_path / "p.jams.json"
+    piece.write_text(json.dumps({"annotations": [
+        {"namespace": "chord_harte", "data": [{"time": 0, "duration": 4, "value": "C:maj"}]},
+        {"namespace": "beat", "data": [{"time": 0}]}]}))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from harmory.cli import main\n"
+        "seen = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    seen.append(err.getvalue())\n"
+        "print(json.dumps(seen))\n")
+    plain, quiet = ["encode", str(piece)], ["--quiet", "encode", str(piece)]
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    calls = json.dumps([quiet, plain, quiet, plain])
+    result = subprocess.run([sys.executable, "-c", script, calls], capture_output=True, text=True,
+                            env=env, check=True)
+    warning = "p: skipping unknown namespace 'beat'\n"
+    assert json.loads(result.stdout) == ["", warning, "", warning]
+    assert result.stderr == ""
 
 
 def assert_usage_error_naming(err, command, flag):

@@ -9,7 +9,6 @@ rank 2.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 from fractions import Fraction
@@ -30,7 +29,9 @@ from harmory.evaluation import (
     synthetic_corpus,
 )
 from harmory.harte import parse_chord, pitch_class_set, render_chord
-from harmory.similarity import MEASURES, corpus_similarity_matrix, extract_recurrent_patterns
+import harmory.evaluation as evaluation
+from harmory.similarity import (MEASURES, _Dtw, _Lharp, _Tpsd, corpus_similarity_matrix,
+                                extract_recurrent_patterns)
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, encode_tps, transpose
 from harmory.tps import Key
 from tests.conftest import make_timeline, sounded_pairs, strict_json
@@ -86,7 +87,7 @@ def covers_corpus():
 def test_perfect_cover_ranking():
     corpus, cliques = covers_corpus()
     for measure in ("dtw", "tpsd"):
-        metrics = evaluate_covers(corpus, cliques, measure)
+        metrics = evaluate_covers(corpus, cliques, MEASURES[measure]())
         assert metrics.mean_average_precision == 1.0
         assert metrics.precision_at_1 == 1.0
         assert metrics.mean_rank_first_relevant == 1.0
@@ -97,7 +98,7 @@ def test_all_tied_scores_rank_by_id():
               for p in ("pa", "pb", "pc", "pd")]
     cliques = CliqueSet.from_csv(cliques_csv(
         [("pa", "one"), ("pb", "one"), ("pc", "two"), ("pd", "two")]))
-    metrics = evaluate_covers(corpus, cliques, "dtw")
+    metrics = evaluate_covers(corpus, cliques, _Dtw())
     by_query = {q.query_id: q for q in metrics.queries}
     assert by_query["pa"].average_precision == 1.0
     assert by_query["pb"].average_precision == 1.0
@@ -126,8 +127,8 @@ def test_metrics_match_independent_ranking_oracle():
     ]
     rows = [("q0", "x"), ("q1", "x"), ("q2", "y"), ("q3", "y")]
     cliques = CliqueSet.from_csv(cliques_csv(rows))
-    metrics = evaluate_covers(corpus, cliques, "dtw")
-    ids, matrix = corpus_similarity_matrix(corpus, "dtw")
+    metrics = evaluate_covers(corpus, cliques, _Dtw())
+    ids, matrix = corpus_similarity_matrix(corpus, _Dtw())
     index = {p: i for i, p in enumerate(ids)}
     clique = dict(rows)
     expected = []
@@ -161,7 +162,7 @@ def test_evaluate_requires_a_usable_query():
 
 def test_metrics_serialization():
     corpus, cliques = covers_corpus()
-    metrics = evaluate_covers(corpus, cliques, "dtw")
+    metrics = evaluate_covers(corpus, cliques, _Dtw())
     payload = strict_json(metrics.to_json())
     assert payload["measure"] == "dtw"
     assert payload["mean_average_precision"] == 1.0
@@ -193,7 +194,7 @@ def test_metrics_json_equals_the_hand_built_payload(measure):
     # A copy of song0 filed under another clique, so that some queries miss.
     corpus.append(make_timeline(["C:maj", "F:maj", "G:maj", "C:maj"], piece_id="stray"))
     cliques = CliqueSet({**cliques.mapping, "stray": "c1"})
-    metrics = evaluate_covers(corpus, cliques, measure)
+    metrics = evaluate_covers(corpus, cliques, MEASURES[measure]())
     assert metrics.mean_average_precision < 1.0
     assert metrics.to_json() == oracle_metrics_json(metrics)
 
@@ -203,7 +204,7 @@ def test_comparison_counts_dtw():
     b = make_timeline(["C:maj", "G:maj", "A:min", "F:maj"], piece_id="b")
     sounded_a = sum(1 for e in a.events if not e.chord.is_nochord)
     sounded_b = sum(1 for e in b.events if not e.chord.is_nochord)
-    assert comparison_counts(a, b, "dtw") == sounded_a * sounded_b == 8
+    assert comparison_counts(a, b, _Dtw()) == sounded_a * sounded_b == 8
 
 
 def test_comparison_counts_tpsd():
@@ -211,7 +212,7 @@ def test_comparison_counts_tpsd():
     b = make_timeline(["C:maj"] * 3, beat=3)
     la = len(encode_tps(a, "beat").values)
     lb = len(encode_tps(b, "beat").values)
-    assert comparison_counts(a, b, "tpsd") == la * lb == 4 * 9
+    assert comparison_counts(a, b, _Tpsd()) == la * lb == 4 * 9
 
 
 def test_comparison_counts_lharp_are_the_pattern_pairs_it_bounds():
@@ -220,9 +221,9 @@ def test_comparison_counts_lharp_are_the_pattern_pairs_it_bounds():
     for n_min, n_max in [(2, 2), (2, 4), (3, 5)]:
         la, lb = (len(extract_recurrent_patterns(sounded_pairs(tl), n_min, n_max))
                   for tl in (a, b))
-        assert comparison_counts(a, b, "lharp", n_min=n_min, n_max=n_max) == la * lb
+        assert comparison_counts(a, b, _Lharp(n_min=n_min, n_max=n_max)) == la * lb
     # a repeats C-G; b repeats F-C, C-F, F-C-F, C-F-C and F-C-F-C.
-    assert comparison_counts(a, b, "lharp") == 1 * 5
+    assert comparison_counts(a, b, _Lharp()) == 1 * 5
 
 
 def oracle_comparison_counts(a, b, measure, band=None, n_min=2, n_max=4):
@@ -268,18 +269,13 @@ def test_comparison_counts_equal_the_per_measure_model(a, b, band, n_min, extra)
     """The step classes count as the per-measure model did, with every
     measure's defaults and with drawn bands and pattern lengths."""
     for measure in ("dtw", "tpsd", "lharp"):
-        assert comparison_counts(a, b, measure) == oracle_comparison_counts(a, b, measure)
-    assert comparison_counts(a, b, "dtw", band=band) \
+        assert comparison_counts(a, b, MEASURES[measure]()) \
+            == oracle_comparison_counts(a, b, measure)
+    assert comparison_counts(a, b, _Dtw(band=band)) \
         == oracle_comparison_counts(a, b, "dtw", band=band)
     n_max = n_min + extra
-    assert comparison_counts(a, b, "lharp", n_min=n_min, n_max=n_max) \
+    assert comparison_counts(a, b, _Lharp(n_min=n_min, n_max=n_max)) \
         == oracle_comparison_counts(a, b, "lharp", n_min=n_min, n_max=n_max)
-
-
-def test_comparison_counts_unknown_measure():
-    a = make_timeline(["C:maj"])
-    with pytest.raises(ValueError):
-        comparison_counts(a, a, "nope")
 
 
 def test_benchmark_report_shape():
@@ -299,46 +295,17 @@ def test_benchmark_report_shape():
         for ida, idb, count in stats["comparisons_per_pair"]:
             assert count == comparison_counts(
                 next(t for t in corpus if t.id == ida),
-                next(t for t in corpus if t.id == idb), measure)
+                next(t for t in corpus if t.id == idb), MEASURES[measure]())
 
 
 def test_benchmark_counts_lharp_pattern_pairs_with_its_params():
     corpus = synthetic_corpus(3, 32)
-    report = benchmark_measures(corpus, measures=("lharp",), repetitions=3,
-                                params={"n_min": 2, "n_max": 3})
+    report = benchmark_measures(corpus, measures=(_Lharp(n_min=2, n_max=3),), repetitions=3)
     stats = report["measures"]["lharp"]
     assert stats["comparisons_total"] > 0
     for ida, idb, count in stats["comparisons_per_pair"]:
         a, b = (next(t for t in corpus if t.id == i) for i in (ida, idb))
-        assert count == comparison_counts(a, b, "lharp", n_min=2, n_max=3)
-
-
-def test_benchmark_checks_every_count_model_before_the_first_timing(monkeypatch):
-    timed = []
-    monkeypatch.setitem(MEASURES, "dtw", lambda a, b: timed.append("dtw"))
-    monkeypatch.setitem(MEASURES, "uncounted", lambda a, b: timed.append("uncounted"))
-    with pytest.raises(ValueError, match="no comparison count model for measure 'uncounted'"):
-        benchmark_measures(synthetic_corpus(2, 16), measures=("dtw", "uncounted"),
-                           repetitions=3)
-    assert timed == []
-
-
-def test_benchmark_rejects_a_parameter_a_measure_does_not_take_before_any_call(monkeypatch):
-    import harmory.evaluation as evaluation
-
-    called = []
-    for name, measure in list(MEASURES.items()):
-        monkeypatch.setitem(MEASURES, name, functools.wraps(measure)(
-            lambda *args, _name=name, **kwargs: called.append(_name)))
-    monkeypatch.setattr(evaluation, "comparison_counts",
-                        lambda *args, **kwargs: called.append("count") or 0)
-    with pytest.raises(ValueError, match="^measure 'lharp' takes no parameter 'band'$"):
-        benchmark_measures(synthetic_corpus(4, 64), ("dtw", "lharp"), 3, {"band": 1})
-    with pytest.raises(ValueError, match="^measure 'tpsd' takes no parameter 'tau'$"):
-        benchmark_measures(synthetic_corpus(2, 16), ("tpsd",), 3, {"scale": 2.0, "tau": 1.0})
-    assert called == []
-    benchmark_measures(synthetic_corpus(2, 16), ("dtw", "tpsd"), 3, {"scale": 2.0})
-    assert called.count("dtw") == called.count("tpsd") == 3
+        assert count == comparison_counts(a, b, _Lharp(n_min=2, n_max=3))
 
 
 def test_benchmark_times_the_measures_in_turns_within_each_repetition(monkeypatch):
@@ -346,10 +313,10 @@ def test_benchmark_times_the_measures_in_turns_within_each_repetition(monkeypatc
     repetition times dtw's and tpsd's whole pass, one after the other,
     rather than all of dtw's repetitions before all of tpsd's."""
     called = []
-    for name in ("dtw", "tpsd"):
-        monkeypatch.setitem(MEASURES, name, lambda a, b, _name=name: called.append(_name))
+    monkeypatch.setattr(evaluation, "compare_pieces",
+                        lambda steps, a, b: called.append(steps.name))
     corpus = synthetic_corpus(3, 16)
-    benchmark_measures(corpus, ("dtw", "tpsd"), repetitions=3)
+    benchmark_measures(corpus, (_Dtw(), _Tpsd()), repetitions=3)
     passes = [called[i:i + 3] for i in range(0, len(called), 3)]
     assert len(passes) == 6 and all(len(set(run)) == 1 for run in passes)
     for repetition in range(3):
@@ -363,8 +330,6 @@ def test_benchmark_validations():
         benchmark_measures(corpus, repetitions=2)
     with pytest.raises(ValueError):
         benchmark_measures(corpus[:1], repetitions=3)
-    with pytest.raises(ValueError):
-        benchmark_measures(corpus, measures=("nope",), repetitions=3)
 
 
 def test_diatonic_triads_major():
@@ -425,15 +390,14 @@ def test_comparison_counts_dtw_respects_the_band():
         for m in range(1, 8):
             a = make_timeline(["C:maj"] * n, piece_id="a")
             b = make_timeline(["G:maj"] * m, piece_id="b")
-            assert comparison_counts(a, b, "dtw") == n * m
+            assert comparison_counts(a, b, _Dtw()) == n * m
             for band in range(0, 9):
-                assert comparison_counts(a, b, "dtw", band=band) == filled_cells(n, m, band)
+                assert comparison_counts(a, b, _Dtw(band=band)) == filled_cells(n, m, band)
 
 
 def test_benchmark_counts_cells_within_its_band():
     corpus = synthetic_corpus(3, 32)
-    report = benchmark_measures(corpus, measures=("dtw",), repetitions=3,
-                                params={"band": 1})
+    report = benchmark_measures(corpus, measures=(_Dtw(band=1),), repetitions=3)
     for ida, idb, count in report["measures"]["dtw"]["comparisons_per_pair"]:
         a, b = (next(t for t in corpus if t.id == i) for i in (ida, idb))
-        assert count == comparison_counts(a, b, "dtw", band=1) < len(a.sounded()) * len(b.sounded())
+        assert count == comparison_counts(a, b, _Dtw(band=1)) < len(a.sounded()) * len(b.sounded())

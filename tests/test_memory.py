@@ -45,7 +45,8 @@ from harmory.memory import (
     segment_to_timeline,
 )
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
-from harmory.similarity import DEFAULT_SCALE, _dtw, dtw_align, dtw_lower_bounds, dtw_similarity
+from harmory.similarity import (DEFAULT_SCALE, _Dtw, _dtw, compare_pieces, dtw_align,
+                                dtw_lower_bounds)
 from harmory.timeline import estimate_key, load_jams, transpose
 from harmory.tps import Key, distance_table, intern, key_relative_profiles
 from tests.conftest import chords, make_timeline, strict_json
@@ -146,7 +147,7 @@ def test_merging_matches_brute_force_closure():
     edges = []
     for i, sa in enumerate(ids):
         for sb in ids[i + 1:]:
-            score = dtw_similarity(segment_to_timeline(by_id[sa]),
+            score = compare_pieces(_Dtw(), segment_to_timeline(by_id[sa]),
                                    segment_to_timeline(by_id[sb])).score
             if score >= theta_merge:
                 edges.append((sa, sb))
@@ -365,12 +366,12 @@ def test_segment_to_timeline():
     tl = segment_to_timeline(segments[0])
     assert tl.id == "alpha/seg/0"
     assert len(tl.events) == 4
-    assert dtw_similarity(tl, tl).score == 1.0
+    assert compare_pieces(_Dtw(), tl, tl).score == 1.0
 
 
 def exhaustive_memory(corpus, seg_params, theta_sim, theta_merge, scale):
     """The memory graph by scoring every pair of segments, each through
-    ``dtw_similarity`` of the segments' own timelines: the oracle for
+    dtw's ``compare_pieces`` on the segments' own timelines: the oracle for
     ``build_memory``'s pruning."""
     pieces, segments = {}, {}
     for tl in sorted(corpus, key=lambda t: t.id):
@@ -378,8 +379,8 @@ def exhaustive_memory(corpus, seg_params, theta_sim, theta_merge, scale):
         pieces[tl.id] = PieceInfo(tl.id, tl.title, tl.artist, tuple(s.id for s in piece_segments))
         segments.update((s.id, s) for s in piece_segments)
     ordered = sorted(segments)
-    scores = {(a, b): dtw_similarity(segment_to_timeline(segments[a]),
-                                     segment_to_timeline(segments[b]), scale).score
+    scores = {(a, b): compare_pieces(_Dtw(scale), segment_to_timeline(segments[a]),
+                                     segment_to_timeline(segments[b])).score
               for i, a in enumerate(ordered) for b in ordered[i + 1:]}
     patterns = {}
     for group in closure_groups(ordered, [pair for pair, value in scores.items()

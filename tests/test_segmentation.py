@@ -322,6 +322,8 @@ def test_novelty_validation():
 
 OUT_OF_RANGE_PARAMS = [("kernel_size", 3), ("kernel_size", 0), ("kernel_size", -2),
                        ("taper", 0.0), ("taper", -1.0), ("taper", float("nan")),
+                       ("taper", float("inf")), ("peak_lambda", float("nan")),
+                       ("peak_lambda", float("inf")), ("peak_lambda", float("-inf")),
                        ("min_gap", -1), ("min_len", -1)]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from math import exp, inf
 from operator import sub
@@ -26,13 +27,15 @@ from harmory.harte import parse_chord
 from harmory.similarity import (
     MEASURES,
     Alignment,
+    _Dtw,
+    _Lharp,
     _Tpsd,
     _backtrack,
     _dtw,
+    compare_pieces,
     corpus_similarity_matrix,
     dtw_align,
     dtw_lower_bounds,
-    dtw_similarity,
     extract_recurrent_patterns,
     key_relative_events,
     lharp,
@@ -155,7 +158,7 @@ def oracle_windows(timeline, n):
 
 def test_dtw_identical_pieces():
     tl = make_timeline(["C:maj", "F:maj", "G:maj", "C:maj"])
-    report = dtw_similarity(tl, tl)
+    report = compare_pieces(_Dtw(), tl, tl)
     assert report.score == 1.0
     assert report.raw == 0.0
     alignment = dtw_align(tl, tl)
@@ -168,7 +171,7 @@ def test_dtw_single_cell():
     alignment = dtw_align(a, b)
     assert alignment.cost == 5.0
     assert alignment.normalized_cost == 5.0
-    assert dtw_similarity(a, b).score == exp(-1.0)
+    assert compare_pieces(_Dtw(), a, b).score == exp(-1.0)
 
 
 def test_dtw_matches_brute_force_enumeration():
@@ -455,7 +458,7 @@ modulating_events = st.lists(st.tuples(st.sampled_from(POOL[:4]), st.sampled_fro
 @given(motif=modulating_events.filter(lambda events: len(events) >= 2),
        a=st.tuples(modulating_events, st.integers(1, 3), modulating_events),
        b=st.tuples(modulating_events, st.integers(1, 3), modulating_events),
-       tau=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5, 100.0]),
+       tau=st.sampled_from([0.0, 0.5, 1.0, 2.5, 100.0]),
        n_min=st.integers(2, 3), extra=st.integers(0, 2))
 @settings(max_examples=200, deadline=None)
 def test_bounded_lharp_equals_warping_every_pattern_pair(motif, a, b, tau, n_min, extra):
@@ -492,8 +495,8 @@ def test_lharp_matrix_warps_only_the_pattern_pairs_its_bound_admits(monkeypatch,
     monkeypatch.setattr(similarity, "dtw_lower_bounds", recording_bounds)
     monkeypatch.setattr(similarity, "_dtw", counting_dtw)
     corpus = matrix_corpus()
-    _, matrix = corpus_similarity_matrix(corpus, "lharp", {"tau": tau})
-    pattern_pairs = sum(comparison_counts(a, b, "lharp")
+    _, matrix = corpus_similarity_matrix(corpus, _Lharp(tau=tau))
+    pattern_pairs = sum(comparison_counts(a, b, _Lharp())
                         for i, a in enumerate(corpus) for b in corpus[i + 1:])
     assert matrix.sum() > len(corpus)  # some patterns agree
     assert 0 < len(warped) < pattern_pairs
@@ -504,8 +507,9 @@ def test_measure_symmetry():
     rng = random.Random(41)
     for _ in range(15):
         a, b = random_pair(rng)
-        for name, func in MEASURES.items():
-            assert func(a, b).score == func(b, a).score, name
+        for name, steps in MEASURES.items():
+            assert compare_pieces(steps(), a, b).score \
+                == compare_pieces(steps(), b, a).score, name
 
 
 progressions = st.lists(st.sampled_from(["C:maj", "G:maj", "A:min", "D:min", "B:dim",
@@ -527,27 +531,68 @@ def test_dtw_and_lharp_are_symmetric(a, b, key, band, tau):
     two patterns whose cost straddles tau in the second."""
     ta, tb = make_timeline(a, piece_id="a"), make_timeline(b, key=key, piece_id="b")
     assert len(dtw_align(ta, tb, band).path) == len(dtw_align(tb, ta, band).path)
-    assert dtw_similarity(ta, tb, band=band).raw == dtw_similarity(tb, ta, band=band).raw
+    assert compare_pieces(_Dtw(band=band), ta, tb).raw \
+        == compare_pieces(_Dtw(band=band), tb, ta).raw
     assert lharp(ta, tb, tau).score == lharp(tb, ta, tau).score
+
+
+@given(order=st.permutations(range(13)), size=st.integers(2, 13))
+@settings(max_examples=20, deadline=None)
+def test_a_shuffled_corpus_gives_the_matrix_with_its_rows_and_columns_permuted(order, size):
+    """The corpus order decides only the order of the ids, for every
+    measure: each piece is interned into the corpus vocabulary in another
+    order, and every score stays bit for bit the same."""
+    corpus = matrix_corpus()
+    assert len(corpus) == 13
+    picked = order[:size]
+    for name, steps in MEASURES.items():
+        ids, matrix = corpus_similarity_matrix(corpus, steps())
+        shuffled_ids, shuffled = corpus_similarity_matrix([corpus[k] for k in picked], steps())
+        assert shuffled_ids == [ids[k] for k in picked], name
+        assert np.array_equal(shuffled, matrix[np.ix_(picked, picked)]), name
+
+
+@pytest.mark.parametrize("steps, params, message", [
+    (_Dtw, {"scale": inf}, "--scale must be a finite number, got inf"),
+    (_Tpsd, {"scale": inf}, "--scale must be a finite number, got inf"),
+    (_Tpsd, {"scale": float("nan")}, "--scale must be > 0, got nan"),
+    (_Lharp, {"tau": -1.0}, "--tau must be >= 0, got -1.0"),
+    (_Lharp, {"tau": -inf}, "--tau must be >= 0, got -inf"),
+    (_Lharp, {"tau": float("nan")}, "--tau must be >= 0, got nan"),
+    (_Lharp, {"tau": inf}, "--tau must be a finite number, got inf"),
+])
+def test_step_classes_refuse_a_non_finite_scale_or_tau_and_a_negative_tau(steps, params,
+                                                                          message):
+    """The library refuses what the command line refuses, naming the flag."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        steps(**params)
+
+
+def test_the_pair_functions_refuse_a_negative_tau_and_an_infinite_scale():
+    a = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj"])
+    with pytest.raises(ValueError, match=r"^--tau must be >= 0, got -1\.0$"):
+        lharp(a, a, tau=-1.0)
+    with pytest.raises(ValueError, match="^--scale must be a finite number, got inf$"):
+        tpsd(a, a, scale=inf)
 
 
 def test_measure_transposition_invariance():
     a = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj", "A:min"], piece_id="a")
     b = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj", "F:maj", "D:min"],
                       piece_id="b")
-    for name, func in MEASURES.items():
-        base = func(a, b).score
+    for name, steps in MEASURES.items():
+        base = compare_pieces(steps(), a, b).score
         for n in range(12):
-            assert func(transpose(a, n), b).score == base, name
-            assert func(a, transpose(b, n)).score == base, name
+            assert compare_pieces(steps(), transpose(a, n), b).score == base, name
+            assert compare_pieces(steps(), a, transpose(b, n)).score == base, name
 
 
 def test_scores_in_unit_interval():
     rng = random.Random(51)
     for _ in range(20):
         a, b = random_pair(rng)
-        for name, func in MEASURES.items():
-            score = func(a, b).score
+        for name, steps in MEASURES.items():
+            score = compare_pieces(steps(), a, b).score
             assert 0.0 <= score <= 1.0, name
             if name in ("dtw", "tpsd"):
                 assert score > 0.0
@@ -555,7 +600,7 @@ def test_scores_in_unit_interval():
 
 def test_report_json_stable():
     a = make_timeline(["C:maj"])
-    text = dtw_similarity(a, a).to_json()
+    text = compare_pieces(_Dtw(), a, a).to_json()
     assert text == (
         '{\n'
         '  "measure": "dtw",\n'
@@ -591,7 +636,7 @@ def test_report_json_equals_the_hand_built_payload():
                       key="D:maj", piece_id="b")
     reports = [lharp(a, b), lharp(b, a, tau=0.5, n_min=2, n_max=3)]
     assert all(report.local_regions for report in reports)
-    reports += [dtw_similarity(a, b, band=band) for band in (None, 0, 3)]
+    reports += [compare_pieces(_Dtw(band=band), a, b) for band in (None, 0, 3)]
     reports += [tpsd(a, b), lharp(a, make_timeline(["D:min", "E:7"]))]
     for report in reports:
         assert report.to_json() == oracle_report_json(report)
@@ -600,7 +645,7 @@ def test_report_json_equals_the_hand_built_payload():
 def test_matrix_duplicated_piece():
     a = make_timeline(["C:maj", "G:maj"], piece_id="one")
     b = make_timeline(["C:maj", "G:maj"], piece_id="two")
-    ids, matrix = corpus_similarity_matrix([a, b], "dtw")
+    ids, matrix = corpus_similarity_matrix([a, b], _Dtw())
     assert ids == ["one", "two"]
     assert np.array_equal(matrix, np.ones((2, 2)))
 
@@ -609,7 +654,7 @@ def test_matrix_matches_individual_calls():
     corpus = [make_timeline(["C:maj", "G:maj", "A:min"], piece_id="p1"),
               make_timeline(["F:maj", "C:maj"], piece_id="p2"),
               make_timeline(["D:min", "G:7", "C:maj"], piece_id="p3")]
-    ids, matrix = corpus_similarity_matrix(corpus, "tpsd")
+    ids, matrix = corpus_similarity_matrix(corpus, _Tpsd())
     for i in range(3):
         for j in range(3):
             expected = 1.0 if i == j else tpsd(corpus[i], corpus[j]).score
@@ -624,7 +669,7 @@ def test_every_analysis_of_a_piece_without_a_sounded_chord_raises_one_error():
     tl = Timeline(id="nc", events=(ChordEvent(Fraction(0), Fraction(1), parse_chord("N")),),
                   keys=make_timeline(["C:maj"]).keys)
     for call in (tl.sounded, lambda: key_relative_events(tl), lambda: encode_tps(tl),
-                 lambda: comparison_counts(tl, tl, "dtw"), lambda: segment_timeline(tl)):
+                 lambda: comparison_counts(tl, tl, _Dtw()), lambda: segment_timeline(tl)):
         with pytest.raises(EmptyTimelineError, match="^nc: no sounded events$"):
             call()
 
@@ -637,7 +682,7 @@ def test_matrix_error_names_pair():
                    events=(ChordEvent(Fraction(0), Fraction(1), parse_chord("N")),),
                    keys=good.keys)
     with pytest.raises(EmptyTimelineError) as info:
-        corpus_similarity_matrix([good, bad], "dtw")
+        corpus_similarity_matrix([good, bad], _Dtw())
     assert str(info.value) == "good vs bad: bad: no sounded events"
 
 
@@ -645,13 +690,7 @@ def test_matrix_rejects_duplicate_ids():
     a = make_timeline(["C:maj"], piece_id="same")
     b = make_timeline(["G:maj"], piece_id="same")
     with pytest.raises(ValueError):
-        corpus_similarity_matrix([a, b], "dtw")
-
-
-def test_matrix_rejects_unknown_measure():
-    a = make_timeline(["C:maj"], piece_id="a")
-    with pytest.raises(ValueError):
-        corpus_similarity_matrix([a, a], "nope")
+        corpus_similarity_matrix([a, b], _Dtw())
 
 
 def test_matrix_csv_golden():
@@ -685,8 +724,9 @@ def test_matrix_equals_pairwise_measures(measure, params):
     expected = np.eye(len(corpus))
     for i, a in enumerate(corpus):
         for j in range(i + 1, len(corpus)):
-            expected[i, j] = expected[j, i] = MEASURES[measure](a, corpus[j], **params).score
-    ids, matrix = corpus_similarity_matrix(corpus, measure, params)
+            expected[i, j] = expected[j, i] = compare_pieces(
+                MEASURES[measure](**params), a, corpus[j]).score
+    ids, matrix = corpus_similarity_matrix(corpus, MEASURES[measure](**params))
     assert ids == [tl.id for tl in corpus]
     assert np.array_equal(matrix, expected)
 
@@ -711,6 +751,6 @@ def test_matrix_prepares_each_piece_once(monkeypatch, measure, per_piece):
                  "distance_table"):
         monkeypatch.setattr(similarity, name, counting(name, getattr(similarity, name)))
     corpus = matrix_corpus()
-    corpus_similarity_matrix(corpus, measure)
+    corpus_similarity_matrix(corpus, MEASURES[measure]())
     # Each piece is prepared once, and one table serves the whole corpus.
     assert calls == {**{name: len(corpus) for name in per_piece}, "distance_table": 1}
