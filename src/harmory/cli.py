@@ -24,12 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from harmory.evaluation import (
-    CliqueSet,
-    benchmark_measures,
-    evaluate_covers,
-    synthetic_corpus,
-)
+from harmory.evaluation import (CliqueSet, benchmark_measures, check_repetitions,
+                                evaluate_covers, synthetic_corpus)
 from harmory.harte import parse_chord, render_chord, bass_pitch_class, pitch_class_set
 from harmory.memory import (
     EmptyCorpusError,
@@ -259,12 +255,11 @@ def cmd_bench(args) -> int:
         if name not in MEASURES:
             raise ValueError(f"unknown measure {name!r}")
         measures.append(MEASURES[name]())
-    if args.synthetic:
-        corpus = synthetic_corpus(args.synthetic_pieces, args.synthetic_beats)
-    else:
-        if not args.corpus:
-            raise ValueError("bench needs a corpus directory or --synthetic")
-        corpus = discover_corpus(Path(args.corpus))
+    check_repetitions(args.repetitions)
+    if not (args.synthetic or args.corpus):
+        raise ValueError("bench needs a corpus directory or --synthetic")
+    corpus = (synthetic_corpus(args.synthetic_pieces, args.synthetic_beats) if args.synthetic
+              else discover_corpus(Path(args.corpus)))
     report = benchmark_measures(corpus, tuple(measures), args.repetitions)
     print(json.dumps(report, indent=2))
     return 0

@@ -125,6 +125,11 @@ def comparison_counts(a: Timeline, b: Timeline, steps) -> int:
     return steps.comparisons(steps.prepare(a, vocab), steps.prepare(b, vocab))
 
 
+def check_repetitions(repetitions: int) -> None:
+    if repetitions < 3:  # the one range check of bench's repetitions
+        raise ValueError(f"need at least 3 repetitions: {repetitions}")
+
+
 def benchmark_measures(corpus: list[Timeline], measures=(_Dtw(), _Tpsd()),
                        repetitions: int = 5) -> dict:
     """Median wall-clock per pair over >= 3 repetitions of the full
@@ -132,8 +137,7 @@ def benchmark_measures(corpus: list[Timeline], measures=(_Dtw(), _Tpsd()),
     per-pair comparison counts, all counted before the first timing.
     Each repetition times the measures' passes in turn, reversed every
     other repetition."""
-    if repetitions < 3:
-        raise ValueError(f"need at least 3 repetitions: {repetitions}")
+    check_repetitions(repetitions)
     if len(corpus) < 2:
         raise ValueError("benchmark needs at least two pieces")
     pairs = [(a, b) for i, a in enumerate(corpus) for b in corpus[i + 1:]]

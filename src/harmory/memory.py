@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import exp
 from urllib.parse import quote, unquote
 
 from harmory.harte import parse_chord, render_chord
@@ -23,8 +24,6 @@ from harmory.segmentation import Segment, SegmentationParams, segment_timeline
 from harmory.similarity import DEFAULT_SCALE, _dtw, dtw_lower_bounds
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, estimate_key
 from harmory.tps import Key, distance_table, intern, key_relative_profiles
-
-from math import exp
 
 BASE = "urn:harmory:"
 

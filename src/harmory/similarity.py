@@ -81,29 +81,36 @@ def key_relative_events(timeline: Timeline) -> list[Profile]:
 
 def _dtw(ca: list[int], cb: list[int], band: int | None = None, *,
          table: list[list[float]]) -> Alignment:
-    """Warp two event code sequences; cell (i, j) costs
-    ``table[ca[i]][cb[j]]``."""
+    """Warp two event code sequences; cell (i, j) costs ``table[ca[i]][cb[j]]``."""
     n, m = len(ca), len(cb)
     width = max(n, m) if band is None else max(band, abs(n - m))
-    acc = [[inf] * m for _ in range(n)]
-    # Row i fills only the band's cells lo <= j < hi; the rest stay inf.
-    row, total, costs = acc[0], 0.0, table[ca[0]]
-    for j in range(width + 1 if width < m else m):
-        total += costs[cb[j]]
-        row[j] = total
-    for i in range(1, n):
-        above, row, costs = acc[i - 1], acc[i], table[ca[i]]
+    # Rows i and i + 1 in one sweep of row i's band, so the loop's overhead is paid once
+    # per two cells; row i + 1's band may start or end a column later.  Row n, of inf
+    # costs, pairs an odd last row and, read as row -1, is inf: only (0, 0) starts at 0.
+    acc = [[inf] * m for _ in range(n + 1)]
+    for i in range(0, n, 2):
+        above, upper, lower = acc[i - 1], acc[i], acc[i + 1]
+        c1, c2 = table[ca[i]], table[ca[i + 1]] if i + 1 < n else [inf] * len(table[ca[i]])
         # Conditionals, not max and min: short warps pay per row.
         lo = i - width if i > width else 0
         hi = i + width + 1 if i + width < m else m
-        left, diag = inf, above[lo - 1] if lo else inf
-        for j in range(lo, hi):
-            up = above[j]
-            best = diag if diag < up else up
-            if left < best:
-                best = left
-            left = row[j] = costs[cb[j]] + best
-            diag = up
+        up, diag1 = above[lo], above[lo - 1] if lo else inf if i else 0.0
+        left1 = upper[lo] = c1[cb[lo]] + (diag1 if diag1 < up else up)
+        left2 = lower[lo] = c2[cb[lo]] + left1 if i < width else inf
+        diag1, diag2 = up, left1
+        for j in range(lo + 1, hi):
+            c, up = cb[j], above[j]
+            best = diag1 if diag1 < up else up
+            if left1 < best:
+                best = left1
+            left1 = upper[j] = c1[c] + best
+            best = diag2 if diag2 < left1 else left1
+            if left2 < best:
+                best = left2
+            left2 = lower[j] = c2[c] + best
+            diag1, diag2 = up, left1
+        if hi < m:
+            lower[hi] = c2[cb[hi]] + (diag2 if diag2 < left2 else left2)
     # Where up and left tie, trace back both ways and keep the shorter path:
     # the two tie rules mirror each other, so its length does not depend on
     # the argument order.
@@ -120,17 +127,19 @@ def _backtrack(acc, n: int, m: int, up_first: bool) -> tuple[list[tuple[int, int
     tie up when ``up_first`` and left otherwise; and whether they tied."""
     path, tied = [(n - 1, m - 1)], False
     i, j = n - 1, m - 1
-    while (i, j) != (0, 0):
-        if i and j and acc[i - 1][j - 1] <= min(acc[i - 1][j], acc[i][j - 1]):
+    while i and j:
+        diag, up, left = acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
+        if diag <= up and diag <= left:
             i, j = i - 1, j - 1
-        elif i and j and acc[i - 1][j] == acc[i][j - 1]:
+        elif up == left:
             tied = True
             i, j = (i - 1, j) if up_first else (i, j - 1)
-        elif i and (not j or acc[i - 1][j] < acc[i][j - 1]):
-            i = i - 1
+        elif up < left:
+            i -= 1
         else:
-            j = j - 1
+            j -= 1
         path.append((i, j))
+    path += [(i, k) for k in range(j - 1, -1, -1)] + [(k, 0) for k in range(i - 1, -1, -1)]
     path.reverse()
     return path, tied
 
@@ -200,24 +209,23 @@ def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
         raise ValueError(f"--n-min/--n-max need 2 <= n_min <= n_max, got {n_min}..{n_max}")
 
 
-def extract_recurrent_patterns(events, n_min: int = 2,
+def extract_recurrent_patterns(profiles: list[Profile], n_min: int = 2,
                                n_max: int = 4) -> list[PatternOccurrence]:
-    """Hash every n-gram window, n_min <= n <= n_max, of a piece's sounded
-    (chord, key) events and keep encodings occurring at two or more
+    """Hash every n-gram window, n_min <= n <= n_max, of a piece's
+    key-relative profiles and keep encodings occurring at two or more
     (possibly overlapping) positions.
 
     A window's encoding pairs each event's key-relative value with the
-    circle-of-fifths step from its root to the next event's inside the
-    window, each root taken relative to its key's tonic; the last step is
-    0.  It is invariant under transposition of the piece.
+    circle-of-fifths step from its key-relative root to the next event's
+    inside the window; the last step is 0.  It is invariant under
+    transposition of the piece.
     """
     _check_params(n_min=n_min, n_max=n_max)
-    values = key_relative_values(events)
-    roots = [chord.root.pitch_class - key.tonic for chord, key in events]
-    steps = [fifths_distance(x, y) for x, y in zip(roots, roots[1:])]
+    values = key_relative_values(profiles)
+    steps = [fifths_distance(p.root, q.root) for p, q in zip(profiles, profiles[1:])]
     found: dict[tuple, list[int]] = {}
-    for n in range(n_min, min(n_max, len(events)) + 1):
-        for start in range(len(events) - n + 1):
+    for n in range(n_min, min(n_max, len(profiles)) + 1):
+        for start in range(len(profiles) - n + 1):
             encoded = tuple(zip(values[start:start + n], steps[start:start + n - 1] + [0]))
             found.setdefault((n, encoded), []).append(start)
     return [PatternOccurrence(key=encoded, positions=tuple(positions), length=n)
@@ -327,11 +335,10 @@ class _Lharp:
         return len(a[1]) * len(b[1])
 
     def prepare(self, timeline: Timeline, vocab: dict):
-        codes = intern(key_relative_events(timeline), vocab)
-        events = [(chord, key) for _, chord, key in timeline.sounded()]
-        patterns = extract_recurrent_patterns(events, self.n_min, self.n_max)
+        profiles = key_relative_events(timeline)
+        codes = intern(profiles, vocab)
         return codes, [(p, tuple(codes[p.positions[0]:p.positions[0] + p.length]))
-                       for p in patterns]
+                       for p in extract_recurrent_patterns(profiles, self.n_min, self.n_max)]
 
     def compare(self, a, b, table) -> SimilarityReport:
         (ca, patterns_a), (cb, patterns_b) = a, b

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import ceil
 
 from harmory.harte import Chord, HarteError, parse_chord, pitch_class_set, render_chord, transpose_chord
-from harmory.tps import Key, key_relative_values
+from harmory.tps import Key, key_relative_profiles, key_relative_values
 
 log = logging.getLogger(__name__)
 
@@ -320,8 +320,8 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     if grid not in ("event", "beat"):
         raise ValueError(f"grid must be 'event' or 'beat': {grid!r}")
     sounded = timeline.sounded()
-    value_at = dict(zip([i for i, _, _ in sounded],
-                        key_relative_values([(chord, key) for _, chord, key in sounded])))
+    value_at = dict(zip([i for i, _, _ in sounded], key_relative_values(
+        key_relative_profiles((chord, key) for _, chord, key in sounded))))
     if grid == "event":
         return TpsSeries(tuple((v, Fraction(timeline.events[i].duration))
                                for i, v in value_at.items()))

@@ -20,21 +20,12 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from harmory.harte import (
-    Chord,
-    Degree,
-    FLAT_NAMES,
-    Natural,
-    NoChordError,
-    natural_for_pitch_class,
-    pitch_class_set,
-)
+from harmory.harte import Chord, FLAT_NAMES, Natural, NoChordError, pitch_class_set
 
 MAJOR_STEPS = (0, 2, 4, 5, 7, 9, 11)
 MINOR_STEPS = (0, 2, 3, 5, 7, 8, 11)  # harmonic minor
 
 _MODES = {"major": MAJOR_STEPS, "minor": MINOR_STEPS}
-_MODE_LABELS = {"major": "maj", "minor": "min"}
 
 
 @dataclass(frozen=True)
@@ -51,12 +42,6 @@ class Key:
     def diatonic(self) -> frozenset[int]:
         return frozenset((self.tonic + step) % 12 for step in _MODES[self.mode])
 
-    def tonic_triad(self) -> Chord:
-        third = Degree(3) if self.mode == "major" else Degree(3, -1)
-        return Chord(root=natural_for_pitch_class(self.tonic),
-                     degrees=frozenset([Degree(1), third, Degree(5)]),
-                     shorthand="maj" if self.mode == "major" else "min")
-
     def transpose(self, semitones: int) -> "Key":
         return Key((self.tonic + semitones) % 12, self.mode)
 
@@ -71,7 +56,7 @@ class Key:
         return cls(natural.pitch_class, "major" if mode == "maj" else "minor")
 
     def __str__(self) -> str:
-        return f"{FLAT_NAMES[self.tonic]}:{_MODE_LABELS[self.mode]}"
+        return f"{FLAT_NAMES[self.tonic]}:{self.mode[:3]}"  # maj or min
 
 
 class Profile(NamedTuple):
@@ -114,10 +99,13 @@ _POPCOUNT = bytes(mask.bit_count() for mask in range(1 << 12))
 
 
 def chord_distance(x: Chord, kx: Key, y: Chord, ky: Key) -> float:
-    """Symmetrized Tonal Pitch Space distance between chord/key pairs: the
-    two fifths distances plus the mean of popcount(q_level & ~p_level) over
-    both directions, which is popcount(p_level ^ q_level) / 2."""
-    p, q = profile(x, kx), profile(y, ky)
+    """Symmetrized Tonal Pitch Space distance between chord/key pairs."""
+    return profile_distance(profile(x, kx), profile(y, ky))
+
+
+def profile_distance(p: Profile, q: Profile) -> float:
+    """The distance of two profiles: the two fifths distances plus the mean of
+    popcount(q_level & ~p_level) over both directions, popcount(p_level ^ q_level) / 2."""
     missing = sum((a ^ b).bit_count() for a, b in zip(p[2:], q[2:]))
     return _FIFTHS[12 * p.tonic + q.tonic] + _FIFTHS[12 * p.root + q.root] + missing / 2
 
@@ -155,12 +143,19 @@ def distance_table(vocab_a: dict, vocab_b: dict) -> list[list[float]]:
     return (twice / 2).tolist()
 
 
-def key_relative_value(chord: Chord, key: Key) -> float:
-    """Distance of a chord from its key's tonic triad."""
-    return chord_distance(key.tonic_triad(), key, chord, key)
+# What key_relative_profiles makes of each mode's tonic triad, C-E-G or C-Eb-G.
+_MAJOR_TRIAD, _MINOR_TRIAD = (Profile(0, 0, 1, 0x81, 0x81 | 1 << s[2], sum(1 << x for x in s))
+                              for s in (MAJOR_STEPS, MINOR_STEPS))
 
 
-def key_relative_values(events) -> list[float]:
-    """``key_relative_value`` of each (chord, key) event, costing each distinct one once."""
-    value = {event: key_relative_value(*event) for event in dict.fromkeys(events)}
-    return [value[event] for event in events]
+def key_relative_values(profiles) -> list[float]:
+    """The distance of each profile that ``key_relative_profiles`` returns
+    from its mode's tonic triad, pricing each distinct profile once.  The
+    mode is read from the profile: under a major key the diatonic level is
+    the chord level OR-ed with the major scale.  A minor-key profile passes
+    that test only when its chord level holds both thirds and both sixths,
+    and then it is as far from one triad as from the other."""
+    value = {p: profile_distance(
+        _MAJOR_TRIAD if p.diatonic_level == p.chord_level | _MAJOR_TRIAD.diatonic_level
+        else _MINOR_TRIAD, p) for p in set(profiles)}
+    return [value[p] for p in profiles]

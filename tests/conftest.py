@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from harmory.harte import Chord, Degree, NO_CHORD, Natural, parse_chord, transpose_chord
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline
-from harmory.tps import Key
+from harmory.tps import Key, chord_distance
 
 
 def strict_json(text):
@@ -39,6 +39,12 @@ def transposed_to_c(events):
     tonic into the key of C of the same mode: the oracle of
     ``tps.key_relative_profiles``, which builds no chord or key."""
     return [(transpose_chord(chord, -key.tonic), Key(0, key.mode)) for chord, key in events]
+
+
+def tonic_triad_distance(chord, key):
+    """The reference key-relative value: ``chord_distance`` from the key's
+    tonic triad, parsed as ``"<tonic>:maj"`` or ``"<tonic>:min"``."""
+    return chord_distance(parse_chord(str(key)), key, chord, key)
 
 
 naturals = st.builds(

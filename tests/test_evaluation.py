@@ -31,10 +31,10 @@ from harmory.evaluation import (
 from harmory.harte import parse_chord, pitch_class_set, render_chord
 import harmory.evaluation as evaluation
 from harmory.similarity import (MEASURES, _Dtw, _Lharp, _Tpsd, corpus_similarity_matrix,
-                                extract_recurrent_patterns)
+                                extract_recurrent_patterns, key_relative_events)
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, encode_tps, transpose
 from harmory.tps import Key
-from tests.conftest import make_timeline, sounded_pairs, strict_json
+from tests.conftest import make_timeline, strict_json
 
 
 def cliques_csv(rows):
@@ -219,7 +219,7 @@ def test_comparison_counts_lharp_are_the_pattern_pairs_it_bounds():
     a = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj", "A:min"], piece_id="a")
     b = make_timeline(["F:maj", "C:maj", "F:maj", "C:maj", "F:maj", "C:maj"], piece_id="b")
     for n_min, n_max in [(2, 2), (2, 4), (3, 5)]:
-        la, lb = (len(extract_recurrent_patterns(sounded_pairs(tl), n_min, n_max))
+        la, lb = (len(extract_recurrent_patterns(key_relative_events(tl), n_min, n_max))
                   for tl in (a, b))
         assert comparison_counts(a, b, _Lharp(n_min=n_min, n_max=n_max)) == la * lb
     # a repeats C-G; b repeats F-C, C-F, F-C-F, C-F-C and F-C-F-C.
@@ -239,7 +239,7 @@ def oracle_comparison_counts(a, b, measure, band=None, n_min=2, n_max=4):
     if measure == "tpsd":
         return len(encode_tps(a, "beat").values) * len(encode_tps(b, "beat").values)
     assert measure == "lharp"
-    pa, pb = (extract_recurrent_patterns(sounded_pairs(tl), n_min, n_max) for tl in (a, b))
+    pa, pb = (extract_recurrent_patterns(key_relative_events(tl), n_min, n_max) for tl in (a, b))
     return len(pa) * len(pb)
 
 

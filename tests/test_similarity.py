@@ -44,10 +44,9 @@ from harmory.similarity import (
 )
 from harmory.timeline import (ChordEvent, EmptyTimelineError, KeySpan, Timeline,
                               build_timeline, encode_tps, transpose)
-from harmory.tps import Key, chord_distance, distance_table, fifths_distance, intern, \
-    key_relative_value, profile
+from harmory.tps import Key, chord_distance, distance_table, fifths_distance, intern, profile
 from tests.conftest import (chords, cover_corpus, exhaustive_lharp, make_timeline, sounded_pairs,
-                            transposed_to_c)
+                            tonic_triad_distance, transposed_to_c)
 
 tps_keys = st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"]))
 
@@ -143,7 +142,7 @@ def oracle_dtw(ca, cb, band=None, *, table):
 
 def oracle_windows(timeline, n):
     events = transposed_to_c(sounded_pairs(timeline))
-    values = [key_relative_value(c, k) for c, k in events]
+    values = [tonic_triad_distance(c, k) for c, k in events]
     roots = [c.root.pitch_class for c, _ in events]
     windows: dict[tuple, list[int]] = {}
     for start in range(len(events) - n + 1):
@@ -221,8 +220,9 @@ def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data):
 
 def test_dtw_equals_the_cell_by_cell_recurrence():
     """Paths, costs and normalized costs are bit-identical for every band,
-    also where the band is narrower than the length difference.  The
-    table's few distinct costs make many ties for the traceback."""
+    also where the band is narrower than the length difference or binds
+    on only some rows.  The table's few distinct costs make many ties
+    for the traceback."""
     rng = random.Random(17)
     table = [[rng.randint(0, 4) / 2 for _ in range(6)] for _ in range(6)]
     lengths = [(1, 1), (1, 40), (40, 1), (40, 40), (2, 9), (9, 2)]
@@ -230,7 +230,7 @@ def test_dtw_equals_the_cell_by_cell_recurrence():
     for n, m in lengths:
         ca = [rng.randrange(6) for _ in range(n)]
         cb = [rng.randrange(6) for _ in range(m)]
-        for band in (None, 0, 1, 2, 3):
+        for band in (None, 0, 1, 2, 3, 9, 25):
             assert _dtw(ca, cb, band, table=table) == oracle_dtw(ca, cb, band, table=table)
 
 
@@ -329,7 +329,7 @@ def test_tpsd_unequal_lengths_use_longer_denominator():
 
 def test_patterns_worked_example():
     tl = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj"])
-    patterns = extract_recurrent_patterns(sounded_pairs(tl), 2, 2)
+    patterns = extract_recurrent_patterns(key_relative_events(tl), 2, 2)
     assert len(patterns) == 1
     assert patterns[0].positions == (0, 2)
     assert patterns[0].length == 2
@@ -337,14 +337,14 @@ def test_patterns_worked_example():
 
 def test_patterns_uniform_sequence():
     tl = make_timeline(["C:maj"] * 4)
-    patterns = extract_recurrent_patterns(sounded_pairs(tl), 2, 2)
+    patterns = extract_recurrent_patterns(key_relative_events(tl), 2, 2)
     assert len(patterns) == 1
     assert patterns[0].positions == (0, 1, 2)
 
 
 def test_patterns_no_repeats():
     tl = make_timeline(["C:maj", "G:maj", "A:min", "F:maj"])
-    assert extract_recurrent_patterns(sounded_pairs(tl), 2, 4) == []
+    assert extract_recurrent_patterns(key_relative_events(tl), 2, 4) == []
 
 
 def test_patterns_match_window_oracle():
@@ -355,7 +355,7 @@ def test_patterns_match_window_oracle():
         for n in (2, 3):
             expected = oracle_windows(tl, n)
             got = {p.key: p.positions
-                   for p in extract_recurrent_patterns(sounded_pairs(tl), n, n)}
+                   for p in extract_recurrent_patterns(key_relative_events(tl), n, n)}
             assert got == expected
 
 
@@ -368,15 +368,15 @@ def test_patterns_of_modulating_pieces_match_window_oracle(pairs):
     tl = events_timeline([(parse_chord(c), Key.from_string(k)) for c, k in pairs])
     for n in (2, 3):
         got = {p.key: p.positions
-               for p in extract_recurrent_patterns(sounded_pairs(tl), n, n)}
+               for p in extract_recurrent_patterns(key_relative_events(tl), n, n)}
         assert got == oracle_windows(tl, n)
 
 
 def test_patterns_transposition_invariant_keys():
     tl = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj"])
     for n in range(12):
-        moved = extract_recurrent_patterns(sounded_pairs(transpose(tl, n)), 2, 2)
-        base = extract_recurrent_patterns(sounded_pairs(tl), 2, 2)
+        moved = extract_recurrent_patterns(key_relative_events(transpose(tl, n)), 2, 2)
+        base = extract_recurrent_patterns(key_relative_events(tl), 2, 2)
         assert [(p.key, p.positions) for p in moved] \
             == [(p.key, p.positions) for p in base]
 
@@ -384,9 +384,9 @@ def test_patterns_transposition_invariant_keys():
 def test_patterns_validation():
     tl = make_timeline(["C:maj", "G:maj"])
     with pytest.raises(ValueError):
-        extract_recurrent_patterns(sounded_pairs(tl), 1, 4)
+        extract_recurrent_patterns(key_relative_events(tl), 1, 4)
     with pytest.raises(ValueError):
-        extract_recurrent_patterns(sounded_pairs(tl), 3, 2)
+        extract_recurrent_patterns(key_relative_events(tl), 3, 2)
 
 
 def test_lharp_worked_example():
@@ -707,6 +707,21 @@ def matrix_corpus():
         make_timeline([rng.choice(POOL) for _ in range(rng.randint(3, 10))],
                       key=rng.choice(KEYS), piece_id=f"random{i}")
         for i in range(4)]
+
+
+def test_lharp_matrix_walks_each_piece_once(monkeypatch):
+    # The codes and the pattern windows read one list of key-relative profiles.
+    walked = []
+    sounded = Timeline.sounded
+
+    def counting(timeline):
+        walked.append(timeline.id)
+        return sounded(timeline)
+
+    monkeypatch.setattr(Timeline, "sounded", counting)
+    corpus = matrix_corpus()
+    corpus_similarity_matrix(corpus, _Lharp())
+    assert walked == [tl.id for tl in corpus]
 
 
 @pytest.mark.parametrize("measure, params", [

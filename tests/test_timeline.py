@@ -29,8 +29,8 @@ from harmory.timeline import (
     write_chart,
     _to_fraction,
 )
-from harmory.tps import Key, key_relative_value
-from tests.conftest import chords, make_timeline
+from harmory.tps import Key, profile_distance
+from tests.conftest import chords, make_timeline, tonic_triad_distance
 
 JAMS_FIXTURE = json.dumps({
     "file_metadata": {
@@ -384,7 +384,7 @@ def bisect_encode(timeline, grid):
     sounded = [(i, e) for i, e in enumerate(timeline.events) if not e.chord.is_nochord]
     event_values = [None] * len(timeline.events)
     for i, e in sounded:
-        event_values[i] = key_relative_value(e.chord, bisect_key_at(timeline, e.start))
+        event_values[i] = tonic_triad_distance(e.chord, bisect_key_at(timeline, e.start))
     if grid == "event":
         return tuple((event_values[i], e.duration) for i, e in sounded)
     start = timeline.events[0].start
@@ -451,16 +451,18 @@ def test_encode_costs_each_distinct_event_once(monkeypatch):
 
     costed = []
 
-    def counting(chord, key):
-        costed.append((chord, key))
-        return key_relative_value(chord, key)
+    def counting(triad, p):
+        costed.append(p)
+        return profile_distance(triad, p)
 
-    monkeypatch.setattr(tps, "key_relative_value", counting)
+    monkeypatch.setattr(tps, "profile_distance", counting)
     tl = make_timeline(["C:maj", "G:maj", "C:maj", "N", "G:maj", "A:min"])
     for grid in ("event", "beat"):
         costed.clear()
         encode_tps(tl, grid)
-        assert costed == [(parse_chord(s), Key(0)) for s in ("C:maj", "G:maj", "A:min")]
+        expected = tps.key_relative_profiles((parse_chord(s), Key(0))
+                                             for s in ("C:maj", "G:maj", "A:min"))
+        assert sorted(costed) == sorted(expected)
 
 
 def test_estimate_key_prefers_best_coverage():

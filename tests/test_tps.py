@@ -16,16 +16,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmory.harte import NO_CHORD, NoChordError, parse_chord, pitch_class_set, transpose_chord
+from harmory.harte import (NO_CHORD, SHORTHANDS, NoChordError, parse_chord, pitch_class_set,
+                           transpose_chord)
 import harmory.tps as tps
 from harmory.tps import (
     Key,
     chord_distance,
     fifths_distance,
-    key_relative_value,
+    key_relative_profiles,
+    key_relative_values,
     profile,
 )
-from tests.conftest import chords, transposed_to_c
+from tests.conftest import chords, tonic_triad_distance, transposed_to_c
 
 MAJOR = Key.from_string("C:maj")
 LEVELS = ("root_level", "fifth_level", "chord_level", "diatonic_level")
@@ -148,12 +150,54 @@ def test_hand_oracle_values():
     assert chord_distance(tonic, MAJOR, parse_chord("F:maj"), MAJOR) == 5.0
 
 
-def test_key_relative_value_examples():
-    assert key_relative_value(parse_chord("C:maj"), MAJOR) == 0.0
-    assert key_relative_value(parse_chord("G:maj"), MAJOR) == 5.0
-    assert key_relative_value(parse_chord("A:min"), MAJOR) == 7.0
+def key_relative_value(symbol: str, key: Key) -> float:
+    return key_relative_values(key_relative_profiles([(parse_chord(symbol), key)]))[0]
+
+
+def test_key_relative_values_examples():
+    assert key_relative_value("C:maj", MAJOR) == 0.0
+    assert key_relative_value("G:maj", MAJOR) == 5.0
+    assert key_relative_value("A:min", MAJOR) == 7.0
     minor = Key.from_string("A:min")
-    assert key_relative_value(parse_chord("A:min"), minor) == 0.0
+    assert key_relative_value("A:min", minor) == 0.0
+
+
+def assert_values_follow_profiles(chord_list):
+    """Under all 24 keys, ``key_relative_values`` gives each event its
+    reference value, and equal key-relative profiles never have different
+    reference values: the value is a function of the profile alone."""
+    events = [(chord, Key(tonic, mode)) for chord in chord_list
+              for tonic in range(12) for mode in ("major", "minor")]
+    profiles = key_relative_profiles(events)
+    expected = [tonic_triad_distance(chord, key) for chord, key in events]
+    assert key_relative_values(profiles) == expected
+    by_profile = {}
+    for p, value in zip(profiles, expected):
+        assert by_profile.setdefault(p, value) == value
+
+
+def test_key_relative_values_of_every_shorthand():
+    assert_values_follow_profiles([parse_chord(f"C:{name}") for name in SHORTHANDS])
+
+
+@given(st.lists(chords(), min_size=1, max_size=4))
+@settings(max_examples=100)
+def test_key_relative_values_of_random_degree_sets(chord_list):
+    assert_values_follow_profiles(chord_list)
+
+
+@pytest.mark.parametrize("symbol, major, minor, one_profile", [
+    # Both scales lie in the diatonic level under C:maj, yet the mode is major.
+    ("Ab:maj", 10.0, 8.0, False),
+    # Both thirds and both sixths: C:maj and C:min give one profile.
+    ("C:(b3,10,b6,13)", 2.5, 2.5, True),
+])
+def test_key_relative_values_under_c_major_and_c_minor(symbol, major, minor, one_profile):
+    events = [(parse_chord(symbol), Key(0, mode)) for mode in ("major", "minor")]
+    profiles = key_relative_profiles(events)
+    assert (profiles[0] == profiles[1]) is one_profile
+    assert key_relative_values(profiles) == [major, minor]
+    assert [tonic_triad_distance(*event) for event in events] == [major, minor]
 
 
 def test_matches_reference_oracle_on_triads():
