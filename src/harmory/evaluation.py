@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from harmory.harte import Chord, Degree, natural_for_pitch_class
-from harmory.similarity import _Dtw, _Tpsd, compare_pieces, corpus_similarity_matrix
+from harmory.similarity import Warps, _Dtw, _Tpsd, compare_pieces, corpus_similarity_matrix
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline
 from harmory.tps import MAJOR_STEPS, MINOR_STEPS, Key
 
@@ -121,8 +121,8 @@ def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, steps=_Dtw()) ->
 
 def comparison_counts(a: Timeline, b: Timeline, steps) -> int:
     """The exact number of elementary comparisons ``steps`` makes on the pair."""
-    vocab: dict = {}
-    return steps.comparisons(steps.prepare(a, vocab), steps.prepare(b, vocab))
+    shared = Warps()
+    return steps.comparisons(steps.prepare(a, shared), steps.prepare(b, shared))
 
 
 def check_repetitions(repetitions: int) -> None:

@@ -21,7 +21,7 @@ from urllib.parse import quote, unquote
 
 from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
-from harmory.similarity import DEFAULT_SCALE, _dtw, dtw_lower_bounds
+from harmory.similarity import DEFAULT_SCALE, Warps, _dtw
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, estimate_key
 from harmory.tps import Key, distance_table, intern, key_relative_profiles
 
@@ -225,23 +225,17 @@ def build_memory(corpus: list[Timeline],
                                   tuple(s.id for s in piece_segments))
         segments.update((s.id, s) for s in piece_segments)
     ordered = sorted(segments)
-    vocab: dict = {}
-    sequences: dict[tuple[int, ...], int] = {}  # distinct code sequence -> its index
-    sequence_of = {seg_id: sequences.setdefault(
-        tuple(intern(key_relative_profiles(segments[seg_id].events()), vocab)), len(sequences))
+    shared = Warps()
+    sequence_of = {seg_id: shared.register(
+        intern(key_relative_profiles(segments[seg_id].events()), shared.vocab))
         for seg_id in ordered}
-    distinct = list(sequences)
-    table = distance_table(vocab, vocab)
-    bounds = dtw_lower_bounds(distinct, distinct, table).tolist()
-    warped: dict[tuple[int, int], float] = {}
+    every = range(len(shared.sequences))
+    bounds = shared.bounds(every, every).tolist()
 
     def score(a: str, b: str) -> float:
-        """The exact score of two segments; dtw is symmetric, so one warp
-        serves both orders."""
-        key = tuple(sorted((sequence_of[a], sequence_of[b])))
-        if key not in warped:
-            warped[key] = _segment_score(distinct[key[0]], distinct[key[1]], table, scale)
-        return warped[key]
+        """The exact score of two segments, warped once a sequence pair."""
+        return shared.value(sequence_of[a], sequence_of[b],
+                            lambda x, y, table: _segment_score(x, y, table, scale))
 
     # A pair is warped only when its bound leaves it able to reach the threshold.
     may_merge = [[exp(-lb / scale) >= theta_merge for lb in row] for row in bounds]

@@ -193,6 +193,45 @@ def dtw_lower_bounds(rows: list, columns: list, table: list[list[float]]):
     return np.maximum(summed, corners) / (n[:, None] + m - 1)
 
 
+class Warps:
+    """What one measure call shares over the pieces it prepares: their
+    profile vocabulary, its distance table (built when first read, after
+    the last piece is prepared), the distinct code sequences registered,
+    their bounds, and each unordered pair's value, computed at most once.
+    One lives for one call, so nothing it stores outlives the call."""
+
+    def __init__(self):
+        self.vocab, self.sequences, self._index, self._values = {}, [], {}, {}
+        self._table = None
+
+    @property
+    def table(self) -> list[list[float]]:
+        if self._table is None:
+            self._table = distance_table(self.vocab, self.vocab)
+        return self._table
+
+    def register(self, codes) -> int:
+        """The index of the code sequence ``codes``, added if it is new."""
+        if (codes := tuple(codes)) not in self._index:
+            self._index[codes] = len(self.sequences)
+            self.sequences.append(codes)
+        return self._index[codes]
+
+    def bounds(self, rows, columns):
+        """``dtw_lower_bounds`` of the sequences indexed by ``rows`` against
+        those indexed by ``columns``; an entry depends on its pair alone."""
+        return dtw_lower_bounds([self.sequences[x] for x in rows],
+                                [self.sequences[y] for y in columns], self.table)
+
+    def value(self, x: int, y: int, score) -> float:
+        """``score(a, b, table)`` of the sequences indexed by ``x`` and ``y``,
+        computed once, in the order first asked: ``score`` is symmetric."""
+        key = (x, y) if x <= y else (y, x)
+        if key not in self._values:
+            self._values[key] = score(self.sequences[x], self.sequences[y], self.table)
+        return self._values[key]
+
+
 def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
                   n_min: int = 2, n_max: int = 4, tau: float = 1.0) -> None:
     """The one range check of the measures' parameters."""
@@ -246,11 +285,15 @@ def _covered_runs(patterns) -> dict[int, tuple[int, int]]:
     return {i: (start, stop) for start, stop in runs for i in range(start, stop)}
 
 
+def _warp_cost(a, b, table) -> float:
+    return _dtw(a, b, table=table).normalized_cost
+
+
 # Each measure is declared once, by its step class: ``name`` is the
 # measure's, and the fields are its parameters.  ``prepare`` does a
-# piece's own work once, over a vocabulary shared with every piece it
-# meets; ``compare`` scores two prepared pieces against its distance
-# table; ``comparisons`` counts what ``compare`` does.
+# piece's own work once, into the ``Warps`` shared with every piece it
+# meets; ``compare`` scores two prepared pieces with it; ``comparisons``
+# counts what ``compare`` does.
 
 
 @dataclass(frozen=True)
@@ -268,11 +311,11 @@ class _Dtw:
         width = max(n, m) if self.band is None else max(self.band, abs(n - m))
         return sum(min(m, i + width + 1) - max(0, i - width) for i in range(n))
 
-    def prepare(self, timeline: Timeline, vocab: dict) -> list[int]:
-        return intern(key_relative_events(timeline), vocab)
+    def prepare(self, timeline: Timeline, shared: Warps) -> list[int]:
+        return intern(key_relative_events(timeline), shared.vocab)
 
-    def compare(self, ca: list[int], cb: list[int], table) -> SimilarityReport:
-        cost = _dtw(ca, cb, self.band, table=table).normalized_cost
+    def compare(self, ca: list[int], cb: list[int], shared: Warps) -> SimilarityReport:
+        cost = _dtw(ca, cb, self.band, table=shared.table).normalized_cost
         return SimilarityReport(self.name, exp(-cost / self.scale), cost, asdict(self))
 
 
@@ -291,12 +334,12 @@ class _Tpsd:
     def comparisons(self, va, vb) -> int:
         return len(va) * len(vb)
 
-    def prepare(self, timeline: Timeline, vocab: dict):
+    def prepare(self, timeline: Timeline, shared: Warps):
         import numpy as np
 
         return np.array([v for v, _ in encode_tps(timeline, "beat").values])
 
-    def compare(self, va, vb, table) -> SimilarityReport:
+    def compare(self, va, vb, shared: Warps) -> SimilarityReport:
         import numpy as np
 
         short, long_ = (va, vb) if len(va) <= len(vb) else (vb, va)
@@ -334,21 +377,21 @@ class _Lharp:
         """The pattern pairs ``compare`` bounds."""
         return len(a[1]) * len(b[1])
 
-    def prepare(self, timeline: Timeline, vocab: dict):
+    def prepare(self, timeline: Timeline, shared: Warps):
+        """The codes, and each pattern with the index of its code slice."""
         profiles = key_relative_events(timeline)
-        codes = intern(profiles, vocab)
-        return codes, [(p, tuple(codes[p.positions[0]:p.positions[0] + p.length]))
+        codes = intern(profiles, shared.vocab)
+        return codes, [(p, shared.register(codes[p.positions[0]:p.positions[0] + p.length]))
                        for p in extract_recurrent_patterns(profiles, self.n_min, self.n_max)]
 
-    def compare(self, a, b, table) -> SimilarityReport:
+    def compare(self, a, b, shared: Warps) -> SimilarityReport:
         (ca, patterns_a), (cb, patterns_b) = a, b
         # Only a pattern pair whose bound is within tau can agree.
-        bounds = dtw_lower_bounds([s for _, s in patterns_a], [s for _, s in patterns_b], table)
-        agreeing = []
-        for x, y in zip(*(bounds <= self.tau).nonzero()):
-            (p, slice_a), (q, slice_b) = patterns_a[x], patterns_b[y]
-            if _dtw(slice_a, slice_b, table=table).normalized_cost <= self.tau:
-                agreeing.append((p, q))
+        bounds = shared.bounds([x for _, x in patterns_a], [y for _, y in patterns_b])
+        agreeing = [(patterns_a[x][0], patterns_b[y][0])
+                    for x, y in zip(*(bounds <= self.tau).nonzero())
+                    if shared.value(patterns_a[x][1], patterns_b[y][1], _warp_cost) <= self.tau]
+        table = shared.table
         runs_a = _covered_runs({p for p, _ in agreeing})
         runs_b = _covered_runs({q for _, q in agreeing})
         coverage_a, coverage_b = Fraction(len(runs_a), len(ca)), Fraction(len(runs_b), len(cb))
@@ -369,10 +412,9 @@ MEASURES = {steps.name: steps for steps in (_Dtw, _Tpsd, _Lharp)}
 
 
 def _prepared(steps, a: Timeline, b: Timeline):
-    """Both pieces prepared over one vocabulary, and its table."""
-    vocab: dict = {}
-    pa, pb = steps.prepare(a, vocab), steps.prepare(b, vocab)
-    return pa, pb, distance_table(vocab, vocab)
+    """Both pieces prepared into one ``Warps``, and it."""
+    shared = Warps()
+    return steps.prepare(a, shared), steps.prepare(b, shared), shared
 
 
 def compare_pieces(steps, a: Timeline, b: Timeline) -> SimilarityReport:
@@ -381,8 +423,8 @@ def compare_pieces(steps, a: Timeline, b: Timeline) -> SimilarityReport:
 
 
 def dtw_align(a: Timeline, b: Timeline, band: int | None = None) -> Alignment:
-    ca, cb, table = _prepared(_Dtw(band=band), a, b)
-    return _dtw(ca, cb, band, table=table)
+    ca, cb, shared = _prepared(_Dtw(band=band), a, b)
+    return _dtw(ca, cb, band, table=shared.table)
 
 
 def tpsd(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE) -> SimilarityReport:
@@ -397,22 +439,21 @@ def lharp(a: Timeline, b: Timeline, tau: float = 1.0, n_min: int = 2,
 def corpus_similarity_matrix(corpus: list[Timeline], steps=_Dtw()):
     """Score every unordered pair with the step instance ``steps``;
     returns (ids, matrix) with unit diagonal.  Each piece is prepared
-    once, over one vocabulary and table for the corpus."""
+    once, into one ``Warps`` for the corpus."""
     import numpy as np
 
     ids = [tl.id for tl in corpus]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate piece ids in corpus")
-    vocab: dict = {}
+    shared = Warps()
     prepared = []
     for timeline in corpus:
         try:
-            prepared.append(steps.prepare(timeline, vocab))
+            prepared.append(steps.prepare(timeline, shared))
         except Exception as err:  # reported with the first pair holding the piece
             prepared.append(err)
     if len(prepared) == 1 and isinstance(prepared[0], Exception):
         raise prepared[0]  # no pair holds the piece
-    table = distance_table(vocab, vocab)
     n = len(corpus)
     matrix = np.eye(n)
     for i in range(n):
@@ -421,7 +462,7 @@ def corpus_similarity_matrix(corpus: list[Timeline], steps=_Dtw()):
                 for k in (i, j):
                     if isinstance(prepared[k], Exception):
                         raise prepared[k]
-                matrix[i, j] = matrix[j, i] = steps.compare(prepared[i], prepared[j], table).score
+                matrix[i, j] = matrix[j, i] = steps.compare(prepared[i], prepared[j], shared).score
             except EmptyTimelineError as err:  # a usage error: the command exits 2
                 raise EmptyTimelineError(f"{ids[i]} vs {ids[j]}: {err}") from err
             except Exception as err:

@@ -143,11 +143,19 @@ def exhaustive_lharp(a, b, tau=1.0, n_min=2, n_max=4):
     """``similarity.lharp`` with every pattern pair warped and no bound
     consulted: the reference the bounded skip must reproduce exactly."""
     from harmory.similarity import (LocalRegion, SimilarityReport, _covered_runs, _dtw,
-                                    _Lharp)
-    from harmory.tps import distance_table
+                                    extract_recurrent_patterns, key_relative_events)
+    from harmory.tps import distance_table, intern
 
-    steps, vocab = _Lharp(tau, n_min, n_max), {}
-    (ca, patterns_a), (cb, patterns_b) = steps.prepare(a, vocab), steps.prepare(b, vocab)
+    vocab = {}
+
+    def codes_and_patterns(timeline):
+        """The piece's codes, and each pattern with the codes of its first occurrence."""
+        profiles = key_relative_events(timeline)
+        codes = intern(profiles, vocab)
+        return codes, [(p, codes[p.positions[0]:p.positions[0] + p.length])
+                       for p in extract_recurrent_patterns(profiles, n_min, n_max)]
+
+    (ca, patterns_a), (cb, patterns_b) = codes_and_patterns(a), codes_and_patterns(b)
     table = distance_table(vocab, vocab)
     agreeing = [(p, q) for p, slice_a in patterns_a for q, slice_b in patterns_b
                 if _dtw(slice_a, slice_b, table=table).normalized_cost <= tau]

@@ -442,6 +442,17 @@ def test_pruned_build_matches_the_oracle_at_edge_thresholds(theta_sim, theta_mer
                         exhaustive_memory(corpus, PARAMS, theta_sim, theta_merge, 5.0))
 
 
+@given(order=st.permutations(range(4)),
+       thresholds=st.sampled_from([(0.6, 0.9), (0.05, 0.05)]))
+@settings(max_examples=20, deadline=None)
+def test_build_exports_do_not_depend_on_the_corpus_order(order, thresholds):
+    """Whatever order the pieces come in, and so their segments' code
+    sequences are registered in, the graph exports the same bytes."""
+    corpus = fixture_corpus() + [modulating_piece()]
+    assert_same_exports(build_memory([corpus[i] for i in order], PARAMS, *thresholds),
+                        build_memory(corpus, PARAMS, *thresholds))
+
+
 def test_medoid_counts_the_pairs_the_bound_prunes_inside_a_pattern():
     """Five pieces chain into one pattern, though the bound prunes pairs
     inside it.  Counted as absent, those pairs would make p1 the medoid."""

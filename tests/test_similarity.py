@@ -214,6 +214,9 @@ def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data):
         for y, b in enumerate(columns):
             cost = _dtw(a, b, table=table).normalized_cost
             assert bounds[x, y] <= cost
+            # An entry depends on its own pair alone, in either order.
+            assert bounds[x, y] == dtw_lower_bounds([a], [b], table)[0, 0] \
+                == dtw_lower_bounds([b], [a], table)[0, 0]
             if len(a) == len(b) == 1:  # one cell: the bound is the cost
                 assert bounds[x, y] == cost
 
@@ -503,6 +506,30 @@ def test_lharp_matrix_warps_only_the_pattern_pairs_its_bound_admits(monkeypatch,
     assert all(bounded[pair] <= tau for pair in warped)
 
 
+def test_lharp_matrix_warps_each_distinct_slice_pair_once(monkeypatch):
+    """Within one matrix no unordered pair of pattern slices is warped
+    twice; a second matrix warps the same set again, so nothing stored
+    outlives the call."""
+    import harmory.similarity as similarity
+
+    warped = []
+
+    def counting_dtw(ca, cb, band=None, *, table):
+        if isinstance(ca, tuple):  # a pattern slice, not a region
+            warped.append(tuple(sorted((ca, cb))))
+        return _dtw(ca, cb, band, table=table)
+
+    monkeypatch.setattr(similarity, "_dtw", counting_dtw)
+    corpus = matrix_corpus()
+    runs = []
+    for _ in range(2):
+        warped.clear()
+        corpus_similarity_matrix(corpus, _Lharp())
+        assert 0 < len(warped) == len(set(warped))
+        runs.append(sorted(warped))
+    assert runs[0] == runs[1]
+
+
 def test_measure_symmetry():
     rng = random.Random(41)
     for _ in range(15):
@@ -746,12 +773,12 @@ def test_matrix_equals_pairwise_measures(measure, params):
     assert np.array_equal(matrix, expected)
 
 
-@pytest.mark.parametrize("measure, per_piece", [
-    ("dtw", ["key_relative_events"]),
-    ("tpsd", ["encode_tps"]),
-    ("lharp", ["key_relative_events", "extract_recurrent_patterns"]),
+@pytest.mark.parametrize("measure, per_piece, tables", [
+    ("dtw", ["key_relative_events"], 1),
+    ("tpsd", ["encode_tps"], 0),
+    ("lharp", ["key_relative_events", "extract_recurrent_patterns"], 1),
 ])
-def test_matrix_prepares_each_piece_once(monkeypatch, measure, per_piece):
+def test_matrix_prepares_each_piece_once(monkeypatch, measure, per_piece, tables):
     import harmory.similarity as similarity
 
     calls = {}
@@ -767,5 +794,7 @@ def test_matrix_prepares_each_piece_once(monkeypatch, measure, per_piece):
         monkeypatch.setattr(similarity, name, counting(name, getattr(similarity, name)))
     corpus = matrix_corpus()
     corpus_similarity_matrix(corpus, MEASURES[measure]())
-    # Each piece is prepared once, and one table serves the whole corpus.
-    assert calls == {**{name: len(corpus) for name in per_piece}, "distance_table": 1}
+    # Each piece is prepared once, and one table serves the whole corpus;
+    # tpsd reads none, so none is built.
+    counted = {**{name: len(corpus) for name in per_piece}, "distance_table": tables}
+    assert calls == {name: count for name, count in counted.items() if count}
