@@ -24,7 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from harmory.evaluation import (CliqueSet, benchmark_measures, check_repetitions,
+from harmory.evaluation import (CliqueSet, benchmark_measures, check_bench,
                                 evaluate_covers, synthetic_corpus)
 from harmory.harte import parse_chord, render_chord, bass_pitch_class, pitch_class_set
 from harmory.memory import (
@@ -255,7 +255,7 @@ def cmd_bench(args) -> int:
         if name not in MEASURES:
             raise ValueError(f"unknown measure {name!r}")
         measures.append(MEASURES[name]())
-    check_repetitions(args.repetitions)
+    check_bench(measures, args.repetitions)
     if not (args.synthetic or args.corpus):
         raise ValueError("bench needs a corpus directory or --synthetic")
     corpus = (synthetic_corpus(args.synthetic_pieces, args.synthetic_beats) if args.synthetic

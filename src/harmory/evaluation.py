@@ -125,9 +125,14 @@ def comparison_counts(a: Timeline, b: Timeline, steps) -> int:
     return steps.comparisons(steps.prepare(a, shared), steps.prepare(b, shared))
 
 
-def check_repetitions(repetitions: int) -> None:
-    if repetitions < 3:  # the one range check of bench's repetitions
+def check_bench(measures, repetitions: int) -> None:
+    """The one check of bench's parameters: >= 3 repetitions, and no measure
+    named twice, whose steps would be timed and counted under one name."""
+    if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions: {repetitions}")
+    for name, count in Counter(steps.name for steps in measures).items():
+        if count > 1:
+            raise ValueError(f"measure {name!r} named twice")
 
 
 def benchmark_measures(corpus: list[Timeline], measures=(_Dtw(), _Tpsd()),
@@ -137,7 +142,7 @@ def benchmark_measures(corpus: list[Timeline], measures=(_Dtw(), _Tpsd()),
     per-pair comparison counts, all counted before the first timing.
     Each repetition times the measures' passes in turn, reversed every
     other repetition."""
-    check_repetitions(repetitions)
+    check_bench(measures, repetitions)
     if len(corpus) < 2:
         raise ValueError("benchmark needs at least two pieces")
     pairs = [(a, b) for i, a in enumerate(corpus) for b in corpus[i + 1:]]

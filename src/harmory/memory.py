@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import exp
 from urllib.parse import quote, unquote
@@ -23,7 +24,7 @@ from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
 from harmory.similarity import DEFAULT_SCALE, Warps, _dtw
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, estimate_key
-from harmory.tps import Key, distance_table, intern, key_relative_profiles
+from harmory.tps import Key
 
 BASE = "urn:harmory:"
 
@@ -206,7 +207,7 @@ def build_memory(corpus: list[Timeline],
     The thresholds are checked as ``MemoryThresholds`` checks them.
     Only pairs whose exact score can change the graph are warped: each
     pair of distinct key-relative code sequences once, and only when
-    ``dtw_lower_bounds`` leaves the score able to reach the merge (or, for
+    ``Warps.bounds`` leaves the score able to reach the merge (or, for
     two medoids, the link) threshold.  Every pair inside a merged pattern
     is scored exactly, for the medoid.  The graph is the one that scoring
     every pair gives.
@@ -226,16 +227,15 @@ def build_memory(corpus: list[Timeline],
         segments.update((s.id, s) for s in piece_segments)
     ordered = sorted(segments)
     shared = Warps()
-    sequence_of = {seg_id: shared.register(
-        intern(key_relative_profiles(segments[seg_id].events()), shared.vocab))
-        for seg_id in ordered}
+    sequence_of = dict(zip(ordered, shared.register_events(
+        [segments[seg_id].events() for seg_id in ordered])))
     every = range(len(shared.sequences))
     bounds = shared.bounds(every, every).tolist()
+    price = partial(_segment_score, scale=scale)
 
     def score(a: str, b: str) -> float:
         """The exact score of two segments, warped once a sequence pair."""
-        return shared.value(sequence_of[a], sequence_of[b],
-                            lambda x, y, table: _segment_score(x, y, table, scale))
+        return shared.value(sequence_of[a], sequence_of[b], price)
 
     # A pair is warped only when its bound leaves it able to reach the threshold.
     may_merge = [[exp(-lb / scale) >= theta_merge for lb in row] for row in bounds]
@@ -476,20 +476,13 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     """
     chords = [c for c in query.chords if not c.is_nochord]
     key = query.key or estimate_key(chords)
-    probe_vocab, medoid_vocab = {}, {}
-    probe = intern(key_relative_profiles((chord, key) for chord in chords), probe_vocab)
     medoids = {pattern_id: graph.segments[pattern_id] for pattern_id in sorted(graph.patterns)}
-    # One pass over the events of every medoid in turn, cut back into one
-    # code list per medoid: the codes of one interning call per medoid.
-    every = intern(key_relative_profiles(chain.from_iterable(
-        medoid.events() for medoid in medoids.values())), medoid_vocab)
-    codes, end = {}, 0
-    for pattern_id, medoid in medoids.items():
-        start, end = end, end + len(medoid.chords)
-        codes[pattern_id] = every[start:end]
-    table = distance_table(probe_vocab, medoid_vocab)
-    scores = {pattern_id: exp(-_dtw(probe, codes[pattern_id], table=table).normalized_cost
-                              / scale) for pattern_id in medoids}
+    shared = Warps()
+    probe, *sequences = shared.register_events(
+        [[(chord, key) for chord in chords], *(medoid.events() for medoid in medoids.values())])
+    price = partial(_segment_score, scale=scale)
+    scores = {pattern_id: shared.value(probe, sequence, price)
+              for pattern_id, sequence in zip(medoids, sequences)}
     top = sorted(scores, key=lambda pattern_id: (-scores[pattern_id], pattern_id))[:query.k]
     return [(pattern_id, scores[pattern_id], chord_sequence(medoids[pattern_id]))
             for pattern_id in top]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import exp, inf, isfinite
 from typing import ClassVar
 
@@ -144,65 +145,18 @@ def _backtrack(acc, n: int, m: int, up_first: bool) -> tuple[list[tuple[int, int
     return path, tied
 
 
-def dtw_lower_bounds(rows: list, columns: list, table: list[list[float]]):
-    """``lb[x, y] <= _dtw(rows[x], columns[y], table=table).normalized_cost``
-    for every pair, as a numpy matrix (empty when either side is).
-
-    A warping path visits every row and every column and both corner
-    cells (one cell when both sequences have one code), and it has at most
-    n + m - 1 steps.  So ``lb`` is the largest of the summed row minima
-    (each code of ``rows[x]`` at its cheapest cell to ``columns[y]``), the
-    summed column minima and the corner costs, over n + m - 1.  This is
-    the cascading LB_Kim / LB_Keogh idea of Rakthanmanon et al. (KDD 2012).
-    Table entries are half-integers, so every sum is exact in float64, and
-    ``lb > t`` proves ``normalized_cost > t``.
-    """
-    import numpy as np
-
-    if not rows or not columns:
-        return np.zeros((len(rows), len(columns)))
-    size = len(table)
-    # Code ``size`` pads the sequences to one width: every cell to it costs
-    # inf, so it is never the cheapest, and its summed minimum is 0.
-    grid = np.full((size + 1, size + 1), inf)
-    grid[:size, :size] = table
-
-    def padded(sequences):
-        """The codes, a padded sequence a row, and the sequences' lengths."""
-        width = max(map(len, sequences))
-        return (np.array([[*seq, *[size] * (width - len(seq))] for seq in sequences]),
-                np.array([len(seq) for seq in sequences]))
-
-    def summed_minima(codes, others, cells):
-        """``out[x, y]``: the sum over the codes of ``codes[x]`` of the
-        cheapest ``cells`` entry to a code of ``others[y]``."""
-        nearest = cells[:, others[:, 0]]
-        for k in range(1, others.shape[1]):
-            np.minimum(nearest, cells[:, others[:, k]], out=nearest)
-        nearest[size] = 0.0
-        total = nearest[codes[:, 0]]
-        for k in range(1, codes.shape[1]):
-            total += nearest[codes[:, k]]
-        return total
-
-    (rc, n), (cc, m) = padded(rows), padded(columns)
-    first = grid[rc[:, :1], cc[:, 0]]
-    last = grid[rc[np.arange(len(rc)), n - 1][:, None], cc[np.arange(len(cc)), m - 1]]
-    corners = first + np.where((n == 1)[:, None] & (m == 1), 0.0, last)
-    summed = np.maximum(summed_minima(rc, cc, grid), summed_minima(cc, rc, grid.T).T)
-    return np.maximum(summed, corners) / (n[:, None] + m - 1)
-
-
 class Warps:
     """What one measure call shares over the pieces it prepares: their
-    profile vocabulary, its distance table (built when first read, after
-    the last piece is prepared), the distinct code sequences registered,
-    their bounds, and each unordered pair's value, computed at most once.
-    One lives for one call, so nothing it stores outlives the call."""
+    profile vocabulary, its distance table, the distinct code sequences
+    registered, and each unordered pair's value, computed at most once.
+    The table is built when first read, after the last piece is prepared,
+    and the padded arrays that bound the sequences on the first bound
+    after the last registration.  One lives for one call, so nothing it
+    stores outlives the call."""
 
     def __init__(self):
         self.vocab, self.sequences, self._index, self._values = {}, [], {}, {}
-        self._table = None
+        self._table = self._padded = None
 
     @property
     def table(self) -> list[list[float]]:
@@ -215,13 +169,66 @@ class Warps:
         if (codes := tuple(codes)) not in self._index:
             self._index[codes] = len(self.sequences)
             self.sequences.append(codes)
+            self._padded = None
         return self._index[codes]
 
+    def register_events(self, event_lists: list) -> list[int]:
+        """The index of each list of (chord, key) events' code sequence, all
+        of them profiled and interned in one ``key_relative_profiles`` pass."""
+        codes = intern(key_relative_profiles(chain.from_iterable(event_lists)), self.vocab)
+        indices, end = [], 0
+        for events in event_lists:
+            start, end = end, end + len(events)
+            indices.append(self.register(codes[start:end]))
+        return indices
+
     def bounds(self, rows, columns):
-        """``dtw_lower_bounds`` of the sequences indexed by ``rows`` against
-        those indexed by ``columns``; an entry depends on its pair alone."""
-        return dtw_lower_bounds([self.sequences[x] for x in rows],
-                                [self.sequences[y] for y in columns], self.table)
+        """``lb[x, y] <= _dtw(a, b, table=self.table).normalized_cost`` for
+        the sequences a and b indexed by ``rows[x]`` and ``columns[y]``, as a
+        numpy matrix (empty when either side is).
+
+        A warping path visits every row and every column and both corner
+        cells (one cell when both sequences have one code), and it has at most
+        n + m - 1 steps.  So ``lb`` is the largest of the summed row minima
+        (each code of a at its cheapest cell to b), the summed column minima
+        and the corner costs, over n + m - 1.  This is the cascading LB_Kim /
+        LB_Keogh idea of Rakthanmanon et al. (KDD 2012).  Table entries are
+        half-integers, so every sum is exact in float64, an entry depends on
+        its pair alone, and ``lb > t`` proves ``normalized_cost > t``.
+        """
+        import numpy as np
+
+        if not rows or not columns:
+            return np.zeros((len(rows), len(columns)))
+        size = len(self.table)
+        if self._padded is None:
+            # Code ``size`` pads the sequences to one width: every cell to it
+            # costs inf, so it is never the cheapest, and its summed minimum is 0.
+            grid = np.full((size + 1, size + 1), inf)
+            grid[:size, :size] = self.table
+            width = max(map(len, self.sequences))
+            padded = [[*seq, *[size] * (width - len(seq))] for seq in self.sequences]
+            self._padded = grid, np.array(padded), np.array([len(seq) for seq in self.sequences])
+        grid, codes, lengths = self._padded
+
+        def summed_minima(codes, others, cells):
+            """``out[x, y]``: the sum over the codes of ``codes[x]`` of the
+            cheapest ``cells`` entry to a code of ``others[y]``."""
+            nearest = cells[:, others[:, 0]]
+            for k in range(1, others.shape[1]):
+                np.minimum(nearest, cells[:, others[:, k]], out=nearest)
+            nearest[size] = 0.0
+            total = nearest[codes[:, 0]]
+            for k in range(1, codes.shape[1]):
+                total += nearest[codes[:, k]]
+            return total
+
+        rc, n, cc, m = codes[rows], lengths[rows], codes[columns], lengths[columns]
+        first = grid[rc[:, :1], cc[:, 0]]
+        last = grid[rc[np.arange(len(rc)), n - 1][:, None], cc[np.arange(len(cc)), m - 1]]
+        corners = first + np.where((n == 1)[:, None] & (m == 1), 0.0, last)
+        summed = np.maximum(summed_minima(rc, cc, grid), summed_minima(cc, rc, grid.T).T)
+        return np.maximum(summed, corners) / (n[:, None] + m - 1)
 
     def value(self, x: int, y: int, score) -> float:
         """``score(a, b, table)`` of the sequences indexed by ``x`` and ``y``,

@@ -550,10 +550,11 @@ def test_each_measure_gets_exactly_its_step_class_fields(capsys, tmp_path, monke
      "--scale must be > 0, got 0.0"),
     (["bench", "{missing}", "--measures", "dtw,nope"], "unknown measure 'nope'"),
     (["bench", "{missing}", "--repetitions", "2"], "need at least 3 repetitions: 2"),
+    (["bench", "{missing}", "--measures", "dtw,tpsd,dtw"], "measure 'dtw' named twice"),
     (["build", "{missing}", "--theta-sim", "0"], "theta_sim must be in (0, 1]: 0.0"),
     (["query", "{missing}.nt", "C:maj", "-k", "0"], "need at least one sounded chord and k >= 1"),
-], ids=["sim", "sim-tau", "matrix", "eval-covers", "bench", "bench-repetitions", "build",
-        "query"])
+], ids=["sim", "sim-tau", "matrix", "eval-covers", "bench", "bench-repetitions",
+        "bench-twice", "build", "query"])
 def test_parameters_are_checked_before_any_input_is_read(capsys, tmp_path, argv, message):
     """A bad parameter is reported as itself, not as the missing input
     that a command would read first, and nothing is written."""

@@ -330,6 +330,9 @@ def test_benchmark_validations():
         benchmark_measures(corpus, repetitions=2)
     with pytest.raises(ValueError):
         benchmark_measures(corpus[:1], repetitions=3)
+    # Two dtw steps would be timed and counted under one name.
+    with pytest.raises(ValueError, match="^measure 'dtw' named twice$"):
+        benchmark_measures(corpus, (_Dtw(), _Tpsd(), _Dtw(band=2)), repetitions=3)
 
 
 def test_diatonic_triads_major():

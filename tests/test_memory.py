@@ -45,8 +45,7 @@ from harmory.memory import (
     segment_to_timeline,
 )
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
-from harmory.similarity import (DEFAULT_SCALE, _Dtw, _dtw, compare_pieces, dtw_align,
-                                dtw_lower_bounds)
+from harmory.similarity import DEFAULT_SCALE, Warps, _Dtw, _dtw, compare_pieces, dtw_align
 from harmory.timeline import estimate_key, load_jams, transpose
 from harmory.tps import Key, distance_table, intern, key_relative_profiles
 from tests.conftest import chords, make_timeline, strict_json
@@ -463,10 +462,9 @@ def test_medoid_counts_the_pairs_the_bound_prunes_inside_a_pattern():
     graph = build_memory(corpus, params, theta_sim=0.6, theta_merge=0.6, scale=2.0)
     assert list(graph.patterns) == ["p2/seg/0"]
     assert len(graph.patterns["p2/seg/0"].members) == 5
-    vocab = {}
-    codes = [intern(key_relative_profiles(segment.events()), vocab)
-             for segment in graph.segments.values()]
-    bounds = dtw_lower_bounds(codes, codes, distance_table(vocab, vocab))
+    shared = Warps()
+    codes = shared.register_events([segment.events() for segment in graph.segments.values()])
+    bounds = shared.bounds(codes, codes)
     assert (np.exp(-bounds / 2.0) < 0.6).any()
     assert_same_exports(graph, exhaustive_memory(corpus, params, 0.6, 0.6, 2.0))
 
@@ -485,6 +483,30 @@ def test_each_ordered_sequence_pair_is_warped_at_most_once(monkeypatch):
     assert 0 < len(warped) < n * (n - 1) // 2
     assert len(warped) == len({tuple(sorted(pair)) for pair in warped})
     assert export_ntriples(graph) == (DATA / "memory_golden.nt").read_bytes()
+
+
+def test_build_and_query_profile_their_sequences_in_one_pass(monkeypatch):
+    """The build profiles every segment, and a query its probe and every
+    medoid, in one ``key_relative_profiles`` pass."""
+    import harmory.similarity as similarity
+    import harmory.tps as tps
+
+    calls = []
+    profiles = tps.key_relative_profiles
+
+    def counting(events):
+        calls.append(events)
+        return profiles(events)
+
+    for module in (tps, similarity, memory):
+        if hasattr(module, "key_relative_profiles"):
+            monkeypatch.setattr(module, "key_relative_profiles", counting)
+    graph = build_memory(fixture_corpus(), PARAMS)
+    assert len(calls) == 1 < len(graph.segments)
+    assert export_ntriples(graph) == (DATA / "memory_golden.nt").read_bytes()
+    calls.clear()
+    query_similar(graph, PatternQuery(chords=(parse_chord("C:maj"), parse_chord("G:maj"))))
+    assert len(calls) == 1 < len(graph.patterns)
 
 
 def test_one_warp_serves_both_orders_of_a_pair():

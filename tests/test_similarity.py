@@ -27,6 +27,7 @@ from harmory.harte import parse_chord
 from harmory.similarity import (
     MEASURES,
     Alignment,
+    Warps,
     _Dtw,
     _Lharp,
     _Tpsd,
@@ -35,7 +36,6 @@ from harmory.similarity import (
     compare_pieces,
     corpus_similarity_matrix,
     dtw_align,
-    dtw_lower_bounds,
     extract_recurrent_patterns,
     key_relative_events,
     lharp,
@@ -208,15 +208,25 @@ def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data):
     codes = st.lists(st.integers(0, len(vocab) - 1), min_size=1, max_size=7)
     rows = data.draw(st.lists(codes, min_size=0, max_size=4))
     columns = data.draw(st.lists(codes, min_size=0, max_size=5))
-    bounds = dtw_lower_bounds(rows, columns, table)
+    shared = Warps()
+    shared.vocab = vocab
+    bounds = shared.bounds([shared.register(a) for a in rows],
+                           [shared.register(b) for b in columns])
     assert bounds.shape == (len(rows), len(columns))
     for x, a in enumerate(rows):
         for y, b in enumerate(columns):
             cost = _dtw(a, b, table=table).normalized_cost
             assert bounds[x, y] <= cost
-            # An entry depends on its own pair alone, in either order.
-            assert bounds[x, y] == dtw_lower_bounds([a], [b], table)[0, 0] \
-                == dtw_lower_bounds([b], [a], table)[0, 0]
+            # An entry depends on its own pair alone, in either order: not on
+            # the other sequences registered, nor on the width they pad to.
+            i, j = shared.register(a), shared.register(b)
+            assert bounds[x, y] == shared.bounds([i], [j])[0, 0] == shared.bounds([j], [i])[0, 0]
+            for first, second in ((a, b), (b, a)):
+                alone = Warps()
+                alone.vocab = vocab
+                i, j = alone.register(first), alone.register(second)
+                assert bounds[x, y] == alone.bounds([i], [j])[0, 0] \
+                    == alone.bounds([j], [i])[0, 0]
             if len(a) == len(b) == 1:  # one cell: the bound is the cost
                 assert bounds[x, y] == cost
 
@@ -482,11 +492,12 @@ def test_lharp_matrix_warps_only_the_pattern_pairs_its_bound_admits(monkeypatch,
     from harmory.evaluation import comparison_counts
 
     bounded, warped = {}, []
+    bounds_of = similarity.Warps.bounds
 
-    def recording_bounds(rows, columns, table):
-        bounds = dtw_lower_bounds(rows, columns, table)
-        bounded.update(((r, c), bounds[x, y]) for x, r in enumerate(rows)
-                       for y, c in enumerate(columns))
+    def recording_bounds(shared, rows, columns):
+        bounds = bounds_of(shared, rows, columns)
+        bounded.update(((shared.sequences[r], shared.sequences[c]), bounds[x, y])
+                       for x, r in enumerate(rows) for y, c in enumerate(columns))
         return bounds
 
     def counting_dtw(ca, cb, band=None, *, table):
@@ -495,7 +506,7 @@ def test_lharp_matrix_warps_only_the_pattern_pairs_its_bound_admits(monkeypatch,
             warped.append((ca, cb))
         return _dtw(ca, cb, band, table=table)
 
-    monkeypatch.setattr(similarity, "dtw_lower_bounds", recording_bounds)
+    monkeypatch.setattr(similarity.Warps, "bounds", recording_bounds)
     monkeypatch.setattr(similarity, "_dtw", counting_dtw)
     corpus = matrix_corpus()
     _, matrix = corpus_similarity_matrix(corpus, _Lharp(tau=tau))
