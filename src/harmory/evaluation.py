@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from harmory.harte import Chord, Degree, natural_for_pitch_class
+from harmory.harte import FLAT_NAMES, Chord, parse_chord
 from harmory.similarity import Warps, _Dtw, _Tpsd, compare_pieces, corpus_similarity_matrix
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline
 from harmory.tps import MAJOR_STEPS, MINOR_STEPS, Key
@@ -41,15 +41,20 @@ class CliqueSet:
         except StopIteration:
             raise CliqueError("empty clique file") from None
         if header != ["piece_id", "clique_id"]:
-            raise CliqueError("clique CSV must start with header 'piece_id,clique_id'")
-        mapping = {}
+            raise CliqueError("line 1: clique CSV must start with header 'piece_id,clique_id'")
+        # A repeated row is read once; a second, different clique of a piece is an error.
+        first: dict[str, tuple[str, int]] = {}  # piece -> (clique, line)
         for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != 2:
-                raise CliqueError(f"bad clique row: {row!r}")
-            mapping[row[0]] = row[1]
-        return cls(mapping)
+                raise CliqueError(f"line {line}: bad clique row {row!r}, need piece_id,clique_id")
+            clique, first_line = first.setdefault(row[0], (row[1], line))
+            if clique != row[1]:
+                raise CliqueError(f"line {line}: a second clique {row[1]!r} of {row[0]}, "
+                                  f"not {clique!r} of line {first_line}")
+        return cls({piece_id: clique for piece_id, (clique, _) in first.items()})
 
     def clique_of(self, piece_id: str) -> str:
         if piece_id not in self.mapping:
@@ -122,7 +127,7 @@ def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, steps=_Dtw()) ->
 def comparison_counts(a: Timeline, b: Timeline, steps) -> int:
     """The exact number of elementary comparisons ``steps`` makes on the pair."""
     shared = Warps()
-    return steps.comparisons(steps.prepare(a, shared), steps.prepare(b, shared))
+    return steps.comparisons(steps.prepare(a, shared), steps.prepare(b, shared), shared)
 
 
 def check_bench(measures, repetitions: int) -> None:
@@ -180,18 +185,15 @@ def diatonic_triad(key: Key, degree: int) -> Chord:
     """Triad on the given scale degree (0-based) of the key."""
     steps = MAJOR_STEPS if key.mode == "major" else MINOR_STEPS
     root = (key.tonic + steps[degree % 7]) % 12
-    quality = _TRIAD_QUALITIES[key.mode][degree % 7]
-    thirds = {"maj": (Degree(1), Degree(3), Degree(5)),
-              "min": (Degree(1), Degree(3, -1), Degree(5)),
-              "dim": (Degree(1), Degree(3, -1), Degree(5, -1)),
-              "aug": (Degree(1), Degree(3), Degree(5, 1))}
-    return Chord(root=natural_for_pitch_class(root),
-                 degrees=frozenset(thirds[quality]), shorthand=quality)
+    return parse_chord(f"{FLAT_NAMES[root]}:{_TRIAD_QUALITIES[key.mode][degree % 7]}")
 
 
 def synthetic_corpus(n_pieces: int = 16, total_beats: int = 256,
                      beats_per_event: int = 4) -> list[Timeline]:
     """Deterministic random-walk progressions for benchmarking."""
+    if total_beats < beats_per_event:
+        raise ValueError(f"--synthetic-beats must be >= {beats_per_event}, one event of "
+                         f"{beats_per_event} beats, got {total_beats}")
     corpus = []
     n_events = total_beats // beats_per_event
     for p in range(n_pieces):

@@ -15,14 +15,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain
-from math import exp
 from urllib.parse import quote, unquote
 
 from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
-from harmory.similarity import DEFAULT_SCALE, Warps, _dtw
+from harmory.similarity import DEFAULT_SCALE, Warps, _Dtw
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, estimate_key
 from harmory.tps import Key
 
@@ -192,10 +190,9 @@ def segment_to_timeline(segment: Segment) -> Timeline:
     return build_timeline(segment.id, events, spans)
 
 
-def _segment_score(a: list[int], b: list[int], table: list[list[float]],
-                   scale: float) -> float:
-    """Warping similarity of two segments' key-relative event codes."""
-    return exp(-_dtw(a, b, table=table).normalized_cost / scale)
+def _segment_score(steps: _Dtw, shared: Warps, x: int, y: int) -> float:
+    """Warping similarity of two registered key-relative code sequences."""
+    return steps.score(shared.cost(x, y))
 
 
 def build_memory(corpus: list[Timeline],
@@ -204,7 +201,8 @@ def build_memory(corpus: list[Timeline],
                  scale: float = DEFAULT_SCALE) -> MemoryGraph:
     """Segment a corpus and fold similar segments into patterns.
 
-    The thresholds are checked as ``MemoryThresholds`` checks them.
+    The thresholds are checked as ``MemoryThresholds`` checks them, and
+    ``scale`` as ``_Dtw`` checks it, before any piece is segmented.
     Only pairs whose exact score can change the graph are warped: each
     pair of distinct key-relative code sequences once, and only when
     ``Warps.bounds`` leaves the score able to reach the merge (or, for
@@ -215,6 +213,7 @@ def build_memory(corpus: list[Timeline],
     if not corpus:
         raise EmptyCorpusError("corpus is empty")
     MemoryThresholds(theta_sim, theta_merge)
+    steps = _Dtw(scale)
     ids = [tl.id for tl in corpus]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate piece ids in corpus")
@@ -231,14 +230,13 @@ def build_memory(corpus: list[Timeline],
         [segments[seg_id].events() for seg_id in ordered])))
     every = range(len(shared.sequences))
     bounds = shared.bounds(every, every).tolist()
-    price = partial(_segment_score, scale=scale)
 
     def score(a: str, b: str) -> float:
         """The exact score of two segments, warped once a sequence pair."""
-        return shared.value(sequence_of[a], sequence_of[b], price)
+        return _segment_score(steps, shared, sequence_of[a], sequence_of[b])
 
     # A pair is warped only when its bound leaves it able to reach the threshold.
-    may_merge = [[exp(-lb / scale) >= theta_merge for lb in row] for row in bounds]
+    may_merge = [[steps.score(lb) >= theta_merge for lb in row] for row in bounds]
     merges = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]
               if may_merge[sequence_of[a]][sequence_of[b]] and score(a, b) >= theta_merge]
     patterns: dict[str, Pattern] = {}
@@ -253,7 +251,7 @@ def build_memory(corpus: list[Timeline],
     for i, a in enumerate(medoids):
         for b in medoids[i + 1:]:
             lb = bounds[sequence_of[a]][sequence_of[b]]
-            if exp(-lb / scale) >= theta_sim and (value := score(a, b)) >= theta_sim:
+            if steps.score(lb) >= theta_sim and (value := score(a, b)) >= theta_sim:
                 similar.append((a, b, value))
     return MemoryGraph(pieces=pieces, segments=segments, patterns=patterns,
                        similar=tuple(similar))
@@ -472,16 +470,16 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     """Rank pattern medoids by warping similarity to a chord progression.
 
     Returns up to k (pattern id, score, chord sequence) rows; ties are
-    broken by pattern id.
+    broken by pattern id.  ``scale`` is checked as ``_Dtw`` checks it.
     """
+    steps = _Dtw(scale)
     chords = [c for c in query.chords if not c.is_nochord]
     key = query.key or estimate_key(chords)
     medoids = {pattern_id: graph.segments[pattern_id] for pattern_id in sorted(graph.patterns)}
     shared = Warps()
     probe, *sequences = shared.register_events(
         [[(chord, key) for chord in chords], *(medoid.events() for medoid in medoids.values())])
-    price = partial(_segment_score, scale=scale)
-    scores = {pattern_id: shared.value(probe, sequence, price)
+    scores = {pattern_id: _segment_score(steps, shared, probe, sequence)
               for pattern_id, sequence in zip(medoids, sequences)}
     top = sorted(scores, key=lambda pattern_id: (-scores[pattern_id], pattern_id))[:query.k]
     return [(pattern_id, scores[pattern_id], chord_sequence(medoids[pattern_id]))

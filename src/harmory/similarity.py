@@ -24,6 +24,8 @@ from itertools import chain
 from math import exp, inf, isfinite
 from typing import ClassVar
 
+import numpy as np
+
 from harmory.timeline import EmptyTimelineError, Timeline, encode_tps
 from harmory.tps import (Profile, distance_table, fifths_distance, intern,
                          key_relative_profiles, key_relative_values)
@@ -148,14 +150,14 @@ def _backtrack(acc, n: int, m: int, up_first: bool) -> tuple[list[tuple[int, int
 class Warps:
     """What one measure call shares over the pieces it prepares: their
     profile vocabulary, its distance table, the distinct code sequences
-    registered, and each unordered pair's value, computed at most once.
-    The table is built when first read, after the last piece is prepared,
-    and the padded arrays that bound the sequences on the first bound
-    after the last registration.  One lives for one call, so nothing it
-    stores outlives the call."""
+    registered, and each unordered pair's warping cost, computed at most
+    once.  The table is built when first read, after the last piece is
+    prepared, and the padded arrays that bound the sequences on the first
+    bound after the last registration.  One lives for one call, so nothing
+    it stores outlives the call."""
 
     def __init__(self):
-        self.vocab, self.sequences, self._index, self._values = {}, [], {}, {}
+        self.vocab, self.sequences, self._index, self._costs = {}, [], {}, {}
         self._table = self._padded = None
 
     @property
@@ -196,8 +198,6 @@ class Warps:
         half-integers, so every sum is exact in float64, an entry depends on
         its pair alone, and ``lb > t`` proves ``normalized_cost > t``.
         """
-        import numpy as np
-
         if not rows or not columns:
             return np.zeros((len(rows), len(columns)))
         size = len(self.table)
@@ -230,13 +230,15 @@ class Warps:
         summed = np.maximum(summed_minima(rc, cc, grid), summed_minima(cc, rc, grid.T).T)
         return np.maximum(summed, corners) / (n[:, None] + m - 1)
 
-    def value(self, x: int, y: int, score) -> float:
-        """``score(a, b, table)`` of the sequences indexed by ``x`` and ``y``,
-        computed once, in the order first asked: ``score`` is symmetric."""
+    def cost(self, x: int, y: int, band: int | None = None) -> float:
+        """The normalized ``_dtw`` cost of the sequences indexed by ``x`` and
+        ``y``, warped once per unordered pair, in the order first asked (the
+        cost is symmetric).  One call warps under one band."""
         key = (x, y) if x <= y else (y, x)
-        if key not in self._values:
-            self._values[key] = score(self.sequences[x], self.sequences[y], self.table)
-        return self._values[key]
+        if key not in self._costs:
+            self._costs[key] = _dtw(self.sequences[x], self.sequences[y], band,
+                                    table=self.table).normalized_cost
+        return self._costs[key]
 
 
 def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
@@ -292,10 +294,6 @@ def _covered_runs(patterns) -> dict[int, tuple[int, int]]:
     return {i: (start, stop) for start, stop in runs for i in range(start, stop)}
 
 
-def _warp_cost(a, b, table) -> float:
-    return _dtw(a, b, table=table).normalized_cost
-
-
 # Each measure is declared once, by its step class: ``name`` is the
 # measure's, and the fields are its parameters.  ``prepare`` does a
 # piece's own work once, into the ``Warps`` shared with every piece it
@@ -312,18 +310,23 @@ class _Dtw:
     def __post_init__(self):
         _check_params(self.scale, self.band)
 
-    def comparisons(self, ca: list[int], cb: list[int]) -> int:
+    def score(self, cost: float) -> float:
+        """The similarity of a normalized warping cost."""
+        return exp(-cost / self.scale)
+
+    def comparisons(self, x: int, y: int, shared: Warps) -> int:
         """The cells ``_dtw`` fills: |i - j| <= its band's width."""
-        n, m = len(ca), len(cb)
+        n, m = len(shared.sequences[x]), len(shared.sequences[y])
         width = max(n, m) if self.band is None else max(self.band, abs(n - m))
         return sum(min(m, i + width + 1) - max(0, i - width) for i in range(n))
 
-    def prepare(self, timeline: Timeline, shared: Warps) -> list[int]:
-        return intern(key_relative_events(timeline), shared.vocab)
+    def prepare(self, timeline: Timeline, shared: Warps) -> int:
+        """The index of the piece's registered codes."""
+        return shared.register(intern(key_relative_events(timeline), shared.vocab))
 
-    def compare(self, ca: list[int], cb: list[int], shared: Warps) -> SimilarityReport:
-        cost = _dtw(ca, cb, self.band, table=shared.table).normalized_cost
-        return SimilarityReport(self.name, exp(-cost / self.scale), cost, asdict(self))
+    def compare(self, x: int, y: int, shared: Warps) -> SimilarityReport:
+        cost = shared.cost(x, y, self.band)
+        return SimilarityReport(self.name, self.score(cost), cost, asdict(self))
 
 
 @dataclass(frozen=True)
@@ -338,17 +341,13 @@ class _Tpsd:
     def __post_init__(self):
         _check_params(self.scale)
 
-    def comparisons(self, va, vb) -> int:
+    def comparisons(self, va, vb, shared: Warps) -> int:
         return len(va) * len(vb)
 
     def prepare(self, timeline: Timeline, shared: Warps):
-        import numpy as np
-
         return np.array([v for v, _ in encode_tps(timeline, "beat").values])
 
     def compare(self, va, vb, shared: Warps) -> SimilarityReport:
-        import numpy as np
-
         short, long_ = (va, vb) if len(va) <= len(vb) else (vb, va)
         n, length = len(short), len(long_)
         # Row s of the windows pairs long_[t] with short[(t + s) % n].  The
@@ -380,7 +379,7 @@ class _Lharp:
     def __post_init__(self):
         _check_params(n_min=self.n_min, n_max=self.n_max, tau=self.tau)
 
-    def comparisons(self, a, b) -> int:
+    def comparisons(self, a, b, shared: Warps) -> int:
         """The pattern pairs ``compare`` bounds."""
         return len(a[1]) * len(b[1])
 
@@ -397,7 +396,7 @@ class _Lharp:
         bounds = shared.bounds([x for _, x in patterns_a], [y for _, y in patterns_b])
         agreeing = [(patterns_a[x][0], patterns_b[y][0])
                     for x, y in zip(*(bounds <= self.tau).nonzero())
-                    if shared.value(patterns_a[x][1], patterns_b[y][1], _warp_cost) <= self.tau]
+                    if shared.cost(patterns_a[x][1], patterns_b[y][1]) <= self.tau]
         table = shared.table
         runs_a = _covered_runs({p for p, _ in agreeing})
         runs_b = _covered_runs({q for _, q in agreeing})
@@ -430,8 +429,8 @@ def compare_pieces(steps, a: Timeline, b: Timeline) -> SimilarityReport:
 
 
 def dtw_align(a: Timeline, b: Timeline, band: int | None = None) -> Alignment:
-    ca, cb, shared = _prepared(_Dtw(band=band), a, b)
-    return _dtw(ca, cb, band, table=shared.table)
+    x, y, shared = _prepared(_Dtw(band=band), a, b)
+    return _dtw(shared.sequences[x], shared.sequences[y], band, table=shared.table)
 
 
 def tpsd(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE) -> SimilarityReport:
@@ -447,8 +446,6 @@ def corpus_similarity_matrix(corpus: list[Timeline], steps=_Dtw()):
     """Score every unordered pair with the step instance ``steps``;
     returns (ids, matrix) with unit diagonal.  Each piece is prepared
     once, into one ``Warps`` for the corpus."""
-    import numpy as np
-
     ids = [tl.id for tl in corpus]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate piece ids in corpus")

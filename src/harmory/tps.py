@@ -20,6 +20,8 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
+import numpy as np
+
 from harmory.harte import Chord, FLAT_NAMES, Natural, NoChordError, pitch_class_set
 
 MAJOR_STEPS = (0, 2, 4, 5, 7, 9, 11)
@@ -131,8 +133,6 @@ def distance_table(vocab_a: dict, vocab_b: dict) -> list[list[float]]:
     code) to each of the other (column, by code), as Python floats, filled
     by numpy from the profiles that key them.  Every value is a
     half-integer, so the floats equal ``chord_distance``'s exactly."""
-    import numpy as np  # here, as in similarity: imported with tps it cost every process 1.3 MB
-
     fifths = np.frombuffer(_FIFTHS, dtype=np.uint8).reshape(12, 12)
     popcount = np.frombuffer(_POPCOUNT, dtype=np.uint8)
     a, b = (np.fromiter(chain.from_iterable(vocab), np.intp, 6 * len(vocab)).reshape(-1, 6)

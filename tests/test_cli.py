@@ -7,17 +7,23 @@ import importlib
 import json
 import pkgutil
 import re
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harmory
 import harmory.cli as cli
 import harmory.evaluation as evaluation
 import harmory.segmentation as segmentation
 from harmory.cli import main
+from harmory.harte import parse_chord, render_chord, transpose_chord
 from harmory.memory import GraphFormatError, import_ntriples
+from harmory.timeline import load_jams, transpose, write_chart
+from harmory.tps import Key
 from tests.conftest import COVER_CORPUS, cover_jams, strict_json
 
 DATA = Path(__file__).parent / "data"
@@ -367,6 +373,14 @@ def test_eval_covers_json_and_table(capsys, tmp_path):
     assert "MAP: 1.0000" in out
 
 
+def test_eval_covers_refuses_a_second_clique_of_a_piece(capsys, tmp_path):
+    corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj"], "b": ["G:maj"], "c": ["F:maj"]})
+    cliques = tmp_path / "cliques.csv"
+    cliques.write_text("piece_id,clique_id\na,x\nb,x\nc,y\na,y\n")
+    assert run(capsys, ["eval-covers", str(corpus), str(cliques)]) == (
+        2, "", "error: line 5: a second clique 'y' of a, not 'x' of line 2\n")
+
+
 def test_eval_covers_incomplete_cliques_is_a_usage_error(capsys, tmp_path):
     corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj"], "b": ["G:maj"]})
     cliques = tmp_path / "cliques.csv"
@@ -394,6 +408,12 @@ def test_bench_counts_lharp_pattern_pairs(capsys):
     assert code == 0
     stats = strict_json(out)["measures"]["lharp"]
     assert stats["comparisons_total"] == sum(row[2] for row in stats["comparisons_per_pair"])
+
+
+def test_bench_refuses_fewer_synthetic_beats_than_one_event_before_timing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "benchmark_measures", None)  # never reached
+    assert run(capsys, ["bench", "--synthetic", "--synthetic-beats", "3"]) == (
+        2, "", "error: --synthetic-beats must be >= 4, one event of 4 beats, got 3\n")
 
 
 def test_bench_without_corpus_is_a_usage_error(capsys):
@@ -477,6 +497,82 @@ def test_matrix_and_eval_covers_match_golden_outputs(capsys, tmp_path):
     code, out, _ = run(capsys, ["eval-covers", str(corpus), str(cliques)])
     assert code == 0
     assert out.encode() == (DATA / "eval_covers_golden.json").read_bytes()
+
+
+def jams_text(timeline) -> str:
+    """A timeline as JAMS text: its chord events and key spans, times in beats."""
+    chords = [{"time": float(e.start), "duration": float(e.duration),
+               "value": render_chord(e.chord)} for e in timeline.events]
+    keys = [{"time": float(s.start), "duration": float(s.duration), "value": str(s.key)}
+            for s in timeline.keys]
+    return json.dumps({"file_metadata": {"identifiers": {"id": timeline.id}},
+                       "annotations": [{"namespace": "chord_harte", "data": chords},
+                                       {"namespace": "key_mode", "data": keys}]})
+
+
+def transposed_outputs(capsys, root, shifts):
+    """Each cover-corpus piece moved by its own shift, written as JAMS and,
+    for one key, as a chart: per format, the build's stats.json and
+    memory.nt, the dtw, tpsd and lharp matrices and eval-covers' report."""
+    timelines = [transpose(load_jams(cover_jams(piece_id, beat, sections)), shift)
+                 for (piece_id, _, beat, sections), shift in zip(COVER_CORPUS, shifts)]
+    cliques = root / "cliques.csv"
+    root.mkdir()
+    cliques.write_text("piece_id,clique_id\n" + "".join(f"{piece_id},{clique}\n"
+                                                        for piece_id, clique, *_ in COVER_CORPUS))
+    outputs = {}
+    for form, write in (("jams.json", jams_text), ("chart", write_chart)):
+        corpus = root / form
+        corpus.mkdir()
+        for timeline in timelines:
+            if form == "jams.json" or len(timeline.keys) == 1:
+                (corpus / f"{timeline.id}.{form}").write_text(write(timeline))
+        out_dir = root / f"{form}-graph"
+        assert run(capsys, ["--quiet", "--out-dir", str(out_dir), "build", str(corpus)])[0] == 0
+        outputs[form, "stats"] = (out_dir / "stats.json").read_bytes()
+        outputs[form, "graph"] = (out_dir / "memory.nt").read_text().splitlines()
+        for measure in ("dtw", "tpsd", "lharp"):
+            code, outputs[form, measure], _ = run(capsys, ["matrix", str(corpus),
+                                                           "--measure", measure])
+            assert code == 0
+        code, outputs[form, "covers"], _ = run(capsys, ["eval-covers", str(corpus), str(cliques)])
+        assert code == 0
+    return outputs
+
+
+def test_per_piece_transposition_keeps_every_cli_output(capsys, tmp_path):
+    """Moving each piece by its own shift moves the chords and keys of the
+    build's segment literals by that shift and changes no other byte of
+    build, matrix or eval-covers, read from JAMS or from charts."""
+    original = transposed_outputs(capsys, tmp_path / "original", [0] * len(COVER_CORPUS))
+    literal = re.compile(r'^(<urn:harmory:(.*)/seg/\d+> <urn:harmory:(chord|key)Sequence>) '
+                         r'"(.*)" \.$')
+
+    @given(shifts=st.lists(st.integers(1, 11), min_size=len(COVER_CORPUS),
+                           max_size=len(COVER_CORPUS)))
+    @settings(max_examples=5, deadline=None)
+    def check(shifts):
+        moved = transposed_outputs(capsys, Path(tempfile.mkdtemp(dir=tmp_path)) / "moved",
+                                   shifts)
+        shift_of = {piece_id: shift for (piece_id, *_), shift in zip(COVER_CORPUS, shifts)}
+        for name, output in original.items():
+            if name[1] != "graph":
+                assert moved[name] == output, name
+                continue
+            expected = []
+            for line in output:
+                if match := literal.match(line):
+                    subject, piece_id, kind, tokens = match.groups()
+                    shift = shift_of[piece_id]
+                    tokens = " ".join(
+                        render_chord(transpose_chord(parse_chord(token), shift)) if kind == "chord"
+                        else str(Key.from_string(token).transpose(shift))
+                        for token in tokens.split())
+                    line = f'{subject} "{tokens}" .'
+                expected.append(line)
+            assert moved[name] == expected, name
+
+    check()
 
 
 @pytest.mark.parametrize("flags", [

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from math import inf
 
@@ -59,6 +60,24 @@ def test_clique_csv_requires_exact_header():
         CliqueSet.from_csv("")
     with pytest.raises(CliqueError):
         CliqueSet.from_csv("piece_id,clique_id\na,x,extra\n")
+
+
+def test_clique_csv_reads_a_repeated_row_once():
+    rows = [("a", "x"), ("b", "x"), ("a", "x")]
+    assert CliqueSet.from_csv(cliques_csv(rows)).mapping == {"a": "x", "b": "x"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("piece,clique\na,x\n", "line 1: clique CSV must start with header 'piece_id,clique_id'"),
+    ("piece_id,clique_id\na,x,extra\n",
+     "line 2: bad clique row ['a', 'x', 'extra'], need piece_id,clique_id"),
+    ("piece_id,clique_id\na,x\n\nb\n", "line 4: bad clique row ['b'], need piece_id,clique_id"),
+    (cliques_csv([("a", "x"), ("b", "x"), ("c", "y"), ("a", "y")]),
+     "line 5: a second clique 'y' of a, not 'x' of line 2"),
+])
+def test_clique_csv_errors_name_their_line(text, message):
+    with pytest.raises(CliqueError, match=f"^{re.escape(message)}$"):
+        CliqueSet.from_csv(text)
 
 
 def test_clique_of_missing_piece():

@@ -470,19 +470,34 @@ def test_medoid_counts_the_pairs_the_bound_prunes_inside_a_pattern():
 
 
 def test_each_ordered_sequence_pair_is_warped_at_most_once(monkeypatch):
+    import harmory.similarity as similarity
+
     warped = []
-    score = memory._segment_score
 
-    def counting(a, b, table, scale):
+    def counting(a, b, *args, **kwargs):
         warped.append((tuple(a), tuple(b)))
-        return score(a, b, table, scale)
+        return _dtw(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(memory, "_segment_score", counting)
+    monkeypatch.setattr(similarity, "_dtw", counting)
     graph = build_memory(fixture_corpus(), PARAMS)
     n = len(graph.segments)
     assert 0 < len(warped) < n * (n - 1) // 2
     assert len(warped) == len({tuple(sorted(pair)) for pair in warped})
     assert export_ntriples(graph) == (DATA / "memory_golden.nt").read_bytes()
+
+
+@pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf")])
+def test_build_and_query_refuse_the_scales_dtw_refuses_before_any_work(monkeypatch, scale):
+    graph = build_memory(fixture_corpus(), PARAMS)
+    with pytest.raises(ValueError) as refused:
+        _Dtw(scale)
+    message = f"^{re.escape(str(refused.value))}$"
+    monkeypatch.setattr(memory, "segment_timeline", None)  # never reached
+    with pytest.raises(ValueError, match=message):
+        build_memory(fixture_corpus(), PARAMS, scale=scale)
+    monkeypatch.setattr(memory, "estimate_key", None)
+    with pytest.raises(ValueError, match=message):
+        query_similar(graph, PatternQuery(chords=(parse_chord("C:maj"),)), scale=scale)
 
 
 def test_build_and_query_profile_their_sequences_in_one_pass(monkeypatch):

@@ -590,6 +590,49 @@ def test_a_shuffled_corpus_gives_the_matrix_with_its_rows_and_columns_permuted(o
         assert np.array_equal(shuffled, matrix[np.ix_(picked, picked)]), name
 
 
+def test_dtw_warps_each_distinct_pair_of_a_matrix_once(monkeypatch):
+    """Pieces p0 and p2 share one key-relative sequence, and p1 and p3
+    another: the matrix warps each of the three unordered sequence pairs
+    once, whichever order its pieces meet them in."""
+    warped = []
+
+    def counting(a, b, *args, **kwargs):
+        warped.append(tuple(sorted((a, b))))
+        return _dtw(a, b, *args, **kwargs)
+
+    a, b = make_timeline(["C:maj", "G:maj", "A:min"]), make_timeline(["F:maj", "C:maj"])
+    corpus = [Timeline(f"p{i}", tl.events, tl.keys)
+              for i, tl in enumerate([a, b, a, transpose(b, 3)])]
+    expected = compare_pieces(_Dtw(), a, b).score
+    monkeypatch.setattr(similarity, "_dtw", counting)
+    _, matrix = corpus_similarity_matrix(corpus, _Dtw())
+    assert len(warped) == len(set(warped)) == 3
+    assert matrix[0, 1] == matrix[1, 2] == matrix[0, 3] == matrix[2, 3] == expected < 1.0
+    assert matrix[0, 2] == matrix[1, 3] == 1.0
+
+
+def test_the_kernel_is_called_by_the_memo_the_aligner_and_lharp_regions_alone():
+    """``_dtw``'s callers in the package, by enclosing function."""
+    import ast
+    from pathlib import Path
+
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_dtw":
+                callers.add(scope)
+            visit(child, scope)
+
+    for path in Path(similarity.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert callers == {"similarity.Warps.cost", "similarity.dtw_align",
+                       "similarity._Lharp.compare"}
+
+
 @pytest.mark.parametrize("steps, params, message", [
     (_Dtw, {"scale": inf}, "--scale must be a finite number, got inf"),
     (_Tpsd, {"scale": inf}, "--scale must be a finite number, got inf"),
