@@ -208,8 +208,7 @@ def cmd_sim(args) -> int:
     steps = _from_flags(MEASURES[args.measure], args)
     a = load_piece(Path(args.piece_a))
     b = load_piece(Path(args.piece_b))
-    report = compare_pieces(steps, a, b)
-    print(report.to_json(), end="")
+    print(compare_pieces(steps, a, b).to_json(), end="")
     return 0
 
 

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from harmory.harte import FLAT_NAMES, Chord, parse_chord
-from harmory.similarity import Warps, _Dtw, _Tpsd, compare_pieces, corpus_similarity_matrix
-from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline
+from harmory.similarity import _Dtw, _prepared, _Tpsd, compare_pieces, corpus_similarity_matrix
+from harmory.timeline import MAX_SPAN_BEATS, ChordEvent, KeySpan, Timeline, build_timeline
 from harmory.tps import MAJOR_STEPS, MINOR_STEPS, Key
 
 
@@ -126,8 +126,7 @@ def evaluate_covers(corpus: list[Timeline], cliques: CliqueSet, steps=_Dtw()) ->
 
 def comparison_counts(a: Timeline, b: Timeline, steps) -> int:
     """The exact number of elementary comparisons ``steps`` makes on the pair."""
-    shared = Warps()
-    return steps.comparisons(steps.prepare(a, shared), steps.prepare(b, shared), shared)
+    return steps.comparisons(*_prepared(steps, a, b))
 
 
 def check_bench(measures, repetitions: int) -> None:
@@ -191,11 +190,13 @@ def diatonic_triad(key: Key, degree: int) -> Chord:
 def synthetic_corpus(n_pieces: int = 16, total_beats: int = 256,
                      beats_per_event: int = 4) -> list[Timeline]:
     """Deterministic random-walk progressions for benchmarking."""
-    if total_beats < beats_per_event:
-        raise ValueError(f"--synthetic-beats must be >= {beats_per_event}, one event of "
-                         f"{beats_per_event} beats, got {total_beats}")
+    n_events, most = total_beats // beats_per_event, MAX_SPAN_BEATS // beats_per_event
+    if not 1 <= n_events <= most:  # checked before any event is built
+        bound = (f">= {beats_per_event}, one event" if n_events < 1 else
+                 f"< {(most + 1) * beats_per_event}, at most {most} events")
+        raise ValueError(f"--synthetic-beats must be {bound} of {beats_per_event} beats, "
+                         f"got {total_beats}")
     corpus = []
-    n_events = total_beats // beats_per_event
     for p in range(n_pieces):
         rng = random.Random(0xA11C + p)
         key = Key(p % 12, "major" if p % 2 == 0 else "minor")

@@ -192,7 +192,7 @@ def segment_to_timeline(segment: Segment) -> Timeline:
 
 def _segment_score(steps: _Dtw, shared: Warps, x: int, y: int) -> float:
     """Warping similarity of two registered key-relative code sequences."""
-    return steps.score(shared.cost(x, y))
+    return steps.score(steps.compare(x, y, shared))
 
 
 def build_memory(corpus: list[Timeline],

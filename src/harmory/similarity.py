@@ -297,8 +297,9 @@ def _covered_runs(patterns) -> dict[int, tuple[int, int]]:
 # Each measure is declared once, by its step class: ``name`` is the
 # measure's, and the fields are its parameters.  ``prepare`` does a
 # piece's own work once, into the ``Warps`` shared with every piece it
-# meets; ``compare`` scores two prepared pieces with it; ``comparisons``
-# counts what ``compare`` does.
+# meets; ``compare`` gives two prepared pieces' raw value, ``score`` its
+# score, and ``explain`` the local regions, read by ``compare_pieces``
+# alone; ``comparisons`` counts what ``compare`` does.
 
 
 @dataclass(frozen=True)
@@ -310,9 +311,9 @@ class _Dtw:
     def __post_init__(self):
         _check_params(self.scale, self.band)
 
-    def score(self, cost: float) -> float:
-        """The similarity of a normalized warping cost."""
-        return exp(-cost / self.scale)
+    def score(self, raw: float) -> float:
+        """The similarity of a raw distance: dtw's cost, tpsd's mean."""
+        return exp(-raw / self.scale)
 
     def comparisons(self, x: int, y: int, shared: Warps) -> int:
         """The cells ``_dtw`` fills: |i - j| <= its band's width."""
@@ -324,9 +325,11 @@ class _Dtw:
         """The index of the piece's registered codes."""
         return shared.register(intern(key_relative_events(timeline), shared.vocab))
 
-    def compare(self, x: int, y: int, shared: Warps) -> SimilarityReport:
-        cost = shared.cost(x, y, self.band)
-        return SimilarityReport(self.name, self.score(cost), cost, asdict(self))
+    def compare(self, x: int, y: int, shared: Warps) -> float:
+        return shared.cost(x, y, self.band)
+
+    def explain(self, a, b, shared: Warps) -> tuple[LocalRegion, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -337,6 +340,7 @@ class _Tpsd:
 
     name: ClassVar[str] = "tpsd"
     scale: float = DEFAULT_SCALE
+    score, explain = _Dtw.score, _Dtw.explain
 
     def __post_init__(self):
         _check_params(self.scale)
@@ -347,7 +351,7 @@ class _Tpsd:
     def prepare(self, timeline: Timeline, shared: Warps):
         return np.array([v for v, _ in encode_tps(timeline, "beat").values])
 
-    def compare(self, va, vb, shared: Warps) -> SimilarityReport:
+    def compare(self, va, vb, shared: Warps) -> float:
         short, long_ = (va, vb) if len(va) <= len(vb) else (vb, va)
         n, length = len(short), len(long_)
         # Row s of the windows pairs long_[t] with short[(t + s) % n].  The
@@ -357,8 +361,7 @@ class _Tpsd:
         rows = max(1, _TPSD_BLOCK_CELLS // length)
         best = min(np.abs(shifts[s:s + rows] - long_).sum(axis=1).min()
                    for s in range(0, n, rows))
-        raw = float(best) / length
-        return SimilarityReport(self.name, exp(-raw / self.scale), raw, asdict(self))
+        return float(best) / length
 
 
 @dataclass(frozen=True)
@@ -390,20 +393,29 @@ class _Lharp:
         return codes, [(p, shared.register(codes[p.positions[0]:p.positions[0] + p.length]))
                        for p in extract_recurrent_patterns(profiles, self.n_min, self.n_max)]
 
-    def compare(self, a, b, shared: Warps) -> SimilarityReport:
-        (ca, patterns_a), (cb, patterns_b) = a, b
+    def score(self, raw: float) -> float:
+        return raw
+
+    def _agreeing(self, a, b, shared: Warps):
+        """The agreeing pattern pairs, and each piece's covered runs."""
+        (_, patterns_a), (_, patterns_b) = a, b
         # Only a pattern pair whose bound is within tau can agree.
         bounds = shared.bounds([x for _, x in patterns_a], [y for _, y in patterns_b])
         agreeing = [(patterns_a[x][0], patterns_b[y][0])
                     for x, y in zip(*(bounds <= self.tau).nonzero())
                     if shared.cost(patterns_a[x][1], patterns_b[y][1]) <= self.tau]
-        table = shared.table
-        runs_a = _covered_runs({p for p, _ in agreeing})
-        runs_b = _covered_runs({q for _, q in agreeing})
-        coverage_a, coverage_b = Fraction(len(runs_a), len(ca)), Fraction(len(runs_b), len(cb))
-        raw = (2 * coverage_a * coverage_b / (coverage_a + coverage_b)
-               if coverage_a and coverage_b else Fraction(0))
-        # A region pairs the runs holding the first occurrences of two agreeing patterns.
+        return (agreeing, _covered_runs({p for p, _ in agreeing}),
+                _covered_runs({q for _, q in agreeing}))
+
+    def compare(self, a, b, shared: Warps) -> float:
+        _, runs_a, runs_b = self._agreeing(a, b, shared)
+        fa, fb = Fraction(len(runs_a), len(a[0])), Fraction(len(runs_b), len(b[0]))
+        return float(2 * fa * fb / (fa + fb)) if fa and fb else 0.0
+
+    def explain(self, a, b, shared: Warps) -> tuple[LocalRegion, ...]:
+        """Each region pairs the runs holding two agreeing patterns' first occurrences."""
+        (ca, _), (cb, _), table = a, b, shared.table
+        agreeing, runs_a, runs_b = self._agreeing(a, b, shared)
         regions = []
         for run_a, run_b in sorted({(runs_a[p.positions[0]], runs_b[q.positions[0]])
                                     for p, q in agreeing}):
@@ -411,7 +423,7 @@ class _Lharp:
             alignment = _dtw(region_a, region_b, table=table)
             steps = tuple(table[region_a[i]][region_b[j]] for i, j in alignment.path)
             regions.append(LocalRegion(run_a, run_b, steps))
-        return SimilarityReport(self.name, float(raw), float(raw), asdict(self), tuple(regions))
+        return tuple(regions)
 
 
 MEASURES = {steps.name: steps for steps in (_Dtw, _Tpsd, _Lharp)}
@@ -424,8 +436,11 @@ def _prepared(steps, a: Timeline, b: Timeline):
 
 
 def compare_pieces(steps, a: Timeline, b: Timeline) -> SimilarityReport:
-    """The report of the measure whose step instance is ``steps`` on one pair."""
-    return steps.compare(*_prepared(steps, a, b))
+    """The report, with its regions, of the step instance ``steps`` on one pair."""
+    prepared = _prepared(steps, a, b)
+    raw = steps.compare(*prepared)
+    return SimilarityReport(steps.name, steps.score(raw), raw, asdict(steps),
+                            steps.explain(*prepared))
 
 
 def dtw_align(a: Timeline, b: Timeline, band: int | None = None) -> Alignment:
@@ -466,7 +481,8 @@ def corpus_similarity_matrix(corpus: list[Timeline], steps=_Dtw()):
                 for k in (i, j):
                     if isinstance(prepared[k], Exception):
                         raise prepared[k]
-                matrix[i, j] = matrix[j, i] = steps.compare(prepared[i], prepared[j], shared).score
+                raw = steps.compare(prepared[i], prepared[j], shared)
+                matrix[i, j] = matrix[j, i] = steps.score(raw)
             except EmptyTimelineError as err:  # a usage error: the command exits 2
                 raise EmptyTimelineError(f"{ids[i]} vs {ids[j]}: {err}") from err
             except Exception as err:

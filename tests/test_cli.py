@@ -22,7 +22,7 @@ import harmory.segmentation as segmentation
 from harmory.cli import main
 from harmory.harte import parse_chord, render_chord, transpose_chord
 from harmory.memory import GraphFormatError, import_ntriples
-from harmory.timeline import load_jams, transpose, write_chart
+from harmory.timeline import MAX_SPAN_BEATS, load_jams, transpose, write_chart
 from harmory.tps import Key
 from tests.conftest import COVER_CORPUS, cover_jams, strict_json
 
@@ -414,6 +414,16 @@ def test_bench_refuses_fewer_synthetic_beats_than_one_event_before_timing(capsys
     monkeypatch.setattr(cli, "benchmark_measures", None)  # never reached
     assert run(capsys, ["bench", "--synthetic", "--synthetic-beats", "3"]) == (
         2, "", "error: --synthetic-beats must be >= 4, one event of 4 beats, got 3\n")
+
+
+def test_bench_refuses_synthetic_beats_over_the_span_bound_before_any_event(capsys,
+                                                                           monkeypatch):
+    monkeypatch.setattr(cli, "benchmark_measures", None)  # never reached
+    monkeypatch.setattr(evaluation, "ChordEvent", None)  # no event is built
+    beats = MAX_SPAN_BEATS + 4
+    assert run(capsys, ["bench", "--synthetic", "--synthetic-beats", str(beats)]) == (
+        2, "", f"error: --synthetic-beats must be < {beats}, at most {MAX_SPAN_BEATS // 4} "
+        f"events of 4 beats, got {beats}\n")
 
 
 def test_bench_without_corpus_is_a_usage_error(capsys):

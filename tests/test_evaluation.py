@@ -33,7 +33,8 @@ from harmory.harte import parse_chord, pitch_class_set, render_chord
 import harmory.evaluation as evaluation
 from harmory.similarity import (MEASURES, _Dtw, _Lharp, _Tpsd, corpus_similarity_matrix,
                                 extract_recurrent_patterns, key_relative_events)
-from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, encode_tps, transpose
+from harmory.timeline import (MAX_SPAN_BEATS, ChordEvent, KeySpan, Timeline, build_timeline,
+                              encode_tps, transpose)
 from harmory.tps import Key
 from tests.conftest import make_timeline, strict_json
 
@@ -377,6 +378,27 @@ def test_synthetic_corpus_ignores_global_random_state():
     random.seed(456)
     second = synthetic_corpus(2, 32)
     assert first == second
+
+
+def test_synthetic_corpus_refuses_exactly_the_spans_over_the_bound_before_any_event(
+        monkeypatch):
+    """The span is (N // 4) * 4 beats: N = MAX_SPAN_BEATS + 3 passes the
+    check and MAX_SPAN_BEATS + 4 does not, before an event is built."""
+
+    class Built(Exception):
+        pass
+
+    def refuse(*args):
+        raise Built
+
+    monkeypatch.setattr(evaluation, "ChordEvent", refuse)
+    with pytest.raises(Built):
+        synthetic_corpus(1, MAX_SPAN_BEATS + 3)
+    for beats in (MAX_SPAN_BEATS + 4, 2**22):
+        with pytest.raises(ValueError, match=f"^--synthetic-beats must be < {MAX_SPAN_BEATS + 4}, "
+                                             f"at most {MAX_SPAN_BEATS // 4} events of 4 beats, "
+                                             f"got {beats}$"):
+            synthetic_corpus(1, beats)
 
 
 def test_synthetic_corpus_shape():

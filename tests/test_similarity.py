@@ -316,7 +316,7 @@ def test_tpsd_kernel_equals_the_shift_loop(va, vb, cells):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(similarity, "_TPSD_BLOCK_CELLS", cells)
         for x, y in ((va, vb), (vb, va)):
-            raw = _Tpsd().compare(np.array(x), np.array(y), None).raw
+            raw = _Tpsd().compare(np.array(x), np.array(y), None)
             assert type(raw) is float and raw == expected
 
 
@@ -328,7 +328,7 @@ def test_tpsd_kernel_equals_the_shift_loop_over_several_blocks(n, length):
     rng = random.Random(n)
     va = [rng.randint(0, 26) / 2 for _ in range(n)]
     vb = [rng.randint(0, 26) / 2 for _ in range(length)]
-    raw = _Tpsd().compare(np.array(va), np.array(vb), None).raw
+    raw = _Tpsd().compare(np.array(va), np.array(vb), None)
     assert raw == oracle_tpsd_shifts(va, vb) / length
 
 
@@ -541,6 +541,24 @@ def test_lharp_matrix_warps_each_distinct_slice_pair_once(monkeypatch):
     assert runs[0] == runs[1]
 
 
+def test_lharp_matrix_warps_each_slice_pair_once_and_aligns_no_region(monkeypatch):
+    """A matrix reads only scores: it calls ``_dtw`` once per distinct pair
+    of pattern slices and aligns no region."""
+    warped = []
+
+    def counting_dtw(ca, cb, band=None, *, table):
+        warped.append((ca, cb))
+        return _dtw(ca, cb, band, table=table)
+
+    monkeypatch.setattr(similarity, "_dtw", counting_dtw)
+    corpus = cover_corpus()
+    _, matrix = corpus_similarity_matrix(corpus, _Lharp())
+    assert matrix.sum() > len(corpus)  # some patterns agree, so some pair has regions
+    # Registered slices are tuples; a region is a list slice of a piece's codes.
+    assert all(isinstance(ca, tuple) and isinstance(cb, tuple) for ca, cb in warped)
+    assert 0 < len(warped) == len({tuple(sorted(pair)) for pair in warped})
+
+
 def test_measure_symmetry():
     rng = random.Random(41)
     for _ in range(15):
@@ -611,8 +629,9 @@ def test_dtw_warps_each_distinct_pair_of_a_matrix_once(monkeypatch):
     assert matrix[0, 2] == matrix[1, 3] == 1.0
 
 
-def test_the_kernel_is_called_by_the_memo_the_aligner_and_lharp_regions_alone():
-    """``_dtw``'s callers in the package, by enclosing function."""
+def package_callers(name: str) -> set[str]:
+    """The functions in the package, as ``module.Class.function``, that call
+    a function or method named ``name``."""
     import ast
     from pathlib import Path
 
@@ -623,14 +642,30 @@ def test_the_kernel_is_called_by_the_memo_the_aligner_and_lharp_regions_alone():
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_dtw":
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
                 callers.add(scope)
             visit(child, scope)
 
     for path in Path(similarity.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem)
-    assert callers == {"similarity.Warps.cost", "similarity.dtw_align",
-                       "similarity._Lharp.compare"}
+    return callers
+
+
+def test_the_kernel_is_called_by_the_memo_the_aligner_and_lharp_regions_alone():
+    """``_dtw``'s callers in the package, by enclosing function."""
+    assert package_callers("_dtw") == {"similarity.Warps.cost", "similarity.dtw_align",
+                                       "similarity._Lharp.explain"}
+
+
+def test_one_place_builds_a_report_and_one_maps_a_distance_to_a_score():
+    """Steps return numbers: ``compare_pieces`` alone builds a report, and
+    ``_Dtw.score`` (tpsd's too) is the one ``exp(-raw / scale)``; the other
+    ``exp`` is the novelty kernel's Gaussian taper."""
+    assert package_callers("SimilarityReport") == {"similarity.compare_pieces"}
+    assert package_callers("exp") == {"similarity._Dtw.score",
+                                      "segmentation.checkerboard_kernel"}
+    assert _Tpsd.score is _Dtw.score
 
 
 @pytest.mark.parametrize("steps, params, message", [
