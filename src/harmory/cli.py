@@ -115,8 +115,11 @@ def discover_corpus(root: Path) -> list[Timeline]:
     directory named like a piece is not one."""
     if not root.is_dir():
         raise NotADirectoryError(f"not a corpus directory: {root}")
+    # os.walk, like rglob("*"), lists hidden files and descends no symlinked
+    # directory, but reads each directory in one scandir.
+    paths = sorted(Path(top, name) for top, _, names in os.walk(root) for name in names)
     pieces = (_read_piece(path, path.relative_to(root).as_posix())
-              for path in sorted(root.rglob("*")) if path.is_file())
+              for path in paths if path.is_file())
     corpus = [piece for piece in pieces if piece is not None]
     if not corpus:
         raise EmptyCorpusError(f"no .jams.json or .chart files under {root}")
@@ -168,8 +171,16 @@ def cmd_dist(args) -> int:
 def cmd_encode(args) -> int:
     timeline = load_piece(Path(args.piece))
     series = encode_tps(timeline, args.grid)
-    lines = ["value,weight"]
-    lines += [f"{float(v)!r},{w}" for v, w in series.values]
+    # Each distinct row is formatted once, keyed by the weight's text: a
+    # Fraction hashes slowly, and a beat grid's rows share one weight object.
+    lines, texts, weight, suffix = ["value,weight"], {}, None, ""
+    for v, w in series.values:
+        if w is not weight:
+            weight, suffix = w, f",{w}"
+        line = texts.get((v, suffix))
+        if line is None:
+            line = texts[v, suffix] = f"{float(v)!r}{suffix}"
+        lines.append(line)
     text = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(Path(args.out), text)

@@ -9,6 +9,7 @@ Grammar accepted by :func:`parse_chord`::
     modifier   ::= "b" | "#"
     degreelist ::= degree ("," degree)*
     degree     ::= "*"? modifier* integer
+    integer    ::= ("0" | "1" | ... | "9")+
 
 A bare note is a major triad.  Degree-list entries add intervals to the
 shorthand expansion; "*" entries remove the named interval number.  A bare
@@ -149,25 +150,46 @@ class Chord:
     ``degrees`` holds the sounding intervals after shorthand expansion,
     additions, omissions, and bass merging.  ``shorthand`` records the
     quality as written and is not part of structural equality.
+
+    Built with the chord, outside equality and ``repr``: the root's pitch
+    class, the sounding pitch classes as a 12-bit ``mask``, the semitones of
+    the fifth degree (7 when there is none) and the dataclass hash.
     """
 
     root: Natural | None = None
     degrees: frozenset[Degree] = frozenset()
     bass: Degree | None = None
     shorthand: str | None = field(default=None, compare=False)
+    root_pc: int | None = field(init=False, compare=False, repr=False)
+    mask: int = field(init=False, compare=False, repr=False)
+    fifth: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.root is None:
             if self.degrees or self.bass is not None or self.shorthand is not None:
                 raise ChordSemanticError("a no-chord carries no other fields")
-            return
-        intervals = [d.interval for d in self.degrees]
-        if len(set(intervals)) != len(intervals):
-            raise ChordSemanticError("duplicate interval numbers in degree set")
-        if any(d.omit for d in self.degrees):
-            raise ChordSemanticError("degree set may not contain omit markers")
-        if self.bass is not None and self.bass.omit:
-            raise ChordSemanticError("bass degree may not carry an omit marker")
+            root, mask, fifth = None, 0, 7
+        else:
+            intervals = [d.interval for d in self.degrees]
+            if len(set(intervals)) != len(intervals):
+                raise ChordSemanticError("duplicate interval numbers in degree set")
+            if any(d.omit for d in self.degrees):
+                raise ChordSemanticError("degree set may not contain omit markers")
+            if self.bass is not None and self.bass.omit:
+                raise ChordSemanticError("bass degree may not carry an omit marker")
+            root, mask, fifth = self.root.pitch_class, 0, 7
+            for degree in self.degrees:
+                semitones = degree.semitones
+                mask |= 1 << (root + semitones) % 12
+                if degree.interval == 5:
+                    fifth = semitones
+        # The fields are frozen, so they are set past the dataclass's __setattr__.
+        self.__dict__.update(root_pc=root, mask=mask, fifth=fifth,
+                             _hash=hash((self.root, self.degrees, self.bass)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_nochord(self) -> bool:
@@ -178,6 +200,10 @@ class Chord:
 
 
 NO_CHORD = Chord()
+
+
+# The grammar's digits; str.isdigit also takes other scripts' and superscripts.
+_DIGITS = frozenset("0123456789")
 
 
 class _Parser:
@@ -272,7 +298,7 @@ class _Parser:
         if modifiers.strip("b") and modifiers.strip("#"):
             raise ChordSemanticError(f"mixed accidentals: {modifiers!r}", start)
         digits_start = self.pos
-        while self.peek().isdigit():
+        while self.peek() in _DIGITS:
             self.pos += 1
         if self.pos == digits_start:
             self.error("interval number")
@@ -313,8 +339,9 @@ def _assemble(root: Natural, shorthand: str | None, entries: list[Degree],
         table[bass.interval] = bass
     if not table:
         raise ChordSemanticError("chord has no sounding degrees")
-    return Chord(root=root, degrees=frozenset(table.values()), bass=bass,
-                 shorthand=shorthand)
+    # A chord that adds nothing to its shorthand shares its degree set.
+    degrees = base if len(table) == len(base) and not entries else frozenset(table.values())
+    return Chord(root=root, degrees=degrees, bass=bass, shorthand=shorthand)
 
 
 # Both converters cache, so a process parses and renders each distinct
@@ -357,15 +384,15 @@ def pitch_class_set(chord: Chord) -> frozenset[int]:
     by :func:`bass_pitch_class`."""
     if chord.is_nochord:
         raise NoChordError("no-chord has no pitch classes")
-    return frozenset((chord.root.pitch_class + d.semitones) % 12 for d in chord.degrees)
+    return frozenset(pc for pc in range(12) if chord.mask >> pc & 1)
 
 
 def bass_pitch_class(chord: Chord) -> int:
     if chord.is_nochord:
         raise NoChordError("no-chord has no bass")
     if chord.bass is None:
-        return chord.root.pitch_class
-    return (chord.root.pitch_class + chord.bass.semitones) % 12
+        return chord.root_pc
+    return (chord.root_pc + chord.bass.semitones) % 12
 
 
 def natural_for_pitch_class(pc: int) -> Natural:
@@ -379,6 +406,6 @@ def transpose_chord(chord: Chord, semitones: int) -> Chord:
     Full-octave shifts keep the spelling, others respell canonically."""
     if chord.is_nochord or semitones % 12 == 0:
         return chord
-    root = natural_for_pitch_class(chord.root.pitch_class + semitones)
+    root = natural_for_pitch_class(chord.root_pc + semitones)
     return Chord(root=root, degrees=chord.degrees, bass=chord.bass,
                  shorthand=chord.shorthand)

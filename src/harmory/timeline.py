@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from harmory.harte import Chord, HarteError, parse_chord, pitch_class_set, render_chord, transpose_chord
+from harmory.harte import Chord, HarteError, parse_chord, render_chord, transpose_chord
 from harmory.tps import Key, key_relative_profiles, key_relative_values
 
 log = logging.getLogger(__name__)
@@ -133,8 +133,8 @@ def build_timeline(piece_id: str, events, keys=(), title=None, artist=None) -> T
                     title=title, artist=artist)
 
 
-# Each key with its diatonic set, by tonic and major before minor.
-_KEY_CANDIDATES = tuple((key, key.diatonic()) for key in (
+# Each key with its diatonic mask, by tonic and major before minor.
+_KEY_CANDIDATES = tuple((key, key.mask) for key in (
     Key(tonic, mode) for tonic in range(12) for mode in ("major", "minor")))
 
 
@@ -142,17 +142,17 @@ def estimate_key(chords) -> Key:
     """Key whose diatonic set covers the most chord pitch classes.  Ties
     prefer the tonic the fewest semitones above the first sounded chord's
     root, then major, so that transposing the chords transposes the key."""
-    pcs = set()
+    pcs = 0  # the chords' pitch classes, as a mask
     for chord in chords:
         if not chord.is_nochord:
             if not pcs:  # the first sounded chord: the index of its root's major key
-                start = 2 * chord.root.pitch_class
-            pcs |= pitch_class_set(chord)
+                start = 2 * chord.root_pc
+            pcs |= chord.mask
     if not pcs:
         raise EmptyTimelineError("cannot estimate a key without sounded chords")
     # max keeps the first of equal coverings, so the candidates run from that key up.
     return max(_KEY_CANDIDATES[start:] + _KEY_CANDIDATES[:start],
-               key=lambda candidate: len(pcs & candidate[1]))[0]
+               key=lambda candidate: (pcs & candidate[1]).bit_count())[0]
 
 
 # Fraction builds 10**exponent in full; a JSON number's exponent is at most 308.
@@ -162,15 +162,18 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 def _to_fraction(value, context: str, *args) -> int | Fraction:
     """A time in beats: an ``int`` when it is whole, else a ``Fraction``.
     An error's message starts with ``context % args``, built only then."""
-    if isinstance(value, bool):  # JSON true and false, which Fraction reads as 1 and 0
-        raise SchemaError(f"{context % args}: bad time value {value!r}")
-    # JSON integers and ASCII-decimal tokens skip Fraction's string parser;
+    if type(value) is int:  # a JSON integer; JSON true and false are bools
+        return value
+    # ASCII-decimal tokens skip the other checks and Fraction's string parser;
     # int() stays inside the try, as it rejects tokens of over 4,300 digits.
-    whole = type(value) is int or isinstance(value, str) and value.isascii() and value.isdigit()
-    exponent = _EXPONENT.search(value) if isinstance(value, str) and not whole else None
-    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-    if len(digits) > 3 or int(digits or 0) > 308:
-        raise SchemaError(f"{context % args}: time exponent beyond ±308 in {value!r:.40}")
+    whole = isinstance(value, str) and value.isascii() and value.isdigit()
+    if not whole:
+        if isinstance(value, bool):  # which Fraction reads as 1 and 0
+            raise SchemaError(f"{context % args}: bad time value {value!r}")
+        exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > 3 or int(digits or 0) > 308:
+            raise SchemaError(f"{context % args}: time exponent beyond ±308 in {value!r:.40}")
     try:
         if whole:
             return int(value)

@@ -15,14 +15,14 @@ each distinct pair, which numpy fills from the profiles in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from harmory.harte import Chord, FLAT_NAMES, Natural, NoChordError, pitch_class_set
+from harmory.harte import Chord, FLAT_NAMES, Natural, NoChordError
 
 MAJOR_STEPS = (0, 2, 4, 5, 7, 9, 11)
 MINOR_STEPS = (0, 2, 3, 5, 7, 8, 11)  # harmonic minor
@@ -34,12 +34,14 @@ _MODES = {"major": MAJOR_STEPS, "minor": MINOR_STEPS}
 class Key:
     tonic: int
     mode: str = "major"
+    mask: int = field(init=False, compare=False, repr=False)  # the diatonic set, 12 bits
 
     def __post_init__(self):
         if not 0 <= self.tonic <= 11:
             raise ValueError(f"tonic out of range 0..11: {self.tonic}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be 'major' or 'minor': {self.mode!r}")
+        object.__setattr__(self, "mask", sum(1 << pc for pc in self.diatonic()))
 
     def diatonic(self) -> frozenset[int]:
         return frozenset((self.tonic + step) % 12 for step in _MODES[self.mode])
@@ -79,14 +81,12 @@ class Profile(NamedTuple):
 def profile(chord: Chord, key: Key) -> Profile:
     if chord.is_nochord:
         raise NoChordError("no-chord has no basic space")
-    root = chord.root.pitch_class
-    # The chord's own fifth degree; a chord without one still gets the perfect fifth.
-    fifth = next((d.semitones for d in chord.degrees if d.interval == 5), 7)
+    root = chord.root_pc
     root_level = 1 << root
-    fifth_level = root_level | 1 << (root + fifth) % 12
-    chord_level = fifth_level | sum(1 << pc for pc in pitch_class_set(chord))
-    diatonic_level = chord_level | sum(1 << pc for pc in key.diatonic())
-    return Profile(key.tonic, root, root_level, fifth_level, chord_level, diatonic_level)
+    # The chord's own fifth degree; a chord without one still gets the perfect fifth.
+    fifth_level = root_level | 1 << (root + chord.fifth) % 12
+    chord_level = fifth_level | chord.mask
+    return Profile(key.tonic, root, root_level, fifth_level, chord_level, chord_level | key.mask)
 
 
 def fifths_distance(x: int, y: int) -> int:

@@ -6,9 +6,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import reject, strategies as st
 
-from harmory.harte import Chord, Degree, NO_CHORD, Natural, parse_chord, transpose_chord
+from harmory.harte import (Chord, Degree, HarteError, NO_CHORD, Natural, SHORTHAND_DEGREES,
+                           parse_chord, transpose_chord)
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline
 from harmory.tps import Key, chord_distance
 
@@ -70,6 +71,30 @@ def chords(draw):
     degree_set = frozenset(pool)
     bass = draw(st.sampled_from([None] + pool))
     return Chord(root=root, degrees=degree_set, bass=bass)
+
+
+@st.composite
+def written_chords(draw):
+    """Chords as the parser builds them from symbols: a root with up to six
+    accidentals, a shorthand or a bare degree list, omitted and added
+    degrees, and a slash bass that is added when it is not a degree."""
+    root = draw(st.sampled_from("ABCDEFG")) + draw(st.sampled_from("b#")) * draw(st.integers(0, 6))
+    shorthand = draw(st.sampled_from(["", *SHORTHAND_DEGREES]))
+    present = sorted(d.interval for d in SHORTHAND_DEGREES[shorthand]) if shorthand else [1]
+    omitted = draw(st.lists(st.sampled_from(present), unique=True, max_size=2))
+    sounding = set(present) - set(omitted)
+    added = draw(st.lists(degrees.filter(lambda d: d.interval not in sounding), max_size=3,
+                          unique_by=lambda d: d.interval))
+    bass = draw(st.none() | degrees)
+    entries = [f"*{interval}" for interval in omitted] + [str(d) for d in added]
+    symbol = f"{root}:{shorthand}" + (f"({','.join(entries)})" if entries else "")
+    try:
+        return parse_chord(symbol + (f"/{bass}" if bass else ""))
+    except HarteError:  # no degree is left, or none is written
+        reject()
+
+
+keys = st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"]))
 
 
 @st.composite

@@ -821,3 +821,99 @@ def test_matrix_of_one_piece_without_a_sounded_chord_is_a_usage_error(capsys, tm
     corpus = write_corpus(tmp_path / "corpus", {"b": ["N", "N"]})
     code, out, err = run(capsys, ["matrix", str(corpus), "--measure", measure])
     assert (code, out, err) == (2, "", "error: b: no sounded events\n")
+
+
+@pytest.mark.parametrize("grid", ["event", "beat"])
+def test_encode_writes_each_row_as_the_value_repr_and_the_weight(capsys, tmp_path, grid):
+    """Over the cover corpus (weights of 1 and 2 beats, modulations) and a
+    chart whose equal values carry unequal, fractional weights."""
+    from harmory.timeline import encode_tps, load_chart
+
+    pieces = {f"{piece_id}.jams.json": cover_jams(piece_id, beat, sections)
+              for piece_id, _, beat, sections in COVER_CORPUS}
+    pieces["mixed.chart"] = ("# key: C:maj\n0 1 C:maj\n1 2 C:maj\n3 1/2 C:maj\n"
+                             "7/2 1 G:maj\n9/2 3/2 C:maj\n6 1/2 N\n13/2 5/2 G:7\n")
+    for name, text in pieces.items():
+        path = tmp_path / name
+        path.write_text(text)
+        timeline = load_chart(text) if name.endswith(".chart") else load_jams(text)
+        rows = encode_tps(timeline, grid).values
+        expected = "value,weight\n" + "".join(f"{float(v)!r},{w}\n" for v, w in rows)
+        assert run(capsys, ["encode", str(path), "--grid", grid]) == (0, expected, ""), name
+
+
+# Interval numbers in other scripts' digits, or superscripts, with the
+# position of the digit that the parser refuses.
+NON_ASCII_INTERVALS = [("C:maj/٥", 6), ("C:(3,٥)", 5), ("C:maj/²", 6), ("G:7/³", 4)]
+
+
+@pytest.mark.parametrize("symbol,position", NON_ASCII_INTERVALS)
+def test_a_non_ascii_interval_number_is_a_positioned_usage_error(capsys, symbol, position):
+    code, out, err = run(capsys, ["parse", symbol])
+    assert (code, out, err) == (2, "", f"error: position {position}: expected interval number\n")
+
+
+@pytest.mark.parametrize("symbol,position", NON_ASCII_INTERVALS)
+def test_a_chart_with_a_non_ascii_interval_number_names_its_line(capsys, tmp_path, symbol,
+                                                                 position):
+    piece = tmp_path / "p.chart"
+    piece.write_text(chart(["C:maj", symbol]))
+    code, out, err = run(capsys, ["encode", str(piece)])
+    assert (code, out) == (2, "")
+    assert err == f"error: line 4: position {position}: expected interval number\n"
+
+
+@pytest.mark.parametrize("symbol,position", NON_ASCII_INTERVALS)
+def test_a_jams_piece_with_a_non_ascii_interval_number_names_its_observation(
+        capsys, tmp_path, symbol, position):
+    piece = tmp_path / "p.jams.json"
+    piece.write_text(json.dumps({
+        "file_metadata": {"identifiers": {"id": "p"}},
+        "annotations": [{"namespace": "chord_harte", "data": [
+            {"time": 0, "duration": 1, "value": "C:maj"},
+            {"time": 1, "duration": 1, "value": symbol}]}]}))
+    code, out, err = run(capsys, ["encode", str(piece)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: p: chord observation at event index 1: "
+                   f"position {position}: expected interval number\n")
+
+
+@pytest.mark.parametrize("symbol,position", NON_ASCII_INTERVALS)
+def test_a_graph_with_a_non_ascii_interval_number_names_its_line(capsys, tmp_path, symbol,
+                                                                 position):
+    graph = tmp_path / "memory.nt"
+    graph.write_text(GOLDEN_GRAPH.read_text().replace(
+        '"C:maj C:maj C:maj C:maj"', f'"C:maj {symbol} C:maj C:maj"', 1))
+    code, out, err = run(capsys, ["query", str(graph), "C:maj"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: line 1: chordSequence of alpha/seg/0: token 2 {symbol!r}: "
+                   f"position {position}: expected interval number\n")
+
+
+def test_discover_corpus_finds_what_rglob_finds_in_its_order(tmp_path):
+    """Hidden files and directories are read, a symlinked directory is not
+    descended, a symlink to a piece is read, a dangling one and a
+    directory named like a piece are not, and ``a/b`` sorts before
+    ``a-b`` as paths do."""
+    outside = write_corpus(tmp_path / "outside", {"linked": ["D:maj"], "far": ["E:maj"]})
+    root = write_corpus(tmp_path / "corpus", {"a-b": ["C:maj"], ".hidden": ["G:maj"],
+                                              "z": ["F:maj"], "a0": ["A:min"]})
+    write_corpus(root / "a", {"b": ["C:maj"]})
+    write_corpus(root / ".dot", {"x": ["Bb:maj"]})
+    write_corpus(root / "odd.chart", {"inner": ["Eb:maj"]})
+    write_corpus(root / "deep" / "er", {"y": ["D:min"]})
+    (root / "a" / "c.jams.json").write_text(json.dumps({"annotations": [
+        {"namespace": "chord_harte", "data": [{"time": 0, "duration": 1, "value": "C:maj"}]}]}))
+    (root / "notes.txt").write_text("not a piece\n")
+    (root / "cliques.csv").write_text("piece_id,clique_id\n")
+    (root / "link.chart").symlink_to(outside / "linked.chart")
+    (root / "dangling.chart").symlink_to(tmp_path / "missing.chart")
+    (root / "linkdir").symlink_to(outside, target_is_directory=True)
+    (root / "linkdir.chart").symlink_to(outside, target_is_directory=True)
+    oracle = [path.relative_to(root).as_posix() for path in sorted(root.rglob("*"))
+              if path.is_file() and path.name.endswith((".chart", ".jams.json"))]
+    ids = [piece.id for piece in cli.discover_corpus(root)]
+    assert ids == [name.removesuffix(".chart").removesuffix(".jams.json") for name in oracle]
+    assert ids.index("a/b") < ids.index("a-b")
+    assert {".hidden", ".dot/x", "a/c", "link", "odd.chart/inner", "deep/er/y"} <= set(ids)
+    assert not any(i.startswith(("linkdir", "dangling")) for i in ids)

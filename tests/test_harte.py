@@ -282,6 +282,31 @@ def test_parser_totality_on_random_input():
             pass
 
 
+# str.isdigit takes these, and int() reads the first two as 5 and 3.
+@pytest.mark.parametrize("symbol,message", [
+    ("C:maj/٥", "position 6: expected interval number"),
+    ("C:(3,٥)", "position 5: expected interval number"),
+    ("C:maj/²", "position 6: expected interval number"),
+    ("G:7/³", "position 4: expected interval number"),
+    ("C:maj(*٣)", "position 7: expected interval number"),
+    ("C:(b٩)", "position 4: expected interval number"),
+    ("C:maj/1٥", "position 7: expected end of input"),
+])
+def test_an_interval_number_is_written_in_ascii_digits(symbol, message):
+    with pytest.raises(ChordSyntaxError) as info:
+        parse_chord(symbol)
+    assert str(info.value) == message
+
+
+def test_no_other_digit_is_an_interval_number():
+    others = [c for c in map(chr, range(0x110000)) if c.isdigit() and not c.isascii()]
+    assert len(others) > 100
+    for char in others:
+        for symbol in (f"C:maj/{char}", f"C:({char})", f"C:(*{char})"):
+            with pytest.raises(ChordSyntaxError):
+                parse_chord(symbol)
+
+
 def test_degree_semitones():
     offsets = {1: 0, 2: 2, 3: 4, 4: 5, 5: 7, 6: 9, 7: 11,
                8: 0, 9: 2, 10: 4, 11: 5, 12: 7, 13: 9}
