@@ -23,6 +23,11 @@ it, which its runs share when the flag comes from PYTHONDONTWRITEBYTECODE.
 While it is set no `.pyc` is written, so `setup_s` includes compiling
 `src/harmory` from source.
 
+`commit` is the checkout's HEAD.  `dirty` is true when `src`,
+`perfbench`, `scripts` or BENCHMARK.json differ from it (an edit, or a
+file not committed yet): the runs then measured a tree that `commit`
+does not hold.
+
 This script imports nothing from harmory: it measures the checkout only
 through the benchmark's own command line.
 """
@@ -41,6 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (21, 22, 23)
+# The paths whose edits change what a run measures.
+MEASURED = ("src", "perfbench", "scripts", "BENCHMARK.json")
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -100,12 +107,17 @@ def recorded(out: Path) -> dict[int, Path]:
             if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))}
 
 
-def commit_of(checkout: Path) -> str:
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
+def git(checkout: Path, *arguments: str) -> str:
+    done = subprocess.run(["git", *arguments], cwd=checkout, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"error: {checkout} is not a git checkout:\n{done.stderr}")
-    return done.stdout.strip()
+    return done.stdout
+
+
+def commit_of(checkout: Path) -> tuple[str, bool]:
+    """The checkout's HEAD commit, and whether ``MEASURED`` differs from it."""
+    changed = git(checkout, "status", "--porcelain", "--", *MEASURED)
+    return git(checkout, "rev-parse", "HEAD").strip(), bool(changed.strip())
 
 
 def main(argv=None) -> int:
@@ -121,7 +133,7 @@ def main(argv=None) -> int:
     files = recorded(args.out)
     n = max(files, default=0) + 1
     before = json.loads(files[n - 1].read_text())["workloads"] if n > 1 else {}
-    commit = commit_of(checkout)
+    commit, dirty = commit_of(checkout)
 
     runs: dict[str, list[dict]] = {w["name"]: [] for w in spec["workloads"]}
     for seed in SEEDS:
@@ -148,8 +160,8 @@ def main(argv=None) -> int:
                 "ratio": ratio(value, previous.get("per_layer"), metric["name"], "value")}
         workloads[workload] = {"metrics": gated, "per_layer": layers,
                                "runs": plain, "traced_run": traced}
-    record = {"n": n, "commit": commit, "nproc": meta["nproc"], "python": meta["python"],
-              "numpy": version("numpy"), "src_lines": meta["src_lines"],
+    record = {"n": n, "commit": commit, "dirty": dirty, "nproc": meta["nproc"],
+              "python": meta["python"], "numpy": version("numpy"), "src_lines": meta["src_lines"],
               "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
               "seeds": list(SEEDS), "trace_seed": SEEDS[0], "run_seconds": seconds,
               "workloads": workloads, "pairwise": pairwise(checkout)}

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from harmory.harte import FLAT_NAMES, Chord, parse_chord
 from harmory.similarity import _Dtw, _prepared, _Tpsd, compare_pieces, corpus_similarity_matrix
-from harmory.timeline import MAX_SPAN_BEATS, ChordEvent, KeySpan, Timeline, build_timeline
+from harmory.timeline import (MAX_SPAN_BEATS, ChordEvent, KeySpan, Timeline, build_timeline,
+                              corpus_ids)
 from harmory.tps import MAJOR_STEPS, MINOR_STEPS, Key
 
 
@@ -147,6 +148,7 @@ def benchmark_measures(corpus: list[Timeline], measures=(_Dtw(), _Tpsd()),
     Each repetition times the measures' passes in turn, reversed every
     other repetition."""
     check_bench(measures, repetitions)
+    corpus_ids(corpus)
     if len(corpus) < 2:
         raise ValueError("benchmark needs at least two pieces")
     pairs = [(a, b) for i, a in enumerate(corpus) for b in corpus[i + 1:]]
@@ -173,6 +175,8 @@ def benchmark_measures(corpus: list[Timeline], measures=(_Dtw(), _Tpsd()),
     return report
 
 
+BEATS_PER_EVENT = 4
+
 # Diatonic triads on each scale degree, used by the synthetic generator.
 _TRIAD_QUALITIES = {
     "major": ("maj", "min", "min", "maj", "maj", "min", "dim"),
@@ -187,14 +191,14 @@ def diatonic_triad(key: Key, degree: int) -> Chord:
     return parse_chord(f"{FLAT_NAMES[root]}:{_TRIAD_QUALITIES[key.mode][degree % 7]}")
 
 
-def synthetic_corpus(n_pieces: int = 16, total_beats: int = 256,
-                     beats_per_event: int = 4) -> list[Timeline]:
-    """Deterministic random-walk progressions for benchmarking."""
-    n_events, most = total_beats // beats_per_event, MAX_SPAN_BEATS // beats_per_event
+def synthetic_corpus(n_pieces: int = 16, total_beats: int = 256) -> list[Timeline]:
+    """Deterministic random-walk progressions for benchmarking, one chord
+    every ``BEATS_PER_EVENT`` beats."""
+    n_events, most = total_beats // BEATS_PER_EVENT, MAX_SPAN_BEATS // BEATS_PER_EVENT
     if not 1 <= n_events <= most:  # checked before any event is built
-        bound = (f">= {beats_per_event}, one event" if n_events < 1 else
-                 f"< {(most + 1) * beats_per_event}, at most {most} events")
-        raise ValueError(f"--synthetic-beats must be {bound} of {beats_per_event} beats, "
+        bound = (f">= {BEATS_PER_EVENT}, one event" if n_events < 1 else
+                 f"< {(most + 1) * BEATS_PER_EVENT}, at most {most} events")
+        raise ValueError(f"--synthetic-beats must be {bound} of {BEATS_PER_EVENT} beats, "
                          f"got {total_beats}")
     corpus = []
     for p in range(n_pieces):
@@ -204,8 +208,8 @@ def synthetic_corpus(n_pieces: int = 16, total_beats: int = 256,
         events = []
         for i in range(n_events):
             chord = diatonic_triad(key, degree)
-            start = Fraction(i * beats_per_event)
-            events.append(ChordEvent(start, Fraction(beats_per_event), chord))
+            start = Fraction(i * BEATS_PER_EVENT)
+            events.append(ChordEvent(start, Fraction(BEATS_PER_EVENT), chord))
             degree = (degree + rng.choice((1, 2, 3, 4, 5, 6))) % 7
         spans = [KeySpan(Fraction(0), Fraction(total_beats), key)]
         corpus.append(build_timeline(f"synthetic-{p:02d}", events, spans))

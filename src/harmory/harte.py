@@ -393,19 +393,3 @@ def bass_pitch_class(chord: Chord) -> int:
     if chord.bass is None:
         return chord.root_pc
     return (chord.root_pc + chord.bass.semitones) % 12
-
-
-def natural_for_pitch_class(pc: int) -> Natural:
-    """Canonical (flat-preferring) spelling of a pitch class."""
-    name = FLAT_NAMES[pc % 12]
-    return Natural(name[0], name[1:])
-
-
-def transpose_chord(chord: Chord, semitones: int) -> Chord:
-    """Shift the root; degrees and bass are root-relative and unchanged.
-    Full-octave shifts keep the spelling, others respell canonically."""
-    if chord.is_nochord or semitones % 12 == 0:
-        return chord
-    root = natural_for_pitch_class(chord.root_pc + semitones)
-    return Chord(root=root, degrees=chord.degrees, bass=chord.bass,
-                 shorthand=chord.shorthand)

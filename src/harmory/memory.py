@@ -21,7 +21,8 @@ from urllib.parse import quote, unquote
 from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
 from harmory.similarity import DEFAULT_SCALE, Warps, _Dtw
-from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline, estimate_key
+from harmory.timeline import (ChordEvent, KeySpan, Timeline, build_timeline, corpus_ids,
+                              estimate_key)
 from harmory.tps import Key
 
 BASE = "urn:harmory:"
@@ -214,9 +215,7 @@ def build_memory(corpus: list[Timeline],
         raise EmptyCorpusError("corpus is empty")
     MemoryThresholds(theta_sim, theta_merge)
     steps = _Dtw(scale)
-    ids = [tl.id for tl in corpus]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate piece ids in corpus")
+    corpus_ids(corpus)
     pieces: dict[str, PieceInfo] = {}
     segments: dict[str, Segment] = {}
     for tl in sorted(corpus, key=lambda t: t.id):

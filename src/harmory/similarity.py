@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from harmory.timeline import EmptyTimelineError, Timeline, encode_tps
+from harmory.timeline import EmptyTimelineError, Timeline, corpus_ids, encode_tps
 from harmory.tps import (Profile, distance_table, fifths_distance, intern,
                          key_relative_profiles, key_relative_values)
 
@@ -461,9 +461,7 @@ def corpus_similarity_matrix(corpus: list[Timeline], steps=_Dtw()):
     """Score every unordered pair with the step instance ``steps``;
     returns (ids, matrix) with unit diagonal.  Each piece is prepared
     once, into one ``Warps`` for the corpus."""
-    ids = [tl.id for tl in corpus]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate piece ids in corpus")
+    ids = corpus_ids(corpus)
     shared = Warps()
     prepared = []
     for timeline in corpus:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from harmory.harte import Chord, HarteError, parse_chord, render_chord, transpose_chord
+from harmory.harte import Chord, HarteError, parse_chord
 from harmory.tps import Key, key_relative_profiles, key_relative_values
 
 log = logging.getLogger(__name__)
@@ -88,6 +88,17 @@ class Timeline:
         if not keyed:
             raise EmptyTimelineError(f"{self.id}: no sounded events")
         return keyed
+
+
+def corpus_ids(corpus: list[Timeline]) -> list[str]:
+    """The pieces' ids, in corpus order.  Raises a ``ValueError`` naming the
+    first id that a second piece repeats."""
+    ids, seen = [tl.id for tl in corpus], set()
+    for piece_id in ids:
+        if piece_id in seen:
+            raise ValueError(f"duplicate piece id {piece_id!r} in corpus")
+        seen.add(piece_id)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -296,21 +307,6 @@ def load_chart(text: str, piece_id: str | None = None) -> Timeline:
     return build_timeline(piece_id, events, spans, title=title, artist=artist)
 
 
-def write_chart(timeline: Timeline) -> str:
-    """Inverse of :func:`load_chart` for single-key timelines."""
-    if len(timeline.keys) != 1:
-        raise ValueError("chart format holds exactly one key span")
-    lines = []
-    if timeline.title:
-        lines.append(f"# title: {timeline.title}")
-    if timeline.artist:
-        lines.append(f"# artist: {timeline.artist}")
-    lines.append(f"# key: {timeline.keys[0].key}")
-    for event in timeline.events:
-        lines.append(f"{event.start} {event.duration} {render_chord(event.chord)}")
-    return "\n".join(lines) + "\n"
-
-
 def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     """Encode a timeline as key-relative Tonal Pitch Space values.
 
@@ -340,16 +336,3 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     if not grid_values:
         raise EmptyTimelineError(f"{timeline.id}: shorter than one beat")
     return TpsSeries(tuple(grid_values))
-
-
-def transpose(timeline: Timeline, semitones: int) -> Timeline:
-    """Shift all chord roots and key tonics; structure is unchanged."""
-    if semitones % 12 == 0:
-        return timeline
-    events = tuple(
-        ChordEvent(e.start, e.duration, transpose_chord(e.chord, semitones))
-        for e in timeline.events)
-    keys = tuple(
-        KeySpan(s.start, s.duration, s.key.transpose(semitones)) for s in timeline.keys)
-    return Timeline(id=timeline.id, events=events, keys=keys,
-                    title=timeline.title, artist=timeline.artist)

@@ -46,9 +46,6 @@ class Key:
     def diatonic(self) -> frozenset[int]:
         return frozenset((self.tonic + step) % 12 for step in _MODES[self.mode])
 
-    def transpose(self, semitones: int) -> "Key":
-        return Key((self.tonic + semitones) % 12, self.mode)
-
     @classmethod
     @lru_cache(maxsize=2**12)  # bounded for the reason profile's cache is
     def from_string(cls, text: str) -> "Key":

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import reject, strategies as st
 
-from harmory.harte import (Chord, Degree, HarteError, NO_CHORD, Natural, SHORTHAND_DEGREES,
-                           parse_chord, transpose_chord)
+from harmory.harte import (FLAT_NAMES, Chord, Degree, HarteError, NO_CHORD, Natural,
+                           SHORTHAND_DEGREES, parse_chord, render_chord)
 from harmory.timeline import ChordEvent, KeySpan, Timeline, build_timeline
 from harmory.tps import Key, chord_distance
 
@@ -33,6 +33,53 @@ def make_timeline(chords, key="C:maj", piece_id="piece", beat=1):
 def sounded_pairs(timeline):
     """The (chord, key) pair of each sounded event of a timeline."""
     return [(chord, key) for _, chord, key in timeline.sounded()]
+
+
+# Transposition and chart writing are not harmory operations: they build the
+# inputs of the invariance and round-trip tests.
+
+def transpose_key(key, semitones):
+    """``key`` moved by ``semitones``, in the same mode."""
+    return Key((key.tonic + semitones) % 12, key.mode)
+
+
+def transpose_chord(chord, semitones):
+    """Shift the root; degrees and bass are root-relative and unchanged.
+    Full-octave shifts keep the spelling, others respell canonically,
+    preferring flats."""
+    if chord.is_nochord or semitones % 12 == 0:
+        return chord
+    name = FLAT_NAMES[(chord.root_pc + semitones) % 12]
+    return Chord(root=Natural(name[0], name[1:]), degrees=chord.degrees, bass=chord.bass,
+                 shorthand=chord.shorthand)
+
+
+def transpose(timeline, semitones):
+    """Shift all chord roots and key tonics; structure is unchanged."""
+    if semitones % 12 == 0:
+        return timeline
+    events = tuple(
+        ChordEvent(e.start, e.duration, transpose_chord(e.chord, semitones))
+        for e in timeline.events)
+    keys = tuple(
+        KeySpan(s.start, s.duration, transpose_key(s.key, semitones)) for s in timeline.keys)
+    return Timeline(id=timeline.id, events=events, keys=keys,
+                    title=timeline.title, artist=timeline.artist)
+
+
+def write_chart(timeline):
+    """Inverse of ``timeline.load_chart`` for single-key timelines."""
+    if len(timeline.keys) != 1:
+        raise ValueError("chart format holds exactly one key span")
+    lines = []
+    if timeline.title:
+        lines.append(f"# title: {timeline.title}")
+    if timeline.artist:
+        lines.append(f"# artist: {timeline.artist}")
+    lines.append(f"# key: {timeline.keys[0].key}")
+    for event in timeline.events:
+        lines.append(f"{event.start} {event.duration} {render_chord(event.chord)}")
+    return "\n".join(lines) + "\n"
 
 
 def transposed_to_c(events):
@@ -102,8 +149,6 @@ def chord_symbols(draw):
     """Syntactically valid chord strings, including N."""
     if draw(st.booleans()) and draw(st.integers(0, 9)) == 0:
         return "N"
-    from harmory.harte import render_chord
-
     return render_chord(draw(chords()))
 
 

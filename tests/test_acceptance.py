@@ -15,15 +15,15 @@ from fractions import Fraction
 from harmory.cli import main
 from harmory.evaluation import CliqueSet, evaluate_covers
 from harmory.harte import Chord, Degree, Natural, parse_chord, pitch_class_set, \
-    render_chord, transpose_chord
+    render_chord
 from harmory.memory import build_memory, export_ntriples, import_ntriples, \
     segment_to_timeline
 from harmory.segmentation import SegmentationParams, build_ssm, novelty, \
     pick_boundaries, segment_timeline
 from harmory.similarity import MEASURES, _Dtw, compare_pieces, dtw_align, lharp
-from harmory.timeline import ChordEvent, Timeline, transpose
+from harmory.timeline import ChordEvent, Timeline
 from harmory.tps import Key, chord_distance
-from tests.conftest import make_timeline, strict_json
+from tests.conftest import make_timeline, strict_json, transpose, transpose_chord
 from tests.test_harte import GOLDEN, MALFORMED
 from tests.test_memory import closure_groups, fixture_corpus
 from tests.test_similarity import POOL, cell_matrix, oracle_enumerate, \

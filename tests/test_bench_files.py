@@ -7,8 +7,11 @@ and each ratio's consistency with the file before.  No timing is.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
 import re
+import shutil
+import subprocess
 from numbers import Real
 from pathlib import Path
 
@@ -35,13 +38,16 @@ def test_bench_file_schema(n, path):
     record = json.loads(path.read_text())
     previous = json.loads(RECORDS[n - 2][1].read_text())["workloads"] if n > 1 else None
     # From BENCH_4 on, a record also holds the pairwise timings of criterion 5,
-    # and from BENCH_7 on whether the runs' interpreter wrote no bytecode.
+    # from BENCH_7 on whether the runs' interpreter wrote no bytecode, and
+    # from BENCH_10 on whether the measured tree differed from the commit.
     assert set(record) == {"n", "commit", "nproc", "python", "numpy", "src_lines", "seeds",
                            "trace_seed", "run_seconds", "workloads",
                            *(["pairwise"] if n >= 4 else []),
-                           *(["dont_write_bytecode"] if n >= 7 else [])}
-    if n >= 7:
-        assert isinstance(record["dont_write_bytecode"], bool)
+                           *(["dont_write_bytecode"] if n >= 7 else []),
+                           *(["dirty"] if n >= 10 else [])}
+    for name, first in (("dont_write_bytecode", 7), ("dirty", 10)):
+        if n >= first:
+            assert isinstance(record[name], bool)
     assert record["n"] == n
     assert re.fullmatch(r"[0-9a-f]{40}", record["commit"])
     assert isinstance(record["nproc"], int) and record["nproc"] >= 1
@@ -102,3 +108,27 @@ def test_record_script_imports_nothing_from_harmory():
     modules += [node.module or "" for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)]
     assert modules and not [m for m in modules if m.split(".")[0] == "harmory"]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs a git executable")
+def test_commit_of_reports_a_measured_file_edited_after_the_commit(tmp_path):
+    spec = importlib.util.spec_from_file_location("record_bench",
+                                                  ROOT / "scripts" / "record_bench.py")
+    record_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record_bench)
+
+    def git(*arguments):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+                               "commit.gpgsign=false", *arguments],
+                              cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+
+    source = tmp_path / "src" / "piece.py"
+    source.parent.mkdir()
+    source.write_text("one = 1\n")
+    git("init", "-q")
+    git("add", "src")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD").strip()
+    assert record_bench.commit_of(tmp_path) == (head, False)
+    source.write_text("one = 2\n")
+    assert record_bench.commit_of(tmp_path) == (head, True)

@@ -20,11 +20,12 @@ import harmory.cli as cli
 import harmory.evaluation as evaluation
 import harmory.segmentation as segmentation
 from harmory.cli import main
-from harmory.harte import parse_chord, render_chord, transpose_chord
+from harmory.harte import parse_chord, render_chord
 from harmory.memory import GraphFormatError, import_ntriples
-from harmory.timeline import MAX_SPAN_BEATS, load_jams, transpose, write_chart
+from harmory.timeline import MAX_SPAN_BEATS, load_jams
 from harmory.tps import Key
-from tests.conftest import COVER_CORPUS, cover_jams, strict_json
+from tests.conftest import (COVER_CORPUS, cover_jams, strict_json, transpose, transpose_chord,
+                            transpose_key, write_chart)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_GRAPH = DATA / "memory_golden.nt"
@@ -327,6 +328,23 @@ def test_build_of_a_piece_whose_id_contains_seg_is_a_usage_error(capsys, tmp_pat
     assert not out_dir.exists()
 
 
+def test_every_corpus_command_refuses_a_repeated_piece_id_naming_it(capsys, tmp_path):
+    """a.chart and a.jams.json both load as piece a."""
+    corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj", "G:maj"] * 4,
+                                                "b": ["F:maj", "C:maj"] * 4})
+    (corpus / "a.jams.json").write_text(cover_jams("a", 1, [("G:maj", ["G:maj", "D:maj"] * 4)]))
+    cliques = tmp_path / "cliques.csv"
+    cliques.write_text("piece_id,clique_id\na,x\nb,x\n")
+    out_dir, matrix = tmp_path / "graph", tmp_path / "matrix.csv"
+    for argv in (["--out-dir", str(out_dir), "build", str(corpus)],
+                 ["matrix", str(corpus), "--out", str(matrix)],
+                 ["eval-covers", str(corpus), str(cliques)],
+                 ["bench", str(corpus), "--repetitions", "3"]):
+        assert run(capsys, argv) == (2, "", "error: duplicate piece id 'a' in corpus\n"), argv
+    assert not out_dir.exists()
+    assert not matrix.exists()
+
+
 def test_query_without_a_key_ranks_a_probe_as_its_transposition(capsys):
     """C G C G and, 5 semitones up, F C F C both fit two major keys
     equally; each is read in the key on its first root, so they rank
@@ -576,7 +594,7 @@ def test_per_piece_transposition_keeps_every_cli_output(capsys, tmp_path):
                     shift = shift_of[piece_id]
                     tokens = " ".join(
                         render_chord(transpose_chord(parse_chord(token), shift)) if kind == "chord"
-                        else str(Key.from_string(token).transpose(shift))
+                        else str(transpose_key(Key.from_string(token), shift))
                         for token in tokens.split())
                     line = f'{subject} "{tokens}" .'
                 expected.append(line)

@@ -34,9 +34,9 @@ import harmory.evaluation as evaluation
 from harmory.similarity import (MEASURES, _Dtw, _Lharp, _Tpsd, corpus_similarity_matrix,
                                 extract_recurrent_patterns, key_relative_events)
 from harmory.timeline import (MAX_SPAN_BEATS, ChordEvent, KeySpan, Timeline, build_timeline,
-                              encode_tps, transpose)
+                              encode_tps)
 from harmory.tps import Key
-from tests.conftest import make_timeline, strict_json
+from tests.conftest import make_timeline, strict_json, transpose
 
 
 def cliques_csv(rows):
@@ -402,7 +402,7 @@ def test_synthetic_corpus_refuses_exactly_the_spans_over_the_bound_before_any_ev
 
 
 def test_synthetic_corpus_shape():
-    corpus = synthetic_corpus(4, 64, beats_per_event=4)
+    corpus = synthetic_corpus(4, 64)
     assert [tl.id for tl in corpus] == [f"synthetic-{i:02d}" for i in range(4)]
     for p, tl in enumerate(corpus):
         assert tl.end == 64

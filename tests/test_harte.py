@@ -27,9 +27,8 @@ from harmory.harte import (
     parse_chord,
     pitch_class_set,
     render_chord,
-    transpose_chord,
 )
-from tests.conftest import chord_symbols, chords
+from tests.conftest import chord_symbols, chords, transpose_chord
 
 # (input, sorted pitch classes, canonical rendering)
 GOLDEN = [

@@ -46,9 +46,9 @@ from harmory.memory import (
 )
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
 from harmory.similarity import DEFAULT_SCALE, Warps, _Dtw, _dtw, compare_pieces, dtw_align
-from harmory.timeline import estimate_key, load_jams, transpose
+from harmory.timeline import estimate_key, load_jams
 from harmory.tps import Key, distance_table, intern, key_relative_profiles
-from tests.conftest import chords, make_timeline, strict_json
+from tests.conftest import chords, make_timeline, strict_json, transpose
 
 DATA = Path(__file__).parent / "data"
 PARAMS = SegmentationParams(kernel_size=4)
@@ -297,7 +297,7 @@ def test_build_validations():
         with pytest.raises(ValueError):
             build_memory(corpus, PARAMS, theta_sim=theta_sim, theta_merge=theta_merge)
     duplicate = [corpus[0], corpus[0]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"duplicate piece id '{corpus[0].id}'"):
         build_memory(duplicate, PARAMS)
 
 

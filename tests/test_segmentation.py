@@ -39,9 +39,9 @@ from harmory.segmentation import (
     segment_timeline,
     ssm_to_pgm,
 )
-from harmory.timeline import ChordEvent, KeySpan, build_timeline, transpose
+from harmory.timeline import ChordEvent, KeySpan, build_timeline
 from harmory.tps import Key, chord_distance
-from tests.conftest import chords, make_timeline
+from tests.conftest import chords, make_timeline, transpose
 
 AABB = make_timeline(["C:maj"] * 4 + ["G:maj"] * 4)
 

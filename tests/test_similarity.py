@@ -43,10 +43,10 @@ from harmory.similarity import (
     tpsd,
 )
 from harmory.timeline import (ChordEvent, EmptyTimelineError, KeySpan, Timeline,
-                              build_timeline, encode_tps, transpose)
+                              build_timeline, encode_tps)
 from harmory.tps import Key, chord_distance, distance_table, fifths_distance, intern, profile
 from tests.conftest import (chords, cover_corpus, exhaustive_lharp, make_timeline, sounded_pairs,
-                            tonic_triad_distance, transposed_to_c)
+                            tonic_triad_distance, transpose, transposed_to_c)
 
 tps_keys = st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"]))
 
@@ -805,7 +805,7 @@ def test_matrix_error_names_pair():
 def test_matrix_rejects_duplicate_ids():
     a = make_timeline(["C:maj"], piece_id="same")
     b = make_timeline(["G:maj"], piece_id="same")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate piece id 'same'"):
         corpus_similarity_matrix([a, b], _Dtw())
 
 

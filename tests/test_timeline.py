@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmory.harte import FLAT_NAMES, NO_CHORD, ChordSyntaxError, parse_chord, transpose_chord
+from harmory.harte import FLAT_NAMES, NO_CHORD, ChordSyntaxError, parse_chord
 from harmory.cli import main
 from harmory.timeline import (
     MAX_SPAN_BEATS,
@@ -25,12 +25,11 @@ from harmory.timeline import (
     estimate_key,
     load_chart,
     load_jams,
-    transpose,
-    write_chart,
     _to_fraction,
 )
 from harmory.tps import Key, profile_distance
-from tests.conftest import chords, make_timeline, tonic_triad_distance
+from tests.conftest import (chords, make_timeline, tonic_triad_distance, transpose, transpose_chord,
+                            transpose_key, write_chart)
 
 JAMS_FIXTURE = json.dumps({
     "file_metadata": {
@@ -513,7 +512,7 @@ def test_estimate_key_commutes_with_transposition(progression):
     key = estimate_key(progression)
     for shift in range(1, 12):
         assert estimate_key([transpose_chord(c, shift) for c in progression]) \
-            == key.transpose(shift)
+            == transpose_key(key, shift)
 
 
 def test_encode_event_grid():

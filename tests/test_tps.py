@@ -16,8 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmory.harte import (NO_CHORD, SHORTHANDS, NoChordError, parse_chord, pitch_class_set,
-                           transpose_chord)
+from harmory.harte import NO_CHORD, SHORTHANDS, NoChordError, parse_chord, pitch_class_set
 import harmory.tps as tps
 from harmory.tps import (
     Key,
@@ -27,7 +26,8 @@ from harmory.tps import (
     key_relative_values,
     profile,
 )
-from tests.conftest import chords, tonic_triad_distance, transposed_to_c
+from tests.conftest import (chords, tonic_triad_distance, transpose_chord, transpose_key,
+                            transposed_to_c)
 
 MAJOR = Key.from_string("C:maj")
 LEVELS = ("root_level", "fifth_level", "chord_level", "diatonic_level")
@@ -227,8 +227,8 @@ def test_symmetry_and_bounds(a, b, ta, ma, tb, mb):
 def test_transposition_invariance(a, b, tonic, shift):
     ka, kb = Key(tonic, "major"), Key((tonic + 5) % 12, "minor")
     base = chord_distance(a, ka, b, kb)
-    moved = chord_distance(transpose_chord(a, shift), ka.transpose(shift),
-                           transpose_chord(b, shift), kb.transpose(shift))
+    moved = chord_distance(transpose_chord(a, shift), transpose_key(ka, shift),
+                           transpose_chord(b, shift), transpose_key(kb, shift))
     assert moved == base
 
 
