@@ -26,7 +26,8 @@ from pathlib import Path
 
 from harmory.evaluation import (CliqueSet, benchmark_measures, check_bench,
                                 evaluate_covers, synthetic_corpus)
-from harmory.harte import parse_chord, render_chord, bass_pitch_class, pitch_class_set
+from harmory.harte import (Chord, HarteError, bass_pitch_class, parse_chord, pitch_class_set,
+                           render_chord)
 from harmory.memory import (
     EmptyCorpusError,
     MemoryThresholds,
@@ -158,8 +159,16 @@ def cmd_parse(args) -> int:
     return 0
 
 
+def _named_chord(name: str, text: str) -> Chord:
+    """``text`` parsed; an error names the argument ``name`` and quotes ``text``."""
+    try:
+        return parse_chord(text)
+    except HarteError as err:
+        raise ValueError(f"{name} {text!r}: {err}") from err
+
+
 def cmd_dist(args) -> int:
-    a, b = parse_chord(args.chord_a), parse_chord(args.chord_b)
+    a, b = _named_chord("chord_a", args.chord_a), _named_chord("chord_b", args.chord_b)
     key = Key.from_string(args.key) if args.key else estimate_key([a, b])
     value = chord_distance(a, key, b, key)
     print(int(value) if value == int(value) else value)
@@ -240,7 +249,8 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_query(args) -> int:
-    chords = tuple(parse_chord(token) for token in args.progression.split())
+    chords = tuple(_named_chord(f"token {number}", token)
+                   for number, token in enumerate(args.progression.split(), 1))
     key = Key.from_string(args.key) if args.key else None
     query = PatternQuery(chords=chords, key=key, k=args.k)
     results = query_similar(import_ntriples(read_file(args.graph)), query)

@@ -20,6 +20,7 @@ not already in the degree set is added to the sounding set.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -171,19 +172,19 @@ class Chord:
                 raise ChordSemanticError("a no-chord carries no other fields")
             root, mask, fifth = None, 0, 7
         else:
-            intervals = [d.interval for d in self.degrees]
-            if len(set(intervals)) != len(intervals):
-                raise ChordSemanticError("duplicate interval numbers in degree set")
-            if any(d.omit for d in self.degrees):
-                raise ChordSemanticError("degree set may not contain omit markers")
+            shape = _SHAPES.get(self.degrees)
+            if shape is None:  # not a shorthand's degree set
+                intervals = [d.interval for d in self.degrees]
+                if len(set(intervals)) != len(intervals):
+                    raise ChordSemanticError("duplicate interval numbers in degree set")
+                if any(d.omit for d in self.degrees):
+                    raise ChordSemanticError("degree set may not contain omit markers")
+                shape = _shape(self.degrees)
             if self.bass is not None and self.bass.omit:
                 raise ChordSemanticError("bass degree may not carry an omit marker")
-            root, mask, fifth = self.root.pitch_class, 0, 7
-            for degree in self.degrees:
-                semitones = degree.semitones
-                mask |= 1 << (root + semitones) % 12
-                if degree.interval == 5:
-                    fifth = semitones
+            above_c, fifth, _ = shape
+            root = self.root.pitch_class
+            mask = (above_c << root | above_c >> 12 - root) & 0xFFF
         # The fields are frozen, so they are set past the dataclass's __setattr__.
         self.__dict__.update(root_pc=root, mask=mask, fifth=fifth,
                              _hash=hash((self.root, self.degrees, self.bass)))
@@ -202,129 +203,134 @@ class Chord:
 NO_CHORD = Chord()
 
 
-# The grammar's digits; str.isdigit also takes other scripts' and superscripts.
-_DIGITS = frozenset("0123456789")
+def _shape(degrees: frozenset[Degree], name: str | None = None) -> tuple[int, int, str | None]:
+    """A degree set's pitch classes above C as a 12-bit mask, the semitones
+    of its fifth degree (7 when there is none), and the shorthand ``name``."""
+    mask, fifth = 0, 7
+    for degree in degrees:
+        semitones = degree.semitones
+        mask |= 1 << semitones
+        if degree.interval == 5:
+            fifth = semitones
+    return mask, fifth, name
 
 
-class _Parser:
-    """Recursive-descent parser over a chord string."""
+# The grammar's tokens.  Every valid symbol but "N" is one match of _SYMBOL,
+# which joins them; _error walks them one at a time through a symbol that
+# _SYMBOL or the tables refuse.  Digits are ASCII: str.isdigit also takes
+# other scripts' digits and superscripts.
+_ACCIDENTALS = re.compile("[b#]*")
+_DIGITS = re.compile("[0-9]+")
+_INTERVAL = _ACCIDENTALS.pattern + _DIGITS.pattern
+_SYMBOL = re.compile(rf"([A-G]{_ACCIDENTALS.pattern})(?::(?=[a-z0-9(])([a-z0-9]+)?"
+                     rf"(?:\((\*?{_INTERVAL}(?:,\*?{_INTERVAL})*)\))?)?(?:/({_INTERVAL}))?")
+_LEADING_ZEROS = re.compile("(?<![0-9])0+(?=[0-9])")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def error(self, expected: str):
-        raise ChordSyntaxError(self.pos, expected)
-
-    def parse(self) -> Chord:
-        if self.text == "N":
-            return NO_CHORD
-        root = self.parse_natural()
-        shorthand: str | None = None
-        entries: list[Degree] = []
-        explicit_body = False
-        if self.peek() == ":":
-            self.pos += 1
-            explicit_body = True
-            if self.peek() == "(":
-                entries = self.parse_degree_list()
-            else:
-                shorthand = self.parse_shorthand()
-                if self.peek() == "(":
-                    entries = self.parse_degree_list()
-        bass = None
-        if self.peek() == "/":
-            self.pos += 1
-            bass = self.parse_degree()
-            if bass.omit:
-                raise ChordSemanticError("bass degree may not carry an omit marker", self.pos)
-        if self.pos != len(self.text):
-            self.error("end of input")
-        if not explicit_body:
-            shorthand = "maj"
-        return _assemble(root, shorthand, entries, bass)
-
-    def parse_natural(self) -> Natural:
-        start = self.pos
-        if self.peek() not in NATURALS:
-            self.error("note letter A..G")
-        letter = self.text[self.pos]
-        self.pos += 1
-        modifiers = self.parse_modifiers()
-        try:
-            return Natural(letter, modifiers)
-        except ChordSemanticError as err:
-            raise ChordSemanticError(str(err), start) from None
-
-    def parse_modifiers(self) -> str:
-        start = self.pos
-        while self.peek() in ("b", "#"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def parse_shorthand(self) -> str:
-        start = self.pos
-        while self.peek() and (self.peek().islower() or self.peek().isdigit()):
-            self.pos += 1
-        token = self.text[start:self.pos]
-        if not token:
-            self.error("quality shorthand or '('")
-        if token not in SHORTHAND_DEGREES:
-            raise ChordSyntaxError(start, f"known shorthand, got {token!r}")
-        return token
-
-    def parse_degree_list(self) -> list[Degree]:
-        # Caller guarantees the opening parenthesis.
-        self.pos += 1
-        entries = [self.parse_degree(allow_omit=True)]
-        while self.peek() == ",":
-            self.pos += 1
-            entries.append(self.parse_degree(allow_omit=True))
-        if self.peek() != ")":
-            self.error("',' or ')'")
-        self.pos += 1
-        return entries
-
-    def parse_degree(self, allow_omit: bool = False) -> Degree:
-        start = self.pos
-        omit = False
-        if allow_omit and self.peek() == "*":
-            omit = True
-            self.pos += 1
-        modifiers = self.parse_modifiers()
-        if modifiers.strip("b") and modifiers.strip("#"):
-            raise ChordSemanticError(f"mixed accidentals: {modifiers!r}", start)
-        digits_start = self.pos
-        while self.peek() in _DIGITS:
-            self.pos += 1
-        if self.pos == digits_start:
-            self.error("interval number")
-        flats = modifiers.count("b")
-        try:
-            return Degree(
-                interval=int(self.text[digits_start:self.pos]),
-                alteration=-flats if flats else len(modifiers),
-                omit=omit,
-            )
-        except ChordSemanticError as err:
-            raise ChordSemanticError(str(err), start) from None
-
-
+# Built once, here, and only read after: every natural with up to two
+# accidentals and every degree, keyed by their text, each shorthand's
+# degrees, and the shape of each of those degree sets.
+_NATURALS = {f"{letter}{accidentals}": Natural(letter, accidentals)
+             for letter in NATURALS for accidentals in ("", "b", "bb", "#", "##")}
+_DEGREES = {f"{omit}{Degree(interval, alteration)}": Degree(interval, alteration, bool(omit))
+            for omit in ("", "*") for interval in range(1, 14) for alteration in range(-2, 3)}
 SHORTHAND_DEGREES: dict[str, frozenset[Degree]] = {
-    name: frozenset(_Parser(f"({expansion})").parse_degree_list())
+    name: frozenset(_DEGREES[entry] for entry in expansion.split(","))
     for name, expansion in SHORTHANDS.items()
 }
+_SHAPES = {degrees: _shape(degrees, name) for name, degrees in SHORTHAND_DEGREES.items()}
+_ROOT_ONLY = frozenset([Degree(1)])
 
 
-def _assemble(root: Natural, shorthand: str | None, entries: list[Degree],
-              bass: Degree | None) -> Chord:
-    if shorthand is not None:
-        base = SHORTHAND_DEGREES[shorthand]
-    else:
-        base = frozenset([Degree(1)])
+def _degree(token: str) -> Degree:
+    """The degree an entry or bass token spells; KeyError when it spells none."""
+    return _DEGREES.get(token) or _DEGREES[_LEADING_ZEROS.sub("", token)]
+
+
+def _mixed(accidentals: str) -> bool:
+    return bool(accidentals.strip("b") and accidentals.strip("#"))
+
+
+def _error(text: str) -> HarteError:
+    """The positioned error of the first token of ``text`` that the grammar
+    or the tables refuse."""
+    if text[:1] not in NATURALS:
+        return ChordSyntaxError(0, "note letter A..G")
+    pos = _ACCIDENTALS.match(text, 1).end()
+    if _mixed(text[1:pos]):
+        return ChordSemanticError(f"mixed accidentals: {text[1:pos]!r}", 0)
+    if text.startswith(":", pos):
+        pos += 1
+        if not text.startswith("(", pos):
+            start = pos
+            # As str.islower and str.isdigit read them, so that the error quotes the run.
+            while pos < len(text) and (text[pos].islower() or text[pos].isdigit()):
+                pos += 1
+            if pos == start:
+                return ChordSyntaxError(pos, "quality shorthand or '('")
+            if text[start:pos] not in SHORTHAND_DEGREES:
+                return ChordSyntaxError(start, f"known shorthand, got {text[start:pos]!r}")
+        if text.startswith("(", pos):
+            pos, error = _degree_error(text, pos + 1, omit=True)
+            while error is None and text.startswith(",", pos):
+                pos, error = _degree_error(text, pos + 1, omit=True)
+            if error is not None:
+                return error
+            if not text.startswith(")", pos):
+                return ChordSyntaxError(pos, "',' or ')'")
+            pos += 1
+    if text.startswith("/", pos):
+        pos, error = _degree_error(text, pos + 1, omit=False)
+        if error is not None:
+            return error
+    return ChordSyntaxError(pos, "end of input")
+
+
+def _degree_error(text: str, start: int, omit: bool) -> tuple[int, HarteError | None]:
+    """The end of the degree token at ``start``, and its error if it has one.
+    ``omit`` says whether the token may start with ``*``."""
+    pos = start + (omit and text.startswith("*", start))
+    end = _ACCIDENTALS.match(text, pos).end()
+    accidentals = text[pos:end]
+    if _mixed(accidentals):
+        return end, ChordSemanticError(f"mixed accidentals: {accidentals!r}", start)
+    digits = _DIGITS.match(text, end)
+    if digits is None:
+        return end, ChordSyntaxError(end, "interval number")
+    pos, end = digits.span()
+    if _LEADING_ZEROS.sub("", text[start:end]) in _DEGREES:
+        return end, None
+    number = text[pos:end].lstrip("0") or "0"
+    if number not in _DEGREES:  # an unaltered degree's text is its interval number
+        shown = number if len(number) <= 40 else number[:37] + "..."
+        return end, ChordSemanticError(f"degree out of range 1..13: {shown}", start)
+    alteration = -len(accidentals) if accidentals.startswith("b") else len(accidentals)
+    return end, ChordSemanticError(f"alteration out of range: {alteration}", start)
+
+
+# Both converters cache, so a process parses and renders each distinct
+# token or chord once.  Bounded, because a note takes any number of
+# accidentals, so the tokens have no bound of their own.
+@lru_cache(maxsize=2**12)
+def parse_chord(text: str) -> Chord:
+    """Parse a chord symbol, raising positioned errors on bad input."""
+    if text == "N":
+        return NO_CHORD
+    symbol = _SYMBOL.fullmatch(text)
+    if symbol is None:
+        raise _error(text)
+    note, shorthand, entries, bass = symbol.groups()
+    if shorthand is None and entries is None:  # a bare note is a major triad
+        shorthand = "maj"
+    try:
+        root = _NATURALS.get(note) or Natural(note[0], note[1:])
+        base = SHORTHAND_DEGREES[shorthand] if shorthand else _ROOT_ONLY
+        entries = [_degree(entry) for entry in entries.split(",")] if entries else ()
+        bass = _degree(bass) if bass else None
+    except (KeyError, ChordSemanticError):
+        raise _error(text) from None
+    if not entries and (bass is None or bass in base):
+        # A chord that adds nothing to its shorthand shares its degree set.
+        return Chord(root, base, bass, shorthand)
     table = {d.interval: d for d in base}
     for entry in entries:
         if entry.omit:
@@ -339,18 +345,8 @@ def _assemble(root: Natural, shorthand: str | None, entries: list[Degree],
         table[bass.interval] = bass
     if not table:
         raise ChordSemanticError("chord has no sounding degrees")
-    # A chord that adds nothing to its shorthand shares its degree set.
     degrees = base if len(table) == len(base) and not entries else frozenset(table.values())
-    return Chord(root=root, degrees=degrees, bass=bass, shorthand=shorthand)
-
-
-# Both converters cache, so a process parses and renders each distinct
-# token or chord once.  Bounded, because a note takes any number of
-# accidentals, so the tokens have no bound of their own.
-@lru_cache(maxsize=2**12)
-def parse_chord(text: str) -> Chord:
-    """Parse a chord symbol, raising positioned errors on bad input."""
-    return _Parser(text).parse()
+    return Chord(root, degrees, bass, shorthand)
 
 
 @lru_cache(maxsize=2**12)
@@ -359,20 +355,24 @@ def render_chord(chord: Chord) -> str:
     sorted remainder list.  ``parse_chord(render_chord(c)) == c``."""
     if chord.is_nochord:
         return "N"
-    best: str | None = None
-    for name, expansion in SHORTHAND_DEGREES.items():
-        if expansion <= chord.degrees:
-            if best is None or len(expansion) > len(SHORTHAND_DEGREES[best]):
-                best = name
-    if best is not None:
-        rest = sorted(chord.degrees - SHORTHAND_DEGREES[best], key=Degree.sort_key)
-        body = best + (f"({','.join(map(str, rest))})" if rest else "")
-    elif chord.degrees == frozenset([Degree(1)]):
-        body = "maj(*3,*5)"
+    shape = _SHAPES.get(chord.degrees)
+    if shape is not None:  # exactly a shorthand's degrees, as most chords are
+        body = shape[2]
     else:
-        entries = [] if Degree(1) in chord.degrees else [Degree(1, omit=True)]
-        entries += sorted(chord.degrees - {Degree(1)}, key=Degree.sort_key)
-        body = f"({','.join(map(str, entries))})"
+        best: str | None = None
+        for name, expansion in SHORTHAND_DEGREES.items():
+            if expansion <= chord.degrees:
+                if best is None or len(expansion) > len(SHORTHAND_DEGREES[best]):
+                    best = name
+        if best is not None:
+            rest = sorted(chord.degrees - SHORTHAND_DEGREES[best], key=Degree.sort_key)
+            body = best + (f"({','.join(map(str, rest))})" if rest else "")
+        elif chord.degrees == _ROOT_ONLY:
+            body = "maj(*3,*5)"
+        else:
+            entries = [] if Degree(1) in chord.degrees else [Degree(1, omit=True)]
+            entries += sorted(chord.degrees - _ROOT_ONLY, key=Degree.sort_key)
+            body = f"({','.join(map(str, entries))})"
     text = f"{chord.root}:{body}"
     if chord.bass is not None:
         text += f"/{chord.bass}"

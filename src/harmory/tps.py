@@ -35,13 +35,18 @@ class Key:
     tonic: int
     mode: str = "major"
     mask: int = field(init=False, compare=False, repr=False)  # the diatonic set, 12 bits
+    _hash: int = field(init=False, compare=False, repr=False)  # the dataclass hash, kept
 
     def __post_init__(self):
         if not 0 <= self.tonic <= 11:
             raise ValueError(f"tonic out of range 0..11: {self.tonic}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be 'major' or 'minor': {self.mode!r}")
-        object.__setattr__(self, "mask", sum(1 << pc for pc in self.diatonic()))
+        self.__dict__.update(mask=sum(1 << pc for pc in self.diatonic()),
+                             _hash=hash((self.tonic, self.mode)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def diatonic(self) -> frozenset[int]:
         return frozenset((self.tonic + step) % 12 for step in _MODES[self.mode])

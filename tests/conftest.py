@@ -121,10 +121,11 @@ def chords(draw):
 
 
 @st.composite
-def written_chords(draw):
-    """Chords as the parser builds them from symbols: a root with up to six
+def written_symbols(draw):
+    """Chord symbols as people write them: a root with up to six
     accidentals, a shorthand or a bare degree list, omitted and added
-    degrees, and a slash bass that is added when it is not a degree."""
+    degrees, and a slash bass that is added when it is not a degree.  A
+    few spell no chord: every degree omitted, or an empty body."""
     root = draw(st.sampled_from("ABCDEFG")) + draw(st.sampled_from("b#")) * draw(st.integers(0, 6))
     shorthand = draw(st.sampled_from(["", *SHORTHAND_DEGREES]))
     present = sorted(d.interval for d in SHORTHAND_DEGREES[shorthand]) if shorthand else [1]
@@ -135,8 +136,14 @@ def written_chords(draw):
     bass = draw(st.none() | degrees)
     entries = [f"*{interval}" for interval in omitted] + [str(d) for d in added]
     symbol = f"{root}:{shorthand}" + (f"({','.join(entries)})" if entries else "")
+    return symbol + (f"/{bass}" if bass else "")
+
+
+@st.composite
+def written_chords(draw):
+    """Chords as the parser builds them from ``written_symbols``."""
     try:
-        return parse_chord(symbol + (f"/{bass}" if bass else ""))
+        return parse_chord(draw(written_symbols()))
     except HarteError:  # no degree is left, or none is written
         reject()
 

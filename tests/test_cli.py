@@ -935,3 +935,66 @@ def test_discover_corpus_finds_what_rglob_finds_in_its_order(tmp_path):
     assert ids.index("a/b") < ids.index("a-b")
     assert {".hidden", ".dot/x", "a/c", "link", "odd.chart/inner", "deep/er/y"} <= set(ids)
     assert not any(i.startswith(("linkdir", "dangling")) for i in ids)
+
+
+# Interval numbers of more digits than int() reads, with their position:
+# each is out of range, its digits cut to 40 characters.
+LONG_INTERVALS = [("C/" + "3" * 5000, 2, "3"), ("C:(" + "1" * 5000 + ")", 3, "1")]
+
+
+def long_interval_error(position, digit):
+    return f"position {position}: degree out of range 1..13: {digit * 37}..."
+
+
+@pytest.mark.parametrize("symbol,position,digit", LONG_INTERVALS, ids=["bass", "entry"])
+def test_a_long_interval_number_is_a_positioned_usage_error(capsys, symbol, position, digit):
+    assert run(capsys, ["parse", symbol]) == (
+        2, "", f"error: {long_interval_error(position, digit)}\n")
+
+
+@pytest.mark.parametrize("symbol,position,digit", LONG_INTERVALS, ids=["bass", "entry"])
+def test_a_chart_with_a_long_interval_number_names_its_line(capsys, tmp_path, symbol, position,
+                                                            digit):
+    piece = tmp_path / "p.chart"
+    piece.write_text(chart(["C:maj", symbol]))
+    assert run(capsys, ["encode", str(piece)]) == (
+        2, "", f"error: line 4: {long_interval_error(position, digit)}\n")
+
+
+@pytest.mark.parametrize("symbol,position,digit", LONG_INTERVALS, ids=["bass", "entry"])
+def test_a_jams_piece_with_a_long_interval_number_names_its_observation(
+        capsys, tmp_path, symbol, position, digit):
+    piece = tmp_path / "p.jams.json"
+    piece.write_text(json.dumps({
+        "file_metadata": {"identifiers": {"id": "p"}},
+        "annotations": [{"namespace": "chord_harte", "data": [
+            {"time": 0, "duration": 1, "value": "C:maj"},
+            {"time": 1, "duration": 1, "value": symbol}]}]}))
+    assert run(capsys, ["encode", str(piece)]) == (
+        2, "", f"error: p: chord observation at event index 1: "
+               f"{long_interval_error(position, digit)}\n")
+
+
+@pytest.mark.parametrize("symbol,position,digit", LONG_INTERVALS, ids=["bass", "entry"])
+def test_a_graph_with_a_long_interval_number_names_its_line(capsys, tmp_path, symbol, position,
+                                                            digit):
+    graph = tmp_path / "memory.nt"
+    graph.write_text(GOLDEN_GRAPH.read_text().replace(
+        '"C:maj C:maj C:maj C:maj"', f'"C:maj {symbol} C:maj C:maj"', 1))
+    assert run(capsys, ["query", str(graph), "C:maj"]) == (
+        2, "", f"error: line 1: chordSequence of alpha/seg/0: token 2 {symbol!r}: "
+               f"{long_interval_error(position, digit)}\n")
+
+
+def test_query_names_the_progression_token_that_does_not_parse(capsys):
+    assert run(capsys, ["query", str(GOLDEN_GRAPH), "C:maj X:min G:7"]) == (
+        2, "", "error: token 2 'X:min': position 0: expected note letter A..G\n")
+    assert run(capsys, ["query", str(GOLDEN_GRAPH), "C:majé G:7", "--key", "C:maj"]) == (
+        2, "", "error: token 1 'C:majé': position 2: expected known shorthand, got 'majé'\n")
+
+
+def test_dist_names_the_chord_that_does_not_parse(capsys):
+    assert run(capsys, ["dist", "C:maj", "Q"]) == (
+        2, "", "error: chord_b 'Q': position 0: expected note letter A..G\n")
+    assert run(capsys, ["dist", "C:(3,3)", "G:7", "--key", "C:maj"]) == (
+        2, "", "error: chord_a 'C:(3,3)': duplicate degree 3\n")

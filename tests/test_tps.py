@@ -330,6 +330,81 @@ def test_the_cache_check_finds_each_unbounded_form():
     assert len(SOURCES) > 5
 
 
+# The methods of a dict, list or set that change it.
+MUTATORS = {"setdefault", "update", "append", "add", "extend", "insert", "pop", "popitem",
+            "remove", "discard", "clear"}
+
+
+def module_state_writes(source: str) -> list[str]:
+    """Each store or ``del`` into a module-level dict, list or set, and
+    each call of one of its ``MUTATORS``, made inside a function that does
+    not bind the name itself (as a parameter or a local)."""
+    tree = ast.parse(source)
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(node.value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                                        ast.SetComp))
+                or isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+                and node.value.func.id in ("dict", "list", "set", "defaultdict")):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        arguments = function.args
+        bound = {a.arg for a in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                                 arguments.vararg, arguments.kwarg) if a is not None}
+        bound |= {n.id for n in ast.walk(function)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        bound -= {name for n in ast.walk(function) if isinstance(n, ast.Global) for name in n.names}
+        shared = containers - bound
+        for node in ast.walk(function):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                    and isinstance(node.value, ast.Name) and node.value.id in shared:
+                found.append(f"line {node.lineno}: stores into {node.value.id}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id in shared:
+                found.append(f"line {node.lineno}: {node.func.value.id}.{node.func.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_function_in_the_package_writes_module_state(path):
+    # Module-level tables are built at import and only read after, so a
+    # long-running process neither grows them nor sees one call change the next.
+    assert module_state_writes(path.read_text()) == []
+
+
+def test_the_module_state_check_finds_each_write():
+    for source in ["T = {}\ndef f(k): T[k] = 1", "T = []\ndef f(x): T.append(x)",
+                   "T = set()\ndef f(x): T.add(x)", "T: dict = {}\ndef f(): T.update(a=1)",
+                   "T = {}\ndef f(): T.setdefault(1, 2)", "T = [1]\ndef f(): T.extend([2])",
+                   "T = {k: 0 for k in 'ab'}\ndef f(): T['a'] += 1",
+                   "T = dict()\nclass C:\n    def m(self): del T[1]",
+                   "T = {}\ndef f():\n    def g(): T[1] = 2", "T = {}\ng = lambda: T.clear()",
+                   "T = {}\ndef f():\n    global T\n    T[1] = 2"]:
+        assert module_state_writes(source), source
+    for source in ["T = {}\ndef f(): return T[1]", "T = {}\nT[1] = 2\nT.update(a=1)",
+                   "def f(vocab): vocab.setdefault(1, 2)", "T = {}\ndef f(T): T[1] = 2",
+                   "T = {}\ndef f():\n    T = {}\n    T[1] = 2", "T = ()\ndef f(): T.count(1)",
+                   "T = {}\ndef f(x): x.__dict__.update(a=T[1])",
+                   "T = {}\ndef f(): return [y for y in T.values()]"]:
+        assert module_state_writes(source) == [], source
+
+
+def test_a_key_hashes_as_the_dataclass_hash_of_its_compared_fields():
+    # Stored when the key is built, so a profile cache hit runs no Python __hash__;
+    # equal to the dataclass hash, so every set and dict of keys iterates as it did.
+    for tonic in range(12):
+        for mode in ("major", "minor"):
+            key = Key(tonic, mode)
+            assert hash(key) == key._hash == hash((tonic, mode)) == hash(Key(tonic, mode))
+            assert repr(key) == f"Key(tonic={tonic}, mode={mode!r})"
+
+
 def test_basic_space_cache_is_bounded():
     # Each event's basic space is kept as its Profile of level masks.
     assert tps.profile.cache_parameters()["maxsize"] is not None
