@@ -21,13 +21,11 @@ import logging
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from harmory.evaluation import (CliqueSet, benchmark_measures, check_bench,
                                 evaluate_covers, synthetic_corpus)
-from harmory.harte import (Chord, HarteError, bass_pitch_class, parse_chord, pitch_class_set,
-                           render_chord)
+from harmory.harte import bass_pitch_class, parse_chord, pitch_class_set, render_chord
 from harmory.memory import (
     EmptyCorpusError,
     MemoryThresholds,
@@ -68,11 +66,26 @@ _LOG_HANDLER.setFormatter(logging.Formatter("%(message)s"))
 
 
 def write_atomic(path: Path, data: str | bytes) -> None:
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    """Write ``data``, a ``str`` as UTF-8, to a new file beside ``path`` and
+    rename it over ``path``, so a reader sees the old file or the new one.
+    The file gets the mode ``open(path, "w")`` gives: 0o666 less the umask.
+    On any failure the temp file is removed and the error re-raised."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    while True:
+        tmp = f"{path}.{os.urandom(4).hex()}"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
-        with os.fdopen(fd, mode) as handle:
-            handle.write(data)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -159,17 +172,18 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def _named_chord(name: str, text: str) -> Chord:
-    """``text`` parsed; an error names the argument ``name`` and quotes ``text``."""
+def _named(name: str, text: str, parse=parse_chord):
+    """``text`` parsed by ``parse``, a chord by default; an error names the
+    argument or flag ``name`` and quotes ``text``."""
     try:
-        return parse_chord(text)
-    except HarteError as err:
+        return parse(text)
+    except ValueError as err:  # every harmory error, HarteError too
         raise ValueError(f"{name} {text!r}: {err}") from err
 
 
 def cmd_dist(args) -> int:
-    a, b = _named_chord("chord_a", args.chord_a), _named_chord("chord_b", args.chord_b)
-    key = Key.from_string(args.key) if args.key else estimate_key([a, b])
+    a, b = _named("chord_a", args.chord_a), _named("chord_b", args.chord_b)
+    key = _named("--key", args.key, Key.from_string) if args.key else estimate_key([a, b])
     value = chord_distance(a, key, b, key)
     print(int(value) if value == int(value) else value)
     if not args.key and not args.quiet:
@@ -249,9 +263,9 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_query(args) -> int:
-    chords = tuple(_named_chord(f"token {number}", token)
+    chords = tuple(_named(f"token {number}", token)
                    for number, token in enumerate(args.progression.split(), 1))
-    key = Key.from_string(args.key) if args.key else None
+    key = _named("--key", args.key, Key.from_string) if args.key else None
     query = PatternQuery(chords=chords, key=key, k=args.k)
     results = query_similar(import_ntriples(read_file(args.graph)), query)
     payload = [{"pattern": pattern_id, "score": score, "chords": chords_text}

@@ -10,6 +10,7 @@ yields a novelty curve whose peaks become segment boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class SegmentationParams:
         if not self.taper > 0:
             raise ValueError(f"--taper must be > 0, got {self.taper}")
         for flag, value in (("--taper", self.taper), ("--peak-lambda", self.peak_lambda)):
-            if not np.isfinite(value):
+            if not isfinite(value):
                 raise ValueError(f"{flag} must be a finite number, got {value}")
         for flag, value in (("--min-gap", self.min_gap), ("--min-len", self.min_len)):
             if value < 0:
@@ -241,7 +242,7 @@ def ssm_to_pgm(ssm: SSM) -> bytes:
 
 def novelty_to_csv(curve: np.ndarray) -> str:
     lines = ["index,value"]
-    lines += [f"{i},{float(x)!r}" for i, x in enumerate(curve)]
+    lines += [f"{i},{x!r}" for i, x in enumerate(curve.tolist())]
     return "\n".join(lines) + "\n"
 
 

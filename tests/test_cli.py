@@ -5,8 +5,12 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import os
 import pkgutil
 import re
+import stat
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -237,6 +241,100 @@ def test_build_matches_golden_graph_and_query_finds_medoid(capsys, tmp_path):
     assert results[0]["score"] == 1.0
     assert results[0]["pattern"] == "alpha/seg/0"
     assert results[0]["chords"] == "C:maj C:maj C:maj C:maj"
+
+
+def test_build_writes_the_json_goldens(capsys, tmp_path):
+    """memory_golden.json and stats_golden.json were written from the
+    fixture corpus of memory_golden.nt, and hold the exact bytes of
+    ``build``'s JSON outputs."""
+    corpus = write_corpus(tmp_path / "corpus", {
+        "alpha": ["C:maj"] * 4 + ["G:maj"] * 4,
+        "beta": ["G:maj"] * 4 + ["D:maj"] * 4,
+        "gamma": ["C:maj", "C:maj", "C:maj", "A:min"],
+    }, key_by_piece={"beta": "G:maj"})
+    out_dir = tmp_path / "graph"
+    code, out, _ = run(capsys, ["--out-dir", str(out_dir), "build", str(corpus),
+                                "--kernel-size", "4"])
+    assert code == 0
+    assert (out_dir / "memory.json").read_bytes() == (DATA / "memory_golden.json").read_bytes()
+    stats = (DATA / "stats_golden.json").read_bytes()
+    assert (out_dir / "stats.json").read_bytes() == stats
+    assert out.encode() == stats
+
+
+def test_every_output_file_gets_the_mode_open_gives_and_no_temp_file_stays(capsys, tmp_path):
+    """Each file a command writes is created as ``open(path, "w")`` creates
+    it, 0o666 less the umask, and the temp file it went through is gone."""
+    corpus, _ = write_cover_corpus(tmp_path / "covers")
+    piece = str(SEGMENT_GOLDEN / "modulating.jams.json")
+    out = tmp_path / "out"
+    for name in ("encode", "matrix"):
+        (out / name).mkdir(parents=True)
+    # Each command's output directory, its argv and the files it writes there.
+    calls = {
+        "segment": (["--out-dir", str(out / "segment"), "segment", piece],
+                    {f"modulating{suffix}" for suffix in (".ssm.pgm", ".novelty.csv",
+                                                         ".boundaries.csv", ".segments.json")}),
+        "build": (["--out-dir", str(out / "build"), "build", str(corpus)],
+                  {"memory.nt", "memory.json", "stats.json"}),
+        "encode": (["encode", piece, "--out", str(out / "encode" / "series.csv")],
+                   {"series.csv"}),
+        "matrix": (["matrix", str(corpus), "--out", str(out / "matrix" / "m.csv")], {"m.csv"}),
+    }
+    umask = 0o027
+    previous = os.umask(umask)
+    try:
+        for argv, _ in calls.values():
+            assert run(capsys, argv)[0] == 0
+    finally:
+        os.umask(previous)
+    for directory, (_, names) in calls.items():
+        files = list((out / directory).iterdir())
+        assert {path.name for path in files} == names, directory
+        for path in files:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["encode", "{piece}", "--out", "{out}/series.csv"], "series.csv"),
+    (["matrix", "{corpus}", "--out", "{out}/m.csv"], "m.csv"),
+    (["--out-dir", "{out}", "segment", "{piece}"], "modulating.ssm.pgm"),
+])
+def test_an_output_path_that_is_a_directory_is_a_usage_error_leaving_no_temp_file(
+        capsys, tmp_path, argv, target):
+    corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj", "G:maj"]})
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    paths = {"piece": SEGMENT_GOLDEN / "modulating.jams.json", "corpus": corpus, "out": out}
+    code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert [path.name for path in out.iterdir()] == [target]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """``build``, an lharp ``matrix``, ``segment`` and a key-less ``query``
+    print and write the same bytes, and exit alike, under two hash seeds."""
+    corpus, _ = write_cover_corpus(tmp_path / "covers")
+    src = str(Path(__file__).parents[1] / "src")
+
+    def outputs(seed):
+        out = tmp_path / f"seed-{seed}"
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        results = []
+        for argv in (["build", str(corpus)], ["matrix", str(corpus), "--measure", "lharp"],
+                     ["segment", str(SEGMENT_GOLDEN / "modulating.jams.json")],
+                     ["query", str(out / "memory.nt"), "A:min D:min E:7 A:min F:maj"]):
+            done = subprocess.run([sys.executable, "-m", "harmory", "--out-dir", str(out), *argv],
+                                  capture_output=True, env=env)
+            results.append((done.returncode, done.stdout, done.stderr))
+        return results, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    first = outputs(0)
+    assert [code for code, _, _ in first[0]] == [0, 0, 0, 0]
+    assert len(first[1]) == 7
+    assert outputs(987) == first
 
 
 def test_malformed_graphs_are_usage_errors_with_a_position(capsys, tmp_path):
@@ -998,3 +1096,13 @@ def test_dist_names_the_chord_that_does_not_parse(capsys):
         2, "", "error: chord_b 'Q': position 0: expected note letter A..G\n")
     assert run(capsys, ["dist", "C:(3,3)", "G:7", "--key", "C:maj"]) == (
         2, "", "error: chord_a 'C:(3,3)': duplicate degree 3\n")
+
+
+def test_query_names_the_key_flag_and_value_that_do_not_parse(capsys):
+    assert run(capsys, ["query", str(GOLDEN_GRAPH), "C:maj", "--key", "X:maj"]) == (
+        2, "", "error: --key 'X:maj': not a note letter: 'X'\n")
+
+
+def test_dist_names_the_key_flag_and_value_that_do_not_parse(capsys):
+    assert run(capsys, ["dist", "C:maj", "G:maj", "--key", "Cb#:maj"]) == (
+        2, "", "error: --key 'Cb#:maj': mixed accidentals: 'b#'\n")

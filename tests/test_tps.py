@@ -330,6 +330,64 @@ def test_the_cache_check_finds_each_unbounded_form():
     assert len(SOURCES) > 5
 
 
+def second_writers(source: str) -> list[str]:
+    """Each way of writing a file outside ``write_atomic``: an import of
+    ``tempfile``, ``open`` or ``.open`` with a mode that writes or is not
+    a literal, ``os.open``, ``os.fdopen``, and ``.write_text``/``.write_bytes``."""
+    tree = ast.parse(source)
+    exempt = {id(node) for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef) and function.name == "write_atomic"
+              for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Import) and any(a.name == "tempfile" for a in node.names) \
+                or isinstance(node, ast.ImportFrom) and node.module == "tempfile":
+            found.append(f"line {node.lineno}: imports tempfile")
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        owner = func.value.id if isinstance(func, ast.Attribute) \
+            and isinstance(func.value, ast.Name) else None
+        if name in ("write_text", "write_bytes") or owner == "os" and name in ("open", "fdopen"):
+            found.append(f"line {node.lineno}: {name}")
+        elif name == "open":
+            # open(file, mode) and io.open(file, mode); Path(...).open(mode).
+            at = 1 if isinstance(func, ast.Name) or owner == "io" else 0
+            mode = {k.arg: k.value for k in node.keywords}.get(
+                "mode", node.args[at] if len(node.args) > at else None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and isinstance(mode.value, str)
+                                         and not set(mode.value) & set("wax+")):
+                found.append(f"line {node.lineno}: open for writing")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_file_goes_through_the_one_writer(path):
+    # One writer keeps every output atomic, in one encoding and with one
+    # file mode.
+    assert second_writers(path.read_text()) == []
+
+
+def test_the_writer_check_finds_each_second_writer():
+    for source in ["import tempfile", "import os, tempfile", "from tempfile import mkstemp",
+                   "open(p, 'w')", "open(p, mode='a')", "open(p, 'r+b')", "open(p, 'xb')",
+                   "open(p, mode)", "io.open(p, 'w')", "Path(p).open('w')",
+                   "p.open(mode='wb')", "p.write_text(s)", "Path(p).write_bytes(b)",
+                   "os.fdopen(fd, 'w')", "fd = os.open(p, os.O_WRONLY)",
+                   "def write(p):\n    os.open(p, 0)"]:
+        assert second_writers(source), source
+    for source in ["open(p)", "open(p, 'rb')", "open(p, mode='r')", "io.open(p, 'rb')",
+                   "Path(p).open()", "p.open('r')", "p.read_text()", "os.read(fd, 1)",
+                   "def write_atomic(path, data):\n    fd = os.open(path, 0)\n"
+                   "    os.fdopen(fd, 'w')"]:
+        assert second_writers(source) == [], source
+
+
 # The methods of a dict, list or set that change it.
 MUTATORS = {"setdefault", "update", "append", "add", "extend", "insert", "pop", "popitem",
             "remove", "discard", "clear"}
