@@ -15,6 +15,7 @@ subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -51,6 +52,7 @@ from harmory.timeline import (
     Timeline,
     encode_tps,
     estimate_key,
+    flag,
     load_chart,
     load_jams,
 )
@@ -69,17 +71,15 @@ def write_atomic(path: Path, data: str | bytes) -> None:
     """Write ``data``, a ``str`` as UTF-8, to a new file beside ``path`` and
     rename it over ``path``, so a reader sees the old file or the new one.
     The file gets the mode ``open(path, "w")`` gives: 0o666 less the umask.
-    On any failure the temp file is removed and the error re-raised."""
+    On any failure the temp file is removed and the error re-raised, an OSError naming ``path``."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    while True:
-        tmp = f"{path}.{os.urandom(4).hex()}"
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
-            break
-        except FileExistsError:
-            continue
+    fd = None
     try:
+        while fd is None:
+            tmp = f"{path}.{os.urandom(4).hex()}"
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
         try:
             view = memoryview(data)
             while view:
@@ -87,8 +87,11 @@ def write_atomic(path: Path, data: str | bytes) -> None:
         finally:
             os.close(fd)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as err:
+        if fd is not None:
+            os.unlink(tmp)
+        if isinstance(err, OSError):
+            raise OSError(err.errno, err.strerror, str(path)) from err
         raise
 
 
@@ -247,10 +250,8 @@ def cmd_sim(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
-    params = _from_flags(SegmentationParams, args)
-    thresholds = _from_flags(MemoryThresholds, args)
-    corpus = discover_corpus(Path(args.corpus))
-    graph = build_memory(corpus, params, **dataclasses.asdict(thresholds))
+    params, thresholds = (_from_flags(cls, args) for cls in (SegmentationParams, MemoryThresholds))
+    graph = build_memory(discover_corpus(Path(args.corpus)), params, thresholds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "memory.nt", export_ntriples(graph))
@@ -312,11 +313,10 @@ def cmd_matrix(args) -> int:
 
 
 def _field_flags(*classes) -> tuple[tuple[str, dict], ...]:
-    """The flags of the parameter classes' fields, each name once: the
-    name with dashes, typed ``finite_float`` for a float default and
-    ``int`` otherwise.  Ranges are the classes' own checks."""
+    """The ``flag`` of each parameter class field, each name once, typed
+    ``finite_float`` for a float default and ``int`` otherwise."""
     fields = {f.name: f for cls in classes for f in dataclasses.fields(cls)}
-    return tuple(("--" + name.replace("_", "-"), dict(
+    return tuple((flag(name), dict(
         type=finite_float if isinstance(f.default, float) else int, default=f.default,
         help=f.metadata.get("help"))) for name, f in fields.items())
 

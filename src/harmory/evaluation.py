@@ -134,7 +134,7 @@ def check_bench(measures, repetitions: int) -> None:
     """The one check of bench's parameters: >= 3 repetitions, and no measure
     named twice, whose steps would be timed and counted under one name."""
     if repetitions < 3:
-        raise ValueError(f"need at least 3 repetitions: {repetitions}")
+        raise ValueError(f"--repetitions must be an integer >= 3, got {repetitions}")
     for name, count in Counter(steps.name for steps in measures).items():
         if count > 1:
             raise ValueError(f"measure {name!r} named twice")
@@ -200,6 +200,8 @@ def synthetic_corpus(n_pieces: int = 16, total_beats: int = 256) -> list[Timelin
                  f"< {(most + 1) * BEATS_PER_EVENT}, at most {most} events")
         raise ValueError(f"--synthetic-beats must be {bound} of {BEATS_PER_EVENT} beats, "
                          f"got {total_beats}")
+    if n_pieces < 2:
+        raise ValueError(f"--synthetic-pieces must be an integer >= 2, got {n_pieces}")
     corpus = []
     for p in range(n_pieces):
         rng = random.Random(0xA11C + p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from urllib.parse import quote, unquote
@@ -21,8 +21,8 @@ from urllib.parse import quote, unquote
 from harmory.harte import parse_chord, render_chord
 from harmory.segmentation import Segment, SegmentationParams, segment_timeline
 from harmory.similarity import DEFAULT_SCALE, Warps, _Dtw
-from harmory.timeline import (ChordEvent, KeySpan, Timeline, build_timeline, corpus_ids,
-                              estimate_key)
+from harmory.timeline import (ChordEvent, KeySpan, Timeline, at_least, build_timeline,
+                              check_ranges, corpus_ids, estimate_key)
 from harmory.tps import Key
 
 BASE = "urn:harmory:"
@@ -33,7 +33,7 @@ class EmptyCorpusError(ValueError):
 
 
 class EmptyQueryError(ValueError):
-    """A query needs at least one sounded chord and k >= 1."""
+    """A query needs at least one sounded chord."""
 
 
 class GraphFormatError(ValueError):
@@ -70,25 +70,27 @@ class PatternQuery:
 
     chords: tuple
     key: Key | None = None
-    k: int = 5
+    k: int = field(default=5, metadata={"range": at_least(1)})
 
     def __post_init__(self):
-        if self.k < 1 or all(chord.is_nochord for chord in self.chords):
-            raise EmptyQueryError("need at least one sounded chord and k >= 1")
+        check_ranges(self)
+        if all(chord.is_nochord for chord in self.chords):
+            raise EmptyQueryError("progression needs at least one sounded chord")
 
 
 @dataclass(frozen=True)
 class MemoryThresholds:
     """``build_memory``'s thresholds; constructing one checks them."""
 
-    theta_sim: float = 0.6
+    theta_sim: float = field(default=0.6, metadata={"range": (
+        "a number in (0, 1]", lambda value: 0 < value <= 1)})
     theta_merge: float = 0.9
 
     def __post_init__(self):
-        if not 0 < self.theta_sim <= 1:
-            raise ValueError(f"theta_sim must be in (0, 1]: {self.theta_sim}")
+        check_ranges(self)
         if not self.theta_merge >= self.theta_sim:
-            raise ValueError(f"theta_merge {self.theta_merge} below theta_sim {self.theta_sim}")
+            raise ValueError(f"--theta-merge must be >= --theta-sim ({self.theta_sim}), "
+                             f"got {self.theta_merge}")
 
 
 @dataclass(frozen=True)
@@ -198,12 +200,11 @@ def _segment_score(steps: _Dtw, shared: Warps, x: int, y: int) -> float:
 
 def build_memory(corpus: list[Timeline],
                  seg_params: SegmentationParams = SegmentationParams(),
-                 theta_sim: float = 0.6, theta_merge: float = 0.9,
+                 thresholds: MemoryThresholds = MemoryThresholds(),
                  scale: float = DEFAULT_SCALE) -> MemoryGraph:
     """Segment a corpus and fold similar segments into patterns.
 
-    The thresholds are checked as ``MemoryThresholds`` checks them, and
-    ``scale`` as ``_Dtw`` checks it, before any piece is segmented.
+    ``scale`` is checked as ``_Dtw`` checks it, before any piece is segmented.
     Only pairs whose exact score can change the graph are warped: each
     pair of distinct key-relative code sequences once, and only when
     ``Warps.bounds`` leaves the score able to reach the merge (or, for
@@ -213,8 +214,7 @@ def build_memory(corpus: list[Timeline],
     """
     if not corpus:
         raise EmptyCorpusError("corpus is empty")
-    MemoryThresholds(theta_sim, theta_merge)
-    steps = _Dtw(scale)
+    steps, theta_sim, theta_merge = _Dtw(scale), thresholds.theta_sim, thresholds.theta_merge
     corpus_ids(corpus)
     pieces: dict[str, PieceInfo] = {}
     segments: dict[str, Segment] = {}

@@ -9,13 +9,12 @@ yields a novelty curve whose peaks become segment boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isfinite
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from harmory.harte import Chord
-from harmory.timeline import Timeline
+from harmory.timeline import FINITE, POSITIVE, Timeline, at_least, check_ranges
 from harmory.tps import Key, distance_table, intern, profile
 
 
@@ -35,26 +34,15 @@ class KernelTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class SegmentationParams:
-    """Tuning knobs; the defaults are sensible for event-level charts.
-    Constructing one is the one range check of these parameters."""
+    """Tuning knobs; the defaults are sensible for event-level charts."""
 
-    kernel_size: int = 8
-    taper: float = 1.0
-    peak_lambda: float = 0.5
-    min_gap: int = 2
-    min_len: int = 2
-
-    def __post_init__(self):
-        if self.kernel_size < 2 or self.kernel_size % 2:
-            raise ValueError(f"--kernel-size must be an even integer >= 2, got {self.kernel_size}")
-        if not self.taper > 0:
-            raise ValueError(f"--taper must be > 0, got {self.taper}")
-        for flag, value in (("--taper", self.taper), ("--peak-lambda", self.peak_lambda)):
-            if not isfinite(value):
-                raise ValueError(f"{flag} must be a finite number, got {value}")
-        for flag, value in (("--min-gap", self.min_gap), ("--min-len", self.min_len)):
-            if value < 0:
-                raise ValueError(f"{flag} must be >= 0, got {value}")
+    kernel_size: int = field(default=8, metadata={"range": (
+        "an even integer >= 2", lambda value: not (value < 2 or value % 2))})
+    taper: float = field(default=1.0, metadata={"range": POSITIVE})
+    peak_lambda: float = field(default=0.5, metadata={"range": FINITE})
+    min_gap: int = field(default=2, metadata={"range": at_least(0)})
+    min_len: int = field(default=2, metadata={"range": at_least(0)})
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,13 @@ import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import exp, inf, isfinite
+from math import exp, inf
 from typing import ClassVar
 
 import numpy as np
 
-from harmory.timeline import EmptyTimelineError, Timeline, corpus_ids, encode_tps
+from harmory.timeline import (NON_NEGATIVE, POSITIVE, EmptyTimelineError, Timeline, at_least,
+                              check_ranges, corpus_ids, encode_tps)
 from harmory.tps import (Profile, distance_table, fifths_distance, intern,
                          key_relative_profiles, key_relative_values)
 
@@ -241,22 +242,6 @@ class Warps:
         return self._costs[key]
 
 
-def _check_params(scale: float = DEFAULT_SCALE, band: int | None = None,
-                  n_min: int = 2, n_max: int = 4, tau: float = 1.0) -> None:
-    """The one range check of the measures' parameters."""
-    if not scale > 0:
-        raise ValueError(f"--scale must be > 0, got {scale}")
-    if not tau >= 0:
-        raise ValueError(f"--tau must be >= 0, got {tau}")
-    for flag, value in (("--scale", scale), ("--tau", tau)):
-        if not isfinite(value):
-            raise ValueError(f"{flag} must be a finite number, got {value}")
-    if band is not None and band < 0:
-        raise ValueError(f"--band must be >= 0, got {band}")
-    if n_min < 2 or n_max < n_min:
-        raise ValueError(f"--n-min/--n-max need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-
-
 def extract_recurrent_patterns(profiles: list[Profile], n_min: int = 2,
                                n_max: int = 4) -> list[PatternOccurrence]:
     """Hash every n-gram window, n_min <= n <= n_max, of a piece's
@@ -268,7 +253,7 @@ def extract_recurrent_patterns(profiles: list[Profile], n_min: int = 2,
     inside the window; the last step is 0.  It is invariant under
     transposition of the piece.
     """
-    _check_params(n_min=n_min, n_max=n_max)
+    _Lharp(n_min=n_min, n_max=n_max)
     values = key_relative_values(profiles)
     steps = [fifths_distance(p.root, q.root) for p, q in zip(profiles, profiles[1:])]
     found: dict[tuple, list[int]] = {}
@@ -305,11 +290,11 @@ def _covered_runs(patterns) -> dict[int, tuple[int, int]]:
 @dataclass(frozen=True)
 class _Dtw:
     name: ClassVar[str] = "dtw"
-    scale: float = DEFAULT_SCALE
-    band: int | None = field(default=None, metadata={"help": "Sakoe-Chiba band width for dtw"})
-
-    def __post_init__(self):
-        _check_params(self.scale, self.band)
+    scale: float = field(default=DEFAULT_SCALE, metadata={"range": POSITIVE})
+    band: int | None = field(default=None, metadata={
+        "help": "Sakoe-Chiba band width for dtw",
+        "range": ("an integer >= 0", lambda value: value is None or not value < 0)})
+    __post_init__ = check_ranges
 
     def score(self, raw: float) -> float:
         """The similarity of a raw distance: dtw's cost, tpsd's mean."""
@@ -339,11 +324,8 @@ class _Tpsd:
     numpy over blocks of shifts, since the values are half-integers."""
 
     name: ClassVar[str] = "tpsd"
-    scale: float = DEFAULT_SCALE
-    score, explain = _Dtw.score, _Dtw.explain
-
-    def __post_init__(self):
-        _check_params(self.scale)
+    scale: float = field(default=DEFAULT_SCALE, metadata={"range": POSITIVE})
+    score, explain, __post_init__ = _Dtw.score, _Dtw.explain, check_ranges
 
     def comparisons(self, va, vb, shared: Warps) -> int:
         return len(va) * len(vb)
@@ -375,12 +357,15 @@ class _Lharp:
     """
 
     name: ClassVar[str] = "lharp"
-    tau: float = field(default=1.0, metadata={"help": "lharp pattern agreement threshold"})
-    n_min: int = 2
+    tau: float = field(default=1.0, metadata={"help": "lharp pattern agreement threshold",
+                                              "range": NON_NEGATIVE})
+    n_min: int = field(default=2, metadata={"range": at_least(2)})
     n_max: int = 4
 
     def __post_init__(self):
-        _check_params(n_min=self.n_min, n_max=self.n_max, tau=self.tau)
+        check_ranges(self)
+        if self.n_max < self.n_min:
+            raise ValueError(f"--n-max must be >= --n-min ({self.n_min}), got {self.n_max}")
 
     def comparisons(self, a, b, shared: Warps) -> int:
         """The pattern pairs ``compare`` bounds."""

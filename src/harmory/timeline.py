@@ -25,9 +25,9 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import ceil
+from math import ceil, isfinite
 
 from harmory.harte import Chord, HarteError, parse_chord
 from harmory.tps import Key, key_relative_profiles, key_relative_values
@@ -88,6 +88,31 @@ class Timeline:
         if not keyed:
             raise EmptyTimelineError(f"{self.id}: no sounded events")
         return keyed
+
+
+# Ranges of parameter fields: (text, test) pairs, each read by check_ranges.
+FINITE = ("a finite number", isfinite)
+POSITIVE = ("a finite number > 0", lambda value: value > 0 and isfinite(value))
+NON_NEGATIVE = ("a finite number >= 0", lambda value: value >= 0 and isfinite(value))
+
+
+def at_least(low: int) -> tuple:
+    """The range of an integer parameter; it refuses what ``value < low`` holds for."""
+    return f"an integer >= {low}", lambda value: not value < low
+
+
+def flag(name: str) -> str:
+    """The flag of the parameter ``name``: ``--theta-sim`` for ``theta_sim``, ``-k`` for ``k``."""
+    return ("-" if len(name) == 1 else "--") + name.replace("_", "-")
+
+
+def check_ranges(params) -> None:
+    """The one range check of a parameter dataclass: the first field whose
+    metadata ``range`` refuses its value raises ``<flag> must be <text>, got <value>``."""
+    for f in fields(params):
+        text, test = f.metadata.get("range", (None, None))
+        if test and not test(value := getattr(params, f.name)):
+            raise ValueError(f"{flag(f.name)} must be {text}, got {value}")
 
 
 def corpus_ids(corpus: list[Timeline]) -> list[str]:

@@ -16,7 +16,7 @@ from harmory.cli import main
 from harmory.evaluation import CliqueSet, evaluate_covers
 from harmory.harte import Chord, Degree, Natural, parse_chord, pitch_class_set, \
     render_chord
-from harmory.memory import build_memory, export_ntriples, import_ntriples, \
+from harmory.memory import MemoryThresholds, build_memory, export_ntriples, import_ntriples, \
     segment_to_timeline
 from harmory.segmentation import SegmentationParams, build_ssm, novelty, \
     pick_boundaries, segment_timeline
@@ -202,9 +202,10 @@ def test_criterion_7_memory_determinism():
     ]
     params = SegmentationParams(kernel_size=4)
     theta_merge = 0.9
-    graph = build_memory(corpus, params, theta_merge=theta_merge)
+    thresholds = MemoryThresholds(theta_merge=theta_merge)
+    graph = build_memory(corpus, params, thresholds)
     data = export_ntriples(graph)
-    assert export_ntriples(build_memory(corpus, params, theta_merge=theta_merge)) == data
+    assert export_ntriples(build_memory(corpus, params, thresholds)) == data
 
     imported = import_ntriples(data)
     assert export_ntriples(imported) == data

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import errno
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -25,8 +28,9 @@ import harmory.evaluation as evaluation
 import harmory.segmentation as segmentation
 from harmory.cli import main
 from harmory.harte import parse_chord, render_chord
-from harmory.memory import GraphFormatError, import_ntriples
-from harmory.timeline import MAX_SPAN_BEATS, load_jams
+from harmory.memory import GraphFormatError, MemoryThresholds, PatternQuery, import_ntriples
+from harmory.segmentation import SegmentationParams
+from harmory.timeline import MAX_SPAN_BEATS, flag, load_jams
 from harmory.tps import Key
 from tests.conftest import (COVER_CORPUS, cover_jams, strict_json, transpose, transpose_chord,
                             transpose_key, write_chart)
@@ -306,34 +310,66 @@ def test_an_output_path_that_is_a_directory_is_a_usage_error_leaving_no_temp_fil
     out = tmp_path / "out"
     (out / target).mkdir(parents=True)
     paths = {"piece": SEGMENT_GOLDEN / "modulating.jams.json", "corpus": corpus, "out": out}
-    code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
-    assert code == 2
-    assert err.startswith("error: ") and "Is a directory" in err
+    code, out_text, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out_text) == (2, "")
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out / target}'\n"
     assert [path.name for path in out.iterdir()] == [target]
 
 
+@pytest.mark.parametrize("argv", [["encode", "{piece}", "--out", "{out}/series.csv"],
+                                  ["matrix", "{corpus}", "--out", "{out}/m.csv"]])
+def test_an_output_path_in_a_missing_directory_is_a_usage_error_naming_it(capsys, tmp_path,
+                                                                         argv):
+    """The error names the target, not the temp file that could not be made."""
+    corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj", "G:maj"]})
+    out = tmp_path / "missing"
+    paths = {"piece": SEGMENT_GOLDEN / "modulating.jams.json", "corpus": corpus, "out": out}
+    argv = [arg.format(**paths) for arg in argv]
+    assert run(capsys, argv) == (
+        2, "", f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{argv[-1]}'\n")
+    assert not out.exists()
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    """``build``, an lharp ``matrix``, ``segment`` and a key-less ``query``
-    print and write the same bytes, and exit alike, under two hash seeds."""
-    corpus, _ = write_cover_corpus(tmp_path / "covers")
+    """``build`` of the cover corpus and of a modulating JAMS corpus,
+    ``matrix`` and ``eval-covers`` per measure, ``segment``, a beat-grid
+    ``encode`` and ``query`` with and without ``--key`` print and write the
+    same bytes, and exit alike, under two hash seeds."""
+    corpus, cliques = write_cover_corpus(tmp_path / "covers")
+    modulating = tmp_path / "modulating"
+    modulating.mkdir()
+    (modulating / "modulating.jams.json").write_bytes(
+        (SEGMENT_GOLDEN / "modulating.jams.json").read_bytes())
+    for piece_id, _, beat, sections in COVER_CORPUS:
+        if len(sections) > 1:
+            (modulating / f"{piece_id}.jams.json").write_text(cover_jams(piece_id, beat, sections))
     src = str(Path(__file__).parents[1] / "src")
+    progression = "A:min D:min E:7 A:min F:maj"
 
     def outputs(seed):
         out = tmp_path / f"seed-{seed}"
         env = {**os.environ, "PYTHONHASHSEED": str(seed),
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         results = []
-        for argv in (["build", str(corpus)], ["matrix", str(corpus), "--measure", "lharp"],
+        for argv in (["build", str(corpus)],
+                     ["--out-dir", str(out / "modulating"), "build", str(modulating)],
+                     *(["matrix", str(corpus), "--measure", measure]
+                       for measure in ("dtw", "tpsd", "lharp")),
+                     *(["eval-covers", str(corpus), str(cliques), "--measure", measure]
+                       for measure in ("dtw", "lharp")),
                      ["segment", str(SEGMENT_GOLDEN / "modulating.jams.json")],
-                     ["query", str(out / "memory.nt"), "A:min D:min E:7 A:min F:maj"]):
+                     ["encode", str(SEGMENT_GOLDEN / "modulating.jams.json"), "--grid", "beat"],
+                     ["query", str(out / "memory.nt"), progression],
+                     ["query", str(out / "memory.nt"), progression, "--key", "A:min"]):
             done = subprocess.run([sys.executable, "-m", "harmory", "--out-dir", str(out), *argv],
                                   capture_output=True, env=env)
             results.append((done.returncode, done.stdout, done.stderr))
-        return results, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return results, {path.relative_to(out).as_posix(): path.read_bytes()
+                         for path in sorted(out.rglob("*")) if path.is_file()}
 
     first = outputs(0)
-    assert [code for code, _, _ in first[0]] == [0, 0, 0, 0]
-    assert len(first[1]) == 7
+    assert [code for code, _, _ in first[0]] == [0] * 11
+    assert len(first[1]) == 10
     assert outputs(987) == first
 
 
@@ -763,18 +799,19 @@ def test_each_measure_gets_exactly_its_step_class_fields(capsys, tmp_path, monke
 
 @pytest.mark.parametrize("argv, message", [
     (["sim", "{missing}.chart", "{missing}.chart", "--scale", "0"],
-     "--scale must be > 0, got 0.0"),
+     "--scale must be a finite number > 0, got 0.0"),
     (["sim", "{missing}.chart", "{missing}.chart", "--measure", "lharp", "--tau", "-1"],
-     "--tau must be >= 0, got -1.0"),
+     "--tau must be a finite number >= 0, got -1.0"),
     (["matrix", "{missing}", "--scale", "0", "--out", "{tmp}/matrix.csv"],
-     "--scale must be > 0, got 0.0"),
+     "--scale must be a finite number > 0, got 0.0"),
     (["eval-covers", "{missing}", "{missing}.csv", "--scale", "0"],
-     "--scale must be > 0, got 0.0"),
+     "--scale must be a finite number > 0, got 0.0"),
     (["bench", "{missing}", "--measures", "dtw,nope"], "unknown measure 'nope'"),
-    (["bench", "{missing}", "--repetitions", "2"], "need at least 3 repetitions: 2"),
+    (["bench", "{missing}", "--repetitions", "2"], "--repetitions must be an integer >= 3, got 2"),
     (["bench", "{missing}", "--measures", "dtw,tpsd,dtw"], "measure 'dtw' named twice"),
-    (["build", "{missing}", "--theta-sim", "0"], "theta_sim must be in (0, 1]: 0.0"),
-    (["query", "{missing}.nt", "C:maj", "-k", "0"], "need at least one sounded chord and k >= 1"),
+    (["build", "{missing}", "--theta-sim", "0"],
+     "--theta-sim must be a number in (0, 1], got 0.0"),
+    (["query", "{missing}.nt", "C:maj", "-k", "0"], "-k must be an integer >= 1, got 0"),
 ], ids=["sim", "sim-tau", "matrix", "eval-covers", "bench", "bench-repetitions",
         "bench-twice", "build", "query"])
 def test_parameters_are_checked_before_any_input_is_read(capsys, tmp_path, argv, message):
@@ -784,6 +821,118 @@ def test_parameters_are_checked_before_any_input_is_read(capsys, tmp_path, argv,
     code, out, err = run(capsys, ["--out-dir", str(tmp_path / "out"), *argv])
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_refuses_fewer_than_two_synthetic_pieces_before_building_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "benchmark_measures", None)  # never reached
+    monkeypatch.setattr(evaluation, "ChordEvent", None)  # no piece is built
+    for pieces in ("1", "0", "-3"):
+        assert run(capsys, ["bench", "--synthetic", "--synthetic-pieces", pieces]) == (
+            2, "", f"error: --synthetic-pieces must be an integer >= 2, got {pieces}\n")
+
+
+# Typed flags without a range.
+UNRANGED_FLAGS = {"--workers"}
+
+# Each ranged flag's bounds, as (a value just outside, the bound, the text
+# after "must be " in the refusal); the text None is the declared range of
+# the flag's parameter field.  A non-finite value is ``finite_float``'s
+# usage error before any range is checked.
+RANGE_EDGES = {
+    "--kernel-size": [("0", "2", None), ("3", "4", None)],
+    "--taper": [("0", "5e-324", None)],
+    "--peak-lambda": [("inf", "1.7976931348623157e+308", None)],
+    "--min-gap": [("-1", "0", None)],
+    "--min-len": [("-1", "0", None)],
+    "--scale": [("0", "5e-324", None)],
+    "--band": [("-1", "0", None)],
+    "--tau": [("-5e-324", "0", None)],
+    "--n-min": [("1", "2", None)],
+    "--n-max": [("1", "2", ">= --n-min (2)")],
+    "--theta-sim": [("0", "5e-324", None), ("1.0000000000000002", "1", None)],
+    "--theta-merge": [("0.5999999999999999", "0.6", ">= --theta-sim (0.6)")],
+    "-k": [("0", "1", None)],
+    "--repetitions": [("2", "3", "an integer >= 3")],
+    "--synthetic-pieces": [("1", "2", "an integer >= 2")],
+    "--synthetic-beats": [("3", "4", ">= 4, one event of 4 beats")],
+}
+
+PARAMETER_CLASSES = (SegmentationParams, MemoryThresholds, *cli.MEASURES.values(), PatternQuery)
+# Each parameter field by its flag.
+PARAMETER_FIELDS = {flag(f.name): f for cls in PARAMETER_CLASSES for f in dataclasses.fields(cls)}
+
+
+def typed_flags():
+    """(command, flag, type) of each flag that ``_DECLARATIONS`` types
+    ``int`` or ``finite_float``."""
+    return [(command, name, options["type"]) for command in cli.COMMANDS
+            for name, options in cli._DECLARATIONS[command][2]
+            if options.get("type") in (int, cli.finite_float)]
+
+
+def test_every_typed_flag_has_range_edges_or_is_named_as_having_no_range():
+    assert {name for _, name, _ in typed_flags()} == RANGE_EDGES.keys() | UNRANGED_FLAGS
+    for name, edges in RANGE_EDGES.items():
+        if any(text is None for *_, text in edges):
+            assert "range" in PARAMETER_FIELDS[name].metadata, name
+
+
+def missing_input_argv(command, name, missing):
+    """``command`` on a missing input, its flags at their defaults, but for
+    the measure that owns a measure flag, ``build``'s ``--theta-merge 1``
+    (which lets ``--theta-sim`` reach 1) and ``bench``'s tiny synthetic
+    corpus, which a ``--synthetic-`` flag needs to be read."""
+    measures = [measure for measure, cls in cli.MEASURES.items()
+                if name in {flag(f.name) for f in dataclasses.fields(cls)}]
+    argv = {"segment": ["segment", f"{missing}.chart"],
+            "sim": ["sim", f"{missing}.chart", f"{missing}.chart"],
+            "matrix": ["matrix", str(missing)],
+            "eval-covers": ["eval-covers", str(missing), f"{missing}.csv"],
+            "build": ["build", str(missing), "--theta-merge", "1"],
+            "query": ["query", f"{missing}.nt", "C:maj"],
+            "bench": ["bench", str(missing)]}[command]
+    if name.startswith("--synthetic"):
+        argv += ["--synthetic", "--synthetic-pieces", "2", "--synthetic-beats", "4"]
+    return argv + (["--measure", measures[0]] if measures else [])
+
+
+@pytest.mark.parametrize("command, name, kind, outside, bound, text", [
+    (command, name, kind, *edge) for command, name, kind in typed_flags()
+    if name not in UNRANGED_FLAGS for edge in RANGE_EDGES[name]])
+def test_a_value_just_outside_a_range_is_refused_naming_its_flag_and_the_bound_passes(
+        capsys, tmp_path, monkeypatch, command, name, kind, outside, bound, text):
+    """Through every command that takes the flag, before any input is read
+    and with nothing written; the bound changes nothing the command does."""
+    monkeypatch.setattr(cli, "benchmark_measures", lambda *args: {"timed": False})
+    argv = ["--out-dir", str(tmp_path / "out"), *missing_input_argv(command, name,
+                                                                     tmp_path / "missing")]
+    code, out, err = run(capsys, [*argv, f"{name}={outside}"])
+    assert (code, out) == (2, "")
+    if math.isfinite(float(outside)):
+        text = text or PARAMETER_FIELDS[name].metadata["range"][0]
+        assert err == f"error: {name} must be {text}, got {kind(outside)}\n"
+    else:
+        assert err.splitlines()[-1] == (f"harmory {command}: error: argument {name}: "
+                                        f"expected a finite number, got {outside!r}")
+    assert list(tmp_path.iterdir()) == []
+    assert run(capsys, [*argv, f"{name}={bound}"]) == run(capsys, argv)
+
+
+@pytest.mark.parametrize("cls, field", [
+    (cls, f) for cls in PARAMETER_CLASSES for f in dataclasses.fields(cls)
+    if flag(f.name) in RANGE_EDGES])
+def test_the_parameter_classes_refuse_and_accept_the_values_the_flags_do(cls, field):
+    """A value just outside is refused with the command line's message, a
+    non-finite one included, and the bound is accepted."""
+    kind = float if isinstance(field.default, float) else int
+    others = {MemoryThresholds: {"theta_merge": 1.0},
+              PatternQuery: {"chords": (parse_chord("C:maj"),)}}.get(cls, {})
+    for outside, bound, text in RANGE_EDGES[flag(field.name)]:
+        cls(**{**others, field.name: kind(bound)})
+        text = text or field.metadata["range"][0]
+        message = f"{flag(field.name)} must be {text}, got {kind(outside)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**{**others, field.name: kind(outside)})
 
 
 def test_each_main_call_logs_at_its_own_level_to_its_own_stderr(tmp_path):
@@ -848,8 +997,8 @@ def test_non_finite_segment_and_build_parameters_are_usage_errors_naming_the_fla
 
 
 # The range of each segmentation flag, as SegmentationParams states it.
-SEGMENT_FLAG_RULES = {"--kernel-size": "an even integer >= 2", "--taper": "> 0",
-                      "--min-gap": ">= 0", "--min-len": ">= 0"}
+SEGMENT_FLAG_RULES = {"--kernel-size": "an even integer >= 2", "--taper": "a finite number > 0",
+                      "--min-gap": "an integer >= 0", "--min-len": "an integer >= 0"}
 
 
 @pytest.mark.parametrize("command, flag, value", [

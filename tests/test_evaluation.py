@@ -393,7 +393,7 @@ def test_synthetic_corpus_refuses_exactly_the_spans_over_the_bound_before_any_ev
 
     monkeypatch.setattr(evaluation, "ChordEvent", refuse)
     with pytest.raises(Built):
-        synthetic_corpus(1, MAX_SPAN_BEATS + 3)
+        synthetic_corpus(2, MAX_SPAN_BEATS + 3)
     for beats in (MAX_SPAN_BEATS + 4, 2**22):
         with pytest.raises(ValueError, match=f"^--synthetic-beats must be < {MAX_SPAN_BEATS + 4}, "
                                              f"at most {MAX_SPAN_BEATS // 4} events of 4 beats, "

@@ -33,6 +33,7 @@ from harmory.memory import (
     GraphFormatError,
     MemoryGraph,
     Pattern,
+    MemoryThresholds,
     PatternQuery,
     PieceInfo,
     build_memory,
@@ -138,7 +139,7 @@ def test_merging_matches_brute_force_closure():
         make_timeline(["D:maj"] * 4 + ["A:maj"] * 4, key="D:maj", piece_id="eps"),
     ]
     theta_merge = 0.9
-    graph = build_memory(corpus, PARAMS, theta_merge=theta_merge)
+    graph = build_memory(corpus, PARAMS, MemoryThresholds(theta_merge=theta_merge))
     segments = [seg for tl in corpus for seg in segment_timeline(tl, PARAMS).segments]
     assert len(segments) <= 20
     ids = sorted(s.id for s in segments)
@@ -289,13 +290,14 @@ def test_build_validations():
     with pytest.raises(EmptyCorpusError):
         build_memory([], PARAMS)
     corpus = fixture_corpus()
-    with pytest.raises(ValueError):
-        build_memory(corpus, PARAMS, theta_sim=0.0)
-    with pytest.raises(ValueError):
-        build_memory(corpus, PARAMS, theta_sim=1.5)
-    for theta_sim, theta_merge in ((0.8, 0.5), (0.6, float("nan")), (float("nan"), 0.9)):
-        with pytest.raises(ValueError):
-            build_memory(corpus, PARAMS, theta_sim=theta_sim, theta_merge=theta_merge)
+    for theta_sim in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=rf"^--theta-sim must be a number in \(0, 1\], "
+                                             rf"got {theta_sim}$"):
+            build_memory(corpus, PARAMS, MemoryThresholds(theta_sim=theta_sim))
+    for theta_sim, theta_merge in ((0.8, 0.5), (0.6, float("nan"))):
+        with pytest.raises(ValueError, match=rf"^--theta-merge must be >= --theta-sim "
+                                             rf"\({theta_sim}\), got {theta_merge}$"):
+            build_memory(corpus, PARAMS, MemoryThresholds(theta_sim, theta_merge))
     duplicate = [corpus[0], corpus[0]]
     with pytest.raises(ValueError, match=f"duplicate piece id '{corpus[0].id}'"):
         build_memory(duplicate, PARAMS)
@@ -429,7 +431,8 @@ def section_corpora(draw):
 def test_pruned_build_exports_what_scoring_every_pair_exports(corpus, theta_sim,
                                                               merge_step, scale):
     theta_merge = theta_sim + merge_step
-    assert_same_exports(build_memory(corpus, PARAMS, theta_sim, theta_merge, scale),
+    thresholds = MemoryThresholds(theta_sim, theta_merge)
+    assert_same_exports(build_memory(corpus, PARAMS, thresholds, scale),
                         exhaustive_memory(corpus, PARAMS, theta_sim, theta_merge, scale))
 
 
@@ -437,7 +440,7 @@ def test_pruned_build_exports_what_scoring_every_pair_exports(corpus, theta_sim,
                                                    (0.05, 0.05), (0.5, 1.5)])
 def test_pruned_build_matches_the_oracle_at_edge_thresholds(theta_sim, theta_merge):
     corpus = fixture_corpus() + [modulating_piece()]
-    assert_same_exports(build_memory(corpus, PARAMS, theta_sim, theta_merge),
+    assert_same_exports(build_memory(corpus, PARAMS, MemoryThresholds(theta_sim, theta_merge)),
                         exhaustive_memory(corpus, PARAMS, theta_sim, theta_merge, 5.0))
 
 
@@ -448,8 +451,9 @@ def test_build_exports_do_not_depend_on_the_corpus_order(order, thresholds):
     """Whatever order the pieces come in, and so their segments' code
     sequences are registered in, the graph exports the same bytes."""
     corpus = fixture_corpus() + [modulating_piece()]
-    assert_same_exports(build_memory([corpus[i] for i in order], PARAMS, *thresholds),
-                        build_memory(corpus, PARAMS, *thresholds))
+    thresholds = MemoryThresholds(*thresholds)
+    assert_same_exports(build_memory([corpus[i] for i in order], PARAMS, thresholds),
+                        build_memory(corpus, PARAMS, thresholds))
 
 
 def test_medoid_counts_the_pairs_the_bound_prunes_inside_a_pattern():
@@ -459,7 +463,7 @@ def test_medoid_counts_the_pairs_the_bound_prunes_inside_a_pattern():
     corpus = [make_timeline([symbol[c] for c in word], piece_id=f"p{i}")
               for i, word in enumerate(["XXYXYY", "XYXXXY", "XYYXXY", "YYXXXX", "YYYYXY"])]
     params = SegmentationParams(kernel_size=4, min_len=4)
-    graph = build_memory(corpus, params, theta_sim=0.6, theta_merge=0.6, scale=2.0)
+    graph = build_memory(corpus, params, MemoryThresholds(0.6, 0.6), scale=2.0)
     assert list(graph.patterns) == ["p2/seg/0"]
     assert len(graph.patterns["p2/seg/0"].members) == 5
     shared = Warps()
@@ -537,7 +541,7 @@ def test_one_warp_serves_both_orders_of_a_pair():
         alignment = dtw_align(a, b)
         assert (alignment.cost, len(alignment.path)) == (22.0, 5)
     params = SegmentationParams(kernel_size=4, min_len=4)
-    graph = build_memory(corpus, params, theta_sim=0.4, theta_merge=0.4)
+    graph = build_memory(corpus, params, MemoryThresholds(0.4, 0.4))
     assert list(graph.patterns) == ["p0/seg/0"]
     assert_same_exports(graph, exhaustive_memory(corpus, params, 0.4, 0.4, 5.0))
 
@@ -606,7 +610,7 @@ def assert_import_and_queries_match_the_oracles(data: bytes) -> MemoryGraph:
 @given(corpus=section_corpora(), theta_sim=st.sampled_from([0.3, 0.6, 0.9]))
 @settings(max_examples=40, deadline=None)
 def test_import_and_query_match_the_oracles_on_built_graphs(corpus, theta_sim):
-    graph = build_memory(corpus, PARAMS, theta_sim, theta_sim)
+    graph = build_memory(corpus, PARAMS, MemoryThresholds(theta_sim, theta_sim))
     assert_import_and_queries_match_the_oracles(export_ntriples(graph))
 
 
@@ -911,7 +915,7 @@ def as_exported(graph: MemoryGraph) -> MemoryGraph:
 def test_a_built_graph_imports_as_itself_and_counts_its_lines(corpus, theta_sim, merge_step):
     """The import of a built graph's export is that graph, as far as the
     export writes it, and ``graph_stats`` counts the export's lines."""
-    graph = build_memory(corpus, PARAMS, theta_sim, theta_sim + merge_step)
+    graph = build_memory(corpus, PARAMS, MemoryThresholds(theta_sim, theta_sim + merge_step))
     data = export_ntriples(graph)
     assert import_ntriples(data) == as_exported(graph)
     predicates = Counter(line.split(b" ")[1][len(BASE) + 1:-1].decode()

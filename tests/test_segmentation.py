@@ -314,7 +314,7 @@ def test_novelty_validation():
     with pytest.raises(ValueError, match="^--kernel-size must be"):
         novelty(ssm, 0, 1.0)
     for taper in (0.0, float("nan")):
-        with pytest.raises(ValueError, match="^--taper must be > 0"):
+        with pytest.raises(ValueError, match="^--taper must be a finite number > 0"):
             novelty(ssm, 4, taper)
     with pytest.raises(KernelTooLargeError):
         novelty(ssm, 10, 1.0)

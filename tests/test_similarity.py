@@ -360,6 +360,15 @@ def test_patterns_no_repeats():
     assert extract_recurrent_patterns(key_relative_events(tl), 2, 4) == []
 
 
+def test_pattern_lengths_are_checked_as_lharp_checks_them():
+    profiles = key_relative_events(make_timeline(["C:maj", "G:maj"] * 3))
+    with pytest.raises(ValueError, match="^--n-min must be an integer >= 2, got 1$"):
+        extract_recurrent_patterns(profiles, 1, 4)
+    with pytest.raises(ValueError, match=r"^--n-max must be >= --n-min \(3\), got 2$"):
+        extract_recurrent_patterns(profiles, 3, 2)
+    assert [p.length for p in extract_recurrent_patterns(profiles, 3, 3)] == [3, 3]
+
+
 def test_patterns_match_window_oracle():
     rng = random.Random(31)
     for _ in range(25):
@@ -669,13 +678,13 @@ def test_one_place_builds_a_report_and_one_maps_a_distance_to_a_score():
 
 
 @pytest.mark.parametrize("steps, params, message", [
-    (_Dtw, {"scale": inf}, "--scale must be a finite number, got inf"),
-    (_Tpsd, {"scale": inf}, "--scale must be a finite number, got inf"),
-    (_Tpsd, {"scale": float("nan")}, "--scale must be > 0, got nan"),
-    (_Lharp, {"tau": -1.0}, "--tau must be >= 0, got -1.0"),
-    (_Lharp, {"tau": -inf}, "--tau must be >= 0, got -inf"),
-    (_Lharp, {"tau": float("nan")}, "--tau must be >= 0, got nan"),
-    (_Lharp, {"tau": inf}, "--tau must be a finite number, got inf"),
+    (_Dtw, {"scale": inf}, "--scale must be a finite number > 0, got inf"),
+    (_Tpsd, {"scale": inf}, "--scale must be a finite number > 0, got inf"),
+    (_Tpsd, {"scale": float("nan")}, "--scale must be a finite number > 0, got nan"),
+    (_Lharp, {"tau": -1.0}, "--tau must be a finite number >= 0, got -1.0"),
+    (_Lharp, {"tau": -inf}, "--tau must be a finite number >= 0, got -inf"),
+    (_Lharp, {"tau": float("nan")}, "--tau must be a finite number >= 0, got nan"),
+    (_Lharp, {"tau": inf}, "--tau must be a finite number >= 0, got inf"),
 ])
 def test_step_classes_refuse_a_non_finite_scale_or_tau_and_a_negative_tau(steps, params,
                                                                           message):
@@ -686,9 +695,9 @@ def test_step_classes_refuse_a_non_finite_scale_or_tau_and_a_negative_tau(steps,
 
 def test_the_pair_functions_refuse_a_negative_tau_and_an_infinite_scale():
     a = make_timeline(["C:maj", "G:maj", "C:maj", "G:maj"])
-    with pytest.raises(ValueError, match=r"^--tau must be >= 0, got -1\.0$"):
+    with pytest.raises(ValueError, match=r"^--tau must be a finite number >= 0, got -1\.0$"):
         lharp(a, a, tau=-1.0)
-    with pytest.raises(ValueError, match="^--scale must be a finite number, got inf$"):
+    with pytest.raises(ValueError, match="^--scale must be a finite number > 0, got inf$"):
         tpsd(a, a, scale=inf)
 
 

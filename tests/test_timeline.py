@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 from bisect import bisect_right
@@ -20,9 +21,12 @@ from harmory.timeline import (
     KeySpan,
     SchemaError,
     Timeline,
+    at_least,
     build_timeline,
+    check_ranges,
     encode_tps,
     estimate_key,
+    flag,
     load_chart,
     load_jams,
     _to_fraction,
@@ -614,3 +618,23 @@ def test_transpose_round_trip_property(n):
 def test_ingestion_determinism():
     assert load_chart(CHART_FIXTURE, piece_id="x") == load_chart(CHART_FIXTURE, piece_id="x")
     assert load_jams(JAMS_FIXTURE) == load_jams(JAMS_FIXTURE)
+
+
+def test_a_parameter_flag_is_its_name_with_dashes_and_one_dash_for_one_letter():
+    assert [flag(name) for name in ("theta_sim", "kernel_size", "tau", "k")] \
+        == ["--theta-sim", "--kernel-size", "--tau", "-k"]
+
+
+def test_check_ranges_refuses_the_first_field_out_of_its_range_naming_its_flag():
+    @dataclasses.dataclass(frozen=True)
+    class Knobs:
+        free: float = 0.5
+        min_gap: int = dataclasses.field(default=1, metadata={"range": at_least(1)})
+        k: int = dataclasses.field(default=1, metadata={"range": at_least(0)})
+        __post_init__ = check_ranges
+
+    Knobs(free=float("nan"), min_gap=1, k=0)
+    with pytest.raises(ValueError, match="^--min-gap must be an integer >= 1, got 0$"):
+        Knobs(min_gap=0, k=-1)
+    with pytest.raises(ValueError, match="^-k must be an integer >= 0, got -1$"):
+        Knobs(k=-1)

@@ -9,6 +9,7 @@ the level tables.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -18,6 +19,10 @@ from hypothesis import strategies as st
 
 from harmory.harte import NO_CHORD, SHORTHANDS, NoChordError, parse_chord, pitch_class_set
 import harmory.tps as tps
+from harmory.memory import MemoryThresholds, PatternQuery
+from harmory.segmentation import SegmentationParams
+from harmory.similarity import MEASURES
+from harmory.timeline import at_least
 from harmory.tps import (
     Key,
     chord_distance,
@@ -451,6 +456,38 @@ def test_the_module_state_check_finds_each_write():
                    "T = {}\ndef f(x): x.__dict__.update(a=T[1])",
                    "T = {}\ndef f(): return [y for y in T.values()]"]:
         assert module_state_writes(source) == [], source
+
+
+def fields_without_range(fields) -> list[str]:
+    """The names of the dataclass ``fields`` whose metadata declares no ``range``."""
+    return [f.name for f in fields if "range" not in f.metadata]
+
+
+# Every parameter field: each that a flag sets, and PatternQuery's k.
+PARAMETER_FIELDS = [f for cls in (SegmentationParams, MemoryThresholds, *MEASURES.values())
+                    for f in dataclasses.fields(cls)] + [
+    f for f in dataclasses.fields(PatternQuery) if f.name == "k"]
+
+# The fields bounded by another field, each checked by a written rule instead.
+TIED_FIELDS = ["n_max", "theta_merge"]
+
+
+def test_every_parameter_field_declares_its_range():
+    # One range per field, beside its default, read by check_ranges alone.
+    assert sorted(fields_without_range(PARAMETER_FIELDS)) == TIED_FIELDS
+    for f in PARAMETER_FIELDS:
+        if f.name not in TIED_FIELDS:
+            text, test = f.metadata["range"]
+            assert isinstance(text, str) and callable(test), f.name
+
+
+def test_the_range_guard_finds_a_field_without_a_range():
+    @dataclasses.dataclass(frozen=True)
+    class Knobs:
+        ranged: int = dataclasses.field(default=1, metadata={"range": at_least(1)})
+        bare: float = 0.5
+
+    assert fields_without_range(dataclasses.fields(Knobs)) == ["bare"]
 
 
 def test_a_key_hashes_as_the_dataclass_hash_of_its_compared_fields():
