@@ -285,17 +285,13 @@ def cmd_eval_covers(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    measures = []
-    for name in args.measures.split(","):
-        if name not in MEASURES:
-            raise ValueError(f"unknown measure {name!r}")
-        measures.append(MEASURES[name]())
-    check_bench(measures, args.repetitions)
+    names = args.measures.split(",")
+    check_bench(names, args.repetitions)
     if not (args.synthetic or args.corpus):
         raise ValueError("bench needs a corpus directory or --synthetic")
     corpus = (synthetic_corpus(args.synthetic_pieces, args.synthetic_beats) if args.synthetic
               else discover_corpus(Path(args.corpus)))
-    report = benchmark_measures(corpus, tuple(measures), args.repetitions)
+    report = benchmark_measures(corpus, tuple(MEASURES[n]() for n in names), args.repetitions)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -355,7 +351,7 @@ _DECLARATIONS = {
         ("graph", dict(help="path to an exported .nt graph")),
         ("progression", dict(help="space-separated chord symbols")),
         ("--key", dict(help="query key, e.g. C:maj (estimated when omitted)")),
-        ("-k", dict(type=int, default=5)))),
+        ("-k", dict(type=int, default=PatternQuery.k)))),
     "eval-covers": (cmd_eval_covers, "cover-identification metrics for a corpus", (
         ("corpus", {}), ("cliques", dict(help="CSV with header piece_id,clique_id")),
         *_MEASURE_FLAGS, _WORKERS_FLAG,

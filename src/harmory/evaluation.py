@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from harmory.harte import FLAT_NAMES, Chord, parse_chord
-from harmory.similarity import _Dtw, _prepared, _Tpsd, compare_pieces, corpus_similarity_matrix
+from harmory.similarity import (MEASURES, _Dtw, _prepared, _Tpsd, compare_pieces,
+                                corpus_similarity_matrix)
 from harmory.timeline import (MAX_SPAN_BEATS, ChordEvent, KeySpan, Timeline, build_timeline,
                               corpus_ids)
 from harmory.tps import MAJOR_STEPS, MINOR_STEPS, Key
@@ -130,14 +131,14 @@ def comparison_counts(a: Timeline, b: Timeline, steps) -> int:
     return steps.comparisons(*_prepared(steps, a, b))
 
 
-def check_bench(measures, repetitions: int) -> None:
-    """The one check of bench's parameters: >= 3 repetitions, and no measure
-    named twice, whose steps would be timed and counted under one name."""
+def check_bench(names: list[str], repetitions: int) -> None:
+    """The one check of bench's parameters: >= 3 repetitions, and each measure
+    named at most once, since its steps would be timed under one name."""
     if repetitions < 3:
         raise ValueError(f"--repetitions must be an integer >= 3, got {repetitions}")
-    for name, count in Counter(steps.name for steps in measures).items():
-        if count > 1:
-            raise ValueError(f"measure {name!r} named twice")
+    if not set(names) <= MEASURES.keys() or len(set(names)) < len(names):
+        raise ValueError(f"--measures must name each of {', '.join(sorted(MEASURES))} "
+                         f"at most once, got {','.join(names)}")
 
 
 def benchmark_measures(corpus: list[Timeline], measures=(_Dtw(), _Tpsd()),
@@ -147,7 +148,7 @@ def benchmark_measures(corpus: list[Timeline], measures=(_Dtw(), _Tpsd()),
     per-pair comparison counts, all counted before the first timing.
     Each repetition times the measures' passes in turn, reversed every
     other repetition."""
-    check_bench(measures, repetitions)
+    check_bench([steps.name for steps in measures], repetitions)
     corpus_ids(corpus)
     if len(corpus) < 2:
         raise ValueError("benchmark needs at least two pieces")

@@ -227,8 +227,7 @@ def build_memory(corpus: list[Timeline],
     shared = Warps()
     sequence_of = dict(zip(ordered, shared.register_events(
         [segments[seg_id].events() for seg_id in ordered])))
-    every = range(len(shared.sequences))
-    bounds = shared.bounds(every, every).tolist()
+    bounds = shared.bounds().tolist()
 
     def score(a: str, b: str) -> float:
         """The exact score of two segments, warped once a sequence pair."""

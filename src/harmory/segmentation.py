@@ -106,7 +106,8 @@ def checkerboard_kernel(kernel_size: int, taper: float) -> np.ndarray:
     return np.sign(u) * np.sign(v) * np.exp(-taper * (u**2 + v**2) / half**2)
 
 
-def novelty(ssm: SSM, kernel_size: int = 8, taper: float = 1.0) -> np.ndarray:
+def novelty(ssm: SSM, kernel_size: int = SegmentationParams.kernel_size,
+            taper: float = SegmentationParams.taper) -> np.ndarray:
     """Checkerboard novelty along the diagonal, one value per boundary
     position i (the gap before event i); edges are zero-padded and
     negative responses are clamped to zero.  Each window is gathered from
@@ -143,8 +144,8 @@ def novelty(ssm: SSM, kernel_size: int = 8, taper: float = 1.0) -> np.ndarray:
     return values
 
 
-def pick_boundaries(curve: np.ndarray, peak_lambda: float = 0.5,
-                    min_gap: int = 2) -> list[int]:
+def pick_boundaries(curve: np.ndarray, peak_lambda: float = SegmentationParams.peak_lambda,
+                    min_gap: int = SegmentationParams.min_gap) -> list[int]:
     """Strict local maxima of a novelty curve at least ``mean + peak_lambda
     * std`` high, greedily thinned to ``min_gap``; ties keep the lower
     index.  The trivial boundaries 0 and n are never returned."""

@@ -36,6 +36,8 @@ DEFAULT_SCALE = 5.0
 # shifts of L cells each: 128 KB of float64 unless one shift is longer.
 # Larger temporaries ran several times slower per cell.
 _TPSD_BLOCK_CELLS = 1 << 14
+# The bound block over S sequences of W codes fills max(1, this // (S * W)) rows at a time.
+_BOUND_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -148,18 +150,58 @@ def _backtrack(acc, n: int, m: int, up_first: bool) -> tuple[list[tuple[int, int
     return path, tied
 
 
+def _bound_block(sequences: list[tuple[int, ...]], table) -> np.ndarray:
+    """``lb[x, y] <= _dtw(sequences[x], sequences[y], table=table).normalized_cost``,
+    one symmetric numpy matrix.  A warping path visits every row and column
+    and both corner cells (one when both sequences have one code) in at
+    most n + m - 1 steps, so ``lb`` is the largest of the summed row minima
+    (each code of a at its cheapest cell to b), the summed column minima
+    (the transposed row minima: the table is symmetric) and the corner
+    costs, over n + m - 1.  This is the cascading LB_Kim / LB_Keogh idea of
+    Rakthanmanon et al. (KDD 2012).  Table entries are half-integers, so
+    every sum is exact, an entry depends on its pair alone, and ``lb > t``
+    proves ``normalized_cost > t``."""
+    count, size = len(sequences), len(table)
+    if not count:
+        return np.zeros((0, 0))
+    # Code ``size`` pads the sequences to one width: every cell to it
+    # costs inf, so it is never the cheapest, and its summed minimum is 0.
+    grid = np.full((size + 1, size + 1), inf)
+    grid[:size, :size] = table
+    width = max(map(len, sequences))
+    codes = np.array([[*seq, *[size] * (width - len(seq))] for seq in sequences])
+    lengths = np.array([len(seq) for seq in sequences])
+    first, last, single = codes[:, 0], codes[np.arange(count), lengths - 1], lengths == 1
+    # nearest[c, y]: the cheapest cell from code c to a code of sequence y.
+    nearest = grid[:, first]
+    for column in codes.T[1:]:
+        np.minimum(nearest, grid[:, column], out=nearest)
+    nearest[size] = 0.0
+    lb, rows = np.empty((count, count)), max(1, _BOUND_BLOCK_CELLS // codes.size)
+    for start in range(0, count, rows):
+        a = slice(start, start + rows)
+        corners = grid[first[a, None], first] + np.where(
+            single[a, None] & single, 0.0, grid[last[a, None], last])
+        summed = nearest[codes[a]].sum(axis=1)
+        lb[a] = np.maximum(summed, corners) / (lengths[a, None] + lengths - 1)
+    # Mirrors add the column minima; a row already made symmetric reads the same.
+    for start in range(0, count, rows):
+        np.maximum(lb[start:start + rows], lb[:, start:start + rows].T, out=lb[start:start + rows])
+    return lb
+
+
 class Warps:
     """What one measure call shares over the pieces it prepares: their
     profile vocabulary, its distance table, the distinct code sequences
-    registered, and each unordered pair's warping cost, computed at most
-    once.  The table is built when first read, after the last piece is
-    prepared, and the padded arrays that bound the sequences on the first
-    bound after the last registration.  One lives for one call, so nothing
-    it stores outlives the call."""
+    registered, one block of lower bounds over them, and each unordered
+    pair's warping cost, computed at most once.  The table and the block
+    are built when first read, after the last piece is prepared (a later
+    registration drops the block).  One lives for one call, so nothing it
+    stores outlives the call."""
 
     def __init__(self):
         self.vocab, self.sequences, self._index, self._costs = {}, [], {}, {}
-        self._table = self._padded = None
+        self._table = self._bounds = None
 
     @property
     def table(self) -> list[list[float]]:
@@ -172,7 +214,7 @@ class Warps:
         if (codes := tuple(codes)) not in self._index:
             self._index[codes] = len(self.sequences)
             self.sequences.append(codes)
-            self._padded = None
+            self._bounds = None
         return self._index[codes]
 
     def register_events(self, event_lists: list) -> list[int]:
@@ -185,51 +227,11 @@ class Warps:
             indices.append(self.register(codes[start:end]))
         return indices
 
-    def bounds(self, rows, columns):
-        """``lb[x, y] <= _dtw(a, b, table=self.table).normalized_cost`` for
-        the sequences a and b indexed by ``rows[x]`` and ``columns[y]``, as a
-        numpy matrix (empty when either side is).
-
-        A warping path visits every row and every column and both corner
-        cells (one cell when both sequences have one code), and it has at most
-        n + m - 1 steps.  So ``lb`` is the largest of the summed row minima
-        (each code of a at its cheapest cell to b), the summed column minima
-        and the corner costs, over n + m - 1.  This is the cascading LB_Kim /
-        LB_Keogh idea of Rakthanmanon et al. (KDD 2012).  Table entries are
-        half-integers, so every sum is exact in float64, an entry depends on
-        its pair alone, and ``lb > t`` proves ``normalized_cost > t``.
-        """
-        if not rows or not columns:
-            return np.zeros((len(rows), len(columns)))
-        size = len(self.table)
-        if self._padded is None:
-            # Code ``size`` pads the sequences to one width: every cell to it
-            # costs inf, so it is never the cheapest, and its summed minimum is 0.
-            grid = np.full((size + 1, size + 1), inf)
-            grid[:size, :size] = self.table
-            width = max(map(len, self.sequences))
-            padded = [[*seq, *[size] * (width - len(seq))] for seq in self.sequences]
-            self._padded = grid, np.array(padded), np.array([len(seq) for seq in self.sequences])
-        grid, codes, lengths = self._padded
-
-        def summed_minima(codes, others, cells):
-            """``out[x, y]``: the sum over the codes of ``codes[x]`` of the
-            cheapest ``cells`` entry to a code of ``others[y]``."""
-            nearest = cells[:, others[:, 0]]
-            for k in range(1, others.shape[1]):
-                np.minimum(nearest, cells[:, others[:, k]], out=nearest)
-            nearest[size] = 0.0
-            total = nearest[codes[:, 0]]
-            for k in range(1, codes.shape[1]):
-                total += nearest[codes[:, k]]
-            return total
-
-        rc, n, cc, m = codes[rows], lengths[rows], codes[columns], lengths[columns]
-        first = grid[rc[:, :1], cc[:, 0]]
-        last = grid[rc[np.arange(len(rc)), n - 1][:, None], cc[np.arange(len(cc)), m - 1]]
-        corners = first + np.where((n == 1)[:, None] & (m == 1), 0.0, last)
-        summed = np.maximum(summed_minima(rc, cc, grid), summed_minima(cc, rc, grid.T).T)
-        return np.maximum(summed, corners) / (n[:, None] + m - 1)
+    def bounds(self) -> np.ndarray:
+        """The ``_bound_block`` of the registered sequences."""
+        if self._bounds is None:
+            self._bounds = _bound_block(self.sequences, self.table)
+        return self._bounds
 
     def cost(self, x: int, y: int, band: int | None = None) -> float:
         """The normalized ``_dtw`` cost of the sequences indexed by ``x`` and
@@ -240,30 +242,6 @@ class Warps:
             self._costs[key] = _dtw(self.sequences[x], self.sequences[y], band,
                                     table=self.table).normalized_cost
         return self._costs[key]
-
-
-def extract_recurrent_patterns(profiles: list[Profile], n_min: int = 2,
-                               n_max: int = 4) -> list[PatternOccurrence]:
-    """Hash every n-gram window, n_min <= n <= n_max, of a piece's
-    key-relative profiles and keep encodings occurring at two or more
-    (possibly overlapping) positions.
-
-    A window's encoding pairs each event's key-relative value with the
-    circle-of-fifths step from its key-relative root to the next event's
-    inside the window; the last step is 0.  It is invariant under
-    transposition of the piece.
-    """
-    _Lharp(n_min=n_min, n_max=n_max)
-    values = key_relative_values(profiles)
-    steps = [fifths_distance(p.root, q.root) for p, q in zip(profiles, profiles[1:])]
-    found: dict[tuple, list[int]] = {}
-    for n in range(n_min, min(n_max, len(profiles)) + 1):
-        for start in range(len(profiles) - n + 1):
-            encoded = tuple(zip(values[start:start + n], steps[start:start + n - 1] + [0]))
-            found.setdefault((n, encoded), []).append(start)
-    return [PatternOccurrence(key=encoded, positions=tuple(positions), length=n)
-            for (n, encoded), positions in sorted(found.items())
-            if len(positions) >= 2]
 
 
 def _covered_runs(patterns) -> dict[int, tuple[int, int]]:
@@ -385,7 +363,7 @@ class _Lharp:
         """The agreeing pattern pairs, and each piece's covered runs."""
         (_, patterns_a), (_, patterns_b) = a, b
         # Only a pattern pair whose bound is within tau can agree.
-        bounds = shared.bounds([x for _, x in patterns_a], [y for _, y in patterns_b])
+        bounds = shared.bounds()[np.ix_([x for _, x in patterns_a], [y for _, y in patterns_b])]
         agreeing = [(patterns_a[x][0], patterns_b[y][0])
                     for x, y in zip(*(bounds <= self.tau).nonzero())
                     if shared.cost(patterns_a[x][1], patterns_b[y][1]) <= self.tau]
@@ -414,6 +392,30 @@ class _Lharp:
 MEASURES = {steps.name: steps for steps in (_Dtw, _Tpsd, _Lharp)}
 
 
+def extract_recurrent_patterns(profiles: list[Profile], n_min: int = _Lharp.n_min,
+                               n_max: int = _Lharp.n_max) -> list[PatternOccurrence]:
+    """Hash every n-gram window, n_min <= n <= n_max, of a piece's
+    key-relative profiles and keep encodings occurring at two or more
+    (possibly overlapping) positions.
+
+    A window's encoding pairs each event's key-relative value with the
+    circle-of-fifths step from its key-relative root to the next event's
+    inside the window; the last step is 0.  It is invariant under
+    transposition of the piece.
+    """
+    _Lharp(n_min=n_min, n_max=n_max)
+    values = key_relative_values(profiles)
+    steps = [fifths_distance(p.root, q.root) for p, q in zip(profiles, profiles[1:])]
+    found: dict[tuple, list[int]] = {}
+    for n in range(n_min, min(n_max, len(profiles)) + 1):
+        for start in range(len(profiles) - n + 1):
+            encoded = tuple(zip(values[start:start + n], steps[start:start + n - 1] + [0]))
+            found.setdefault((n, encoded), []).append(start)
+    return [PatternOccurrence(key=encoded, positions=tuple(positions), length=n)
+            for (n, encoded), positions in sorted(found.items())
+            if len(positions) >= 2]
+
+
 def _prepared(steps, a: Timeline, b: Timeline):
     """Both pieces prepared into one ``Warps``, and it."""
     shared = Warps()
@@ -437,8 +439,8 @@ def tpsd(a: Timeline, b: Timeline, scale: float = DEFAULT_SCALE) -> SimilarityRe
     return compare_pieces(_Tpsd(scale), a, b)
 
 
-def lharp(a: Timeline, b: Timeline, tau: float = 1.0, n_min: int = 2,
-          n_max: int = 4) -> SimilarityReport:
+def lharp(a: Timeline, b: Timeline, tau: float = _Lharp.tau, n_min: int = _Lharp.n_min,
+          n_max: int = _Lharp.n_max) -> SimilarityReport:
     return compare_pieces(_Lharp(tau, n_min, n_max), a, b)
 
 

@@ -806,9 +806,11 @@ def test_each_measure_gets_exactly_its_step_class_fields(capsys, tmp_path, monke
      "--scale must be a finite number > 0, got 0.0"),
     (["eval-covers", "{missing}", "{missing}.csv", "--scale", "0"],
      "--scale must be a finite number > 0, got 0.0"),
-    (["bench", "{missing}", "--measures", "dtw,nope"], "unknown measure 'nope'"),
+    (["bench", "{missing}", "--measures", "dtw,nope"],
+     "--measures must name each of dtw, lharp, tpsd at most once, got dtw,nope"),
     (["bench", "{missing}", "--repetitions", "2"], "--repetitions must be an integer >= 3, got 2"),
-    (["bench", "{missing}", "--measures", "dtw,tpsd,dtw"], "measure 'dtw' named twice"),
+    (["bench", "{missing}", "--measures", "dtw,tpsd,dtw"],
+     "--measures must name each of dtw, lharp, tpsd at most once, got dtw,tpsd,dtw"),
     (["build", "{missing}", "--theta-sim", "0"],
      "--theta-sim must be a number in (0, 1], got 0.0"),
     (["query", "{missing}.nt", "C:maj", "-k", "0"], "-k must be an integer >= 1, got 0"),

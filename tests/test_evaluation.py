@@ -351,7 +351,8 @@ def test_benchmark_validations():
     with pytest.raises(ValueError):
         benchmark_measures(corpus[:1], repetitions=3)
     # Two dtw steps would be timed and counted under one name.
-    with pytest.raises(ValueError, match="^measure 'dtw' named twice$"):
+    with pytest.raises(ValueError, match=r"^--measures must name each of dtw, lharp, tpsd "
+                                         r"at most once, got dtw,tpsd,dtw$"):
         benchmark_measures(corpus, (_Dtw(), _Tpsd(), _Dtw(band=2)), repetitions=3)
 
 

@@ -468,7 +468,7 @@ def test_medoid_counts_the_pairs_the_bound_prunes_inside_a_pattern():
     assert len(graph.patterns["p2/seg/0"].members) == 5
     shared = Warps()
     codes = shared.register_events([segment.events() for segment in graph.segments.values()])
-    bounds = shared.bounds(codes, codes)
+    bounds = shared.bounds()[np.ix_(codes, codes)]
     assert (np.exp(-bounds / 2.0) < 0.6).any()
     assert_same_exports(graph, exhaustive_memory(corpus, params, 0.6, 0.6, 2.0))
 

@@ -199,9 +199,12 @@ def test_dtw_path_is_valid_and_cost_consistent():
             alignment.cost / len(path), abs=1e-12)
 
 
-@given(events=st.lists(st.tuples(chords(), tps_keys), min_size=1, max_size=6), data=st.data())
+@given(events=st.lists(st.tuples(chords(), tps_keys), min_size=1, max_size=6), data=st.data(),
+       cells=st.sampled_from([1, 7, 1 << 14]))
 @settings(max_examples=150, deadline=None)
-def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data):
+def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data, cells):
+    """The one block bounds every registered pair, whatever the block's
+    row size; an entry depends on its own pair alone, in either order."""
     vocab = {}
     intern([profile(*event) for event in events], vocab)
     table = distance_table(vocab, vocab)
@@ -210,25 +213,27 @@ def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data):
     columns = data.draw(st.lists(codes, min_size=0, max_size=5))
     shared = Warps()
     shared.vocab = vocab
-    bounds = shared.bounds([shared.register(a) for a in rows],
-                           [shared.register(b) for b in columns])
-    assert bounds.shape == (len(rows), len(columns))
-    for x, a in enumerate(rows):
-        for y, b in enumerate(columns):
+    for seq in rows + columns:
+        shared.register(seq)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "_BOUND_BLOCK_CELLS", cells)
+        bounds = shared.bounds()
+    assert bounds.shape == (len(shared.sequences),) * 2
+    for a in rows:
+        for b in columns:
             cost = _dtw(a, b, table=table).normalized_cost
-            assert bounds[x, y] <= cost
+            i, j = shared.register(a), shared.register(b)
+            assert bounds[i, j] <= cost
             # An entry depends on its own pair alone, in either order: not on
             # the other sequences registered, nor on the width they pad to.
-            i, j = shared.register(a), shared.register(b)
-            assert bounds[x, y] == shared.bounds([i], [j])[0, 0] == shared.bounds([j], [i])[0, 0]
+            assert bounds[i, j] == bounds[j, i]
             for first, second in ((a, b), (b, a)):
                 alone = Warps()
                 alone.vocab = vocab
-                i, j = alone.register(first), alone.register(second)
-                assert bounds[x, y] == alone.bounds([i], [j])[0, 0] \
-                    == alone.bounds([j], [i])[0, 0]
+                x, y = alone.register(first), alone.register(second)
+                assert bounds[i, j] == alone.bounds()[x, y] == alone.bounds()[y, x]
             if len(a) == len(b) == 1:  # one cell: the bound is the cost
-                assert bounds[x, y] == cost
+                assert bounds[i, j] == cost
 
 
 def test_dtw_equals_the_cell_by_cell_recurrence():
@@ -501,13 +506,13 @@ def test_lharp_matrix_warps_only_the_pattern_pairs_its_bound_admits(monkeypatch,
     from harmory.evaluation import comparison_counts
 
     bounded, warped = {}, []
-    bounds_of = similarity.Warps.bounds
+    bound_block = similarity._bound_block
 
-    def recording_bounds(shared, rows, columns):
-        bounds = bounds_of(shared, rows, columns)
-        bounded.update(((shared.sequences[r], shared.sequences[c]), bounds[x, y])
-                       for x, r in enumerate(rows) for y, c in enumerate(columns))
-        return bounds
+    def recording_block(sequences, table):
+        block = bound_block(sequences, table)
+        bounded.update(((a, b), block[x, y])
+                       for x, a in enumerate(sequences) for y, b in enumerate(sequences))
+        return block
 
     def counting_dtw(ca, cb, band=None, *, table):
         # Pattern slices are tuples; the regions warped after them are lists.
@@ -515,7 +520,7 @@ def test_lharp_matrix_warps_only_the_pattern_pairs_its_bound_admits(monkeypatch,
             warped.append((ca, cb))
         return _dtw(ca, cb, band, table=table)
 
-    monkeypatch.setattr(similarity.Warps, "bounds", recording_bounds)
+    monkeypatch.setattr(similarity, "_bound_block", recording_block)
     monkeypatch.setattr(similarity, "_dtw", counting_dtw)
     corpus = matrix_corpus()
     _, matrix = corpus_similarity_matrix(corpus, _Lharp(tau=tau))
@@ -524,6 +529,29 @@ def test_lharp_matrix_warps_only_the_pattern_pairs_its_bound_admits(monkeypatch,
     assert matrix.sum() > len(corpus)  # some patterns agree
     assert 0 < len(warped) < pattern_pairs
     assert all(bounded[pair] <= tau for pair in warped)
+
+
+def test_each_call_builds_one_bound_block(monkeypatch):
+    """An lharp matrix, an lharp ``compare_pieces`` (its ``explain``
+    included) and a memory build each build one block of bounds over
+    their registered sequences, however many pairs of pieces read it."""
+    from harmory.memory import build_memory
+
+    built = []
+    bound_block = similarity._bound_block
+
+    def counting_block(sequences, table):
+        built.append(len(sequences))
+        return bound_block(sequences, table)
+
+    monkeypatch.setattr(similarity, "_bound_block", counting_block)
+    corpus = matrix_corpus()
+    for call in (lambda: corpus_similarity_matrix(corpus, _Lharp()),
+                 lambda: compare_pieces(_Lharp(), corpus[0], corpus[1]).local_regions,
+                 lambda: build_memory(corpus).similar):
+        built.clear()
+        assert call()  # a matrix, regions, similarTo edges
+        assert len(built) == 1 and built[0] > 1
 
 
 def test_lharp_matrix_warps_each_distinct_slice_pair_once(monkeypatch):
