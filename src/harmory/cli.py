@@ -320,6 +320,8 @@ def _field_flags(*classes) -> tuple[tuple[str, dict], ...]:
 _SEG_FLAGS = _field_flags(SegmentationParams)
 _MEASURE_FLAGS = (("--measure", dict(choices=sorted(MEASURES), default="dtw")),
                   *_field_flags(*MEASURES.values()))
+# bench's defaults are its functions': (measures, repetitions) and (pieces, beats).
+_BENCH, _SYNTHETIC = benchmark_measures.__defaults__, synthetic_corpus.__defaults__
 _WORKERS_FLAG = ("--workers", dict(type=int, default=1, help=(
     "accepted for compatibility; pairs are scored in one thread and the output is the "
     "same for every value")))
@@ -357,12 +359,13 @@ _DECLARATIONS = {
         *_MEASURE_FLAGS, _WORKERS_FLAG,
         ("--format", dict(choices=("json", "table"), default="json")))),
     "bench": (cmd_bench, "wall-clock and comparison-count benchmark", (
-        ("corpus", dict(nargs="?")), ("--measures", dict(default="dtw,tpsd")),
-        ("--repetitions", dict(type=int, default=5)),
+        ("corpus", dict(nargs="?")),
+        ("--measures", dict(default=",".join(steps.name for steps in _BENCH[0]))),
+        ("--repetitions", dict(type=int, default=_BENCH[1])),
         ("--synthetic", dict(action="store_true",
                              help="benchmark the built-in synthetic corpus")),
-        ("--synthetic-pieces", dict(type=int, default=16)),
-        ("--synthetic-beats", dict(type=int, default=256)))),
+        ("--synthetic-pieces", dict(type=int, default=_SYNTHETIC[0])),
+        ("--synthetic-beats", dict(type=int, default=_SYNTHETIC[1])))),
 }
 COMMANDS = tuple(name for name in _DECLARATIONS if name is not None)
 

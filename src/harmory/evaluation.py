@@ -24,7 +24,7 @@ from harmory.similarity import (MEASURES, _Dtw, _prepared, _Tpsd, compare_pieces
                                 corpus_similarity_matrix)
 from harmory.timeline import (MAX_SPAN_BEATS, ChordEvent, KeySpan, Timeline, build_timeline,
                               corpus_ids)
-from harmory.tps import MAJOR_STEPS, MINOR_STEPS, Key
+from harmory.tps import KEYS, MAJOR_STEPS, MINOR_STEPS, Key
 
 
 class CliqueError(ValueError):
@@ -206,7 +206,7 @@ def synthetic_corpus(n_pieces: int = 16, total_beats: int = 256) -> list[Timelin
     corpus = []
     for p in range(n_pieces):
         rng = random.Random(0xA11C + p)
-        key = Key(p % 12, "major" if p % 2 == 0 else "minor")
+        key = KEYS[2 * (p % 12) + p % 2]  # major for even p, minor for odd
         degree = 0
         events = []
         for i in range(n_events):

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 from urllib.parse import quote, unquote
 
 from harmory.harte import parse_chord, render_chord
@@ -48,16 +49,14 @@ class GraphFormatError(ValueError):
         self.triple = triple
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """An equivalence class of segments, named by its medoid segment."""
 
     medoid: str
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PieceInfo:
+class PieceInfo(NamedTuple):
     id: str
     title: str | None
     artist: str | None

@@ -10,6 +10,7 @@ yields a novelty curve whose peaks become segment boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,8 +161,7 @@ def pick_boundaries(curve: np.ndarray, peak_lambda: float = SegmentationParams.p
     return sorted(kept)
 
 
-@dataclass(frozen=True)
-class Segmentation:
+class Segmentation(NamedTuple):
     """Everything one segmentation pass computed.
 
     ``kernel_size`` is the clamped kernel; ``curve``, the novelty values,

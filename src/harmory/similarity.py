@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import exp, inf
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ _TPSD_BLOCK_CELLS = 1 << 14
 _BOUND_BLOCK_CELLS = 1 << 14
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """A monotone warping path with its summed and per-step cell cost."""
 
     path: tuple[tuple[int, int], ...]
@@ -71,8 +70,7 @@ class SimilarityReport:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class PatternOccurrence:
+class PatternOccurrence(NamedTuple):
     """A recurrent n-gram: its invariant encoding and start positions."""
 
     key: tuple

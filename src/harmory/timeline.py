@@ -28,9 +28,10 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import ceil, isfinite
+from typing import NamedTuple
 
 from harmory.harte import Chord, HarteError, parse_chord
-from harmory.tps import Key, key_relative_profiles, key_relative_values
+from harmory.tps import KEYS, Key, key_relative_profiles, key_relative_values
 
 log = logging.getLogger(__name__)
 
@@ -47,15 +48,13 @@ class EmptyTimelineError(ValueError):
     """A timeline without sounded events was passed to an analysis step."""
 
 
-@dataclass(frozen=True)
-class ChordEvent:
+class ChordEvent(NamedTuple):
     start: int | Fraction
     duration: int | Fraction
     chord: Chord
 
 
-@dataclass(frozen=True)
-class KeySpan:
+class KeySpan(NamedTuple):
     start: int | Fraction
     duration: int | Fraction
     key: Key
@@ -126,8 +125,7 @@ def corpus_ids(corpus: list[Timeline]) -> list[str]:
     return ids
 
 
-@dataclass(frozen=True)
-class TpsSeries:
+class TpsSeries(NamedTuple):
     """Tonal Pitch Space values with weights, per event or per beat."""
 
     values: tuple[tuple[float, Fraction], ...]
@@ -169,11 +167,6 @@ def build_timeline(piece_id: str, events, keys=(), title=None, artist=None) -> T
                     title=title, artist=artist)
 
 
-# Each key with its diatonic mask, by tonic and major before minor.
-_KEY_CANDIDATES = tuple((key, key.mask) for key in (
-    Key(tonic, mode) for tonic in range(12) for mode in ("major", "minor")))
-
-
 def estimate_key(chords) -> Key:
     """Key whose diatonic set covers the most chord pitch classes.  Ties
     prefer the tonic the fewest semitones above the first sounded chord's
@@ -181,14 +174,13 @@ def estimate_key(chords) -> Key:
     pcs = 0  # the chords' pitch classes, as a mask
     for chord in chords:
         if not chord.is_nochord:
-            if not pcs:  # the first sounded chord: the index of its root's major key
+            if not pcs:  # the first sounded chord: the index of its root's major key in KEYS
                 start = 2 * chord.root_pc
             pcs |= chord.mask
     if not pcs:
         raise EmptyTimelineError("cannot estimate a key without sounded chords")
     # max keeps the first of equal coverings, so the candidates run from that key up.
-    return max(_KEY_CANDIDATES[start:] + _KEY_CANDIDATES[:start],
-               key=lambda candidate: (pcs & candidate[1]).bit_count())[0]
+    return max(KEYS[start:] + KEYS[:start], key=lambda key: (pcs & key.mask).bit_count())
 
 
 # Fraction builds 10**exponent in full; a JSON number's exponent is at most 308.
@@ -273,9 +265,8 @@ def load_jams(data: str | bytes, fallback_id: str | None = None) -> Timeline:
                 try:
                     key = Key.from_string(obs["value"])
                 except ValueError as err:
-                    raise SchemaError(
-                        f"{piece_id}: key observation at event index {index}: {err}"
-                    ) from err
+                    raise SchemaError(f"{piece_id}: key observation at event index {index} "
+                                      f"{obs['value']!r}: {err}") from err
                 keys.append(KeySpan(start, duration, key))
     if not events:
         raise SchemaError(f"{piece_id}: no chord_harte events")
@@ -308,7 +299,7 @@ def load_chart(text: str, piece_id: str | None = None) -> Timeline:
                         try:
                             key = Key.from_string(value)
                         except ValueError as err:
-                            raise SchemaError(f"line {lineno}: {err}") from err
+                            raise SchemaError(f"line {lineno}: key {value!r}: {err}") from err
                     break
             continue
         fields = line.split()
@@ -350,14 +341,15 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
         return TpsSeries(tuple((v, Fraction(timeline.events[i].duration))
                                for i, v in value_at.items()))
     start = timeline.events[0].start
-    # An event starts at or before beat b exactly when ceil(its offset) <= b.
-    first_beats = [ceil(e.start - start) for e in timeline.events]
-    held, i, grid_values, one = value_at[sounded[0][0]], 0, [], Fraction(1)
-    for beat in range(int(timeline.end - start)):  # floor of the total span
-        while i + 1 < len(first_beats) and first_beats[i + 1] <= beat:
-            i += 1
-        held = value_at.get(i, held)
-        grid_values.append((held, one))
+    beats = int(timeline.end - start)  # floor of the total span
+    # An event starts at or before beat b exactly when ceil(its offset) <= b,
+    # so it holds the beats from its ceiling to the next event's.
+    firsts = [min(ceil(e.start - start), beats) for e in timeline.events] + [beats]
+    held, grid_values, one = value_at[sounded[0][0]], [], Fraction(1)
+    for i, (first, stop) in enumerate(zip(firsts, firsts[1:])):
+        if stop > first:  # an event that holds no beat sets no value
+            held = value_at.get(i, held)
+            grid_values += [(held, one)] * (stop - first)
     if not grid_values:
         raise EmptyTimelineError(f"{timeline.id}: shorter than one beat")
     return TpsSeries(tuple(grid_values))

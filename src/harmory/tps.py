@@ -51,18 +51,22 @@ class Key:
     def diatonic(self) -> frozenset[int]:
         return frozenset((self.tonic + step) % 12 for step in _MODES[self.mode])
 
-    @classmethod
+    @staticmethod
     @lru_cache(maxsize=2**12)  # bounded for the reason profile's cache is
-    def from_string(cls, text: str) -> "Key":
-        """Parse '<Natural>:<maj|min>', e.g. 'Eb:min'."""
+    def from_string(text: str) -> "Key":
+        """Parse '<Natural>:<maj|min>', e.g. 'Eb:min', to one of ``KEYS``.
+        The caller names ``text`` in an error."""
         name, sep, mode = text.partition(":")
         if not sep or mode not in ("maj", "min"):
-            raise ValueError(f"key must look like 'C:maj' or 'C:min': {text!r}")
-        natural = Natural(name[:1], name[1:])
-        return cls(natural.pitch_class, "major" if mode == "maj" else "minor")
+            raise ValueError("key must look like 'C:maj' or 'C:min'")
+        return KEYS[2 * Natural(name[:1], name[1:]).pitch_class + (mode == "min")]
 
     def __str__(self) -> str:
         return f"{FLAT_NAMES[self.tonic]}:{self.mode[:3]}"  # maj or min
+
+
+# The 24 keys, by tonic and major first: KEYS[2 * tonic + (mode == "minor")].
+KEYS = tuple(Key(tonic, mode) for tonic in range(12) for mode in ("major", "minor"))
 
 
 class Profile(NamedTuple):

@@ -15,6 +15,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,8 +31,8 @@ from harmory.cli import main
 from harmory.harte import parse_chord, render_chord
 from harmory.memory import GraphFormatError, MemoryThresholds, PatternQuery, import_ntriples
 from harmory.segmentation import SegmentationParams
-from harmory.timeline import MAX_SPAN_BEATS, flag, load_jams
-from harmory.tps import Key
+from harmory.timeline import MAX_SPAN_BEATS, flag, load_chart, load_jams
+from harmory.tps import KEYS, Key
 from tests.conftest import (COVER_CORPUS, cover_jams, strict_json, transpose, transpose_chord,
                             transpose_key, write_chart)
 
@@ -661,11 +662,12 @@ def test_matrix_and_eval_covers_match_golden_outputs(capsys, tmp_path):
     assert out.encode() == (DATA / "eval_covers_golden.json").read_bytes()
 
 
-def jams_text(timeline) -> str:
-    """A timeline as JAMS text: its chord events and key spans, times in beats."""
-    chords = [{"time": float(e.start), "duration": float(e.duration),
+def jams_text(timeline, time=float) -> str:
+    """A timeline as JAMS text: its chord events and key spans, times in
+    beats written by ``time`` (``str`` writes a rational exactly, as ``"7/2"``)."""
+    chords = [{"time": time(e.start), "duration": time(e.duration),
                "value": render_chord(e.chord)} for e in timeline.events]
-    keys = [{"time": float(s.start), "duration": float(s.duration), "value": str(s.key)}
+    keys = [{"time": time(s.start), "duration": time(s.duration), "value": str(s.key)}
             for s in timeline.keys]
     return json.dumps({"file_metadata": {"identifiers": {"id": timeline.id}},
                        "annotations": [{"namespace": "chord_harte", "data": chords},
@@ -733,6 +735,56 @@ def test_per_piece_transposition_keeps_every_cli_output(capsys, tmp_path):
                     line = f'{subject} "{tokens}" .'
                 expected.append(line)
             assert moved[name] == expected, name
+
+    check()
+
+
+def retimed_outputs(capsys, root, moves):
+    """Each cover-corpus piece with its times scaled and offset by its own
+    (scale, offset), written exactly as JAMS and, for one key, as a chart:
+    per format, every file of ``segment`` on each piece and of ``build``,
+    and the dtw and lharp matrices."""
+    timelines = []
+    for (piece_id, _, beat, sections), (scale, offset) in zip(COVER_CORPUS, moves):
+        timeline = load_jams(cover_jams(piece_id, beat, sections))
+        timelines.append(dataclasses.replace(timeline, **{
+            field: tuple(item._replace(start=item.start * scale + offset,
+                                       duration=item.duration * scale)
+                         for item in getattr(timeline, field)) for field in ("events", "keys")}))
+    outputs = {}
+    for form, write in (("jams.json", lambda timeline: jams_text(timeline, str)),
+                        ("chart", write_chart)):
+        corpus, out_dir = root / form, root / f"{form}-out"
+        corpus.mkdir(parents=True)
+        for timeline in timelines:
+            if form == "jams.json" or len(timeline.keys) == 1:
+                (corpus / f"{timeline.id}.{form}").write_text(write(timeline))
+        for piece in sorted(corpus.iterdir()):
+            assert run(capsys, ["--quiet", "--out-dir", str(out_dir), "segment", str(piece)])[0] == 0
+        assert run(capsys, ["--quiet", "--out-dir", str(out_dir), "build", str(corpus)])[0] == 0
+        outputs.update({(form, path.name): path.read_bytes() for path in out_dir.iterdir()})
+        for measure in ("dtw", "lharp"):
+            code, outputs[form, measure], _ = run(capsys, ["matrix", str(corpus),
+                                                           "--measure", measure])
+            assert code == 0
+    return outputs
+
+
+def test_per_piece_time_scaling_keeps_segment_build_and_the_event_matrices(capsys, tmp_path):
+    """Scaling each piece's times by its own positive rational and adding
+    its own offset changes no byte of segment, build or the dtw and lharp
+    matrices, which read events in order and never their times.  tpsd is
+    left out: it reads the beat grid, which a new time scale resamples."""
+    original = retimed_outputs(capsys, tmp_path / "original", [(1, 0)] * len(COVER_CORPUS))
+    assert len(original) > 20
+    rationals = st.builds(Fraction, st.integers(1, 7), st.integers(1, 4))
+    offsets = st.builds(Fraction, st.integers(-16, 16), st.integers(1, 4))
+
+    @given(moves=st.lists(st.tuples(rationals, offsets), min_size=len(COVER_CORPUS),
+                          max_size=len(COVER_CORPUS)))
+    @settings(max_examples=25, deadline=None)
+    def check(moves):
+        assert retimed_outputs(capsys, Path(tempfile.mkdtemp(dir=tmp_path)), moves) == original
 
     check()
 
@@ -1257,3 +1309,62 @@ def test_query_names_the_key_flag_and_value_that_do_not_parse(capsys):
 def test_dist_names_the_key_flag_and_value_that_do_not_parse(capsys):
     assert run(capsys, ["dist", "C:maj", "G:maj", "--key", "Cb#:maj"]) == (
         2, "", "error: --key 'Cb#:maj': mixed accidentals: 'b#'\n")
+
+
+# A key text of the wrong shape is named once, by the context that read it.
+SHAPE = "key must look like 'C:maj' or 'C:min'"
+
+
+def test_a_key_flag_of_the_wrong_shape_names_its_text_once(capsys):
+    assert run(capsys, ["dist", "C:maj", "G:maj", "--key", "Cmaj"]) == (
+        2, "", f"error: --key 'Cmaj': {SHAPE}\n")
+
+
+def test_a_key_sequence_token_of_the_wrong_shape_names_its_text_once(capsys, tmp_path):
+    graph = tmp_path / "memory.nt"
+    graph.write_text(GOLDEN_GRAPH.read_text().replace(
+        'keySequence> "C:maj C:maj C:maj C:maj"', 'keySequence> "Cmaj C:maj C:maj C:maj"', 1))
+    assert run(capsys, ["query", str(graph), "C:maj"]) == (
+        2, "", f"error: line 3: keySequence of alpha/seg/0: token 1 'Cmaj': {SHAPE}\n")
+
+
+def test_a_chart_key_header_of_the_wrong_shape_names_its_text_once(capsys, tmp_path):
+    piece = tmp_path / "p.chart"
+    piece.write_text("# title: p\n# key: Cmaj\n0 1 C:maj\n")
+    assert run(capsys, ["encode", str(piece)]) == (2, "", f"error: line 2: key 'Cmaj': {SHAPE}\n")
+
+
+def test_a_jams_key_observation_of_the_wrong_shape_names_its_text_once(capsys, tmp_path):
+    piece = tmp_path / "p.jams.json"
+    piece.write_text(json.dumps({
+        "file_metadata": {"identifiers": {"id": "p"}},
+        "annotations": [{"namespace": "chord_harte", "data": [
+                            {"time": 0, "duration": 2, "value": "C:maj"}]},
+                        {"namespace": "key_mode", "data": [
+                            {"time": 0, "duration": 1, "value": "C:maj"},
+                            {"time": 1, "duration": 1, "value": "Cmaj"}]}]}))
+    assert run(capsys, ["encode", str(piece)]) == (
+        2, "", f"error: p: key observation at event index 1 'Cmaj': {SHAPE}\n")
+
+
+def test_key_texts_parse_to_the_24_table_keys_and_construct_no_key(capsys, monkeypatch):
+    """``Key.from_string`` returns one of ``tps.KEYS``, so reading the key
+    texts of a chart, a JAMS file, ``--key`` and an N-Triples graph builds
+    no ``Key``."""
+    assert [(key.tonic, key.mode) for key in KEYS] == [
+        (tonic, mode) for tonic in range(12) for mode in ("major", "minor")]
+    spellings = {"C": 0, "B#": 0, "Db": 1, "C#": 1, "F#": 6, "Gb": 6, "Cb": 11, "Abb": 7}
+    for name, tonic in spellings.items():
+        for mode, minor in (("maj", 0), ("min", 1)):
+            assert Key.from_string(f"{name}:{mode}") is KEYS[2 * tonic + minor]
+    Key.from_string.cache_clear()
+    built = []
+    monkeypatch.setattr(Key, "__post_init__", built.append)
+    chart = load_chart("# key: F#:min\n0 1 A:maj\n1 1 C#:7\n")
+    jams = load_jams(cover_jams("m", 1, [("A:min", ["A:min"]), ("C:min", ["C:min"])]))
+    graph = import_ntriples(GOLDEN_GRAPH.read_bytes())
+    assert run(capsys, ["dist", "C:maj", "G:maj", "--key", "Eb:min"]) == (0, "6\n", "")
+    assert built == []
+    read = [span.key for tl in (chart, jams) for span in tl.keys]
+    read += [key for segment in graph.segments.values() for key in segment.keys]
+    assert len(read) > 20 and all(any(key is table for table in KEYS) for key in read)

@@ -904,7 +904,7 @@ def chord_corpora():
 
 def as_exported(graph: MemoryGraph) -> MemoryGraph:
     """The graph without titles and artists, its weights to six places."""
-    return replace(graph, pieces={piece_id: replace(piece, title=None, artist=None)
+    return replace(graph, pieces={piece_id: piece._replace(title=None, artist=None)
                                   for piece_id, piece in graph.pieces.items()},
                    similar=tuple((a, b, float(f"{w:.6f}")) for a, b, w in graph.similar))
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import re
 from bisect import bisect_right
 from fractions import Fraction
+from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmory.harte import FLAT_NAMES, NO_CHORD, ChordSyntaxError, parse_chord
@@ -447,6 +449,65 @@ def test_sounded_keys_and_encodings_equal_the_bisect_lookup(timeline):
         series = encode_tps(timeline, grid)
         assert series.values == values
         assert all(type(v) is float and type(w) is Fraction for v, w in series.values)
+
+
+def per_beat_grid(timeline):
+    """The per-beat loop that ``encode_tps``'s per-event fill replaced: each
+    beat takes the last event whose offset's ceiling is at most the beat (the
+    last one starting at or before it); a no-chord keeps the previous beat's value."""
+    sounded = timeline.sounded()
+    value_at = {i: tonic_triad_distance(chord, key) for i, chord, key in sounded}
+    start = timeline.events[0].start
+    first_beats = [ceil(e.start - start) for e in timeline.events]
+    held, i, grid_values = value_at[sounded[0][0]], 0, []
+    for beat in range(int(timeline.end - start)):  # floor of the total span
+        while i + 1 < len(first_beats) and first_beats[i + 1] <= beat:
+            i += 1
+        held = value_at.get(i, held)
+        grid_values.append((held, Fraction(1)))
+    if not grid_values:
+        raise EmptyTimelineError(f"{timeline.id}: shorter than one beat")
+    return tuple(grid_values)
+
+
+@st.composite
+def crowded_timelines(draw):
+    """Timelines whose events often share a beat: fractional starts, gaps,
+    short events, leading and trailing no-chords, and spans of under a beat."""
+    position = draw(offsets)
+    events = []
+    for _ in range(draw(st.integers(1, 12))):
+        position += draw(st.sampled_from([0, 0, 0, Fraction(1, 4), Fraction(1, 2), 1, 2]))
+        duration = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                                         Fraction(3, 4), 1, Fraction(3, 2), 2]))
+        symbol = draw(st.sampled_from(["N", "N", "C:maj", "G:7", "A:min", "Eb:maj7/3"]))
+        events.append(ChordEvent(position, duration, parse_chord(symbol)))
+        position += duration
+    spans = [KeySpan(events[0].start, draw(lengths), draw(tps_keys))
+             for _ in range(draw(st.integers(0, 2)))]
+    spans += [KeySpan(e.start, 1, draw(tps_keys)) for e in events if draw(st.booleans())][:2]
+    return build_timeline("p", events, spans or [KeySpan(events[0].start, 1, Key(0))])
+
+
+# A sounded event that holds no beat, then a no-chord in the same beat:
+# beat 2 keeps C:maj, the previous beat's value, not the skipped G:maj's.
+SKIPPED = build_timeline("p", [ChordEvent(0, 1, parse_chord("C:maj")),
+                               ChordEvent(Fraction(5, 4), Fraction(1, 4), parse_chord("G:maj")),
+                               ChordEvent(Fraction(3, 2), Fraction(3, 2), NO_CHORD)],
+                         [KeySpan(0, 3, Key(0))])
+
+
+@given(crowded_timelines())
+@example(SKIPPED)
+@settings(max_examples=400, deadline=None)
+def test_the_beat_grid_equals_the_per_beat_loop(timeline):
+    try:
+        expected = per_beat_grid(timeline)
+    except EmptyTimelineError as err:
+        with pytest.raises(EmptyTimelineError, match=f"^{re.escape(str(err))}$"):
+            encode_tps(timeline, "beat")
+        return
+    assert encode_tps(timeline, "beat").values == expected
 
 
 def test_encode_costs_each_distinct_event_once(monkeypatch):

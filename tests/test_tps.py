@@ -393,6 +393,63 @@ def test_the_writer_check_finds_each_second_writer():
         assert second_writers(source) == [], source
 
 
+# Plain frozen dataclasses kept because ``asdict`` writes them as JSON
+# objects; as NamedTuples they would be written as arrays.
+SERIALIZED_RECORDS = {"QueryResult", "LocalRegion"}
+
+
+def plain_records(source: str) -> list[str]:
+    """Each frozen dataclass that uses nothing a ``NamedTuple`` lacks: no
+    method or property, no ``__post_init__`` (defined or assigned), and no
+    ``field()`` with ``metadata`` or ``init=False``; ``SERIALIZED_RECORDS`` aside."""
+    def frozen_dataclass(node) -> bool:
+        return isinstance(node, ast.Call) and any(
+            k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+            for k in node.keywords) and (getattr(node.func, "id", None) == "dataclass"
+                                         or getattr(node.func, "attr", None) == "dataclass")
+
+    def machinery(statement) -> bool:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return True
+        if isinstance(statement, ast.Assign):
+            return any(isinstance(n, ast.Name) and n.id == "__post_init__"
+                       for target in statement.targets for n in ast.walk(target))
+        value = statement.value if isinstance(statement, ast.AnnAssign) else None
+        return isinstance(value, ast.Call) and any(
+            k.arg == "metadata" or k.arg == "init" and isinstance(k.value, ast.Constant)
+            and k.value.value is False for k in value.keywords)
+
+    return [f"line {node.lineno}: {node.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and any(map(frozen_dataclass, node.decorator_list))
+            and node.name not in SERIALIZED_RECORDS and not any(map(machinery, node.body))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_frozen_dataclass_in_the_package_needs_its_machinery(path):
+    # A value of fields alone is a NamedTuple, as tps.Profile is: it
+    # generates no __init__, __eq__, __hash__, __repr__ or __setattr__ code.
+    assert plain_records(path.read_text()) == []
+
+
+def test_the_records_check_finds_each_plain_dataclass():
+    plain = "@dataclass(frozen=True)\nclass A:\n"
+    for source in [plain + "    x: int", plain + '    """Doc."""\n    x: int = 1',
+                   plain + "    x: int = field(default=1, compare=False)",
+                   "@dataclasses.dataclass(frozen=True)\nclass A:\n    x: tuple = ()",
+                   "@dataclass(eq=True, frozen=True)\nclass A:\n    x: int\n    y: str"]:
+        assert plain_records(source) == ["line 2: A"], source
+    for source in [plain + "    x: int\n    def f(self): pass",
+                   plain + "    x: int\n    @property\n    def y(self): return 1",
+                   plain + "    x: int\n    def __post_init__(self): pass",
+                   plain + "    x: int\n    __post_init__ = check",
+                   plain + "    x: int\n    f, __post_init__ = g, check",
+                   plain + "    x: int = field(default=1, metadata={'range': R})",
+                   plain + "    x: int = field(init=False)",
+                   "@dataclass\nclass A:\n    x: int", "class A(NamedTuple):\n    x: int",
+                   "@dataclass(frozen=True)\nclass QueryResult:\n    x: int"]:
+        assert plain_records(source) == [], source
+
+
 # The methods of a dict, list or set that change it.
 MUTATORS = {"setdefault", "update", "append", "add", "extend", "insert", "pop", "popitem",
             "remove", "discard", "clear"}
