@@ -49,18 +49,10 @@ class GraphFormatError(ValueError):
         self.triple = triple
 
 
-class Pattern(NamedTuple):
-    """An equivalence class of segments, named by its medoid segment."""
-
-    medoid: str
-    members: tuple[str, ...]
-
-
 class PieceInfo(NamedTuple):
-    id: str
     title: str | None
     artist: str | None
-    segment_ids: tuple[str, ...]
+    segments: tuple[Segment, ...]  # in index order
 
 
 @dataclass(frozen=True)
@@ -94,51 +86,48 @@ class MemoryThresholds:
 
 @dataclass(frozen=True)
 class MemoryGraph:
-    """Pieces, their segments, the patterns these fall into and the
-    similarTo edges between patterns.  Built or imported, a graph holds
-    these, or a GraphFormatError names the first triple that breaks one:
-    - a piece ``p`` has segments ``p/seg/0`` to ``p/seg/n-1``, n >= 1, each in
-      ``segments`` with one key per chord; no other segment; no piece id is
-      a segment id or contains ``/seg/``, so each weight node names one edge;
+    """Pieces with their segments, the patterns these fall into (each
+    medoid to its members) and the similarTo edges between patterns;
+    ``segments`` indexes every piece's segments by id.  Built or imported,
+    a graph holds these, or a GraphFormatError names the first triple
+    that breaks one:
+    - a piece ``p`` holds segments ``p/seg/0`` to ``p/seg/n-1``, n >= 1, with
+      one key per chord; no piece id is a segment id or contains ``/seg/``,
+      so each weight node names one edge;
     - each segment is in one pattern, keyed by its medoid, one of its members;
     - edges ``(a, b, w)`` are one per pair, in order, ``a < b`` patterns and
       ``0 <= w <= 1``."""
 
     pieces: dict[str, PieceInfo]
-    segments: dict[str, Segment]
-    patterns: dict[str, Pattern]
+    patterns: dict[str, tuple[str, ...]]
     similar: tuple[tuple[str, str, float], ...]
+    segments: dict[str, Segment] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        segments, patterns, owned = self.segments, self.patterns, 0
         if not self.pieces:
             raise GraphFormatError("a memory graph needs a piece")
+        segments = {s.id: s for piece in self.pieces.values() for s in piece.segments}
+        self.__dict__["segments"] = segments  # frozen, so set past the dataclass's __setattr__
         for piece_id, piece in self.pieces.items():
             if piece_id in segments:
                 raise GraphFormatError(f"{piece_id} is also a piece",
                                        segments[piece_id].piece_id, "hasSegment", piece_id)
-            if piece.id != piece_id or not piece.segment_ids:
-                raise GraphFormatError(f"piece {piece_id}: needs its own id and a segment")
+            if not piece.segments:
+                raise GraphFormatError(f"piece {piece_id}: needs a segment")
             if "/seg/" in piece_id:
                 raise GraphFormatError("a piece id must not contain /seg/", piece_id, "hasSegment",
-                                       piece.segment_ids[0])
-            for index, seg_id in enumerate(piece.segment_ids):
-                segment = segments.get(seg_id)
-                if segment is None or segment.index != index or segment.piece_id != piece_id \
-                        or seg_id != f"{piece_id}/seg/{index}":
+                                       piece.segments[0].id)
+            for index, segment in enumerate(piece.segments):
+                if segment.index != index or segment.piece_id != piece_id:
                     raise GraphFormatError(f"segment {index} of {piece_id} must be {piece_id}/seg/"
-                                           f"{index}", piece_id, "hasSegment", seg_id)
+                                           f"{index}", piece_id, "hasSegment", segment.id)
                 chords, keys = len(segment.chords), len(segment.keys)
                 if not chords or keys != chords:
-                    raise GraphFormatError(f"segment {seg_id}: needs one key per sounded chord, "
-                                           f"got {chords} chords and {keys} keys")
-            owned += len(piece.segment_ids)
-        if owned != len(segments):
-            listed = {seg_id for piece in self.pieces.values() for seg_id in piece.segment_ids}
-            raise GraphFormatError(f"segment {min(segments.keys() - listed)}: belongs to no piece")
+                    raise GraphFormatError(f"segment {segment.id}: needs one key per sounded "
+                                           f"chord, got {chords} chords and {keys} keys")
         pattern_of: dict[str, str] = {}
-        for medoid, pattern in patterns.items():
-            for member in pattern.members:
+        for medoid, members in self.patterns.items():
+            for member in members:
                 if member not in segments or medoid not in segments:
                     raise GraphFormatError("both must be segments of a piece (hasSegment)",
                                            member, "instanceOf", medoid)
@@ -146,13 +135,13 @@ class MemoryGraph:
                     raise GraphFormatError(f"{member} is already a member of {pattern_of[member]}",
                                            member, "instanceOf", medoid)
                 pattern_of[member] = medoid
-            if pattern.medoid != medoid or pattern_of.get(medoid) != medoid:
+            if pattern_of.get(medoid) != medoid:
                 raise GraphFormatError(f"pattern {medoid} must be keyed by its medoid, one of "
-                                       "its members", next(iter(pattern.members), medoid),
+                                       "its members", next(iter(members), medoid),
                                        "instanceOf", medoid)
         previous = ("", "")
         for a, b, weight in self.similar:
-            if a not in patterns or b not in patterns:
+            if a not in self.patterns or b not in self.patterns:
                 raise GraphFormatError("both must be patterns (the object of an instanceOf)",
                                        a, "similarTo", b)
             if not a < b or (a, b) <= previous:
@@ -215,17 +204,13 @@ def build_memory(corpus: list[Timeline],
         raise EmptyCorpusError("corpus is empty")
     steps, theta_sim, theta_merge = _Dtw(scale), thresholds.theta_sim, thresholds.theta_merge
     corpus_ids(corpus)
-    pieces: dict[str, PieceInfo] = {}
-    segments: dict[str, Segment] = {}
-    for tl in sorted(corpus, key=lambda t: t.id):
-        piece_segments = segment_timeline(tl, seg_params).segments
-        pieces[tl.id] = PieceInfo(tl.id, tl.title, tl.artist,
-                                  tuple(s.id for s in piece_segments))
-        segments.update((s.id, s) for s in piece_segments)
-    ordered = sorted(segments)
+    pieces = {tl.id: PieceInfo(tl.title, tl.artist,
+                               tuple(segment_timeline(tl, seg_params).segments))
+              for tl in sorted(corpus, key=lambda t: t.id)}
+    segments = sorted((s for piece in pieces.values() for s in piece.segments), key=lambda s: s.id)
+    ordered = [s.id for s in segments]
     shared = Warps()
-    sequence_of = dict(zip(ordered, shared.register_events(
-        [segments[seg_id].events() for seg_id in ordered])))
+    sequence_of = dict(zip(ordered, shared.register_events([s.events() for s in segments])))
     bounds = shared.bounds().tolist()
 
     def score(a: str, b: str) -> float:
@@ -236,13 +221,13 @@ def build_memory(corpus: list[Timeline],
     may_merge = [[steps.score(lb) >= theta_merge for lb in row] for row in bounds]
     merges = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]
               if may_merge[sequence_of[a]][sequence_of[b]] and score(a, b) >= theta_merge]
-    patterns: dict[str, Pattern] = {}
+    patterns: dict[str, tuple[str, ...]] = {}
     for group in components(ordered, merges):
         totals = {seg_id: sum(score(seg_id, other) for other in group if other != seg_id)
                   for seg_id in group}
         best = max(totals.values())
         medoid = min(seg_id for seg_id, value in totals.items() if value == best)
-        patterns[medoid] = Pattern(medoid=medoid, members=tuple(group))
+        patterns[medoid] = tuple(group)
     similar = []
     medoids = sorted(patterns)
     for i, a in enumerate(medoids):
@@ -250,8 +235,7 @@ def build_memory(corpus: list[Timeline],
             lb = bounds[sequence_of[a]][sequence_of[b]]
             if steps.score(lb) >= theta_sim and (value := score(a, b)) >= theta_sim:
                 similar.append((a, b, value))
-    return MemoryGraph(pieces=pieces, segments=segments, patterns=patterns,
-                       similar=tuple(similar))
+    return MemoryGraph(pieces=pieces, patterns=patterns, similar=tuple(similar))
 
 
 def _uri(name: str) -> str:
@@ -271,14 +255,14 @@ def chord_sequence(segment: Segment) -> str:
 
 def _structure_edges(graph: MemoryGraph):
     """(source, type, target) of each hasSegment, nextSegment and instanceOf edge."""
-    for piece in graph.pieces.values():
-        for seg_id in piece.segment_ids:
-            yield piece.id, "hasSegment", seg_id
-        for a, b in zip(piece.segment_ids, piece.segment_ids[1:]):
-            yield a, "nextSegment", b
-    for pattern in graph.patterns.values():
-        for member in pattern.members:
-            yield member, "instanceOf", pattern.medoid
+    for piece_id, piece in graph.pieces.items():
+        for segment in piece.segments:
+            yield piece_id, "hasSegment", segment.id
+        for a, b in zip(piece.segments, piece.segments[1:]):
+            yield a.id, "nextSegment", b.id
+    for medoid, members in graph.patterns.items():
+        for member in members:
+            yield member, "instanceOf", medoid
 
 
 def export_ntriples(graph: MemoryGraph) -> bytes:
@@ -394,35 +378,32 @@ def import_ntriples(data: bytes) -> MemoryGraph:
             raise GraphFormatError(f"line {lineno}: unknown predicate {predicate!r}")
     try:
         pieces: dict[str, PieceInfo] = {}
-        segments: dict[str, Segment] = {}
         for piece_id in sorted(has_segment):
-            ordered = sorted(has_segment[piece_id])
-            pieces[piece_id] = PieceInfo(piece_id, None, None, tuple(s for _, s in ordered))
-            cursor = 0
-            for index, seg_id in ordered:
+            piece_segments, cursor = [], 0
+            for index, seg_id in sorted(has_segment[piece_id]):
                 for name, table in (("chordSequence", sequences), ("keySequence", key_sequences)):
                     if seg_id not in table:
                         raise GraphFormatError("missing", seg_id, name, None)
                 chords = _parse_tokens(_sounded_chord, sequences, seg_id, "chordSequence")
                 keys = _parse_tokens(Key.from_string, key_sequences, seg_id, "keySequence")
-                segments[seg_id] = Segment(piece_id, index, cursor, cursor + len(chords),
-                                           chords, keys)
+                piece_segments.append(Segment(piece_id, index, cursor, cursor + len(chords),
+                                              chords, keys))
                 cursor += len(chords)
+            pieces[piece_id] = PieceInfo(None, None, tuple(piece_segments))
         member_lists: dict[str, list[str]] = {}
         for member, (pattern_id, _) in instance_of.items():
             member_lists.setdefault(pattern_id, []).append(member)
-        patterns = {pattern_id: Pattern(medoid=pattern_id, members=tuple(sorted(members)))
+        patterns = {pattern_id: tuple(sorted(members))
                     for pattern_id, members in member_lists.items()}
         similar = []
         for a, b in sorted(pairs["similarTo"]):
             if (weight := weights.get(weight_node(a, b))) is None:
                 raise GraphFormatError("missing weight", a, "similarTo", b)
             similar.append((a, b, float(weight[0])))
-        graph = MemoryGraph(pieces=pieces, segments=segments, patterns=patterns,
-                            similar=tuple(similar))
+        graph = MemoryGraph(pieces=pieces, patterns=patterns, similar=tuple(similar))
         # Every triple read is one the graph holds.
-        following = {pair for piece in pieces.values()
-                     for pair in zip(piece.segment_ids, piece.segment_ids[1:])}
+        following = {(a.id, b.id) for piece in pieces.values()
+                     for a, b in zip(piece.segments, piece.segments[1:])}
         for a, b in pairs["nextSegment"]:
             if (a, b) not in following:
                 raise GraphFormatError("not the order of the hasSegment indices",
@@ -432,8 +413,8 @@ def import_ntriples(data: bytes) -> MemoryGraph:
             raise GraphFormatError("missing", a, "nextSegment", b)
         nodes = {weight_node(a, b) for a, b, _ in similar}
         for name, table, held, what in (
-                ("chordSequence", sequences, segments, "a segment"),
-                ("keySequence", key_sequences, segments, "a segment"),
+                ("chordSequence", sequences, graph.segments, "a segment"),
+                ("keySequence", key_sequences, graph.segments, "a segment"),
                 ("weight", weights, nodes, "the weight node of a similarTo edge")):
             if len(table) != len(held):
                 subject = next(subject for subject in table if subject not in held)
@@ -452,8 +433,8 @@ def export_json(graph: MemoryGraph) -> str:
              for piece_id, piece in sorted(graph.pieces.items())]
     nodes += [{"id": seg_id, "type": "segment", "chords": chord_sequence(segment)}
               for seg_id, segment in sorted(graph.segments.items())]
-    nodes += [{"id": pattern_id, "type": "pattern", "members": list(pattern.members)}
-              for pattern_id, pattern in sorted(graph.patterns.items())]
+    nodes += [{"id": pattern_id, "type": "pattern", "members": list(members)}
+              for pattern_id, members in sorted(graph.patterns.items())]
     edges = [{"source": source, "type": kind, "target": target}
              for source, kind, target in _structure_edges(graph)]
     edges += [{"source": a, "type": "similarTo", "target": b, "weight": round(weight, 6)}

@@ -16,12 +16,7 @@ import numpy as np
 
 from harmory.harte import Chord
 from harmory.timeline import FINITE, POSITIVE, Timeline, at_least, check_ranges
-from harmory.tps import Key, distance_table, intern, profile
-
-
-# novelty sums its diagonal windows in blocks of max(1, _NOVELTY_BLOCK_CELLS
-# // kernel_size**2) windows: 128 KB of float64 unless one window is larger.
-_NOVELTY_BLOCK_CELLS = 1 << 14
+from harmory.tps import BLOCK_CELLS, Key, distance_table, intern, profile
 
 # Grey level v as the text "<v> " zero-padded to four bytes, read as one
 # little-endian word; ssm_to_pgm gathers these and drops the zero bytes.
@@ -134,7 +129,7 @@ def novelty(ssm: SSM, kernel_size: int = SegmentationParams.kernel_size,
     spans = codes[np.arange(n)[:, None] + np.arange(kernel_size)]
     rows = spans * (sentinel + 1)
     cells = kernel_size * kernel_size
-    block = max(1, _NOVELTY_BLOCK_CELLS // cells)
+    block = max(1, BLOCK_CELLS // cells)
     values = np.empty(n)
     for i in range(0, n, block):
         stop = min(i + block, n)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from itertools import chain
 from math import exp, inf
 from typing import ClassVar, NamedTuple
@@ -28,16 +27,10 @@ import numpy as np
 
 from harmory.timeline import (NON_NEGATIVE, POSITIVE, EmptyTimelineError, Timeline, at_least,
                               check_ranges, corpus_ids, encode_tps)
-from harmory.tps import (Profile, distance_table, fifths_distance, intern,
+from harmory.tps import (BLOCK_CELLS, Profile, distance_table, fifths_distance, intern,
                          key_relative_profiles, key_relative_values)
 
 DEFAULT_SCALE = 5.0
-# tpsd scores its shifts in blocks of max(1, _TPSD_BLOCK_CELLS // L)
-# shifts of L cells each: 128 KB of float64 unless one shift is longer.
-# Larger temporaries ran several times slower per cell.
-_TPSD_BLOCK_CELLS = 1 << 14
-# The bound block over S sequences of W codes fills max(1, this // (S * W)) rows at a time.
-_BOUND_BLOCK_CELLS = 1 << 14
 
 
 class Alignment(NamedTuple):
@@ -175,7 +168,7 @@ def _bound_block(sequences: list[tuple[int, ...]], table) -> np.ndarray:
     for column in codes.T[1:]:
         np.minimum(nearest, grid[:, column], out=nearest)
     nearest[size] = 0.0
-    lb, rows = np.empty((count, count)), max(1, _BOUND_BLOCK_CELLS // codes.size)
+    lb, rows = np.empty((count, count)), max(1, BLOCK_CELLS // codes.size)
     for start in range(0, count, rows):
         a = slice(start, start + rows)
         corners = grid[first[a, None], first] + np.where(
@@ -316,7 +309,7 @@ class _Tpsd:
         # values are half-integers, so every sum is exact in any order.
         tiled = np.tile(short, length // n + 2)
         shifts = np.lib.stride_tricks.sliding_window_view(tiled, length)[:n]
-        rows = max(1, _TPSD_BLOCK_CELLS // length)
+        rows = max(1, BLOCK_CELLS // length)
         best = min(np.abs(shifts[s:s + rows] - long_).sum(axis=1).min()
                    for s in range(0, n, rows))
         return float(best) / length
@@ -370,8 +363,10 @@ class _Lharp:
 
     def compare(self, a, b, shared: Warps) -> float:
         _, runs_a, runs_b = self._agreeing(a, b, shared)
-        fa, fb = Fraction(len(runs_a), len(a[0])), Fraction(len(runs_b), len(b[0]))
-        return float(2 * fa * fb / (fa + fb)) if fa and fb else 0.0
+        # With ca of na events covered in one piece and cb of nb in the
+        # other, 2·fa·fb/(fa + fb) is this quotient of ints, correctly rounded.
+        (ca, na), (cb, nb) = (len(runs_a), len(a[0])), (len(runs_b), len(b[0]))
+        return 2 * ca * cb / (ca * nb + cb * na) if ca and cb else 0.0
 
     def explain(self, a, b, shared: Warps) -> tuple[LocalRegion, ...]:
         """Each region pairs the runs holding two agreeing patterns' first occurrences."""
@@ -445,31 +440,25 @@ def lharp(a: Timeline, b: Timeline, tau: float = _Lharp.tau, n_min: int = _Lharp
 def corpus_similarity_matrix(corpus: list[Timeline], steps=_Dtw()):
     """Score every unordered pair with the step instance ``steps``;
     returns (ids, matrix) with unit diagonal.  Each piece is prepared
-    once, into one ``Warps`` for the corpus."""
-    ids = corpus_ids(corpus)
-    shared = Warps()
-    prepared = []
-    for timeline in corpus:
-        try:
-            prepared.append(steps.prepare(timeline, shared))
-        except Exception as err:  # reported with the first pair holding the piece
-            prepared.append(err)
-    if len(prepared) == 1 and isinstance(prepared[0], Exception):
-        raise prepared[0]  # no pair holds the piece
-    n = len(corpus)
+    once, into one ``Warps`` for the corpus.  An error names its pair, and
+    a piece's error the first pair that holds the piece."""
+    ids, shared, prepared = corpus_ids(corpus), Warps(), []
+    n = len(ids)
     matrix = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                for k in (i, j):
-                    if isinstance(prepared[k], Exception):
-                        raise prepared[k]
+    try:
+        for k, timeline in enumerate(corpus):
+            i, j = 0, max(k, 1)  # the first pair that holds piece k
+            prepared.append(steps.prepare(timeline, shared))
+        for i in range(n):
+            for j in range(i + 1, n):
                 raw = steps.compare(prepared[i], prepared[j], shared)
                 matrix[i, j] = matrix[j, i] = steps.score(raw)
-            except EmptyTimelineError as err:  # a usage error: the command exits 2
-                raise EmptyTimelineError(f"{ids[i]} vs {ids[j]}: {err}") from err
-            except Exception as err:
-                raise RuntimeError(f"{ids[i]} vs {ids[j]}: {err}") from err
+    except Exception as err:
+        if n == 1:
+            raise  # no pair holds the piece
+        # An empty piece is a usage error: the command exits 2.
+        kind = EmptyTimelineError if isinstance(err, EmptyTimelineError) else RuntimeError
+        raise kind(f"{ids[i]} vs {ids[j]}: {err}") from err
     return ids, matrix
 
 

@@ -29,6 +29,11 @@ MINOR_STEPS = (0, 2, 3, 5, 7, 8, 11)  # harmonic minor
 
 _MODES = {"major": MAJOR_STEPS, "minor": MINOR_STEPS}
 
+# numpy kernels (tpsd's shifts, the bound block, novelty's windows) work
+# in blocks of about this many cells, so that each float64 temporary stays
+# near 128 KB; larger temporaries ran several times slower per cell.
+BLOCK_CELLS = 1 << 14
+
 
 @dataclass(frozen=True)
 class Key:

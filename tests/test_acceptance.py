@@ -211,8 +211,8 @@ def test_criterion_7_memory_determinism():
     assert export_ntriples(imported) == data
     assert sorted(imported.pieces) == sorted(graph.pieces)
     assert sorted(imported.segments) == sorted(graph.segments)
-    assert {p: sorted(graph.patterns[p].members) for p in graph.patterns} \
-        == {p: sorted(imported.patterns[p].members) for p in imported.patterns}
+    assert {p: sorted(members) for p, members in graph.patterns.items()} \
+        == {p: sorted(members) for p, members in imported.patterns.items()}
 
     segments = [seg for tl in corpus for seg in segment_timeline(tl, params).segments]
     assert len(segments) <= 20
@@ -225,7 +225,7 @@ def test_criterion_7_memory_determinism():
                                    segment_to_timeline(by_id[sb])).score
             if score >= theta_merge:
                 edges.append((sa, sb))
-    merged = sorted(sorted(p.members) for p in graph.patterns.values())
+    merged = sorted(sorted(members) for members in graph.patterns.values())
     assert merged == closure_groups(ids, edges)
 
 

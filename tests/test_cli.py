@@ -789,6 +789,67 @@ def test_per_piece_time_scaling_keeps_segment_build_and_the_event_matrices(capsy
     check()
 
 
+def renamed_outputs(capsys, root, names):
+    """The cover corpus's one-key pieces as charts, each named by ``names``
+    in the corpus's order: the files ``build`` writes, and each measure's
+    matrix."""
+    root.mkdir()
+    for (piece_id, _, beat, sections), name in zip(COVER_CORPUS, names):
+        if len(sections) == 1:
+            (root / f"{name}.chart").write_text(
+                write_chart(load_jams(cover_jams(piece_id, beat, sections))))
+    out_dir = root.parent / f"{root.name}-graph"
+    assert run(capsys, ["--quiet", "--out-dir", str(out_dir), "build", str(root)])[0] == 0
+    outputs = {path.name: path.read_text() for path in out_dir.iterdir()}
+    for measure in ("dtw", "tpsd", "lharp"):
+        code, outputs[measure], _ = run(capsys, ["matrix", str(root), "--measure", measure])
+        assert code == 0
+    return outputs
+
+
+def test_renamed_pieces_keep_every_output_but_their_ids(capsys, tmp_path):
+    """A chart's id is its file name.  Renaming the charts so that the ids
+    keep their sorted order changes no byte of build's memory.json and
+    stats.json or of any matrix but the ids, and memory.nt holds the same
+    lines, sorted.  (Its lines sort as text: an IRI's closing ``>`` and the
+    weight nodes ``sim/<a>/<b>`` sort among the ids, so the lines may move.)
+    Renaming them so that the order reverses gives each matrix with its
+    rows and columns permuted, value for value.  Medoids, edges and ranking
+    ties break by id, so build and eval-covers are not claimed then."""
+    ids = [piece_id for piece_id, *_ in COVER_CORPUS]
+    original = renamed_outputs(capsys, tmp_path / "original", ids)
+    assert sorted(original) == ["dtw", "lharp", "memory.json", "memory.nt", "stats.json", "tpsd"]
+    old_id = re.compile("|".join(map(re.escape, sorted(ids, key=len, reverse=True))))
+    # Letters, digits and "_" sort after "." and "/", so the order of the
+    # names is that of their files and of their segments' ids.
+    names = st.lists(st.text("abcXYZ019_", min_size=1, max_size=4), min_size=len(ids),
+                     max_size=len(ids), unique=True)
+
+    def matrix_cells(csv):
+        header, *rows = [line.split(",") for line in csv.splitlines()]
+        return {(row[0], column): value
+                for row in rows for column, value in zip(header[1:], row[1:])}
+
+    @given(drawn=names)
+    @settings(max_examples=15, deadline=None)
+    def check(drawn):
+        for reverse in (False, True):
+            new_id = dict(zip(sorted(ids), sorted(drawn, reverse=reverse)))
+            renamed = renamed_outputs(capsys, Path(tempfile.mkdtemp(dir=tmp_path)) / "renamed",
+                                      [new_id[piece_id] for piece_id in ids])
+            for name, output in original.items():
+                expected = old_id.sub(lambda match: new_id[match.group()], output)
+                if reverse and name in ("dtw", "tpsd", "lharp"):
+                    assert list(matrix_cells(renamed[name])) != list(matrix_cells(expected))
+                    assert matrix_cells(renamed[name]) == matrix_cells(expected), name
+                elif not reverse and name == "memory.nt":
+                    assert renamed[name].splitlines() == sorted(expected.splitlines())
+                elif not reverse:
+                    assert renamed[name] == expected, name
+
+    check()
+
+
 @pytest.mark.parametrize("flags", [
     ["--scale", "0"],
     ["--scale", "-1"],

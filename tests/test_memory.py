@@ -32,7 +32,6 @@ from harmory.memory import (
     EmptyQueryError,
     GraphFormatError,
     MemoryGraph,
-    Pattern,
     MemoryThresholds,
     PatternQuery,
     PieceInfo,
@@ -121,14 +120,12 @@ def test_components_match_bfs_closure():
 def test_build_fixture_structure():
     graph = build_memory(fixture_corpus(), PARAMS)
     assert sorted(graph.pieces) == ["alpha", "beta", "gamma"]
-    assert graph.pieces["alpha"].segment_ids == ("alpha/seg/0", "alpha/seg/1")
+    assert [s.id for s in graph.pieces["alpha"].segments] == ["alpha/seg/0", "alpha/seg/1"]
     assert sorted(graph.segments) == [
         "alpha/seg/0", "alpha/seg/1", "beta/seg/0", "beta/seg/1", "gamma/seg/0"]
     assert sorted(graph.patterns) == ["alpha/seg/0", "alpha/seg/1", "gamma/seg/0"]
-    assert sorted(graph.patterns["alpha/seg/0"].members) == [
-        "alpha/seg/0", "beta/seg/0"]
-    assert sorted(graph.patterns["alpha/seg/1"].members) == [
-        "alpha/seg/1", "beta/seg/1"]
+    assert sorted(graph.patterns["alpha/seg/0"]) == ["alpha/seg/0", "beta/seg/0"]
+    assert sorted(graph.patterns["alpha/seg/1"]) == ["alpha/seg/1", "beta/seg/1"]
     assert graph.similar == (("alpha/seg/0", "gamma/seg/0",
                               pytest.approx(exp(-0.35))),)
 
@@ -152,14 +149,14 @@ def test_merging_matches_brute_force_closure():
             if score >= theta_merge:
                 edges.append((sa, sb))
     expected = closure_groups(ids, edges)
-    got = sorted(sorted(p.members) for p in graph.patterns.values())
+    got = sorted(sorted(members) for members in graph.patterns.values())
     assert got == expected
 
 
 def test_medoid_tie_breaks_lexicographic():
     graph = build_memory(fixture_corpus(), PARAMS)
     # both members score 1.0 with each other: tie -> smallest id
-    assert graph.patterns["alpha/seg/0"].medoid == "alpha/seg/0"
+    assert graph.patterns["alpha/seg/0"] == ("alpha/seg/0", "beta/seg/0")
 
 
 def test_export_matches_golden_bytes():
@@ -181,8 +178,8 @@ def test_import_round_trip():
     assert sorted(back.pieces) == sorted(graph.pieces)
     assert {s: [str(c) for c in seg.chords] for s, seg in back.segments.items()} \
         == {s: [str(c) for c in seg.chords] for s, seg in graph.segments.items()}
-    assert {p: sorted(v.members) for p, v in back.patterns.items()} \
-        == {p: sorted(v.members) for p, v in graph.patterns.items()}
+    assert {p: sorted(v) for p, v in back.patterns.items()} \
+        == {p: sorted(v) for p, v in graph.patterns.items()}
     assert [(a, b) for a, b, _ in back.similar] \
         == [(a, b) for a, b, _ in graph.similar]
 
@@ -374,11 +371,10 @@ def exhaustive_memory(corpus, seg_params, theta_sim, theta_merge, scale):
     """The memory graph by scoring every pair of segments, each through
     dtw's ``compare_pieces`` on the segments' own timelines: the oracle for
     ``build_memory``'s pruning."""
-    pieces, segments = {}, {}
-    for tl in sorted(corpus, key=lambda t: t.id):
-        piece_segments = segment_timeline(tl, seg_params).segments
-        pieces[tl.id] = PieceInfo(tl.id, tl.title, tl.artist, tuple(s.id for s in piece_segments))
-        segments.update((s.id, s) for s in piece_segments)
+    pieces = {tl.id: PieceInfo(tl.title, tl.artist,
+                               tuple(segment_timeline(tl, seg_params).segments))
+              for tl in sorted(corpus, key=lambda t: t.id)}
+    segments = {s.id: s for piece in pieces.values() for s in piece.segments}
     ordered = sorted(segments)
     scores = {(a, b): compare_pieces(_Dtw(scale), segment_to_timeline(segments[a]),
                                      segment_to_timeline(segments[b])).score
@@ -389,11 +385,11 @@ def exhaustive_memory(corpus, seg_params, theta_sim, theta_merge, scale):
         totals = {s: sum(scores[tuple(sorted((s, o)))] for o in group if o != s) for s in group}
         best = max(totals.values())
         medoid = min(s for s, value in totals.items() if value == best)
-        patterns[medoid] = Pattern(medoid=medoid, members=tuple(group))
+        patterns[medoid] = tuple(group)
     medoids = sorted(patterns)
     similar = tuple((a, b, scores[a, b]) for i, a in enumerate(medoids) for b in medoids[i + 1:]
                     if scores[a, b] >= theta_sim)
-    return MemoryGraph(pieces=pieces, segments=segments, patterns=patterns, similar=similar)
+    return MemoryGraph(pieces=pieces, patterns=patterns, similar=similar)
 
 
 def assert_same_exports(graph, expected):
@@ -465,7 +461,7 @@ def test_medoid_counts_the_pairs_the_bound_prunes_inside_a_pattern():
     params = SegmentationParams(kernel_size=4, min_len=4)
     graph = build_memory(corpus, params, MemoryThresholds(0.6, 0.6), scale=2.0)
     assert list(graph.patterns) == ["p2/seg/0"]
-    assert len(graph.patterns["p2/seg/0"].members) == 5
+    assert len(graph.patterns["p2/seg/0"]) == 5
     shared = Warps()
     codes = shared.register_events([segment.events() for segment in graph.segments.values()])
     bounds = shared.bounds()[np.ix_(codes, codes)]
@@ -577,8 +573,7 @@ def oracle_query_similar(graph, query, scale=DEFAULT_SCALE):
     key = query.key or estimate_key(chords)
     probe_vocab, medoid_vocab = {}, {}
     probe = intern(key_relative_profiles((chord, key) for chord in chords), probe_vocab)
-    medoids = {pattern_id: graph.segments[graph.patterns[pattern_id].medoid]
-               for pattern_id in sorted(graph.patterns)}
+    medoids = {pattern_id: graph.segments[pattern_id] for pattern_id in sorted(graph.patterns)}
     codes = {pattern_id: intern(key_relative_profiles(medoid.events()), medoid_vocab)
              for pattern_id, medoid in medoids.items()}
     table = distance_table(probe_vocab, medoid_vocab)
@@ -829,58 +824,51 @@ def test_golden_defect_edits_leave_the_golden_lines_they_do_not_name():
 
 # Graphs that no N-Triples text spells, built from the golden one.
 GOLDEN_GRAPH = import_ntriples(GOLDEN_NT)
-_segments, _patterns = GOLDEN_GRAPH.segments, GOLDEN_GRAPH.patterns
+_pieces, _patterns = GOLDEN_GRAPH.pieces, GOLDEN_GRAPH.patterns
+(_alpha_0, _alpha_1), (_gamma_0,) = _pieces["alpha"].segments, _pieces["gamma"].segments
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"segments": {**_segments, "delta/seg/0": replace(_segments["gamma/seg/0"],
-                                                       piece_id="delta")}},
-     "segment delta/seg/0: belongs to no piece"),
-    ({"pieces": {**GOLDEN_GRAPH.pieces, "delta": PieceInfo("delta", None, None, ())}},
-     "piece delta: needs its own id and a segment"),
-    ({"pieces": {**GOLDEN_GRAPH.pieces, "delta": GOLDEN_GRAPH.pieces["gamma"]}},
-     "piece delta: needs its own id and a segment"),
-    ({"segments": {**_segments, "alpha/seg/1": replace(_segments["alpha/seg/1"], index=0)}},
-     "hasSegment alpha alpha/seg/1: segment 1 of alpha must be alpha/seg/1"),
-    ({"segments": {**_segments, "gamma/seg/0": replace(
-        _segments["gamma/seg/0"], keys=_segments["gamma/seg/0"].keys[1:])}},
+    ({"pieces": {**_pieces, "delta": PieceInfo(None, None, ())}},
+     "piece delta: needs a segment"),
+    ({"pieces": {**_pieces, "delta": _pieces["gamma"]}},
+     "hasSegment delta gamma/seg/0: segment 0 of delta must be delta/seg/0"),
+    ({"pieces": {**_pieces, "alpha": PieceInfo(None, None,
+                                               (_alpha_0, replace(_alpha_1, index=0)))}},
+     "hasSegment alpha alpha/seg/0: segment 1 of alpha must be alpha/seg/1"),
+    ({"pieces": {**_pieces, "gamma": PieceInfo(None, None, (replace(_gamma_0,
+                                                                    keys=_gamma_0.keys[1:]),))}},
      "segment gamma/seg/0: needs one key per sounded chord, got 4 chords and 3 keys"),
-    ({"patterns": {**_patterns, "gamma/seg/0": Pattern("gamma/seg/0",
-                                                       ("beta/seg/0", "gamma/seg/0"))}},
+    ({"patterns": {**_patterns, "gamma/seg/0": ("beta/seg/0", "gamma/seg/0")}},
      "instanceOf beta/seg/0 gamma/seg/0: beta/seg/0 is already a member of alpha/seg/0"),
-    ({"patterns": {**_patterns, "gamma/seg/0": Pattern("gamma/seg/0",
-                                                       ("gamma/seg/0", "gamma/seg/0"))}},
+    ({"patterns": {**_patterns, "gamma/seg/0": ("gamma/seg/0", "gamma/seg/0")}},
      "instanceOf gamma/seg/0 gamma/seg/0: gamma/seg/0 is already a member of gamma/seg/0"),
-    ({"patterns": {**_patterns, "gamma/seg/0": Pattern("alpha/seg/0", ("gamma/seg/0",))}},
-     "instanceOf gamma/seg/0 gamma/seg/0: pattern gamma/seg/0 must be keyed by its medoid, "
-     "one of its members"),
     ({"similar": GOLDEN_GRAPH.similar * 2},
      "similarTo alpha/seg/0 gamma/seg/0: one edge per pair, from the lower id, in pair order"),
     ({"similar": GOLDEN_GRAPH.similar + (("alpha/seg/0", "alpha/seg/1", 0.5),)},
      "similarTo alpha/seg/0 alpha/seg/1: one edge per pair, from the lower id, in pair order"),
-], ids=["segment-of-no-piece", "piece-without-segments", "piece-under-another-id",
-        "segment-with-another-index", "a-key-short", "member-of-two-patterns",
-        "member-twice", "pattern-under-another-id", "edge-twice", "edges-out-of-order"])
+], ids=["piece-without-segments", "piece-under-another-id", "segment-with-another-index",
+        "a-key-short", "member-of-two-patterns", "member-twice", "edge-twice",
+        "edges-out-of-order"])
 def test_a_memory_graph_checks_what_no_text_spells(fields, message):
     with pytest.raises(GraphFormatError) as raised:
         replace(GOLDEN_GRAPH, **fields)
     assert str(raised.value) == message
 
 
+def one_chord_segment(piece_id):
+    return Segment(piece_id, 0, 0, 1, (parse_chord("C:maj"),), (Key.from_string("C:maj"),))
+
+
 def test_a_piece_id_that_contains_seg_is_refused():
     """Were it allowed, the edges p/seg/0 -> q/seg/0/r/seg/0 and
     p/seg/0/q/seg/0 -> r/seg/0 would share one weight node."""
-    def segment(piece_id):
-        return Segment(piece_id, 0, 0, 1, (parse_chord("C:maj"),), (Key.from_string("C:maj"),))
-
     ids = ["p", "p/seg/0/q", "q/seg/0/r", "r"]
     similar = (("p/seg/0", "q/seg/0/r/seg/0", 0.5), ("p/seg/0/q/seg/0", "r/seg/0", 0.25))
     assert memory.weight_node(*similar[0][:2]) == memory.weight_node(*similar[1][:2])
     with pytest.raises(GraphFormatError) as raised:
-        MemoryGraph(pieces={i: PieceInfo(i, None, None, (f"{i}/seg/0",)) for i in ids},
-                    segments={f"{i}/seg/0": segment(i) for i in ids},
-                    patterns={f"{i}/seg/0": Pattern(f"{i}/seg/0", (f"{i}/seg/0",)) for i in ids},
-                    similar=similar)
+        MemoryGraph(pieces={i: PieceInfo(None, None, (one_chord_segment(i),)) for i in ids},
+                    patterns={f"{i}/seg/0": (f"{i}/seg/0",) for i in ids}, similar=similar)
     assert str(raised.value) == \
         "hasSegment p/seg/0/q p/seg/0/q/seg/0: a piece id must not contain /seg/"
 
@@ -890,6 +878,15 @@ def test_build_rejects_a_piece_id_that_is_a_segment_id():
               make_timeline(["G:maj"] * 4, piece_id="a/seg/0")]
     with pytest.raises(GraphFormatError, match="^hasSegment a a/seg/0: a/seg/0 is also a piece$"):
         build_memory(corpus, PARAMS)
+
+
+@pytest.mark.parametrize("ids", [["a", "a/seg/0"], ["a/seg/0", "a"]])
+def test_a_piece_id_that_is_a_segment_id_is_refused_whatever_the_order_of_pieces(ids):
+    """The graph indexes every piece's segments before it checks a piece."""
+    with pytest.raises(GraphFormatError) as raised:
+        MemoryGraph(pieces={i: PieceInfo(None, None, (one_chord_segment(i),)) for i in ids},
+                    patterns={f"{i}/seg/0": (f"{i}/seg/0",) for i in ids}, similar=())
+    assert str(raised.value) == "hasSegment a a/seg/0: a/seg/0 is also a piece"
 
 
 def chord_corpora():

@@ -270,7 +270,7 @@ def test_novelty_equals_the_per_window_loop(matrix, taper, block):
     """Bit for bit, for every even kernel size up to 2n and any block size."""
     ssm = dense_ssm(matrix)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(segmentation, "_NOVELTY_BLOCK_CELLS", block)
+        patch.setattr(segmentation, "BLOCK_CELLS", block)
         for kernel_size in range(2, 2 * ssm.size + 1, 2):
             assert np.array_equal(novelty(ssm, kernel_size, taper),
                                   oracle_novelty_windows(matrix, kernel_size, taper))
@@ -280,7 +280,7 @@ def test_novelty_equals_the_per_window_loop(matrix, taper, block):
 def test_novelty_equals_the_per_window_loop_over_several_blocks(n, kernel_size):
     """Curves that fill more than one block of the default size, the first
     two with windows larger than a block."""
-    assert n * kernel_size**2 > segmentation._NOVELTY_BLOCK_CELLS
+    assert n * kernel_size**2 > segmentation.BLOCK_CELLS
     ssm = random_ssm(n, kernel_size)
     assert np.array_equal(novelty(ssm, kernel_size, 1.0),
                           oracle_novelty_windows(dense(ssm), kernel_size, 1.0))
@@ -518,7 +518,7 @@ def test_table_and_codes_equal_their_dense_matrix(ssm, taper, block):
     matrix = dense(ssm)
     assert ssm_to_pgm(ssm) == oracle_pgm(matrix).encode()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(segmentation, "_NOVELTY_BLOCK_CELLS", block)
+        patch.setattr(segmentation, "BLOCK_CELLS", block)
         for kernel_size in range(2, 2 * ssm.size + 1, 2):
             assert np.array_equal(novelty(ssm, kernel_size, taper),
                                   oracle_novelty_windows(matrix, kernel_size, taper))

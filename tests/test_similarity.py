@@ -216,7 +216,7 @@ def test_dtw_lower_bound_never_exceeds_the_warped_cost(events, data, cells):
     for seq in rows + columns:
         shared.register(seq)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(similarity, "_BOUND_BLOCK_CELLS", cells)
+        patch.setattr(similarity, "BLOCK_CELLS", cells)
         bounds = shared.bounds()
     assert bounds.shape == (len(shared.sequences),) * 2
     for a in rows:
@@ -319,7 +319,7 @@ def test_tpsd_kernel_equals_the_shift_loop(va, vb, cells):
     exactly, in either argument order and for any block size."""
     expected = oracle_tpsd_shifts(va, vb) / max(len(va), len(vb))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(similarity, "_TPSD_BLOCK_CELLS", cells)
+        patch.setattr(similarity, "BLOCK_CELLS", cells)
         for x, y in ((va, vb), (vb, va)):
             raw = _Tpsd().compare(np.array(x), np.array(y), None)
             assert type(raw) is float and raw == expected
@@ -329,7 +329,7 @@ def test_tpsd_kernel_equals_the_shift_loop(va, vb, cells):
 def test_tpsd_kernel_equals_the_shift_loop_over_several_blocks(n, length):
     """Pairs whose shifts fill more than one block of the default size,
     the second with fewer cells to a block than one shift holds."""
-    assert n * length > similarity._TPSD_BLOCK_CELLS
+    assert n * length > similarity.BLOCK_CELLS
     rng = random.Random(n)
     va = [rng.randint(0, 26) / 2 for _ in range(n)]
     vb = [rng.randint(0, 26) / 2 for _ in range(length)]
@@ -837,6 +837,46 @@ def test_matrix_error_names_pair():
     with pytest.raises(EmptyTimelineError) as info:
         corpus_similarity_matrix([good, bad], _Dtw())
     assert str(info.value) == "good vs bad: bad: no sounded events"
+
+
+def test_matrix_names_a_failing_piece_by_the_first_pair_that_holds_it(monkeypatch):
+    def empty(piece_id):
+        return Timeline(id=piece_id, keys=make_timeline(["C:maj"]).keys,
+                        events=(ChordEvent(Fraction(0), Fraction(1), parse_chord("N")),))
+
+    corpus = [make_timeline(["C:maj"], piece_id=piece_id) for piece_id in ("a", "b", "good")]
+    with pytest.raises(EmptyTimelineError, match="^bad vs good: bad: no sounded events$"):
+        corpus_similarity_matrix([empty("bad"), corpus[2]], _Dtw())
+    with pytest.raises(EmptyTimelineError, match="^a vs bad: bad: no sounded events$"):
+        corpus_similarity_matrix([*corpus[:2], empty("bad"), empty("worse")], _Dtw())
+    # Any other error is the program's: a RuntimeError, which exits 1.
+    monkeypatch.setattr(_Dtw, "compare", lambda self, x, y, shared: 1 / 0)
+    with pytest.raises(RuntimeError, match="^a vs b: division by zero$") as raised:
+        corpus_similarity_matrix(corpus, _Dtw())
+    assert type(raised.value.__cause__) is ZeroDivisionError
+    monkeypatch.setattr(_Dtw, "prepare", lambda self, timeline, shared: {}[timeline.id])
+    with pytest.raises(RuntimeError, match="^a vs b: 'a'$"):
+        corpus_similarity_matrix(corpus, _Dtw())
+    with pytest.raises(KeyError):  # one piece: no pair holds it
+        corpus_similarity_matrix(corpus[:1], _Dtw())
+
+
+# (events covered, events) of a piece.
+coverages = st.integers(1, 5_000).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+
+
+@given(a=coverages, b=coverages)
+@settings(max_examples=300, deadline=None)
+def test_lharp_harmonic_mean_equals_the_rounded_fraction(a, b):
+    """``_Lharp.compare``'s quotient of ints is 2·fa·fb/(fa + fb) of the
+    covered fractions, rounded as ``float(Fraction)`` rounds it."""
+    (ca, na), (cb, nb) = a, b
+    fa, fb = Fraction(ca, na), Fraction(cb, nb)
+    expected = float(2 * fa * fb / (fa + fb)) if fa and fb else 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Lharp, "_agreeing", lambda self, x, y, shared: ([], range(ca), range(cb)))
+        raw = _Lharp().compare((range(na), []), (range(nb), []), None)
+    assert type(raw) is float and raw == expected
 
 
 def test_matrix_rejects_duplicate_ids():
