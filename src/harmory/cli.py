@@ -128,8 +128,8 @@ def load_piece(path: Path) -> Timeline:
 
 def discover_corpus(root: Path) -> list[Timeline]:
     """Load all *.jams.json and *.chart files under a directory, sorted
-    by path; piece ids are the extension-free relative paths.  A
-    directory named like a piece is not one."""
+    by piece id, the extension-free relative path.  A directory named
+    like a piece is not one."""
     if not root.is_dir():
         raise NotADirectoryError(f"not a corpus directory: {root}")
     # os.walk, like rglob("*"), lists hidden files and descends no symlinked
@@ -137,7 +137,7 @@ def discover_corpus(root: Path) -> list[Timeline]:
     paths = sorted(Path(top, name) for top, _, names in os.walk(root) for name in names)
     pieces = (_read_piece(path, path.relative_to(root).as_posix())
               for path in paths if path.is_file())
-    corpus = [piece for piece in pieces if piece is not None]
+    corpus = sorted((piece for piece in pieces if piece is not None), key=lambda t: t.id)
     if not corpus:
         raise EmptyCorpusError(f"no .jams.json or .chart files under {root}")
     return corpus

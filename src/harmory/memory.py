@@ -15,7 +15,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
+from math import fsum
 from typing import NamedTuple
 from urllib.parse import quote, unquote
 
@@ -193,12 +194,13 @@ def build_memory(corpus: list[Timeline],
     """Segment a corpus and fold similar segments into patterns.
 
     ``scale`` is checked as ``_Dtw`` checks it, before any piece is segmented.
-    Only pairs whose exact score can change the graph are warped: each
-    pair of distinct key-relative code sequences once, and only when
-    ``Warps.bounds`` leaves the score able to reach the merge (or, for
-    two medoids, the link) threshold.  Every pair inside a merged pattern
-    is scored exactly, for the medoid.  The graph is the one that scoring
-    every pair gives.
+    A score depends only on two segments' key-relative code sequences, so
+    the build decides once per pair of distinct sequences, warping it only
+    if ``Warps.bounds`` leaves it able to reach the merge (or, for two
+    medoids, the link) threshold; segments of one sequence score 1.0.  A
+    medoid has its pattern's best ``math.fsum`` total of scores against
+    the other members, the smallest id among those.  The graph is the one
+    that scoring every pair gives.
     """
     if not corpus:
         raise EmptyCorpusError("corpus is empty")
@@ -208,34 +210,36 @@ def build_memory(corpus: list[Timeline],
                                tuple(segment_timeline(tl, seg_params).segments))
               for tl in sorted(corpus, key=lambda t: t.id)}
     segments = sorted((s for piece in pieces.values() for s in piece.segments), key=lambda s: s.id)
-    ordered = [s.id for s in segments]
     shared = Warps()
-    sequence_of = dict(zip(ordered, shared.register_events([s.events() for s in segments])))
+    sequence_of = dict(zip((s.id for s in segments),
+                           shared.register_events([s.events() for s in segments])))
     bounds = shared.bounds().tolist()
+    twins: dict[int, list[str]] = {}  # each sequence to its segments, in id order
+    for seg_id, x in sequence_of.items():
+        twins.setdefault(x, []).append(seg_id)
 
-    def score(a: str, b: str) -> float:
-        """The exact score of two segments, warped once a sequence pair."""
-        return _segment_score(steps, shared, sequence_of[a], sequence_of[b])
+    def reaching(x: int, y: int, theta: float) -> float:
+        """Sequences x and y's score, warped only if their bound can reach theta, else 0."""
+        return _segment_score(steps, shared, x, y) if steps.score(bounds[x][y]) >= theta else 0.0
 
-    # A pair is warped only when its bound leaves it able to reach the threshold.
-    may_merge = [[steps.score(lb) >= theta_merge for lb in row] for row in bounds]
-    merges = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]
-              if may_merge[sequence_of[a]][sequence_of[b]] and score(a, b) >= theta_merge]
+    merges = [(twins[x][0], twins[y][0]) for x, y in combinations(twins, 2)
+              if reaching(x, y, theta_merge) >= theta_merge]
+    if theta_merge <= 1:
+        merges += [(ids[0], seg_id) for ids in twins.values() for seg_id in ids[1:]]
     patterns: dict[str, tuple[str, ...]] = {}
-    for group in components(ordered, merges):
-        totals = {seg_id: sum(score(seg_id, other) for other in group if other != seg_id)
-                  for seg_id in group}
+    for group in components(sequence_of, merges):
+        # One exact total per distinct sequence, over the group's other members.
+        counts = Counter(map(sequence_of.get, group))
+        totals = {x: fsum(chain.from_iterable(
+            [1.0 if x == y else _segment_score(steps, shared, x, y)] * (n - (x == y))
+            for y, n in counts.items())) for x in counts}
         best = max(totals.values())
-        medoid = min(seg_id for seg_id, value in totals.items() if value == best)
+        medoid = next(seg_id for seg_id in group if totals[sequence_of[seg_id]] == best)
         patterns[medoid] = tuple(group)
-    similar = []
     medoids = sorted(patterns)
-    for i, a in enumerate(medoids):
-        for b in medoids[i + 1:]:
-            lb = bounds[sequence_of[a]][sequence_of[b]]
-            if steps.score(lb) >= theta_sim and (value := score(a, b)) >= theta_sim:
-                similar.append((a, b, value))
-    return MemoryGraph(pieces=pieces, patterns=patterns, similar=tuple(similar))
+    similar = tuple((a, b, value) for i, a in enumerate(medoids) for b in medoids[i + 1:]
+                    if (value := reaching(sequence_of[a], sequence_of[b], theta_sim)) >= theta_sim)
+    return MemoryGraph(pieces=pieces, patterns=patterns, similar=similar)
 
 
 def _uri(name: str) -> str:

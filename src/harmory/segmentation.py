@@ -46,18 +46,14 @@ class SSM:
     """Self-similarity over sounded events, values in [0, 1], held as
     table plus codes: ``table`` is the V-by-V similarity of the piece's V
     distinct (chord, key) profiles and ``codes[i]`` is event i's profile,
-    so cell (i, j) is ``table[codes[i], codes[j]]``.
-
-    ``event_indices[i]`` maps row i back to the original event position.
-    """
+    so cell (i, j) is ``table[codes[i], codes[j]]``."""
 
     table: np.ndarray
     codes: np.ndarray
-    event_indices: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.event_indices)
+        return len(self.codes)
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,7 @@ def build_ssm(sounded: list[tuple[int, Chord, Key]]) -> SSM:
     largest = distances.max()
     if largest == 0:
         largest = 1.0
-    return SSM(table=1.0 - distances / largest, codes=np.array(codes, dtype=np.intp),
-               event_indices=tuple(i for i, _, _ in sounded))
+    return SSM(table=1.0 - distances / largest, codes=np.array(codes, dtype=np.intp))
 
 
 def checkerboard_kernel(kernel_size: int, taper: float) -> np.ndarray:

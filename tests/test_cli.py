@@ -217,6 +217,17 @@ def test_matrix_nested_corpus_uses_relative_ids(capsys, tmp_path):
     assert out.splitlines()[0] == "id,a,sub/x"
 
 
+def test_matrix_rows_follow_the_piece_ids_the_graph_lists(capsys, tmp_path):
+    """``a.chart`` sorts after ``a-b.chart`` as a path, but ``a`` before
+    ``a-b`` as an id, and the matrix lists pieces as the graph does."""
+    corpus = write_corpus(tmp_path / "corpus", {"a": ["C:maj"], "a-b": ["G:maj"]})
+    code, out, _ = run(capsys, ["matrix", str(corpus)])
+    assert (code, out.splitlines()[0]) == (0, "id,a,a-b")
+    assert run(capsys, ["--out-dir", str(tmp_path / "graph"), "build", str(corpus)])[0] == 0
+    nodes = json.loads((tmp_path / "graph" / "memory.json").read_text())["nodes"]
+    assert [n["id"] for n in nodes if n["type"] == "piece"] == ["a", "a-b"]
+
+
 def test_build_matches_golden_graph_and_query_finds_medoid(capsys, tmp_path):
     corpus = write_corpus(tmp_path / "corpus", {
         "alpha": ["C:maj"] * 4 + ["G:maj"] * 4,
@@ -1273,8 +1284,8 @@ def test_a_graph_with_a_non_ascii_interval_number_names_its_line(capsys, tmp_pat
 def test_discover_corpus_finds_what_rglob_finds_in_its_order(tmp_path):
     """Hidden files and directories are read, a symlinked directory is not
     descended, a symlink to a piece is read, a dangling one and a
-    directory named like a piece are not, and ``a/b`` sorts before
-    ``a-b`` as paths do."""
+    directory named like a piece are not, and the pieces come in id
+    order, ``a-b`` before ``a/b``."""
     outside = write_corpus(tmp_path / "outside", {"linked": ["D:maj"], "far": ["E:maj"]})
     root = write_corpus(tmp_path / "corpus", {"a-b": ["C:maj"], ".hidden": ["G:maj"],
                                               "z": ["F:maj"], "a0": ["A:min"]})
@@ -1293,8 +1304,8 @@ def test_discover_corpus_finds_what_rglob_finds_in_its_order(tmp_path):
     oracle = [path.relative_to(root).as_posix() for path in sorted(root.rglob("*"))
               if path.is_file() and path.name.endswith((".chart", ".jams.json"))]
     ids = [piece.id for piece in cli.discover_corpus(root)]
-    assert ids == [name.removesuffix(".chart").removesuffix(".jams.json") for name in oracle]
-    assert ids.index("a/b") < ids.index("a-b")
+    assert ids == sorted(name.removesuffix(".chart").removesuffix(".jams.json") for name in oracle)
+    assert ids.index("a-b") < ids.index("a/b")
     assert {".hidden", ".dot/x", "a/c", "link", "odd.chart/inner", "deep/er/y"} <= set(ids)
     assert not any(i.startswith(("linkdir", "dangling")) for i in ids)
 

@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
-from math import exp
+from math import exp, fsum
 from pathlib import Path
 from urllib.parse import unquote
 
@@ -382,7 +382,8 @@ def exhaustive_memory(corpus, seg_params, theta_sim, theta_merge, scale):
     patterns = {}
     for group in closure_groups(ordered, [pair for pair, value in scores.items()
                                           if value >= theta_merge]):
-        totals = {s: sum(scores[tuple(sorted((s, o)))] for o in group if o != s) for s in group}
+        totals = {s: fsum(scores[tuple(sorted((s, o)))] for o in group if o != s)
+                  for s in group}
         best = max(totals.values())
         medoid = min(s for s, value in totals.items() if value == best)
         patterns[medoid] = tuple(group)
@@ -540,6 +541,52 @@ def test_one_warp_serves_both_orders_of_a_pair():
     graph = build_memory(corpus, params, MemoryThresholds(0.4, 0.4))
     assert list(graph.patterns) == ["p0/seg/0"]
     assert_same_exports(graph, exhaustive_memory(corpus, params, 0.4, 0.4, 5.0))
+
+
+def test_the_medoid_is_picked_by_an_exact_total():
+    """p0/seg/0 and p1/seg/4 share a sequence and tie on an exact total;
+    summed in id order, rounding puts p1/seg/4 ahead."""
+    progression = ["C:maj", "A:min", "F:maj", "G:7"] * 2
+    corpus = [make_timeline(progression, piece_id="p0"),
+              make_timeline(progression + ["D:min", "G:7", "C:maj", "A:min", "F:maj", "G:maj",
+                                           "C:maj", "C:maj"], piece_id="p1")]
+    graph = build_memory(corpus, PARAMS, MemoryThresholds(0.3, 0.3), scale=2.0)
+    assert graph.patterns["p0/seg/0"] == ("p0/seg/0", "p1/seg/0", "p1/seg/2", "p1/seg/4")
+
+
+def sequence(segment):
+    return tuple(key_relative_profiles(segment.events()))
+
+
+@given(corpus=section_corpora(), theta_sim=st.sampled_from([0.3, 0.6, 0.9]),
+       merge_step=st.sampled_from([0.0, 0.1]), scale=st.sampled_from([1.0, 2.0, 5.0]))
+@settings(max_examples=40, deadline=None)
+def test_no_twin_of_a_medoid_has_a_smaller_id(corpus, theta_sim, merge_step, scale):
+    graph = build_memory(corpus, PARAMS, MemoryThresholds(theta_sim, theta_sim + merge_step),
+                         scale)
+    for medoid, members in graph.patterns.items():
+        own = sequence(graph.segments[medoid])
+        assert not [m for m in members if m < medoid and sequence(graph.segments[m]) == own]
+
+
+@given(corpus=section_corpora(), copied=st.integers(0, 3),
+       theta_sim=st.sampled_from([0.3, 0.6, 0.9]), merge_step=st.sampled_from([0.0, 0.1]))
+@settings(max_examples=40, deadline=None)
+def test_a_copied_piece_joins_the_patterns_of_its_original(corpus, copied, theta_sim,
+                                                           merge_step):
+    """A copy of a piece under an id that sorts last leaves the patterns
+    of the other segments as they were, and each copy segment joins its
+    original's pattern."""
+    original = corpus[copied % len(corpus)]
+    thresholds = MemoryThresholds(theta_sim, theta_sim + merge_step)
+    graph = build_memory(corpus, PARAMS, thresholds)
+    with_copy = build_memory(corpus + [replace(original, id="zz")], PARAMS, thresholds)
+    copies = {seg_id for seg_id in with_copy.segments if seg_id.startswith("zz/")}
+    assert sorted(tuple(m for m in members if m not in copies)
+                  for members in with_copy.patterns.values()) == sorted(graph.patterns.values())
+    pattern_of = {m: medoid for medoid, members in with_copy.patterns.items() for m in members}
+    for seg_id in copies:
+        assert pattern_of[seg_id] == pattern_of[seg_id.replace("zz/", f"{original.id}/", 1)]
 
 
 # The import's line loop and the query's pricing as they were before each

@@ -120,8 +120,7 @@ def unit_matrices(draw):
 
 def dense_ssm(matrix):
     """The SSM whose table is ``matrix``, one code per event."""
-    return SSM(table=matrix, codes=np.arange(len(matrix)),
-               event_indices=tuple(range(len(matrix))))
+    return SSM(table=matrix, codes=np.arange(len(matrix)))
 
 
 def dense(ssm):
@@ -158,7 +157,6 @@ def test_ssm_block_structure():
 def test_ssm_excludes_nochords_with_index_map():
     ssm = build_ssm(make_timeline(["C:maj", "N", "G:maj"]).sounded())
     assert ssm.size == 2
-    assert ssm.event_indices == (0, 2)
 
 
 def test_ssm_symmetric_unit_diagonal_in_range():
@@ -506,7 +504,7 @@ def vocabulary_ssms(draw):
     """SSMs with fewer codes than events, as build_ssm makes them."""
     table = draw(unit_matrices())
     codes = draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=30))
-    return SSM(table=table, codes=np.array(codes), event_indices=tuple(range(len(codes))))
+    return SSM(table=table, codes=np.array(codes))
 
 
 @given(ssm=vocabulary_ssms(), taper=st.sampled_from([1.0, 0.3]),
