@@ -156,7 +156,7 @@ def _from_flags(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
-def cmd_parse(args) -> int:
+def cmd_parse(args) -> None:
     chord = parse_chord(args.chord)
     if chord.is_nochord:
         payload = {"kind": "nochord"}
@@ -172,7 +172,6 @@ def cmd_parse(args) -> int:
             "canonical": render_chord(chord),
         }
     print(json.dumps(payload, indent=2))
-    return 0
 
 
 def _named(name: str, text: str, parse=parse_chord):
@@ -184,38 +183,32 @@ def _named(name: str, text: str, parse=parse_chord):
         raise ValueError(f"{name} {text!r}: {err}") from err
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args) -> None:
     a, b = _named("chord_a", args.chord_a), _named("chord_b", args.chord_b)
     key = _named("--key", args.key, Key.from_string) if args.key else estimate_key([a, b])
     value = chord_distance(a, key, b, key)
     print(int(value) if value == int(value) else value)
     if not args.key and not args.quiet:
         print(f"note: no --key given, estimated {key}")
-    return 0
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> None:
     timeline = load_piece(Path(args.piece))
     series = encode_tps(timeline, args.grid)
-    # Each distinct row is formatted once, keyed by the weight's text: a
-    # Fraction hashes slowly, and a beat grid's rows share one weight object.
-    lines, texts, weight, suffix = ["value,weight"], {}, None, ""
-    for v, w in series.values:
-        if w is not weight:
-            weight, suffix = w, f",{w}"
-        line = texts.get((v, suffix))
+    lines, texts = ["value,weight"], {}
+    for row in series.values:  # each distinct (value, weight) row is formatted once
+        line = texts.get(row)
         if line is None:
-            line = texts[v, suffix] = f"{float(v)!r}{suffix}"
+            line = texts[row] = f"{float(row[0])!r},{row[1]}"
         lines.append(line)
     text = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(Path(args.out), text)
     else:
         print(text, end="")
-    return 0
 
 
-def cmd_segment(args) -> int:
+def cmd_segment(args) -> None:
     params = _from_flags(SegmentationParams, args)
     timeline = load_piece(Path(args.piece))
     result = segment_timeline(timeline, params)
@@ -238,18 +231,16 @@ def cmd_segment(args) -> int:
     write_atomic(out_dir / f"{stem}.segments.json", text)
     if not args.quiet:
         print(text, end="")
-    return 0
 
 
-def cmd_sim(args) -> int:
+def cmd_sim(args) -> None:
     steps = _from_flags(MEASURES[args.measure], args)
     a = load_piece(Path(args.piece_a))
     b = load_piece(Path(args.piece_b))
     print(compare_pieces(steps, a, b).to_json(), end="")
-    return 0
 
 
-def cmd_build_graph(args) -> int:
+def cmd_build_graph(args) -> None:
     params, thresholds = (_from_flags(cls, args) for cls in (SegmentationParams, MemoryThresholds))
     graph = build_memory(discover_corpus(Path(args.corpus)), params, thresholds)
     out_dir = Path(args.out_dir)
@@ -260,10 +251,9 @@ def cmd_build_graph(args) -> int:
     write_atomic(out_dir / "stats.json", stats)
     if not args.quiet:
         print(stats, end="")
-    return 0
 
 
-def cmd_query(args) -> int:
+def cmd_query(args) -> None:
     chords = tuple(_named(f"token {number}", token)
                    for number, token in enumerate(args.progression.split(), 1))
     key = _named("--key", args.key, Key.from_string) if args.key else None
@@ -272,19 +262,17 @@ def cmd_query(args) -> int:
     payload = [{"pattern": pattern_id, "score": score, "chords": chords_text}
                for pattern_id, score, chords_text in results]
     print(json.dumps(payload, indent=2))
-    return 0
 
 
-def cmd_eval_covers(args) -> int:
+def cmd_eval_covers(args) -> None:
     steps = _from_flags(MEASURES[args.measure], args)
     corpus = discover_corpus(Path(args.corpus))
     cliques = CliqueSet.from_csv(read_text(args.cliques))
     metrics = evaluate_covers(corpus, cliques, steps)
     print(metrics.to_table() if args.format == "table" else metrics.to_json(), end="")
-    return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     names = args.measures.split(",")
     check_bench(names, args.repetitions)
     if not (args.synthetic or args.corpus):
@@ -293,10 +281,9 @@ def cmd_bench(args) -> int:
               else discover_corpus(Path(args.corpus)))
     report = benchmark_measures(corpus, tuple(MEASURES[n]() for n in names), args.repetitions)
     print(json.dumps(report, indent=2))
-    return 0
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args) -> None:
     steps = _from_flags(MEASURES[args.measure], args)
     corpus = discover_corpus(Path(args.corpus))
     ids, matrix = corpus_similarity_matrix(corpus, steps)
@@ -305,7 +292,6 @@ def cmd_matrix(args) -> int:
         write_atomic(Path(args.out), text)
     else:
         print(text, end="")
-    return 0
 
 
 def _field_flags(*classes) -> tuple[tuple[str, dict], ...]:
@@ -498,13 +484,14 @@ def main(argv=None) -> int:
     _LOG_HANDLER.stream = sys.stderr
     logging.getLogger("harmory").addHandler(_LOG_HANDLER)  # once: a handler is added once
     try:
-        return args.func(args)
+        args.func(args)
     except USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # pragma: no cover - defensive
         print(f"internal error: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry() -> None:

@@ -211,6 +211,10 @@ def synthetic_corpus(n_pieces: int = 16, total_beats: int = 256) -> list[Timelin
         events = []
         for i in range(n_events):
             chord = diatonic_triad(key, degree)
+            # Fraction times, though a chart loads whole times as ints: the
+            # tpsd/dtw time ratio of test_criterion_5_efficiency was measured on
+            # them (about 1.17 on a 2-core VM). With int times tpsd's beat grid
+            # does no Fraction arithmetic, and the ratio reads about 0.8.
             start = Fraction(i * BEATS_PER_EVENT)
             events.append(ChordEvent(start, Fraction(BEATS_PER_EVENT), chord))
             degree = (degree + rng.choice((1, 2, 3, 4, 5, 6))) % 7

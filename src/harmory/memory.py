@@ -14,7 +14,6 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, combinations
 from math import fsum
 from typing import NamedTuple
@@ -177,8 +176,8 @@ def components(items, pairs) -> list[list]:
 
 def segment_to_timeline(segment: Segment) -> Timeline:
     """View a segment as a one-beat-per-event timeline."""
-    events = [ChordEvent(Fraction(i), Fraction(1), c) for i, c in enumerate(segment.chords)]
-    spans = [KeySpan(Fraction(i), Fraction(1), k) for i, k in enumerate(segment.keys)]
+    events = [ChordEvent(i, 1, c) for i, c in enumerate(segment.chords)]
+    spans = [KeySpan(i, 1, k) for i, k in enumerate(segment.keys)]
     return build_timeline(segment.id, events, spans)
 
 

@@ -128,7 +128,7 @@ def corpus_ids(corpus: list[Timeline]) -> list[str]:
 class TpsSeries(NamedTuple):
     """Tonal Pitch Space values with weights, per event or per beat."""
 
-    values: tuple[tuple[float, Fraction], ...]
+    values: tuple[tuple[float, int | Fraction], ...]
 
 
 def build_timeline(piece_id: str, events, keys=(), title=None, artist=None) -> Timeline:
@@ -284,23 +284,19 @@ def load_chart(text: str, piece_id: str | None = None) -> Timeline:
         if not line:
             continue
         if line.startswith("#"):
-            content = line[1:].strip()
-            for header in ("title", "artist", "key"):
-                prefix = header + ":"
-                if content.startswith(prefix):
-                    value = content[len(prefix):].strip()
-                    if header == "title":
-                        title = value
-                    elif header == "artist":
-                        artist = value
-                    else:
-                        if key is not None:
-                            raise SchemaError(f"line {lineno}: duplicate key header")
-                        try:
-                            key = Key.from_string(value)
-                        except ValueError as err:
-                            raise SchemaError(f"line {lineno}: key {value!r}: {err}") from err
-                    break
+            name, colon, value = line[1:].strip().partition(":")
+            value = value.strip()
+            if colon and name == "title":
+                title = value
+            elif colon and name == "artist":
+                artist = value
+            elif colon and name == "key":
+                if key is not None:
+                    raise SchemaError(f"line {lineno}: duplicate key header")
+                try:
+                    key = Key.from_string(value)
+                except ValueError as err:
+                    raise SchemaError(f"line {lineno}: key {value!r}: {err}") from err
             continue
         fields = line.split()
         if len(fields) != 3:
@@ -338,18 +334,17 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     value_at = dict(zip([i for i, _, _ in sounded], key_relative_values(
         key_relative_profiles((chord, key) for _, chord, key in sounded))))
     if grid == "event":
-        return TpsSeries(tuple((v, Fraction(timeline.events[i].duration))
-                               for i, v in value_at.items()))
+        return TpsSeries(tuple((v, timeline.events[i].duration) for i, v in value_at.items()))
     start = timeline.events[0].start
     beats = int(timeline.end - start)  # floor of the total span
     # An event starts at or before beat b exactly when ceil(its offset) <= b,
     # so it holds the beats from its ceiling to the next event's.
     firsts = [min(ceil(e.start - start), beats) for e in timeline.events] + [beats]
-    held, grid_values, one = value_at[sounded[0][0]], [], Fraction(1)
+    held, grid_values = value_at[sounded[0][0]], []
     for i, (first, stop) in enumerate(zip(firsts, firsts[1:])):
         if stop > first:  # an event that holds no beat sets no value
             held = value_at.get(i, held)
-            grid_values += [(held, one)] * (stop - first)
+            grid_values += [(held, 1)] * (stop - first)
     if not grid_values:
         raise EmptyTimelineError(f"{timeline.id}: shorter than one beat")
     return TpsSeries(tuple(grid_values))

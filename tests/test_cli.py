@@ -1233,6 +1233,15 @@ def test_encode_writes_each_row_as_the_value_repr_and_the_weight(capsys, tmp_pat
         assert run(capsys, ["encode", str(path), "--grid", grid]) == (0, expected, ""), name
 
 
+def test_encode_bytes_of_whole_and_fractional_durations(capsys, tmp_path):
+    piece = tmp_path / "p.chart"
+    piece.write_text("0 4 C:maj\n4 7/2 G:maj\n15/2 1/2 N\n8 3 F:maj\n")
+    assert run(capsys, ["encode", str(piece)]) == (
+        0, "value,weight\n0.0,4\n5.0,7/2\n5.0,3\n", "")
+    assert run(capsys, ["encode", str(piece), "--grid", "beat"]) == (
+        0, "value,weight\n" + "0.0,1\n" * 4 + "5.0,1\n" * 7, "")
+
+
 # Interval numbers in other scripts' digits, or superscripts, with the
 # position of the digit that the parser refuses.
 NON_ASCII_INTERVALS = [("C:maj/٥", 6), ("C:(3,٥)", 5), ("C:maj/²", 6), ("G:7/³", 4)]

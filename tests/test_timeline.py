@@ -149,6 +149,38 @@ def test_load_chart_duplicate_key_header():
         load_chart("# key: C:maj\n# key: D:maj\n0 1 C:maj")
 
 
+# A ``#`` line is a header when its text, less the ``#`` and outer spaces,
+# starts with ``title:``, ``artist:`` or ``key:``; the value is the rest, stripped.
+@pytest.mark.parametrize("header, title, artist, key", [
+    ("#title:x", "x", None, "C:maj"),
+    ("# artist: a:b", None, "a:b", "C:maj"),
+    ("# artist:", None, "", "C:maj"),
+    ("#  title : x", None, None, "C:maj"),
+    ("# titles: y", None, None, "C:maj"),
+    ("# tempo: 120", None, None, "C:maj"),
+    ("# key :C:min", None, None, "C:maj"),
+    ("#", None, None, "C:maj"),
+    ("# key:C:min", None, None, "C:min"),
+    ("#title: a\n#title:  b c ", "b c", None, "C:maj"),
+])
+def test_chart_headers_set_title_artist_and_key(header, title, artist, key):
+    body = "0 4 C:maj\n4 4 G:maj\n"
+    tl = load_chart(f"{header}\n{body}")
+    assert (tl.id, tl.title, tl.artist) == (title or "chart", title, artist)
+    assert tl.keys == (KeySpan(0, 8, Key.from_string(key)),)
+    assert tl.events == load_chart(body).events
+
+
+@pytest.mark.parametrize("header, message", [
+    ("# key: H:maj", "line 1: key 'H:maj': not a note letter: 'H'"),
+    ("# key:", "line 1: key '': key must look like 'C:maj' or 'C:min'"),
+    ("# key: C:maj\n#key:C:maj", "line 2: duplicate key header"),
+])
+def test_chart_key_header_errors(header, message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        load_chart(f"{header}\n0 4 C:maj\n")
+
+
 def test_load_chart_bad_event_line_number():
     with pytest.raises(SchemaError) as info:
         load_chart("# key: C:maj\n0 1 C:maj\n1 1 H:maj")
@@ -252,11 +284,12 @@ def test_write_chart_round_trips_int_and_fraction_times():
     assert load_chart(write_chart(tl), piece_id="p") == tl
 
 
-def test_encode_weights_stay_fractions_on_whole_times():
-    tl = load_chart("0 4 C:maj\n4 3 G:maj\n7 1/2 N\n", piece_id="p")
-    assert encode_tps(tl, "event").values == ((0.0, Fraction(4)), (5.0, Fraction(3)))
-    for grid in ("event", "beat"):
-        assert all(type(w) is Fraction for _, w in encode_tps(tl, grid).values)
+def test_encode_weights_are_the_loaded_durations_and_whole_beats():
+    tl = load_chart("0 4 C:maj\n4 3 G:maj\n7 1/2 N\n15/2 3/2 F:maj\n", piece_id="p")
+    events = encode_tps(tl, "event").values
+    assert events == ((0.0, 4), (5.0, 3), (5.0, Fraction(3, 2)))
+    assert [type(w) for _, w in events] == [int, int, Fraction]
+    assert {type(w) for _, w in encode_tps(tl, "beat").values} == {int}
 
 
 def test_a_superscript_time_exits_2(capsys, tmp_path):
@@ -448,7 +481,8 @@ def test_sounded_keys_and_encodings_equal_the_bisect_lookup(timeline):
             continue
         series = encode_tps(timeline, grid)
         assert series.values == values
-        assert all(type(v) is float and type(w) is Fraction for v, w in series.values)
+        assert all(type(v) is float and type(w) is (int if grid == "beat" else Fraction)
+                   for v, w in series.values)
 
 
 def per_beat_grid(timeline):

@@ -515,6 +515,57 @@ def test_the_module_state_check_finds_each_write():
         assert module_state_writes(source) == [], source
 
 
+# The one function in each module that may build a Fraction: the loader's
+# time conversion, and the synthetic corpus, whose Fraction times criterion
+# 5's tpsd/dtw timing was measured on.
+FRACTION_BUILDERS = {"timeline.py": "_to_fraction", "evaluation.py": "synthetic_corpus"}
+
+
+def fraction_calls(source: str, builder: str | None = None) -> list[str]:
+    """Each call of ``Fraction``, ``fractions.Fraction`` or a ``Fraction``
+    method, and each import of ``Fraction`` under another name, outside
+    the function named ``builder``."""
+    def named(node) -> str | None:
+        return node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+
+    tree = ast.parse(source)
+    exempt = {id(node) for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef) and function.name == builder
+              for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found += [f"line {node.lineno}: imports Fraction as {alias.asname}"
+                      for alias in node.names
+                      if alias.name == "Fraction" and alias.asname not in (None, "Fraction")]
+        elif isinstance(node, ast.Call) and id(node) not in exempt and (
+                named(node.func) == "Fraction" or isinstance(node.func, ast.Attribute)
+                and named(node.func.value) == "Fraction"):
+            found.append(f"line {node.lineno}: calls {ast.unparse(node.func)}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_whole_times_stay_int_past_the_loader(path):
+    # A whole beat loads as an int, and int and Fraction times compare and
+    # add exactly, so no later step converts a time to a Fraction.
+    assert fraction_calls(path.read_text(), FRACTION_BUILDERS.get(path.name)) == []
+
+
+def test_the_fraction_check_finds_each_call():
+    for source in ["Fraction(1)", "x = fractions.Fraction(1, 2)", "Fraction.from_float(0.5)",
+                   "from fractions import Fraction as F", "def f(d):\n    return Fraction(d)",
+                   "def _to_fraction(v): pass\none = Fraction(1)",
+                   "def g():\n    def _to_fraction(v): pass\n    return Fraction(1)"]:
+        assert fraction_calls(source, "_to_fraction"), source
+    for source in ["from fractions import Fraction", "w: int | Fraction = 1",
+                   "isinstance(w, Fraction)", "d = w.denominator",
+                   "def _to_fraction(v):\n    return Fraction(str(v))",
+                   "def _to_fraction(v):\n    def f(): return Fraction(v)\n    return f()"]:
+        assert fraction_calls(source, "_to_fraction") == [], source
+
+
 def fields_without_range(fields) -> list[str]:
     """The names of the dataclass ``fields`` whose metadata declares no ``range``."""
     return [f.name for f in fields if "range" not in f.metadata]
