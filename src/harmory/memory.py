@@ -24,7 +24,7 @@ from harmory.segmentation import Segment, SegmentationParams, segment_timeline
 from harmory.similarity import DEFAULT_SCALE, Warps, _Dtw
 from harmory.timeline import (ChordEvent, KeySpan, Timeline, at_least, build_timeline,
                               check_ranges, corpus_ids, estimate_key)
-from harmory.tps import Key
+from harmory.tps import KEYS, Key
 
 BASE = "urn:harmory:"
 
@@ -199,7 +199,7 @@ def build_memory(corpus: list[Timeline],
     medoids, the link) threshold; segments of one sequence score 1.0.  A
     medoid has its pattern's best ``math.fsum`` total of scores against
     the other members, the smallest id among those.  The graph is the one
-    that scoring every pair gives.
+    that scoring every pair gives, with weights to six places, as exported.
     """
     if not corpus:
         raise EmptyCorpusError("corpus is empty")
@@ -236,7 +236,7 @@ def build_memory(corpus: list[Timeline],
         medoid = next(seg_id for seg_id in group if totals[sequence_of[seg_id]] == best)
         patterns[medoid] = tuple(group)
     medoids = sorted(patterns)
-    similar = tuple((a, b, value) for i, a in enumerate(medoids) for b in medoids[i + 1:]
+    similar = tuple((a, b, round(value, 6)) for i, a in enumerate(medoids) for b in medoids[i + 1:]
                     if (value := reaching(sequence_of[a], sequence_of[b], theta_sim)) >= theta_sim)
     return MemoryGraph(pieces=pieces, patterns=patterns, similar=similar)
 
@@ -289,6 +289,7 @@ def export_ntriples(graph: MemoryGraph) -> bytes:
 _IRI = f"<{re.escape(BASE)}([^>]*)>"
 _TRIPLE = re.compile(rf'^{_IRI} {_IRI} (?:{_IRI}|"([^"\\]*(?:\\.[^"\\]*)*)") \.$')
 _SEGMENT_ID = re.compile(r"(.*)/seg/(0|[1-9][0-9]*)")
+_KEY_TEXTS = frozenset(map(str, KEYS))  # the one text that a build writes for each key
 
 
 def _unquote_literal(text: str) -> str:
@@ -322,16 +323,25 @@ def _sounded_chord(token: str):
     return parse_chord(token)
 
 
-def _parse_tokens(parse, literals: dict, seg_id: str, predicate: str) -> tuple:
+def _parse_tokens(parse, literals: dict, seg_id: str, predicate: str, written=None) -> tuple:
     """Each token of a segment's sequence literal parsed; an error names
-    the token by its 1-based index and its text."""
-    tokens = literals[seg_id][0].split()
+    the token by its 1-based index and its text.  Given ``written``, the
+    texts that a build writes, a token must be one of them."""
+    if seg_id not in literals:
+        raise GraphFormatError("missing", seg_id, predicate, None)
+    tokens = (literal := literals[seg_id][0]).split()
+    if len(" ".join(tokens)) != len(literal):  # whitespace at an end, or a run of it
+        raise GraphFormatError("a build joins its tokens by one space", seg_id, predicate, None)
     parsed: list = []
     try:
         parsed.extend(map(parse, tokens))  # keeps the tokens parsed before a failure
     except ValueError as err:
         raise GraphFormatError(f"token {len(parsed) + 1} {tokens[len(parsed)]!r}: {err}",
                                seg_id, predicate, None) from err
+    if written and not written.issuperset(tokens):
+        i = next(i for i, token in enumerate(tokens) if token not in written)
+        raise GraphFormatError(f"token {i + 1} {tokens[i]!r}: a build writes {str(parsed[i])!r}",
+                               seg_id, predicate, None)
     return tuple(parsed)
 
 
@@ -366,9 +376,11 @@ def import_ntriples(data: bytes) -> MemoryGraph:
                                        f"not the one of line {first_line}")
             if predicate == "weight":
                 try:
-                    float(obj)
+                    written = f"{abs(value := float(obj)):.6f}"  # as a build writes it
                 except ValueError as err:
                     raise GraphFormatError(f"line {lineno}: {err}") from err
+                if obj != written and 0 <= value <= 1:  # MemoryGraph refuses the rest
+                    raise GraphFormatError(f"line {lineno}: weight {obj!r} is written {written!r}")
         elif predicate == "hasSegment":
             seg_match = _SEGMENT_ID.fullmatch(obj)
             if not seg_match or seg_match.group(1) != subject:
@@ -384,11 +396,9 @@ def import_ntriples(data: bytes) -> MemoryGraph:
         for piece_id in sorted(has_segment):
             piece_segments, cursor = [], 0
             for index, seg_id in sorted(has_segment[piece_id]):
-                for name, table in (("chordSequence", sequences), ("keySequence", key_sequences)):
-                    if seg_id not in table:
-                        raise GraphFormatError("missing", seg_id, name, None)
                 chords = _parse_tokens(_sounded_chord, sequences, seg_id, "chordSequence")
-                keys = _parse_tokens(Key.from_string, key_sequences, seg_id, "keySequence")
+                keys = _parse_tokens(Key.from_string, key_sequences, seg_id, "keySequence",
+                                     _KEY_TEXTS)
                 piece_segments.append(Segment(piece_id, index, cursor, cursor + len(chords),
                                               chords, keys))
                 cursor += len(chords)
@@ -440,7 +450,7 @@ def export_json(graph: MemoryGraph) -> str:
               for pattern_id, members in sorted(graph.patterns.items())]
     edges = [{"source": source, "type": kind, "target": target}
              for source, kind, target in _structure_edges(graph)]
-    edges += [{"source": a, "type": "similarTo", "target": b, "weight": round(weight, 6)}
+    edges += [{"source": a, "type": "similarTo", "target": b, "weight": weight}
               for a, b, weight in graph.similar]
     edges.sort(key=lambda e: (e["source"], e["type"], e["target"]))
     return json.dumps({"nodes": nodes, "edges": edges}, indent=2) + "\n"

@@ -1,11 +1,8 @@
 """Tonal Pitch Space: keys, basic spaces, and chord distances.
 
 A chord in a key spans five nested pitch-class levels: root, fifth,
-chord tones, diatonic scale, chromatic total.  The distance between two
-chord/key pairs is the circle-of-fifths distance between the key tonics,
-plus the circle-of-fifths distance between the chord roots, plus the
-number of level entries of the destination space missing from the source
-space, averaged over both directions.
+chord tones, diatonic scale, chromatic total.  ``distance_terms`` alone
+states Lerdahl's distance between two chord/key pairs, as six terms.
 
 Each (chord, key) event is a ``Profile`` of 12-bit level masks, which is
 all a distance reads.  Every comparison of event sequences interns the
@@ -102,8 +99,7 @@ def profile(chord: Chord, key: Key) -> Profile:
 
 def fifths_distance(x: int, y: int) -> int:
     """Minimal number of perfect-fifth steps between two pitch classes."""
-    up = (7 * (y - x)) % 12  # 7 is its own inverse mod 12
-    return min(up, 12 - up) if up else 0
+    return min(up := 7 * (y - x) % 12, 12 - up)  # 7 is its own inverse mod 12
 
 
 # _FIFTHS[12 * x + y] is fifths_distance(x, y); _POPCOUNT[mask] counts a mask's bits.
@@ -116,11 +112,18 @@ def chord_distance(x: Chord, kx: Key, y: Chord, ky: Key) -> float:
     return profile_distance(profile(x, kx), profile(y, ky))
 
 
+def distance_terms(p: Profile, q: Profile, fifths=_FIFTHS, popcount=_POPCOUNT) -> tuple:
+    """Lerdahl's distance of two profiles as six terms, doubled to ints: the
+    fifths distances of the tonics and of the roots, and popcount(p_level ^
+    q_level), the entries either space misses, of each level.  Arrays whose
+    item i is field i, with numpy views of the tables, give each broadcast pair's."""
+    return (2 * fifths[12 * p[0] + q[0]], 2 * fifths[12 * p[1] + q[1]], popcount[p[2] ^ q[2]],
+            popcount[p[3] ^ q[3]], popcount[p[4] ^ q[4]], popcount[p[5] ^ q[5]])
+
+
 def profile_distance(p: Profile, q: Profile) -> float:
-    """The distance of two profiles: the two fifths distances plus the mean of
-    popcount(q_level & ~p_level) over both directions, popcount(p_level ^ q_level) / 2."""
-    missing = sum((a ^ b).bit_count() for a, b in zip(p[2:], q[2:]))
-    return _FIFTHS[12 * p.tonic + q.tonic] + _FIFTHS[12 * p.root + q.root] + missing / 2
+    """The distance of two profiles: half the sum of their doubled terms."""
+    return sum(distance_terms(p, q)) / 2
 
 
 def key_relative_profiles(events) -> list[Profile]:
@@ -140,17 +143,14 @@ def intern(profiles, vocab: dict) -> list[int]:
 
 
 def distance_table(vocab_a: dict, vocab_b: dict) -> list[list[float]]:
-    """``chord_distance`` from each profile of one vocabulary (row, by
-    code) to each of the other (column, by code), as Python floats, filled
-    by numpy from the profiles that key them.  Every value is a
-    half-integer, so the floats equal ``chord_distance``'s exactly."""
-    fifths = np.frombuffer(_FIFTHS, dtype=np.uint8).reshape(12, 12)
-    popcount = np.frombuffer(_POPCOUNT, dtype=np.uint8)
-    a, b = (np.fromiter(chain.from_iterable(vocab), np.intp, 6 * len(vocab)).reshape(-1, 6)
+    """``chord_distance`` of each profile of ``vocab_a`` (row, by code) and each
+    of ``vocab_b`` (column), as floats: half the exact numpy sum of its terms."""
+    a, b = (np.fromiter(chain.from_iterable(vocab), np.intp, 6 * len(vocab)).reshape(-1, 6).T
             for vocab in (vocab_a, vocab_b))
-    twice = 2 * (fifths[a[:, 0]][:, b[:, 0]] + fifths[a[:, 1]][:, b[:, 1]])
-    for level in range(2, 6):
-        twice += popcount[a[:, level, None] ^ b[:, level]]
+    twice, *terms = distance_terms(a[:, :, None], b, np.frombuffer(_FIFTHS, np.uint8),
+                                   np.frombuffer(_POPCOUNT, np.uint8))
+    for term in terms:  # in place: a forked call pays for each new numpy temporary
+        twice += term
     return (twice / 2).tolist()
 
 

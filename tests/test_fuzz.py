@@ -108,15 +108,31 @@ def graph_bytes(draw):
     return "\n".join(lines).encode("utf-8", "surrogatepass") + draw(st.binary(max_size=2))
 
 
+# Texts of the golden's weight, keys and sequence literals, each with a
+# spelling that reads as the same value but that no build writes.
+RESPELLINGS = [('"0.704688"', f'"{weight}"') for weight in
+               ("0.704_688", " 0.704688", "7.04688e-1", "+0.704688", "0.7046880", "-0.000000")] \
+    + [('keySequence> "C:maj', 'keySequence> "B#:maj'),
+       ('keySequence> "C:maj ', 'keySequence> "C:maj  '),
+       ('keySequence> "C:maj', 'keySequence> " C:maj'),
+       ('C:maj" .', 'C:maj " .')]
+
+
 @st.composite
 def golden_edits(draw):
-    """The golden graph's lines with some dropped or repeated, and some
-    added that copy a line with its subject or object IRI swapped for
-    another of the golden IRIs."""
+    """The golden graph's lines with some dropped or repeated, some added
+    that copy a line with its subject or object IRI swapped for another of
+    the golden IRIs, and some with their weight or keys respelled."""
     lines = list(GOLDEN_LINES)
     for _ in range(draw(st.integers(1, 4))):
-        edit = draw(st.sampled_from(["drop", "repeat", "swap"]))
-        if edit == "drop" and lines:
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "respell"]))
+        if edit == "respell":
+            text, respelled = draw(st.sampled_from(RESPELLINGS))
+            holding = [i for i, line in enumerate(lines) if text in line]
+            if holding:
+                at = draw(st.sampled_from(holding))
+                lines[at] = lines[at].replace(text, respelled)
+        elif edit == "drop" and lines:
             del lines[draw(st.integers(0, len(lines) - 1))]
         elif lines:
             subject, predicate, obj = draw(st.sampled_from(lines))[:-2].split(" ", 2)

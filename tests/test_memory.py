@@ -369,7 +369,8 @@ def test_segment_to_timeline():
 
 def exhaustive_memory(corpus, seg_params, theta_sim, theta_merge, scale):
     """The memory graph by scoring every pair of segments, each through
-    dtw's ``compare_pieces`` on the segments' own timelines: the oracle for
+    dtw's ``compare_pieces`` on the segments' own timelines, each link
+    decided on its score and weighted by it to six places: the oracle for
     ``build_memory``'s pruning."""
     pieces = {tl.id: PieceInfo(tl.title, tl.artist,
                                tuple(segment_timeline(tl, seg_params).segments))
@@ -388,8 +389,8 @@ def exhaustive_memory(corpus, seg_params, theta_sim, theta_merge, scale):
         medoid = min(s for s, value in totals.items() if value == best)
         patterns[medoid] = tuple(group)
     medoids = sorted(patterns)
-    similar = tuple((a, b, scores[a, b]) for i, a in enumerate(medoids) for b in medoids[i + 1:]
-                    if scores[a, b] >= theta_sim)
+    similar = tuple((a, b, round(scores[a, b], 6)) for i, a in enumerate(medoids)
+                    for b in medoids[i + 1:] if scores[a, b] >= theta_sim)
     return MemoryGraph(pieces=pieces, patterns=patterns, similar=similar)
 
 
@@ -744,7 +745,7 @@ def test_any_order_and_repeats_of_the_golden_lines_re_export_to_the_golden(order
     ("<urn:harmory:beta/seg/0> <urn:harmory:instanceOf> <urn:harmory:alpha/seg/0> .",
      "<urn:harmory:beta/seg/0>"),
     ('<urn:harmory:sim/alpha/seg/0/gamma/seg/0> <urn:harmory:weight> "0.704688" .',
-     '"0.7046880"'),
+     '"0.704689"'),
 ], ids=["chordSequence", "keySequence", "instanceOf", "weight"])
 def test_a_second_object_of_a_single_valued_predicate_is_an_error(line, second):
     """A subject has one chordSequence, keySequence, instanceOf and weight;
@@ -839,6 +840,25 @@ GOLDEN_DEFECTS = {
                       "line 22: keySequence of gamma/seg/0: token 3 'H:maj': not a note "
                       "letter: 'H'"),
     "no-piece": (GOLDEN_NT_LINES, (), None, "a memory graph needs a piece"),
+    # Weights, keys and the spaces between tokens are read only as a build writes them.
+    **{f"weight-written-{value}": ((), (), ('"0.704688"', f'"{value}"'),
+                                   f"line 24: weight {value!r} is written {written!r}")
+       for value, written in [("0.704_688", "0.704688"), (" 0.704688", "0.704688"),
+                              ("7.04688e-1", "0.704688"), ("+0.704688", "0.704688"),
+                              ("0.7046880", "0.704688"), ("-0.000000", "0.000000")]},
+    **{f"key-sequence-{name}": ((), (), (
+        'gamma/seg/0> <urn:harmory:keySequence> "C:maj C:maj C:maj C:maj"',
+        f'gamma/seg/0> <urn:harmory:keySequence> "{literal}"'),
+        f"line 22: keySequence of gamma/seg/0: {message}")
+       for name, literal, message in [
+           ("respelled", "C:maj B#:maj C:maj C:maj", "token 2 'B#:maj': a build writes 'C:maj'"),
+           ("doubled-space", "C:maj  C:maj C:maj C:maj", "a build joins its tokens by one space"),
+           ("leading-space", " C:maj C:maj C:maj C:maj", "a build joins its tokens by one space"),
+           ("trailing-space", "C:maj C:maj C:maj C:maj ",
+            "a build joins its tokens by one space")]},
+    "chord-sequence-doubled-space": (
+        (), (), ('"C:maj C:maj C:maj A:min"', '"C:maj C:maj  C:maj A:min"'),
+        "line 20: chordSequence of gamma/seg/0: a build joins its tokens by one space"),
 }
 
 
@@ -947,10 +967,10 @@ def chord_corpora():
 
 
 def as_exported(graph: MemoryGraph) -> MemoryGraph:
-    """The graph without titles and artists, its weights to six places."""
+    """The graph without titles and artists: a build stores each weight as
+    both exports write it, so the import gives back its edges as they are."""
     return replace(graph, pieces={piece_id: piece._replace(title=None, artist=None)
-                                  for piece_id, piece in graph.pieces.items()},
-                   similar=tuple((a, b, float(f"{w:.6f}")) for a, b, w in graph.similar))
+                                  for piece_id, piece in graph.pieces.items()})
 
 
 @given(corpus=chord_corpora(), theta_sim=st.sampled_from([0.05, 0.3, 0.6, 0.9]),

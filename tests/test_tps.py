@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmory.harte import NO_CHORD, SHORTHANDS, NoChordError, parse_chord, pitch_class_set
+import harmory.memory as memory
 import harmory.tps as tps
 from harmory.memory import MemoryThresholds, PatternQuery
 from harmory.segmentation import SegmentationParams
@@ -566,6 +567,52 @@ def test_the_fraction_check_finds_each_call():
         assert fraction_calls(source, "_to_fraction") == [], source
 
 
+def table_reads(source: str) -> list[str]:
+    """Each read of ``_FIFTHS`` or ``_POPCOUNT`` outside ``distance_terms``
+    and outside the ``np.frombuffer`` views that ``distance_table`` passes
+    to it, so that one function states Lerdahl's distance."""
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    allowed = {id(node) for function in functions if function.name == "distance_terms"
+               for node in ast.walk(function)}
+    allowed |= {id(node) for function in functions if function.name == "distance_table"
+                for call in ast.walk(function) if isinstance(call, ast.Call)
+                and ast.unparse(call.func) == "np.frombuffer" for node in ast.walk(call)}
+    return [f"line {node.lineno}: {node.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in ("_FIFTHS", "_POPCOUNT")
+            and isinstance(node.ctx, ast.Load) and id(node) not in allowed]
+
+
+def rounding_calls(source: str, name: str) -> list[str]:
+    """Each ``round`` call inside the function ``name``."""
+    return [f"line {node.lineno}: {ast.unparse(node)}" for function in ast.walk(ast.parse(source))
+            if isinstance(function, ast.FunctionDef) and function.name == name
+            for node in ast.walk(function) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "round"]
+
+
+def test_the_distance_and_the_weights_are_stated_once():
+    # The two byte tables are read only by distance_terms, which both
+    # profile_distance and distance_table evaluate; a built graph holds each
+    # weight as both exports write it, so export_json rounds nothing.
+    assert table_reads(Path(tps.__file__).read_text()) == []
+    assert rounding_calls(Path(memory.__file__).read_text(), "export_json") == []
+
+
+def test_the_design_checks_find_each_restatement():
+    for source in ["def profile_distance(p, q):\n    return _FIFTHS[12 * p.tonic + q.tonic]",
+                   "def distance_table(a, b):\n    f = np.frombuffer(_FIFTHS)[_POPCOUNT[0]]",
+                   "def distance_table(a, b):\n    return np.asarray(_POPCOUNT)",
+                   "FIFTHS_VIEW = np.frombuffer(_FIFTHS, np.uint8)"]:
+        assert table_reads(source), source
+    for source in ["_FIFTHS = bytes(range(144))", "def distance_terms(p, q, f=_FIFTHS): pass",
+                   "def distance_table(a, b):\n    v = np.frombuffer(_POPCOUNT, np.uint8)"]:
+        assert table_reads(source) == [], source
+    assert rounding_calls("def export_json(g):\n    return [round(w, 6) for w in g]",
+                          "export_json")
+    assert rounding_calls("def build(g):\n    return round(g, 6)", "export_json") == []
+
+
 def fields_without_range(fields) -> list[str]:
     """The names of the dataclass ``fields`` whose metadata declares no ``range``."""
     return [f.name for f in fields if "range" not in f.metadata]
@@ -657,6 +704,40 @@ def test_distance_table_equals_scalar_and_oracle_distances(events_a, events_b):
             for (y, ky), j in zip(cols, col_codes):
                 assert type(table[i][j]) is float
                 assert table[i][j] == chord_distance(x, kx, y, ky) == oracle_distance(x, kx, y, ky)
+
+
+@given(st.lists(sounded_events, min_size=2, max_size=6))
+@settings(max_examples=200)
+def test_the_six_terms_are_the_distance(events):
+    """Lerdahl's distance is the six terms of ``distance_terms``: doubled
+    ints that sum to twice ``chord_distance`` and to twice the table's cell,
+    that no swap of the pair or transposition of both events changes, and
+    whose tonic term is 0 between key-relative profiles."""
+    vocab: dict = {}
+    codes = tps.intern([profile(*event) for event in events], vocab)
+    table = tps.distance_table(vocab, vocab)
+    relative = key_relative_profiles(events)
+    for (x, i, rx), (y, j, ry) in itertools.combinations(zip(events, codes, relative), 2):
+        p, q = profile(*x), profile(*y)
+        terms = tps.distance_terms(p, q)
+        assert len(terms) == 6 and all(type(term) is int for term in terms)
+        assert sum(terms) / 2 == chord_distance(*x, *y) == table[i][j]
+        assert tps.distance_terms(q, p) == terms
+        for shift in range(12):
+            moved = [profile(transpose_chord(chord, shift), transpose_key(key, shift))
+                     for chord, key in (x, y)]
+            assert tps.distance_terms(*moved) == terms
+        assert tps.distance_terms(rx, ry)[0] == 0
+
+
+def test_the_terms_of_named_pairs():
+    # C:maj to G:maj in C major: one fifth between the roots, and levels that
+    # differ in 2, 2, 4 and 0 pitch classes; C:maj from C major to G major:
+    # one fifth between the tonics, and F against F# on the diatonic level.
+    c, g = (profile(parse_chord(symbol), MAJOR) for symbol in ("C:maj", "G:maj"))
+    assert tps.distance_terms(c, g) == (0, 2, 2, 2, 4, 0)
+    assert tps.distance_terms(c, profile(parse_chord("C:maj"), Key(7, "major"))) == \
+        (2, 0, 0, 0, 0, 2)
 
 
 def test_distance_table_calls_neither_profile_nor_chord_distance(monkeypatch):
