@@ -2,6 +2,7 @@
 
     python3 scripts/record_bench.py                      # this checkout
     python3 scripts/record_bench.py --checkout OTHER --out .
+    python3 scripts/record_bench.py --parent HEAD         # and HEAD, pair by pair
 
 For every workload that the checkout's BENCHMARK.json lists, it runs
 `perfbench/run.py` unchanged from the checkout root: once per seed with
@@ -28,6 +29,17 @@ While it is set no `.pyc` is written, so `setup_s` includes compiling
 file not committed yet): the runs then measured a tree that `commit`
 does not hold.
 
+With `--parent REV` it also checks REV out, detached, with `git worktree`
+into a temporary directory outside the checkout, and removes it when
+done.  It then runs PAIRS pairs of plain runs per workload, one on each
+tree, in the same session: each pair on the next of SEEDS, the change
+(the checkout) first in even pairs and REV first in odd ones.  Under
+`same_session` it keeps REV's commit, every pair run with the tree it
+measured (`change` or `parent`), and for each gated metric both medians,
+the parent's interquartile range and a verdict: `unresolved` when the
+medians differ by no more than that range, else `better` or `worse`.
+The per-layer metrics stay the checkout's traced run.
+
 This script imports nothing from harmory: it measures the checkout only
 through the benchmark's own command line.
 """
@@ -35,17 +47,20 @@ through the benchmark's own command line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (21, 22, 23)
+PAIRS = 10
 # The paths whose edits change what a run measures.
 MEASURED = ("src", "perfbench", "scripts", "BENCHMARK.json")
 
@@ -110,7 +125,8 @@ def recorded(out: Path) -> dict[int, Path]:
 def git(checkout: Path, *arguments: str) -> str:
     done = subprocess.run(["git", *arguments], cwd=checkout, capture_output=True, text=True)
     if done.returncode:
-        raise SystemExit(f"error: {checkout} is not a git checkout:\n{done.stderr}")
+        raise SystemExit(f"error: git {' '.join(arguments)} failed in {checkout}:\n"
+                         f"{done.stderr}")
     return done.stdout
 
 
@@ -120,12 +136,67 @@ def commit_of(checkout: Path) -> tuple[str, bool]:
     return git(checkout, "rev-parse", "HEAD").strip(), bool(changed.strip())
 
 
+@contextlib.contextmanager
+def worktree(checkout: Path, rev: str):
+    """``rev`` of the checkout's repository, checked out detached in a
+    temporary directory outside the checkout, and removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="record_bench-") as scratch:
+        path = Path(scratch) / "parent"
+        git(checkout, "worktree", "add", "--detach", str(path), rev)
+        try:
+            yield path
+        finally:
+            git(checkout, "worktree", "remove", "--force", str(path))
+
+
+def verdict(parent: list[float], change: list[float], better: str) -> dict:
+    """Both sides' medians, the parent's interquartile range, and whether
+    the change is ``better``, ``worse`` or ``unresolved``: its median no
+    further from the parent's than that range."""
+    base, median, spread = statistics.median(parent), statistics.median(change), iqr(parent)
+    if abs(median - base) <= spread:
+        outcome = "unresolved"
+    else:
+        outcome = "better" if (median > base) == (better == "higher") else "worse"
+    return {"parent_median": base, "change_median": median, "parent_iqr": spread,
+            "verdict": outcome}
+
+
+def same_session(checkout: Path, rev: str, spec: dict) -> dict:
+    """PAIRS alternating pairs of plain runs per workload, on the checkout
+    (``change``) and on ``rev`` (``parent``), and each gated metric's verdict."""
+    workloads = [w["name"] for w in spec["workloads"]]
+    runs: dict[str, list[dict]] = {workload: [] for workload in workloads}
+    with worktree(checkout, rev) as parent:
+        trees = {"change": checkout, "parent": parent}
+        commit = git(parent, "rev-parse", "HEAD").strip()
+        for pair in range(PAIRS):
+            seed = SEEDS[pair % len(SEEDS)]
+            for workload in workloads:
+                for tree in ("change", "parent") if pair % 2 == 0 else ("parent", "change"):
+                    run, _ = perfbench(trees[tree], workload, seed, spec["run_seconds"], trace=0)
+                    runs[workload].append({**run, "tree": tree, "pair": pair})
+    compared = {}
+    for workload, done in runs.items():
+        metrics = {}
+        for metric in spec["end_to_end"]:
+            values = {tree: [run["metrics"][metric["name"]] for run in done if run["tree"] == tree]
+                      for tree in ("parent", "change")}
+            metrics[metric["name"]] = {"unit": metric["unit"], "better": metric["better"],
+                                       **verdict(values["parent"], values["change"],
+                                                 metric["better"])}
+        compared[workload] = {"metrics": metrics, "runs": done}
+    return {"parent_rev": rev, "parent_commit": commit, "pairs": PAIRS, "workloads": compared}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="root of the checkout to measure (default: this one)")
     parser.add_argument("--out", type=Path, default=ROOT,
                         help="directory of the BENCH files (default: this checkout)")
+    parser.add_argument("--parent", metavar="REV",
+                        help=f"also run {PAIRS} same-session pairs a workload against REV")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
@@ -134,6 +205,7 @@ def main(argv=None) -> int:
     n = max(files, default=0) + 1
     before = json.loads(files[n - 1].read_text())["workloads"] if n > 1 else {}
     commit, dirty = commit_of(checkout)
+    paired = same_session(checkout, args.parent, spec) if args.parent else None
 
     runs: dict[str, list[dict]] = {w["name"]: [] for w in spec["workloads"]}
     for seed in SEEDS:
@@ -165,6 +237,8 @@ def main(argv=None) -> int:
               "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
               "seeds": list(SEEDS), "trace_seed": SEEDS[0], "run_seconds": seconds,
               "workloads": workloads, "pairwise": pairwise(checkout)}
+    if args.parent:
+        record["same_session"] = paired
     path = args.out / f"BENCH_{n}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(path)

@@ -245,12 +245,6 @@ def _uri(name: str) -> str:
     return f"<{BASE}{quote(name, safe='/_.-')}>"
 
 
-def _literal(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"') \
-        .replace("\n", "\\n").replace("\r", "\\r")
-    return f'"{escaped}"'
-
-
 def chord_sequence(segment: Segment) -> str:
     """The segment's chords as space-joined canonical symbols."""
     return " ".join(map(render_chord, segment.chords))
@@ -269,18 +263,18 @@ def _structure_edges(graph: MemoryGraph):
 
 
 def export_ntriples(graph: MemoryGraph) -> bytes:
-    """Serialize to sorted N-Triples; byte-identical across runs."""
-    lines = [f"{_uri(source)} <{BASE}{kind}> {_uri(target)} ."
-             for source, kind, target in _structure_edges(graph)]
-    for segment in graph.segments.values():
-        lines.append(f"{_uri(segment.id)} <{BASE}chordSequence> "
-                     f"{_literal(chord_sequence(segment))} .")
-        lines.append(f"{_uri(segment.id)} <{BASE}keySequence> "
-                     f"{_literal(' '.join(map(str, segment.keys)))} .")
-    for a, b, weight in graph.similar:
-        lines.append(f"{_uri(a)} <{BASE}similarTo> {_uri(b)} .")
-        lines.append(f"{_uri(weight_node(a, b))} <{BASE}weight> \"{weight:.6f}\" .")
-    return ("\n".join(sorted(lines)) + "\n").encode("utf-8")
+    """Serialize to N-Triples ordered by subject id, predicate, then object id or literal."""
+    triples = [(source, kind, target, source, _uri(target))
+               for source, kind, target in _structure_edges(graph)]
+    for seg_id, segment in graph.segments.items():
+        for kind, text in (("chordSequence", chord_sequence(segment)),
+                           ("keySequence", " ".join(map(str, segment.keys)))):
+            triples.append((seg_id, kind, text, seg_id, _literal(text)))
+    for a, b, weight in graph.similar:  # a weight line sorts as the pair that it weighs
+        triples += [(a, "similarTo", b, a, _uri(b)),
+                    (a, "weight", b, weight_node(a, b), f'"{weight:.6f}"')]
+    return "".join(f"{_uri(subject)} <{BASE}{kind}> {obj} .\n"
+                   for _, kind, _, subject, obj in sorted(triples)).encode("utf-8")
 
 
 # Every IRI, the object's too, must lie under BASE; each group holds the
@@ -290,11 +284,20 @@ _IRI = f"<{re.escape(BASE)}([^>]*)>"
 _TRIPLE = re.compile(rf'^{_IRI} {_IRI} (?:{_IRI}|"([^"\\]*(?:\\.[^"\\]*)*)") \.$')
 _SEGMENT_ID = re.compile(r"(.*)/seg/(0|[1-9][0-9]*)")
 _KEY_TEXTS = frozenset(map(str, KEYS))  # the one text that a build writes for each key
+# A literal's escapes, the backslash's first; _unquote_literal reads them backwards in one pass.
+_ESCAPES = (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\r", "\\r"))
+_UNESCAPES = {escaped: char for char, escaped in _ESCAPES}
+_ESCAPE = re.compile(r"\\.")
+
+
+def _literal(text: str) -> str:
+    for char, escaped in _ESCAPES:
+        text = text.replace(char, escaped)
+    return f'"{text}"'
 
 
 def _unquote_literal(text: str) -> str:
-    return text.replace("\\n", "\n").replace("\\r", "\r") \
-        .replace('\\"', '"').replace("\\\\", "\\")
+    return _ESCAPE.sub(lambda match: _UNESCAPES.get(match[0], match[0]), text)
 
 
 def _triples(text: str):

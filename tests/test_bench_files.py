@@ -11,6 +11,7 @@ import importlib.util
 import json
 import re
 import shutil
+import statistics
 import subprocess
 from numbers import Real
 from pathlib import Path
@@ -38,13 +39,16 @@ def test_bench_file_schema(n, path):
     record = json.loads(path.read_text())
     previous = json.loads(RECORDS[n - 2][1].read_text())["workloads"] if n > 1 else None
     # From BENCH_4 on, a record also holds the pairwise timings of criterion 5,
-    # from BENCH_7 on whether the runs' interpreter wrote no bytecode, and
-    # from BENCH_10 on whether the measured tree differed from the commit.
+    # from BENCH_7 on whether the runs' interpreter wrote no bytecode,
+    # from BENCH_10 on whether the measured tree differed from the commit,
+    # and from BENCH_14 on, when recorded with --parent, the same-session
+    # pairs that test_same_session_schema checks.
     assert set(record) == {"n", "commit", "nproc", "python", "numpy", "src_lines", "seeds",
                            "trace_seed", "run_seconds", "workloads",
                            *(["pairwise"] if n >= 4 else []),
                            *(["dont_write_bytecode"] if n >= 7 else []),
-                           *(["dirty"] if n >= 10 else [])}
+                           *(["dirty"] if n >= 10 else []),
+                           *(["same_session"] if n >= 14 and "same_session" in record else [])}
     for name, first in (("dont_write_bytecode", 7), ("dirty", 10)):
         if n >= first:
             assert isinstance(record[name], bool)
@@ -132,3 +136,87 @@ def test_commit_of_reports_a_measured_file_edited_after_the_commit(tmp_path):
     assert record_bench.commit_of(tmp_path) == (head, False)
     source.write_text("one = 2\n")
     assert record_bench.commit_of(tmp_path) == (head, True)
+
+
+def load_record_bench():
+    spec = importlib.util.spec_from_file_location("record_bench",
+                                                  ROOT / "scripts" / "record_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RECORD_BENCH = load_record_bench()
+SESSIONS = [(n, path) for n, path in RECORDS if "same_session" in json.loads(path.read_text())]
+
+
+@pytest.mark.parametrize("change, better, outcome", [
+    ([16, 16, 16], "lower", "worse"),
+    ([16, 16, 16], "higher", "better"),
+    ([7, 8, 9], "lower", "better"),
+    ([15, 15, 15], "lower", "unresolved"),  # the parent's IQR away: inside it
+    ([9, 9, 9], "higher", "unresolved"),
+])
+def test_same_session_verdict_on_fixed_numbers(change, better, outcome):
+    """The parent's median is 12 and its IQR 13.5 - 10.5 = 3."""
+    assert RECORD_BENCH.verdict([14, 10, 12, 13, 11], change, better) == {
+        "parent_median": 12, "change_median": statistics.median(change), "parent_iqr": 3.0,
+        "verdict": outcome}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs a git executable")
+def test_the_parent_worktree_is_removed_after_use(tmp_path):
+    def git(*arguments):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+                               "commit.gpgsign=false", *arguments],
+                              cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+
+    source = tmp_path / "src" / "piece.py"
+    source.parent.mkdir()
+    source.write_text("one = 1\n")
+    git("init", "-q")
+    git("add", "src")
+    git("commit", "-q", "-m", "one")
+    source.write_text("one = 2\n")
+    with RECORD_BENCH.worktree(tmp_path, "HEAD") as parent:
+        assert (parent / "src" / "piece.py").read_text() == "one = 1\n"
+        assert tmp_path.resolve() not in parent.resolve().parents
+        assert git("worktree", "list", "--porcelain").count("worktree ") == 2
+    assert not parent.parent.exists()
+    with pytest.raises(RuntimeError), RECORD_BENCH.worktree(tmp_path, "HEAD") as parent:
+        raise RuntimeError
+    assert not parent.parent.exists()
+    assert git("worktree", "list", "--porcelain").count("worktree ") == 1
+    assert source.read_text() == "one = 2\n"
+
+
+@pytest.mark.parametrize("n, path", SESSIONS, ids=[path.name for _, path in SESSIONS])
+def test_same_session_schema(n, path):
+    """Pairs alternate which tree runs first, and each verdict is the one
+    that the record's own runs give."""
+    session = json.loads(path.read_text())["same_session"]
+    assert set(session) == {"parent_rev", "parent_commit", "pairs", "workloads"}
+    assert isinstance(session["parent_rev"], str) and session["parent_rev"]
+    assert re.fullmatch(r"[0-9a-f]{40}", session["parent_commit"])
+    pairs = session["pairs"]
+    assert isinstance(pairs, int) and pairs >= 3
+    assert set(session["workloads"]) == {w["name"] for w in SPEC["workloads"]}
+    for entry in session["workloads"].values():
+        assert set(entry) == {"metrics", "runs"}
+        runs = entry["runs"]
+        assert [(run["pair"], run["tree"]) for run in runs] == [
+            (pair, tree) for pair in range(pairs)
+            for tree in (("change", "parent") if pair % 2 == 0 else ("parent", "change"))]
+        for run in runs:
+            assert set(run) == RUN_KEYS | {"tree", "pair"}
+            assert run["trace"] == 0 and isinstance(run["correct"], bool)
+            assert all(isinstance(run[name], int) for name in ("attempted", "failed"))
+            assert all(map(number, run["metrics"].values()))
+        assert set(entry["metrics"]) == {metric["name"] for metric in SPEC["end_to_end"]}
+        for metric in SPEC["end_to_end"]:
+            name, better = metric["name"], metric["better"]
+            values = {tree: [run["metrics"][name] for run in runs if run["tree"] == tree]
+                      for tree in ("parent", "change")}
+            assert entry["metrics"][name] == {
+                "unit": metric["unit"], "better": better,
+                **RECORD_BENCH.verdict(values["parent"], values["change"], better)}

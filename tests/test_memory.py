@@ -164,6 +164,19 @@ def test_export_matches_golden_bytes():
     assert export_ntriples(graph) == (DATA / "memory_golden.nt").read_bytes()
 
 
+def test_ids_prefixed_in_their_order_move_no_line_of_the_golden():
+    """memory.nt is ordered by its ids, not by their spelling: prefixing
+    every piece id with ``x`` keeps the ids' order, so the file is the
+    golden with each id prefixed, its weight line still under its edge."""
+    corpus = [make_timeline(["C:maj"] * 4 + ["G:maj"] * 4, piece_id="xalpha"),
+              make_timeline(["G:maj"] * 4 + ["D:maj"] * 4, key="G:maj", piece_id="xbeta"),
+              make_timeline(["C:maj", "C:maj", "C:maj", "A:min"], piece_id="xgamma")]
+    golden = (DATA / "memory_golden.nt").read_text()
+    expected = re.sub(r"\b(alpha|beta|gamma)\b", r"x\1", golden)
+    assert "<urn:harmory:sim/xalpha/seg/0/xgamma/seg/0>" in expected
+    assert export_ntriples(build_memory(corpus, PARAMS)) == expected.encode()
+
+
 def test_export_deterministic_across_runs():
     first = export_ntriples(build_memory(fixture_corpus(), PARAMS))
     second = export_ntriples(build_memory(fixture_corpus(), PARAMS))
@@ -203,7 +216,7 @@ def test_import_parses_each_distinct_chord_token_once():
     assert len(tokens) > len(set(tokens))
     assert parse_chord.cache_info().misses == len(set(tokens))
     with_bad_token = data.replace(b'"C:maj C:maj C:maj A:min"', b'"C:maj C:maj H:maj A:min"')
-    with pytest.raises(GraphFormatError, match="^line 20: chordSequence of gamma/seg/0: "
+    with pytest.raises(GraphFormatError, match="^line 22: chordSequence of gamma/seg/0: "
                                                "token 3 'H:maj': position 0: expected note"):
         import_ntriples(with_bad_token)
     assert graph.segments == import_ntriples(data).segments
@@ -219,7 +232,7 @@ def test_import_parses_each_distinct_key_token_once():
     assert Key.from_string.cache_info().misses == len(set(tokens))
     with_bad_token = data.replace(b'"C:maj C:maj C:maj C:maj"', b'"C:maj C:maj H:maj C:maj"', 1)
     with pytest.raises(GraphFormatError,
-                       match="^line 1: chordSequence of alpha/seg/0: token 3 'H:maj': "
+                       match="^line 3: chordSequence of alpha/seg/0: token 3 'H:maj': "
                              "position 0: expected note"):
         import_ntriples(with_bad_token)
     assert graph.segments == import_ntriples(data).segments
@@ -709,6 +722,17 @@ def test_import_rejects_object_iris_outside_the_base(obj):
             import_ntriples("\n".join(lines).encode())
 
 
+def test_an_escaped_backslash_before_n_reads_as_a_backslash_and_n():
+    assert memory._unquote_literal(r"a\\nb") == "a\\nb"
+
+
+@given(st.text(alphabet='ab"\\nr\n\r'))
+@settings(max_examples=300, deadline=None)
+def test_unquote_literal_reads_back_what_literal_writes(text):
+    """The import reads the export's escape table backwards, in one pass."""
+    assert memory._unquote_literal(memory._literal(text)[1:-1]) == text
+
+
 GOLDEN_NT = (DATA / "memory_golden.nt").read_bytes()
 GOLDEN_NT_LINES = GOLDEN_NT.decode().splitlines()
 
@@ -776,14 +800,14 @@ def triple_line(subject, predicate, obj):
 # first added line.
 GOLDEN_DEFECTS = {
     "segment-gap": ((), (), ("alpha/seg/1", "alpha/seg/2"),
-                    "line 10: hasSegment alpha alpha/seg/2: segment 1 of alpha must be "
+                    "line 2: hasSegment alpha alpha/seg/2: segment 1 of alpha must be "
                     "alpha/seg/1"),
     "segment-in-no-pattern": (
         [triple_line("beta/seg/1", "instanceOf", "alpha/seg/1")], (), None,
         "segment beta/seg/1: a member of no pattern (instanceOf)"),
     "medoid-not-a-member": (
         [triple_line("alpha/seg/0", "instanceOf", "alpha/seg/0")], (), None,
-        "line 11: instanceOf beta/seg/0 alpha/seg/0: pattern alpha/seg/0 must be keyed by "
+        "line 14: instanceOf beta/seg/0 alpha/seg/0: pattern alpha/seg/0 must be keyed by "
         "its medoid, one of its members"),
     "reversed-edge": (
         (), [triple_line("gamma/seg/0", "similarTo", "alpha/seg/0"),
@@ -796,7 +820,7 @@ GOLDEN_DEFECTS = {
         "line 25: similarTo alpha/seg/0 alpha/seg/0: one edge per pair, from the lower id, "
         "in pair order"),
     **{f"weight-{value}": ((), (), ('"0.704688"', f'"{value}"'),
-                           f"line 24: weight of sim/alpha/seg/0/gamma/seg/0: {value} is not "
+                           f"line 8: weight of sim/alpha/seg/0/gamma/seg/0: {value} is not "
                            "in [0, 1]")
        for value in ("7.5", "nan", "-inf", "-0.5")},
     "next-segment-out-of-order": (
@@ -821,7 +845,7 @@ GOLDEN_DEFECTS = {
              triple_line("alpha/seg/0/seg/0", "chordSequence", '"C:maj"'),
              triple_line("alpha/seg/0/seg/0", "keySequence", '"C:maj"'),
              triple_line("alpha/seg/0/seg/0", "instanceOf", "alpha/seg/0/seg/0")], None,
-        "line 9: hasSegment alpha alpha/seg/0: alpha/seg/0 is also a piece"),
+        "line 1: hasSegment alpha alpha/seg/0: alpha/seg/0 is also a piece"),
     "piece-id-holds-seg": (
         (), [triple_line("alpha/seg/0/q", "hasSegment", "alpha/seg/0/q/seg/0"),
              triple_line("alpha/seg/0/q/seg/0", "chordSequence", '"C:maj"'),
@@ -830,26 +854,26 @@ GOLDEN_DEFECTS = {
         "line 25: hasSegment alpha/seg/0/q alpha/seg/0/q/seg/0: a piece id must not contain "
         "/seg/"),
     "bad-chord-token": ((), (), ('"C:maj C:maj C:maj A:min"', '"H:maj C:maj C:maj A:min"'),
-                        "line 20: chordSequence of gamma/seg/0: token 1 'H:maj': position 0: "
+                        "line 22: chordSequence of gamma/seg/0: token 1 'H:maj': position 0: "
                         "expected note letter A..G"),
     "no-chord-token": ((), (), ('"C:maj C:maj C:maj A:min"', '"C:maj N C:maj A:min"'),
-                       "line 20: chordSequence of gamma/seg/0: token 2 'N': N, the no-chord, "
+                       "line 22: chordSequence of gamma/seg/0: token 2 'N': N, the no-chord, "
                        "is not a sounded chord"),
     "bad-key-token": ((), (), ('gamma/seg/0> <urn:harmory:keySequence> "C:maj C:maj C:maj C:maj"',
                                'gamma/seg/0> <urn:harmory:keySequence> "C:maj C:maj H:maj C:maj"'),
-                      "line 22: keySequence of gamma/seg/0: token 3 'H:maj': not a note "
+                      "line 24: keySequence of gamma/seg/0: token 3 'H:maj': not a note "
                       "letter: 'H'"),
     "no-piece": (GOLDEN_NT_LINES, (), None, "a memory graph needs a piece"),
     # Weights, keys and the spaces between tokens are read only as a build writes them.
     **{f"weight-written-{value}": ((), (), ('"0.704688"', f'"{value}"'),
-                                   f"line 24: weight {value!r} is written {written!r}")
+                                   f"line 8: weight {value!r} is written {written!r}")
        for value, written in [("0.704_688", "0.704688"), (" 0.704688", "0.704688"),
                               ("7.04688e-1", "0.704688"), ("+0.704688", "0.704688"),
                               ("0.7046880", "0.704688"), ("-0.000000", "0.000000")]},
     **{f"key-sequence-{name}": ((), (), (
         'gamma/seg/0> <urn:harmory:keySequence> "C:maj C:maj C:maj C:maj"',
         f'gamma/seg/0> <urn:harmory:keySequence> "{literal}"'),
-        f"line 22: keySequence of gamma/seg/0: {message}")
+        f"line 24: keySequence of gamma/seg/0: {message}")
        for name, literal, message in [
            ("respelled", "C:maj B#:maj C:maj C:maj", "token 2 'B#:maj': a build writes 'C:maj'"),
            ("doubled-space", "C:maj  C:maj C:maj C:maj", "a build joins its tokens by one space"),
@@ -858,7 +882,7 @@ GOLDEN_DEFECTS = {
             "a build joins its tokens by one space")]},
     "chord-sequence-doubled-space": (
         (), (), ('"C:maj C:maj C:maj A:min"', '"C:maj C:maj  C:maj A:min"'),
-        "line 20: chordSequence of gamma/seg/0: a build joins its tokens by one space"),
+        "line 22: chordSequence of gamma/seg/0: a build joins its tokens by one space"),
 }
 
 
