@@ -38,7 +38,9 @@ tree, in the same session: each pair on the next of SEEDS, the change
 measured (`change` or `parent`), and for each gated metric both medians,
 the parent's interquartile range and a verdict: `unresolved` when the
 medians differ by no more than that range, else `better` or `worse`.
-The per-layer metrics stay the checkout's traced run.
+The per-layer metrics stay the checkout's traced run.  Every file from
+BENCH_14 on holds `same_session` (tests/test_bench_files.py checks it),
+so record the next one with `--parent`.
 
 This script imports nothing from harmory: it measures the checkout only
 through the benchmark's own command line.

@@ -22,6 +22,7 @@ import logging
 import math
 import os
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from harmory.evaluation import (CliqueSet, benchmark_measures, check_bench,
@@ -223,9 +224,10 @@ def cmd_segment(args) -> None:
         "piece": timeline.id,
         "params": dataclasses.asdict(params) | {"kernel_size": result.kernel_size},
         "boundaries": result.boundaries,
-        "segments": [{"id": s.id, "start_event": s.start_event, "end_event": s.end_event,
+        "segments": [{"id": s.id, "start_event": end - len(s.events), "end_event": end,
                       "chords": chord_sequence(s)}
-                     for s in result.segments],
+                     for s, end in zip(result.segments,
+                                       accumulate(len(s.events) for s in result.segments))],
     }
     text = json.dumps(payload, indent=2) + "\n"
     write_atomic(out_dir / f"{stem}.segments.json", text)

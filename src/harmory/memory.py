@@ -24,7 +24,7 @@ from harmory.segmentation import Segment, SegmentationParams, segment_timeline
 from harmory.similarity import DEFAULT_SCALE, Warps, _Dtw
 from harmory.timeline import (ChordEvent, KeySpan, Timeline, at_least, build_timeline,
                               check_ranges, corpus_ids, estimate_key)
-from harmory.tps import KEYS, Key
+from harmory.tps import Key
 
 BASE = "urn:harmory:"
 
@@ -91,8 +91,8 @@ class MemoryGraph:
     ``segments`` indexes every piece's segments by id.  Built or imported,
     a graph holds these, or a GraphFormatError names the first triple
     that breaks one:
-    - a piece ``p`` holds segments ``p/seg/0`` to ``p/seg/n-1``, n >= 1, with
-      one key per chord; no piece id is a segment id or contains ``/seg/``,
+    - a piece ``p`` holds segments ``p/seg/0`` to ``p/seg/n-1``, n >= 1, each
+      of one or more events; no piece id is a segment id or contains ``/seg/``,
       so each weight node names one edge;
     - each segment is in one pattern, keyed by its medoid, one of its members;
     - edges ``(a, b, w)`` are one per pair, in order, ``a < b`` patterns and
@@ -121,10 +121,8 @@ class MemoryGraph:
                 if segment.index != index or segment.piece_id != piece_id:
                     raise GraphFormatError(f"segment {index} of {piece_id} must be {piece_id}/seg/"
                                            f"{index}", piece_id, "hasSegment", segment.id)
-                chords, keys = len(segment.chords), len(segment.keys)
-                if not chords or keys != chords:
-                    raise GraphFormatError(f"segment {segment.id}: needs one key per sounded "
-                                           f"chord, got {chords} chords and {keys} keys")
+                if not segment.events:
+                    raise GraphFormatError(f"segment {segment.id}: needs a sounded chord")
         pattern_of: dict[str, str] = {}
         for medoid, members in self.patterns.items():
             for member in members:
@@ -176,8 +174,8 @@ def components(items, pairs) -> list[list]:
 
 def segment_to_timeline(segment: Segment) -> Timeline:
     """View a segment as a one-beat-per-event timeline."""
-    events = [ChordEvent(i, 1, c) for i, c in enumerate(segment.chords)]
-    spans = [KeySpan(i, 1, k) for i, k in enumerate(segment.keys)]
+    events = [ChordEvent(i, 1, chord) for i, (chord, _) in enumerate(segment.events)]
+    spans = [KeySpan(i, 1, key) for i, (_, key) in enumerate(segment.events)]
     return build_timeline(segment.id, events, spans)
 
 
@@ -211,7 +209,7 @@ def build_memory(corpus: list[Timeline],
     segments = sorted((s for piece in pieces.values() for s in piece.segments), key=lambda s: s.id)
     shared = Warps()
     sequence_of = dict(zip((s.id for s in segments),
-                           shared.register_events([s.events() for s in segments])))
+                           shared.register_events([s.events for s in segments])))
     bounds = shared.bounds().tolist()
     twins: dict[int, list[str]] = {}  # each sequence to its segments, in id order
     for seg_id, x in sequence_of.items():
@@ -247,7 +245,7 @@ def _uri(name: str) -> str:
 
 def chord_sequence(segment: Segment) -> str:
     """The segment's chords as space-joined canonical symbols."""
-    return " ".join(map(render_chord, segment.chords))
+    return " ".join(render_chord(chord) for chord, _ in segment.events)
 
 
 def _structure_edges(graph: MemoryGraph):
@@ -268,7 +266,7 @@ def export_ntriples(graph: MemoryGraph) -> bytes:
                for source, kind, target in _structure_edges(graph)]
     for seg_id, segment in graph.segments.items():
         for kind, text in (("chordSequence", chord_sequence(segment)),
-                           ("keySequence", " ".join(map(str, segment.keys)))):
+                           ("keySequence", " ".join(str(key) for _, key in segment.events))):
             triples.append((seg_id, kind, text, seg_id, _literal(text)))
     for a, b, weight in graph.similar:  # a weight line sorts as the pair that it weighs
         triples += [(a, "similarTo", b, a, _uri(b)),
@@ -277,13 +275,13 @@ def export_ntriples(graph: MemoryGraph) -> bytes:
                    for _, kind, _, subject, obj in sorted(triples)).encode("utf-8")
 
 
-# Every IRI, the object's too, must lie under BASE; each group holds the
-# part after it.  A literal is runs of plain characters between escapes,
-# matched a run at a time rather than a character at a time.
-_IRI = f"<{re.escape(BASE)}([^>]*)>"
+# Every IRI, the object's too, must lie under BASE and hold only the
+# characters that _uri writes; each group holds the part after BASE.  A
+# literal is runs of plain characters between escapes, matched a run at a
+# time rather than a character at a time.
+_IRI = f"<{re.escape(BASE)}([A-Za-z0-9/_.~%-]*)>"
 _TRIPLE = re.compile(rf'^{_IRI} {_IRI} (?:{_IRI}|"([^"\\]*(?:\\.[^"\\]*)*)") \.$')
 _SEGMENT_ID = re.compile(r"(.*)/seg/(0|[1-9][0-9]*)")
-_KEY_TEXTS = frozenset(map(str, KEYS))  # the one text that a build writes for each key
 # A literal's escapes, the backslash's first; _unquote_literal reads them backwards in one pass.
 _ESCAPES = (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\r", "\\r"))
 _UNESCAPES = {escaped: char for char, escaped in _ESCAPES}
@@ -300,6 +298,13 @@ def _unquote_literal(text: str) -> str:
     return _ESCAPE.sub(lambda match: _UNESCAPES.get(match[0], match[0]), text)
 
 
+def _decoded(lineno: int, name: str) -> str:
+    """A percent-encoded name under BASE, decoded; it must be the one that _uri writes."""
+    if (written := _uri(decoded := unquote(name))) != f"<{BASE}{name}>":
+        raise GraphFormatError(f"line {lineno}: <{BASE}{name}> is written {written}")
+    return decoded
+
+
 def _triples(text: str):
     """(line number, subject, predicate, object) of each triple line, the
     IRIs without BASE and percent-decoded, a literal unescaped; blank lines
@@ -312,11 +317,11 @@ def _triples(text: str):
             continue
         subject, predicate, obj, literal = match.groups()
         if "%" in subject:
-            subject = unquote(subject)
+            subject = _decoded(lineno, subject)
         if obj is None:
             obj = _unquote_literal(literal) if "\\" in literal else literal
         elif "%" in obj:
-            obj = unquote(obj)
+            obj = _decoded(lineno, obj)
         yield lineno, subject, predicate, obj
 
 
@@ -326,25 +331,34 @@ def _sounded_chord(token: str):
     return parse_chord(token)
 
 
-def _parse_tokens(parse, literals: dict, seg_id: str, predicate: str, written=None) -> tuple:
-    """Each token of a segment's sequence literal parsed; an error names
-    the token by its 1-based index and its text.  Given ``written``, the
-    texts that a build writes, a token must be one of them."""
+class _Tokens(dict):
+    """The tokens of one import, each distinct one parsed once and read
+    only as the text that a build writes for what it parses to."""
+
+    def __init__(self, parse, write):
+        self.parse, self.write = parse, write
+
+    def __missing__(self, token: str):
+        if (written := self.write(value := self.parse(token))) != token:
+            raise ValueError(f"a build writes {written!r}")
+        self[token] = value
+        return value
+
+
+def _parse_tokens(read: _Tokens, literals: dict, seg_id: str, predicate: str) -> tuple:
+    """Each token of a segment's sequence literal as ``read`` reads it; an
+    error names the token by its 1-based index and its text."""
     if seg_id not in literals:
         raise GraphFormatError("missing", seg_id, predicate, None)
     tokens = (literal := literals[seg_id][0]).split()
-    if len(" ".join(tokens)) != len(literal):  # whitespace at an end, or a run of it
+    if " ".join(tokens) != literal:
         raise GraphFormatError("a build joins its tokens by one space", seg_id, predicate, None)
     parsed: list = []
     try:
-        parsed.extend(map(parse, tokens))  # keeps the tokens parsed before a failure
+        parsed.extend(map(read.__getitem__, tokens))  # keeps the tokens read before a failure
     except ValueError as err:
         raise GraphFormatError(f"token {len(parsed) + 1} {tokens[len(parsed)]!r}: {err}",
                                seg_id, predicate, None) from err
-    if written and not written.issuperset(tokens):
-        i = next(i for i, token in enumerate(tokens) if token not in written)
-        raise GraphFormatError(f"token {i + 1} {tokens[i]!r}: a build writes {str(parsed[i])!r}",
-                               seg_id, predicate, None)
     return tuple(parsed)
 
 
@@ -396,15 +410,18 @@ def import_ntriples(data: bytes) -> MemoryGraph:
             raise GraphFormatError(f"line {lineno}: unknown predicate {predicate!r}")
     try:
         pieces: dict[str, PieceInfo] = {}
+        chords_read, keys_read = (_Tokens(_sounded_chord, render_chord),
+                                  _Tokens(Key.from_string, str))
         for piece_id in sorted(has_segment):
-            piece_segments, cursor = [], 0
+            piece_segments = []
             for index, seg_id in sorted(has_segment[piece_id]):
-                chords = _parse_tokens(_sounded_chord, sequences, seg_id, "chordSequence")
-                keys = _parse_tokens(Key.from_string, key_sequences, seg_id, "keySequence",
-                                     _KEY_TEXTS)
-                piece_segments.append(Segment(piece_id, index, cursor, cursor + len(chords),
-                                              chords, keys))
-                cursor += len(chords)
+                chords = _parse_tokens(chords_read, sequences, seg_id, "chordSequence")
+                keys = _parse_tokens(keys_read, key_sequences, seg_id, "keySequence")
+                if not chords or len(keys) != len(chords):
+                    raise GraphFormatError(f"needs one or more sounded chords and one key per "
+                                           f"chord, got {len(chords)} chords and {len(keys)} keys",
+                                           seg_id, "keySequence", None)
+                piece_segments.append(Segment(piece_id, index, tuple(zip(chords, keys))))
             pieces[piece_id] = PieceInfo(None, None, tuple(piece_segments))
         member_lists: dict[str, list[str]] = {}
         for member, (pattern_id, _) in instance_of.items():
@@ -472,7 +489,7 @@ def query_similar(graph: MemoryGraph, query: PatternQuery,
     medoids = {pattern_id: graph.segments[pattern_id] for pattern_id in sorted(graph.patterns)}
     shared = Warps()
     probe, *sequences = shared.register_events(
-        [[(chord, key) for chord in chords], *(medoid.events() for medoid in medoids.values())])
+        [[(chord, key) for chord in chords], *(medoid.events for medoid in medoids.values())])
     scores = {pattern_id: _segment_score(steps, shared, probe, sequence)
               for pattern_id, sequence in zip(medoids, sequences)}
     top = sorted(scores, key=lambda pattern_id: (-scores[pattern_id], pattern_id))[:query.k]

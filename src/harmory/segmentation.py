@@ -58,21 +58,15 @@ class SSM:
 
 @dataclass(frozen=True)
 class Segment:
-    """A contiguous run of sounded events, half-open over sounded indices."""
+    """A contiguous run of a piece's sounded events, each chord under its key."""
 
     piece_id: str
     index: int
-    start_event: int
-    end_event: int
-    chords: tuple[Chord, ...]
-    keys: tuple[Key, ...]
+    events: tuple[tuple[Chord, Key], ...]
 
     @property
     def id(self) -> str:
         return f"{self.piece_id}/seg/{self.index}"
-
-    def events(self) -> tuple[tuple[Chord, Key], ...]:
-        return tuple(zip(self.chords, self.keys))
 
 
 def build_ssm(sounded: list[tuple[int, Chord, Key]]) -> SSM:
@@ -194,10 +188,8 @@ def segment_timeline(timeline: Timeline,
             spans[-1] = (spans[-1][0], b)
         else:
             spans.append((a, b))
-    _, chords, keys = zip(*sounded)
-    segments = [Segment(piece_id=timeline.id, index=k, start_event=a, end_event=b,
-                        chords=chords[a:b], keys=keys[a:b])
-                for k, (a, b) in enumerate(spans)]
+    events = [(chord, key) for _, chord, key in sounded]
+    segments = [Segment(timeline.id, k, tuple(events[a:b])) for k, (a, b) in enumerate(spans)]
     return Segmentation(ssm, kernel_size, curve, boundaries, segments)
 
 

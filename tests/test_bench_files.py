@@ -41,14 +41,14 @@ def test_bench_file_schema(n, path):
     # From BENCH_4 on, a record also holds the pairwise timings of criterion 5,
     # from BENCH_7 on whether the runs' interpreter wrote no bytecode,
     # from BENCH_10 on whether the measured tree differed from the commit,
-    # and from BENCH_14 on, when recorded with --parent, the same-session
-    # pairs that test_same_session_schema checks.
+    # and from BENCH_14 on, recorded with --parent, the same-session pairs
+    # that test_same_session_schema checks.
     assert set(record) == {"n", "commit", "nproc", "python", "numpy", "src_lines", "seeds",
                            "trace_seed", "run_seconds", "workloads",
                            *(["pairwise"] if n >= 4 else []),
                            *(["dont_write_bytecode"] if n >= 7 else []),
                            *(["dirty"] if n >= 10 else []),
-                           *(["same_session"] if n >= 14 and "same_session" in record else [])}
+                           *(["same_session"] if n >= 14 else [])}
     for name, first in (("dont_write_bytecode", 7), ("dirty", 10)):
         if n >= first:
             assert isinstance(record[name], bool)

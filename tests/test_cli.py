@@ -1443,5 +1443,5 @@ def test_key_texts_parse_to_the_24_table_keys_and_construct_no_key(capsys, monke
     assert run(capsys, ["dist", "C:maj", "G:maj", "--key", "Eb:min"]) == (0, "6\n", "")
     assert built == []
     read = [span.key for tl in (chart, jams) for span in tl.keys]
-    read += [key for segment in graph.segments.values() for key in segment.keys]
+    read += [key for segment in graph.segments.values() for _, key in segment.events]
     assert len(read) > 20 and all(any(key is table for table in KEYS) for key in read)

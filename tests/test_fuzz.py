@@ -108,21 +108,25 @@ def graph_bytes(draw):
     return "\n".join(lines).encode("utf-8", "surrogatepass") + draw(st.binary(max_size=2))
 
 
-# Texts of the golden's weight, keys and sequence literals, each with a
-# spelling that reads as the same value but that no build writes.
+# Texts of the golden's weight, chords, keys, IRIs and sequence literals,
+# each with a spelling that reads as the same value but that no build writes.
 RESPELLINGS = [('"0.704688"', f'"{weight}"') for weight in
                ("0.704_688", " 0.704688", "7.04688e-1", "+0.704688", "0.7046880", "-0.000000")] \
     + [('keySequence> "C:maj', 'keySequence> "B#:maj'),
        ('keySequence> "C:maj ', 'keySequence> "C:maj  '),
        ('keySequence> "C:maj', 'keySequence> " C:maj'),
-       ('C:maj" .', 'C:maj " .')]
+       ('C:maj" .', 'C:maj " .'),
+       ('chordSequence> "C:maj', 'chordSequence> "C'),
+       ('<urn:harmory:a', '<urn:harmory:%61'),
+       ('C:maj C:maj', 'C:maj\\nC:maj')]
 
 
 @st.composite
 def golden_edits(draw):
     """The golden graph's lines with some dropped or repeated, some added
     that copy a line with its subject or object IRI swapped for another of
-    the golden IRIs, and some with their weight or keys respelled."""
+    the golden IRIs, and some with their weight, a chord, a key or an IRI
+    respelled or a space between tokens escaped as a line break."""
     lines = list(GOLDEN_LINES)
     for _ in range(draw(st.integers(1, 4))):
         edit = draw(st.sampled_from(["drop", "repeat", "swap", "respell"]))

@@ -17,6 +17,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -379,25 +380,32 @@ def test_lambda_monotonicity():
         assert counts == sorted(counts, reverse=True)
 
 
+def spans(segments):
+    """Each segment's half-open span of sounded indices: the running count
+    of events before it and with it, as segments.json writes them."""
+    ends = list(accumulate(len(s.events) for s in segments))
+    return [(end - len(s.events), end) for s, end in zip(segments, ends)]
+
+
 def test_segment_block_piece():
     segments = segment_timeline(AABB, SegmentationParams(kernel_size=4)).segments
-    assert [(s.start_event, s.end_event) for s in segments] == [(0, 4), (4, 8)]
+    assert spans(segments) == [(0, 4), (4, 8)]
     assert segments[0].id == "piece/seg/0"
-    assert [str(c.root) for c in segments[1].chords] == ["G"] * 4
+    assert [str(chord.root) for chord, _ in segments[1].events] == ["G"] * 4
     segments = segment_timeline(AABB).segments  # default kernel 8
-    assert [(s.start_event, s.end_event) for s in segments] == [(0, 4), (4, 8)]
+    assert spans(segments) == [(0, 4), (4, 8)]
 
 
 def test_segment_no_peaks_single_segment():
     tl = make_timeline(["C:maj", "G:maj", "A:min", "F:maj"])
     segments = segment_timeline(tl).segments
     assert len(segments) == 1
-    assert (segments[0].start_event, segments[0].end_event) == (0, 4)
+    assert spans(segments) == [(0, 4)]
 
 
 def test_segment_single_event_piece():
     segments = segment_timeline(make_timeline(["C:maj"])).segments
-    assert [(s.start_event, s.end_event) for s in segments] == [(0, 1)]
+    assert spans(segments) == [(0, 1)]
 
 
 def test_segment_partition_and_min_len():
@@ -406,13 +414,10 @@ def test_segment_partition_and_min_len():
     params = SegmentationParams()
     for tl in synthetic_corpus(6, 64):
         segments = segment_timeline(tl, params).segments
-        n = len(tl.sounded())
-        assert segments[0].start_event == 0
-        assert segments[-1].end_event == n
-        for a, b in zip(segments, segments[1:]):
-            assert a.end_event == b.start_event
+        assert [event for s in segments for event in s.events] \
+            == [(chord, key) for _, chord, key in tl.sounded()]
         if len(segments) > 1:
-            assert all(s.end_event - s.start_event >= params.min_len for s in segments)
+            assert all(len(s.events) >= params.min_len for s in segments)
         assert [s.index for s in segments] == list(range(len(segments)))
 
 
@@ -446,24 +451,21 @@ def test_one_pass_merge_equals_the_restart_loop(symbols, kernel_size, peak_lambd
     params = SegmentationParams(kernel_size, 1.0, peak_lambda, min_gap, min_len)
     result = segment_timeline(make_timeline(symbols), params)
     cuts = [0, *result.boundaries, len(symbols)]
-    assert [(s.start_event, s.end_event) for s in result.segments] \
-        == restart_merge(cuts, min_len)
+    assert spans(result.segments) == restart_merge(cuts, min_len)
 
 
 def test_segment_boundaries_transposition_invariant():
     tl = make_timeline(["C:maj", "C:maj", "F:maj", "G:7", "A:min", "A:min",
                         "D:min", "G:7", "C:maj", "C:maj"])
-    base = [(s.start_event, s.end_event) for s in segment_timeline(tl).segments]
+    base = spans(segment_timeline(tl).segments)
     for n in range(1, 12):
-        moved = [(s.start_event, s.end_event)
-                 for s in segment_timeline(transpose(tl, n)).segments]
-        assert moved == base
+        assert spans(segment_timeline(transpose(tl, n)).segments) == base
 
 
 def test_segment_kernel_clamped_for_short_pieces():
     tl = make_timeline(["C:maj", "G:maj", "C:maj"])
     segments = segment_timeline(tl, SegmentationParams(kernel_size=64)).segments
-    assert segments[-1].end_event == 3
+    assert spans(segments)[-1][1] == 3
 
 
 def test_ssm_pgm_golden():
