@@ -69,13 +69,13 @@ class Segment:
         return f"{self.piece_id}/seg/{self.index}"
 
 
-def build_ssm(sounded: list[tuple[int, Chord, Key]]) -> SSM:
+def build_ssm(sounded: list[tuple[Chord, Key]]) -> SSM:
     """Pairwise chord similarity of a piece's ``Timeline.sounded()``
-    triples, each chord under its governing key, as the table over the
+    pairs, each chord under its governing key, as the table over the
     piece's distinct profiles and each event's code.  Every code occurs,
     so the table's largest distance is the piece's."""
     vocab: dict = {}
-    codes = intern([profile(chord, key) for _, chord, key in sounded], vocab)
+    codes = intern([profile(chord, key) for chord, key in sounded], vocab)
     distances = np.array(distance_table(vocab, vocab))
     largest = distances.max()
     if largest == 0:
@@ -188,8 +188,7 @@ def segment_timeline(timeline: Timeline,
             spans[-1] = (spans[-1][0], b)
         else:
             spans.append((a, b))
-    events = [(chord, key) for _, chord, key in sounded]
-    segments = [Segment(timeline.id, k, tuple(events[a:b])) for k, (a, b) in enumerate(spans)]
+    segments = [Segment(timeline.id, k, tuple(sounded[a:b])) for k, (a, b) in enumerate(spans)]
     return Segmentation(ssm, kernel_size, curve, boundaries, segments)
 
 

@@ -73,7 +73,7 @@ class PatternOccurrence(NamedTuple):
 
 def key_relative_events(timeline: Timeline) -> list[Profile]:
     """The key-relative profiles of the sounded events under their governing keys."""
-    return key_relative_profiles((chord, key) for _, chord, key in timeline.sounded())
+    return key_relative_profiles(timeline.sounded())
 
 
 def _dtw(ca: list[int], cb: list[int], band: int | None = None, *,

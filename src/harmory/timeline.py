@@ -62,7 +62,7 @@ class KeySpan(NamedTuple):
 
 @dataclass(frozen=True)
 class Timeline:
-    """A piece: ordered, non-overlapping chord events plus tiling key spans."""
+    """A piece: ordered, non-overlapping chord events plus key spans sorted by start."""
 
     id: str
     events: tuple[ChordEvent, ...]
@@ -75,15 +75,15 @@ class Timeline:
         last = self.events[-1]
         return last.start + last.duration
 
-    def sounded(self) -> list[tuple[int, Chord, Key]]:
-        """(index, chord, key) of each sounded event, in order; its key is the
-        last span's starting at or before it, else the first span's."""
+    def sounded(self) -> list[tuple[Chord, Key]]:
+        """(chord, key) of each sounded event, in order; its key is the last
+        span's starting at or before it, else the first span's."""
         keyed, span = [], 0
-        for index, event in enumerate(self.events):
+        for event in self.events:
             while span + 1 < len(self.keys) and self.keys[span + 1].start <= event.start:
                 span += 1
             if not event.chord.is_nochord:
-                keyed.append((index, event.chord, self.keys[span].key))
+                keyed.append((event.chord, self.keys[span].key))
         if not keyed:
             raise EmptyTimelineError(f"{self.id}: no sounded events")
         return keyed
@@ -136,8 +136,8 @@ def build_timeline(piece_id: str, events, keys=(), title=None, artist=None) -> T
 
     Events are sorted; overlaps, non-positive durations and a span beyond
     ``MAX_SPAN_BEATS`` are rejected.
-    Key spans are normalized to tile the whole piece; when none are given
-    a single span with the estimated key is used.
+    Key spans are sorted by start, stably; when none are given a single
+    span with the estimated key is used.
     """
     events = tuple(sorted(events, key=lambda e: e.start))
     if not events:
@@ -157,14 +157,7 @@ def build_timeline(piece_id: str, events, keys=(), title=None, artist=None) -> T
         if not sounding:
             raise SchemaError(f"{piece_id}: only no-chord events")
         spans = [KeySpan(events[0].start, end - events[0].start, estimate_key(sounding))]
-    normalized = []
-    for i, span in enumerate(spans):
-        start = min(span.start, events[0].start) if i == 0 else span.start
-        stop = spans[i + 1].start if i + 1 < len(spans) else max(end, span.start + span.duration)
-        if stop > start:
-            normalized.append(KeySpan(start, stop - start, span.key))
-    return Timeline(id=piece_id, events=events, keys=tuple(normalized),
-                    title=title, artist=artist)
+    return Timeline(id=piece_id, events=events, keys=tuple(spans), title=title, artist=artist)
 
 
 def estimate_key(chords) -> Key:
@@ -219,6 +212,12 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _optional(obj: dict, name: str, kind: type, what: str):
+    """``obj[name]``, checked by ``_expect``; ``None`` when it is absent or null."""
+    value = obj.get(name)
+    return None if value is None else _expect(value, kind, what)
+
+
 def load_jams(data: str | bytes, fallback_id: str | None = None) -> Timeline:
     """Load the JSON annotation subset documented in the module docstring.
 
@@ -230,12 +229,14 @@ def load_jams(data: str | bytes, fallback_id: str | None = None) -> Timeline:
         raise SchemaError(f"not valid JSON: {err}") from err
     if not isinstance(obj, dict) or "annotations" not in obj:
         raise SchemaError("missing 'annotations'")
-    meta = _expect(obj.get("file_metadata") or {}, dict, "file_metadata")
-    identifiers = _expect(meta.get("identifiers") or {}, dict, "file_metadata.identifiers")
-    piece_id = identifiers.get("id") or fallback_id
+    meta = _optional(obj, "file_metadata", dict, "file_metadata") or {}
+    identifiers = _optional(meta, "identifiers", dict, "file_metadata.identifiers") or {}
+    piece_id = _optional(identifiers, "id", str, "piece id (file_metadata.identifiers.id)") \
+        or fallback_id
     if not piece_id:
         raise SchemaError("missing piece id (file_metadata.identifiers.id)")
-    _expect(piece_id, str, "piece id (file_metadata.identifiers.id)")
+    title = _optional(meta, "title", str, "file_metadata.title")
+    artist = _optional(meta, "artist", str, "file_metadata.artist")
     events: list[ChordEvent] = []
     keys: list[KeySpan] = []
     for number, annotation in enumerate(_expect(obj["annotations"], list, "annotations")):
@@ -270,8 +271,7 @@ def load_jams(data: str | bytes, fallback_id: str | None = None) -> Timeline:
                 keys.append(KeySpan(start, duration, key))
     if not events:
         raise SchemaError(f"{piece_id}: no chord_harte events")
-    return build_timeline(piece_id, events, keys,
-                          title=meta.get("title"), artist=meta.get("artist"))
+    return build_timeline(piece_id, events, keys, title=title, artist=artist)
 
 
 def load_chart(text: str, piece_id: str | None = None) -> Timeline:
@@ -330,9 +330,8 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     """
     if grid not in ("event", "beat"):
         raise ValueError(f"grid must be 'event' or 'beat': {grid!r}")
-    sounded = timeline.sounded()
-    value_at = dict(zip([i for i, _, _ in sounded], key_relative_values(
-        key_relative_profiles((chord, key) for _, chord, key in sounded))))
+    indices = [i for i, e in enumerate(timeline.events) if not e.chord.is_nochord]
+    value_at = dict(zip(indices, key_relative_values(key_relative_profiles(timeline.sounded()))))
     if grid == "event":
         return TpsSeries(tuple((v, timeline.events[i].duration) for i, v in value_at.items()))
     start = timeline.events[0].start
@@ -340,7 +339,7 @@ def encode_tps(timeline: Timeline, grid: str = "event") -> TpsSeries:
     # An event starts at or before beat b exactly when ceil(its offset) <= b,
     # so it holds the beats from its ceiling to the next event's.
     firsts = [min(ceil(e.start - start), beats) for e in timeline.events] + [beats]
-    held, grid_values = value_at[sounded[0][0]], []
+    held, grid_values = value_at[indices[0]], []
     for i, (first, stop) in enumerate(zip(firsts, firsts[1:])):
         if stop > first:  # an event that holds no beat sets no value
             held = value_at.get(i, held)

@@ -30,11 +30,6 @@ def make_timeline(chords, key="C:maj", piece_id="piece", beat=1):
     return build_timeline(piece_id, events, (span,))
 
 
-def sounded_pairs(timeline):
-    """The (chord, key) pair of each sounded event of a timeline."""
-    return [(chord, key) for _, chord, key in timeline.sounded()]
-
-
 # Transposition and chart writing are not harmory operations: they build the
 # inputs of the invariance and round-trip tests.
 

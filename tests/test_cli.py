@@ -1190,6 +1190,27 @@ def test_every_name_perfbench_wraps_resolves_in_harmory():
     assert callable(cli.build_memory)
 
 
+def test_the_benchmark_self_test_passes_and_leaves_its_tree_as_it_found_it():
+    """perfbench's traced runs also read attributes of harmory's results
+    (``encode_tps(...).values``, ``build_ssm(...).size``, a built graph's
+    segments, patterns and similar edges); its self-test runs every
+    workload and trace mode on tiny inputs.  Its work directory goes, and
+    no bytecode is written under perfbench/."""
+    root = Path(__file__).parents[1]
+
+    def tree():
+        return sorted(path for top in ("perfbench", ".perfbench_work")
+                      for path in (root / top).rglob("*"))
+
+    before = tree()
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "0 failure(s)"
+    assert tree() == before
+
+
 @pytest.mark.parametrize("measure", ["dtw", "tpsd", "lharp"])
 def test_piece_without_a_sounded_chord_is_a_usage_error_naming_the_pair(capsys, tmp_path,
                                                                        measure):
@@ -1422,6 +1443,43 @@ def test_a_jams_key_observation_of_the_wrong_shape_names_its_text_once(capsys, t
                             {"time": 1, "duration": 1, "value": "Cmaj"}]}]}))
     assert run(capsys, ["encode", str(piece)]) == (
         2, "", f"error: p: key observation at event index 1 'Cmaj': {SHAPE}\n")
+
+
+ONE_CHORD = [{"namespace": "chord_harte", "data": [{"time": 0, "duration": 1, "value": "C:maj"}]}]
+ID = "piece id (file_metadata.identifiers.id)"
+
+
+@pytest.mark.parametrize("command", ["encode", "build"])
+@pytest.mark.parametrize("metadata,message", [
+    *((value, f"file_metadata: expected a JSON object, got {value!r}") for value in (0, [], "", False)),
+    *(({"identifiers": value}, f"file_metadata.identifiers: expected a JSON object, got {value!r}")
+      for value in (0, [], "", False)),
+    *(({"identifiers": {"id": value}}, f"{ID}: expected a JSON string, got {value!r}")
+      for value in (0, False, [])),
+    ({"title": {"x": [1, 2]}, "artist": 7},
+     "file_metadata.title: expected a JSON string, got {'x': [1, 2]}"),
+    ({"identifiers": {"id": "p"}, "artist": 7}, "file_metadata.artist: expected a JSON string, got 7"),
+    ({"title": False}, "file_metadata.title: expected a JSON string, got False"),
+])
+def test_jams_metadata_of_another_json_type_is_a_usage_error_naming_its_field(
+        capsys, tmp_path, command, metadata, message):
+    (tmp_path / "p.jams.json").write_text(json.dumps({"file_metadata": metadata,
+                                                      "annotations": ONE_CHORD}))
+    argv = ["encode", str(tmp_path / "p.jams.json")] if command == "encode" \
+        else ["--out-dir", str(tmp_path / "out"), "build", str(tmp_path)]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("metadata", [None, {"identifiers": None, "title": None},
+                                      {"identifiers": {"id": None}, "artist": None}])
+def test_absent_or_null_jams_metadata_names_the_piece_by_its_file(capsys, tmp_path, metadata):
+    (tmp_path / "p.jams.json").write_text(json.dumps({"file_metadata": metadata,
+                                                      "annotations": ONE_CHORD}))
+    assert run(capsys, ["--quiet", "--out-dir", str(tmp_path / "out"), "build",
+                        str(tmp_path)])[0] == 0
+    graph = json.loads((tmp_path / "out" / "memory.json").read_text())
+    assert [node for node in graph["nodes"] if node["type"] == "piece"] == [
+        {"id": "p", "type": "piece", "title": None, "artist": None}]
 
 
 def test_key_texts_parse_to_the_24_table_keys_and_construct_no_key(capsys, monkeypatch):

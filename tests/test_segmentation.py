@@ -414,8 +414,7 @@ def test_segment_partition_and_min_len():
     params = SegmentationParams()
     for tl in synthetic_corpus(6, 64):
         segments = segment_timeline(tl, params).segments
-        assert [event for s in segments for event in s.events] \
-            == [(chord, key) for _, chord, key in tl.sounded()]
+        assert [event for s in segments for event in s.events] == tl.sounded()
         if len(segments) > 1:
             assert all(len(s.events) >= params.min_len for s in segments)
         assert [s.index for s in segments] == list(range(len(segments)))

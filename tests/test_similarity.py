@@ -45,7 +45,7 @@ from harmory.similarity import (
 from harmory.timeline import (ChordEvent, EmptyTimelineError, KeySpan, Timeline,
                               build_timeline, encode_tps)
 from harmory.tps import Key, chord_distance, distance_table, fifths_distance, intern, profile
-from tests.conftest import (chords, cover_corpus, exhaustive_lharp, make_timeline, sounded_pairs,
+from tests.conftest import (chords, cover_corpus, exhaustive_lharp, make_timeline,
                             tonic_triad_distance, transpose, transposed_to_c)
 
 tps_keys = st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"]))
@@ -63,7 +63,7 @@ def random_pair(rng):
 
 
 def cell_matrix(a, b):
-    ea, eb = transposed_to_c(sounded_pairs(a)), transposed_to_c(sounded_pairs(b))
+    ea, eb = transposed_to_c(a.sounded()), transposed_to_c(b.sounded())
     return [[chord_distance(x[0], x[1], y[0], y[1]) for y in eb] for x in ea]
 
 
@@ -141,7 +141,7 @@ def oracle_dtw(ca, cb, band=None, *, table):
 
 
 def oracle_windows(timeline, n):
-    events = transposed_to_c(sounded_pairs(timeline))
+    events = transposed_to_c(timeline.sounded())
     values = [tonic_triad_distance(c, k) for c, k in events]
     roots = [c.root.pitch_class for c, _ in events]
     windows: dict[tuple, list[int]] = {}
@@ -468,7 +468,7 @@ def test_lharp_step_costs_are_key_relative_distances_along_each_path():
     for a, b in pairs:
         regions = lharp(a, b).local_regions
         assert regions and all(any(r.step_costs) for r in regions)
-        ea, eb = transposed_to_c(sounded_pairs(a)), transposed_to_c(sounded_pairs(b))
+        ea, eb = transposed_to_c(a.sounded()), transposed_to_c(b.sounded())
         for region in regions:
             sub_a = ea[slice(*region.interval_a)]
             sub_b = eb[slice(*region.interval_b)]

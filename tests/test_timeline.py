@@ -398,31 +398,33 @@ def test_build_timeline_estimates_key_when_missing():
 
 
 def test_key_spans_tile_timeline():
+    """The spans are kept as given, sorted by start, and are not stretched
+    to tile the piece: the first still governs the events before it."""
     events = tuple(ChordEvent(Fraction(i * 4), Fraction(4), parse_chord(c))
                    for i, c in enumerate(["C:maj", "G:maj", "D:maj", "A:maj"]))
     spans = (KeySpan(Fraction(2), Fraction(4), Key(0, "major")),
              KeySpan(Fraction(8), Fraction(2), Key(2, "major")))
-    tl = build_timeline("x", events, spans)
-    assert tl.keys[0].start == Fraction(0)
-    assert tl.keys[0].start + tl.keys[0].duration == tl.keys[1].start
-    assert tl.keys[-1].start + tl.keys[-1].duration == tl.end
+    tl = build_timeline("x", events, spans[::-1])
+    assert tl.keys == spans
     c, d = Key(0, "major"), Key(2, "major")
-    assert [key for _, _, key in tl.sounded()] == [c, c, d, d]
+    assert [key for _, key in tl.sounded()] == [c, c, d, d]
 
 
-def bisect_key_at(timeline, position):
+def bisect_key_at(spans, position):
     """The bisect lookup that ``sounded()``'s walk replaced: the key of the
-    last span starting at or before ``position``, else of the first span."""
-    starts = [span.start for span in timeline.keys]
-    return timeline.keys[max(bisect_right(starts, position) - 1, 0)].key
+    last of the spans, stably sorted by start, starting at or before
+    ``position``, else of the first span."""
+    spans = sorted(spans, key=lambda span: span.start)
+    starts = [span.start for span in spans]
+    return spans[max(bisect_right(starts, position) - 1, 0)].key
 
 
-def bisect_encode(timeline, grid):
+def bisect_encode(timeline, spans, grid):
     """The per-event, per-beat bisect loop that ``encode_tps`` replaced."""
     sounded = [(i, e) for i, e in enumerate(timeline.events) if not e.chord.is_nochord]
     event_values = [None] * len(timeline.events)
     for i, e in sounded:
-        event_values[i] = tonic_triad_distance(e.chord, bisect_key_at(timeline, e.start))
+        event_values[i] = tonic_triad_distance(e.chord, bisect_key_at(spans, e.start))
     if grid == "event":
         return tuple((event_values[i], e.duration) for i, e in sounded)
     start = timeline.events[0].start
@@ -444,9 +446,11 @@ tps_keys = st.builds(Key, st.integers(0, 11), st.sampled_from(["major", "minor"]
 
 @st.composite
 def keyed_timelines(draw):
-    """``build_timeline`` outputs with fractional starts and gaps, leading
-    and inner no-chords, and key spans starting before the first event,
-    between events, exactly on an event start, or on one beat together."""
+    """``build_timeline`` outputs, each with the key spans it was given:
+    fractional starts and gaps, leading and inner no-chords, and key spans
+    starting before the first event, between events, exactly on an event
+    start, on one beat together, or after the last event's start or the
+    piece's end, some lasting no time or less."""
     position = draw(offsets)
     events = []
     for _ in range(draw(st.integers(1, 10))):
@@ -456,17 +460,22 @@ def keyed_timelines(draw):
         events.append(ChordEvent(position, duration, parse_chord(symbol)))
         position += duration
     starts = st.sampled_from([e.start for e in events]) \
-        | st.builds(Fraction.__add__, st.just(events[0].start), offsets)
-    spans = [KeySpan(start, draw(lengths), draw(tps_keys))
+        | st.builds(Fraction.__add__, st.just(events[0].start), offsets) \
+        | st.builds(Fraction.__add__, st.sampled_from([events[-1].start, position]),
+                    st.just(0) | lengths)
+    durations = lengths | st.builds(Fraction, st.integers(-4, 0), st.sampled_from([1, 2]))
+    spans = [KeySpan(start, draw(durations), draw(tps_keys))
              for start in draw(st.lists(starts, min_size=1, max_size=5))]
-    return build_timeline("p", events, spans)
+    return build_timeline("p", events, spans), spans
 
 
 @given(keyed_timelines())
 @settings(max_examples=400, deadline=None)
-def test_sounded_keys_and_encodings_equal_the_bisect_lookup(timeline):
-    expected = [(i, e.chord, bisect_key_at(timeline, e.start))
-                for i, e in enumerate(timeline.events) if not e.chord.is_nochord]
+def test_sounded_keys_and_encodings_equal_the_bisect_lookup(drawn):
+    timeline, spans = drawn
+    assert timeline.keys == tuple(sorted(spans, key=lambda span: span.start))
+    expected = [(e.chord, bisect_key_at(spans, e.start))
+                for e in timeline.events if not e.chord.is_nochord]
     if not expected:
         for call in (timeline.sounded, lambda: encode_tps(timeline, "beat")):
             with pytest.raises(EmptyTimelineError, match="^p: no sounded events$"):
@@ -474,7 +483,7 @@ def test_sounded_keys_and_encodings_equal_the_bisect_lookup(timeline):
         return
     assert timeline.sounded() == expected
     for grid in ("event", "beat"):
-        values = bisect_encode(timeline, grid)
+        values = bisect_encode(timeline, spans, grid)
         if not values:
             with pytest.raises(EmptyTimelineError, match="^p: shorter than one beat$"):
                 encode_tps(timeline, grid)
@@ -489,11 +498,12 @@ def per_beat_grid(timeline):
     """The per-beat loop that ``encode_tps``'s per-event fill replaced: each
     beat takes the last event whose offset's ceiling is at most the beat (the
     last one starting at or before it); a no-chord keeps the previous beat's value."""
-    sounded = timeline.sounded()
-    value_at = {i: tonic_triad_distance(chord, key) for i, chord, key in sounded}
+    indices = [i for i, e in enumerate(timeline.events) if not e.chord.is_nochord]
+    value_at = {i: tonic_triad_distance(chord, key)
+                for i, (chord, key) in zip(indices, timeline.sounded())}
     start = timeline.events[0].start
     first_beats = [ceil(e.start - start) for e in timeline.events]
-    held, i, grid_values = value_at[sounded[0][0]], 0, []
+    held, i, grid_values = value_at[indices[0]], 0, []
     for beat in range(int(timeline.end - start)):  # floor of the total span
         while i + 1 < len(first_beats) and first_beats[i + 1] <= beat:
             i += 1
